@@ -138,12 +138,10 @@ class ThresholdController:
         power: Optional[np.ndarray],
     ) -> IntervalTelemetry:
         responses = np.asarray(responses, dtype=float)
-        dedicated = self._slo_estimator not in (self.p95, self.p99)
-        for r in responses:
-            self.p95.add(r)
-            self.p99.add(r)
-            if dedicated:
-                self._slo_estimator.add(r)
+        self.p95.add_many(responses)
+        self.p99.add_many(responses)
+        if self._slo_estimator not in (self.p95, self.p99):
+            self._slo_estimator.add_many(responses)
         queue_depth = np.asarray(queue_depth, dtype=float)
         index = len(self.records)
         telemetry = IntervalTelemetry(

@@ -32,7 +32,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 
 __all__ = ["IntervalRecord", "IntervalTelemetry", "P2Quantile"]
 
@@ -75,134 +75,113 @@ class P2Quantile:
             0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0,
         )
         self._q: Optional[List[float]] = None  # marker heights
-        self._n: Optional[List[int]] = None  # marker positions
+        # Marker positions: integer-valued floats (exact far below 2**53),
+        # so the update loop never mixes int and float arithmetic.
+        self._n: Optional[List[float]] = None
         self._np: Optional[List[float]] = None  # desired positions
         self._initial: List[float] = []
 
     def add(self, x: float) -> None:
-        """Fold one observation into the estimate."""
-        x = float(x)
-        self.count += 1
-        if self._q is None:
-            insort(self._initial, x)
-            if len(self._initial) == 5:
-                p = self._p
-                self._q = list(self._initial)
-                self._n = [0, 1, 2, 3, 4]
-                self._np = [0.0, 2.0 * p, 4.0 * p, 2.0 + 2.0 * p, 4.0]
-            return
-        q, n, npos = self._q, self._n, self._np
-        assert n is not None and npos is not None
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1
-        for i in range(5):
-            npos[i] += self._dn[i]
-        for i in (1, 2, 3):
-            d = npos[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1) or (
-                d <= -1.0 and n[i - 1] - n[i] < -1
-            ):
-                step = 1 if d > 0 else -1
-                candidate = self._parabolic(i, step)
-                if not (q[i - 1] < candidate < q[i + 1]):
-                    candidate = self._linear(i, step)
-                q[i] = candidate
-                n[i] += step
+        """Fold one observation into the estimate (:meth:`add_many` of one)."""
+        self.add_many((x,))
 
     def add_many(self, xs: Sequence[float]) -> None:
-        """Fold a batch of observations, bit-identically to repeated :meth:`add`.
+        """Fold a batch of observations, in order.
 
-        The batched update hoists the marker lists into scalar locals and
-        inlines the parabolic/linear adjustment, cutting the per-observation
-        cost ~4x — the difference between the streaming results layer
-        keeping up with the fast kernel and throttling it.  The arithmetic
-        (operation order included) is exactly :meth:`add`'s, so estimates
-        are independent of how a stream is batched.
+        The marker lists are hoisted into scalar locals and the
+        parabolic/linear adjustment is inlined, so one observation costs
+        ~0.4 us per estimator.  The result does not depend on how a
+        stream is split into batches: it is bit-equal to the textbook
+        one-observation-at-a-time recursion.
+
+        Raises :class:`~repro.errors.SimulationError` if any observation
+        is NaN or infinite (one would silently corrupt the markers).
         """
-        xs = list(xs)
+        arr = np.asarray(xs, dtype=float)
+        if not np.isfinite(arr).all():
+            raise SimulationError(
+                f"P² observations must be finite; got "
+                f"{arr[~np.isfinite(arr)][0]} among {arr.size}"
+            )
+        vals = arr.ravel().tolist()
+        self.count += len(vals)
         start = 0
         if self._q is None:
             # Initial phase: exact empirical percentile until 5 observations.
-            while start < len(xs) and self._q is None:
-                self.add(xs[start])
+            initial = self._initial
+            while start < len(vals) and len(initial) < 5:
+                insort(initial, vals[start])
                 start += 1
-            if start == len(xs):
+            if len(initial) < 5:
                 return
+            p = self._p
+            self._q = list(initial)
+            self._n = [0.0, 1.0, 2.0, 3.0, 4.0]
+            self._np = [0.0, 2.0 * p, 4.0 * p, 2.0 + 2.0 * p, 4.0]
         q = self._q
         n = self._n
         npos = self._np
         assert q is not None and n is not None and npos is not None
         q0, q1, q2, q3, q4 = q
         n1, n2, n3, n4 = n[1], n[2], n[3], n[4]  # n[0] is pinned at 0
-        np0, np1, np2, np3, np4 = npos
-        d0, d1, d2, d3, d4 = self._dn
-        count = self.count
-        for x in xs[start:]:
-            x = float(x)
-            count += 1
+        # npos[0] stays 0.0 (its increment is 0.0) and npos[4] only counts
+        # observations, so both are updated once, outside the loop.
+        np1, np2, np3 = npos[1], npos[2], npos[3]
+        d1, d2, d3 = self._dn[1], self._dn[2], self._dn[3]
+        for x in vals[start:] if start else vals:
             if x < q0:
                 q0 = x
-                n1 += 1
-                n2 += 1
-                n3 += 1
-                n4 += 1
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+                n4 += 1.0
             elif x >= q4:
                 q4 = x
-                n4 += 1
+                n4 += 1.0
             elif x >= q3:
-                n4 += 1
+                n4 += 1.0
             elif x >= q2:
-                n3 += 1
-                n4 += 1
+                n3 += 1.0
+                n4 += 1.0
             elif x >= q1:
-                n2 += 1
-                n3 += 1
-                n4 += 1
+                n2 += 1.0
+                n3 += 1.0
+                n4 += 1.0
             else:
-                n1 += 1
-                n2 += 1
-                n3 += 1
-                n4 += 1
-            np0 += d0
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+                n4 += 1.0
             np1 += d1
             np2 += d2
             np3 += d3
-            np4 += d4
             # Marker 1 (neighbors: 0 at position 0 and 2).
             d = np1 - n1
-            if (d >= 1.0 and n2 - n1 > 1) or (d <= -1.0 and -n1 < -1):
-                step = 1 if d > 0 else -1
-                cand = q1 + step / (n2 - 0) * (
-                    (n1 - 0 + step) * (q2 - q1) / (n2 - n1)
-                    + (n2 - n1 - step) * (q1 - q0) / (n1 - 0)
+            if (d >= 1.0 and n2 - n1 > 1.0) or (d <= -1.0 and n1 > 1.0):
+                step = 1.0 if d > 0 else -1.0
+                cand = q1 + step / n2 * (
+                    (n1 + step) * (q2 - q1) / (n2 - n1)
+                    + (n2 - n1 - step) * (q1 - q0) / n1
                 )
                 if not (q0 < cand < q2):
-                    if step == 1:
+                    if step > 0:
                         cand = q1 + (q2 - q1) / (n2 - n1)
                     else:
-                        cand = q1 - (q0 - q1) / (0 - n1)
+                        cand = q1 - (q0 - q1) / -n1
                 q1 = cand
                 n1 += step
             # Marker 2 (neighbors: 1 and 3).
             d = np2 - n2
-            if (d >= 1.0 and n3 - n2 > 1) or (d <= -1.0 and n1 - n2 < -1):
-                step = 1 if d > 0 else -1
+            if (d >= 1.0 and n3 - n2 > 1.0) or (
+                d <= -1.0 and n1 - n2 < -1.0
+            ):
+                step = 1.0 if d > 0 else -1.0
                 cand = q2 + step / (n3 - n1) * (
                     (n2 - n1 + step) * (q3 - q2) / (n3 - n2)
                     + (n3 - n2 - step) * (q2 - q1) / (n2 - n1)
                 )
                 if not (q1 < cand < q3):
-                    if step == 1:
+                    if step > 0:
                         cand = q2 + (q3 - q2) / (n3 - n2)
                     else:
                         cand = q2 - (q1 - q2) / (n1 - n2)
@@ -210,36 +189,26 @@ class P2Quantile:
                 n2 += step
             # Marker 3 (neighbors: 2 and 4).
             d = np3 - n3
-            if (d >= 1.0 and n4 - n3 > 1) or (d <= -1.0 and n2 - n3 < -1):
-                step = 1 if d > 0 else -1
+            if (d >= 1.0 and n4 - n3 > 1.0) or (
+                d <= -1.0 and n2 - n3 < -1.0
+            ):
+                step = 1.0 if d > 0 else -1.0
                 cand = q3 + step / (n4 - n2) * (
                     (n3 - n2 + step) * (q4 - q3) / (n4 - n3)
                     + (n4 - n3 - step) * (q3 - q2) / (n3 - n2)
                 )
                 if not (q2 < cand < q4):
-                    if step == 1:
+                    if step > 0:
                         cand = q3 + (q4 - q3) / (n4 - n3)
                     else:
                         cand = q3 - (q2 - q3) / (n2 - n3)
                 q3 = cand
                 n3 += step
-        self.count = count
         q[0], q[1], q[2], q[3], q[4] = q0, q1, q2, q3, q4
         n[1], n[2], n[3], n[4] = n1, n2, n3, n4
-        npos[0], npos[1], npos[2], npos[3], npos[4] = np0, np1, np2, np3, np4
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, n = self._q, self._n
-        assert q is not None and n is not None
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: int) -> float:
-        q, n = self._q, self._n
-        assert q is not None and n is not None
-        return q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
+        # Exact: npos[4] is an integer-valued float far below 2**53.
+        npos[1], npos[2], npos[3] = np1, np2, np3
+        npos[4] += float(len(vals) - start)
 
     @property
     def value(self) -> float:

@@ -1072,6 +1072,42 @@ class _ControlledLadderBank(_LadderBank):
         self.load[d] += self.oh[d] + tr
         return s
 
+    def serve_batch(self, d: int, ts: list, trs: list) -> List[float]:
+        """:meth:`serve` over one disk's run, with the per-disk state held
+        in locals (same arithmetic; gap walks go through
+        :meth:`_descend_logged`)."""
+        out: List[float] = []
+        append = out.append
+        log = self.gap_log[d].append
+        a = self.avail[d]
+        ld = self.load[d]
+        pt_d = self.pt[d]
+        pv_d = self.pv[d]
+        oh = self.oh[d]
+        one_rung = self.R[d] == 1
+        for t, tr in zip(ts, trs):
+            if t != pt_d:
+                pt_d = t
+                pv_d = a
+            if t > a:
+                th = self._th_at(a, d)
+                log((t - a, th))
+                entries = self._entries_for(d, th)
+                if one_rung or isinf(entries[1]) or t - a <= entries[1]:
+                    s = t
+                else:
+                    s = self._descend_logged(d, a, t, entries)
+            else:
+                s = a
+            append(s)
+            a = s + oh + tr
+            ld += oh + tr
+        self.avail[d] = a
+        self.load[d] = ld
+        self.pt[d] = pt_d
+        self.pv[d] = pv_d
+        return out
+
     def spinning_mask(self, t: float) -> np.ndarray:
         pt = self.pt
         pv = self.pv
@@ -1952,7 +1988,7 @@ def simulate_fast_chunked(
     ``duration`` defaults to the stream's ``duration`` attribute.
 
     ``scheduler`` composes with chunking: a request held across a chunk
-    boundary stays in the pending release heap (bounded by the number of
+    boundary stays in the pending release queue (bounded by the number of
     simultaneously-held requests, not the stream length), and the global
     ``(release, arrival order)`` submission sequence is invariant to the
     chunk partition, so scheduled chunked runs stay bit-identical to the
@@ -2133,30 +2169,36 @@ def _simulate_chunks(
     # forecast (in arrival order, reading the controller's interval-constant
     # slo_estimate under control) and submitted to the disks in global
     # (release, arrival-seq) order — the exact submission sequence the event
-    # engine's drive_scheduled_stream produces.  Pending releases ride a heap
-    # across interval and chunk boundaries; recorded responses measure from
-    # the original arrival (the hold rides on top of the post-release
-    # response).  scheduler=None takes the historical unscheduled paths,
-    # byte-identical to the pre-scheduler kernel.
-    sched_pending: List[tuple] = []  # (release, seq, fid, is_write, hold)
-    sched_seq = 0
+    # engine's drive_scheduled_stream produces.  Pending releases ride
+    # across interval and chunk boundaries as (release, arrival, file id,
+    # is-write) array blocks in arrival-seq order; recorded responses
+    # measure from the original arrival (the hold rides on top of the
+    # post-release response).  scheduler=None takes the historical
+    # unscheduled paths, byte-identical to the pre-scheduler kernel.
+    pending: List[tuple] = []
     if scheduler is not None:
 
-        def _schedule(fid_l, t_l, w_l, lo, hi, est) -> None:
+        def _schedule(fid_a, t_a, w_a, lo, hi, est) -> None:
             """Assign releases to arrivals [lo, hi) (one open interval)."""
-            nonlocal sched_seq
             rel = scheduler.release
-            for i in range(lo, hi):
-                t_i = t_l[i]
-                f_i = fid_l[i]
-                w_i = False if w_l is None else w_l[i]
-                r = rel(t_i, f_i, WRITE if w_i else READ, slo_estimate=est)
-                if r < T:
-                    # A release at or past the horizon never submits (the
-                    # event engine's URGENT stop pre-empts it) — censored,
-                    # neither an arrival nor a completion.
-                    heappush(sched_pending, (r, sched_seq, f_i, w_i, r - t_i))
-                sched_seq += 1
+            t_c = t_a[lo:hi]
+            f_c = fid_a[lo:hi]
+            if w_a is None:
+                w_c = np.zeros(hi - lo, dtype=bool)
+                kinds = [READ] * (hi - lo)
+            else:
+                w_c = w_a[lo:hi]
+                kinds = [WRITE if w else READ for w in w_c.tolist()]
+            r_c = np.array([
+                rel(t, f, k, slo_estimate=est)
+                for t, f, k in zip(t_c.tolist(), f_c.tolist(), kinds)
+            ], dtype=float)
+            # A release at or past the horizon never submits (the event
+            # engine's URGENT stop pre-empts it) — censored, neither an
+            # arrival nor a completion.
+            keep = r_c < T
+            if keep.any():
+                pending.append((r_c[keep], t_c[keep], f_c[keep], w_c[keep]))
 
         def _consume(fid_c, t_c, sz_c, w_c, holds_c) -> None:
             """Serve one (release, seq)-ordered batch of released requests
@@ -2239,33 +2281,28 @@ def _simulate_chunks(
             hits += n_hits
 
         def _flush(limit: float, inclusive: bool) -> None:
-            """Pop pending releases up to ``limit`` — in (release, seq)
-            order — and serve them as one batch."""
-            if not sched_pending:
+            """Take the pending releases before ``limit`` (or at it, when
+            ``inclusive``) and serve them as one batch in (release, seq)
+            order — a stable sort on release, since the pending blocks
+            hold arrivals in seq order."""
+            if not pending:
                 return
-            rel_l: List[float] = []
-            fid_fl: List[int] = []
-            w_fl: List[bool] = []
-            h_fl: List[float] = []
-            while sched_pending:
-                r0 = sched_pending[0][0]
-                if (r0 > limit) if inclusive else (r0 >= limit):
-                    break
-                r0, _, f0, w0, h0 = heappop(sched_pending)
-                rel_l.append(r0)
-                fid_fl.append(f0)
-                w_fl.append(w0)
-                h_fl.append(h0)
-            if not rel_l:
+            rel, t_p, fid_p, w_p = (np.concatenate(c) for c in zip(*pending))
+            pending.clear()
+            due = (rel <= limit) if inclusive else (rel < limit)
+            if not due.all():
+                rest = ~due
+                pending.append((rel[rest], t_p[rest], fid_p[rest], w_p[rest]))
+            idx = np.flatnonzero(due)
+            if not idx.size:
                 return
-            fid_c = np.asarray(fid_fl, dtype=np.int64)
-            w_arr = np.asarray(w_fl, dtype=bool)
+            idx = idx[np.argsort(rel[idx], kind="stable")]
+            t_c = rel[idx]
+            fid_c = fid_p[idx]
+            w_c = w_p[idx]
             _consume(
-                fid_c,
-                np.asarray(rel_l, dtype=float),
-                sizes[fid_c],
-                w_arr if w_arr.any() else None,
-                np.asarray(h_fl, dtype=float),
+                fid_c, t_c, sizes[fid_c], w_c if w_c.any() else None,
+                t_c - t_p[idx],
             )
 
     prev_last: Optional[float] = None
@@ -2314,9 +2351,6 @@ def _simulate_chunks(
                     binner if driver is not None else None,
                     bank, has_ladder, obs,
                 )
-            t_l = t_all.tolist()
-            fid_list = fid.tolist()
-            w_l = is_write.tolist() if is_write is not None else None
             if driver is not None:
                 # Interval-segmented: arrivals in one control interval all
                 # read the same slo_estimate, and a boundary is processed —
@@ -2329,7 +2363,7 @@ def _simulate_chunks(
                     hi = int(np.searchsorted(t_all, t_edge, side="left"))
                     if hi > pos:
                         _schedule(
-                            fid_list, t_l, w_l, pos, hi, dpm.slo_estimate
+                            fid, t_all, is_write, pos, hi, dpm.slo_estimate
                         )
                     if hi == n:
                         # Chunk exhausted mid-interval: a later chunk may
@@ -2340,7 +2374,7 @@ def _simulate_chunks(
                     driver._boundary(t_edge, t_edge >= T)
                     pos = hi
             else:
-                _schedule(fid_list, t_l, w_l, 0, n, None)
+                _schedule(fid, t_all, is_write, 0, n, None)
             # Releases at or before the chunk's last arrival are final:
             # every future arrival (hence every future release) is at or
             # after it, and at a tie the smaller arrival seq flushes first
@@ -2444,14 +2478,14 @@ def _simulate_chunks(
             # engine's URGENT stop discarding queued arrivals.
             break
 
-    if scheduler is not None and sched_pending:
+    if scheduler is not None and pending:
         # Requests still held past the last arrival: interleave the
         # remaining releases (all < T) with the control boundaries they
         # straddle — a release exactly on a boundary submits after it.
         if driver is not None:
             ci = driver.ci
-            while sched_pending:
-                driver.drain_to(sched_pending[0][0])
+            while pending:
+                driver.drain_to(min(float(b[0].min()) for b in pending))
                 _flush(min((driver.k + 1) * ci, T), False)
         else:
             _flush(T, False)

@@ -226,18 +226,19 @@ class _DiskModel:
     the scheduler's own commits — it is a deterministic *forecast* shared
     verbatim by both engines, never a readout of either engine's truth
     (caches, dynamic thresholds and placement updates are invisible to
-    it on purpose).
+    it on purpose).  State is kept in Python lists: the model is read and
+    written one scalar at a time, once per request.
     """
 
     __slots__ = ("avail", "_oh", "_rate", "_th", "_down", "_up")
 
     def __init__(self, setup: SchedulingSetup) -> None:
-        self.avail = np.zeros(setup.num_disks, dtype=float)
-        self._oh = setup.access_overhead
-        self._rate = setup.transfer_rate
-        self._th = setup.threshold
-        self._down = setup.spindown_time
-        self._up = setup.spinup_time
+        self.avail = [0.0] * setup.num_disks
+        self._oh = np.asarray(setup.access_overhead, dtype=float).tolist()
+        self._rate = np.asarray(setup.transfer_rate, dtype=float).tolist()
+        self._th = np.asarray(setup.threshold, dtype=float).tolist()
+        self._down = np.asarray(setup.spindown_time, dtype=float).tolist()
+        self._up = np.asarray(setup.spinup_time, dtype=float).tolist()
 
     def projected_start(self, d: int, t: float) -> float:
         """Predicted service start for a request hitting disk ``d`` at ``t``."""
@@ -448,7 +449,8 @@ class SlackDefer(RequestScheduler):
                 f"slack_defer window must be positive, got {window}"
             )
         self._window = float(window)
-        self._setup = setup
+        self._mapping = setup.mapping.tolist()
+        self._sizes = setup.sizes.tolist()
         self._model = _DiskModel(setup)
 
     def release(
@@ -458,14 +460,12 @@ class SlackDefer(RequestScheduler):
         kind: str,
         slo_estimate: Optional[float] = None,
     ) -> float:
-        setup = self._setup
-        d = -1
-        if 0 <= file_id < setup.mapping.size:
-            d = int(setup.mapping[file_id])
+        mapping = self._mapping
+        d = mapping[file_id] if 0 <= file_id < len(mapping) else -1
         if d < 0:
             return t  # not yet placed: pass through, model untouched
         model = self._model
-        size = setup.sizes[file_id]
+        service = model.service_time(d, self._sizes[file_id])
         r = t
         stressed = slo_estimate is not None and slo_estimate > self._budget
         if not stressed:
@@ -480,12 +480,10 @@ class SlackDefer(RequestScheduler):
                 # Project at the *release*, not the arrival: the disk may
                 # spin down inside [t, epoch), and a deferral that causes
                 # the very wake it was meant to avoid busts the budget.
-                projected = (
-                    model.projected_start(d, epoch) - t
-                ) + model.service_time(d, size)
+                projected = (model.projected_start(d, epoch) - t) + service
                 if projected <= self._budget:
                     r = epoch
-        model.commit(d, r, size)
+        model.avail[d] = model.projected_start(d, r) + service
         return r
 
 
@@ -549,9 +547,10 @@ class SpinupCoalesce(RequestScheduler):
         if self.params["max_hold"] < 0:
             raise ConfigError("spinup_coalesce max_hold must be >= 0")
         self._max_hold = float(self.params["max_hold"])
-        self._setup = setup
+        self._mapping = setup.mapping.tolist()
+        self._sizes = setup.sizes.tolist()
         self._model = _DiskModel(setup)
-        self._group_until = np.full(setup.num_disks, -math.inf)
+        self._group_until = [-math.inf] * setup.num_disks
 
     def release(
         self,
@@ -560,10 +559,8 @@ class SpinupCoalesce(RequestScheduler):
         kind: str,
         slo_estimate: Optional[float] = None,
     ) -> float:
-        setup = self._setup
-        d = -1
-        if 0 <= file_id < setup.mapping.size:
-            d = int(setup.mapping[file_id])
+        mapping = self._mapping
+        d = mapping[file_id] if 0 <= file_id < len(mapping) else -1
         if d < 0:
             return t
         model = self._model
@@ -576,5 +573,5 @@ class SpinupCoalesce(RequestScheduler):
             self._group_until[d] = r  # open a group; wake once, together
         else:
             r = t
-        model.commit(d, r, setup.sizes[file_id])
+        model.commit(d, r, self._sizes[file_id])
         return r

@@ -133,7 +133,7 @@ def test_scheduled_config_agrees(seed):
     decisions, same submission order, same response accounting (measured
     from the *original* arrival).  Every third case additionally re-runs
     the fast kernel chunked at a misaligned prime chunk size and requires
-    bit identity (the scheduler's pending heap is carry-state)."""
+    bit identity (the scheduler's pending releases are carry-state)."""
     case = build_scheduled_case(seed)
     event, fast = run_engines(case)
     assert_invariants(event, case)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.system.metrics import (
     ResponseAccumulator,
     ResponseStats,
@@ -98,6 +99,20 @@ class TestPartitionInvariance:
             parts = [values[i : i + k] for i in range(0, values.size, k)]
             stats = _fold(parts)
             assert stats.total == serial
+
+
+class TestNonFiniteResponses:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_chunk_with_non_finite_response_raises(self, bad):
+        """A NaN used to slip through as min=inf, max=-inf, mean nan."""
+        acc = ResponseAccumulator()
+        acc.add(np.array([1.0, 2.0]))
+        before = acc.result()
+        with pytest.raises(SimulationError, match="finite"):
+            acc.add(np.array([3.0, bad, 4.0]))
+        # The rejected chunk left the accumulator untouched.
+        assert acc.result() == before
+        assert (before.count, before.min, before.max) == (2, 1.0, 2.0)
 
 
 class TestP2Accuracy:
