@@ -5,7 +5,7 @@ measures, in the simulator, how much an intermediate "nap" state saves on
 gap mixes where the 53.3 s two-state threshold is too blunt, times the
 closed-form schedule construction, and guards the array-level ladder
 mode's fast-kernel speedup: ``StorageConfig(dpm_ladder=...)`` through the
-per-rung ``_LadderBank`` recursion must beat the event engine >= 5x —
+per-rung ``_DiskBank`` recursion must beat the event engine >= 5x —
 with and without online control — while agreeing to 1e-9.
 """
 

@@ -25,7 +25,7 @@ scale by ``threshold / base_threshold`` via
 The timeline records ladder state *names* (strings): rung names while
 parked, ``down:<name>`` during descents, ``wake:<name>`` during wakes,
 plus ``seek``/``active`` while serving.  The fast kernel's
-:class:`~repro.sim.fastkernel._LadderBank` replays identical semantics and
+:class:`~repro.sim.fastkernel._DiskBank` replays identical semantics and
 uses the same labels.
 """
 

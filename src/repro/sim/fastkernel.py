@@ -67,8 +67,9 @@ request count.
 Multi-state ladders (``StorageConfig(dpm_ladder=...)`` — presets
 ``two_state``/``nap``/``drpm4`` in :data:`repro.disk.dpm.DPM_LADDERS`,
 or any user :class:`~repro.disk.dpm.DpmLadder`) replay through the
-per-rung :class:`_LadderBank` recursion; the ``two_state`` preset is
-byte-identical to the classic :class:`_DiskBank` path, and the seeded
+per-rung :class:`_DiskBank` recursion.  There is one bank: a run without
+a ladder is the ``two_state`` ladder of each disk's spec, reported under
+the classic :class:`~repro.disk.power.DiskState` keys, and the seeded
 randomized differential harness in ``tests/differential/`` holds both
 engines to 1e-9 agreement across the full config space (disks x streams
 x arrival shape x cache x write policy x DPM policy x ladder x fleet).
@@ -109,7 +110,7 @@ Execution strategy (fastest applicable path is chosen per run):
 4. **controlled** (a dynamic ``StorageConfig.dpm_policy``): the stream is
    segmented at control-interval boundaries and each interval replays
    through whichever of the three paths above applies, against a
-   :class:`_ControlledBank` holding *per-interval, per-disk* threshold
+   :class:`_DiskBank` holding *per-interval, per-disk* threshold
    vectors.  An idle gap is governed by the threshold in effect at the
    disk's drain instant (the event drive's already-armed timer), so the
    per-gap threshold is looked up from the drain time's interval.  At
@@ -142,12 +143,12 @@ the default ``engine="event"`` for those.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from math import isinf
+from math import inf
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.disk.dpm import DpmLadder
+from repro.disk.dpm import DpmLadder, make_dpm_ladder
 from repro.disk.drive import READ, WRITE
 from repro.disk.fleet import ResolvedFleet
 from repro.disk.power import DiskState, PowerModel
@@ -230,37 +231,58 @@ def _per_disk_floats(value, num_disks: int) -> List[float]:
 
 
 class _DiskBank:
-    """Scalar per-disk queue/power state with carry-in, shared by all paths.
+    """Per-disk queue and DPM-ladder state with carry-in, shared by all paths.
 
-    Holds exactly the state the event kernel's ``DiskDrive`` evolves — the
-    time each disk next falls idle plus spin-transition accounting — in
-    plain Python lists, so single-request advances at coupling points stay
-    cheap while :meth:`serve_batch` replays a whole per-disk FIFO segment
-    with hoisted locals.
+    Evolves exactly the state the event kernel's drives evolve — per disk,
+    the time it next falls idle plus per-rung park/descent/wake
+    residencies — in plain Python lists, so single-request advances at
+    coupling points stay cheap while :meth:`serve_batch` replays a whole
+    per-disk FIFO run with hoisted locals.  The classic drive of paper
+    Figure 1 (:class:`~repro.disk.drive.DiskDrive`) is the ``two_state``
+    ladder: one descent rung whose descent, park and wake are SPINDOWN,
+    STANDBY and SPINUP, with the classic recursion's arithmetic term for
+    term.
 
-    Heterogeneous fleets: every spec-derived constant (spin-down/up times,
-    access overhead, transfer rate) and the idleness threshold are held as
-    one value *per disk*.  ``spec``/``threshold`` accept a scalar (tiled
-    across the pool — a uniform fleet, bit-identical to the historical
-    scalar recursion) or a per-disk sequence/vector.
+    An idle gap walks the disk's threshold-scaled descent schedule
+    (:meth:`~repro.disk.dpm.DpmLadder.scaled_entries`): fully traversed
+    rungs bill their descent and park times, the rung occupied when the
+    gap ends bills a (possibly horizon-clipped) descent plus
+    park-until-arrival, and the wake is billed for its configured wake
+    time.  Descents are not abortable.
+
+    ``thresholds`` (a scalar or a per-disk vector) is fixed for the run
+    unless ``interval`` is given.  It is then the first row of the
+    per-interval history the controlled path extends with
+    :meth:`push_thresholds`, and the threshold governing a gap is the one
+    in effect at the disk's *drain* instant (the event drive's
+    already-armed timer).  By the time a gap's closing arrival is
+    processed its drain interval has been reached, so the lookup always
+    resolves.  A controlled bank also logs closed idle gaps
+    ``(gap, threshold_at_drain)`` for the control telemetry.  With
+    ``log_spans`` (implied by ``interval``) every descent/park/wake
+    episode is logged as a ``(disk, start, end)`` span per rung, for the
+    per-interval power trace and for observers; logging never changes the
+    arithmetic.
+
+    Heterogeneous fleets: ladders, specs and thresholds are per disk, and
+    residencies are disk-major (``park_t[d][i]``) because rung counts may
+    differ across the pool.  Scalars tile across the pool, reproducing the
+    historical uniform recursion bit for bit.
     """
 
-    __slots__ = (
-        "avail", "sd_t", "su_t", "sb_t", "n_up", "n_down", "load",
-        "th", "no_spindown", "D", "U", "oh", "rate", "oh_a", "rate_a",
-        "ap", "cap", "T", "pt", "pv",
-    )
-
     def __init__(
-        self, num_disks: int, threshold, spec, horizon: float
+        self,
+        num_disks: int,
+        thresholds,
+        ladder,
+        spec,
+        horizon: float,
+        interval: Optional[float] = None,
+        log_spans: bool = False,
     ) -> None:
         specs = _per_disk_specs(spec, num_disks)
+        ladders = _per_disk_ladders(ladder, num_disks)
         self.avail = [0.0] * num_disks
-        self.sd_t = [0.0] * num_disks
-        self.su_t = [0.0] * num_disks
-        self.sb_t = [0.0] * num_disks
-        self.n_up = [0] * num_disks
-        self.n_down = [0] * num_disks
         # Cumulative dispatched service seconds per disk, accumulated one
         # request at a time (same order as the event dispatcher's ledger,
         # so load-comparing placement policies see bit-equal values).
@@ -274,10 +296,8 @@ class _DiskBank:
         # they stood when the instant began, not mid-batch.
         self.pt = [float("-inf")] * num_disks
         self.pv = [0.0] * num_disks
-        self.th = _per_disk_floats(threshold, num_disks)
-        self.no_spindown = all(isinf(t) for t in self.th)
-        self.D = [s.spindown_time for s in specs]
-        self.U = [s.spinup_time for s in specs]
+        self.n_up = [0] * num_disks
+        self.n_down = [0] * num_disks
         self.oh = [s.access_overhead for s in specs]
         self.rate = [s.transfer_rate for s in specs]
         self.oh_a = np.asarray(self.oh, dtype=float)
@@ -285,215 +305,44 @@ class _DiskBank:
         self.ap = np.array([s.active_power for s in specs], dtype=float)
         self.cap = None  # per-disk usable bytes, set by _simulate_chunks
         self.T = horizon
-
-    def serve(self, d: int, t: float, tr: float) -> float:
-        """Queue one request on disk ``d`` arriving at ``t``; returns the
-        service start (the event kernel's SEEK entry time)."""
-        a = self.avail[d]
-        if t != self.pt[d]:
-            self.pt[d] = t
-            self.pv[d] = a
-        if t > a:
-            # gap > inf is never true, so an inf-threshold disk never
-            # spins down — no separate no_spindown guard needed.
-            if t - a > self.th[d]:
-                # Idleness timer expired at a+th: spin down (not abortable),
-                # sleep, then spin up on this arrival.
-                sd = a + self.th[d]
-                sd_end = sd + self.D[d]
-                self.n_down[d] += 1
-                self.sd_t[d] += min(sd_end, self.T) - sd
-                if t >= sd_end:
-                    self.sb_t[d] += t - sd_end
-                    su = t
-                else:
-                    su = sd_end
-                if su < self.T:
-                    self.n_up[d] += 1
-                    self.su_t[d] += min(su + self.U[d], self.T) - su
-                s = su + self.U[d]
-            else:
-                s = t
+        self.ladders = ladders
+        self.R = [len(l.rungs) for l in ladders]
+        self.maxR = max(self.R)
+        self.dn = [[r.down_time for r in l.rungs] for l in ladders]
+        self.wk = [[r.wake_time for r in l.rungs] for l in ladders]
+        # Rung 0's park time is the horizon residual, computed at the end.
+        self.park_t = [[0.0] * r for r in self.R]
+        self.down_t = [[0.0] * r for r in self.R]
+        self.wake_t = [[0.0] * r for r in self.R]
+        # Per-disk scaled-schedule caches (mixed fleets scale different
+        # ladders with the same threshold).
+        self._entry_cache: List[dict] = [{} for _ in range(num_disks)]
+        th = _per_disk_floats(thresholds, num_disks)
+        if interval is None:
+            self.entries: Optional[list] = [
+                self._entries_for(d, th[d]) for d in range(num_disks)
+            ]
+            self._last_entry = np.array([e[-1] for e in self.entries])
+            self._last_dn = np.array([dn[-1] for dn in self.dn])
+            self.gap_log: Optional[List[list]] = None
         else:
-            s = a
-        self.avail[d] = s + self.oh[d] + tr
-        self.load[d] += self.oh[d] + tr
-        return s
-
-    def serve_batch(self, d: int, ts: list, trs: list) -> List[float]:
-        """Advance disk ``d`` through a FIFO run of requests; returns the
-        service starts.  Identical recursion to :meth:`serve`, with the
-        per-disk state hoisted into locals for the long read-only runs."""
-        out: List[float] = []
-        append = out.append
-        a = self.avail[d]
-        oh = self.oh[d]
-        ld = self.load[d]
-        th = self.th[d]
-        if isinf(th):
-            # Pure Lindley recursion: serve at max(arrival, free time).
-            for t, tr in zip(ts, trs):
-                s = t if t > a else a
-                append(s)
-                a = s + oh + tr
-                ld += oh + tr
+            self.entries = None  # per-gap schedules from the history
+            self.ci = float(interval)
+            # One row per control interval; plain float lists because the
+            # hot per-gap lookup (a list index) beats NumPy scalar
+            # extraction by a wide margin.
+            self._th_rows: List[List[float]] = [th]
+            self.k = 0
+            self.gap_log = [[] for _ in range(num_disks)]
+            log_spans = True
+        if log_spans:
+            # Keyed by rung index across the whole pool (entries carry the
+            # disk id); maxR covers the deepest ladder in the mix.
+            self.park_spans, self.down_spans, self.wake_spans = (
+                [[] for _ in range(self.maxR)] for _ in range(3)
+            )
         else:
-            D = self.D[d]
-            U = self.U[d]
-            T = self.T
-            sd_t = self.sd_t[d]
-            su_t = self.su_t[d]
-            sb_t = self.sb_t[d]
-            n_up = self.n_up[d]
-            n_down = self.n_down[d]
-            pt_d = self.pt[d]
-            pv_d = self.pv[d]
-            for t, tr in zip(ts, trs):
-                if t != pt_d:
-                    pt_d = t
-                    pv_d = a
-                if t > a:
-                    if t - a > th:
-                        sd = a + th
-                        sd_end = sd + D
-                        n_down += 1
-                        sd_t += min(sd_end, T) - sd
-                        if t >= sd_end:
-                            sb_t += t - sd_end
-                            su = t
-                        else:
-                            su = sd_end
-                        if su < T:
-                            n_up += 1
-                            su_t += min(su + U, T) - su
-                        s = su + U
-                    else:
-                        s = t
-                else:
-                    s = a
-                append(s)
-                a = s + oh + tr
-                ld += oh + tr
-            self.sd_t[d] = sd_t
-            self.su_t[d] = su_t
-            self.sb_t[d] = sb_t
-            self.n_up[d] = n_up
-            self.n_down[d] = n_down
-            self.pt[d] = pt_d
-            self.pv[d] = pv_d
-        self.avail[d] = a
-        self.load[d] = ld
-        return out
-
-    def _avail_at_instant_start(self, t: float) -> List[float]:
-        """Per-disk ``avail`` as the event kernel's placement context would
-        see it at instant ``t``: serves that happened *at* ``t`` itself are
-        rolled back to the snapshot taken when the instant began (the event
-        engine's drive processes have not run yet mid-batch)."""
-        pt = self.pt
-        pv = self.pv
-        return [
-            pv[d] if pt[d] == t else a for d, a in enumerate(self.avail)
-        ]
-
-    def spinning_mask(self, t: float) -> np.ndarray:
-        """Per-disk "not STANDBY at time ``t``" — the §1.1 write policy's
-        view of the pool.
-
-        Mirrors :attr:`~repro.disk.power.DiskState.spinning`: SEEK/ACTIVE/
-        IDLE/SPINUP *and SPINDOWN* all count as spinning.  A drained disk is
-        IDLE until ``avail + th``, SPINDOWN until ``avail + th + D``, and
-        STANDBY after; a disk still working (``t < avail``) is never in
-        STANDBY because a pending request always rides the spin transitions
-        straight back up.  Same-instant earlier serves are excluded via the
-        instant-start snapshot: a disk woken at exactly ``t`` still reads
-        STANDBY, like the event kernel's not-yet-resumed drive process.
-        """
-        avail = np.asarray(self._avail_at_instant_start(t))
-        if self.no_spindown:
-            return np.ones(avail.shape, dtype=bool)
-        # inf-threshold disks get avail + inf == inf: always spinning.
-        return t < avail + np.asarray(self.th) + np.asarray(self.D)
-
-    def tail_arrays(self):
-        """Spin/transition accounting as arrays, with trailing idleness.
-
-        Called once at the horizon: every disk (including ones that never
-        served a request) spins down once its post-drain idle gap exceeds
-        the threshold, provided the timer fires before the horizon.
-        Returns ``(spindown_time, spinup_time, standby_time, spinups,
-        spindowns)`` per disk.
-        """
-        avail = np.asarray(self.avail, dtype=float)
-        spindown_time = np.asarray(self.sd_t, dtype=float)
-        spinup_time = np.asarray(self.su_t, dtype=float)
-        standby_time = np.asarray(self.sb_t, dtype=float)
-        spinups = np.asarray(self.n_up, dtype=np.int64)
-        spindowns = np.asarray(self.n_down, dtype=np.int64)
-        if not self.no_spindown:
-            # Per-disk vectors; an inf-threshold disk's sd is inf, so its
-            # tail mask is False and every where() contribution is 0.
-            sd = avail + np.asarray(self.th)
-            tail = sd < self.T
-            spindowns = spindowns + tail
-            sd_end = sd + np.asarray(self.D)
-            spindown_time = spindown_time + np.where(
-                tail, np.minimum(sd_end, self.T) - sd, 0.0
-            )
-            standby_time = standby_time + np.where(
-                tail, np.clip(self.T - sd_end, 0.0, None), 0.0
-            )
-        return spindown_time, spinup_time, standby_time, spinups, spindowns
-
-
-class _ControlledBank(_DiskBank):
-    """Per-interval, per-disk threshold variant of :class:`_DiskBank`.
-
-    Used by the controlled execution path (dynamic DPM policies).  The
-    threshold governing an idle gap is the one in effect at the disk's
-    *drain* instant — resolved by looking the drain time's control
-    interval up in ``_th_rows`` (the history of applied threshold
-    vectors).  By the time a gap's closing arrival is processed, its
-    drain interval has necessarily been reached, so the lookup is always
-    resolvable (FIFO per disk; arrivals are processed in time order).
-
-    Also logs what the fixed-path bank does not need: per-disk closed
-    idle gaps ``(gap, threshold_at_drain)`` for the control telemetry,
-    and every spin-transition episode as ``(disk, start, end)`` spans so
-    the per-interval power trace can be reconstructed after the run.
-    An infinite per-disk threshold needs no special casing: ``gap > inf``
-    is never true, so such disks simply never spin down.
-    """
-
-    __slots__ = (
-        "ci", "_th_rows", "k", "gap_log", "sd_spans", "su_spans", "sb_spans",
-    )
-
-    def __init__(
-        self,
-        num_disks: int,
-        init_thresholds: np.ndarray,
-        spec,
-        horizon: float,
-        interval: float,
-    ) -> None:
-        super().__init__(num_disks, 0.0, spec, horizon)
-        # Static thresholds unused in controlled mode (gaps resolve
-        # against the applied-vector history instead).
-        self.th = [float("nan")] * num_disks
-        self.no_spindown = False
-        self.ci = float(interval)
-        # One row per control interval; plain float lists because the hot
-        # per-gap lookup (a python list index) beats NumPy scalar
-        # extraction by a wide margin.
-        self._th_rows: List[List[float]] = [
-            np.asarray(init_thresholds, dtype=float).tolist()
-        ]
-        self.k = 0
-        self.gap_log: List[List[tuple]] = [[] for _ in range(num_disks)]
-        self.sd_spans: List[tuple] = []
-        self.su_spans: List[tuple] = []
-        self.sb_spans: List[tuple] = []
+            self.park_spans = self.down_spans = self.wake_spans = None
 
     def push_thresholds(self, thresholds: np.ndarray) -> None:
         """Apply the vector decided at the boundary entering interval k+1."""
@@ -507,340 +356,23 @@ class _ControlledBank(_DiskBank):
             idx = self.k
         return self._th_rows[idx][d]
 
-    def serve(self, d: int, t: float, tr: float) -> float:
-        """:meth:`_DiskBank.serve` with the per-gap threshold lookup,
-        gap logging and transition-span logging."""
-        a = self.avail[d]
-        if t != self.pt[d]:
-            self.pt[d] = t
-            self.pv[d] = a
-        if t > a:
-            th = self._th_at(a, d)
-            self.gap_log[d].append((t - a, th))
-            if t - a > th:
-                sd = a + th
-                sd_end = sd + self.D[d]
-                self.n_down[d] += 1
-                self.sd_t[d] += min(sd_end, self.T) - sd
-                self.sd_spans.append((d, sd, sd_end))
-                if t >= sd_end:
-                    self.sb_t[d] += t - sd_end
-                    self.sb_spans.append((d, sd_end, t))
-                    su = t
-                else:
-                    su = sd_end
-                if su < self.T:
-                    self.n_up[d] += 1
-                    self.su_t[d] += min(su + self.U[d], self.T) - su
-                    self.su_spans.append((d, su, su + self.U[d]))
-                s = su + self.U[d]
-            else:
-                s = t
-        else:
-            s = a
-        self.avail[d] = s + self.oh[d] + tr
-        self.load[d] += self.oh[d] + tr
-        return s
+    def _entries_for(self, d: int, th: float) -> tuple:
+        """Disk ``d``'s descent schedule under threshold ``th``; a one-rung
+        ladder gets an ``inf`` first entry, so no gap ever descends."""
+        cache = self._entry_cache[d]
+        entries = cache.get(th)
+        if entries is None:
+            entries = self.ladders[d].scaled_entries(th)
+            if len(entries) == 1:
+                entries = (0.0, inf)
+            cache[th] = entries
+        return entries
 
-    def serve_batch(self, d: int, ts: list, trs: list) -> List[float]:
-        """Hoisted-locals FIFO replay with the per-gap threshold lookup.
-
-        Identical recursion to :meth:`serve`; only the per-disk state (and
-        the threshold-history rows) are lifted into locals for the long
-        read-only runs between coupling points.
-        """
-        out: List[float] = []
-        append = out.append
-        a = self.avail[d]
-        oh = self.oh[d]
-        ld = self.load[d]
-        ci = self.ci
-        th_rows = self._th_rows
-        k = self.k
-        D = self.D[d]
-        U = self.U[d]
-        T = self.T
-        sd_t = self.sd_t[d]
-        su_t = self.su_t[d]
-        sb_t = self.sb_t[d]
-        n_up = self.n_up[d]
-        n_down = self.n_down[d]
-        gap_append = self.gap_log[d].append
-        sd_spans = self.sd_spans
-        su_spans = self.su_spans
-        sb_spans = self.sb_spans
-        pt_d = self.pt[d]
-        pv_d = self.pv[d]
-        for t, tr in zip(ts, trs):
-            if t != pt_d:
-                pt_d = t
-                pv_d = a
-            if t > a:
-                idx = int(a / ci)
-                th = th_rows[idx if idx <= k else k][d]
-                gap_append((t - a, th))
-                if t - a > th:
-                    sd = a + th
-                    sd_end = sd + D
-                    n_down += 1
-                    sd_t += min(sd_end, T) - sd
-                    sd_spans.append((d, sd, sd_end))
-                    if t >= sd_end:
-                        sb_t += t - sd_end
-                        sb_spans.append((d, sd_end, t))
-                        su = t
-                    else:
-                        su = sd_end
-                    if su < T:
-                        n_up += 1
-                        su_t += min(su + U, T) - su
-                        su_spans.append((d, su, su + U))
-                    s = su + U
-                else:
-                    s = t
-            else:
-                s = a
-            append(s)
-            a = s + oh + tr
-            ld += oh + tr
-        self.sd_t[d] = sd_t
-        self.su_t[d] = su_t
-        self.sb_t[d] = sb_t
-        self.n_up[d] = n_up
-        self.n_down[d] = n_down
-        self.pt[d] = pt_d
-        self.pv[d] = pv_d
-        self.avail[d] = a
-        self.load[d] = ld
-        return out
-
-    def spinning_mask(self, t: float) -> np.ndarray:
-        out = np.empty(len(self.avail), dtype=bool)
-        for d, a in enumerate(self._avail_at_instant_start(t)):
-            # inf threshold => a + inf == inf => always spinning.
-            out[d] = t < a + self._th_at(a, d) + self.D[d]
-        return out
-
-    def tail_arrays(self):
-        spindown_time = np.asarray(self.sd_t, dtype=float)
-        spinup_time = np.asarray(self.su_t, dtype=float)
-        standby_time = np.asarray(self.sb_t, dtype=float)
-        spinups = np.asarray(self.n_up, dtype=np.int64)
-        spindowns = np.asarray(self.n_down, dtype=np.int64).copy()
-        T = self.T
-        for d, a in enumerate(self.avail):
-            sd = a + self._th_at(a, d)
-            if sd < T:
-                spindowns[d] += 1
-                sd_end = sd + self.D[d]
-                spindown_time[d] += min(sd_end, T) - sd
-                self.sd_spans.append((d, sd, sd_end))
-                if sd_end < T:
-                    standby_time[d] += T - sd_end
-                    self.sb_spans.append((d, sd_end, T))
-        return spindown_time, spinup_time, standby_time, spinups, spindowns
-
-
-class _ObservedDiskBank(_DiskBank):
-    """:class:`_DiskBank` plus spin-transition span logging for observers.
-
-    Selected (once, at run start) when a fixed-threshold run carries an
-    enabled :class:`~repro.obs.hooks.RunObserver`, so the unobserved hot
-    path stays untouched.  The recursion and every accounting update are
-    copied verbatim from the base class — the only additions are the
-    ``(disk, start, end)`` span appends the controlled bank already
-    performs; the differential harness's observer axis asserts observed
-    and unobserved runs are bit-identical.
-    """
-
-    __slots__ = ("sd_spans", "su_spans", "sb_spans")
-
-    def __init__(
-        self, num_disks: int, threshold, spec, horizon: float
-    ) -> None:
-        super().__init__(num_disks, threshold, spec, horizon)
-        self.sd_spans: List[tuple] = []
-        self.su_spans: List[tuple] = []
-        self.sb_spans: List[tuple] = []
-
-    def serve(self, d: int, t: float, tr: float) -> float:
-        a = self.avail[d]
-        if t != self.pt[d]:
-            self.pt[d] = t
-            self.pv[d] = a
-        if t > a:
-            if t - a > self.th[d]:
-                sd = a + self.th[d]
-                sd_end = sd + self.D[d]
-                self.n_down[d] += 1
-                self.sd_t[d] += min(sd_end, self.T) - sd
-                self.sd_spans.append((d, sd, sd_end))
-                if t >= sd_end:
-                    self.sb_t[d] += t - sd_end
-                    self.sb_spans.append((d, sd_end, t))
-                    su = t
-                else:
-                    su = sd_end
-                if su < self.T:
-                    self.n_up[d] += 1
-                    self.su_t[d] += min(su + self.U[d], self.T) - su
-                    self.su_spans.append((d, su, su + self.U[d]))
-                s = su + self.U[d]
-            else:
-                s = t
-        else:
-            s = a
-        self.avail[d] = s + self.oh[d] + tr
-        self.load[d] += self.oh[d] + tr
-        return s
-
-    def serve_batch(self, d: int, ts: list, trs: list) -> List[float]:
-        out: List[float] = []
-        append = out.append
-        a = self.avail[d]
-        oh = self.oh[d]
-        ld = self.load[d]
-        th = self.th[d]
-        if isinf(th):
-            for t, tr in zip(ts, trs):
-                s = t if t > a else a
-                append(s)
-                a = s + oh + tr
-                ld += oh + tr
-        else:
-            D = self.D[d]
-            U = self.U[d]
-            T = self.T
-            sd_t = self.sd_t[d]
-            su_t = self.su_t[d]
-            sb_t = self.sb_t[d]
-            n_up = self.n_up[d]
-            n_down = self.n_down[d]
-            sd_spans = self.sd_spans
-            su_spans = self.su_spans
-            sb_spans = self.sb_spans
-            pt_d = self.pt[d]
-            pv_d = self.pv[d]
-            for t, tr in zip(ts, trs):
-                if t != pt_d:
-                    pt_d = t
-                    pv_d = a
-                if t > a:
-                    if t - a > th:
-                        sd = a + th
-                        sd_end = sd + D
-                        n_down += 1
-                        sd_t += min(sd_end, T) - sd
-                        sd_spans.append((d, sd, sd_end))
-                        if t >= sd_end:
-                            sb_t += t - sd_end
-                            sb_spans.append((d, sd_end, t))
-                            su = t
-                        else:
-                            su = sd_end
-                        if su < T:
-                            n_up += 1
-                            su_t += min(su + U, T) - su
-                            su_spans.append((d, su, su + U))
-                        s = su + U
-                    else:
-                        s = t
-                else:
-                    s = a
-                append(s)
-                a = s + oh + tr
-                ld += oh + tr
-            self.sd_t[d] = sd_t
-            self.su_t[d] = su_t
-            self.sb_t[d] = sb_t
-            self.n_up[d] = n_up
-            self.n_down[d] = n_down
-            self.pt[d] = pt_d
-            self.pv[d] = pv_d
-        self.avail[d] = a
-        self.load[d] = ld
-        return out
-
-    def tail_arrays(self):
-        # Log the trailing spin-down/standby episodes the vectorized base
-        # pass is about to bill, then let it do the (unchanged) math.
-        if not self.no_spindown:
-            T = self.T
-            for d, a in enumerate(self.avail):
-                sd = a + self.th[d]
-                if sd < T:
-                    sd_end = sd + self.D[d]
-                    self.sd_spans.append((d, sd, sd_end))
-                    if sd_end < T:
-                        self.sb_spans.append((d, sd_end, T))
-        return super().tail_arrays()
-
-
-class _LadderBank:
-    """Multi-rung generalization of :class:`_DiskBank` for DPM ladders.
-
-    Evolves exactly the state the event kernel's
-    :class:`~repro.disk.multistate.MultiStateDiskDrive` evolves: per disk,
-    the time it next falls idle plus per-rung park/descent/wake
-    residencies.  An idle gap walks the ladder's (threshold-scaled)
-    descent schedule: fully traversed rungs bill their descent and park
-    times, the rung occupied when the gap ends bills a (possibly
-    horizon-clipped) descent plus park-until-arrival, and the wake is
-    billed at the rung's wake power for its configured wake time.  With
-    the ``two_state`` ladder the recursion's arithmetic is term-for-term
-    the classic :class:`_DiskBank` spin-down/spin-up recursion, so that
-    ladder simulates byte-identically to the pre-ladder kernel (the
-    regression tests in ``tests/sim/test_ladder_fastkernel.py`` assert
-    bit-equal response times and energies).
-
-    Heterogeneous fleets: ``ladder``/``spec``/``threshold`` accept
-    per-disk sequences — every disk descends *its own* (threshold-scaled)
-    schedule, and the residencies are kept disk-major (``park_t[d][i]``)
-    because rung counts may differ across the pool.  Scalars tile across
-    the pool, reproducing the historical uniform recursion bit-for-bit.
-    """
-
-    def __init__(
-        self, num_disks: int, threshold, ladder, spec,
-        horizon: float,
-    ) -> None:
-        specs = _per_disk_specs(spec, num_disks)
-        ladders = _per_disk_ladders(ladder, num_disks)
-        self.avail = [0.0] * num_disks
-        self.load = [0.0] * num_disks
-        # Instant-start avail snapshot (see _DiskBank.pt/pv): placements at
-        # time t must not see disks woken by same-instant earlier serves.
-        self.pt = [float("-inf")] * num_disks
-        self.pv = [0.0] * num_disks
-        self.n_up = [0] * num_disks
-        self.n_down = [0] * num_disks
-        self.oh = [s.access_overhead for s in specs]
-        self.rate = [s.transfer_rate for s in specs]
-        self.oh_a = np.asarray(self.oh, dtype=float)
-        self.rate_a = np.asarray(self.rate, dtype=float)
-        self.ap = np.array([s.active_power for s in specs], dtype=float)
-        self.cap = None  # per-disk usable bytes, set by _simulate_chunks
-        self.T = horizon
-        self.ladders = ladders
-        self.ladder = ladders[0]
-        self.R = [len(l.rungs) for l in ladders]
-        self.maxR = max(self.R)
-        self.dn = [[r.down_time for r in l.rungs] for l in ladders]
-        self.wk = [[r.wake_time for r in l.rungs] for l in ladders]
-        # Per-disk per-rung residencies (disk-major: rung counts may
-        # differ across a mixed fleet); rung 0's park time is computed as
-        # the horizon residual (like the classic bank's idle time).
-        self.park_t = [[0.0] * self.R[d] for d in range(num_disks)]
-        self.down_t = [[0.0] * self.R[d] for d in range(num_disks)]
-        self.wake_t = [[0.0] * self.R[d] for d in range(num_disks)]
-        self.th = _per_disk_floats(threshold, num_disks)
-        self.entries = [
-            ladders[d].scaled_entries(self.th[d]) for d in range(num_disks)
-        ]
-        self.no_descend = [
-            self.R[d] == 1 or isinf(self.entries[d][1])
-            for d in range(num_disks)
-        ]
+    def _gap_entries(self, d: int, drain: float) -> tuple:
+        """Schedule governing a gap that began at ``drain`` on disk ``d``."""
+        if self.entries is not None:
+            return self.entries[d]
+        return self._entries_for(d, self._th_at(drain, d))
 
     def _descend(self, d: int, a: float, t: float, entries) -> float:
         """Walk the idle gap ``[a, t)`` down disk ``d``'s ladder; returns
@@ -852,6 +384,7 @@ class _LadderBank:
         R = self.R[d]
         down_t = self.down_t[d]
         park_t = self.park_t[d]
+        spans = self.park_spans is not None
         i = 1
         while i + 1 < R and g > entries[i + 1]:
             i += 1
@@ -861,15 +394,23 @@ class _LadderBank:
             ds = a + entries[j]
             de = ds + dn[j]
             down_t[j] += de - ds
+            if spans:
+                self.down_spans[j].append((d, ds, de))
             pe = a + entries[j + 1]
             if pe > de:
                 park_t[j] += pe - de
+                if spans:
+                    self.park_spans[j].append((d, de, pe))
         ds = a + entries[i]
         de = ds + dn[i]
         self.n_down[d] += i
         down_t[i] += min(de, T) - ds
+        if spans:
+            self.down_spans[i].append((d, ds, de))
         if t >= de:
             park_t[i] += t - de
+            if spans:
+                self.park_spans[i].append((d, de, t))
             ws = t
         else:
             # Arrived mid-descent: the transition is not abortable.
@@ -878,6 +419,8 @@ class _LadderBank:
         if ws < T:
             self.n_up[d] += 1
             self.wake_t[d][i] += min(ws + w, T) - ws
+            if spans:
+                self.wake_spans[i].append((d, ws, ws + w))
         return ws + w
 
     def serve(self, d: int, t: float, tr: float) -> float:
@@ -888,10 +431,14 @@ class _LadderBank:
             self.pt[d] = t
             self.pv[d] = a
         if t > a:
-            if self.no_descend[d] or t - a <= self.entries[d][1]:
-                s = t
+            if self.entries is None:
+                th = self._th_at(a, d)
+                self.gap_log[d].append((t - a, th))
+                entries = self._entries_for(d, th)
             else:
-                s = self._descend(d, a, t, self.entries[d])
+                entries = self.entries[d]
+            # A gap never exceeds an inf entry: such disks never descend.
+            s = t if t - a <= entries[1] else self._descend(d, a, t, entries)
         else:
             s = a
         self.avail[d] = s + self.oh[d] + tr
@@ -899,209 +446,91 @@ class _LadderBank:
         return s
 
     def serve_batch(self, d: int, ts: list, trs: list) -> List[float]:
-        """FIFO replay of one disk's run (the gap walk dominates only on
-        sparse streams, where request counts are small anyway)."""
-        serve = self.serve
-        return [serve(d, t, tr) for t, tr in zip(ts, trs)]
-
-    def spinning_mask(self, t: float) -> np.ndarray:
-        """Per-disk "not parked in the deepest rung at ``t``" — descents,
-        intermediate rungs and wakes all count as spinning, exactly like
-        the classic bank's SPINDOWN-inclusive mask (and like it, computed
-        from the instant-start snapshot so same-instant wakes stay
-        invisible)."""
-        pt = self.pt
-        pv = self.pv
-        out = np.empty(len(self.avail), dtype=bool)
-        for d, a in enumerate(self.avail):
-            if pt[d] == t:
-                a = pv[d]
-            if self.no_descend[d]:
-                out[d] = True
-            else:
-                out[d] = t < (a + self.entries[d][-1]) + self.dn[d][-1]
-        return out
-
-    def _tail_one(self, d: int, a: float, entries) -> None:
-        """Fold one disk's post-drain trailing idleness (descents started
-        before the horizon, parks clipped at it) into the residencies."""
-        T = self.T
-        R = self.R[d]
-        dn = self.dn[d]
-        down_t = self.down_t[d]
-        park_t = self.park_t[d]
-        for i in range(1, R):
-            ds = a + entries[i]
-            if ds >= T:
-                break
-            de = ds + dn[i]
-            self.n_down[d] += 1
-            down_t[i] += min(de, T) - ds
-            pe = (a + entries[i + 1]) if i + 1 < R else T
-            if pe > T:
-                pe = T
-            if pe > de:
-                park_t[i] += pe - de
-
-    def apply_tail(self):
-        """Trailing-idleness pass at the horizon; returns per-disk
-        ``(spinups, spindowns)`` arrays."""
-        for d, a in enumerate(self.avail):
-            if not self.no_descend[d]:
-                self._tail_one(d, a, self.entries[d])
-        return (
-            np.asarray(self.n_up, dtype=np.int64),
-            np.asarray(self.n_down, dtype=np.int64),
-        )
-
-
-class _ControlledLadderBank(_LadderBank):
-    """Per-interval, per-disk threshold variant of :class:`_LadderBank`.
-
-    The controller's scalar per-disk threshold (resolved at each gap's
-    drain instant from the applied-vector history, exactly like
-    :class:`_ControlledBank`) scales the whole descent schedule via
-    :meth:`~repro.disk.dpm.DpmLadder.scaled_entries` — so
-    ``adaptive_timeout``/``slo_feedback`` steer ladder descent with the
-    same telemetry contract as the two-state drives.  Also logs closed
-    idle gaps for the telemetry feed and every park/descent/wake episode
-    as ``(disk, start, end)`` spans for the per-interval power trace.
-    """
-
-    def __init__(
-        self,
-        num_disks: int,
-        init_thresholds: np.ndarray,
-        ladder,
-        spec,
-        horizon: float,
-        interval: float,
-    ) -> None:
-        super().__init__(num_disks, 0.0, ladder, spec, horizon)
-        self.entries = None  # per-gap schedules only; never a shared one
-        self.no_descend = [False] * num_disks
-        self.ci = float(interval)
-        self._th_rows: List[List[float]] = [
-            np.asarray(init_thresholds, dtype=float).tolist()
-        ]
-        self.k = 0
-        # Per-disk scaled-entry caches (mixed fleets scale different
-        # ladders with the same controller threshold).
-        self._entry_cache: List[dict] = [{} for _ in range(num_disks)]
-        self.gap_log: List[List[tuple]] = [[] for _ in range(num_disks)]
-        # Span logs are rung-index keyed across the whole pool (entries
-        # carry the disk id); maxR covers the deepest ladder in the mix.
-        self.park_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
-        self.down_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
-        self.wake_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
-
-    def push_thresholds(self, thresholds: np.ndarray) -> None:
-        """Apply the vector decided at the boundary entering interval k+1."""
-        self._th_rows.append(np.asarray(thresholds, dtype=float).tolist())
-        self.k += 1
-
-    def _th_at(self, drain: float, d: int) -> float:
-        """Threshold governing a gap that began at ``drain`` on disk ``d``."""
-        idx = int(drain / self.ci)
-        if idx > self.k:
-            idx = self.k
-        return self._th_rows[idx][d]
-
-    def _entries_for(self, d: int, th: float):
-        cache = self._entry_cache[d]
-        entries = cache.get(th)
-        if entries is None:
-            entries = self.ladders[d].scaled_entries(th)
-            cache[th] = entries
-        return entries
-
-    def _descend_logged(self, d: int, a: float, t: float, entries) -> float:
-        """:meth:`_LadderBank._descend` plus span logging for the trace."""
-        g = t - a
-        T = self.T
-        dn = self.dn[d]
-        R = self.R[d]
-        down_t = self.down_t[d]
-        park_t = self.park_t[d]
-        i = 1
-        while i + 1 < R and g > entries[i + 1]:
-            i += 1
-        for j in range(1, i):
-            ds = a + entries[j]
-            de = ds + dn[j]
-            down_t[j] += de - ds
-            self.down_spans[j].append((d, ds, de))
-            pe = a + entries[j + 1]
-            if pe > de:
-                park_t[j] += pe - de
-                self.park_spans[j].append((d, de, pe))
-        ds = a + entries[i]
-        de = ds + dn[i]
-        self.n_down[d] += i
-        down_t[i] += min(de, T) - ds
-        self.down_spans[i].append((d, ds, de))
-        if t >= de:
-            park_t[i] += t - de
-            self.park_spans[i].append((d, de, t))
-            ws = t
-        else:
-            ws = de
-        w = self.wk[d][i]
-        if ws < T:
-            self.n_up[d] += 1
-            self.wake_t[d][i] += min(ws + w, T) - ws
-            self.wake_spans[i].append((d, ws, ws + w))
-        return ws + w
-
-    def serve(self, d: int, t: float, tr: float) -> float:
-        a = self.avail[d]
-        if t != self.pt[d]:
-            self.pt[d] = t
-            self.pv[d] = a
-        if t > a:
-            th = self._th_at(a, d)
-            self.gap_log[d].append((t - a, th))
-            entries = self._entries_for(d, th)
-            if self.R[d] == 1 or isinf(entries[1]) or t - a <= entries[1]:
-                s = t
-            else:
-                s = self._descend_logged(d, a, t, entries)
-        else:
-            s = a
-        self.avail[d] = s + self.oh[d] + tr
-        self.load[d] += self.oh[d] + tr
-        return s
-
-    def serve_batch(self, d: int, ts: list, trs: list) -> List[float]:
-        """:meth:`serve` over one disk's run, with the per-disk state held
-        in locals (same arithmetic; gap walks go through
-        :meth:`_descend_logged`)."""
+        """:meth:`serve` over one disk's FIFO run, with the per-disk state
+        held in locals for the long runs between coupling points.  Same
+        arithmetic: a one-descent-rung ladder (the classic drive) walks
+        its gaps inline, deeper ladders go through :meth:`_descend`."""
         out: List[float] = []
         append = out.append
-        log = self.gap_log[d].append
         a = self.avail[d]
         ld = self.load[d]
         pt_d = self.pt[d]
         pv_d = self.pv[d]
         oh = self.oh[d]
-        one_rung = self.R[d] == 1
+        T = self.T
+        descend = self._descend
+        fixed = self.entries is not None
+        if fixed:
+            entries = self.entries[d]
+            e1 = entries[1]
+        else:
+            log = self.gap_log[d].append
+            ci = self.ci
+            rows = self._th_rows
+            k = self.k
+            entries_for = self._entries_for
+        inline = self.R[d] == 2
+        if inline:
+            D = self.dn[d][1]
+            U = self.wk[d][1]
+            sd_t = self.down_t[d][1]
+            sb_t = self.park_t[d][1]
+            su_t = self.wake_t[d][1]
+            n_up = self.n_up[d]
+            n_down = self.n_down[d]
+            if self.park_spans is None:
+                sd_log = sb_log = su_log = None
+            else:
+                sd_log = self.down_spans[1].append
+                sb_log = self.park_spans[1].append
+                su_log = self.wake_spans[1].append
         for t, tr in zip(ts, trs):
             if t != pt_d:
                 pt_d = t
                 pv_d = a
             if t > a:
-                th = self._th_at(a, d)
-                log((t - a, th))
-                entries = self._entries_for(d, th)
-                if one_rung or isinf(entries[1]) or t - a <= entries[1]:
+                if not fixed:
+                    idx = int(a / ci)
+                    th = rows[idx if idx <= k else k][d]
+                    log((t - a, th))
+                    entries = entries_for(d, th)
+                    e1 = entries[1]
+                if t - a <= e1:
                     s = t
+                elif not inline:
+                    s = descend(d, a, t, entries)
                 else:
-                    s = self._descend_logged(d, a, t, entries)
+                    # _descend's walk for a single descent rung.
+                    sd = a + e1
+                    sd_end = sd + D
+                    n_down += 1
+                    sd_t += min(sd_end, T) - sd
+                    if sd_log is not None:
+                        sd_log((d, sd, sd_end))
+                    if t >= sd_end:
+                        sb_t += t - sd_end
+                        if sb_log is not None:
+                            sb_log((d, sd_end, t))
+                        su = t
+                    else:
+                        su = sd_end
+                    if su < T:
+                        n_up += 1
+                        su_t += min(su + U, T) - su
+                        if su_log is not None:
+                            su_log((d, su, su + U))
+                    s = su + U
             else:
                 s = a
             append(s)
             a = s + oh + tr
             ld += oh + tr
+        if inline:
+            self.down_t[d][1] = sd_t
+            self.park_t[d][1] = sb_t
+            self.wake_t[d][1] = su_t
+            self.n_up[d] = n_up
+            self.n_down[d] = n_down
         self.avail[d] = a
         self.load[d] = ld
         self.pt[d] = pt_d
@@ -1109,72 +538,62 @@ class _ControlledLadderBank(_LadderBank):
         return out
 
     def spinning_mask(self, t: float) -> np.ndarray:
+        """Per-disk "not parked in the deepest rung at ``t``" — the §1.1
+        write policy's view of the pool.
+
+        Descents, intermediate rungs and wakes all count as spinning, like
+        :attr:`~repro.disk.power.DiskState.spinning` counts SPINDOWN: a
+        drained disk is spinning until its last descent ends, and a disk
+        still working (``t < avail``) always is, because a pending request
+        rides the transitions straight back up.  Same-instant earlier
+        serves are excluded via the instant-start snapshot: a disk woken
+        at exactly ``t`` still reads parked, like the event kernel's
+        not-yet-resumed drive process.
+        """
         pt = self.pt
         pv = self.pv
-        out = np.empty(len(self.avail), dtype=bool)
-        for d, a in enumerate(self.avail):
-            if pt[d] == t:
-                a = pv[d]
-            if self.R[d] == 1:
-                out[d] = True
-                continue
-            entries = self._entries_for(d, self._th_at(a, d))
-            # inf threshold => a + inf == inf => always spinning.
-            out[d] = t < (a + entries[-1]) + self.dn[d][-1]
+        avail = [pv[d] if pt[d] == t else a for d, a in enumerate(self.avail)]
+        # inf entry => a + inf == inf => always spinning.
+        if self.entries is not None:
+            return t < np.asarray(avail) + self._last_entry + self._last_dn
+        out = np.empty(len(avail), dtype=bool)
+        for d, a in enumerate(avail):
+            out[d] = t < (a + self._gap_entries(d, a)[-1]) + self.dn[d][-1]
         return out
 
-    def _tail_one(self, d: int, a: float, entries) -> None:
-        """Trailing idleness with span logging (parks clipped at T)."""
-        T = self.T
-        R = self.R[d]
-        dn = self.dn[d]
-        down_t = self.down_t[d]
-        park_t = self.park_t[d]
-        for i in range(1, R):
-            ds = a + entries[i]
-            if ds >= T:
-                break
-            de = ds + dn[i]
-            self.n_down[d] += 1
-            down_t[i] += min(de, T) - ds
-            self.down_spans[i].append((d, ds, de))
-            pe = (a + entries[i + 1]) if i + 1 < R else T
-            if pe > T:
-                pe = T
-            if pe > de:
-                park_t[i] += pe - de
-                self.park_spans[i].append((d, de, pe))
-
     def apply_tail(self):
+        """Trailing-idleness pass at the horizon: every disk (including
+        ones that never served a request) descends through each rung whose
+        entry falls before the horizon, with parks clipped at it.  Returns
+        per-disk ``(spinups, spindowns)`` arrays."""
+        T = self.T
+        spans = self.park_spans is not None
         for d, a in enumerate(self.avail):
-            self._tail_one(d, a, self._entries_for(d, self._th_at(a, d)))
+            entries = self._gap_entries(d, a)
+            R = self.R[d]
+            dn = self.dn[d]
+            down_t = self.down_t[d]
+            park_t = self.park_t[d]
+            for i in range(1, R):
+                ds = a + entries[i]
+                if ds >= T:
+                    break
+                de = ds + dn[i]
+                self.n_down[d] += 1
+                down_t[i] += min(de, T) - ds
+                if spans:
+                    self.down_spans[i].append((d, ds, de))
+                pe = (a + entries[i + 1]) if i + 1 < R else T
+                if pe > T:
+                    pe = T
+                if pe > de:
+                    park_t[i] += pe - de
+                    if spans:
+                        self.park_spans[i].append((d, de, pe))
         return (
             np.asarray(self.n_up, dtype=np.int64),
             np.asarray(self.n_down, dtype=np.int64),
         )
-
-
-class _ObservedLadderBank(_LadderBank):
-    """:class:`_LadderBank` plus rung-transition span logging for observers.
-
-    The controlled ladder bank's logged walk is term-for-term the base
-    recursion plus span appends, and the base class dispatches its gap
-    walks through ``self._descend`` / ``self._tail_one`` — so rebinding
-    those to the logged variants (plus allocating the span logs) is the
-    whole override.  Selected once at run start when a fixed-threshold
-    ladder run carries an enabled observer.
-    """
-
-    _descend = _ControlledLadderBank._descend_logged
-    _tail_one = _ControlledLadderBank._tail_one
-
-    def __init__(
-        self, num_disks: int, threshold, ladder, spec, horizon: float
-    ) -> None:
-        super().__init__(num_disks, threshold, ladder, spec, horizon)
-        self.park_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
-        self.down_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
-        self.wake_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
 
 
 def _allocate_for_write(
@@ -1216,7 +635,10 @@ def _serve_segment(
     n = int(d_seg.size)
     if not n:
         return
-    order = np.argsort(d_seg, kind="stable")
+    # A stable sort of 16-bit keys is a radix sort, several times faster
+    # than on int64; a stable order is unique, so the result is the same.
+    key = d_seg.astype(np.uint16) if len(bank.avail) <= 1 << 16 else d_seg
+    order = np.argsort(key, kind="stable")
     d_s = d_seg[order]
     t_s = t_seg[order]
     tr_s = tr_seg[order]
@@ -1320,11 +742,10 @@ def _serve_coupled(
     cache,
     starts: np.ndarray,
     d_req: np.ndarray,
-    heap: Optional[list] = None,
-    base_index: int = 0,
-    flush: bool = True,
-    map_l: Optional[list] = None,
-    size_l: Optional[list] = None,
+    heap: list,
+    base_index: int,
+    map_l: list,
+    size_l: list,
     obs=None,
     obs_clock: Optional[list] = None,
 ) -> None:
@@ -1338,22 +759,14 @@ def _serve_coupled(
     after the horizon never happen, exactly like the event kernel's URGENT
     stop pre-empting completion events at ``T``.
 
-    The controlled path calls this once per control interval on a slice of
-    the stream: ``heap`` carries pending admissions across the calls,
-    ``base_index`` keeps the heap's tie-break sequence global,
-    ``flush=False`` defers the final drain until the last slice, and
-    ``map_l``/``size_l`` reuse one list materialization of the (large)
-    per-file arrays across all slices (``map_l`` is kept in sync with
-    ``mapping`` on every allocation, so sharing it is safe).
+    Called once per batch (chunk, control interval or release batch):
+    ``heap`` carries pending admissions across the calls (the caller
+    drains the rest at the horizon), ``base_index`` keeps the heap's
+    tie-break sequence global, and ``map_l``/``size_l`` reuse one list
+    materialization of the (large) per-file arrays across all batches
+    (``map_l`` is kept in sync with ``mapping`` on every allocation, so
+    sharing it is safe).
     """
-    if heap is None:
-        heap = []
-    if obs is not None and obs_clock is None:
-        obs_clock = [0.0]
-    if map_l is None:
-        map_l = mapping.tolist()
-    if size_l is None:
-        size_l = sizes.tolist()
     lookup = cache.lookup
     admit = cache.admit
     serve = bank.serve
@@ -1406,13 +819,7 @@ def _serve_coupled(
             c = s + oh_l[d] + tr
             if c < T:
                 heappush(heap, (c, base_index + i, f, size))
-    if flush:
-        while heap and heap[0][0] < T:
-            c_adm, _, hf, hs = heappop(heap)
-            if obs is not None:
-                obs_clock[0] = c_adm
-                obs.on_cache_event(c_adm, "admit", hf)
-            admit(hf, hs)
+
 
 class _ControlledDriver:
     """Interval-segmented execution under a dynamic DPM policy, with all
@@ -1450,39 +857,20 @@ class _ControlledDriver:
     """
 
     __slots__ = (
-        "bank", "dpm", "policy", "mapping", "free", "sizes", "cache",
-        "hit_lat", "heap", "map_l", "size_l", "T", "ci", "oh_a", "rate_a",
+        "bank", "dpm", "serve", "hit_lat", "T", "ci", "oh_a", "rate_a",
         "pend_c", "pend_seq", "pend_r", "wait_s", "wait_d",
-        "n_seen", "k", "t_start", "finished", "obs", "obs_clock",
+        "n_seen", "k", "t_start", "finished", "obs",
     )
 
     def __init__(
-        self,
-        bank,
-        dpm,
-        policy: WritePlacementPolicy,
-        mapping: np.ndarray,
-        free: np.ndarray,
-        sizes: np.ndarray,
-        cache,
-        cache_hit_latency: float,
-        heap: Optional[list],
-        map_l: Optional[list],
-        size_l: Optional[list],
-        obs=None,
-        obs_clock: Optional[list] = None,
+        self, bank, dpm, serve, cache_hit_latency: float, obs=None
     ) -> None:
         self.bank = bank
         self.dpm = dpm
-        self.policy = policy
-        self.mapping = mapping
-        self.free = free
-        self.sizes = sizes
-        self.cache = cache
+        # The run's batch server (see _simulate_chunks): routes a slice
+        # through the grouped/segmented/coupled path that applies.
+        self.serve = serve
         self.hit_lat = float(cache_hit_latency)
-        self.heap = heap if heap is not None else []
-        self.map_l = map_l
-        self.size_l = size_l
         self.T = bank.T
         self.ci = dpm.interval
         self.oh_a = bank.oh_a
@@ -1499,7 +887,6 @@ class _ControlledDriver:
         self.t_start = 0.0
         self.finished = False
         self.obs = obs
-        self.obs_clock = obs_clock
 
     def _serve_slice(
         self,
@@ -1513,37 +900,12 @@ class _ControlledDriver:
         hi: int,
         holds: Optional[np.ndarray] = None,
     ) -> None:
-        bank = self.bank
         sl = slice(lo, hi)
-        if self.cache is not None:
-            _serve_coupled(
-                bank, self.policy, self.mapping, self.free, self.sizes,
-                fid[sl], t_all[sl],
-                None if is_write is None else is_write[sl],
-                self.cache, starts[sl], d_req[sl],
-                heap=self.heap, base_index=self.n_seen + lo, flush=False,
-                map_l=self.map_l, size_l=self.size_l,
-                obs=self.obs, obs_clock=self.obs_clock,
-            )
-        elif is_write is not None:
-            _serve_segmented(
-                bank, self.policy, self.mapping, self.free, self.sizes,
-                fid[sl], t_all[sl], sz_all[sl], is_write[sl],
-                starts[sl], d_req[sl], obs=self.obs,
-            )
-        else:
-            d_seg = self.mapping[fid[sl]]
-            bad = np.flatnonzero(d_seg < 0)
-            if bad.size:
-                raise SimulationError(
-                    f"read of unallocated file {int(fid[lo + bad[0]])}; "
-                    "allocate it first"
-                )
-            _serve_segment(
-                bank, d_seg, t_all[sl], sz_all[sl] / self.rate_a[d_seg],
-                starts[sl],
-            )
-            d_req[sl] = d_seg
+        d_req[sl] = self.serve(
+            fid[sl], t_all[sl], sz_all[sl],
+            None if is_write is None else is_write[sl],
+            starts[sl], self.n_seen + lo,
+        )
         # Queue newly served requests' completions for the telemetry feed
         # (cache hits complete at their arrival instant; requests censored
         # at the horizon never complete, like the event engine's cutoff
@@ -1627,8 +989,10 @@ class _ControlledDriver:
         is_write: Optional[np.ndarray],
         starts: np.ndarray,
         d_req: np.ndarray,
+        holds: Optional[np.ndarray] = None,
     ) -> None:
-        """Serve one chunk of live (pre-censored, time-sorted) arrivals."""
+        """Serve one chunk of live (pre-censored, time-sorted) arrivals, or
+        one batch of releases (``holds`` = release - arrival)."""
         n = int(t_all.size)
         lo = 0
         while lo < n:
@@ -1636,7 +1000,8 @@ class _ControlledDriver:
             hi = int(np.searchsorted(t_all, t_end, side="left"))
             if hi > lo:
                 self._serve_slice(
-                    fid, t_all, sz_all, is_write, starts, d_req, lo, hi
+                    fid, t_all, sz_all, is_write, starts, d_req, lo, hi,
+                    holds,
                 )
             if hi == n:
                 # Chunk exhausted mid-interval: a later chunk may still add
@@ -1725,95 +1090,73 @@ class _SpanBinner:
         return mat
 
 
+#: Timeline labels of the ``two_state`` ladder -> the classic drive's
+#: states, under which runs without a ladder report their residencies
+#: and observer spans.
+_CLASSIC_STATES = {
+    "idle": DiskState.IDLE,
+    "standby": DiskState.STANDBY,
+    "seek": DiskState.SEEK,
+    "active": DiskState.ACTIVE,
+    "wake:standby": DiskState.SPINUP,
+    "down:standby": DiskState.SPINDOWN,
+}
+
+
+#: Span kind -> the rung attribute holding its power draw.
+_SPAN_POWER = {"park": "power", "down": "down_power", "wake": "wake_power"}
+
+
+def _span_kinds(classic: bool) -> tuple:
+    """Per-rung span kinds in folding and emission order: the classic
+    drive's (spindown, spinup, standby), or a ladder's (park, descent,
+    wake) — each keeps its historical float summation order."""
+    return ("down", "wake", "park") if classic else ("park", "down", "wake")
+
+
 def _flush_bank_spans(
-    binner: Optional[_SpanBinner], bank, is_ladder: bool, obs=None
+    binner: Optional[_SpanBinner], bank, classic: bool, obs=None
 ) -> None:
     """Drain a bank's logged transition spans and clear them in place
     (the serve loops hold bound references): fold them into the binner
     (controlled runs), emit them to an observer (clipped at the horizon,
-    like every accounting path), or both.  Called between chunks and once
-    at the end of the run, so span-log memory stays bounded by the chunk
-    size and observer emission order is deterministic for any chunking.
+    like every accounting path, and named by :data:`_CLASSIC_STATES` on a
+    ``classic`` run), or both.  Called between chunks and once at the end
+    of the run, so span-log memory stays bounded by the chunk size and
+    observer emission order is deterministic for any chunking.
     """
     T = bank.T
-    if is_ladder:
-        for i in range(1, bank.maxR):
-            for prefix, spans in (
-                ("park", bank.park_spans[i]),
-                ("down", bank.down_spans[i]),
-                ("wake", bank.wake_spans[i]),
-            ):
-                if binner is not None:
-                    binner.add_entries((prefix, i), spans)
-                if obs is not None:
-                    for d, s, e in spans:
-                        if s >= T:
-                            continue
-                        name = bank.ladders[d].rungs[i].name
-                        if prefix != "park":
-                            name = f"{prefix}:{name}"
-                        obs.on_state_span(int(d), name, s, e if e < T else T)
-                spans.clear()
-    else:
-        for key, name, spans in (
-            ("sd", "spindown", bank.sd_spans),
-            ("su", "spinup", bank.su_spans),
-            ("sb", "standby", bank.sb_spans),
-        ):
+    for i in range(1, bank.maxR):
+        for prefix in _span_kinds(classic):
+            spans = getattr(bank, f"{prefix}_spans")[i]
             if binner is not None:
-                binner.add_entries(key, spans)
+                binner.add_entries((prefix, i), spans)
             if obs is not None:
                 for d, s, e in spans:
-                    if s < T:
-                        obs.on_state_span(int(d), name, s, e if e < T else T)
+                    if s >= T:
+                        continue
+                    name = bank.ladders[d].rungs[i].name
+                    if prefix != "park":
+                        name = f"{prefix}:{name}"
+                    if classic:
+                        name = _CLASSIC_STATES[name].value
+                    obs.on_state_span(int(d), name, s, e if e < T else T)
             spans.clear()
 
 
-def _power_from_binner(binner: _SpanBinner, specs) -> np.ndarray:
+def _power_from_binner(
+    binner: _SpanBinner, ladders, specs, classic: bool
+) -> np.ndarray:
     """Per-interval per-disk mean power from the binned state overlaps.
 
     The event engine diffs live drive energies at each boundary; this
     reconstructs the same physical quantity from the run's state spans
-    (seek/active per request, logged spin transitions, idle as the window
-    residual), so the two traces agree to float-accumulation noise.
-    State powers are per-disk row vectors — on a mixed fleet every disk
-    column is weighted by its own spec's draw.
-    """
-    models = [PowerModel(s) for s in specs]
-
-    def p(state):
-        return np.array([m.power(state) for m in models], dtype=float)
-
-    windows = np.diff(binner.edges)
-    seek = binner.get("seek")
-    active = binner.get("active")
-    spindown = binner.get("sd")
-    spinup = binner.get("su")
-    standby = binner.get("sb")
-    idle = np.clip(
-        windows[:, None] - (seek + active + spindown + spinup + standby),
-        0.0,
-        None,
-    )
-    energy = (
-        p(DiskState.SEEK)[None, :] * seek
-        + p(DiskState.ACTIVE)[None, :] * active
-        + p(DiskState.SPINDOWN)[None, :] * spindown
-        + p(DiskState.SPINUP)[None, :] * spinup
-        + p(DiskState.STANDBY)[None, :] * standby
-        + p(DiskState.IDLE)[None, :] * idle
-    )
-    return energy / windows[:, None]
-
-
-def _ladder_power_from_binner(
-    binner: _SpanBinner, ladders, specs
-) -> np.ndarray:
-    """Ladder analogue of :func:`_power_from_binner`: park/descent/wake
-    overlaps per rung, rung-0 park as the window residual.  Rung powers
-    are per-disk row vectors (each disk bills its own ladder); a disk
-    whose ladder is shallower than rung ``i`` has zero overlap in that
-    column, so its placeholder power never contributes.
+    (seek/active per request, logged descent/park/wake episodes per rung,
+    rung-0 park as the window residual), so the two traces agree to
+    float-accumulation noise.  Powers are per-disk row vectors (each disk
+    bills its own spec and ladder); a disk whose ladder is shallower than
+    rung ``i`` has zero overlap in that column, so its placeholder power
+    never contributes.
     """
     windows = np.diff(binner.edges)
     seek = binner.get("seek")
@@ -1834,16 +1177,10 @@ def _ladder_power_from_binner(
         )
 
     for i in range(1, max_r):
-        park = binner.get(("park", i))
-        down = binner.get(("down", i))
-        wake = binner.get(("wake", i))
-        occupied = occupied + park + down + wake
-        energy = (
-            energy
-            + rung_p(i, "power")[None, :] * park
-            + rung_p(i, "down_power")[None, :] * down
-            + rung_p(i, "wake_power")[None, :] * wake
-        )
+        for prefix in _span_kinds(classic):
+            overlap = binner.get((prefix, i))
+            occupied = occupied + overlap
+            energy = energy + rung_p(i, _SPAN_POWER[prefix])[None, :] * overlap
     idle = np.clip(windows[:, None] - occupied, 0.0, None)
     p0 = np.array([l.rungs[0].power for l in ladders], dtype=float)
     energy = energy + p0[None, :] * idle
@@ -1887,12 +1224,10 @@ def simulate_fast(
     static policy, which :meth:`StorageConfig.dpm_controller` maps to
     ``None``) keeps the fixed-threshold paths byte-identical to the
     pre-control kernel.  ``ladder`` is an optional
-    :class:`~repro.disk.dpm.DpmLadder`: the run replays through the
-    per-rung :class:`_LadderBank` recursion (or
-    :class:`_ControlledLadderBank` under a dynamic policy, with
-    ``threshold``/the controller vector scaling the descent schedule),
-    and ``state_durations`` is keyed by the ladder's timeline labels
-    instead of :class:`DiskState`.  ``metrics_mode="streaming"`` skips the
+    :class:`~repro.disk.dpm.DpmLadder` whose descent schedule
+    ``threshold`` (or the controller vector) scales; ``state_durations``
+    is then keyed by the ladder's timeline labels instead of
+    :class:`DiskState`.  ``metrics_mode="streaming"`` skips the
     per-request response array: the result carries a bounded
     :class:`~repro.system.metrics.ResponseStats` (exact count/mean/min/max,
     P² percentiles) and ``response_times`` is ``None``.  Returns the same
@@ -2078,7 +1413,12 @@ def _simulate_chunks(
         ladders = ladder
         th_in = threshold
         homogeneous = True
-    has_ladder = ladders is not None
+    # The classic drive runs as the two_state ladder of each disk's spec;
+    # its results keep DiskState keys through _CLASSIC_STATES.
+    classic = ladders is None
+    if classic:
+        two_state = {s: make_dpm_ladder("two_state", s) for s in set(specs)}
+        ladders = [two_state[s] for s in specs]
     if usable_capacity is None:
         usable = (
             specs[0].capacity
@@ -2114,6 +1454,34 @@ def _simulate_chunks(
             obs_clock[0], "evict", f
         )
 
+    def serve(fid_c, t_c, sz_c, w_c, starts_c, base) -> np.ndarray:
+        """Serve one time-sorted batch through whichever path applies —
+        coupled (shared cache), segmented (writes) or grouped (reads) —
+        filling ``starts_c`` in place; returns each request's disk (-1 for
+        a cache hit).  ``base`` is the batch's global arrival index (the
+        cache heap's tie-break)."""
+        if cache is None and w_c is None:
+            d_c = mapping[fid_c]
+            if int(d_c.min()) < 0:
+                bad_f = int(fid_c[int(np.argmin(d_c))])
+                raise SimulationError(
+                    f"read of unallocated file {bad_f}; allocate it first"
+                )
+            _serve_segment(bank, d_c, t_c, sz_c / bank.rate_a[d_c], starts_c)
+            return d_c
+        d_c = np.empty(t_c.size, dtype=np.int64)
+        if cache is not None:
+            _serve_coupled(
+                bank, policy, mapping, free, sizes, fid_c, t_c, w_c, cache,
+                starts_c, d_c, heap, base, map_l, size_l, obs, obs_clock,
+            )
+        else:
+            _serve_segmented(
+                bank, policy, mapping, free, sizes, fid_c, t_c, sz_c, w_c,
+                starts_c, d_c, obs=obs,
+            )
+        return d_c
+
     driver: Optional[_ControlledDriver] = None
     binner: Optional[_SpanBinner] = None
     if dpm is not None:
@@ -2122,31 +1490,15 @@ def _simulate_chunks(
                 f"controller sized for {dpm.num_disks} disks but the pool "
                 f"has {num_disks}"
             )
-        if has_ladder:
-            bank = _ControlledLadderBank(
-                num_disks, dpm.thresholds, ladders, specs, T, dpm.interval
-            )
-        else:
-            bank = _ControlledBank(
-                num_disks, dpm.thresholds, specs, T, dpm.interval
-            )
-        driver = _ControlledDriver(
-            bank, dpm, policy, mapping, free, sizes, cache,
-            cache_hit_latency, heap, map_l, size_l,
-            obs=obs, obs_clock=obs_clock,
+        bank = _DiskBank(
+            num_disks, dpm.thresholds, ladders, specs, T,
+            interval=dpm.interval,
         )
+        driver = _ControlledDriver(bank, dpm, serve, cache_hit_latency, obs)
         binner = _SpanBinner(_interval_edges(dpm.interval, T), num_disks)
-    elif has_ladder:
-        bank = (
-            _ObservedLadderBank(num_disks, th_in, ladders, specs, T)
-            if obs is not None
-            else _LadderBank(num_disks, th_in, ladders, specs, T)
-        )
     else:
-        bank = (
-            _ObservedDiskBank(num_disks, th_in, specs, T)
-            if obs is not None
-            else _DiskBank(num_disks, th_in, specs, T)
+        bank = _DiskBank(
+            num_disks, th_in, ladders, specs, T, log_spans=obs is not None
         )
     # The per-disk byte budget the placement context exposes (same values
     # the event dispatcher hands its policies).
@@ -2158,11 +1510,78 @@ def _simulate_chunks(
     req_count = np.zeros(num_disks, dtype=np.int64)
     arrivals = 0
     hits = 0
+    hit_lat = float(cache_hit_latency)
     acc = ResponseAccumulator() if streaming else None
     resp_c_parts: List[np.ndarray] = []
     resp_v_parts: List[np.ndarray] = []
     hit_t_parts: List[np.ndarray] = []
     hit_v_parts: List[np.ndarray] = []
+
+    def _submit(fid_c, t_c, sz_c, w_c, holds_c=None) -> None:
+        """Serve one time-sorted batch — a chunk's arrivals, or released
+        requests in (release, seq) order with ``holds_c`` = release -
+        arrival — and fold it into the persistent accumulators."""
+        nonlocal arrivals, hits, req_count
+        n_c = int(t_c.size)
+        starts_c = np.empty(n_c, dtype=float)
+        if driver is not None:
+            d_req_c = np.empty(n_c, dtype=np.int64)
+            driver.feed(fid_c, t_c, sz_c, w_c, starts_c, d_req_c, holds_c)
+        else:
+            d_req_c = serve(fid_c, t_c, sz_c, w_c, starts_c, arrivals)
+        served = d_req_c >= 0
+        n_hits = n_c - int(served.sum())
+        if n_hits:
+            d_s = d_req_c[served]
+            s_s = starts_c[served]
+            sz_s = sz_c[served]
+            t_s = t_c[served]
+        else:
+            d_s, s_s, sz_s, t_s = d_req_c, starts_c, sz_c, t_c
+        # Per-request overhead/transfer resolved against the serving
+        # disk's own spec (identical to the uniform scalars on a
+        # homogeneous pool).
+        oh_s = bank.oh_a[d_s]
+        tr_s = sz_s / bank.rate_a[d_s]
+        # Service accounting truncated at the horizon; the serial scatter-
+        # add continues np.bincount's reduction exactly across chunks.
+        np.add.at(seek_time, d_s, np.clip(T - s_s, 0.0, oh_s))
+        np.add.at(active_time, d_s, np.clip(T - (s_s + oh_s), 0.0, tr_s))
+        req_count += np.bincount(d_s, minlength=num_disks)
+        if binner is not None:
+            binner.add("seek", d_s, s_s, s_s + oh_s)
+            binner.add("active", d_s, s_s + oh_s, s_s + oh_s + tr_s)
+        completion = s_s + oh_s + tr_s
+        done = completion < T
+        resp = completion - t_s
+        if holds_c is None:
+            hit_v = np.full(n_hits, hit_lat)
+        else:
+            # Scheduled runs measure responses from the *original* arrival:
+            # the hold rides on top of the post-release response, exactly
+            # like the event dispatcher's response_offset.
+            resp = resp + (holds_c[served] if n_hits else holds_c)
+            hit_v = hit_lat + holds_c[~served]
+        if streaming:
+            # Feed responses in arrival order (served completions where
+            # they complete before T, hits at the hit latency) — the same
+            # per-batch formula for every partition, so the accumulator's
+            # serial reductions are partition-invariant.
+            vals = np.empty(n_c, dtype=float)
+            ok = np.ones(n_c, dtype=bool)
+            vals[served] = resp
+            ok[served] = done
+            if n_hits:
+                vals[~served] = hit_v
+            acc.add(vals[ok])
+        else:
+            resp_c_parts.append(completion[done])
+            resp_v_parts.append(resp[done])
+            if n_hits:
+                hit_t_parts.append(t_c[~served])
+                hit_v_parts.append(hit_v)
+        arrivals += n_c
+        hits += n_hits
 
     # -- slack-aware request scheduling (repro.system.scheduling) --------------
     # Arrivals are assigned release times by the scheduler's deterministic
@@ -2171,10 +1590,9 @@ def _simulate_chunks(
     # (release, arrival-seq) order — the exact submission sequence the event
     # engine's drive_scheduled_stream produces.  Pending releases ride
     # across interval and chunk boundaries as (release, arrival, file id,
-    # is-write) array blocks in arrival-seq order; recorded responses
-    # measure from the original arrival (the hold rides on top of the
-    # post-release response).  scheduler=None takes the historical
-    # unscheduled paths, byte-identical to the pre-scheduler kernel.
+    # is-write) array blocks in arrival-seq order.  scheduler=None takes the
+    # historical unscheduled paths, byte-identical to the pre-scheduler
+    # kernel.
     pending: List[tuple] = []
     if scheduler is not None:
 
@@ -2200,86 +1618,6 @@ def _simulate_chunks(
             if keep.any():
                 pending.append((r_c[keep], t_c[keep], f_c[keep], w_c[keep]))
 
-        def _consume(fid_c, t_c, sz_c, w_c, holds_c) -> None:
-            """Serve one (release, seq)-ordered batch of released requests
-            through whichever path applies and fold it into the persistent
-            accumulators — the scheduled analogue of the per-chunk body."""
-            nonlocal arrivals, hits, req_count
-            n_c = int(t_c.size)
-            starts_c = np.empty(n_c, dtype=float)
-            d_req_c = np.empty(n_c, dtype=np.int64)
-            if driver is not None:
-                driver._serve_slice(
-                    fid_c, t_c, sz_c, w_c, starts_c, d_req_c, 0, n_c,
-                    holds=holds_c,
-                )
-                driver.n_seen += n_c
-            elif cache is not None:
-                _serve_coupled(
-                    bank, policy, mapping, free, sizes, fid_c, t_c, w_c,
-                    cache, starts_c, d_req_c, heap=heap, base_index=arrivals,
-                    flush=False, map_l=map_l, size_l=size_l,
-                    obs=obs, obs_clock=obs_clock,
-                )
-            elif w_c is not None:
-                _serve_segmented(
-                    bank, policy, mapping, free, sizes, fid_c, t_c, sz_c,
-                    w_c, starts_c, d_req_c, obs=obs,
-                )
-            else:
-                disk_c = mapping[fid_c]
-                if n_c and int(disk_c.min()) < 0:
-                    bad_f = int(fid_c[int(np.argmin(disk_c))])
-                    raise SimulationError(
-                        f"read of unallocated file {bad_f}; allocate it first"
-                    )
-                _serve_segment(
-                    bank, disk_c, t_c, sz_c / bank.rate_a[disk_c], starts_c
-                )
-                d_req_c = disk_c
-            served_c = d_req_c >= 0
-            n_hits = n_c - int(served_c.sum())
-            if n_hits:
-                d_s = d_req_c[served_c]
-                s_s = starts_c[served_c]
-                sz_s = sz_c[served_c]
-                t_s = t_c[served_c]
-                h_s = holds_c[served_c]
-            else:
-                d_s, s_s, sz_s, t_s, h_s = (
-                    d_req_c, starts_c, sz_c, t_c, holds_c
-                )
-            oh_s = bank.oh_a[d_s]
-            tr_s = sz_s / bank.rate_a[d_s]
-            np.add.at(seek_time, d_s, np.clip(T - s_s, 0.0, oh_s))
-            np.add.at(active_time, d_s, np.clip(T - (s_s + oh_s), 0.0, tr_s))
-            req_count += np.bincount(d_s, minlength=num_disks)
-            if binner is not None:
-                binner.add("seek", d_s, s_s, s_s + oh_s)
-                binner.add("active", d_s, s_s + oh_s, s_s + oh_s + tr_s)
-            completion = s_s + oh_s + tr_s
-            done = completion < T
-            if streaming:
-                vals = np.empty(n_c, dtype=float)
-                ok = np.ones(n_c, dtype=bool)
-                vals[served_c] = (completion - t_s) + h_s
-                ok[served_c] = done
-                if n_hits:
-                    vals[~served_c] = (
-                        float(cache_hit_latency) + holds_c[~served_c]
-                    )
-                acc.add(vals[ok])
-            else:
-                resp_c_parts.append(completion[done])
-                resp_v_parts.append((completion[done] - t_s[done]) + h_s[done])
-                if n_hits:
-                    hit_t_parts.append(t_c[~served_c])
-                    hit_v_parts.append(
-                        float(cache_hit_latency) + holds_c[~served_c]
-                    )
-            arrivals += n_c
-            hits += n_hits
-
         def _flush(limit: float, inclusive: bool) -> None:
             """Take the pending releases before ``limit`` (or at it, when
             ``inclusive``) and serve them as one batch in (release, seq)
@@ -2300,7 +1638,7 @@ def _simulate_chunks(
             t_c = rel[idx]
             fid_c = fid_p[idx]
             w_c = w_p[idx]
-            _consume(
+            _submit(
                 fid_c, t_c, sizes[fid_c], w_c if w_c.any() else None,
                 t_c - t_p[idx],
             )
@@ -2343,135 +1681,45 @@ def _simulate_chunks(
             w = np.asarray(kinds)[:n] == WRITE
             if w.any():
                 is_write = w
+        if arrivals and bank.park_spans is not None:
+            # Bounded memory: fold/emit the spans logged so far before the
+            # next chunk grows the logs.  A single-chunk run never gets
+            # here and takes the one-shot fold at the end, staying
+            # bit-exact with the historical monolithic binning; emission
+            # order is chunking-invariant because spans are only ever
+            # appended in simulation order.
+            _flush_bank_spans(binner, bank, classic, obs)
+        if scheduler is None:
+            _submit(fid, t_all, sizes[fid], is_write)
+        elif driver is not None:
+            # Interval-segmented: arrivals in one control interval all
+            # read the same slo_estimate, and a boundary is processed —
+            # with every release strictly before it flushed first — as
+            # soon as an arrival at or past it is seen.
+            ci = driver.ci
+            pos = 0
+            while pos < n:
+                t_edge = min((driver.k + 1) * ci, T)
+                hi = int(np.searchsorted(t_all, t_edge, side="left"))
+                if hi > pos:
+                    _schedule(fid, t_all, is_write, pos, hi, dpm.slo_estimate)
+                if hi == n:
+                    # Chunk exhausted mid-interval: a later chunk may
+                    # still add arrivals before t_edge, so the boundary
+                    # stays open.
+                    break
+                _flush(t_edge, False)
+                driver._boundary(t_edge, t_edge >= T)
+                pos = hi
+        else:
+            _schedule(fid, t_all, is_write, 0, n, None)
         if scheduler is not None:
-            if arrivals and (driver is not None or obs is not None):
-                # Bounded memory for the banks' span logs, exactly like the
-                # unscheduled per-chunk folds below.
-                _flush_bank_spans(
-                    binner if driver is not None else None,
-                    bank, has_ladder, obs,
-                )
-            if driver is not None:
-                # Interval-segmented: arrivals in one control interval all
-                # read the same slo_estimate, and a boundary is processed —
-                # with every release strictly before it flushed first — as
-                # soon as an arrival at or past it is seen.
-                ci = driver.ci
-                pos = 0
-                while pos < n:
-                    t_edge = min((driver.k + 1) * ci, T)
-                    hi = int(np.searchsorted(t_all, t_edge, side="left"))
-                    if hi > pos:
-                        _schedule(
-                            fid, t_all, is_write, pos, hi, dpm.slo_estimate
-                        )
-                    if hi == n:
-                        # Chunk exhausted mid-interval: a later chunk may
-                        # still add arrivals before t_edge, so the boundary
-                        # stays open.
-                        break
-                    _flush(t_edge, False)
-                    driver._boundary(t_edge, t_edge >= T)
-                    pos = hi
-            else:
-                _schedule(fid, t_all, is_write, 0, n, None)
             # Releases at or before the chunk's last arrival are final:
             # every future arrival (hence every future release) is at or
             # after it, and at a tie the smaller arrival seq flushes first
             # either way — so the global submission order is invariant to
             # the chunk partition.
             _flush(float(t_all[-1]), True)
-            if censored:
-                break
-            continue
-
-        sz_all = sizes[fid]
-        starts = np.empty(n, dtype=float)
-        d_req = np.empty(n, dtype=np.int64)
-
-        if arrivals and driver is None and obs is not None:
-            # Bounded memory for the observed banks' span logs on the
-            # fixed-threshold paths (the controlled path folds below;
-            # emission order is chunking-invariant either way because
-            # spans are only ever appended in simulation order).
-            _flush_bank_spans(None, bank, has_ladder, obs)
-        if driver is not None:
-            if arrivals:
-                # Bounded memory: fold the spans logged so far before the
-                # next chunk grows the logs.  A single-chunk run never gets
-                # here and takes the one-shot fold at the end, staying
-                # bit-exact with the historical monolithic binning.
-                _flush_bank_spans(binner, bank, has_ladder, obs)
-            driver.feed(fid, t_all, sz_all, is_write, starts, d_req)
-        elif cache is not None:
-            _serve_coupled(
-                bank, policy, mapping, free, sizes, fid, t_all,
-                is_write, cache, starts, d_req,
-                heap=heap, base_index=arrivals, flush=False,
-                map_l=map_l, size_l=size_l,
-                obs=obs, obs_clock=obs_clock,
-            )
-        elif is_write is not None:
-            _serve_segmented(
-                bank, policy, mapping, free, sizes, fid, t_all, sz_all,
-                is_write, starts, d_req, obs=obs,
-            )
-        else:
-            disk = mapping[fid]
-            if n and int(disk.min()) < 0:
-                bad_f = int(fid[int(np.argmin(disk))])
-                raise SimulationError(
-                    f"read of unallocated file {bad_f}; allocate it first"
-                )
-            _serve_segment(
-                bank, disk, t_all, sz_all / bank.rate_a[disk], starts
-            )
-            d_req = disk
-
-        # -- per-chunk accounting into the persistent accumulators ------------
-        served = d_req >= 0
-        n_hits = n - int(served.sum())
-        if n_hits:
-            d_s = d_req[served]
-            s_s = starts[served]
-            sz_s = sz_all[served]
-            t_s = t_all[served]
-        else:
-            d_s, s_s, sz_s, t_s = d_req, starts, sz_all, t_all
-        # Per-request overhead/transfer resolved against the serving
-        # disk's own spec (identical to the uniform scalars on a
-        # homogeneous pool).
-        oh_s = bank.oh_a[d_s]
-        tr_s = sz_s / bank.rate_a[d_s]
-        # Service accounting truncated at the horizon; the serial scatter-
-        # add continues np.bincount's reduction exactly across chunks.
-        np.add.at(seek_time, d_s, np.clip(T - s_s, 0.0, oh_s))
-        np.add.at(active_time, d_s, np.clip(T - (s_s + oh_s), 0.0, tr_s))
-        req_count += np.bincount(d_s, minlength=num_disks)
-        if binner is not None:
-            binner.add("seek", d_s, s_s, s_s + oh_s)
-            binner.add("active", d_s, s_s + oh_s, s_s + oh_s + tr_s)
-        completion = s_s + oh_s + tr_s
-        done = completion < T
-        if streaming:
-            # Feed responses in arrival order (served completions where
-            # they complete before T, hits at the hit latency) — the same
-            # per-chunk formula for every partition, so the accumulator's
-            # serial reductions are partition-invariant.
-            vals = np.empty(n, dtype=float)
-            ok = np.ones(n, dtype=bool)
-            vals[served] = completion - t_s
-            ok[served] = done
-            if n_hits:
-                vals[~served] = float(cache_hit_latency)
-            acc.add(vals[ok])
-        else:
-            resp_c_parts.append(completion[done])
-            resp_v_parts.append(completion[done] - t_s[done])
-            if n_hits:
-                hit_t_parts.append(t_all[~served])
-        arrivals += n
-        hits += n_hits
         if censored:
             # Chunks are globally sorted, so everything after this chunk's
             # cut is at or past the horizon — censored, like the event
@@ -2506,33 +1754,13 @@ def _simulate_chunks(
 
     # -- vectorized accounting over the banked state ---------------------------
 
-    # Spin accounting with trailing idleness applied (a disk whose
-    # post-drain gap outlasts its threshold spins down — or descends the
-    # ladder — before the horizon).
-    if has_ladder:
-        spinups, spindowns = bank.apply_tail()
-    else:
-        spindown_time, spinup_time, standby_time, spinups, spindowns = (
-            bank.tail_arrays()
-        )
-    if binner is not None or obs is not None:
+    # Trailing idleness: a disk whose post-drain gap outlasts its entries
+    # descends the ladder before the horizon.
+    spinups, spindowns = bank.apply_tail()
+    if bank.park_spans is not None:
         # Remaining spans, including the trailing-idleness episodes the
         # tail pass just logged.
-        _flush_bank_spans(binner, bank, has_ladder, obs)
-
-    if not has_ladder:
-        idle_time = np.clip(
-            T
-            - (
-                seek_time
-                + active_time
-                + spindown_time
-                + spinup_time
-                + standby_time
-            ),
-            0.0,
-            None,
-        )
+        _flush_bank_spans(binner, bank, classic, obs)
 
     if streaming:
         stats = acc.result()
@@ -2547,14 +1775,12 @@ def _simulate_chunks(
             np.concatenate(resp_v_parts) if resp_v_parts else np.empty(0)
         )
         if hits:
-            hit_times = np.concatenate(hit_t_parts)
-            resp_completion = np.concatenate((resp_completion, hit_times))
-            hit_values = (
-                np.concatenate(hit_v_parts)
-                if scheduler is not None
-                else np.full(hits, float(cache_hit_latency))
+            resp_completion = np.concatenate(
+                (resp_completion, np.concatenate(hit_t_parts))
             )
-            resp_values = np.concatenate((resp_values, hit_values))
+            resp_values = np.concatenate(
+                (resp_values, np.concatenate(hit_v_parts))
+            )
         # Report response times in completion order, like the dispatcher
         # does (stable at ties: served completions before cache hits).
         response_times = resp_values[
@@ -2562,82 +1788,63 @@ def _simulate_chunks(
         ]
         completions = int(response_times.size)
 
-    if has_ladder:
-        # Ladder runs are keyed by timeline label; the accumulation order
-        # (rung 0, parks, seek, active, wakes, descents) makes the
-        # two_state ladder's float arithmetic term-for-term identical to
-        # the classic DiskState path below.  Disks are grouped by their
-        # (ladder, spec) pair and each group replays the historical
-        # rung-major arithmetic on its own sub-vectors: a uniform pool is
-        # a single group — term-for-term identical to the old scalar
-        # constants — while a mixed pool prices every drive against its
-        # own ladder depth and power table.
-        groups: Dict[tuple, List[int]] = {}
-        for d in range(num_disks):
-            groups.setdefault((bank.ladders[d], specs[d]), []).append(d)
-        energy_per_disk = np.zeros(num_disks, dtype=float)
-        per_state: Dict = {}
-        for (lad, spec_g), idx_list in groups.items():
-            idx = np.asarray(idx_list, dtype=np.int64)
-            rungs = lad.rungs
-            R = len(rungs)
-            park = [
-                np.array([bank.park_t[d][i] for d in idx_list], dtype=float)
-                for i in range(R)
-            ]
-            down = [
-                np.array([bank.down_t[d][i] for d in idx_list], dtype=float)
-                for i in range(R)
-            ]
-            wake = [
-                np.array([bank.wake_t[d][i] for d in idx_list], dtype=float)
-                for i in range(R)
-            ]
-            occupied = seek_time[idx] + active_time[idx]
-            for arr in down[1:]:
-                occupied = occupied + arr
-            for arr in wake[1:]:
-                occupied = occupied + arr
-            for arr in park[1:]:
-                occupied = occupied + arr
-            idle_g = np.clip(T - occupied, 0.0, None)
-            per_state_g = {rungs[0].name: idle_g}
-            for i in range(1, R):
-                per_state_g[rungs[i].name] = park[i]
-            per_state_g["seek"] = seek_time[idx]
-            per_state_g["active"] = active_time[idx]
-            for i in range(1, R):
-                per_state_g[f"wake:{rungs[i].name}"] = wake[i]
-            for i in range(1, R):
-                per_state_g[f"down:{rungs[i].name}"] = down[i]
-            powers = lad.power_table(spec_g)
-            e_g = np.zeros(len(idx_list), dtype=float)
-            for state, per_disk in per_state_g.items():
-                e_g += powers[state] * per_disk
-            energy_per_disk[idx] = e_g
-            for state, per_disk in per_state_g.items():
-                vec = per_state.setdefault(
-                    state, np.zeros(num_disks, dtype=float)
-                )
-                vec[idx] = per_disk
-    else:
-        per_state = {
-            DiskState.IDLE: idle_time,
-            DiskState.STANDBY: standby_time,
-            DiskState.SEEK: seek_time,
-            DiskState.ACTIVE: active_time,
-            DiskState.SPINUP: spinup_time,
-            DiskState.SPINDOWN: spindown_time,
-        }
-        state_power = {
-            state: np.array(
-                [PowerModel(s).power(state) for s in specs], dtype=float
+    # Residencies keyed by timeline label, accumulated in the order
+    # (rung 0, parks, seek, active, wakes, descents) — for the two_state
+    # ladder term for term the classic drive's (idle, standby, seek,
+    # active, spinup, spindown).  Disks are grouped by their (ladder, spec)
+    # pair and each group runs the rung-major arithmetic on its own
+    # sub-vectors: a uniform pool is a single group, while a mixed pool
+    # prices every drive against its own ladder depth and power table.
+    groups: Dict[tuple, List[int]] = {}
+    for d in range(num_disks):
+        groups.setdefault((bank.ladders[d], specs[d]), []).append(d)
+    energy_per_disk = np.zeros(num_disks, dtype=float)
+    per_state: Dict = {}
+    for (lad, spec_g), idx_list in groups.items():
+        idx = np.asarray(idx_list, dtype=np.int64)
+        rungs = lad.rungs
+        R = len(rungs)
+        park = [
+            np.array([bank.park_t[d][i] for d in idx_list], dtype=float)
+            for i in range(R)
+        ]
+        down = [
+            np.array([bank.down_t[d][i] for d in idx_list], dtype=float)
+            for i in range(R)
+        ]
+        wake = [
+            np.array([bank.wake_t[d][i] for d in idx_list], dtype=float)
+            for i in range(R)
+        ]
+        occupied = seek_time[idx] + active_time[idx]
+        for arr in down[1:]:
+            occupied = occupied + arr
+        for arr in wake[1:]:
+            occupied = occupied + arr
+        for arr in park[1:]:
+            occupied = occupied + arr
+        idle_g = np.clip(T - occupied, 0.0, None)
+        per_state_g = {rungs[0].name: idle_g}
+        for i in range(1, R):
+            per_state_g[rungs[i].name] = park[i]
+        per_state_g["seek"] = seek_time[idx]
+        per_state_g["active"] = active_time[idx]
+        for i in range(1, R):
+            per_state_g[f"wake:{rungs[i].name}"] = wake[i]
+        for i in range(1, R):
+            per_state_g[f"down:{rungs[i].name}"] = down[i]
+        powers = lad.power_table(spec_g)
+        e_g = np.zeros(len(idx_list), dtype=float)
+        for state, per_disk in per_state_g.items():
+            e_g += powers[state] * per_disk
+        energy_per_disk[idx] = e_g
+        for state, per_disk in per_state_g.items():
+            vec = per_state.setdefault(
+                state, np.zeros(num_disks, dtype=float)
             )
-            for state in per_state
-        }
-        energy_per_disk = np.zeros(num_disks, dtype=float)
-        for state, per_disk in per_state.items():
-            energy_per_disk += state_power[state] * per_disk
+            vec[idx] = per_disk
+    if classic:
+        per_state = {_CLASSIC_STATES[k]: v for k, v in per_state.items()}
     state_durations = {
         state: float(per_disk.sum())
         for state, per_disk in per_state.items()
@@ -2646,12 +1853,9 @@ def _simulate_chunks(
 
     extra = {}
     if dpm is not None:
-        if has_ladder:
-            dpm.attach_power(
-                _ladder_power_from_binner(binner, bank.ladders, specs)
-            )
-        else:
-            dpm.attach_power(_power_from_binner(binner, specs))
+        dpm.attach_power(
+            _power_from_binner(binner, bank.ladders, specs, classic)
+        )
         extra["dpm"] = dpm.extra()
 
     return SimulationResult(

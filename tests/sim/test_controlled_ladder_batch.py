@@ -1,11 +1,12 @@
-"""``_ControlledLadderBank.serve_batch`` (the hoisted per-disk loop) must
-evolve exactly the state per-request ``serve`` does.
+"""``_DiskBank.serve_batch`` (the hoisted per-disk loop) must evolve
+exactly the state per-request ``serve`` does, controlled or not.
 
 Twin banks see the same arrivals: one replays each disk's run through
 ``serve_batch`` in random segments, the other calls ``serve`` once per
 request.  Gaps are drawn around the threshold-scaled rung entries (just
 below, on, and just above each), plus same-instant arrivals, over a
-mixed fleet with a one-rung ladder and an ``inf`` threshold row.
+mixed fleet with a one-rung ladder and an ``inf`` threshold row.  The
+``two_state`` pool takes the inline one-descent-rung walk on every disk.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 
 from repro.disk.dpm import DpmLadder, LadderRung, make_dpm_ladder
 from repro.disk.specs import ST3500630AS, WD10EADS
-from repro.sim.fastkernel import _ControlledLadderBank
+from repro.sim.fastkernel import _DiskBank
 
 HORIZON = 4_000.0
 INTERVAL = 250.0
@@ -28,6 +29,8 @@ def _fleet(kind):
         return make_dpm_ladder("drpm4", ST3500630AS), ST3500630AS, 4
     if kind == "one_rung":
         return FLAT, ST3500630AS, 2
+    if kind == "two_state":
+        return make_dpm_ladder("two_state", ST3500630AS), ST3500630AS, 3
     ladders = [
         make_dpm_ladder("drpm4", specs[0]),
         make_dpm_ladder("two_state", specs[1]),
@@ -89,23 +92,9 @@ def _state(bank):
     )
 
 
-@pytest.mark.parametrize("kind", ["uniform", "mixed", "one_rung"])
-@pytest.mark.parametrize("seed", range(4))
-def test_serve_batch_matches_per_request_serve(kind, seed):
-    rng = np.random.default_rng(seed)
-    ladder, spec, num_disks = _fleet(kind)
-    rows = _threshold_rows(rng, num_disks)
-    banks = [
-        _ControlledLadderBank(
-            num_disks, rows[0], ladder, spec, HORIZON, INTERVAL
-        )
-        for _ in range(2)
-    ]
-    for bank in banks:
-        for row in rows[1:]:
-            bank.push_thresholds(row)
+def _check_twins(rng, kind, banks, rows):
     batched, single = banks
-    for d in range(num_disks):
+    for d in range(len(batched.avail)):
         ts, trs, starts_s = _drive(rng, single, rows, d)
         cuts = sorted({0, len(ts), *rng.integers(0, len(ts), 6).tolist()})
         starts_b = []
@@ -118,4 +107,41 @@ def test_serve_batch_matches_per_request_serve(kind, seed):
     if kind != "one_rung":
         # The draw really exercised gap walks and wakes.
         assert sum(batched.n_up) > 0
-        assert any(batched.park_spans[1:])
+        if batched.park_spans is not None:
+            assert any(batched.park_spans[1:])
+
+
+@pytest.mark.parametrize("kind", ["uniform", "mixed", "one_rung", "two_state"])
+@pytest.mark.parametrize("seed", range(4))
+def test_serve_batch_matches_per_request_serve(kind, seed):
+    rng = np.random.default_rng(seed)
+    ladder, spec, num_disks = _fleet(kind)
+    rows = _threshold_rows(rng, num_disks)
+    banks = [
+        _DiskBank(
+            num_disks, rows[0], ladder, spec, HORIZON, interval=INTERVAL
+        )
+        for _ in range(2)
+    ]
+    for bank in banks:
+        for row in rows[1:]:
+            bank.push_thresholds(row)
+    _check_twins(rng, kind, banks, rows)
+
+
+@pytest.mark.parametrize("log_spans", [False, True])
+@pytest.mark.parametrize("kind", ["uniform", "mixed", "one_rung", "two_state"])
+@pytest.mark.parametrize("seed", range(3))
+def test_fixed_serve_batch_matches_per_request_serve(kind, seed, log_spans):
+    """Fixed thresholds (one per disk, disk 0 at ``inf``), with and
+    without the observer's span logs."""
+    rng = np.random.default_rng(100 + seed)
+    ladder, spec, num_disks = _fleet(kind)
+    rows = _threshold_rows(rng, num_disks)[5:6]
+    banks = [
+        _DiskBank(
+            num_disks, rows[0], ladder, spec, HORIZON, log_spans=log_spans
+        )
+        for _ in range(2)
+    ]
+    _check_twins(rng, kind, banks, rows)
