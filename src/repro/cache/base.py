@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.errors import ConfigError
 
@@ -39,10 +39,13 @@ class CacheStats:
         return self.bytes_hit / total if total else float("nan")
 
 
-class BaseCache(ABC):
+class BaseCache:
     """Common machinery for whole-file caches.
 
-    Subclasses implement the eviction order via :meth:`_victim` and the
+    Resident files live in one ordered map, ``_sizes``, kept in eviction
+    order: insertion appends, and the default :meth:`_victim` is the
+    head.  That is FIFO as it stands; LRU only moves a hit to the end.
+    Policies that rank files otherwise override :meth:`_victim` and the
     bookkeeping hooks :meth:`_on_hit` / :meth:`_on_insert` / :meth:`_on_evict`.
 
     Parameters
@@ -58,7 +61,7 @@ class BaseCache(ABC):
             raise ConfigError(f"cache capacity must be positive, got {capacity}")
         self.capacity = float(capacity)
         self.used = 0.0
-        self._sizes: Dict[int, float] = {}
+        self._sizes: OrderedDict[int, float] = OrderedDict()
         self.stats = CacheStats()
         # Optional observability callback (``repro.obs``): called with the
         # victim's file id on every eviction.  Purely passive — engines
@@ -76,13 +79,14 @@ class BaseCache(ABC):
 
         Returns True on hit.
         """
+        stats = self.stats
         if file_id in self._sizes:
-            self.stats.hits += 1
-            self.stats.bytes_hit += size
+            stats.hits += 1
+            stats.bytes_hit += size
             self._on_hit(file_id)
             return True
-        self.stats.misses += 1
-        self.stats.bytes_missed += size
+        stats.misses += 1
+        stats.bytes_missed += size
         return False
 
     def admit(self, file_id: int, size: float) -> bool:
@@ -96,17 +100,18 @@ class BaseCache(ABC):
         if size > self.capacity:
             self.stats.rejected += 1
             return False
-        if file_id in self._sizes:
+        sizes = self._sizes
+        if file_id in sizes:
             self._on_hit(file_id)
             return True
         # Guard on residency as well as byte pressure: `used` is a float
         # accumulator, so evicting in a different order than insertion can
         # leave a ~1e-16 residue even when the cache is empty — without the
         # guard that residue would send `_victim()` hunting an empty cache.
-        while self._sizes and self.used + size > self.capacity:
-            victim = self._victim()
-            self._evict(victim)
-        self._sizes[file_id] = size
+        capacity = self.capacity
+        while sizes and self.used + size > capacity:
+            self._evict(self._victim())
+        sizes[file_id] = size
         self.used += size
         self.stats.insertions += 1
         self._on_insert(file_id)
@@ -126,9 +131,9 @@ class BaseCache(ABC):
 
     # -- policy hooks ------------------------------------------------------------
 
-    @abstractmethod
     def _victim(self) -> int:
         """Choose the file id to evict next (cache guaranteed non-empty)."""
+        return next(iter(self._sizes))
 
     def _on_hit(self, file_id: int) -> None:  # pragma: no cover - default no-op
         pass

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from typing import Set
 
 from repro.cache.base import BaseCache
 
@@ -21,24 +21,21 @@ class ClockCache(BaseCache):
 
     def __init__(self, capacity: float) -> None:
         super().__init__(capacity)
-        # OrderedDict models the circle: iteration order is hand order.
-        self._ref: OrderedDict = OrderedDict()
+        # The shared eviction order is the circle (iteration order is hand
+        # order); the set holds the files whose reference bit is set.
+        self._referenced: Set[int] = set()
 
     def _victim(self) -> int:
         while True:
-            file_id, referenced = next(iter(self._ref.items()))
-            if referenced:
-                # Second chance: clear the bit, move behind the hand.
-                self._ref[file_id] = False
-                self._ref.move_to_end(file_id)
-            else:
+            file_id = next(iter(self._sizes))
+            if file_id not in self._referenced:
                 return file_id
+            # Second chance: clear the bit, move behind the hand.
+            self._referenced.discard(file_id)
+            self._sizes.move_to_end(file_id)
 
     def _on_hit(self, file_id: int) -> None:
-        self._ref[file_id] = True
-
-    def _on_insert(self, file_id: int) -> None:
-        self._ref[file_id] = False
+        self._referenced.add(file_id)
 
     def _on_evict(self, file_id: int) -> None:
-        del self._ref[file_id]
+        self._referenced.discard(file_id)

@@ -2,30 +2,16 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.cache.base import BaseCache
 
 __all__ = ["FIFOCache"]
 
 
 class FIFOCache(BaseCache):
-    """Evicts the oldest *inserted* file regardless of access recency."""
+    """Evicts the oldest *inserted* file regardless of access recency.
+
+    The shared eviction order is insertion order and hits leave it alone,
+    so the base class's head victim is already FIFO.
+    """
 
     policy_name = "fifo"
-
-    def __init__(self, capacity: float) -> None:
-        super().__init__(capacity)
-        self._order: deque = deque()
-
-    def _victim(self) -> int:
-        # The deque can only contain resident files: eviction is the sole
-        # removal path and it pops exactly the head.
-        return self._order[0]
-
-    def _on_insert(self, file_id: int) -> None:
-        self._order.append(file_id)
-
-    def _on_evict(self, file_id: int) -> None:
-        head = self._order.popleft()
-        assert head == file_id, "FIFO eviction out of order"

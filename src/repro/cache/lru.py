@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.cache.base import BaseCache
 
 __all__ = ["LRUCache"]
@@ -12,27 +10,15 @@ __all__ = ["LRUCache"]
 class LRUCache(BaseCache):
     """Evicts the file untouched for the longest time.
 
-    O(1) per operation via an ordered dict (most recent at the end).
+    O(1) per operation: a hit moves the file to the end of the shared
+    eviction order, so the head is always the least recently used.
     """
 
     policy_name = "lru"
 
-    def __init__(self, capacity: float) -> None:
-        super().__init__(capacity)
-        self._order: OrderedDict = OrderedDict()
-
-    def _victim(self) -> int:
-        return next(iter(self._order))
-
     def _on_hit(self, file_id: int) -> None:
-        self._order.move_to_end(file_id)
-
-    def _on_insert(self, file_id: int) -> None:
-        self._order[file_id] = None
-
-    def _on_evict(self, file_id: int) -> None:
-        del self._order[file_id]
+        self._sizes.move_to_end(file_id)
 
     def recency_order(self) -> list:
         """File ids from least to most recently used (tests/diagnostics)."""
-        return list(self._order)
+        return list(self._sizes)

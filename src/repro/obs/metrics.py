@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional, Sequence
 
+import numpy as np
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -77,13 +79,16 @@ class Histogram:
     observations ``<= bounds[i]`` (last bucket is the overflow).
     """
 
-    __slots__ = ("name", "bounds", "counts", "count", "total", "min", "max")
+    __slots__ = (
+        "name", "bounds", "counts", "count", "total", "min", "max", "_edges"
+    )
 
     def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_RESPONSE_BOUNDS) -> None:
         self.name = name
         self.bounds = tuple(float(b) for b in bounds)
         if list(self.bounds) != sorted(self.bounds):
             raise ValueError(f"histogram bounds must be sorted: {bounds!r}")
+        self._edges = np.array(self.bounds, dtype=float)
         self.counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
@@ -91,25 +96,39 @@ class Histogram:
         self.max = -math.inf
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.counts[lo] += 1
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
+        self.observe_many([value])
 
     def observe_many(self, values: Sequence[float]) -> None:
-        for value in values:
-            self.observe(value)
+        """Fold a batch, exactly as observing each value in order would.
+
+        A value lands in the first bucket whose bound is ``>=`` it
+        (``searchsorted`` on the left).  The total continues the running
+        sum with a sequential ``cumsum``, so it is bit-equal to adding one
+        value at a time, whatever the batch split.  A NaN or infinite
+        value raises ``ValueError`` and leaves the histogram unchanged.
+        """
+        v = np.asarray(values, dtype=float).ravel()
+        if not v.size:
+            return
+        finite = np.isfinite(v)
+        if not finite.all():
+            bad = float(v[int(np.argmin(finite))])
+            raise ValueError(
+                f"histogram {self.name!r} got a non-finite value {bad!r}"
+            )
+        buckets = np.bincount(
+            np.searchsorted(self._edges, v, side="left"),
+            minlength=len(self.counts),
+        )
+        self.counts = [c + n for c, n in zip(self.counts, buckets.tolist())]
+        self.count += int(v.size)
+        self.total = float(np.cumsum(np.concatenate(([self.total], v)))[-1])
+        lo = float(v.min())
+        hi = float(v.max())
+        if lo < self.min:
+            self.min = lo
+        if hi > self.max:
+            self.max = hi
 
     def snapshot(self) -> Dict[str, Any]:
         return {

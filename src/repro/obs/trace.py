@@ -27,6 +27,8 @@ about where real time went, and never mixes with simulated-time tracks.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
 
@@ -51,7 +53,8 @@ _PROCESS_NAMES = {
 class TraceRecorder(RunObserver):
     """Buffer observer events and export them as a Chrome trace.
 
-    Also keeps per-event-type counts in ``self.registry`` so a recorded
+    The hooks only append to the event lists.  ``registry`` derives the
+    per-event-type counts from those lists when it is read, so a recorded
     run's ``extra["obs"]`` snapshot carries an ``events`` section.
     """
 
@@ -60,25 +63,39 @@ class TraceRecorder(RunObserver):
         self.cache_events: List[Tuple[float, str, int]] = []
         self.threshold_events: List[Tuple[float, Tuple[float, ...]]] = []
         self.placements: List[Tuple[float, int, int]] = []
-        self.registry = MetricsRegistry()
+
+    @property
+    def registry(self) -> MetricsRegistry:
+        """Event counts: ``span.<state>``, ``cache.<kind>``,
+        ``control.threshold_updates`` and ``placement.writes``, each present
+        once its hook has fired."""
+        registry = MetricsRegistry()
+        for prefix, events in (
+            ("span.", self.state_spans), ("cache.", self.cache_events)
+        ):
+            for kind, n in Counter(map(itemgetter(1), events)).items():
+                registry.counter(prefix + kind).inc(n)
+        for name, events in (
+            ("control.threshold_updates", self.threshold_events),
+            ("placement.writes", self.placements),
+        ):
+            if events:
+                registry.counter(name).inc(len(events))
+        return registry
 
     # -- RunObserver hooks -------------------------------------------------
 
     def on_state_span(self, disk: int, state: str, start: float, end: float) -> None:
         self.state_spans.append((disk, state, start, end))
-        self.registry.counter(f"span.{state}").inc()
 
     def on_cache_event(self, time: float, kind: str, file_id: int) -> None:
         self.cache_events.append((time, kind, file_id))
-        self.registry.counter(f"cache.{kind}").inc()
 
     def on_thresholds(self, time: float, thresholds: Sequence[float]) -> None:
         self.threshold_events.append((time, tuple(float(t) for t in thresholds)))
-        self.registry.counter("control.threshold_updates").inc()
 
     def on_placement(self, time: float, file_id: int, disk: int) -> None:
         self.placements.append((time, file_id, disk))
-        self.registry.counter("placement.writes").inc()
 
     # -- export ------------------------------------------------------------
 

@@ -143,6 +143,7 @@ the default ``engine="event"`` for those.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import repeat
 from math import inf
 from typing import Dict, List, Optional
 
@@ -550,14 +551,15 @@ class _DiskBank:
         at exactly ``t`` still reads parked, like the event kernel's
         not-yet-resumed drive process.
         """
-        pt = self.pt
-        pv = self.pv
-        avail = [pv[d] if pt[d] == t else a for d, a in enumerate(self.avail)]
+        avail = np.array(self.avail, dtype=float)
+        if t in self.pt:
+            same = np.array(self.pt) == t
+            avail[same] = np.array(self.pv, dtype=float)[same]
         # inf entry => a + inf == inf => always spinning.
         if self.entries is not None:
-            return t < np.asarray(avail) + self._last_entry + self._last_dn
+            return t < (avail + self._last_entry) + self._last_dn
         out = np.empty(len(avail), dtype=bool)
-        for d, a in enumerate(avail):
+        for d, a in enumerate(avail.tolist()):
             out[d] = t < (a + self._gap_entries(d, a)[-1]) + self.dn[d][-1]
         return out
 
@@ -773,19 +775,16 @@ def _serve_coupled(
     oh_l = bank.oh
     rate_l = bank.rate
     T = bank.T
-    fid_l = fid.tolist()
-    t_l = t_all.tolist()
-    w_l = is_write.tolist() if is_write is not None else None
-    for i in range(len(t_l)):
-        t = t_l[i]
-        f = fid_l[i]
+    emit = obs.on_cache_event if obs is not None else None
+    w_l = is_write.tolist() if is_write is not None else repeat(False)
+    for i, (t, f, w) in enumerate(zip(t_all.tolist(), fid.tolist(), w_l)):
         while heap and heap[0][0] <= t:
             c_adm, _, hf, hs = heappop(heap)
-            if obs is not None:
+            if emit is not None:
                 obs_clock[0] = c_adm
-                obs.on_cache_event(c_adm, "admit", hf)
+                emit(c_adm, "admit", hf)
             admit(hf, hs)
-        if w_l is not None and w_l[i]:
+        if w:
             d = map_l[f]
             if d < 0:
                 size = size_l[f]
@@ -797,28 +796,28 @@ def _serve_coupled(
                 free[d] -= size
             starts[i] = serve(d, t, size_l[f] / rate_l[d])
             d_req[i] = d
-        else:
-            size = size_l[f]
-            if lookup(f, size):
-                if obs is not None:
-                    obs.on_cache_event(t, "hit", f)
-                starts[i] = t  # a hit "completes" at its arrival instant
-                d_req[i] = -1
-                continue
-            if obs is not None:
-                obs.on_cache_event(t, "miss", f)
-            d = map_l[f]
-            if d < 0:
-                raise SimulationError(
-                    f"read of unallocated file {f}; allocate it first"
-                )
-            tr = size / rate_l[d]
-            s = serve(d, t, tr)
-            starts[i] = s
-            d_req[i] = d
-            c = s + oh_l[d] + tr
-            if c < T:
-                heappush(heap, (c, base_index + i, f, size))
+            continue
+        size = size_l[f]
+        if lookup(f, size):
+            if emit is not None:
+                emit(t, "hit", f)
+            starts[i] = t  # a hit "completes" at its arrival instant
+            d_req[i] = -1
+            continue
+        if emit is not None:
+            emit(t, "miss", f)
+        d = map_l[f]
+        if d < 0:
+            raise SimulationError(
+                f"read of unallocated file {f}; allocate it first"
+            )
+        tr = size / rate_l[d]
+        s = serve(d, t, tr)
+        starts[i] = s
+        d_req[i] = d
+        c = s + oh_l[d] + tr
+        if c < T:
+            heappush(heap, (c, base_index + i, f, size))
 
 
 class _ControlledDriver:
@@ -1450,9 +1449,6 @@ def _simulate_chunks(
     obs_clock: Optional[list] = None
     if obs is not None and cache is not None:
         obs_clock = [0.0]
-        cache.evict_hook = lambda f: obs.on_cache_event(
-            obs_clock[0], "evict", f
-        )
 
     def serve(fid_c, t_c, sz_c, w_c, starts_c, base) -> np.ndarray:
         """Serve one time-sorted batch through whichever path applies —
@@ -1643,113 +1639,120 @@ def _simulate_chunks(
                 t_c - t_p[idx],
             )
 
-    prev_last: Optional[float] = None
-    for chunk in chunks:
-        t_all = np.asarray(chunk.times, dtype=float)
-        n = int(t_all.size)
-        if not n:
-            continue
-        # Every path relies on time-sorted arrivals (stable per-disk
-        # grouping, the global merge); the event engine's drive_stream
-        # raises on out-of-order times, so match it rather than silently
-        # reordering — within each chunk and across chunk boundaries.
-        if n > 1 and bool(np.any(np.diff(t_all) < 0)):
-            bad = int(np.argmax(np.diff(t_all) < 0)) + 1
-            raise SimulationError(
-                "request stream times must be non-decreasing: got "
-                f"{t_all[bad]} after {t_all[bad - 1]}"
-            )
-        if prev_last is not None and t_all[0] < prev_last:
-            raise SimulationError(
-                "chunked stream is not globally time-sorted: a chunk starts "
-                f"at {t_all[0]} but the previous chunk ended at {prev_last}"
-            )
-        prev_last = float(t_all[-1])
-        # The event kernel's cutoff is strict: the URGENT stop event at T
-        # pre-empts arrival and completion events scheduled at exactly T.
-        censored = bool(t_all[-1] >= T)
-        if censored:
-            cut = int(np.searchsorted(t_all, T, side="left"))
-            if not cut:
-                break
-            t_all = t_all[:cut]
-            n = cut
-        fid = np.asarray(chunk.file_ids, dtype=np.int64)[:n]
-        kinds = getattr(chunk, "kinds", None)
-        is_write: Optional[np.ndarray] = None
-        if kinds is not None:
-            w = np.asarray(kinds)[:n] == WRITE
-            if w.any():
-                is_write = w
-        if arrivals and bank.park_spans is not None:
-            # Bounded memory: fold/emit the spans logged so far before the
-            # next chunk grows the logs.  A single-chunk run never gets
-            # here and takes the one-shot fold at the end, staying
-            # bit-exact with the historical monolithic binning; emission
-            # order is chunking-invariant because spans are only ever
-            # appended in simulation order.
-            _flush_bank_spans(binner, bank, classic, obs)
-        if scheduler is None:
-            _submit(fid, t_all, sizes[fid], is_write)
-        elif driver is not None:
-            # Interval-segmented: arrivals in one control interval all
-            # read the same slo_estimate, and a boundary is processed —
-            # with every release strictly before it flushed first — as
-            # soon as an arrival at or past it is seen.
-            ci = driver.ci
-            pos = 0
-            while pos < n:
-                t_edge = min((driver.k + 1) * ci, T)
-                hi = int(np.searchsorted(t_all, t_edge, side="left"))
-                if hi > pos:
-                    _schedule(fid, t_all, is_write, pos, hi, dpm.slo_estimate)
-                if hi == n:
-                    # Chunk exhausted mid-interval: a later chunk may
-                    # still add arrivals before t_edge, so the boundary
-                    # stays open.
+    if obs_clock is not None:
+        emit = obs.on_cache_event
+        cache.evict_hook = lambda f: emit(obs_clock[0], "evict", f)
+    try:
+        prev_last: Optional[float] = None
+        for chunk in chunks:
+            t_all = np.asarray(chunk.times, dtype=float)
+            n = int(t_all.size)
+            if not n:
+                continue
+            # Every path relies on time-sorted arrivals (stable per-disk
+            # grouping, the global merge); the event engine's drive_stream
+            # raises on out-of-order times, so match it rather than silently
+            # reordering — within each chunk and across chunk boundaries.
+            if n > 1 and bool(np.any(np.diff(t_all) < 0)):
+                bad = int(np.argmax(np.diff(t_all) < 0)) + 1
+                raise SimulationError(
+                    "request stream times must be non-decreasing: got "
+                    f"{t_all[bad]} after {t_all[bad - 1]}"
+                )
+            if prev_last is not None and t_all[0] < prev_last:
+                raise SimulationError(
+                    "chunked stream is not globally time-sorted: a chunk starts "
+                    f"at {t_all[0]} but the previous chunk ended at {prev_last}"
+                )
+            prev_last = float(t_all[-1])
+            # The event kernel's cutoff is strict: the URGENT stop event at T
+            # pre-empts arrival and completion events scheduled at exactly T.
+            censored = bool(t_all[-1] >= T)
+            if censored:
+                cut = int(np.searchsorted(t_all, T, side="left"))
+                if not cut:
                     break
-                _flush(t_edge, False)
-                driver._boundary(t_edge, t_edge >= T)
-                pos = hi
-        else:
-            _schedule(fid, t_all, is_write, 0, n, None)
-        if scheduler is not None:
-            # Releases at or before the chunk's last arrival are final:
-            # every future arrival (hence every future release) is at or
-            # after it, and at a tie the smaller arrival seq flushes first
-            # either way — so the global submission order is invariant to
-            # the chunk partition.
-            _flush(float(t_all[-1]), True)
-        if censored:
-            # Chunks are globally sorted, so everything after this chunk's
-            # cut is at or past the horizon — censored, like the event
-            # engine's URGENT stop discarding queued arrivals.
-            break
+                t_all = t_all[:cut]
+                n = cut
+            fid = np.asarray(chunk.file_ids, dtype=np.int64)[:n]
+            kinds = getattr(chunk, "kinds", None)
+            is_write: Optional[np.ndarray] = None
+            if kinds is not None:
+                w = np.asarray(kinds)[:n] == WRITE
+                if w.any():
+                    is_write = w
+            if arrivals and bank.park_spans is not None:
+                # Bounded memory: fold/emit the spans logged so far before the
+                # next chunk grows the logs.  A single-chunk run never gets
+                # here and takes the one-shot fold at the end, staying
+                # bit-exact with the historical monolithic binning; emission
+                # order is chunking-invariant because spans are only ever
+                # appended in simulation order.
+                _flush_bank_spans(binner, bank, classic, obs)
+            if scheduler is None:
+                _submit(fid, t_all, sizes[fid], is_write)
+            elif driver is not None:
+                # Interval-segmented: arrivals in one control interval all
+                # read the same slo_estimate, and a boundary is processed —
+                # with every release strictly before it flushed first — as
+                # soon as an arrival at or past it is seen.
+                ci = driver.ci
+                pos = 0
+                while pos < n:
+                    t_edge = min((driver.k + 1) * ci, T)
+                    hi = int(np.searchsorted(t_all, t_edge, side="left"))
+                    if hi > pos:
+                        _schedule(fid, t_all, is_write, pos, hi, dpm.slo_estimate)
+                    if hi == n:
+                        # Chunk exhausted mid-interval: a later chunk may
+                        # still add arrivals before t_edge, so the boundary
+                        # stays open.
+                        break
+                    _flush(t_edge, False)
+                    driver._boundary(t_edge, t_edge >= T)
+                    pos = hi
+            else:
+                _schedule(fid, t_all, is_write, 0, n, None)
+            if scheduler is not None:
+                # Releases at or before the chunk's last arrival are final:
+                # every future arrival (hence every future release) is at or
+                # after it, and at a tie the smaller arrival seq flushes first
+                # either way — so the global submission order is invariant to
+                # the chunk partition.
+                _flush(float(t_all[-1]), True)
+            if censored:
+                # Chunks are globally sorted, so everything after this chunk's
+                # cut is at or past the horizon — censored, like the event
+                # engine's URGENT stop discarding queued arrivals.
+                break
 
-    if scheduler is not None and pending:
-        # Requests still held past the last arrival: interleave the
-        # remaining releases (all < T) with the control boundaries they
-        # straddle — a release exactly on a boundary submits after it.
+        if scheduler is not None and pending:
+            # Requests still held past the last arrival: interleave the
+            # remaining releases (all < T) with the control boundaries they
+            # straddle — a release exactly on a boundary submits after it.
+            if driver is not None:
+                ci = driver.ci
+                while pending:
+                    driver.drain_to(min(float(b[0].min()) for b in pending))
+                    _flush(min((driver.k + 1) * ci, T), False)
+            else:
+                _flush(T, False)
         if driver is not None:
-            ci = driver.ci
-            while pending:
-                driver.drain_to(min(float(b[0].min()) for b in pending))
-                _flush(min((driver.k + 1) * ci, T), False)
-        else:
-            _flush(T, False)
-    if driver is not None:
-        driver.finish()
-    if cache is not None:
-        # Admissions pending at the horizon never happen (the event
-        # kernel's stop event pre-empts completions at T).
-        admit = cache.admit
-        while heap and heap[0][0] < T:
-            c_adm, _, hf, hs = heappop(heap)
-            if obs is not None:
-                obs_clock[0] = c_adm
-                obs.on_cache_event(c_adm, "admit", hf)
-            admit(hf, hs)
-        if obs is not None:
+            driver.finish()
+        if cache is not None:
+            # Admissions pending at the horizon never happen (the event
+            # kernel's stop event pre-empts completions at T).
+            admit = cache.admit
+            while heap and heap[0][0] < T:
+                c_adm, _, hf, hs = heappop(heap)
+                if obs is not None:
+                    obs_clock[0] = c_adm
+                    obs.on_cache_event(c_adm, "admit", hf)
+                admit(hf, hs)
+    finally:
+        # The cache may be the caller's: never leave the hook installed,
+        # not even when the run raises.
+        if obs_clock is not None:
             cache.evict_hook = None
 
     # -- vectorized accounting over the banked state ---------------------------

@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.cache import LRUCache
 from repro.errors import ConfigError, SimulationError
+from repro.obs.trace import TraceRecorder
 from repro.sim.fastkernel import fast_unsupported_reason, simulate_fast
 from repro.system import StorageConfig, StorageSystem, allocate
 from repro.units import GiB, MB
@@ -460,6 +462,36 @@ class TestUnsupportedScenarios:
                 stream=stream,
                 duration=10.0,
             )
+
+    def test_failed_observed_run_leaves_caller_cache_unhooked(self, spec):
+        # An observed cached run installs an evict hook on the cache; when
+        # the run raises (here: a read of an unallocated file after one
+        # file was cached), the caller's cache must not keep it.
+        cache = LRUCache(100 * MB)
+        stream = RequestStream(
+            times=np.array([1.0, 2.0, 3.0]),
+            file_ids=np.array([0, 1, 2]),
+            duration=10.0,
+        )
+        recorder = TraceRecorder()
+        with pytest.raises(SimulationError, match="unallocated file 2"):
+            simulate_fast(
+                sizes=np.array([60 * MB, 60 * MB, MB]),
+                mapping=np.array([0, 0, -1]),
+                spec=spec,
+                num_disks=1,
+                threshold=50.0,
+                stream=stream,
+                duration=10.0,
+                cache=cache,
+                observer=recorder,
+            )
+        # File 0's admission evicted nothing; file 1's evicted file 0
+        # through the hook before the failing read.
+        assert [k for _, k, _ in recorder.cache_events] == [
+            "miss", "admit", "miss", "admit", "evict", "miss"
+        ]
+        assert cache.evict_hook is None
 
     def test_invalid_duration(self, spec):
         stream = RequestStream(
