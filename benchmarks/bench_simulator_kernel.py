@@ -6,7 +6,10 @@ second) and guard against regressions.  The largest cases pit the batched
 fast kernel (``engine="fast"``) against the event kernel — on a Figure 2/4
 style read-only scenario (>= 3x enforced) and on a shared-cache mixed
 read/write scenario through the global-merge path (>= 5x enforced) — and
-the sweep case drives a grid through the orchestrator's caching.
+the sweep case drives a grid through the orchestrator's caching.  The
+event-engine floor bounds the other side: the event engine may take at
+most a fixed multiple of the fast path's time on the same inputs, so a
+slowdown of the oracle's run loop, timeouts or drive processes fails.
 """
 
 import math
@@ -245,3 +248,53 @@ def test_orchestrated_sweep_throughput(scale, capsys):
             f"cached {t2 - t1:.4f}s"
         )
     assert t2 - t1 < t1 - t0
+
+
+#: Event/fast time ratio the event engine must stay under on the same
+#: inputs.  Over 6 runs on a 2-CPU x86-64 Linux host this test measured
+#: 39.3-44.4; the floor is the top of that range plus 25% headroom.  With
+#: a ``step()`` call per event, timeouts built through ``env.timeout`` and
+#: the drives' per-request attribute and property lookups it measured
+#: 49.7-60.9 (median 58.1, 7 runs) on the same host.
+EVENT_ENGINE_FLOOR = 55.0
+
+
+def test_event_engine_floor(capsys):
+    """The event engine vs the fixed fast path on one read-only stream,
+    timed on the same machine (interleaved best-of-N)."""
+    workload = generate_workload(
+        SyntheticWorkloadParams(
+            n_files=8_000, arrival_rate=8.0, duration=4_000.0, seed=5
+        )
+    )
+    cfg = StorageConfig(num_disks=100, load_constraint=0.7)
+    mapping = allocate(workload.catalog, "pack", cfg, 8.0).mapping(
+        workload.catalog.n
+    )
+
+    def run(engine):
+        system = StorageSystem(
+            workload.catalog, mapping, cfg.with_overrides(engine=engine)
+        )
+        return system.run(workload.stream)
+
+    # Interleaved, so host drift hits both engines alike.
+    event_s = fast_s = math.inf
+    for _ in range(7):
+        t0 = time.perf_counter()
+        event = run("event")
+        t1 = time.perf_counter()
+        fast = run("fast")
+        t2 = time.perf_counter()
+        event_s = min(event_s, t1 - t0)
+        fast_s = min(fast_s, t2 - t1)
+    assert fast.energy == pytest.approx(event.energy, rel=1e-9)
+    assert fast.completions == event.completions
+    ratio = event_s / max(fast_s, 1e-9)
+    with capsys.disabled():
+        print(
+            f"\n[event floor] {len(workload.stream)} requests: event "
+            f"{event_s:.3f}s, fast {fast_s:.4f}s "
+            f"(ratio {ratio:.1f}, floor {EVENT_ENGINE_FLOOR})"
+        )
+    assert ratio < EVENT_ENGINE_FLOOR

@@ -25,7 +25,7 @@ from repro.disk.power import DiskState, PowerModel
 from repro.disk.specs import DiskSpec
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
-from repro.sim.events import Event
+from repro.sim.events import PENDING, AnyOf, Event, Timeout
 from repro.sim.monitor import StateTimeline, Tally, TimeWeighted
 
 __all__ = ["DiskDrive", "DiskRequest", "DriveStats"]
@@ -178,21 +178,24 @@ class DiskDrive:
 
     def submit(self, file_id: int, size: float, kind: str = READ) -> DiskRequest:
         """Enqueue a request; returns it (wait on ``request.done``)."""
-        if size < 0:
-            raise SimulationError("request size must be >= 0")
+        if not size >= 0:  # also rejects NaN, which would never complete
+            raise SimulationError(f"request size must be >= 0, got {size!r}")
+        env = self.env
         if self._drain_time is not None:
             # First arrival since the queue drained: close the idle gap.
             if self.log_gaps:
                 self.gap_log.append(
-                    (self.env.now - self._drain_time, self._drain_threshold)
+                    (env.now - self._drain_time, self._drain_threshold)
                 )
             self._drain_time = None
-        request = DiskRequest(self.env, file_id, size, kind)
-        self._pending.append(request)
-        self.queue_length.set(len(self._pending))
+        request = DiskRequest(env, file_id, size, kind)
+        pending = self._pending
+        pending.append(request)
+        self.queue_length.set(len(pending))
         self.stats.arrivals += 1
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
+        wake = self._wake
+        if wake is not None and wake._value is PENDING:
+            wake.succeed()
         self._wake = None
         return request
 
@@ -211,63 +214,67 @@ class DiskDrive:
 
     # -- the drive process -------------------------------------------------------
 
-    def _arrival_event(self) -> Event:
-        event = Event(self.env)
-        self._wake = event
-        return event
-
     def _run(self, initial_state: DiskState):
         env = self.env
         spec = self.spec
+        # Per-drive constants and bound methods, hoisted out of the loop.
+        overhead = spec.access_overhead
+        rate = spec.transfer_rate
+        pending = self._pending
+        set_state = self.timeline.set
+        set_queue = self.queue_length.set
+        record = self.stats.record_completion
+        IDLE, SEEK, ACTIVE = DiskState.IDLE, DiskState.SEEK, DiskState.ACTIVE
 
         if initial_state is DiskState.STANDBY:
             yield from self._sleep_then_spin_up()
 
         while True:
-            if not self._pending:
-                self.timeline.set(DiskState.IDLE)
+            if not pending:
+                set_state(IDLE)
                 # The queue just drained: the gap starting now is governed
                 # by the *current* threshold (the timer armed below), even
                 # if a control loop changes ``self.threshold`` mid-gap.
+                threshold = self.threshold
                 self._drain_time = env.now
-                self._drain_threshold = self.threshold
-                if math.isinf(self.threshold):
-                    yield self._arrival_event()
+                self._drain_threshold = threshold
+                wake = self._wake = Event(env)
+                if math.isinf(threshold):
+                    yield wake
                 else:
-                    wake = self._arrival_event()
-                    timer = env.timeout(self.threshold)
-                    yield env.any_of([wake, timer])
-                    if not self._pending:
+                    yield AnyOf(env, (wake, Timeout(env, threshold)))
+                    if not pending:
                         # The idleness threshold expired: power down.
                         yield from self._spin_down()
                         yield from self._sleep_then_spin_up()
                 continue
 
-            request = self._pending.popleft()
-            self.queue_length.set(len(self._pending))
-            self.timeline.set(DiskState.SEEK)
-            yield env.timeout(spec.access_overhead)
-            self.timeline.set(DiskState.ACTIVE)
-            yield env.timeout(spec.transfer_time(request.size))
-            self.timeline.set(DiskState.IDLE)
+            request = pending.popleft()
+            set_queue(len(pending))
+            set_state(SEEK)
+            yield Timeout(env, overhead)
+            set_state(ACTIVE)
+            yield Timeout(env, request.size / rate)
+            set_state(IDLE)
             response = env.now - request.arrival_time
-            self.stats.record_completion(response, request.size, request.kind)
+            record(response, request.size, request.kind)
             request.done.succeed(response)
 
     def _spin_down(self):
         self.timeline.set(DiskState.SPINDOWN)
         self.stats.spindowns += 1
         # Not abortable: requests arriving now wait for the full transition.
-        yield self.env.timeout(self.spec.spindown_time)
+        yield Timeout(self.env, self.spec.spindown_time)
         self.timeline.set(DiskState.STANDBY)
 
     def _sleep_then_spin_up(self):
         if not self._pending:
             self.timeline.set(DiskState.STANDBY)
-            yield self._arrival_event()
+            self._wake = Event(self.env)
+            yield self._wake
         self.timeline.set(DiskState.SPINUP)
         self.stats.spinups += 1
-        yield self.env.timeout(self.spec.spinup_time)
+        yield Timeout(self.env, self.spec.spinup_time)
         self.timeline.set(DiskState.IDLE)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

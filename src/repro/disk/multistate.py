@@ -40,7 +40,7 @@ from repro.disk.drive import DiskRequest, DriveStats, READ
 from repro.disk.specs import DiskSpec
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
-from repro.sim.events import Event
+from repro.sim.events import PENDING, AnyOf, Event, Timeout
 from repro.sim.monitor import StateTimeline, TimeWeighted
 
 __all__ = ["MultiStateDiskDrive"]
@@ -137,20 +137,23 @@ class MultiStateDiskDrive:
 
     def submit(self, file_id: int, size: float, kind: str = READ) -> DiskRequest:
         """Enqueue a request; wait on ``request.done`` for the response."""
-        if size < 0:
-            raise SimulationError("request size must be >= 0")
+        if not size >= 0:  # also rejects NaN, which would never complete
+            raise SimulationError(f"request size must be >= 0, got {size!r}")
+        env = self.env
         if self._drain_time is not None:
             if self.log_gaps:
                 self.gap_log.append(
-                    (self.env.now - self._drain_time, self._drain_threshold)
+                    (env.now - self._drain_time, self._drain_threshold)
                 )
             self._drain_time = None
-        request = DiskRequest(self.env, file_id, size, kind)
-        self._pending.append(request)
-        self.queue_length.set(len(self._pending))
+        request = DiskRequest(env, file_id, size, kind)
+        pending = self._pending
+        pending.append(request)
+        self.queue_length.set(len(pending))
         self.stats.arrivals += 1
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
+        wake = self._wake
+        if wake is not None and wake._value is PENDING:
+            wake.succeed()
         self._wake = None
         return request
 
@@ -170,72 +173,78 @@ class MultiStateDiskDrive:
 
     # -- the drive process -------------------------------------------------------
 
-    def _arrival_event(self) -> Event:
-        event = Event(self.env)
-        self._wake = event
-        return event
-
     def _run(self):
         env = self.env
         spec = self.spec
-        rungs = self.ladder.rungs
+        ladder = self.ladder
+        rungs = ladder.rungs
         depth = len(rungs)
+        # Per-drive constants and bound methods, hoisted out of the loop.
+        overhead = spec.access_overhead
+        rate = spec.transfer_rate
+        pending = self._pending
+        set_state = self.timeline.set
+        set_queue = self.queue_length.set
+        record = self.stats.record_completion
+        parked = rungs[0].name
         while True:
-            if not self._pending:
+            if not pending:
                 drain = env.now
                 threshold = self.threshold
                 self._drain_time = drain
                 self._drain_threshold = threshold
-                entries = self.ladder.scaled_entries(threshold)
-                self.timeline.set(rungs[0].name)
+                entries = ladder.scaled_entries(threshold)
+                set_state(parked)
                 woke = 0
                 if depth == 1 or math.isinf(entries[1]):
-                    yield self._arrival_event()
+                    self._wake = wake = Event(env)
+                    yield wake
                 else:
                     i = 1
                     while True:
                         # Parked in rung i-1: wait for the next descent
                         # or an arrival, whichever comes first.
-                        wake = self._arrival_event()
+                        self._wake = wake = Event(env)
                         remaining = entries[i] - (env.now - drain)
-                        timer = env.timeout(max(0.0, remaining))
-                        yield env.any_of([wake, timer])
-                        if self._pending:
+                        timer = Timeout(env, max(0.0, remaining))
+                        yield AnyOf(env, (wake, timer))
+                        if pending:
                             woke = i - 1
                             break
                         # Non-abortable descent into rung i: an arrival
                         # during it waits for the transition to finish.
-                        self.timeline.set(f"down:{rungs[i].name}")
+                        set_state(f"down:{rungs[i].name}")
                         self.stats.spindowns += 1
-                        yield env.timeout(rungs[i].down_time)
-                        self.timeline.set(rungs[i].name)
-                        if self._pending:
+                        yield Timeout(env, rungs[i].down_time)
+                        set_state(rungs[i].name)
+                        if pending:
                             woke = i
                             break
                         if i + 1 < depth:
                             i += 1
                             continue
                         # Deepest rung: only an arrival ends the gap.
-                        yield self._arrival_event()
+                        self._wake = wake = Event(env)
+                        yield wake
                         woke = depth - 1
                         break
                 if woke > 0:
                     rung = rungs[woke]
-                    self.timeline.set(f"wake:{rung.name}")
+                    set_state(f"wake:{rung.name}")
                     self.stats.spinups += 1
                     if rung.wake_time > 0:
-                        yield env.timeout(rung.wake_time)
+                        yield Timeout(env, rung.wake_time)
                 continue
 
-            request = self._pending.popleft()
-            self.queue_length.set(len(self._pending))
-            self.timeline.set("seek")
-            yield env.timeout(spec.access_overhead)
-            self.timeline.set("active")
-            yield env.timeout(spec.transfer_time(request.size))
-            self.timeline.set(rungs[0].name)
+            request = pending.popleft()
+            set_queue(len(pending))
+            set_state("seek")
+            yield Timeout(env, overhead)
+            set_state("active")
+            yield Timeout(env, request.size / rate)
+            set_state(parked)
             response = env.now - request.arrival_time
-            self.stats.record_completion(response, request.size, request.kind)
+            record(response, request.size, request.kind)
             request.done.succeed(response)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -26,6 +26,12 @@ class DiskState(Enum):
     SPINUP = "spinup"
     SPINDOWN = "spindown"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality, and it runs in C: every timeline update
+    # keys a dict by state, and Enum's own ``__hash__`` is Python-level.
+    # Nothing iterates a set of states, so no output depends on the hash.
+    __hash__ = object.__hash__
+
     @property
     def spinning(self) -> bool:
         """Whether the platters are (or are being brought) up to speed."""

@@ -8,13 +8,17 @@ from math import inf
 from typing import Any, Generator, Iterable, Optional, Union
 
 from repro.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import (
+    NORMAL,
+    URGENT,
+    AllOf,
+    AnyOf,
+    Event,
+    Process,
+    Timeout,
+)
 
 __all__ = ["Environment", "EmptySchedule", "NORMAL", "URGENT"]
-
-#: Scheduling priorities; URGENT events at a timestamp run before NORMAL ones.
-URGENT = 0
-NORMAL = 1
 
 
 class EmptySchedule(Exception):
@@ -132,9 +136,9 @@ class Environment:
         """
         if until is not None and not isinstance(until, Event):
             at = float(until)
-            if at < self._now:
+            if not at >= self._now:  # also rejects NaN
                 raise ValueError(
-                    f"until={at} lies in the past (now={self._now})"
+                    f"until={at} must be a time at or after now={self._now}"
                 )
             stop = Event(self)
             stop._ok = True
@@ -149,22 +153,34 @@ class Environment:
                 raise until._value
             until.callbacks.append(_StopSimulation.callback)
 
+        # The body of :meth:`step`, inlined: one Python frame per run
+        # instead of one per event.
+        queue = self._queue
+        pop = heappop
         while True:
             try:
-                self.step()
+                while queue:
+                    when, _, _, event = pop(queue)
+                    self._now = when
+                    callbacks, event.callbacks = event.callbacks, None
+                    for callback in callbacks:
+                        callback(event)
+                    if not event._ok and not event._defused:
+                        # Nobody handled the failure: crash loudly.
+                        raise event._value
             except _StopSimulation as stop:
                 # Stop events from a *previous* run() that aborted (e.g. a
                 # crashed process) may still be queued; only our own event
                 # ends this run — stale ones are ignored.
                 if stop.event is until:
                     return stop.event._value
-            except EmptySchedule:
-                if until is not None and not until.triggered:
-                    raise SimulationError(
-                        "no scheduled events left but the 'until' event was "
-                        "never triggered"
-                    ) from None
-                return None
+                continue
+            if until is not None and not until.triggered:
+                raise SimulationError(
+                    "no scheduled events left but the 'until' event was "
+                    "never triggered"
+                )
+            return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Environment now={self._now} pending={len(self._queue)}>"

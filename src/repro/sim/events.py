@@ -10,6 +10,7 @@ triggers when the generator terminates, so processes can wait on each other.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -34,6 +35,10 @@ class _Pending:
 
 
 PENDING = _Pending()
+
+#: Scheduling priorities; URGENT events at a timestamp run before NORMAL ones.
+URGENT = 0
+NORMAL = 1
 
 
 class Interrupt(Exception):
@@ -95,11 +100,13 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value`` and schedule it."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self)
+        env = self.env
+        # Inlined ``env._schedule(self)``: same key, same tie order.
+        heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -130,13 +137,16 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env, delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        if not delay >= 0:  # also rejects NaN, which would break heap order
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        # Inlined ``env._schedule(self, delay)``: same key, same tie order.
+        heappush(env._queue, (env._now + delay, NORMAL, next(env._eid), self))
 
 
 class Process(Event):
@@ -188,7 +198,7 @@ class Process(Event):
         event._value = Interrupt(cause)
         event._defused = True  # delivery below handles it
         event.callbacks.append(self._deliver_interrupt)
-        self.env._schedule(event, priority=0)  # URGENT
+        self.env._schedule(event, priority=URGENT)
 
     # -- internal machinery -------------------------------------------------
 
@@ -204,24 +214,26 @@ class Process(Event):
         self._resume(event)
 
     def _resume(self, event: Event) -> None:
-        self.env.active_process = self
+        env = self.env
+        env.active_process = self
+        generator = self._generator
         while True:
             try:
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = generator.send(event._value)
                 else:
                     # The process handles the failure (defuses it).
                     event._defused = True
-                    next_event = self._generator.throw(event._value)
+                    next_event = generator.throw(event._value)
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                self.env._schedule(self)
+                env._schedule(self)
                 break
             except BaseException as exc:  # process died
                 self._ok = False
                 self._value = exc
-                self.env._schedule(self)
+                env._schedule(self)
                 break
 
             if not isinstance(next_event, Event):
@@ -229,22 +241,23 @@ class Process(Event):
                     f"process yielded a non-event: {next_event!r}"
                 )
                 try:
-                    self._generator.throw(exc)
+                    generator.throw(exc)
                 except BaseException:
                     pass  # the process dies regardless of what it does
                 self._ok = False
                 self._value = exc
-                self.env._schedule(self)
+                env._schedule(self)
                 break
 
-            if next_event.processed:
-                # Already over: loop and feed its value straight back in.
+            callbacks = next_event.callbacks
+            if callbacks is None:
+                # Already processed: loop and feed its value straight back in.
                 event = next_event
                 continue
-            next_event.callbacks.append(self._resume)
+            callbacks.append(self._resume)
             self._target = next_event
             break
-        self.env.active_process = None
+        env.active_process = None
 
 
 class ConditionValue(dict):
@@ -286,8 +299,8 @@ class Condition(Event):
             self.succeed(ConditionValue())
             return
         for ev in self._events:
-            if ev.processed:
-                # Already over before the condition existed.
+            if ev.callbacks is None:
+                # Already processed before the condition existed.
                 self._observe(ev)
             else:
                 # Triggered-but-unprocessed events (e.g. a pending Timeout)
@@ -299,12 +312,12 @@ class Condition(Event):
         for ev in self._events:
             # Only *processed* events have actually occurred; a Timeout is
             # "triggered" from birth but pending until the loop reaches it.
-            if ev.processed and ev._ok:
+            if ev.callbacks is None and ev._ok:
                 result[ev] = ev._value
         return result
 
     def _observe(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             if not event._ok:
                 event._defused = True  # condition already settled
             return

@@ -53,16 +53,17 @@ class StateTimeline:
     def set(self, new_state: Hashable) -> None:
         """Enter ``new_state`` at the current simulation time."""
         now = self._env.now
+        state = self._state
         elapsed = now - self._since
         if elapsed:
-            self._durations[self._state] = (
-                self._durations.get(self._state, 0.0) + elapsed
-            )
+            durations = self._durations
+            durations[state] = durations.get(state, 0.0) + elapsed
         self._since = now
-        if new_state != self._state:
+        if new_state != state:
             self._transitions += 1
-            if self.history is not None:
-                self.history.append((now, new_state))
+            history = self.history
+            if history is not None:
+                history.append((now, new_state))
         self._state = new_state
 
     def durations(self) -> Dict[Hashable, float]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
 from typing import List, Optional, Union
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.disk.array import DiskArray
 from repro.disk.drive import READ, WRITE
 from repro.errors import CapacityError, SimulationError
 from repro.sim.environment import Environment
+from repro.sim.events import Timeout
 from repro.system.placement import (
     PlacementContext,
     WritePlacementPolicy,
@@ -265,17 +267,16 @@ class Dispatcher:
                 return
             if self.observer is not None:
                 self.observer.on_cache_event(self.env.now, "miss", file_id)
-        disk = self.mapping[file_id]
+        disk = int(self.mapping[file_id])
         if disk < 0:
             raise SimulationError(
                 f"read of unallocated file {file_id}; allocate it first"
             )
-        self._track_dispatch(int(disk), size)
-        request = self.array.submit(int(disk), file_id, size, READ)
+        self._track_dispatch(disk, size)
+        request = self.array.disks[disk].submit(file_id, size, READ)
         request.done.callbacks.append(
-            lambda ev, fid=file_id, sz=size, off=response_offset: (
-                self._complete(ev, fid, sz, off)
-            )
+            partial(self._complete, file_id=file_id, size=size,
+                    offset=response_offset)
         )
 
     def _track_dispatch(self, disk: int, size: float) -> None:
@@ -306,18 +307,18 @@ class Dispatcher:
 
     def _submit_write(self, file_id: int, response_offset: float = 0.0) -> None:
         size = self.sizes[file_id]
-        disk = self.mapping[file_id]
+        disk = int(self.mapping[file_id])
         if disk < 0:
-            disk = self._allocate_for_write(size)
+            disk = int(self._allocate_for_write(size))
             if self.observer is not None:
-                self.observer.on_placement(self.env.now, file_id, int(disk))
+                self.observer.on_placement(self.env.now, file_id, disk)
             self.mapping[file_id] = disk
             self.free_bytes[disk] -= size
         self.write_count += 1
-        self._track_dispatch(int(disk), size)
-        request = self.array.submit(int(disk), file_id, size, WRITE)
+        self._track_dispatch(disk, size)
+        request = self.array.disks[disk].submit(file_id, size, WRITE)
         request.done.callbacks.append(
-            lambda ev, off=response_offset: self._complete_write(ev, off)
+            partial(self._complete_write, offset=response_offset)
         )
 
     def _complete_write(self, event, offset: float = 0.0) -> None:
@@ -375,19 +376,24 @@ def drive_stream(env: Environment, dispatcher: Dispatcher, stream) -> "object":
     metric downstream.  The comparison is against the stream's own previous
     timestamp (not the accumulated clock), so equal arrival times are fine.
     """
-    last: Optional[float] = None
+    last = -math.inf
     for item in stream:
         t, file_id, *rest = item
-        if last is not None and t < last:
-            raise SimulationError(
-                f"request stream times must be non-decreasing: got {t} "
-                f"after {last}"
-            )
+        if not t >= last:  # out of order, or NaN
+            _bad_stream_time(t, last)
         last = t
         delay = t - env.now
         if delay > 0:
-            yield env.timeout(delay)
+            yield Timeout(env, delay)
         dispatcher.submit(file_id, kind=rest[0] if rest else READ)
+
+
+def _bad_stream_time(t: float, last: float) -> None:
+    if t != t:
+        raise SimulationError("request stream time is NaN")
+    raise SimulationError(
+        f"request stream times must be non-decreasing: got {t} after {last}"
+    )
 
 
 def drive_scheduled_stream(
@@ -425,7 +431,7 @@ def drive_scheduled_stream(
     interval = None if controller is None else float(controller.interval)
     pending: list = []  # heap of (release, seq, file_id, kind, hold)
     seq = 0
-    last: Optional[float] = None
+    last = -math.inf
     it = iter(stream)
     item = next(it, None)
     while item is not None or pending:
@@ -434,23 +440,20 @@ def drive_scheduled_stream(
             release, _, file_id, kind, hold = heapq.heappop(pending)
             delay = release - env.now
             if delay > 0:
-                yield env.timeout(delay)
+                yield Timeout(env, delay)
                 if interval is not None:
                     k = round(release / interval)
                     if k >= 1 and k * interval == release:
-                        yield env.timeout(0)  # boundary first, then submit
+                        yield Timeout(env, 0)  # boundary first, then submit
             dispatcher.submit(file_id, kind=kind, response_offset=hold)
             continue
         t, file_id, *rest = item
-        if last is not None and t < last:
-            raise SimulationError(
-                f"request stream times must be non-decreasing: got {t} "
-                f"after {last}"
-            )
+        if not t >= last:  # out of order, or NaN
+            _bad_stream_time(t, last)
         last = t
         delay = t - env.now
         if delay > 0:
-            yield env.timeout(delay)
+            yield Timeout(env, delay)
         kind = rest[0] if rest else READ
         estimate = None if controller is None else controller.slo_estimate
         release = scheduler.release(t, file_id, kind, slo_estimate=estimate)

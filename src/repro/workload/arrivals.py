@@ -14,7 +14,12 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.sim.rng import rng_from_seed
 
-__all__ = ["RequestStream", "poisson_arrival_times", "sample_file_ids"]
+__all__ = [
+    "RequestStream",
+    "poisson_arrival_times",
+    "sample_file_ids",
+    "validate_stream_times",
+]
 
 
 def poisson_arrival_times(rate: float, duration: float, rng=None) -> np.ndarray:
@@ -44,6 +49,34 @@ def sample_file_ids(popularities: np.ndarray, count: int, rng=None) -> np.ndarra
     return rng.choice(p.shape[0], size=count, p=p)
 
 
+def validate_stream_times(times: np.ndarray, duration: float) -> None:
+    """Check a stream's arrival times against its horizon.
+
+    Times must be finite, non-negative and non-decreasing, and the
+    duration finite and at least the last arrival.  NaN fails every
+    ordering comparison, so it is rejected explicitly rather than
+    slipping through ``diff < 0``.
+    """
+    if not np.isfinite(duration):
+        raise ConfigError(f"stream duration must be finite, got {duration}")
+    if not times.size:
+        return
+    if not np.isfinite(times).all():
+        bad = int(np.flatnonzero(~np.isfinite(times))[0])
+        raise ConfigError(
+            f"request times must be finite: time {bad} is {times[bad]}"
+        )
+    if np.any(np.diff(times) < 0):
+        raise ConfigError("request times must be non-decreasing")
+    if times[0] < 0:
+        raise ConfigError("request times must be non-negative")
+    if duration < times[-1]:
+        raise ConfigError(
+            "stream duration must cover the last arrival "
+            f"({duration} < {times[-1]})"
+        )
+
+
 @dataclass
 class RequestStream:
     """A time-ordered sequence of file requests.
@@ -71,15 +104,7 @@ class RequestStream:
         self.file_ids = np.asarray(self.file_ids, dtype=np.int64)
         if self.times.ndim != 1 or self.times.shape != self.file_ids.shape:
             raise ConfigError("times and file_ids must be equal-length 1-D arrays")
-        if self.times.size and np.any(np.diff(self.times) < 0):
-            raise ConfigError("request times must be non-decreasing")
-        if self.times.size and self.times[0] < 0:
-            raise ConfigError("request times must be non-negative")
-        if self.duration < (self.times[-1] if self.times.size else 0.0):
-            raise ConfigError(
-                "stream duration must cover the last arrival "
-                f"({self.duration} < {self.times[-1]})"
-            )
+        validate_stream_times(self.times, self.duration)
 
     @classmethod
     def poisson(

@@ -19,7 +19,7 @@ import numpy as np
 from repro.disk.drive import READ, WRITE
 from repro.errors import ConfigError
 from repro.sim.rng import rng_from_seed
-from repro.workload.arrivals import RequestStream
+from repro.workload.arrivals import RequestStream, validate_stream_times
 from repro.workload.catalog import FileCatalog
 
 __all__ = ["MixedRequestStream", "MixedWorkloadParams", "generate_mixed_workload"]
@@ -48,8 +48,7 @@ class MixedRequestStream:
             self.times.shape == self.file_ids.shape == self.kinds.shape
         ):
             raise ConfigError("times, file_ids and kinds must align")
-        if self.times.size and np.any(np.diff(self.times) < 0):
-            raise ConfigError("request times must be non-decreasing")
+        validate_stream_times(self.times, self.duration)
 
     def __len__(self) -> int:
         return int(self.times.shape[0])

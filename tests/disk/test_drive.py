@@ -59,6 +59,14 @@ class TestService:
         with pytest.raises(SimulationError):
             drive.submit(0, -1.0)
 
+    def test_nan_size_rejected(self, env):
+        # Used to leave the drive in ACTIVE with a request that never
+        # completed.
+        drive = make_drive(env)
+        with pytest.raises(SimulationError, match="size"):
+            drive.submit(0, float("nan"))
+        assert drive.queue_depth == 0
+
     def test_write_requests_counted(self, env):
         drive = make_drive(env)
         req = drive.submit(0, 72 * MB, kind="write")

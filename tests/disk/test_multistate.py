@@ -123,6 +123,15 @@ class TestBasicService:
         with pytest.raises(SimulationError):
             drive.submit(0, -1.0)
 
+    def test_nan_size_rejected(self):
+        env = Environment()
+        drive = MultiStateDiskDrive(
+            env, SPEC, MultiStateDpmPolicy(NAP_LADDER)
+        )
+        with pytest.raises(SimulationError, match="size"):
+            drive.submit(0, float("nan"))
+        assert drive.queue_depth == 0
+
     def test_descends_ladder_when_idle(self):
         env = Environment()
         drive = MultiStateDiskDrive(env, SPEC, MultiStateDpmPolicy(NAP_LADDER))

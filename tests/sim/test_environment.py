@@ -97,6 +97,13 @@ class TestRun:
         with pytest.raises(ValueError):
             env.run(until=5.0)
 
+    def test_run_until_nan_raises(self, env):
+        # Used to return with ``now == nan``.
+        env.timeout(1.0)
+        with pytest.raises(ValueError):
+            env.run(until=math.nan)
+        assert env.now == 0.0
+
     def test_run_until_never_triggered_event_raises(self, env):
         ev = env.event()
         with pytest.raises(SimulationError, match="never triggered"):

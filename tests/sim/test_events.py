@@ -1,5 +1,7 @@
 """Unit tests for the event types and process semantics."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -72,6 +74,12 @@ class TestTimeout:
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
             env.timeout(-1.0)
+
+    def test_nan_delay_rejected(self, env):
+        # A NaN key would leave the heap order undefined.
+        with pytest.raises(ValueError):
+            env.timeout(math.nan)
+        assert env.peek() == math.inf  # nothing was queued
 
     def test_zero_delay_fires_immediately(self, env):
         t = env.timeout(0.0)

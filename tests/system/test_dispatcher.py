@@ -9,7 +9,11 @@ from repro.cache import LRUCache
 from repro.disk import DiskArray, DiskState, ST3500630AS
 from repro.errors import CapacityError, SimulationError
 from repro.sim import Environment
-from repro.system.dispatcher import Dispatcher, drive_stream
+from repro.system.dispatcher import (
+    Dispatcher,
+    drive_scheduled_stream,
+    drive_stream,
+)
 from repro.units import GB, MB
 from repro.workload.arrivals import RequestStream
 
@@ -296,3 +300,24 @@ class TestDriveStream:
         with pytest.raises(SimulationError, match="non-decreasing"):
             env.run(until=100.0)
         assert disp.arrivals == 1  # only the in-order prefix was submitted
+
+    def test_nan_time_raises(self, env):
+        # A NaN arrival used to be served at the previous instant, and
+        # the next out-of-order time then passed the check.
+        _, disp = build(env)
+        stream = [(1.0, 0), (math.nan, 1), (0.5, 2), (3.0, 0)]
+        env.process(drive_stream(env, disp, stream))
+        with pytest.raises(SimulationError, match="NaN"):
+            env.run(until=100.0)
+        assert disp.arrivals == 1
+
+    def test_nan_time_raises_in_scheduled_stream(self, env):
+        class PassThrough:
+            def release(self, t, file_id, kind, slo_estimate=None):
+                return t
+
+        _, disp = build(env)
+        stream = [(1.0, 0), (math.nan, 1), (0.5, 2), (3.0, 0)]
+        env.process(drive_scheduled_stream(env, disp, stream, PassThrough()))
+        with pytest.raises(SimulationError, match="NaN"):
+            env.run(until=100.0)

@@ -96,6 +96,31 @@ class TestRequestStream:
                 times=np.array([5.0]), file_ids=np.array([0]), duration=3.0
             )
 
+    def test_nan_time_rejected(self):
+        # NaN fails every comparison, so ``diff < 0`` alone let it through.
+        with pytest.raises(ConfigError, match="finite"):
+            RequestStream(
+                times=np.array([1.0, np.nan, 0.5, 3.0]),
+                file_ids=np.arange(4),
+                duration=10.0,
+            )
+
+    def test_infinite_time_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            RequestStream(
+                times=np.array([1.0, np.inf]),
+                file_ids=np.arange(2),
+                duration=np.inf,
+            )
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ConfigError, match="duration"):
+            RequestStream(
+                times=np.array([1.0]), file_ids=np.array([0]),
+                duration=duration,
+            )
+
     def test_merge_sorts(self):
         a = RequestStream(
             times=np.array([1.0, 5.0]), file_ids=np.array([0, 1]), duration=10.0

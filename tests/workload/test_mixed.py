@@ -111,3 +111,40 @@ class TestEndToEnd:
         assert np.all(system.dispatcher.mapping >= 0) or np.all(
             system.dispatcher.mapping[stream.file_ids] >= 0
         )
+
+
+class TestStreamValidation:
+    """The same arrival-time checks as ``RequestStream``."""
+
+    def make(self, times, duration=10.0):
+        n = len(times)
+        return MixedRequestStream(
+            times=np.asarray(times, dtype=float),
+            file_ids=np.arange(n),
+            kinds=np.array(["read"] * n, dtype=object),
+            duration=duration,
+        )
+
+    def test_valid_stream_accepted(self):
+        assert len(self.make([0.0, 1.0, 1.0, 3.0])) == 4
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            self.make([1.0, np.nan, 0.5, 3.0])
+
+    def test_unsorted_times_rejected(self):
+        with pytest.raises(ConfigError, match="non-decreasing"):
+            self.make([2.0, 1.0])
+
+    def test_negative_times_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            self.make([-1.0, 2.0])
+
+    def test_duration_must_cover_arrivals(self):
+        with pytest.raises(ConfigError, match="cover"):
+            self.make([1.0, 5.0], duration=3.0)
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ConfigError, match="duration"):
+            self.make([1.0], duration=duration)
