@@ -2,13 +2,19 @@
 
 Times both implementations on identical instances (outputs are
 bit-identical; only the data structures differ) and benchmarks the heap
-kernel itself.
+kernel itself.  The allocation floor bounds ``allocate`` on the canonical
+catalog by a fixed multiple of a fast-kernel run on the same inputs.
 """
+
+import math
+import time
 
 import numpy as np
 
 from repro.core import MaxHeap, make_items, pack_disks, pack_disks_quadratic
 from repro.experiments import ablations
+from repro.system import StorageConfig, StorageSystem, allocate
+from repro.workload.generator import SyntheticWorkloadParams, generate_workload
 
 
 def _instance(n, seed=7):
@@ -52,3 +58,48 @@ def test_heap_build_and_drain(benchmark):
             heap.pop()
 
     benchmark(build_and_drain)
+
+
+#: Allocation/fast-run time ratio that ``allocate(catalog, "pack", ...)``
+#: must stay under.  Over 8 runs on a 2-CPU x86-64 Linux host this test
+#: measured 1.24-1.64; the floor is the top of that range plus 25%
+#: headroom.  With a hand-written pure-Python binary heap behind
+#: Pack_Disks and items built from NumPy scalars it measured 4.00-5.77
+#: (8 runs) on the same host.
+PACK_FLOOR = 2.05
+
+
+def test_pack_floor(capsys):
+    """``allocate`` on the canonical catalog (8,000 files from the catalog
+    seed perfbench derives from its seed 0, R = 8 req/s, L = 0.7) vs the
+    fixed fast path on a 4,000 s stream of the same inputs, timed on the
+    same machine (interleaved best-of-7)."""
+    seed = int(np.random.SeedSequence(0).generate_state(2)[0])
+    workload = generate_workload(
+        SyntheticWorkloadParams(
+            n_files=8_000, arrival_rate=8.0, duration=4_000.0, seed=seed
+        )
+    )
+    cfg = StorageConfig(num_disks=100, load_constraint=0.7, engine="fast")
+    mapping = allocate(workload.catalog, "pack", cfg, 8.0).mapping(
+        workload.catalog.n
+    )
+
+    # Interleaved, so host drift hits both sides alike.
+    pack_s = fast_s = math.inf
+    for _ in range(7):
+        t0 = time.perf_counter()
+        allocate(workload.catalog, "pack", cfg, 8.0)
+        t1 = time.perf_counter()
+        StorageSystem(workload.catalog, mapping, cfg).run(workload.stream)
+        t2 = time.perf_counter()
+        pack_s = min(pack_s, t1 - t0)
+        fast_s = min(fast_s, t2 - t1)
+    ratio = pack_s / fast_s
+    with capsys.disabled():
+        print(
+            f"\n[pack floor] {workload.catalog.n} files: allocate "
+            f"{pack_s:.4f}s, fast run of {len(workload.stream)} requests "
+            f"{fast_s:.4f}s (ratio {ratio:.2f}, floor {PACK_FLOOR})"
+        )
+    assert ratio < PACK_FLOOR

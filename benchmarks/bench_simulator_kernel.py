@@ -139,14 +139,17 @@ def test_fast_engine_speedup(scale, capsys):
     assert event_s >= 3.0 * fast_s
 
 
-def test_fast_engine_speedup_cached_mixed(scale, capsys):
-    """The global-merge path: cache + writes; fast must win 5x."""
+def test_fast_engine_speedup_cached_mixed(capsys):
+    """The global-merge path: cache + writes; fast must win 5x.
+
+    The stream is a fixed 4,000 s (about 32k requests) at any bench scale,
+    so the fast side runs for about 0.1 s, and the engines are timed
+    interleaved (best-of-5).  On a 600 s stream the fast side took ~20 ms
+    and host noise alone moved the ratio between 4.4x and 8.9x.
+    """
     base = generate_workload(
         SyntheticWorkloadParams(
-            n_files=4_000,
-            arrival_rate=6.0,
-            duration=max(600.0, 4_000.0 * scale),
-            seed=7,
+            n_files=4_000, arrival_rate=6.0, duration=4_000.0, seed=7
         )
     )
     catalog, stream = generate_mixed_workload(
@@ -155,7 +158,7 @@ def test_fast_engine_speedup_cached_mixed(scale, capsys):
             write_fraction=0.2,
             new_file_fraction=0.3,
             arrival_rate=8.0,
-            duration=max(600.0, 4_000.0 * scale),
+            duration=4_000.0,
             seed=11,
         ),
     )
@@ -177,18 +180,16 @@ def test_fast_engine_speedup_cached_mixed(scale, capsys):
         system = StorageSystem(catalog, mapping, cfg.with_overrides(engine=engine))
         return system.run(stream)
 
-    def timed(engine, rounds):
-        best = math.inf
-        result = None
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            result = run_engine(engine)
-            best = min(best, time.perf_counter() - t0)
-        return result, best
-
-    event, event_s = timed("event", rounds=2)
-    fast, fast_s = timed("fast", rounds=5)
-    fast_s = max(fast_s, 1e-9)
+    # Interleaved, so host drift hits both engines alike.
+    event_s = fast_s = math.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        event = run_engine("event")
+        t1 = time.perf_counter()
+        fast = run_engine("fast")
+        t2 = time.perf_counter()
+        event_s = min(event_s, t1 - t0)
+        fast_s = min(fast_s, t2 - t1)
 
     assert fast.energy == pytest.approx(event.energy, rel=1e-6)
     assert fast.mean_response == pytest.approx(event.mean_response, rel=1e-6)

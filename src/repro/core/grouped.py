@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.allocation import Allocation, PackedDisk
 from repro.core.heap import MaxHeap
-from repro.core.item import EPS, PackItem, rho_of
+from repro.core.item import EPS, PackItem
 from repro.core.packing import _OpenDisk, _check_items, split_intensive
 from repro.errors import PackingError
 
@@ -53,14 +53,7 @@ def pack_disks_grouped(
     if v < 1:
         raise PackingError(f"group size v must be >= 1, got {v}")
     items = list(items)
-    _check_items(items)
-    tight_rho = rho_of(items)
-    if rho is None:
-        rho = tight_rho
-    elif rho < tight_rho - EPS:
-        raise PackingError(
-            f"rho={rho} is below the largest item coordinate {tight_rho:.6f}"
-        )
+    rho = _check_items(items, rho)
     name = f"pack_disks_v{v}"
     if not items:
         return Allocation(disks=[], algorithm=name, rho=rho)

@@ -2,12 +2,15 @@
 
 The paper's complexity argument (Lemma 7) rests on this structure: the two
 heaps ``~S`` and ``~L`` are built in O(n) and support O(log n) insert and
-extract-max, giving the overall O(n log n) bound.  Ties are broken FIFO by
-insertion sequence so packing output is fully deterministic.
+extract-max, giving the overall O(n log n) bound.  The standard library's
+:mod:`heapq` provides exactly those costs: ``heapify`` builds in O(n) and
+``heappush``/``heappop`` are O(log n).  Ties are broken FIFO by insertion
+sequence so packing output is fully deterministic.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Generic, Iterable, List, Optional, Tuple, TypeVar
 
 __all__ = ["MaxHeap"]
@@ -25,17 +28,16 @@ class MaxHeap(Generic[T]):
     __slots__ = ("_entries", "_seq")
 
     def __init__(self, entries: Optional[Iterable[Tuple[float, T]]] = None) -> None:
-        # Internal entries are (key, -seq, payload): tuple comparison gives a
-        # max-heap on key with FIFO tie-breaking (older entries have larger
-        # -seq ... no: older entries have *smaller* seq, hence larger -seq,
-        # so they win ties and pop first).
-        self._seq = 0
-        self._entries: List[Tuple[float, int, T]] = []
-        if entries is not None:
-            for key, payload in entries:
-                self._entries.append((float(key), -self._seq, payload))
-                self._seq += 1
-            self._heapify()
+        # Internal entries are (-key, seq, payload) on heapq's min-heap: the
+        # largest key sorts first, and among equal keys the smallest (oldest)
+        # seq.  Sequence numbers are unique, so payloads are never compared.
+        pairs = () if entries is None else entries
+        self._entries: List[Tuple[float, int, T]] = [
+            (-float(key), seq, payload)
+            for seq, (key, payload) in enumerate(pairs)
+        ]
+        self._seq = len(self._entries)
+        heapify(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -45,81 +47,31 @@ class MaxHeap(Generic[T]):
 
     def push(self, key: float, payload: T) -> None:
         """Insert an entry in O(log n)."""
-        self._entries.append((float(key), -self._seq, payload))
+        heappush(self._entries, (-float(key), self._seq, payload))
         self._seq += 1
-        self._sift_up(len(self._entries) - 1)
 
     def peek(self) -> Tuple[float, T]:
-        """Return (but keep) the max-key entry."""
-        if not self._entries:
-            raise IndexError("peek from an empty heap")
-        key, _, payload = self._entries[0]
-        return key, payload
+        """Return (but keep) the max-key entry; ``IndexError`` when empty."""
+        neg_key, _, payload = self._entries[0]
+        return -neg_key, payload
 
     def pop(self) -> Tuple[float, T]:
-        """Remove and return the max-key entry in O(log n)."""
-        if not self._entries:
-            raise IndexError("pop from an empty heap")
-        top = self._entries[0]
-        last = self._entries.pop()
-        if self._entries:
-            self._entries[0] = last
-            self._sift_down(0)
-        return top[0], top[2]
-
-    # -- internals ------------------------------------------------------------
-
-    def _heapify(self) -> None:
-        # Bottom-up heap construction: O(n) total.
-        for i in range(len(self._entries) // 2 - 1, -1, -1):
-            self._sift_down(i)
-
-    def _sift_up(self, i: int) -> None:
-        entries = self._entries
-        entry = entries[i]
-        while i > 0:
-            parent = (i - 1) >> 1
-            if entries[parent][:2] >= entry[:2]:
-                break
-            entries[i] = entries[parent]
-            i = parent
-        entries[i] = entry
-
-    def _sift_down(self, i: int) -> None:
-        entries = self._entries
-        n = len(entries)
-        entry = entries[i]
-        while True:
-            left = 2 * i + 1
-            if left >= n:
-                break
-            right = left + 1
-            child = left
-            if right < n and entries[right][:2] > entries[left][:2]:
-                child = right
-            if entries[child][:2] <= entry[:2]:
-                break
-            entries[i] = entries[child]
-            i = child
-        entries[i] = entry
+        """Remove and return the max-key entry in O(log n); ``IndexError``
+        when empty."""
+        neg_key, _, payload = heappop(self._entries)
+        return -neg_key, payload
 
     # -- test support ----------------------------------------------------------
 
     def check_invariant(self) -> None:
-        """Assert the max-heap property over the whole array (tests only)."""
+        """Assert that no entry pops before its parent (tests only)."""
         entries = self._entries
         for i in range(1, len(entries)):
-            parent = (i - 1) >> 1
-            assert entries[parent][:2] >= entries[i][:2], (
+            assert entries[(i - 1) >> 1][:2] <= entries[i][:2], (
                 f"heap violated at index {i}"
             )
 
     def as_sorted_list(self) -> List[Tuple[float, T]]:
-        """Drain a *copy* of the heap in descending key order (tests only)."""
-        clone = MaxHeap.__new__(MaxHeap)
-        clone._entries = list(self._entries)
-        clone._seq = self._seq
-        out = []
-        while clone:
-            out.append(clone.pop())
-        return out
+        """The entries in pop order, leaving the heap as is (tests only)."""
+        ordered = sorted(self._entries)
+        return [(-neg_key, payload) for neg_key, _, payload in ordered]

@@ -9,6 +9,7 @@ the file's disk-time load divided by the per-disk load cap ``L``.  Both lie in
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, NamedTuple, Sequence
 
 import numpy as np
@@ -80,7 +81,8 @@ def make_items(
     Raises
     ------
     PackingError
-        If the inputs disagree in length, contain negatives, or any single
+        If the inputs disagree in length, contain NaN, infinite or negative
+        values, a capacity is not positive and finite, or any single
         normalized coordinate exceeds 1 (that file can never be placed).
     """
     s = np.asarray(sizes, dtype=float)
@@ -90,11 +92,13 @@ def make_items(
             f"sizes and loads must be equal-length 1-D sequences, got "
             f"shapes {s.shape} and {l.shape}"
         )
-    if storage_capacity <= 0 or load_capacity <= 0:
+    if not (0 < storage_capacity < math.inf and 0 < load_capacity < math.inf):
         raise PackingError(
-            f"capacities must be positive, got S={storage_capacity}, "
-            f"L={load_capacity}"
+            f"capacities must be positive and finite, got "
+            f"S={storage_capacity}, L={load_capacity}"
         )
+    if not (np.isfinite(s).all() and np.isfinite(l).all()):
+        raise PackingError("sizes and loads must be finite")
     if np.any(s < 0) or np.any(l < 0):
         raise PackingError("sizes and loads must be non-negative")
     s = s / storage_capacity
@@ -111,10 +115,9 @@ def make_items(
             f"file {worst} carries {l[worst]:.4f} of a disk's load "
             f"capacity (> 1); it cannot be packed"
         )
-    return [
-        PackItem(i, float(si), float(li))
-        for i, (si, li) in enumerate(zip(s, l))
-    ]
+    return list(
+        map(PackItem._make, zip(range(len(s)), s.tolist(), l.tolist()))
+    )
 
 
 def rho_of(items: Iterable[PackItem]) -> float:

@@ -26,6 +26,7 @@ eviction: their algorithm searches the open disk for an evictable element
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Sequence
 
 from repro.core.allocation import Allocation, PackedDisk
@@ -49,17 +50,29 @@ def split_intensive(items: Iterable[PackItem]) -> tuple:
     return st, ld
 
 
-def _check_items(items: Sequence[PackItem]) -> None:
+def _check_items(items: Sequence[PackItem], rho: Optional[float]) -> float:
+    """Validate item coordinates and ``rho``; return the ``rho`` to use.
+
+    Coordinates must lie in ``[0, 1]`` (NaN fails every comparison, so it
+    is rejected too).  ``rho`` defaults to the tight value ``rho_of(items)``
+    and must be finite and no smaller than it.
+    """
     for item in items:
-        if item.size > 1 + EPS or item.load > 1 + EPS:
+        if not (0.0 <= item.size <= 1 + EPS and 0.0 <= item.load <= 1 + EPS):
             raise PackingError(
-                f"item {item.index} exceeds unit capacity "
+                f"item {item.index} needs finite coordinates in [0, 1] "
                 f"(s={item.size:.4f}, l={item.load:.4f})"
             )
-        if item.size < 0 or item.load < 0:
-            raise PackingError(
-                f"item {item.index} has a negative coordinate"
-            )
+    tight_rho = rho_of(items)
+    if rho is None:
+        return tight_rho
+    if not math.isfinite(rho):
+        raise PackingError(f"rho must be finite, got {rho}")
+    if rho < tight_rho - EPS:
+        raise PackingError(
+            f"rho={rho} is below the largest item coordinate {tight_rho:.6f}"
+        )
+    return rho
 
 
 class _OpenDisk:
@@ -137,18 +150,11 @@ def pack_disks(
     Raises
     ------
     PackingError
-        If any single item exceeds unit capacity, or ``rho`` is smaller than
-        some item coordinate.
+        If an item coordinate is NaN or outside ``[0, 1]``, or ``rho`` is
+        not finite or is smaller than some item coordinate.
     """
     items = list(items)
-    _check_items(items)
-    tight_rho = rho_of(items)
-    if rho is None:
-        rho = tight_rho
-    elif rho < tight_rho - EPS:
-        raise PackingError(
-            f"rho={rho} is below the largest item coordinate {tight_rho:.6f}"
-        )
+    rho = _check_items(items, rho)
     if not items:
         return Allocation(disks=[], algorithm="pack_disks", rho=rho)
 

@@ -20,9 +20,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.allocation import Allocation, PackedDisk
-from repro.core.item import EPS, PackItem, rho_of
+from repro.core.item import EPS, PackItem
 from repro.core.packing import _check_items, split_intensive
-from repro.errors import PackingError
 
 __all__ = ["pack_disks_quadratic"]
 
@@ -119,14 +118,7 @@ def pack_disks_quadratic(
     :func:`repro.core.packing.pack_disks` in production code.
     """
     items = list(items)
-    _check_items(items)
-    tight_rho = rho_of(items)
-    if rho is None:
-        rho = tight_rho
-    elif rho < tight_rho - EPS:
-        raise PackingError(
-            f"rho={rho} is below the largest item coordinate {tight_rho:.6f}"
-        )
+    rho = _check_items(items, rho)
     if not items:
         return Allocation(disks=[], algorithm="pack_disks_quadratic", rho=rho)
 

@@ -90,3 +90,44 @@ class TestProperties:
         before = len(h)
         h.as_sorted_list()
         assert len(h) == before
+
+
+# A push (a key) or a pop (None); the key pool mixes duplicates and +-0.0.
+heap_ops = st.lists(
+    st.one_of(
+        st.none(),
+        st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+        st.floats(-10, 10),
+    ),
+    max_size=200,
+)
+
+
+class TestSortedOracle:
+    @given(
+        st.lists(st.sampled_from([-0.0, 0.0, 1.0, 3.0]), max_size=30), heap_ops
+    )
+    def test_matches_sorted_oracle(self, initial, ops):
+        """Pop order is ``sorted`` on (-key, insertion seq), keys come back
+        bit-equal, and payloads are never compared."""
+        h = MaxHeap((k, {"seq": i}) for i, k in enumerate(initial))
+        live = [(-k, i, k) for i, k in enumerate(initial)]
+        seq = len(initial)
+        for op in ops:
+            if op is not None:
+                h.push(op, {"seq": seq})
+                live.append((-op, seq, op))
+                seq += 1
+                continue
+            if not live:
+                with pytest.raises(IndexError):
+                    h.pop()
+                continue
+            live.sort(key=lambda e: e[:2])
+            _, want_seq, want_key = live.pop(0)
+            assert h.peek()[1] == {"seq": want_seq}
+            key, payload = h.pop()
+            assert payload == {"seq": want_seq}
+            assert key.hex() == want_key.hex()
+        assert len(h) == len(live)
+        h.check_invariant()

@@ -1,5 +1,8 @@
 """Unit tests for PackItem construction and normalization."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core import PackItem, make_items, rho_of
@@ -40,6 +43,24 @@ class TestMakeItems:
             make_items([1.0], [0.1], 0, 1)
         with pytest.raises(PackingError):
             make_items([1.0], [0.1], 1, -2)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(PackingError, match="finite"):
+                make_items([1.0], [0.1], bad, 1)
+            with pytest.raises(PackingError, match="finite"):
+                make_items([1.0], [0.1], 10, bad)
+
+    def test_nan_coordinates_rejected(self):
+        with pytest.raises(PackingError, match="finite"):
+            make_items([math.nan, 0.1], [0.1, 0.1])
+        with pytest.raises(PackingError, match="finite"):
+            make_items([0.1, 0.1], [0.1, math.nan])
+
+    def test_list_built_items_are_plain_floats(self):
+        items = make_items(np.array([0.25, 0.5]), np.array([0.1, 0.3]))
+        assert all(
+            type(it.size) is float and type(it.load) is float for it in items
+        )
+        assert items == [PackItem(0, 0.25, 0.1), PackItem(1, 0.5, 0.3)]
 
     def test_2d_input_rejected(self):
         with pytest.raises(PackingError):

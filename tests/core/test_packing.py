@@ -59,6 +59,18 @@ class TestBasics:
         with pytest.raises(PackingError):
             pack_disks([PackItem(0, -0.1, 0.1)])
 
+    def test_nan_coordinate_rejected(self):
+        with pytest.raises(PackingError, match="finite"):
+            pack_disks([PackItem(0, math.nan, 0.2), PackItem(1, 0.1, 0.2)])
+        with pytest.raises(PackingError, match="finite"):
+            pack_disks([PackItem(0, 0.1, 0.2), PackItem(1, 0.1, math.nan)])
+
+    def test_non_finite_rho_rejected(self):
+        items = items_from([(0.2, 0.1)] * 20)
+        for rho in (math.nan, math.inf):
+            with pytest.raises(PackingError, match="rho"):
+                pack_disks(items, rho=rho)
+
     def test_rho_below_items_rejected(self):
         with pytest.raises(PackingError):
             pack_disks([PackItem(0, 0.5, 0.1)], rho=0.3)

@@ -1,11 +1,18 @@
 """The O(n^2) reference must produce bit-identical output to Pack_Disks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import make_items, pack_disks, pack_disks_quadratic
+from repro.core import (
+    make_items,
+    pack_disks,
+    pack_disks_grouped,
+    pack_disks_quadratic,
+)
 from repro.core.item import PackItem
 from repro.errors import PackingError
 
@@ -17,7 +24,20 @@ def disks_as_indices(alloc):
     return [[item.index for item in d.items] for d in alloc.disks]
 
 
+# Coordinates on a coarse grid: many items share an excess key, so the
+# heaps' FIFO tie order decides most extractions.
+grid = st.sampled_from([0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4])
+tie_heavy_lists = st.lists(st.tuples(grid, grid), min_size=0, max_size=150)
+
+
 class TestEquivalence:
+    @given(tie_heavy_lists)
+    def test_identical_output_when_keys_tie(self, pairs):
+        items = [PackItem(i, s, l) for i, (s, l) in enumerate(pairs)]
+        fast = disks_as_indices(pack_disks(items))
+        assert fast == disks_as_indices(pack_disks_quadratic(items))
+        assert fast == disks_as_indices(pack_disks_grouped(items, v=1))
+
     @given(item_lists)
     def test_identical_output(self, pairs):
         items = [PackItem(i, s, l) for i, (s, l) in enumerate(pairs)]
@@ -41,6 +61,11 @@ class TestEquivalence:
             pack_disks_quadratic([PackItem(0, 2.0, 0.1)])
         with pytest.raises(PackingError):
             pack_disks_quadratic([PackItem(0, 0.5, 0.1)], rho=0.2)
+        for pack in (pack_disks_quadratic, pack_disks_grouped):
+            with pytest.raises(PackingError, match="finite"):
+                pack([PackItem(0, math.nan, 0.1)])
+            with pytest.raises(PackingError, match="rho"):
+                pack([PackItem(0, 0.5, 0.1)], rho=math.nan)
 
     def test_algorithm_label(self):
         alloc = pack_disks_quadratic([PackItem(0, 0.1, 0.1)])
