@@ -109,19 +109,21 @@ def part4_dpm() -> None:
     drive = MultiStateDiskDrive(env, ST3500630AS, policy)
     gaps = np.random.default_rng(4).exponential(90.0, size=200)
     times = np.cumsum(gaps)
+    requests = []
 
     def feeder(env):
         for t in times:
             yield env.timeout(t - env.now)
-            drive.submit(0, 72 * MB)
+            requests.append(drive.submit(0, 72 * MB))
 
     env.process(feeder(env))
     env.run(until=float(times[-1]) + 50)
+    responses = [r.done.value for r in requests if r.done.triggered]
     durations = drive.state_durations()
     napped = durations.get("nap", 0.0)
     print(f"   mean power {drive.mean_power():.2f} W; time napping "
           f"{napped:.0f} s of {env.now:.0f} s; "
-          f"mean response {drive.stats.response.mean:.2f} s")
+          f"mean response {np.mean(responses):.2f} s")
 
 
 def main() -> None:

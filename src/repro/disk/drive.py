@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.disk.power import DiskState, PowerModel
@@ -26,7 +26,7 @@ from repro.disk.specs import DiskSpec
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import PENDING, AnyOf, Event, Timeout
-from repro.sim.monitor import StateTimeline, Tally, TimeWeighted
+from repro.sim.monitor import StateTimeline
 
 __all__ = ["DiskDrive", "DiskRequest", "DriveStats"]
 
@@ -46,7 +46,8 @@ class DiskRequest:
     arrival_time:
         Simulation time the request was submitted to the drive.
     done:
-        Event succeeding with the response time (completion - arrival).
+        Event succeeding with the response time (completion - arrival);
+        the one place a drive reports responses.
     kind:
         ``"read"`` or ``"write"`` (identical service; tracked for stats).
     """
@@ -78,16 +79,14 @@ class DriveStats:
     spinups: int = 0
     spindowns: int = 0
     bytes_transferred: float = 0.0
-    response: Tally = field(default_factory=Tally)
 
-    def record_completion(self, response_time: float, size: float, kind: str) -> None:
+    def record_completion(self, size: float, kind: str) -> None:
         self.completions += 1
         self.bytes_transferred += size
         if kind == WRITE:
             self.writes += 1
         else:
             self.reads += 1
-        self.response.add(response_time)
 
 
 class DiskDrive:
@@ -126,8 +125,10 @@ class DiskDrive:
             )
         if idleness_threshold is None:
             idleness_threshold = spec.breakeven_threshold()
-        if idleness_threshold < 0:
-            raise SimulationError("idleness threshold must be >= 0")
+        if not idleness_threshold >= 0:  # also rejects NaN
+            raise SimulationError(
+                f"idleness threshold must be >= 0, got {idleness_threshold!r}"
+            )
         self.env = env
         self.spec = spec
         self.disk_id = disk_id
@@ -135,7 +136,6 @@ class DiskDrive:
         self.power_model = PowerModel(spec)
         self.timeline = StateTimeline(env, initial_state, record_history)
         self.stats = DriveStats()
-        self.queue_length = TimeWeighted(env, 0.0)
         self._pending: Deque[DiskRequest] = deque()
         self._wake: Optional[Event] = None
         #: Closed idle gaps in close order: ``(gap_seconds,
@@ -191,7 +191,6 @@ class DiskDrive:
         request = DiskRequest(env, file_id, size, kind)
         pending = self._pending
         pending.append(request)
-        self.queue_length.set(len(pending))
         self.stats.arrivals += 1
         wake = self._wake
         if wake is not None and wake._value is PENDING:
@@ -222,7 +221,6 @@ class DiskDrive:
         rate = spec.transfer_rate
         pending = self._pending
         set_state = self.timeline.set
-        set_queue = self.queue_length.set
         record = self.stats.record_completion
         IDLE, SEEK, ACTIVE = DiskState.IDLE, DiskState.SEEK, DiskState.ACTIVE
 
@@ -250,14 +248,13 @@ class DiskDrive:
                 continue
 
             request = pending.popleft()
-            set_queue(len(pending))
             set_state(SEEK)
             yield Timeout(env, overhead)
             set_state(ACTIVE)
             yield Timeout(env, request.size / rate)
             set_state(IDLE)
             response = env.now - request.arrival_time
-            record(response, request.size, request.kind)
+            record(request.size, request.kind)
             request.done.succeed(response)
 
     def _spin_down(self):

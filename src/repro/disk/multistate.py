@@ -41,7 +41,7 @@ from repro.disk.specs import DiskSpec
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import PENDING, AnyOf, Event, Timeout
-from repro.sim.monitor import StateTimeline, TimeWeighted
+from repro.sim.monitor import StateTimeline
 
 __all__ = ["MultiStateDiskDrive"]
 
@@ -84,8 +84,10 @@ class MultiStateDiskDrive:
             ladder = DpmLadder.from_policy(ladder, spec)
         if idleness_threshold is None:
             idleness_threshold = ladder.base_threshold
-        if idleness_threshold < 0:
-            raise SimulationError("idleness threshold must be >= 0")
+        if not idleness_threshold >= 0:  # also rejects NaN
+            raise SimulationError(
+                f"idleness threshold must be >= 0, got {idleness_threshold!r}"
+            )
         self.env = env
         self.spec = spec
         self.ladder = ladder
@@ -95,7 +97,6 @@ class MultiStateDiskDrive:
         #: drive's already-armed idleness timer).
         self.threshold = float(idleness_threshold)
         self.stats = DriveStats()
-        self.queue_length = TimeWeighted(env, 0.0)
         self._power: Dict[str, float] = ladder.power_table(spec)
         self.timeline = StateTimeline(
             env, ladder.rungs[0].name, record_history
@@ -149,7 +150,6 @@ class MultiStateDiskDrive:
         request = DiskRequest(env, file_id, size, kind)
         pending = self._pending
         pending.append(request)
-        self.queue_length.set(len(pending))
         self.stats.arrivals += 1
         wake = self._wake
         if wake is not None and wake._value is PENDING:
@@ -184,7 +184,6 @@ class MultiStateDiskDrive:
         rate = spec.transfer_rate
         pending = self._pending
         set_state = self.timeline.set
-        set_queue = self.queue_length.set
         record = self.stats.record_completion
         parked = rungs[0].name
         while True:
@@ -237,14 +236,13 @@ class MultiStateDiskDrive:
                 continue
 
             request = pending.popleft()
-            set_queue(len(pending))
             set_state("seek")
             yield Timeout(env, overhead)
             set_state("active")
             yield Timeout(env, request.size / rate)
             set_state(parked)
             response = env.now - request.arrival_time
-            record(response, request.size, request.kind)
+            record(request.size, request.kind)
             request.done.succeed(response)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

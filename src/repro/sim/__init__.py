@@ -1,20 +1,19 @@
 """Discrete-event simulation kernel.
 
 A from-scratch substitute for SimPy (the framework the paper's simulator was
-written in), providing the same process-based modelling style:
+written in), trimmed to what the disk model uses.  The drives, the
+dispatcher and the stream processes need a FIFO queue, per-request
+timeouts, a wake event and an idleness timer raced against it:
 
 * :class:`~repro.sim.environment.Environment` — the event loop and clock,
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.Process` — generator-coroutine processes that
   ``yield`` events to wait on them,
-* :class:`~repro.sim.events.AnyOf` / :class:`~repro.sim.events.AllOf` —
-  condition events,
-* :class:`~repro.sim.events.Interrupt` — asynchronous process interruption,
-* :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.PriorityResource`,
-  :class:`~repro.sim.resources.Store` — shared-resource primitives,
-* :mod:`~repro.sim.monitor` — state timelines and streaming statistics used
-  for energy accounting and response-time measurement,
+* :class:`~repro.sim.events.AnyOf` — the one condition event (a wake
+  raced against an idleness timer), valued by a
+  :class:`~repro.sim.events.ConditionValue`,
+* :class:`~repro.sim.monitor.StateTimeline` — per-state residency used for
+  energy accounting,
 * :mod:`~repro.sim.fastkernel` — a batched fast path for array-backed
   streams, covering read/write mixes (§1.1 write allocation) and shared
   caches as well as the read-only case (select with
@@ -37,50 +36,19 @@ Example
 [('fast', 1.0), ('slow', 2.0), ('fast', 2.0), ('fast', 3.0), ('slow', 4.0), ('fast', 4.0)]
 """
 
-from repro.sim.environment import Environment, EmptySchedule, NORMAL, URGENT
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    Interrupt,
-    Process,
-    Timeout,
-)
-from repro.sim.monitor import StateTimeline, Tally, TimeWeighted
-from repro.sim.resources import (
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-    Store,
-    StoreGet,
-    StorePut,
-)
+from repro.sim.environment import Environment, NORMAL, URGENT
+from repro.sim.events import AnyOf, ConditionValue, Event, Process, Timeout
+from repro.sim.monitor import StateTimeline
 from repro.sim.rng import rng_from_seed, spawn_rngs
 
 __all__ = [
-    "AllOf",
     "AnyOf",
-    "Condition",
     "ConditionValue",
-    "EmptySchedule",
     "Environment",
     "Event",
-    "Interrupt",
     "NORMAL",
-    "PriorityResource",
     "Process",
-    "Release",
-    "Request",
-    "Resource",
     "StateTimeline",
-    "Store",
-    "StoreGet",
-    "StorePut",
-    "Tally",
-    "TimeWeighted",
     "Timeout",
     "URGENT",
     "rng_from_seed",

@@ -4,25 +4,12 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from math import inf
-from typing import Any, Generator, Iterable, Optional, Union
+from typing import Any, Generator, Union
 
 from repro.errors import SimulationError
-from repro.sim.events import (
-    NORMAL,
-    URGENT,
-    AllOf,
-    AnyOf,
-    Event,
-    Process,
-    Timeout,
-)
+from repro.sim.events import NORMAL, URGENT, Event, Process, Timeout
 
-__all__ = ["Environment", "EmptySchedule", "NORMAL", "URGENT"]
-
-
-class EmptySchedule(Exception):
-    """Raised by :meth:`Environment.step` when no events remain."""
+__all__ = ["Environment", "NORMAL", "URGENT"]
 
 
 class _StopSimulation(Exception):
@@ -42,23 +29,16 @@ class _StopSimulation(Exception):
 class Environment:
     """Discrete-event execution environment.
 
-    Keeps the simulation clock and a priority queue of triggered events.
-    Events scheduled at the same timestamp are processed in FIFO order of
-    scheduling (stable, deterministic), with URGENT events first.
-
-    Parameters
-    ----------
-    initial_time:
-        Starting value of the simulation clock.
+    Keeps the simulation clock, starting at 0, and a priority queue of
+    triggered events.  Events scheduled at the same timestamp are processed
+    in FIFO order of scheduling (stable, deterministic), with URGENT events
+    first.
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list = []
         self._eid = count()
-        #: The process currently executing (or ``None``); used to forbid
-        #: self-interrupts and useful for debugging.
-        self.active_process: Optional[Process] = None
 
     @property
     def now(self) -> float:
@@ -79,42 +59,10 @@ class Environment:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition triggering when any of ``events`` triggers."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition triggering when all of ``events`` have triggered."""
-        return AllOf(self, events)
-
-    # -- scheduling & stepping -------------------------------------------------
+    # -- scheduling & running ---------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else inf
-
-    def step(self) -> None:
-        """Process the next scheduled event.
-
-        Raises
-        ------
-        EmptySchedule
-            If no events remain.
-        """
-        try:
-            when, _, _, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("no scheduled events") from None
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # Nobody handled the failure: crash the simulation loudly.
-            raise event._value
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -153,8 +101,7 @@ class Environment:
                 raise until._value
             until.callbacks.append(_StopSimulation.callback)
 
-        # The body of :meth:`step`, inlined: one Python frame per run
-        # instead of one per event.
+        # One Python frame per run, not one per event.
         queue = self._queue
         pop = heappop
         while True:

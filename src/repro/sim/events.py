@@ -11,20 +11,11 @@ triggers when the generator terminates, so processes can wait on each other.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
-    "Event",
-    "Interrupt",
-    "Process",
-    "Timeout",
-]
+__all__ = ["AnyOf", "ConditionValue", "Event", "Process", "Timeout"]
 
 
 class _Pending:
@@ -39,19 +30,6 @@ PENDING = _Pending()
 #: Scheduling priorities; URGENT events at a timestamp run before NORMAL ones.
 URGENT = 0
 NORMAL = 1
-
-
-class Interrupt(Exception):
-    """Raised inside a process when :meth:`Process.interrupt` is called.
-
-    The interrupted process may catch the exception and continue; the event
-    it was waiting on is detached and will no longer resume it.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The ``cause`` argument passed to :meth:`Process.interrupt`."""
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -158,7 +136,7 @@ class Process(Event):
     succeeds with the generator's return value when it finishes.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env, generator: Generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -171,51 +149,14 @@ class Process(Event):
         init._value = None
         init.callbacks.append(self._resume)
         env._schedule(init)
-        self._target: Optional[Event] = init
 
     @property
     def is_alive(self) -> bool:
         """``True`` while the wrapped generator has not terminated."""
         return not self.triggered
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on (or ``None``)."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The process is detached from the event it was waiting on; that event
-        may still fire later but will no longer resume this process.
-        """
-        if self.triggered:
-            raise SimulationError("cannot interrupt a terminated process")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True  # delivery below handles it
-        event.callbacks.append(self._deliver_interrupt)
-        self.env._schedule(event, priority=URGENT)
-
-    # -- internal machinery -------------------------------------------------
-
-    def _deliver_interrupt(self, event: Event) -> None:
-        if self.triggered:  # terminated before the interrupt was delivered
-            return
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._resume(event)
-
     def _resume(self, event: Event) -> None:
         env = self.env
-        env.active_process = self
         generator = self._generator
         while True:
             try:
@@ -229,12 +170,12 @@ class Process(Event):
                 self._ok = True
                 self._value = stop.value
                 env._schedule(self)
-                break
+                return
             except BaseException as exc:  # process died
                 self._ok = False
                 self._value = exc
                 env._schedule(self)
-                break
+                return
 
             if not isinstance(next_event, Event):
                 exc = SimulationError(
@@ -247,7 +188,7 @@ class Process(Event):
                 self._ok = False
                 self._value = exc
                 env._schedule(self)
-                break
+                return
 
             callbacks = next_event.callbacks
             if callbacks is None:
@@ -255,9 +196,7 @@ class Process(Event):
                 event = next_event
                 continue
             callbacks.append(self._resume)
-            self._target = next_event
-            break
-        env.active_process = None
+            return
 
 
 class ConditionValue(dict):
@@ -272,26 +211,27 @@ class ConditionValue(dict):
         return self[event]
 
 
-class Condition(Event):
-    """An event that triggers based on the outcomes of several sub-events.
+class AnyOf(Event):
+    """An event that triggers as soon as any of several sub-events does.
+
+    It succeeds with a :class:`ConditionValue` of the sub-events processed
+    by then, or fails with the first failed sub-event's exception.  A
+    sub-event failing after the condition settled is defused.  An empty
+    ``AnyOf`` succeeds at once.
 
     Parameters
     ----------
     env:
         Owning environment.
-    evaluate:
-        ``evaluate(events, triggered_count) -> bool`` deciding success.
     events:
         The sub-events observed.
     """
 
-    __slots__ = ("_events", "_evaluate", "_count")
+    __slots__ = ("_events",)
 
-    def __init__(self, env, evaluate: Callable, events: Iterable[Event]) -> None:
+    def __init__(self, env, events: Iterable[Event]) -> None:
         super().__init__(env)
         self._events = tuple(events)
-        self._evaluate = evaluate
-        self._count = 0
         for ev in self._events:
             if ev.env is not env:
                 raise SimulationError("condition spans multiple environments")
@@ -321,35 +261,8 @@ class Condition(Event):
             if not event._ok:
                 event._defused = True  # condition already settled
             return
-        self._count += 1
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
+        else:
             self.succeed(self._collect())
-
-
-def _any_evaluate(events, count: int) -> bool:
-    return count >= 1
-
-
-def _all_evaluate(events, count: int) -> bool:
-    return count == len(events)
-
-
-class AnyOf(Condition):
-    """Condition that triggers as soon as any sub-event triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events: Iterable[Event]) -> None:
-        super().__init__(env, _any_evaluate, events)
-
-
-class AllOf(Condition):
-    """Condition that triggers once all sub-events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events: Iterable[Event]) -> None:
-        super().__init__(env, _all_evaluate, events)

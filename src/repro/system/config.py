@@ -184,11 +184,13 @@ class StorageConfig:
                 "storage_utilization must be in (0, 1], got "
                 f"{self.storage_utilization}"
             )
-        if self.idleness_threshold is not None and self.idleness_threshold < 0:
+        # ``not x >= 0`` / ``not x > 0`` so NaN fails these checks too.
+        threshold = self.idleness_threshold
+        if threshold is not None and not threshold >= 0:
             raise ConfigError("idleness_threshold must be >= 0")
-        if self.cache_hit_latency < 0:
+        if not self.cache_hit_latency >= 0:
             raise ConfigError("cache_hit_latency must be >= 0")
-        if self.cache_capacity <= 0:
+        if not self.cache_capacity > 0:
             raise ConfigError("cache_capacity must be positive")
         if self.write_policy not in placement_policy_names():
             raise ConfigError(
@@ -200,7 +202,7 @@ class StorageConfig:
                 f"unknown DPM policy {self.dpm_policy!r}; "
                 f"choose from {dpm_policy_names()}"
             )
-        if self.control_interval <= 0:
+        if not self.control_interval > 0:
             raise ConfigError("control_interval must be positive")
         if isinstance(self.dpm_ladder, str) and (
             self.dpm_ladder not in dpm_ladder_names()
@@ -215,7 +217,7 @@ class StorageConfig:
             raise ConfigError(
                 "dpm_ladder must be a preset name or a DpmLadder"
             )
-        if self.slo_target is not None and self.slo_target <= 0:
+        if self.slo_target is not None and not self.slo_target > 0:
             raise ConfigError("slo_target must be positive when set")
         if not 0 < self.slo_percentile < 100:
             raise ConfigError(

@@ -165,6 +165,12 @@ class TestSpinDown:
         with pytest.raises(SimulationError):
             DiskDrive(env, SPEC, idleness_threshold=-1.0)
 
+    def test_nan_threshold_rejected(self, env):
+        # Used to pass the ``< 0`` check and fail later, untyped, inside
+        # the idleness timer.
+        with pytest.raises(SimulationError, match="threshold"):
+            DiskDrive(env, SPEC, idleness_threshold=math.nan)
+
     def test_default_threshold_is_breakeven(self, env):
         drive = DiskDrive(env, SPEC)
         assert drive.threshold == pytest.approx(SPEC.breakeven_threshold())
@@ -223,16 +229,6 @@ class TestEnergyAccounting:
         env.run(until=2_100.0)
         assert SPEC.standby_power < drive.mean_power() < SPEC.spinup_power
 
-    def test_queue_length_time_average(self):
-        env = Environment()
-        drive = DiskDrive(env, SPEC, idleness_threshold=math.inf)
-        drive.submit(0, 720 * MB)
-        drive.submit(1, 720 * MB)
-        env.run(until=100.0)
-        # Little's-law style sanity: average queue > 0 and bounded by 2.
-        avg = drive.queue_length.average()
-        assert 0.0 < avg < 2.0
-
     def test_stats_counters(self):
         env = Environment()
         drive = DiskDrive(env, SPEC, idleness_threshold=math.inf)
@@ -242,4 +238,4 @@ class TestEnergyAccounting:
         assert drive.stats.arrivals == 5
         assert drive.stats.completions == 5
         assert drive.stats.bytes_transferred == pytest.approx(50 * MB)
-        assert drive.stats.response.count == 5
+        assert drive.stats.reads == 5

@@ -31,12 +31,21 @@ NAP_LADDER = [
 
 
 def feed(env, drive, times, size=72 * MB):
+    """Submit one request per time; returns the list the requests land in."""
+    requests = []
+
     def feeder(env):
         for t in times:
             yield env.timeout(t - env.now)
-            drive.submit(0, size)
+            requests.append(drive.submit(0, size))
 
     env.process(feeder(env))
+    return requests
+
+
+def responses(requests):
+    """Response times of the completed requests, in submission order."""
+    return [r.done.value for r in requests if r.done.triggered]
 
 
 class TestLadderValidation:
@@ -132,6 +141,16 @@ class TestBasicService:
             drive.submit(0, float("nan"))
         assert drive.queue_depth == 0
 
+    def test_nan_threshold_rejected(self):
+        # Used to pass the ``< 0`` check and fail later, untyped, inside
+        # the descent timer.
+        env = Environment()
+        with pytest.raises(SimulationError, match="threshold"):
+            MultiStateDiskDrive(
+                env, SPEC, MultiStateDpmPolicy(NAP_LADDER),
+                idleness_threshold=math.nan,
+            )
+
     def test_descends_ladder_when_idle(self):
         env = Environment()
         drive = MultiStateDiskDrive(env, SPEC, MultiStateDpmPolicy(NAP_LADDER))
@@ -151,10 +170,10 @@ class TestBasicService:
         drive = MultiStateDiskDrive(env, SPEC, ladder)
         entry = ladder.rungs[1].entry
         arrival = entry + SPEC.spindown_time / 2
-        feed(env, drive, [arrival])
+        requests = feed(env, drive, [arrival])
         env.run(until=arrival + 100.0)
         expected_start = entry + SPEC.spindown_time + SPEC.spinup_time
-        response = drive.stats.response.mean
+        (response,) = responses(requests)
         assert response == pytest.approx(
             expected_start - arrival + SPEC.access_overhead + 1.0, abs=1e-9
         )
@@ -166,9 +185,10 @@ class TestBasicService:
         def response_after(idle_gap):
             env = Environment()
             drive = MultiStateDiskDrive(env, SPEC, policy)
-            feed(env, drive, [idle_gap])
+            requests = feed(env, drive, [idle_gap])
             env.run(until=idle_gap + 200.0)
-            return drive.stats.response.mean
+            (response,) = responses(requests)
+            return response
 
         from_nap = response_after((t1 + t2) / 2)
         from_standby = response_after(t2 * 3)
@@ -179,11 +199,11 @@ class TestBasicService:
         env = Environment()
         policy = MultiStateDpmPolicy(NAP_LADDER)
         drive = MultiStateDiskDrive(env, SPEC, policy)
-        feed(env, drive, [10.0])
+        requests = feed(env, drive, [10.0])
         env.run(until=100.0)
         assert drive.stats.spinups == 0
-        assert drive.stats.response.mean == pytest.approx(
-            1.0 + SPEC.access_overhead, abs=1e-6
+        assert responses(requests) == pytest.approx(
+            [1.0 + SPEC.access_overhead], abs=1e-6
         )
 
     def test_threshold_scales_descent(self):
@@ -246,20 +266,22 @@ class TestEnergyAccounting:
 
         env_a = Environment()
         classic = DiskDrive(env_a, SPEC)  # break-even threshold
-        feed(env_a, classic, times)
+        classic_requests = feed(env_a, classic, times)
         env_a.run(until=float(times[-1]) + 100.0)
 
         env_b = Environment()
         modern = MultiStateDiskDrive(
             env_b, SPEC, make_dpm_ladder("two_state", SPEC)
         )
-        feed(env_b, modern, times)
+        modern_requests = feed(env_b, modern, times)
         env_b.run(until=float(times[-1]) + 100.0)
 
         assert modern.stats.spinups == classic.stats.spinups
         assert modern.stats.spindowns == classic.stats.spindowns
         assert modern.stats.completions == classic.stats.completions
-        assert modern.stats.response.mean == classic.stats.response.mean
+        classic_responses = responses(classic_requests)
+        assert len(classic_responses) == classic.stats.completions
+        assert responses(modern_requests) == classic_responses
         assert modern.energy() == classic.energy()
         mapping = {
             "idle": "idle",
@@ -282,21 +304,21 @@ class TestEnergyAccounting:
 
         env_a = Environment()
         classic = DiskDrive(env_a, SPEC)
-        feed(env_a, classic, times)
+        classic_requests = feed(env_a, classic, times)
         env_a.run(until=float(times[-1]) + 100.0)
 
         env_b = Environment()
         modern = MultiStateDiskDrive(
             env_b, SPEC, MultiStateDpmPolicy.two_state(SPEC)
         )
-        feed(env_b, modern, times)
+        modern_requests = feed(env_b, modern, times)
         env_b.run(until=float(times[-1]) + 100.0)
 
         assert modern.stats.spinups == classic.stats.spinups
         assert modern.energy() == pytest.approx(classic.energy(), rel=1e-9)
-        assert modern.stats.response.mean == pytest.approx(
-            classic.stats.response.mean, rel=1e-9
-        )
+        classic_responses = responses(classic_requests)
+        assert len(classic_responses) == classic.stats.completions
+        assert responses(modern_requests) == classic_responses
 
     def test_nap_state_saves_energy_on_medium_gaps(self):
         # Gaps sized for the nap state: the three-state ladder must beat

@@ -5,13 +5,12 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import EmptySchedule, Environment
+from repro.sim import Environment
 
 
 class TestScheduling:
     def test_clock_starts_at_initial_time(self):
         assert Environment().now == 0.0
-        assert Environment(initial_time=100.0).now == 100.0
 
     def test_fifo_order_at_same_timestamp(self, env):
         order = []
@@ -32,8 +31,7 @@ class TestScheduling:
         urgent._ok = True
         urgent._value = None
         env._schedule(urgent, priority=0)
-        env.step()
-        env.step()
+        env.run()
         assert order == ["urgent", "normal"]
 
     def test_time_ordering(self, env):
@@ -47,16 +45,6 @@ class TestScheduling:
             env.process(proc(env, d))
         env.run()
         assert times == [1.0, 3.0, 5.0]
-
-    def test_peek(self, env):
-        assert env.peek() == math.inf
-        env.timeout(7.0)
-        # The process-less timeout is scheduled at 7.
-        assert env.peek() == 7.0
-
-    def test_step_on_empty_raises(self, env):
-        with pytest.raises(EmptySchedule):
-            env.step()
 
 
 class TestRun:
@@ -92,8 +80,8 @@ class TestRun:
 
         assert env.run(until=env.process(proc(env))) == "val"
 
-    def test_run_until_past_raises(self):
-        env = Environment(initial_time=10.0)
+    def test_run_until_past_raises(self, env):
+        env.run(until=10.0)
         with pytest.raises(ValueError):
             env.run(until=5.0)
 
@@ -140,18 +128,6 @@ class TestRun:
         env.process(proc(env, [1.0, 1.0, 1.0]))
         env.run()
         assert stamps == sorted(stamps)
-
-    def test_active_process_tracking(self, env):
-        observed = []
-
-        def proc(env):
-            observed.append(env.active_process)
-            yield env.timeout(1.0)
-
-        p = env.process(proc(env))
-        env.run()
-        assert observed == [p]
-        assert env.active_process is None
 
     def test_stale_stop_event_from_aborted_run_is_ignored(self, env):
         # Regression: if run(until=T) aborts on a crashed process, its stop

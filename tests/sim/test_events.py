@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim import AnyOf, Environment
 
 
 class TestEvent:
@@ -79,7 +79,8 @@ class TestTimeout:
         # A NaN key would leave the heap order undefined.
         with pytest.raises(ValueError):
             env.timeout(math.nan)
-        assert env.peek() == math.inf  # nothing was queued
+        env.run()
+        assert env.now == 0.0  # nothing was queued
 
     def test_zero_delay_fires_immediately(self, env):
         t = env.timeout(0.0)
@@ -207,116 +208,6 @@ class TestProcess:
             env.process(lambda: None)
 
 
-class TestInterrupt:
-    def test_interrupt_wakes_process_early(self, env):
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-                log.append("slept")
-            except Interrupt as i:
-                log.append(("interrupted", env.now, i.cause))
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(3.0)
-            p.interrupt(cause="wakeup")
-
-        env.process(interrupter(env))
-        env.run()
-        assert log == [("interrupted", 3.0, "wakeup")]
-
-    def test_interrupted_process_can_continue(self, env):
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            log.append(env.now)
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(3.0)
-            p.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        assert log == [4.0]
-
-    def test_orphaned_timeout_does_not_double_resume(self, env):
-        # After an interrupt, the original timeout must not resume the
-        # process a second time when it eventually fires.
-        resumes = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(10.0)
-                resumes.append("timeout")
-            except Interrupt:
-                resumes.append("interrupt")
-            yield env.timeout(50.0)  # outlive the orphaned timeout
-            resumes.append("end")
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(1.0)
-            p.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        assert resumes == ["interrupt", "end"]
-
-    def test_interrupting_dead_process_raises(self, env):
-        def proc(env):
-            yield env.timeout(1.0)
-
-        p = env.process(proc(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        errors = []
-
-        def proc(env):
-            try:
-                env.process_handle.interrupt()
-            except SimulationError as exc:
-                errors.append(str(exc))
-            yield env.timeout(1.0)
-
-        # Pass the process handle via the env for the closure.
-        gen = proc(env)
-        env.process_handle = env.process(gen)
-        env.run()
-        assert len(errors) == 1
-
-    def test_uncaught_interrupt_kills_process(self, env):
-        def sleeper(env):
-            yield env.timeout(100.0)
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(1.0)
-            p.interrupt()
-
-        env.process(interrupter(env))
-        with pytest.raises(Interrupt):
-            env.run()
-
-    def test_interrupt_cause_accessor(self):
-        assert Interrupt("why").cause == "why"
-        assert Interrupt().cause is None
-
-
 class TestConditions:
     def test_any_of_fires_on_first(self, env):
         t1 = env.timeout(5.0, value="fast")
@@ -337,17 +228,10 @@ class TestConditions:
         assert cond.processed
         assert timer in cond.value and wake not in cond.value
 
-    def test_all_of_waits_for_all(self, env):
-        t1 = env.timeout(5.0, value=1)
-        t2 = env.timeout(10.0, value=2)
-        cond = AllOf(env, [t1, t2])
-        result = env.run(until=cond)
-        assert env.now == 10.0
-        assert result == {t1: 1, t2: 2}
-
     def test_empty_condition_succeeds_immediately(self, env):
-        cond = AllOf(env, [])
+        cond = AnyOf(env, [])
         env.run(until=cond)
+        assert env.now == 0.0
         assert cond.value == {}
 
     def test_condition_failure_propagates(self, env):
@@ -382,6 +266,8 @@ class TestConditions:
         t = env.timeout(1.0, value="x")
         env.run(until=2.0)
         assert t.processed
-        cond = AllOf(env, [t])
+        pending = env.timeout(5.0)
+        cond = AnyOf(env, [t, pending])
         env.run(until=cond)
+        assert env.now == 2.0  # settled at once, not when ``pending`` fires
         assert cond.value == {t: "x"}

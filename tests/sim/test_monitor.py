@@ -1,13 +1,8 @@
-"""Unit tests for StateTimeline, Tally and TimeWeighted."""
+"""Unit tests for StateTimeline."""
 
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.sim import Environment, StateTimeline, Tally, TimeWeighted
+from repro.sim import StateTimeline
 
 
 def advance(env, dt):
@@ -71,80 +66,3 @@ class TestStateTimeline:
             advance(env, dt)
             tl.set(i % 2)
         assert sum(tl.durations().values()) == pytest.approx(tl.total_time())
-
-
-class TestTally:
-    def test_empty_stats_are_nan(self):
-        t = Tally()
-        assert math.isnan(t.mean)
-        assert math.isnan(t.variance)
-        assert math.isnan(t.minimum)
-        assert t.count == 0
-
-    def test_against_numpy(self, rng):
-        data = rng.normal(10.0, 3.0, size=500)
-        t = Tally()
-        for x in data:
-            t.add(x)
-        assert t.count == 500
-        assert t.mean == pytest.approx(np.mean(data))
-        assert t.variance == pytest.approx(np.var(data, ddof=1))
-        assert t.std == pytest.approx(np.std(data, ddof=1))
-        assert t.minimum == pytest.approx(np.min(data))
-        assert t.maximum == pytest.approx(np.max(data))
-        assert t.total == pytest.approx(np.sum(data))
-
-    def test_percentile_requires_samples(self):
-        t = Tally()
-        t.add(1.0)
-        with pytest.raises(ValueError):
-            t.percentile(0.5)
-
-    def test_percentile_values(self):
-        t = Tally(keep_samples=True)
-        for x in range(1, 101):
-            t.add(float(x))
-        assert t.percentile(0.5) == 50.0
-        assert t.percentile(0.95) == 95.0
-        assert t.percentile(0.0) == 1.0
-        assert t.percentile(1.0) == 100.0
-
-    def test_percentile_bounds_checked(self):
-        t = Tally(keep_samples=True)
-        t.add(1.0)
-        with pytest.raises(ValueError):
-            t.percentile(1.5)
-
-    def test_single_observation_variance_nan(self):
-        t = Tally()
-        t.add(5.0)
-        assert math.isnan(t.variance)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200))
-    def test_mean_within_bounds_property(self, xs):
-        t = Tally()
-        for x in xs:
-            t.add(x)
-        assert min(xs) - 1e-6 <= t.mean <= max(xs) + 1e-6
-
-
-class TestTimeWeighted:
-    def test_average(self):
-        env = Environment()
-        tw = TimeWeighted(env, 2.0)
-        advance(env, 10.0)
-        tw.set(4.0)
-        advance(env, 10.0)
-        assert tw.average() == pytest.approx(3.0)
-        assert tw.integral() == pytest.approx(60.0)
-
-    def test_average_nan_with_no_time(self):
-        env = Environment()
-        tw = TimeWeighted(env, 1.0)
-        assert math.isnan(tw.average())
-
-    def test_value_property(self):
-        env = Environment()
-        tw = TimeWeighted(env, 1.0)
-        tw.set(9.0)
-        assert tw.value == 9.0

@@ -33,6 +33,22 @@ class TestValidation:
         with pytest.raises(ConfigError):
             StorageConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "idleness_threshold",
+            "cache_hit_latency",
+            "cache_capacity",
+            "control_interval",
+            "slo_target",
+        ],
+    )
+    def test_nan_rejected(self, field):
+        # NaN passes every ``<``/``<=`` range check; it used to reach the
+        # engines and come back as a NaN energy or an untyped ValueError.
+        with pytest.raises(ConfigError, match=field):
+            StorageConfig(**{field: math.nan})
+
 
 class TestDerived:
     def test_threshold_defaults_to_breakeven(self, spec):
