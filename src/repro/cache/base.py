@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -43,10 +43,10 @@ class BaseCache:
     """Common machinery for whole-file caches.
 
     Resident files live in one ordered map, ``_sizes``, kept in eviction
-    order: insertion appends, and the default :meth:`_victim` is the
+    order: insertion appends, and the default :meth:`_pop_victim` pops the
     head.  That is FIFO as it stands; LRU only moves a hit to the end.
-    Policies that rank files otherwise override :meth:`_victim` and the
-    bookkeeping hooks :meth:`_on_hit` / :meth:`_on_insert` / :meth:`_on_evict`.
+    Policies that rank files otherwise override :meth:`_pop_victim` and
+    the bookkeeping hooks :meth:`_on_hit` / :meth:`_on_insert`.
 
     Parameters
     ----------
@@ -57,7 +57,7 @@ class BaseCache:
     policy_name = "base"
 
     def __init__(self, capacity: float) -> None:
-        if capacity <= 0:
+        if not capacity > 0:  # also rejects NaN
             raise ConfigError(f"cache capacity must be positive, got {capacity}")
         self.capacity = float(capacity)
         self.used = 0.0
@@ -95,10 +95,11 @@ class BaseCache:
         Files larger than the entire cache are rejected (returns False).
         Re-admitting a resident file only refreshes its policy state.
         """
-        if size < 0:
-            raise ConfigError("file size must be >= 0")
+        if not size >= 0:  # also rejects NaN
+            raise ConfigError(f"file size must be >= 0, got {size}")
+        stats = self.stats
         if size > self.capacity:
-            self.stats.rejected += 1
+            stats.rejected += 1
             return False
         sizes = self._sizes
         if file_id in sizes:
@@ -107,41 +108,38 @@ class BaseCache:
         # Guard on residency as well as byte pressure: `used` is a float
         # accumulator, so evicting in a different order than insertion can
         # leave a ~1e-16 residue even when the cache is empty — without the
-        # guard that residue would send `_victim()` hunting an empty cache.
+        # guard that residue would send `_pop_victim()` hunting an empty
+        # cache.
         capacity = self.capacity
         while sizes and self.used + size > capacity:
-            self._evict(self._victim())
+            victim, victim_size = self._pop_victim()
+            self.used -= victim_size
+            if not sizes:
+                # Clear float-accumulation residue so `used <= capacity`
+                # stays an exact invariant across arbitrarily long admit
+                # streams.
+                self.used = 0.0
+            stats.evictions += 1
+            if self.evict_hook is not None:
+                self.evict_hook(victim)
         sizes[file_id] = size
         self.used += size
-        self.stats.insertions += 1
+        stats.insertions += 1
         self._on_insert(file_id)
         return True
 
-    def _evict(self, file_id: int) -> None:
-        size = self._sizes.pop(file_id)
-        self.used -= size
-        if not self._sizes:
-            # Clear float-accumulation residue so `used <= capacity` stays
-            # an exact invariant across arbitrarily long admit streams.
-            self.used = 0.0
-        self.stats.evictions += 1
-        self._on_evict(file_id)
-        if self.evict_hook is not None:
-            self.evict_hook(file_id)
-
     # -- policy hooks ------------------------------------------------------------
 
-    def _victim(self) -> int:
-        """Choose the file id to evict next (cache guaranteed non-empty)."""
-        return next(iter(self._sizes))
+    def _pop_victim(self) -> Tuple[int, float]:
+        """Remove the next file to evict and return ``(file_id, size)``
+        (cache guaranteed non-empty); policies keep their own bookkeeping
+        in step here."""
+        return self._sizes.popitem(last=False)
 
     def _on_hit(self, file_id: int) -> None:  # pragma: no cover - default no-op
         pass
 
     def _on_insert(self, file_id: int) -> None:  # pragma: no cover - default no-op
-        pass
-
-    def _on_evict(self, file_id: int) -> None:  # pragma: no cover - default no-op
         pass
 
 

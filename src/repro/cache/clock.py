@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Set, Tuple
 
 from repro.cache.base import BaseCache
 
@@ -25,17 +25,16 @@ class ClockCache(BaseCache):
         # order); the set holds the files whose reference bit is set.
         self._referenced: Set[int] = set()
 
-    def _victim(self) -> int:
+    def _pop_victim(self) -> Tuple[int, float]:
+        sizes = self._sizes
+        referenced = self._referenced
         while True:
-            file_id = next(iter(self._sizes))
-            if file_id not in self._referenced:
-                return file_id
+            file_id, size = sizes.popitem(last=False)
+            if file_id not in referenced:
+                return file_id, size
             # Second chance: clear the bit, move behind the hand.
-            self._referenced.discard(file_id)
-            self._sizes.move_to_end(file_id)
+            referenced.discard(file_id)
+            sizes[file_id] = size
 
     def _on_hit(self, file_id: int) -> None:
         self._referenced.add(file_id)
-
-    def _on_evict(self, file_id: int) -> None:
-        self._referenced.discard(file_id)

@@ -16,8 +16,9 @@ class LRUCache(BaseCache):
 
     policy_name = "lru"
 
-    def _on_hit(self, file_id: int) -> None:
-        self._sizes.move_to_end(file_id)
+    def __init__(self, capacity: float) -> None:
+        super().__init__(capacity)
+        self._on_hit = self._sizes.move_to_end
 
     def recency_order(self) -> list:
         """File ids from least to most recently used (tests/diagnostics)."""

@@ -22,6 +22,14 @@ the fast kernel emits power-state *transitions* (spin-downs, spin-ups,
 standby dwells, ladder rung changes) recovered from its span logs at
 batch boundaries — per-request service spans would defeat its batching.
 
+Each hook's own events arrive in simulation order, but the order in
+which *different* hooks fire relative to each other is not part of the
+contract.  The event engine calls :meth:`RunObserver.on_cache_event`
+once per event; the fast kernel collects a batch's cache events and
+hands them over in one :meth:`RunObserver.on_cache_events` call per
+batch (chunk, control interval or release batch, plus one for the
+admissions drained at the horizon), after that batch's placements.
+
 Hot paths stay allocation-free by normalizing observers up front with
 :func:`active_observer`: a disabled (or absent) observer becomes
 ``None`` and the kernels take their original, untouched branches.
@@ -29,7 +37,7 @@ Hot paths stay allocation-free by normalizing observers up front with
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 __all__ = [
     "RunObserver",
@@ -65,6 +73,19 @@ class RunObserver:
 
     def on_cache_event(self, time: float, kind: str, file_id: int) -> None:
         """A shared-cache event (``kind`` in :data:`CACHE_EVENT_KINDS`)."""
+
+    def on_cache_events(
+        self, events: Sequence[Tuple[float, str, int]]
+    ) -> None:
+        """A batch of ``(time, kind, file_id)`` cache events, in order.
+
+        The fast kernel hands over its cache events once per batch; this
+        default forwards each to :meth:`on_cache_event`, so an observer
+        that only implements the single-event hook sees the same sequence.
+        """
+        on_cache_event = self.on_cache_event
+        for time, kind, file_id in events:
+            on_cache_event(time, kind, file_id)
 
     def on_thresholds(self, time: float, thresholds: Sequence[float]) -> None:
         """An online DPM controller pushed per-disk idleness thresholds."""

@@ -91,6 +91,11 @@ class TraceRecorder(RunObserver):
     def on_cache_event(self, time: float, kind: str, file_id: int) -> None:
         self.cache_events.append((time, kind, file_id))
 
+    def on_cache_events(
+        self, events: Sequence[Tuple[float, str, int]]
+    ) -> None:
+        self.cache_events.extend(events)
+
     def on_thresholds(self, time: float, thresholds: Sequence[float]) -> None:
         self.threshold_events.append((time, tuple(float(t) for t in thresholds)))
 

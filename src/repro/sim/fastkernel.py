@@ -613,7 +613,7 @@ def _allocate_for_write(
         time=t,
         spinning=bank.spinning_mask(t),
         free=free,
-        load=np.asarray(bank.load, dtype=float),
+        load=bank.load,
         capacity=bank.cap,
         active_power=bank.ap,
     )
@@ -749,7 +749,7 @@ def _serve_coupled(
     map_l: list,
     size_l: list,
     obs=None,
-    obs_clock: Optional[list] = None,
+    victims: Optional[list] = None,
 ) -> None:
     """Globally time-merged pass for shared-cache runs (writes optional).
 
@@ -768,6 +768,12 @@ def _serve_coupled(
     materialization of the (large) per-file arrays across all batches
     (``map_l`` is kept in sync with ``mapping`` on every allocation, so
     sharing it is safe).
+
+    Under an observer, cache events are collected as ``(time, kind,
+    file_id)`` tuples and handed over in one ``obs.on_cache_events`` call,
+    even when the pass raises.  ``victims`` is the list the cache's
+    ``evict_hook`` appends to; each admission's victims are stamped with
+    its completion time.
     """
     lookup = cache.lookup
     admit = cache.admit
@@ -775,49 +781,63 @@ def _serve_coupled(
     oh_l = bank.oh
     rate_l = bank.rate
     T = bank.T
-    emit = obs.on_cache_event if obs is not None else None
+    events: Optional[list] = [] if obs is not None else None
+    emit = events.append if events is not None else None
+    start_l: list = []
+    disk_l: list = []
+    put_start = start_l.append
+    put_disk = disk_l.append
     w_l = is_write.tolist() if is_write is not None else repeat(False)
-    for i, (t, f, w) in enumerate(zip(t_all.tolist(), fid.tolist(), w_l)):
-        while heap and heap[0][0] <= t:
-            c_adm, _, hf, hs = heappop(heap)
+    try:
+        for i, (t, f, w) in enumerate(zip(t_all.tolist(), fid.tolist(), w_l)):
+            while heap and heap[0][0] <= t:
+                c_adm, _, hf, hs = heappop(heap)
+                if emit is not None:
+                    emit((c_adm, "admit", hf))
+                admit(hf, hs)
+                if victims:
+                    for v in victims:
+                        emit((c_adm, "evict", v))
+                    victims.clear()
+            if w:
+                d = map_l[f]
+                if d < 0:
+                    size = size_l[f]
+                    d = _allocate_for_write(bank, policy, free, size, t)
+                    if obs is not None:
+                        obs.on_placement(t, f, d)
+                    map_l[f] = d
+                    mapping[f] = d
+                    free[d] -= size
+                put_start(serve(d, t, size_l[f] / rate_l[d]))
+                put_disk(d)
+                continue
+            size = size_l[f]
+            if lookup(f, size):
+                if emit is not None:
+                    emit((t, "hit", f))
+                put_start(t)  # a hit "completes" at its arrival instant
+                put_disk(-1)
+                continue
             if emit is not None:
-                obs_clock[0] = c_adm
-                emit(c_adm, "admit", hf)
-            admit(hf, hs)
-        if w:
+                emit((t, "miss", f))
             d = map_l[f]
             if d < 0:
-                size = size_l[f]
-                d = _allocate_for_write(bank, policy, free, size, t)
-                if obs is not None:
-                    obs.on_placement(t, f, d)
-                map_l[f] = d
-                mapping[f] = d
-                free[d] -= size
-            starts[i] = serve(d, t, size_l[f] / rate_l[d])
-            d_req[i] = d
-            continue
-        size = size_l[f]
-        if lookup(f, size):
-            if emit is not None:
-                emit(t, "hit", f)
-            starts[i] = t  # a hit "completes" at its arrival instant
-            d_req[i] = -1
-            continue
-        if emit is not None:
-            emit(t, "miss", f)
-        d = map_l[f]
-        if d < 0:
-            raise SimulationError(
-                f"read of unallocated file {f}; allocate it first"
-            )
-        tr = size / rate_l[d]
-        s = serve(d, t, tr)
-        starts[i] = s
-        d_req[i] = d
-        c = s + oh_l[d] + tr
-        if c < T:
-            heappush(heap, (c, base_index + i, f, size))
+                raise SimulationError(
+                    f"read of unallocated file {f}; allocate it first"
+                )
+            tr = size / rate_l[d]
+            s = serve(d, t, tr)
+            put_start(s)
+            put_disk(d)
+            c = s + oh_l[d] + tr
+            if c < T:
+                heappush(heap, (c, base_index + i, f, size))
+    finally:
+        if events:
+            obs.on_cache_events(events)
+    starts[:] = start_l
+    d_req[:] = disk_l
 
 
 class _ControlledDriver:
@@ -1388,6 +1408,13 @@ def _simulate_chunks(
     mapping = np.asarray(mapping, dtype=np.int64).copy()
     if mapping.shape != sizes.shape:
         raise SimulationError("mapping and sizes must align per file id")
+    # A NaN size would otherwise surface only as a NaN energy.
+    bad = ~(np.isfinite(sizes) & (sizes >= 0))
+    if bad.any():
+        f = int(bad.argmax())
+        raise SimulationError(
+            f"file {f} has size {sizes[f]!r}; sizes must be finite and >= 0"
+        )
     if mapping.size and int(mapping.max()) >= num_disks:
         raise SimulationError(
             f"mapping references disk {int(mapping.max())} but the pool has "
@@ -1444,11 +1471,11 @@ def _simulate_chunks(
     size_l = sizes.tolist() if cache is not None else None
 
     # Evictions happen inside ``cache.admit``, which has no notion of
-    # simulated time — the serve loops keep ``obs_clock`` at the current
-    # admission/arrival instant so the evict hook can timestamp them.
-    obs_clock: Optional[list] = None
+    # simulated time: under an observer the cache's evict hook appends the
+    # victims here, and the admitting loop stamps them with its time.
+    victims: Optional[list] = None
     if obs is not None and cache is not None:
-        obs_clock = [0.0]
+        victims = []
 
     def serve(fid_c, t_c, sz_c, w_c, starts_c, base) -> np.ndarray:
         """Serve one time-sorted batch through whichever path applies —
@@ -1469,7 +1496,7 @@ def _simulate_chunks(
         if cache is not None:
             _serve_coupled(
                 bank, policy, mapping, free, sizes, fid_c, t_c, w_c, cache,
-                starts_c, d_c, heap, base, map_l, size_l, obs, obs_clock,
+                starts_c, d_c, heap, base, map_l, size_l, obs, victims,
             )
         else:
             _serve_segmented(
@@ -1639,9 +1666,8 @@ def _simulate_chunks(
                 t_c - t_p[idx],
             )
 
-    if obs_clock is not None:
-        emit = obs.on_cache_event
-        cache.evict_hook = lambda f: emit(obs_clock[0], "evict", f)
+    if victims is not None:
+        cache.evict_hook = victims.append
     try:
         prev_last: Optional[float] = None
         for chunk in chunks:
@@ -1743,16 +1769,23 @@ def _simulate_chunks(
             # Admissions pending at the horizon never happen (the event
             # kernel's stop event pre-empts completions at T).
             admit = cache.admit
-            while heap and heap[0][0] < T:
-                c_adm, _, hf, hs = heappop(heap)
-                if obs is not None:
-                    obs_clock[0] = c_adm
-                    obs.on_cache_event(c_adm, "admit", hf)
-                admit(hf, hs)
+            events: list = []
+            try:
+                while heap and heap[0][0] < T:
+                    c_adm, _, hf, hs = heappop(heap)
+                    if obs is not None:
+                        events.append((c_adm, "admit", hf))
+                    admit(hf, hs)
+                    if victims:
+                        events.extend((c_adm, "evict", v) for v in victims)
+                        victims.clear()
+            finally:
+                if events:
+                    obs.on_cache_events(events)
     finally:
         # The cache may be the caller's: never leave the hook installed,
         # not even when the run raises.
-        if obs_clock is not None:
+        if victims is not None:
             cache.evict_hook = None
 
     # -- vectorized accounting over the banked state ---------------------------

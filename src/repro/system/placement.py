@@ -54,7 +54,7 @@ policies are covered by the cross-engine equivalence grid automatically).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Type, Union
+from typing import Dict, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -91,8 +91,10 @@ class PlacementContext:
     load:
         Per-disk cumulative *dispatched* service seconds (access overhead +
         transfer time of every request routed to the disk so far, cache
-        hits excluded).  Both engines accumulate this in the same
-        per-request order, so comparisons are exact across engines.
+        hits excluded), as a per-disk float sequence (a list or an array:
+        policies that read it convert it themselves).  Both engines
+        accumulate this in the same per-request order, so comparisons are
+        exact across engines.
     capacity:
         Per-disk usable byte budget (heterogeneous fleets differ per
         disk).  ``None`` when the caller predates the fleet refactor;
@@ -106,7 +108,7 @@ class PlacementContext:
     time: float
     spinning: np.ndarray
     free: np.ndarray
-    load: np.ndarray
+    load: Sequence[float]
     capacity: Optional[np.ndarray] = None
     active_power: Optional[np.ndarray] = None
 
@@ -119,18 +121,18 @@ def _no_room(size: float) -> CapacityError:
 
 def _worst_fit(free: np.ndarray, size: float) -> int:
     """Most free space among disks with room (§1.1's standby fallback)."""
-    feasible = np.flatnonzero(free >= size)
+    feasible = (free >= size).nonzero()[0]
     if feasible.size == 0:
         raise _no_room(size)
-    return int(feasible[np.argmax(free[feasible])])
+    return int(feasible[free[feasible].argmax()])
 
 
 def _best_fit(free: np.ndarray, size: float) -> int:
     """Tightest remaining space among disks with room."""
-    feasible = np.flatnonzero(free >= size)
+    feasible = (free >= size).nonzero()[0]
     if feasible.size == 0:
         raise _no_room(size)
-    return int(feasible[np.argmin(free[feasible])])
+    return int(feasible[free[feasible].argmin()])
 
 
 class WritePlacementPolicy:
@@ -212,9 +214,9 @@ def spinning_best_fit_choice(
     disks with room, so one unlucky spin-up absorbs as many future writes
     as possible.  Ties break toward the lowest disk id in both branches.
     """
-    candidates = np.flatnonzero(spinning & (free >= size))
+    candidates = (spinning & (free >= size)).nonzero()[0]
     if candidates.size:
-        return int(candidates[np.argmin(free[candidates])])
+        return int(candidates[free[candidates].argmin()])
     return _worst_fit(free, size)
 
 
@@ -235,10 +237,11 @@ class SpinningWorstFit(WritePlacementPolicy):
     name = "spinning_worst_fit"
 
     def choose(self, ctx: PlacementContext, size: float) -> int:
-        candidates = np.flatnonzero(ctx.spinning & (ctx.free >= size))
+        free = ctx.free
+        candidates = (ctx.spinning & (free >= size)).nonzero()[0]
         if candidates.size:
-            return int(candidates[np.argmax(ctx.free[candidates])])
-        return _worst_fit(ctx.free, size)
+            return int(candidates[free[candidates].argmax()])
+        return _worst_fit(free, size)
 
 
 @register_placement_policy
@@ -248,7 +251,7 @@ class FirstFitSpinning(WritePlacementPolicy):
     name = "first_fit_spinning"
 
     def choose(self, ctx: PlacementContext, size: float) -> int:
-        candidates = np.flatnonzero(ctx.spinning & (ctx.free >= size))
+        candidates = (ctx.spinning & (ctx.free >= size)).nonzero()[0]
         if candidates.size:
             return int(candidates[0])
         return _worst_fit(ctx.free, size)
@@ -267,10 +270,11 @@ class FullestSpinning(WritePlacementPolicy):
     name = "fullest_spinning"
 
     def choose(self, ctx: PlacementContext, size: float) -> int:
-        candidates = np.flatnonzero(ctx.spinning & (ctx.free >= size))
+        free = ctx.free
+        candidates = (ctx.spinning & (free >= size)).nonzero()[0]
         if candidates.size:
-            return int(candidates[np.argmin(ctx.free[candidates])])
-        return _best_fit(ctx.free, size)
+            return int(candidates[free[candidates].argmin()])
+        return _best_fit(free, size)
 
 
 @register_placement_policy
@@ -296,7 +300,7 @@ class RoundRobin(WritePlacementPolicy):
         feasible = ctx.free[order] >= size
         if not feasible.any():
             raise _no_room(size)
-        disk = int(order[int(np.argmax(feasible))])
+        disk = int(order[feasible.argmax()])
         self._cursor = (disk + 1) % n
         return disk
 
@@ -315,10 +319,11 @@ class ColdestDisk(WritePlacementPolicy):
     name = "coldest_disk"
 
     def choose(self, ctx: PlacementContext, size: float) -> int:
-        feasible = np.flatnonzero(ctx.free >= size)
+        feasible = (ctx.free >= size).nonzero()[0]
         if feasible.size == 0:
             raise _no_room(size)
-        return int(feasible[np.argmin(ctx.load[feasible])])
+        load = np.asarray(ctx.load, dtype=float)
+        return int(feasible[load[feasible].argmin()])
 
 
 @register_placement_policy
@@ -339,9 +344,10 @@ class HottestSpinning(WritePlacementPolicy):
     name = "hottest_spinning"
 
     def choose(self, ctx: PlacementContext, size: float) -> int:
-        candidates = np.flatnonzero(ctx.spinning & (ctx.free >= size))
+        candidates = (ctx.spinning & (ctx.free >= size)).nonzero()[0]
         if candidates.size:
-            return int(candidates[np.argmax(ctx.load[candidates])])
+            load = np.asarray(ctx.load, dtype=float)
+            return int(candidates[load[candidates].argmax()])
         return _worst_fit(ctx.free, size)
 
 
@@ -362,9 +368,9 @@ class CheapestSpinning(WritePlacementPolicy):
     name = "cheapest_spinning"
 
     def choose(self, ctx: PlacementContext, size: float) -> int:
-        candidates = np.flatnonzero(ctx.spinning & (ctx.free >= size))
+        candidates = (ctx.spinning & (ctx.free >= size)).nonzero()[0]
         if candidates.size:
             if ctx.active_power is None:
                 return int(candidates[0])
-            return int(candidates[np.argmin(ctx.active_power[candidates])])
+            return int(candidates[ctx.active_power[candidates].argmin()])
         return _worst_fit(ctx.free, size)

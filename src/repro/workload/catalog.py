@@ -35,8 +35,8 @@ class FileCatalog:
             )
         if self.n == 0:
             raise ConfigError("catalog must contain at least one file")
-        if np.any(self.sizes < 0):
-            raise ConfigError("file sizes must be non-negative")
+        if not np.all(np.isfinite(self.sizes) & (self.sizes >= 0)):
+            raise ConfigError("file sizes must be finite and non-negative")
         if np.any(self.popularities < 0):
             raise ConfigError("popularities must be non-negative")
         total = self.popularities.sum()

@@ -35,6 +35,30 @@ class TestFactory:
             LRUCache(0.0)
 
 
+class TestNaNInputs:
+    """NaN fails every comparison: a NaN capacity never triggered eviction
+    and a NaN size turned ``used`` into NaN for good."""
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_nan_capacity_rejected(self, policy):
+        with pytest.raises(ConfigError, match="capacity"):
+            make_cache(policy, math.nan)
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_nan_size_rejected(self, policy):
+        cache = make_cache(policy, 100.0)
+        with pytest.raises(ConfigError, match="size"):
+            cache.admit(1, math.nan)
+        assert 1 not in cache
+        assert cache.used == 0.0
+        # Eviction still works afterwards.
+        cache.admit(2, 60.0)
+        cache.admit(3, 60.0)
+        assert 2 not in cache and 3 in cache
+        assert cache.used == 60.0
+        assert cache.stats.evictions == 1
+
+
 class TestCommonBehaviour:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_miss_then_hit(self, policy):
@@ -209,13 +233,18 @@ class TestAdmitTermination:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_used_resets_exactly_at_empty(self, policy):
         cache = make_cache(policy, 1.0)
-        for i in range(7):
-            cache.admit(i, 1.0 / 7.0)
-        # Evict everything through capacity pressure.
+        for i, size in enumerate(self.RESIDUE_SIZES):
+            cache.admit(i, size)
+        # A capacity-sized file evicts everything through capacity
+        # pressure; the hook sees `used` as each victim leaves.
+        seen = []
+        cache.evict_hook = lambda f: seen.append((len(cache), cache.used))
         cache.admit(99, 1.0)
-        cache._evict(99)
-        assert len(cache) == 0
-        assert cache.used == 0.0
+        assert len(seen) == len(self.RESIDUE_SIZES)
+        # Emptied: exactly zero before the insert (the subtractions alone
+        # leave +1.87e-16), and exactly the inserted size after it.
+        assert seen[-1] == (0, 0.0)
+        assert cache.used == 1.0
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     @given(

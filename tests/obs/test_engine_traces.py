@@ -14,6 +14,7 @@ import pytest
 
 from obsutil import CACHE, DPM, DURATION, ENGINES, NUM_DISKS, run_traced
 
+from repro.obs.hooks import RunObserver
 from repro.obs.trace import TraceRecorder
 
 
@@ -110,3 +111,35 @@ def test_placements_agree_with_final_mapping(engine):
     for time, file_id, disk in recorder.placements:
         assert 0.0 <= time <= DURATION
         assert result.final_mapping[file_id] == disk
+
+
+@pytest.mark.parametrize("policy", ("lru", "lfu", "fifo", "clock"))
+def test_cache_events_agree_across_engines(policy):
+    """The fast kernel hands its cache events over in batches; the event
+    engine reports each as it happens.  The recorded sequences match event
+    for event, monolithic and chunked."""
+    overrides = {**CACHE, "cache_policy": policy}
+    event = record("event", mixed=True, **overrides)
+    kinds = Counter(kind for _, kind, _ in event.cache_events)
+    assert kinds["hit"] and kinds["evict"]
+    for chunk_size in (None, 7):
+        fast = record("fast", mixed=True, chunk_size=chunk_size, **overrides)
+        assert fast.cache_events == event.cache_events
+        assert fast.placements == event.placements
+
+
+def test_single_event_observer_sees_the_batched_sequence():
+    """An observer that implements only ``on_cache_event`` receives the
+    fast kernel's batches one event at a time, in the recorded order."""
+
+    class SingleEvents(RunObserver):
+        def __init__(self):
+            self.events = []
+
+        def on_cache_event(self, time, kind, file_id):
+            self.events.append((time, kind, file_id))
+
+    single = SingleEvents()
+    run_traced("fast", observer=single, mixed=True, **CACHE)
+    assert single.events
+    assert single.events == record("fast", mixed=True, **CACHE).cache_events

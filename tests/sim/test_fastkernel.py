@@ -441,6 +441,51 @@ class TestUnsupportedScenarios:
                 duration=10.0,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_bad_file_size_raises(self, spec, bad, cached):
+        # Without the check a NaN size came back as a NaN energy.
+        stream = RequestStream(
+            times=np.array([1.0, 2.0]), file_ids=np.array([0, 1]),
+            duration=10.0,
+        )
+        with pytest.raises(SimulationError, match="file 1 has size"):
+            simulate_fast(
+                sizes=np.array([1e9, bad, 2e9]),
+                mapping=np.array([0, 0, 0]),
+                spec=spec,
+                num_disks=1,
+                threshold=50.0,
+                stream=stream,
+                duration=10.0,
+                cache=LRUCache(100 * GiB) if cached else None,
+            )
+
+    @pytest.mark.parametrize("engine", ["event", "fast"])
+    @pytest.mark.parametrize("cache_policy", [None, "lru"])
+    def test_nan_file_size_raises_on_both_engines(
+        self, small_catalog, engine, cache_policy
+    ):
+        # The catalog rejects a NaN size on construction; one written into
+        # its array afterwards must still stop either engine.
+        catalog = FileCatalog(
+            sizes=small_catalog.sizes.copy(),
+            popularities=small_catalog.popularities,
+        )
+        catalog.sizes[int(np.argmax(catalog.popularities))] = np.nan
+        stream = RequestStream.poisson(
+            catalog.popularities, rate=2.0, duration=200.0, rng=3
+        )
+        cfg = StorageConfig(
+            num_disks=4, load_constraint=0.7, engine=engine,
+            cache_policy=cache_policy,
+        )
+        system = StorageSystem(
+            catalog, np.arange(catalog.n) % 4, cfg, num_disks=4
+        )
+        with pytest.raises(SimulationError, match="size"):
+            system.run(stream)
+
     def test_invalid_engine_name(self):
         with pytest.raises(ConfigError, match="engine"):
             StorageConfig(engine="turbo")

@@ -25,6 +25,14 @@ class TestValidation:
                 popularities=np.array([0.5, 0.5]),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sizes_rejected(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            FileCatalog(
+                sizes=np.array([1e9, bad, 2e9]),
+                popularities=np.array([0.5, 0.25, 0.25]),
+            )
+
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             FileCatalog(sizes=np.array([]), popularities=np.array([]))
