@@ -129,29 +129,21 @@ class P2Quantile:
         np1, np2, np3 = npos[1], npos[2], npos[3]
         d1, d2, d3 = self._dn[1], self._dn[2], self._dn[3]
         for x in vals[start:] if start else vals:
-            if x < q0:
-                q0 = x
-                n1 += 1.0
+            # Classify from the middle marker out.  The heights stay sorted
+            # (q0 <= q1 <= q2 <= q3 <= q4), so this lands every x in the
+            # same cell as the textbook scan from q0 up.
+            if x < q2:
+                if x < q1:
+                    if x < q0:
+                        q0 = x
+                    n1 += 1.0
                 n2 += 1.0
                 n3 += 1.0
-                n4 += 1.0
+            elif x < q3:
+                n3 += 1.0
             elif x >= q4:
                 q4 = x
-                n4 += 1.0
-            elif x >= q3:
-                n4 += 1.0
-            elif x >= q2:
-                n3 += 1.0
-                n4 += 1.0
-            elif x >= q1:
-                n2 += 1.0
-                n3 += 1.0
-                n4 += 1.0
-            else:
-                n1 += 1.0
-                n2 += 1.0
-                n3 += 1.0
-                n4 += 1.0
+            n4 += 1.0
             np1 += d1
             np2 += d2
             np3 += d3

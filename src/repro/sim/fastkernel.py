@@ -150,7 +150,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.disk.dpm import DpmLadder, make_dpm_ladder
-from repro.disk.drive import READ, WRITE
+from repro.disk.drive import WRITE
 from repro.disk.fleet import ResolvedFleet
 from repro.disk.power import DiskState, PowerModel
 from repro.disk.specs import DiskSpec
@@ -469,6 +469,7 @@ class _DiskBank:
             ci = self.ci
             rows = self._th_rows
             k = self.k
+            cached = self._entry_cache[d].get
             entries_for = self._entries_for
         inline = self.R[d] == 2
         if inline:
@@ -494,7 +495,7 @@ class _DiskBank:
                     idx = int(a / ci)
                     th = rows[idx if idx <= k else k][d]
                     log((t - a, th))
-                    entries = entries_for(d, th)
+                    entries = cached(th) or entries_for(d, th)
                     e1 = entries[1]
                 if t - a <= e1:
                     s = t
@@ -1048,6 +1049,21 @@ class _ControlledDriver:
         while not self.finished:
             t_end = min((self.k + 1) * self.ci, self.T)
             self._boundary(t_end, t_end >= self.T)
+
+
+def _bad_releases(releases: np.ndarray, times: np.ndarray) -> None:
+    """Raise for a scheduler block whose releases are not one number at or
+    after each arrival (the event engine checks each release the same way)."""
+    if releases.shape != times.shape:
+        raise SimulationError(
+            f"request scheduler returned {releases.size} releases for "
+            f"{times.size} arrivals"
+        )
+    bad = int(np.argmin(releases >= times))
+    raise SimulationError(
+        f"request scheduler released a request arriving at {times[bad]} at "
+        f"{releases[bad]}; a release must be at or after its arrival"
+    )
 
 
 def _interval_edges(interval: float, horizon: float) -> np.ndarray:
@@ -1618,22 +1634,23 @@ def _simulate_chunks(
     # kernel.
     pending: List[tuple] = []
     if scheduler is not None:
+        release_many = scheduler.release_many
 
         def _schedule(fid_a, t_a, w_a, lo, hi, est) -> None:
             """Assign releases to arrivals [lo, hi) (one open interval)."""
-            rel = scheduler.release
             t_c = t_a[lo:hi]
             f_c = fid_a[lo:hi]
             if w_a is None:
                 w_c = np.zeros(hi - lo, dtype=bool)
-                kinds = [READ] * (hi - lo)
+                w_l = None
             else:
                 w_c = w_a[lo:hi]
-                kinds = [WRITE if w else READ for w in w_c.tolist()]
-            r_c = np.array([
-                rel(t, f, k, slo_estimate=est)
-                for t, f, k in zip(t_c.tolist(), f_c.tolist(), kinds)
-            ], dtype=float)
+                w_l = w_c.tolist()
+            r_c = np.array(
+                release_many(t_c.tolist(), f_c.tolist(), w_l, est), dtype=float
+            )
+            if r_c.shape != t_c.shape or not (r_c >= t_c).all():
+                _bad_releases(r_c, t_c)
             # A release at or past the horizon never submits (the event
             # engine's URGENT stop pre-empts it) — censored, neither an
             # arrival nor a completion.

@@ -457,6 +457,11 @@ def drive_scheduled_stream(
         kind = rest[0] if rest else READ
         estimate = None if controller is None else controller.slo_estimate
         release = scheduler.release(t, file_id, kind, slo_estimate=estimate)
+        if not release >= t:  # NaN too
+            raise SimulationError(
+                f"request scheduler released a request arriving at {t} at "
+                f"{release}; a release must be at or after its arrival"
+            )
         heapq.heappush(pending, (release, seq, file_id, kind, release - t))
         seq += 1
         item = next(it, None)

@@ -76,10 +76,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Type, Union
+from typing import Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
+from repro.disk.drive import WRITE
 from repro.errors import ConfigError
 
 __all__ = [
@@ -263,14 +264,20 @@ class _DiskModel:
 
 
 class RequestScheduler:
-    """Base class: one release decision per request, in arrival order.
+    """Base class: release decisions in arrival order, one block at a time.
 
     Subclasses set ``name`` (the registry key) and ``defaults`` (their
     parameter schema — :func:`make_request_scheduler` rejects unknown
-    overrides), and implement :meth:`release`.  :meth:`reset` is called
-    once per run with the :class:`SchedulingSetup`; stateful schedulers
-    initialize their cross-request state there.  One instance must not be
-    shared between concurrently running simulations.
+    overrides), and implement :meth:`release_many`.  :meth:`reset` is
+    called once per run with the :class:`SchedulingSetup`; stateful
+    schedulers initialize their cross-request state there.  One instance
+    must not be shared between concurrently running simulations.
+
+    Blocks arrive in arrival order, and every request of one block shares
+    one ``slo_estimate``.  The fast kernel hands over a whole control
+    interval (or chunk) at once, the event engine one request at a time
+    through :meth:`release`; a scheduler's releases must therefore not
+    depend on how the stream is split into blocks.
     """
 
     name: str = ""
@@ -291,6 +298,26 @@ class RequestScheduler:
     def reset(self, setup: SchedulingSetup) -> None:
         """Prepare per-run state (default: nothing to do)."""
 
+    def release_many(
+        self,
+        times: List[float],
+        file_ids: List[int],
+        writes: Optional[List[bool]],
+        slo_estimate: Optional[float],
+    ) -> List[float]:
+        """Release times for one block of arrivals, each in
+        ``[t, t + max_hold]``.
+
+        ``times`` and ``file_ids`` are the block's arrivals in arrival
+        order; ``writes`` flags the writes (``None`` for an all-read
+        block).  ``slo_estimate`` is the controller's running percentile
+        estimate as of the last control boundary at or before the block
+        (``None`` without a dynamic controller, NaN before the estimator
+        warms up).  Both engines pass every request through exactly once,
+        in arrival order; the returned times are final.
+        """
+        raise NotImplementedError
+
     def release(
         self,
         t: float,
@@ -298,15 +325,10 @@ class RequestScheduler:
         kind: str,
         slo_estimate: Optional[float] = None,
     ) -> float:
-        """Return this request's release time, in ``[t, t + max_hold]``.
-
-        ``slo_estimate`` is the controller's running percentile estimate
-        as of the last control boundary at or before ``t`` (``None``
-        without a dynamic controller, NaN before the estimator warms up).
-        Called exactly once per request, in arrival order, by both
-        engines; the returned time is final.
-        """
-        raise NotImplementedError
+        """One request's release time: :meth:`release_many` of one."""
+        return self.release_many(
+            [t], [file_id], [kind == WRITE], slo_estimate
+        )[0]
 
 
 #: name -> scheduler class.  Populated by :func:`register_request_scheduler`.
@@ -376,14 +398,14 @@ class Fifo(RequestScheduler):
     name = "fifo"
     defaults: Dict[str, Optional[float]] = {}
 
-    def release(
+    def release_many(
         self,
-        t: float,
-        file_id: int,
-        kind: str,
-        slo_estimate: Optional[float] = None,
-    ) -> float:
-        return t
+        times: List[float],
+        file_ids: List[int],
+        writes: Optional[List[bool]],
+        slo_estimate: Optional[float],
+    ) -> List[float]:
+        return list(times)
 
 
 @register_request_scheduler
@@ -437,10 +459,13 @@ class SlackDefer(RequestScheduler):
             raise ConfigError(
                 f"slack_defer margin must be in (0, 1], got {margin}"
             )
-        if self.params["max_hold"] < 0:
-            raise ConfigError("slack_defer max_hold must be >= 0")
+        max_hold = self.params["max_hold"]
+        if not max_hold >= 0:  # NaN too
+            raise ConfigError(
+                f"slack_defer max_hold must be >= 0, got {max_hold}"
+            )
         self._budget = float(margin * target)
-        self._max_hold = float(self.params["max_hold"])
+        self._max_hold = float(max_hold)
         window = self.params["window"]
         if window is None:
             window = self._budget
@@ -453,38 +478,53 @@ class SlackDefer(RequestScheduler):
         self._sizes = setup.sizes.tolist()
         self._model = _DiskModel(setup)
 
-    def release(
+    def release_many(
         self,
-        t: float,
-        file_id: int,
-        kind: str,
-        slo_estimate: Optional[float] = None,
-    ) -> float:
+        times: List[float],
+        file_ids: List[int],
+        writes: Optional[List[bool]],
+        slo_estimate: Optional[float],
+    ) -> List[float]:
         mapping = self._mapping
-        d = mapping[file_id] if 0 <= file_id < len(mapping) else -1
-        if d < 0:
-            return t  # not yet placed: pass through, model untouched
+        n_files = len(mapping)
+        sizes = self._sizes
         model = self._model
-        service = model.service_time(d, self._sizes[file_id])
-        r = t
-        stressed = slo_estimate is not None and slo_estimate > self._budget
-        if not stressed:
-            # max() guards the epoch back onto [t, ...): ceil can land
-            # one float ulp below t at exact multiples of the window.
-            epoch = max(t, math.ceil(t / self._window) * self._window)
-            # All-or-nothing: land on the epoch or pass through.  A hold
-            # truncated short of the epoch would be a mid-window shift —
-            # it delays the response without merging any wake-up, the
-            # worst of both worlds.
-            if epoch > t and epoch - t <= self._max_hold:
-                # Project at the *release*, not the arrival: the disk may
-                # spin down inside [t, epoch), and a deferral that causes
-                # the very wake it was meant to avoid busts the budget.
-                projected = (model.projected_start(d, epoch) - t) + service
-                if projected <= self._budget:
-                    r = epoch
-        model.avail[d] = model.projected_start(d, r) + service
-        return r
+        avail = model.avail
+        start = model.projected_start
+        service_time = model.service_time
+        budget = self._budget
+        window = self._window
+        max_hold = self._max_hold
+        ceil = math.ceil
+        stressed = slo_estimate is not None and slo_estimate > budget
+        out: List[float] = []
+        append = out.append
+        for t, f in zip(times, file_ids):
+            d = mapping[f] if 0 <= f < n_files else -1
+            if d < 0:
+                append(t)  # not yet placed: pass through, model untouched
+                continue
+            service = service_time(d, sizes[f])
+            r = t
+            if not stressed:
+                # ``epoch > t`` below also rejects an epoch one float ulp
+                # below t, where ceil lands at exact multiples of the
+                # window; an arrival on an epoch passes through.
+                epoch = ceil(t / window) * window
+                # All-or-nothing: land on the epoch or pass through.  A
+                # hold truncated short of the epoch would be a mid-window
+                # shift — it delays the response without merging any
+                # wake-up, the worst of both worlds.
+                if epoch > t and epoch - t <= max_hold:
+                    # Project at the *release*, not the arrival: the disk
+                    # may spin down inside [t, epoch), and a deferral that
+                    # causes the very wake it was meant to avoid busts the
+                    # budget.
+                    if (start(d, epoch) - t) + service <= budget:
+                        r = epoch
+            avail[d] = start(d, r) + service
+            append(r)
+        return out
 
 
 @register_request_scheduler
@@ -507,22 +547,36 @@ class BatchRelease(RequestScheduler):
                 f"batch_release window must be positive, got "
                 f"{self.params['window']}"
             )
-        if self.params["max_hold"] < 0:
-            raise ConfigError("batch_release max_hold must be >= 0")
+        max_hold = self.params["max_hold"]
+        if not max_hold >= 0:  # NaN too
+            raise ConfigError(
+                f"batch_release max_hold must be >= 0, got {max_hold}"
+            )
         self._window = float(self.params["window"])
-        self._max_hold = float(self.params["max_hold"])
+        self._max_hold = float(max_hold)
 
-    def release(
+    def release_many(
         self,
-        t: float,
-        file_id: int,
-        kind: str,
-        slo_estimate: Optional[float] = None,
-    ) -> float:
-        # max() guards the epoch back onto [t, ...): ceil(t / w) * w can
-        # land one float ulp below t when t / w rounds down to an integer.
-        epoch = max(t, math.ceil(t / self._window) * self._window)
-        return min(epoch, t + self._max_hold)
+        times: List[float],
+        file_ids: List[int],
+        writes: Optional[List[bool]],
+        slo_estimate: Optional[float],
+    ) -> List[float]:
+        window = self._window
+        max_hold = self._max_hold
+        ceil = math.ceil
+        out: List[float] = []
+        append = out.append
+        for t in times:
+            # The next epoch, guarded back onto [t, ...) (ceil(t / w) * w
+            # can land one float ulp below t when t / w rounds down to an
+            # integer), capped at t + max_hold.
+            epoch = ceil(t / window) * window
+            if not epoch > t:
+                epoch = t
+            cap = t + max_hold
+            append(cap if cap < epoch else epoch)
+        return out
 
 
 @register_request_scheduler
@@ -544,34 +598,49 @@ class SpinupCoalesce(RequestScheduler):
     defaults: Dict[str, Optional[float]] = {"max_hold": 45.0}
 
     def reset(self, setup: SchedulingSetup) -> None:
-        if self.params["max_hold"] < 0:
-            raise ConfigError("spinup_coalesce max_hold must be >= 0")
-        self._max_hold = float(self.params["max_hold"])
+        max_hold = self.params["max_hold"]
+        if not max_hold >= 0:  # NaN too
+            raise ConfigError(
+                f"spinup_coalesce max_hold must be >= 0, got {max_hold}"
+            )
+        self._max_hold = float(max_hold)
         self._mapping = setup.mapping.tolist()
         self._sizes = setup.sizes.tolist()
         self._model = _DiskModel(setup)
         self._group_until = [-math.inf] * setup.num_disks
 
-    def release(
+    def release_many(
         self,
-        t: float,
-        file_id: int,
-        kind: str,
-        slo_estimate: Optional[float] = None,
-    ) -> float:
+        times: List[float],
+        file_ids: List[int],
+        writes: Optional[List[bool]],
+        slo_estimate: Optional[float],
+    ) -> List[float]:
         mapping = self._mapping
-        d = mapping[file_id] if 0 <= file_id < len(mapping) else -1
-        if d < 0:
-            return t
+        n_files = len(mapping)
+        sizes = self._sizes
         model = self._model
-        if t >= self._group_until[d]:
-            self._group_until[d] = -math.inf  # the group has released
-        if self._group_until[d] > t:
-            r = float(self._group_until[d])  # join the open group
-        elif model.sleeping(d, t):
-            r = t + self._max_hold
-            self._group_until[d] = r  # open a group; wake once, together
-        else:
-            r = t
-        model.commit(d, r, self._sizes[file_id])
-        return r
+        sleeping = model.sleeping
+        commit = model.commit
+        group_until = self._group_until
+        max_hold = self._max_hold
+        out: List[float] = []
+        append = out.append
+        for t, f in zip(times, file_ids):
+            d = mapping[f] if 0 <= f < n_files else -1
+            if d < 0:
+                append(t)
+                continue
+            until = group_until[d]
+            if t >= until:
+                until = group_until[d] = -math.inf  # the group has released
+            if until > t:
+                r = until  # join the open group
+            elif sleeping(d, t):
+                r = t + max_hold
+                group_until[d] = r  # open a group; wake once, together
+            else:
+                r = t
+            commit(d, r, sizes[f])
+            append(r)
+        return out

@@ -123,3 +123,28 @@ def test_non_finite_observation_raises(bad):
     with pytest.raises(SimulationError, match="finite"):
         warm.add_many([1.0, bad])
     assert warm.count == 0 and math.isnan(warm.value)
+
+
+def _assert_markers_sorted(est: P2Quantile) -> None:
+    if est._q is not None:
+        q0, q1, q2, q3, q4 = est._q
+        assert q0 <= q1 <= q2 <= q3 <= q4, est._q
+
+
+@pytest.mark.parametrize("pct", [50.0, 95.0, 99.0])
+@pytest.mark.parametrize("levels", [3, 12, 200])
+def test_long_tie_heavy_streams_keep_markers_sorted(pct, levels):
+    """``add_many`` classifies each observation from the middle marker
+    out, which lands it in the textbook cell only while the heights stay
+    sorted.  Long streams drawn from a few distinct values put
+    observations exactly on marker heights again and again."""
+    rng = np.random.default_rng(int(pct) * 1_000 + levels)
+    values = rng.choice(rng.exponential(5.0, levels), 8_000).tolist()
+    est = P2Quantile(pct)
+    start = 0
+    for stop in sorted({*rng.integers(1, len(values), 60).tolist(),
+                        len(values)}):
+        est.add_many(values[start:stop])
+        start = stop
+        _assert_markers_sorted(est)
+    assert_same_state(est, _oracle(pct, values))

@@ -13,12 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.system import StorageConfig, StorageSystem
 from repro.system.scheduling import (
     DEFAULT_SCHEDULER,
     BatchRelease,
     Fifo,
+    RequestScheduler,
     SchedulingSetup,
     SlackDefer,
     SpinupCoalesce,
@@ -383,3 +384,88 @@ def test_boundary_tie_release_lands_after_the_boundary():
     times = np.asarray(wl.stream.times)
     epochs = np.minimum(np.ceil(times / 10.0) * 10.0, times + 30.0)
     assert np.any(np.maximum(times, epochs) % 60.0 == 0.0)
+
+
+# -- bad holds and misbehaving schedulers ----------------------------------------
+
+DEFERRING = ["slack_defer", "batch_release", "spinup_coalesce"]
+
+
+@pytest.mark.parametrize("engine", ["event", "fast"])
+@pytest.mark.parametrize("name", DEFERRING)
+def test_nan_max_hold_fails_the_run(name, engine):
+    """NaN slipped past a ``< 0`` check: batch_release held without a
+    bound, and spinup_coalesce produced NaN releases the fast kernel
+    dropped as censored while the event engine crashed untyped."""
+    wl, cfg, mapping = _small_run()
+    cfg = cfg.with_overrides(
+        engine=engine, scheduler=name, scheduler_params={"max_hold": math.nan}
+    )
+    with pytest.raises(ConfigError, match="max_hold"):
+        StorageSystem(wl.catalog, mapping, cfg).run(wl.stream)
+
+
+@pytest.mark.parametrize("name", DEFERRING)
+def test_infinite_max_hold_agrees_across_engines(name):
+    """An unbounded hold stays a valid setting, read alike by both
+    engines (spinup_coalesce's infinite groups never release)."""
+    wl, cfg, mapping = _small_run()
+    cfg = cfg.with_overrides(
+        scheduler=name, scheduler_params={"max_hold": math.inf}
+    )
+    event, fast = (
+        StorageSystem(
+            wl.catalog, mapping, cfg.with_overrides(engine=engine)
+        ).run(wl.stream)
+        for engine in ("event", "fast")
+    )
+    assert (event.arrivals, event.completions) == (
+        fast.arrivals, fast.completions
+    )
+    np.testing.assert_allclose(
+        np.sort(fast.response_times), np.sort(event.response_times),
+        rtol=1e-9, atol=1e-9,
+    )
+
+
+class _Misbehaving(RequestScheduler):
+    """Not registered: a ready instance handed to the engines."""
+
+    name = "misbehaving"
+
+    def __init__(self, how):
+        super().__init__()
+        self.how = how
+
+    def release_many(self, times, file_ids, writes, slo_estimate):
+        if self.how == "nan":
+            return [math.nan] * len(times)
+        return [t - 1.0 for t in times]  # before the arrival
+
+
+@pytest.mark.parametrize("engine", ["event", "fast"])
+@pytest.mark.parametrize("how", ["nan", "early"])
+def test_bad_release_raises_on_both_engines(engine, how, monkeypatch):
+    wl, cfg, mapping = _small_run()
+    monkeypatch.setattr(
+        StorageConfig, "request_scheduler", lambda self: _Misbehaving(how)
+    )
+    with pytest.raises(SimulationError, match="at or after its arrival"):
+        StorageSystem(
+            wl.catalog, mapping, cfg.with_overrides(engine=engine)
+        ).run(wl.stream)
+
+
+def test_short_release_block_raises_on_the_fast_kernel(monkeypatch):
+    class Short(_Misbehaving):
+        def release_many(self, times, file_ids, writes, slo_estimate):
+            return list(times[1:])
+
+    wl, cfg, mapping = _small_run()
+    monkeypatch.setattr(
+        StorageConfig, "request_scheduler", lambda self: Short("short")
+    )
+    with pytest.raises(SimulationError, match="releases for"):
+        StorageSystem(
+            wl.catalog, mapping, cfg.with_overrides(engine="fast")
+        ).run(wl.stream)
