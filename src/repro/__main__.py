@@ -51,6 +51,7 @@ import sys
 from typing import Callable, Dict
 
 from repro import __version__
+from repro.errors import ReproError
 
 __all__ = ["main"]
 
@@ -162,6 +163,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "scheduler": (args.scheduler, "the 'slo-frontier' experiment"),
         "fleet": (args.fleet, "the 'hetero-fleet' experiment"),
     }
+    failed = []
     for name in names:
         kwargs = {"scale": args.scale}
         if args.seed is not None:
@@ -180,7 +182,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-        result = registry[name](**kwargs)
+        try:
+            result = registry[name](**kwargs)
+        except ReproError as exc:
+            # A typed library error fails this experiment only; the rest
+            # of 'run all' still runs, and the exit code reports it.
+            print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failed.append(name)
+            continue
         print(result.to_text())
         print()
         if args.csv_dir:
@@ -196,6 +205,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"wrote {runner.write_trace(args.trace_out)}")
         if args.metrics_out:
             print(f"wrote {runner.write_metrics(args.metrics_out)}")
+    if failed:
+        print(
+            f"{len(failed)} of {len(names)} experiment(s) failed: "
+            f"{', '.join(failed)}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

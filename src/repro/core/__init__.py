@@ -7,8 +7,8 @@ load stay below capacity — is the two-dimensional vector packing problem
 (2DVPP, NP-complete).
 
 * :func:`~repro.core.packing.pack_disks` — the paper's ``Pack_Disks``
-  O(n log n) approximation (Algorithm 3) with the heap + two-stack data
-  structure,
+  O(n log n) approximation (Algorithm 3) on item arrays: sorted runs plus
+  side heaps, and the two-stack open disk,
 * :func:`~repro.core.grouped.pack_disks_grouped` — the ``Pack_Disks_v``
   round-robin group variant (§3.2),
 * :func:`~repro.core.reference.pack_disks_quadratic` — the O(n^2)
@@ -35,15 +35,14 @@ from repro.core.bounds import (
     verify_allocation,
 )
 from repro.core.grouped import pack_disks_grouped
-from repro.core.heap import MaxHeap
-from repro.core.item import PackItem, make_items, rho_of
+from repro.core.item import ItemArray, PackItem, make_items, rho_of
 from repro.core.packing import pack_disks
 from repro.core.partitioned import pack_disks_partitioned, size_class_classifier
 from repro.core.reference import pack_disks_quadratic
 
 __all__ = [
     "Allocation",
-    "MaxHeap",
+    "ItemArray",
     "PackItem",
     "PackedDisk",
     "best_fit",

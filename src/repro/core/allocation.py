@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.item import EPS, PackItem
+from repro.core.item import EPS, ItemArray, PackItem
 from repro.errors import PackingError
 
 __all__ = ["Allocation", "PackedDisk"]
@@ -54,9 +54,13 @@ class PackedDisk:
         return len(self.items)
 
 
-@dataclass
 class Allocation:
     """A full file-to-disk assignment.
+
+    Built either from a list of :class:`PackedDisk` or, by the array-native
+    allocators, with :meth:`from_order`: a placement order over an
+    :class:`~repro.core.item.ItemArray` cut into disks at ``offsets``.  In
+    the second form ``disks`` is built only when first read.
 
     Attributes
     ----------
@@ -69,19 +73,70 @@ class Allocation:
         carried along for bound checking.
     """
 
-    disks: List[PackedDisk]
-    algorithm: str
-    rho: float = 0.0
+    def __init__(
+        self,
+        disks: Optional[List[PackedDisk]] = None,
+        algorithm: str = "",
+        rho: float = 0.0,
+    ) -> None:
+        self._disks = [] if disks is None else disks
+        self.algorithm = algorithm
+        self.rho = rho
+        self._items: Optional[ItemArray] = None
+
+    @classmethod
+    def from_order(
+        cls,
+        items: ItemArray,
+        order: Sequence[int],
+        offsets: Sequence[int],
+        algorithm: str,
+        rho: float = 0.0,
+    ) -> "Allocation":
+        """Disk ``k`` holds ``items`` at positions
+        ``order[offsets[k]:offsets[k + 1]]``, in placement order."""
+        alloc = cls(None, algorithm, rho)
+        alloc._disks = None
+        alloc._items, alloc._order, alloc._offsets = items, order, offsets
+        return alloc
+
+    @property
+    def disks(self) -> List[PackedDisk]:
+        if self._disks is None:
+            items = self._items.items()
+            order = list(self._order)
+            bounds = list(self._offsets)
+            self._disks = [
+                PackedDisk(k, [items[pos] for pos in order[lo:hi]])
+                for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            ]
+        return self._disks
 
     @property
     def num_disks(self) -> int:
         """Number of (non-empty) disks used."""
-        return len(self.disks)
+        if self._items is not None:
+            return len(self._offsets) - 1
+        return len(self._disks)
 
     @property
     def num_items(self) -> int:
         """Total number of items across all disks."""
-        return sum(len(d) for d in self.disks)
+        return len(self._placement()[0])
+
+    def _placement(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(file index, disk index)`` of every placed item, disk by disk."""
+        if self._items is not None:
+            files = self._items.index[np.asarray(self._order, dtype=np.int64)]
+            owners = np.repeat(
+                np.arange(self.num_disks, dtype=np.int64),
+                np.diff(np.asarray(self._offsets, dtype=np.int64)),
+            )
+            return files, owners
+        disks = self._disks
+        files = [item.index for d in disks for item in d.items]
+        owners = np.repeat([d.index for d in disks], [len(d) for d in disks])
+        return np.array(files, dtype=np.int64), owners.astype(np.int64)
 
     def mapping(self, num_files: Optional[int] = None) -> np.ndarray:
         """Dense ``file index -> disk index`` array.
@@ -92,29 +147,23 @@ class Allocation:
             Length of the output array; defaults to ``max index + 1``.
             Unassigned slots (if any) are ``-1``.
         """
+        files, owners = self._placement()
         if num_files is None:
-            num_files = 1 + max(
-                (item.index for d in self.disks for item in d.items),
-                default=-1,
+            num_files = 1 + int(files.max()) if files.size else 0
+        over = np.flatnonzero(files >= num_files)
+        if over.size:
+            raise PackingError(
+                f"item index {int(files[over[0]])} out of range for "
+                f"num_files={num_files}"
             )
         table = np.full(num_files, -1, dtype=np.int64)
-        for disk in self.disks:
-            for item in disk.items:
-                if item.index >= num_files:
-                    raise PackingError(
-                        f"item index {item.index} out of range for "
-                        f"num_files={num_files}"
-                    )
-                table[item.index] = disk.index
+        table[files] = owners
         return table
 
     def mapping_dict(self) -> Dict[int, int]:
         """``{file index: disk index}`` for sparse use."""
-        return {
-            item.index: disk.index
-            for disk in self.disks
-            for item in disk.items
-        }
+        files, owners = self._placement()
+        return dict(zip(files.tolist(), owners.tolist()))
 
     def sizes_per_disk(self) -> np.ndarray:
         """Array of ``S(D_i)`` per disk."""
@@ -146,9 +195,7 @@ class Allocation:
                     f"disk {pos} load overflow: L={disk.total_load:.9f}"
                 )
         if items is not None:
-            seen = sorted(
-                item.index for d in self.disks for item in d.items
-            )
+            seen = sorted(self._placement()[0].tolist())
             expected = sorted(item.index for item in items)
             if seen != expected:
                 raise PackingError(

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.allocation import Allocation, PackedDisk
-from repro.core.item import EPS, PackItem
+from repro.core.item import EPS, ItemArray, PackItem
 from repro.errors import CapacityError, PackingError
 from repro.sim.rng import rng_from_seed
 
@@ -50,6 +50,12 @@ def random_allocation(
     fit by *storage* on the drawn disk is re-drawn among the disks with
     space (random placement is oblivious to loads, as in the paper).
 
+    All disks are drawn at once: a batch of ``rng.integers`` draws equals
+    the same number of scalar draws, generator state included.  At the
+    first file that needs a re-draw, the generator is rewound to just after
+    that file's draw, and from there on files draw one at a time, so the
+    mapping and the generator's end state match a per-file loop exactly.
+
     Raises
     ------
     CapacityError
@@ -58,21 +64,31 @@ def random_allocation(
     if num_disks < 1:
         raise PackingError(f"num_disks must be >= 1, got {num_disks}")
     rng = rng_from_seed(rng)
-    bins: List[List[PackItem]] = [[] for _ in range(num_disks)]
-    sizes = np.zeros(num_disks)
-    for item in items:
-        disk = int(rng.integers(num_disks))
-        if respect_capacity and sizes[disk] + item.size > 1 + EPS:
-            feasible = np.flatnonzero(sizes + item.size <= 1 + EPS)
+    arr = ItemArray.of(items)
+    state = rng.bit_generator.state
+    disks = rng.integers(num_disks, size=len(arr)).tolist()
+    fill = [0.0] * num_disks
+    per_file = False
+    for pos, size in enumerate(arr.size.tolist()):
+        disk = int(rng.integers(num_disks)) if per_file else disks[pos]
+        if respect_capacity and fill[disk] + size > 1 + EPS:
+            if not per_file:
+                rng.bit_generator.state = state
+                rng.integers(num_disks, size=pos + 1)
+                per_file = True
+            feasible = np.flatnonzero(np.array(fill) + size <= 1 + EPS)
             if feasible.size == 0:
                 raise CapacityError(
-                    f"file {item.index} (s={item.size:.4f}) fits on none of "
-                    f"the {num_disks} disks"
+                    f"file {int(arr.index[pos])} (s={size:.4f}) fits on none "
+                    f"of the {num_disks} disks"
                 )
             disk = int(feasible[rng.integers(feasible.size)])
-        bins[disk].append(item)
-        sizes[disk] += item.size
-    return _finalize(bins, f"random_{num_disks}")
+        disks[pos] = disk
+        fill[disk] += size
+    offsets = np.zeros(num_disks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(disks, minlength=num_disks), out=offsets[1:])
+    order = np.argsort(disks, kind="stable")
+    return Allocation.from_order(arr, order, offsets, f"random_{num_disks}")
 
 
 def round_robin_allocation(

@@ -4,19 +4,21 @@ Each file becomes a :class:`PackItem` with *normalized* coordinates: ``size``
 is the file size divided by the usable per-disk capacity ``S`` and ``load`` is
 the file's disk-time load divided by the per-disk load cap ``L``.  Both lie in
 ``[0, 1]``; the paper assumes all coordinates are bounded by a constant
-``rho < 1``, which drives the approximation guarantee.
+``rho < 1``, which drives the approximation guarantee.  An
+:class:`ItemArray` holds the same items as arrays; it is what the
+array-native allocators read.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, NamedTuple, Sequence
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import PackingError
 
-__all__ = ["PackItem", "make_items", "rho_of"]
+__all__ = ["ItemArray", "PackItem", "item_array", "make_items", "rho_of"]
 
 #: Comparison tolerance used throughout the packing code; capacities are
 #: treated as satisfied when exceeded by no more than this.
@@ -58,32 +60,64 @@ class PackItem(NamedTuple):
         return abs(self.size - self.load)
 
 
-def make_items(
+class ItemArray(Sequence[PackItem]):
+    """Normalized items held as arrays: file ``index``, ``size``, ``load``.
+
+    The array-native allocators read the arrays directly.  Every other
+    caller sees a read-only sequence of :class:`PackItem`, built on first
+    use.
+    """
+
+    __slots__ = ("index", "size", "load", "_items")
+
+    def __init__(
+        self, size: np.ndarray, load: np.ndarray, index: Optional[np.ndarray] = None
+    ) -> None:
+        self.size = size
+        self.load = load
+        self.index = np.arange(len(size)) if index is None else index
+        self._items: Optional[List[PackItem]] = None
+
+    @classmethod
+    def of(cls, items: Iterable[PackItem]) -> "ItemArray":
+        """``items`` as an :class:`ItemArray` (itself when it is one)."""
+        if isinstance(items, ItemArray):
+            return items
+        items = list(items)
+        arr = cls(
+            np.array([item.size for item in items], dtype=float),
+            np.array([item.load for item in items], dtype=float),
+            np.array([item.index for item in items], dtype=np.int64),
+        )
+        arr._items = items
+        return arr
+
+    def items(self) -> List[PackItem]:
+        """The items as a list of :class:`PackItem` with plain floats."""
+        if self._items is None:
+            rows = zip(self.index.tolist(), self.size.tolist(), self.load.tolist())
+            self._items = list(map(PackItem._make, rows))
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self.size)
+
+    def __getitem__(self, i):
+        return self.items()[i]
+
+    def __iter__(self) -> Iterator[PackItem]:
+        return iter(self.items())
+
+
+def item_array(
     sizes: Sequence[float],
     loads: Sequence[float],
     storage_capacity: float = 1.0,
     load_capacity: float = 1.0,
-) -> List[PackItem]:
-    """Normalize raw (size, load) pairs into :class:`PackItem` elements.
+) -> ItemArray:
+    """Normalize raw (size, load) pairs into an :class:`ItemArray`.
 
-    Parameters
-    ----------
-    sizes:
-        Raw file sizes (any consistent unit, e.g. bytes).
-    loads:
-        Raw file loads (fraction of disk service time, or any consistent
-        unit when ``load_capacity`` carries the same unit).
-    storage_capacity:
-        Usable storage per disk, same unit as ``sizes``.
-    load_capacity:
-        Load budget per disk, same unit as ``loads``.
-
-    Raises
-    ------
-    PackingError
-        If the inputs disagree in length, contain NaN, infinite or negative
-        values, a capacity is not positive and finite, or any single
-        normalized coordinate exceeds 1 (that file can never be placed).
+    Parameters and errors as for :func:`make_items`.
     """
     s = np.asarray(sizes, dtype=float)
     l = np.asarray(loads, dtype=float)
@@ -115,9 +149,37 @@ def make_items(
             f"file {worst} carries {l[worst]:.4f} of a disk's load "
             f"capacity (> 1); it cannot be packed"
         )
-    return list(
-        map(PackItem._make, zip(range(len(s)), s.tolist(), l.tolist()))
-    )
+    return ItemArray(s, l)
+
+
+def make_items(
+    sizes: Sequence[float],
+    loads: Sequence[float],
+    storage_capacity: float = 1.0,
+    load_capacity: float = 1.0,
+) -> List[PackItem]:
+    """Normalize raw (size, load) pairs into :class:`PackItem` elements.
+
+    Parameters
+    ----------
+    sizes:
+        Raw file sizes (any consistent unit, e.g. bytes).
+    loads:
+        Raw file loads (fraction of disk service time, or any consistent
+        unit when ``load_capacity`` carries the same unit).
+    storage_capacity:
+        Usable storage per disk, same unit as ``sizes``.
+    load_capacity:
+        Load budget per disk, same unit as ``loads``.
+
+    Raises
+    ------
+    PackingError
+        If the inputs disagree in length, contain NaN, infinite or negative
+        values, a capacity is not positive and finite, or any single
+        normalized coordinate exceeds 1 (that file can never be placed).
+    """
+    return item_array(sizes, loads, storage_capacity, load_capacity).items()
 
 
 def rho_of(items: Iterable[PackItem]) -> float:

@@ -22,16 +22,33 @@ The cost improvement over Chang-Hwang-Park (2005) is exactly the O(1)
 eviction: their algorithm searches the open disk for an evictable element
 (O(n) per overflow, O(n^2) total), see
 :func:`repro.core.reference.pack_disks_quadratic`.
+
+Lemma 7 on arrays
+-----------------
+Each heap is a :class:`_Heap`: one stable ``argsort`` puts the initial
+items in pop order (largest key first, equal keys in input order, the
+heap's FIFO tie-break) in O(n log n), and items pushed back after an
+eviction go to a ``heapq`` side heap at O(log n) per push or pop.  A pop
+takes the side heap's top only when its key is strictly larger than the
+sorted run's head, so the pop order is exactly that of one max-heap with
+FIFO ties.  Every item is popped once plus once per eviction, and by
+Lemma 3 each eviction completes a disk, so the whole pack stays
+O(n log n).  An open disk
+is two lists of item positions plus two float sums, updated in the same
+order as the paper's stacks.  ``Pack_Disks`` runs as the one-disk case of
+the engine behind ``Pack_Disks_v`` (:mod:`repro.core.grouped`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from heapq import heappop, heappush
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.allocation import Allocation, PackedDisk
-from repro.core.heap import MaxHeap
-from repro.core.item import EPS, PackItem, rho_of
+import numpy as np
+
+from repro.core.allocation import Allocation
+from repro.core.item import EPS, ItemArray, PackItem
 from repro.errors import PackingError
 
 __all__ = ["pack_disks", "split_intensive"]
@@ -50,20 +67,23 @@ def split_intensive(items: Iterable[PackItem]) -> tuple:
     return st, ld
 
 
-def _check_items(items: Sequence[PackItem], rho: Optional[float]) -> float:
+def _check_items(items: ItemArray, rho: Optional[float]) -> float:
     """Validate item coordinates and ``rho``; return the ``rho`` to use.
 
     Coordinates must lie in ``[0, 1]`` (NaN fails every comparison, so it
-    is rejected too).  ``rho`` defaults to the tight value ``rho_of(items)``
-    and must be finite and no smaller than it.
+    is rejected too); the first offending item is reported.  ``rho``
+    defaults to the tight value ``max_i max(s_i, l_i)`` and must be finite
+    and no smaller than it.
     """
-    for item in items:
-        if not (0.0 <= item.size <= 1 + EPS and 0.0 <= item.load <= 1 + EPS):
-            raise PackingError(
-                f"item {item.index} needs finite coordinates in [0, 1] "
-                f"(s={item.size:.4f}, l={item.load:.4f})"
-            )
-    tight_rho = rho_of(items)
+    s, l = items.size, items.load
+    ok = (s >= 0.0) & (s <= 1 + EPS) & (l >= 0.0) & (l <= 1 + EPS)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise PackingError(
+            f"item {int(items.index[bad])} needs finite coordinates in [0, 1] "
+            f"(s={float(s[bad]):.4f}, l={float(l[bad]):.4f})"
+        )
+    tight_rho = max(float(s.max()), float(l.max()), 0.0) if len(s) else 0.0
     if rho is None:
         return tight_rho
     if not math.isfinite(rho):
@@ -75,53 +95,59 @@ def _check_items(items: Sequence[PackItem], rho: Optional[float]) -> float:
     return rho
 
 
-class _OpenDisk:
-    """Mutable state of the disk currently being packed.
+class _Heap:
+    """One of the paper's two max-heaps: a sorted run plus a side heap.
 
-    Keeps the two stacks the paper calls ``s-list[i]`` and ``l-list[i]``;
-    the element to evict on overflow is the top of the opposite stack, an
-    O(1) lookup (the key improvement over the O(n) search in [3]).
+    Built from the initial items' positions ``pos`` and negated keys
+    ``neg``: ``run`` holds the positions in pop order, ``neg`` their keys
+    and ``head`` the next unpopped entry.  Pushed items go to ``side`` as
+    ``(-key, seq, pos)``, where ``seq`` follows every initial item, so on
+    equal keys the run pops first.
     """
 
-    __slots__ = ("s_list", "l_list", "s_sum", "l_sum")
+    __slots__ = ("run", "neg", "head", "side", "seq")
 
-    def __init__(self) -> None:
-        self.s_list: List[PackItem] = []
-        self.l_list: List[PackItem] = []
-        self.s_sum = 0.0
-        self.l_sum = 0.0
-
-    def add_s(self, item: PackItem) -> None:
-        self.s_list.append(item)
-        self.s_sum += item.size
-        self.l_sum += item.load
-
-    def add_l(self, item: PackItem) -> None:
-        self.l_list.append(item)
-        self.s_sum += item.size
-        self.l_sum += item.load
-
-    def pop_s(self) -> PackItem:
-        item = self.s_list.pop()
-        self.s_sum -= item.size
-        self.l_sum -= item.load
-        return item
-
-    def pop_l(self) -> PackItem:
-        item = self.l_list.pop()
-        self.s_sum -= item.size
-        self.l_sum -= item.load
-        return item
-
-    def is_complete(self, rho: float) -> bool:
-        threshold = 1.0 - rho - EPS
-        return self.s_sum >= threshold and self.l_sum >= threshold
-
-    def items(self) -> List[PackItem]:
-        return self.s_list + self.l_list
+    def __init__(self, pos: np.ndarray, neg: np.ndarray) -> None:
+        rank = np.argsort(neg, kind="stable")
+        self.run: List[int] = pos[rank].tolist()
+        self.neg: List[float] = neg[rank].tolist()
+        self.head = 0
+        self.side: List[Tuple[float, int, int]] = []
+        self.seq = len(self.run)
 
     def __len__(self) -> int:
-        return len(self.s_list) + len(self.l_list)
+        return len(self.run) - self.head + len(self.side)
+
+    def pop(self) -> int:
+        """Position of the max-key item; FIFO on equal keys."""
+        side = self.side
+        head = self.head
+        if side and (head == len(self.run) or side[0][0] < self.neg[head]):
+            return heappop(side)[2]
+        self.head = head + 1
+        return self.run[head]
+
+    def push(self, pos: int, neg_key: float) -> None:
+        heappush(self.side, (neg_key, self.seq, pos))
+        self.seq += 1
+
+    def drain(self) -> Iterator[int]:
+        """Pop every remaining position, in pop order."""
+        while self.side:
+            yield self.pop()
+        yield from self.run[self.head:]
+
+
+def _heaps(items: ItemArray) -> Tuple[_Heap, _Heap, List[float]]:
+    """The ``~S`` and ``~L`` heaps over ``items``, and ``s_i - l_i`` per item.
+
+    An ST item's key is ``s_i - l_i``; an LD item's is ``l_i - s_i``,
+    whose negation is ``s_i - l_i`` exactly in IEEE arithmetic.
+    """
+    diff = items.size - items.load
+    st = np.flatnonzero(items.size >= items.load)
+    ld = np.flatnonzero(items.size < items.load)
+    return _Heap(st, -diff[st]), _Heap(ld, diff[ld]), diff.tolist()
 
 
 def pack_disks(
@@ -134,7 +160,8 @@ def pack_disks(
     ----------
     items:
         Normalized :class:`~repro.core.item.PackItem` elements (build them
-        with :func:`~repro.core.item.make_items`).
+        with :func:`~repro.core.item.make_items`), or an
+        :class:`~repro.core.item.ItemArray`.
     rho:
         The bound on item coordinates used for the completeness test.
         Defaults to the tight value ``max_i max(s_i, l_i)``.  A larger
@@ -153,82 +180,123 @@ def pack_disks(
         If an item coordinate is NaN or outside ``[0, 1]``, or ``rho`` is
         not finite or is smaller than some item coordinate.
     """
-    items = list(items)
-    rho = _check_items(items, rho)
-    if not items:
-        return Allocation(disks=[], algorithm="pack_disks", rho=rho)
+    return _pack_groups(items, 1, rho, "pack_disks")
 
-    st, ld = split_intensive(items)
-    s_heap: MaxHeap[PackItem] = MaxHeap(
-        (item.size - item.load, item) for item in st
-    )
-    l_heap: MaxHeap[PackItem] = MaxHeap(
-        (item.load - item.size, item) for item in ld
-    )
 
-    disks: List[PackedDisk] = []
-    disk = _OpenDisk()
+def _pack_groups(
+    items: Sequence[PackItem], v: int, rho: Optional[float], name: str
+) -> Allocation:
+    """Pack ``items`` with ``v`` disks open at once, stepping them
+    round-robin (``Pack_Disks_v``; ``v = 1`` is ``Pack_Disks``)."""
+    arr = ItemArray.of(items)
+    rho = _check_items(arr, rho)
+    s_heap, l_heap, diff = _heaps(arr)
+    size = arr.size.tolist()
+    load = arr.load.tolist()
+    cap = 1 + EPS
+    full = 1.0 - rho - EPS
 
-    def close_disk() -> None:
-        nonlocal disk
-        disks.append(PackedDisk(index=len(disks), items=disk.items()))
-        disk = _OpenDisk()
+    order: List[int] = []
+    offsets = [0]
+    # Open disk ``k`` of the group: its two stacks (None once closed) and
+    # its two sums.
+    s_lists: List[Optional[List[int]]] = [[] for _ in range(v)]
+    l_lists: List[Optional[List[int]]] = [[] for _ in range(v)]
+    s_sums = [0.0] * v
+    l_sums = [0.0] * v
+    cursor = 0
+    n_open = v
 
-    # -- main loop (Algorithm 3 lines 4-21) -----------------------------------
-    while (disk.s_sum >= disk.l_sum and l_heap) or (
-        disk.s_sum < disk.l_sum and s_heap
-    ):
-        if disk.s_sum >= disk.l_sum:
-            # Storage currently dominates: take a load-intensive element.
-            _, item = l_heap.pop()
-            if disk.s_sum + item.size > 1 + EPS:
-                # Overflow: evict the most recent size-intensive element
-                # (Lemma 1 guarantees it exists and its excess covers the
-                # imbalance), then the disk becomes complete (Lemma 3).
-                if not disk.s_list:
-                    # Theoretically unreachable (Lemma 1); guard against
-                    # degenerate float corner cases without crashing.
-                    l_heap.push(item.load - item.size, item)
-                    close_disk()
-                    continue
-                evicted = disk.pop_s()
-                s_heap.push(evicted.size - evicted.load, evicted)
-                disk.add_l(item)
-            else:
-                disk.add_l(item)
+    def close(slot: int) -> None:
+        nonlocal n_open
+        order.extend(s_lists[slot])
+        order.extend(l_lists[slot])
+        offsets.append(len(order))
+        s_lists[slot] = l_lists[slot] = None
+        n_open -= 1
+
+    def fresh_group() -> None:
+        """Close every non-empty open disk; open ``v`` empty ones."""
+        nonlocal cursor, n_open
+        for slot in range(v):
+            if s_lists[slot] is not None and (s_lists[slot] or l_lists[slot]):
+                close(slot)
+            s_lists[slot], l_lists[slot] = [], []
+            s_sums[slot] = l_sums[slot] = 0.0
+        cursor = 0
+        n_open = v
+
+    # -- main loop (Algorithm 3 lines 4-21), one step per open disk in turn ---
+    while True:
+        # The next open disk whose wanted heap is non-empty; none left ends
+        # the main phase.
+        for _ in range(v):
+            s_list = s_lists[cursor]
+            if s_list is not None:
+                s_sum = s_sums[cursor]
+                l_sum = l_sums[cursor]
+                if l_heap if s_sum >= l_sum else s_heap:
+                    break
+            cursor = (cursor + 1) % v
         else:
-            # Load currently dominates: take a size-intensive element.
-            _, item = s_heap.pop()
-            if disk.l_sum + item.load > 1 + EPS:
-                if not disk.l_list:
-                    s_heap.push(item.size - item.load, item)
-                    close_disk()
-                    continue
-                evicted = disk.pop_l()
-                l_heap.push(evicted.load - evicted.size, evicted)
-                disk.add_s(item)
+            break
+        # Take from the heap opposite the dominating dimension: a
+        # load-intensive element while storage dominates, else a
+        # size-intensive one.
+        ld = s_sum >= l_sum
+        take, other = (l_heap, s_heap) if ld else (s_heap, l_heap)
+        pos = take.pop()
+        if (s_sum + size[pos] if ld else l_sum + load[pos]) > cap:
+            # Overflow: evict the most recent element of the other kind
+            # (Lemma 1 guarantees it exists and its excess covers the
+            # imbalance), then the disk becomes complete (Lemma 3).
+            evictable = s_list if ld else l_lists[cursor]
+            if evictable:
+                out = evictable.pop()
+                s_sum -= size[out]
+                l_sum -= load[out]
+                other.push(out, -diff[out] if ld else diff[out])
             else:
-                disk.add_s(item)
-        if disk.is_complete(rho):
-            close_disk()
+                # Theoretically unreachable (Lemma 1); guard against
+                # degenerate float corner cases: put the element back and
+                # close the disk.
+                take.push(pos, diff[pos] if ld else -diff[pos])
+                pos = -1
+        if pos < 0:
+            close(cursor)
+        else:
+            (l_lists[cursor] if ld else s_list).append(pos)
+            s_sum += size[pos]
+            l_sum += load[pos]
+            s_sums[cursor] = s_sum
+            l_sums[cursor] = l_sum
+            if s_sum >= full and l_sum >= full:
+                close(cursor)
+        cursor = (cursor + 1) % v
+        if not n_open:
+            fresh_group()
 
     # -- Pack_Remaining_S / Pack_Remaining_L (lines 22-23) ---------------------
     # At most one heap is non-empty here (Lemma 5).  Remaining size-intensive
     # items only need the storage check (their load is <= their size), and
-    # symmetrically for load-intensive items.
-    while s_heap:
-        _, item = s_heap.pop()
-        if disk.s_sum + item.size > 1 + EPS:
-            close_disk()
-        disk.add_s(item)
-    while l_heap:
-        _, item = l_heap.pop()
-        if disk.l_sum + item.load > 1 + EPS:
-            close_disk()
-        disk.add_l(item)
+    # symmetrically for load-intensive items.  Each goes to the next open
+    # disk with room, or to a fresh group when none has any.
+    for heap, stacks, need, sums in (
+        (s_heap, s_lists, size, s_sums),
+        (l_heap, l_lists, load, l_sums),
+    ):
+        for pos in heap.drain():
+            tries = v
+            while stacks[cursor] is None or sums[cursor] + need[pos] > cap:
+                cursor = (cursor + 1) % v
+                tries -= 1
+                if not tries:
+                    fresh_group()
+                    break
+            stacks[cursor].append(pos)
+            s_sums[cursor] += size[pos]
+            l_sums[cursor] += load[pos]
+            cursor = (cursor + 1) % v
 
-    if len(disk):
-        close_disk()
-
-    allocation = Allocation(disks=disks, algorithm="pack_disks", rho=rho)
-    return allocation
+    fresh_group()  # closes the last non-empty disks
+    return Allocation.from_order(arr, order, offsets, name, rho)

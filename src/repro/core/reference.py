@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.allocation import Allocation, PackedDisk
-from repro.core.item import EPS, PackItem
+from repro.core.item import EPS, ItemArray, PackItem
 from repro.core.packing import _check_items, split_intensive
 
 __all__ = ["pack_disks_quadratic"]
@@ -30,7 +30,7 @@ class _ScanList:
     """An unsorted pool supporting extract-max by O(n) scan.
 
     Entries are ``(key, seq, item)``; ties broken FIFO like the heap, so
-    extraction order is identical to :class:`repro.core.heap.MaxHeap`.
+    extraction order is identical to ``Pack_Disks``' heaps.
     """
 
     def __init__(self, entries) -> None:
@@ -118,7 +118,7 @@ def pack_disks_quadratic(
     :func:`repro.core.packing.pack_disks` in production code.
     """
     items = list(items)
-    rho = _check_items(items, rho)
+    rho = _check_items(ItemArray.of(items), rho)
     if not items:
         return Allocation(disks=[], algorithm="pack_disks_quadratic", rho=rho)
 

@@ -27,7 +27,7 @@ from repro.core.baselines import (
     round_robin_allocation,
 )
 from repro.core.grouped import pack_disks_grouped
-from repro.core.item import PackItem, make_items
+from repro.core.item import ItemArray, item_array
 from repro.core.packing import pack_disks
 from repro.errors import ConfigError
 from repro.sim.rng import rng_from_seed
@@ -67,8 +67,8 @@ def build_items(
     config: StorageConfig,
     arrival_rate: float,
     popularities: Optional[np.ndarray] = None,
-) -> List[PackItem]:
-    """Turn a catalog into normalized 2DVPP items.
+) -> ItemArray:
+    """Turn a catalog into normalized 2DVPP items, held as arrays.
 
     ``l_i = R p_i f(s_i)`` normalized by the load constraint ``L``;
     ``s_i`` normalized by the usable per-disk capacity.  ``popularities``
@@ -77,7 +77,7 @@ def build_items(
     service = config.service_model()
     pops = catalog.popularities if popularities is None else popularities
     loads = service.loads(catalog.sizes, pops, arrival_rate)
-    return make_items(
+    return item_array(
         catalog.sizes,
         loads,
         storage_capacity=config.usable_capacity,

@@ -1,10 +1,10 @@
-"""Unit and property tests for the max-heap behind Pack_Disks."""
+"""Unit and property tests for the max-heap behind the Pack_Disks oracle."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.heap import MaxHeap
+from pack_oracle import MaxHeap
 
 
 class TestBasics:

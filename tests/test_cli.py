@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import main
+from repro.errors import PackingError
 
 
 class TestList:
@@ -62,6 +64,30 @@ class TestRun:
 
     def test_seed_override(self, capsys):
         assert main(["run", "complexity", "--scale", "0.2", "--seed", "5"]) == 0
+
+    def test_segregation_runs_at_smoke_scale(self, capsys):
+        # At R = 8 a catalog of 1,000 files cannot place its hottest file.
+        assert main(["run", "segregation", "--scale", "0.02"]) == 0
+        assert "pack_segregated" in capsys.readouterr().out
+
+    def test_run_all_reports_typed_error_and_continues(
+        self, capsys, monkeypatch
+    ):
+        from repro.experiments import table2_disk
+
+        def broken(scale):
+            raise PackingError("file 0 cannot be packed")
+
+        monkeypatch.setattr(
+            cli,
+            "_experiment_registry",
+            lambda: {"broken": broken, "table2": table2_disk.run},
+        )
+        assert main(["run", "all"]) == 1
+        captured = capsys.readouterr()
+        assert "broken: PackingError: file 0 cannot be packed" in captured.err
+        assert "1 of 2 experiment(s) failed: broken" in captured.err
+        assert "53.3" in captured.out  # table2 still ran after the failure
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
