@@ -14,11 +14,14 @@ full configuration (a few extra minutes).
 from __future__ import annotations
 
 import os
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+TESTS_SIM = Path(__file__).resolve().parents[1] / "tests" / "sim"
 
 
 def bench_scale() -> float:
@@ -45,3 +48,27 @@ def report(capsys):
             print(text)
 
     return _report
+
+
+@pytest.fixture
+def oracle_core():
+    """``with oracle_core():`` serves the fast kernel's read-only segments
+    through the pure-Python loop the compiled core replaced
+    (``tests/sim/serve_oracle.py``).  Same-machine floors time their fixed
+    fast-run denominator this way, so each keeps measuring against the
+    loop it was calibrated on."""
+    sys.path.insert(0, str(TESTS_SIM))
+    import serve_oracle
+
+    from repro.sim import fastkernel
+
+    @contextmanager
+    def swap():
+        compiled = fastkernel._serve_segment
+        fastkernel._serve_segment = serve_oracle.serve_segment
+        try:
+            yield
+        finally:
+            fastkernel._serve_segment = compiled
+
+    return swap

@@ -1,0 +1,184 @@
+"""Compiled per-disk serve core of the fast kernel, loaded through ``ctypes``.
+
+:mod:`repro.sim.fastkernel` replays each read-only segment through the C
+routine in ``serve.c`` (the per-disk Lindley / DPM-ladder recursion, bit for
+bit the Python one).  The shared library is built from that source with the
+host's C compiler the first time this package is imported and cached under
+``~/.cache/repro/native/``, named by a hash of the source, the compiler, the
+flags and the Python ABI, so later imports only load it.  The build writes
+to a temporary name and renames it into place, so processes that build at
+the same moment (parallel sweep workers) never load a half-written file.  If
+the cache directory is not writable the library is built in a private
+temporary directory instead.
+
+There is no Python fallback: on a host without a C compiler the import still
+succeeds, but :func:`serve_core` raises :class:`~repro.errors.ConfigError`
+naming the missing compiler, so ``engine="fast"`` fails loudly while the
+event engine keeps working.
+"""
+
+from __future__ import annotations
+
+import atexit
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tempfile
+from pathlib import Path
+from typing import Callable, List, Optional, Tuple
+
+from repro.errors import ConfigError
+
+__all__ = ["CFLAGS", "ServeArgs", "build", "cache_dir", "compiler", "serve_core"]
+
+SOURCE = Path(__file__).with_name("serve.c")
+
+#: No ``-ffast-math`` or ``-march=native``: the core must round exactly like
+#: the Python recursion, and ``-ffp-contract=off`` forbids fused multiply-adds.
+CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
+
+
+_p = ctypes.c_void_p
+_i = ctypes.c_int64
+
+
+class ServeArgs(ctypes.Structure):
+    """Mirror of ``serve_args`` in ``serve.c`` (pointers as addresses)."""
+
+    _fields_ = [
+        ("D", _i), ("maxR", _i), ("W", _i),
+        ("T", ctypes.c_double), ("ci", ctypes.c_double),
+        ("oh", _p), ("R", _p), ("dn", _p), ("wk", _p),
+        ("avail", _p), ("load", _p), ("pt", _p), ("pv", _p),
+        ("n_up", _p), ("n_down", _p),
+        ("park", _p), ("down", _p), ("wake", _p),
+        ("ent", _p), ("th", _p), ("k", _i),
+        ("n", _i), ("disk", _p), ("t", _p), ("tr", _p), ("starts", _p),
+        ("order", _p), ("first", _p),
+        ("gap_cap", _i), ("n_gap", _i),
+        ("gap_g", _p), ("gap_th", _p), ("gap_n", _p),
+        ("span_cap", _i), ("n_span", _i),
+        ("span_key", _p), ("span_d", _p), ("span_s", _p), ("span_e", _p),
+        ("out_d", _p), ("out_s", _p), ("out_e", _p), ("key_n", _p),
+    ]
+
+
+def compiler() -> Optional[str]:
+    """Path of the C compiler the build uses: the one Python was built
+    with (by name, looked up on ``PATH``), else ``cc``; ``None`` if neither
+    is found."""
+    for name in _compiler_names():
+        path = shutil.which(name)
+        if path is not None:
+            return path
+    return None
+
+
+def _compiler_names() -> List[str]:
+    names = []
+    configured = (sysconfig.get_config_var("CC") or "").split()
+    if configured:
+        names.append(os.path.basename(configured[0]))
+    if "cc" not in names:
+        names.append("cc")
+    return names
+
+
+def cache_dir() -> Path:
+    """Where built libraries are kept, next to the sweep cache."""
+    return Path.home() / ".cache" / "repro" / "native"
+
+
+def _library_name(cc: str) -> str:
+    """File name keyed by the source, the compiler, the flags and the ABI."""
+    real = os.path.realpath(cc)
+    st = os.stat(real)
+    abi = sysconfig.get_config_var("SOABI") or sys.implementation.cache_tag
+    key = hashlib.sha256()
+    for part in (
+        SOURCE.read_bytes(),
+        f"{real}:{st.st_size}:{st.st_mtime_ns}".encode(),
+        " ".join(CFLAGS).encode(),
+        str(abi).encode(),
+    ):
+        key.update(part)
+        key.update(b"\0")
+    return f"serve-{key.hexdigest()[:20]}.so"
+
+
+def build(directory: Path, cc: str) -> Path:
+    """Build the library into ``directory`` unless it is already there;
+    returns its path.  The compiler writes a private temporary file that
+    is renamed into place, so a concurrent builder never sees it
+    half-written."""
+    target = directory / _library_name(cc)
+    if target.exists():
+        return target
+    directory.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        prefix=target.stem + ".", suffix=".tmp", dir=directory
+    )
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [cc, *CFLAGS, "-o", tmp, str(SOURCE)],
+            capture_output=True,
+            text=True,
+        )
+        if proc.returncode != 0:
+            raise ConfigError(
+                f"engine='fast' could not build its serve core with {cc}:\n"
+                f"{proc.stderr.strip()}"
+            )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def _load() -> Tuple[Optional[Callable[..., int]], Optional[str]]:
+    """Build (or find) and load the library: ``(function, None)``, or
+    ``(None, reason)`` when it cannot be had."""
+    cc = compiler()
+    if cc is None:
+        return None, (
+            "engine='fast' needs a C compiler to build its serve core, and "
+            f"none was found on PATH (looked for {', '.join(_compiler_names())}); "
+            "install one or use engine='event'"
+        )
+    try:
+        try:
+            path = build(cache_dir(), cc)
+        except OSError:
+            # Unwritable cache: build in a private directory for this
+            # process only.
+            private = Path(tempfile.mkdtemp(prefix="repro-native-"))
+            atexit.register(shutil.rmtree, private, True)
+            path = build(private, cc)
+        lib = ctypes.CDLL(str(path))
+    except (ConfigError, OSError) as exc:
+        return None, str(exc)
+    lib.repro_serve_args_size.argtypes = []
+    lib.repro_serve_args_size.restype = ctypes.c_int64
+    if lib.repro_serve_args_size() != ctypes.sizeof(ServeArgs):
+        return None, f"{path} does not match ServeArgs; delete it to rebuild"
+    fn = lib.repro_serve_segment
+    fn.argtypes = [ctypes.POINTER(ServeArgs), ctypes.c_int64]
+    fn.restype = ctypes.c_int64
+    return fn, None
+
+
+_CORE, _REASON = _load()
+
+
+def serve_core():
+    """The compiled ``repro_serve_segment(ServeArgs *, pos)`` routine;
+    raises :class:`~repro.errors.ConfigError` when it could not be built."""
+    if _CORE is None:
+        raise ConfigError(_REASON)
+    return _CORE

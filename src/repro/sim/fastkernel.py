@@ -95,14 +95,23 @@ iterates the registry to enforce this.
 
 Execution strategy (fastest applicable path is chosen per run):
 
-1. **grouped** (read-only, no cache): the stream is pre-sorted into
-   per-disk NumPy groups and each disk's queue is advanced independently —
-   the original fully batched path;
+0. **the compiled serve core** (:mod:`repro.native`, C loaded through
+   ``ctypes``): :func:`_serve_segment` hands a whole read-only segment to
+   one C call, which groups it by disk with a counting sort and runs each
+   disk's queue and ladder recursion, bit for bit the Python recursion
+   (``tests/sim/serve_oracle.py`` keeps that loop as the test oracle).
+   The grouped, segmented and controlled paths all serve through it, so
+   ``engine="fast"`` needs a C compiler (the library is built once and
+   cached under ``~/.cache/repro/native``); single requests at coupling
+   points stay on :meth:`_DiskBank.serve` in Python;
+1. **grouped** (read-only, no cache): the whole stream (or chunk) is one
+   segment for the compiled core, each disk's queue advanced
+   independently — the original fully batched path;
 2. **segmented** (writes, no cache): only writes that *allocate* a new
    file couple the disks, so the stream is split at those coupling points
-   and the same vectorized per-disk recursion replays each read-only
-   segment between them; the allocation itself is resolved scalar against
-   the banked per-disk spin state;
+   and the compiled core replays each read-only segment between them;
+   the allocation itself is resolved scalar against the banked per-disk
+   spin state;
 3. **coupled** (shared cache): a single globally time-merged pass walks
    arrivals in order, draining a min-heap of pending cache admissions
    (miss completions) between arrivals; the per-disk recursion state is
@@ -142,6 +151,7 @@ the default ``engine="event"`` for those.
 
 from __future__ import annotations
 
+from ctypes import byref
 from heapq import heappop, heappush
 from itertools import repeat
 from math import inf
@@ -155,6 +165,7 @@ from repro.disk.fleet import ResolvedFleet
 from repro.disk.power import DiskState, PowerModel
 from repro.disk.specs import DiskSpec
 from repro.errors import ConfigError, SimulationError
+from repro.native import ServeArgs, serve_core
 from repro.obs.hooks import active_observer
 from repro.system.dispatcher import (
     initial_free_bytes,
@@ -231,18 +242,25 @@ def _per_disk_floats(value, num_disks: int) -> List[float]:
     return [float(v) for v in arr]
 
 
+#: Gap-log or span records one compiled-core call may buffer before it
+#: hands them back (the walk then resumes where it stopped), so record
+#: memory stays bounded on long segments.
+_LOG_CHUNK = 1 << 14
+
+
 class _DiskBank:
     """Per-disk queue and DPM-ladder state with carry-in, shared by all paths.
 
     Evolves exactly the state the event kernel's drives evolve — per disk,
     the time it next falls idle plus per-rung park/descent/wake
     residencies — in plain Python lists, so single-request advances at
-    coupling points stay cheap while :meth:`serve_batch` replays a whole
-    per-disk FIFO run with hoisted locals.  The classic drive of paper
-    Figure 1 (:class:`~repro.disk.drive.DiskDrive`) is the ``two_state``
-    ladder: one descent rung whose descent, park and wake are SPINDOWN,
-    STANDBY and SPINUP, with the classic recursion's arithmetic term for
-    term.
+    coupling points (:meth:`serve`) stay cheap, while
+    :func:`_serve_segment` replays whole read-only segments through the
+    compiled core of :mod:`repro.native` over array copies of that state.
+    The classic drive of paper Figure 1
+    (:class:`~repro.disk.drive.DiskDrive`) is the ``two_state`` ladder: one
+    descent rung whose descent, park and wake are SPINDOWN, STANDBY and
+    SPINUP, with the classic recursion's arithmetic term for term.
 
     An idle gap walks the disk's threshold-scaled descent schedule
     (:meth:`~repro.disk.dpm.DpmLadder.scaled_entries`): fully traversed
@@ -266,9 +284,9 @@ class _DiskBank:
     arithmetic.
 
     Heterogeneous fleets: ladders, specs and thresholds are per disk, and
-    residencies are disk-major (``park_t[d][i]``) because rung counts may
-    differ across the pool.  Scalars tile across the pool, reproducing the
-    historical uniform recursion bit for bit.
+    residencies are disk-major (``park_t[d][i]``), each row padded to the
+    deepest ladder in the pool.  Scalars tile across the pool, reproducing
+    the historical uniform recursion bit for bit.
     """
 
     def __init__(
@@ -311,13 +329,18 @@ class _DiskBank:
         self.maxR = max(self.R)
         self.dn = [[r.down_time for r in l.rungs] for l in ladders]
         self.wk = [[r.wake_time for r in l.rungs] for l in ladders]
-        # Rung 0's park time is the horizon residual, computed at the end.
-        self.park_t = [[0.0] * r for r in self.R]
-        self.down_t = [[0.0] * r for r in self.R]
-        self.wake_t = [[0.0] * r for r in self.R]
+        # Rung 0's park time is the horizon residual, computed at the end;
+        # rungs past a disk's own ladder stay 0.
+        self.park_t = [[0.0] * self.maxR for _ in range(num_disks)]
+        self.down_t = [[0.0] * self.maxR for _ in range(num_disks)]
+        self.wake_t = [[0.0] * self.maxR for _ in range(num_disks)]
         # Per-disk scaled-schedule caches (mixed fleets scale different
         # ladders with the same threshold).
         self._entry_cache: List[dict] = [{} for _ in range(num_disks)]
+        # Descent schedules for the compiled core: one (disk, rung) matrix
+        # per threshold row, padded with inf past each disk's ladder (a
+        # one-rung ladder's schedule is (0, inf), hence at least 2 wide).
+        width = max(self.maxR, 2)
         th = _per_disk_floats(thresholds, num_disks)
         if interval is None:
             self.entries: Optional[list] = [
@@ -326,6 +349,8 @@ class _DiskBank:
             self._last_entry = np.array([e[-1] for e in self.entries])
             self._last_dn = np.array([dn[-1] for dn in self.dn])
             self.gap_log: Optional[List[list]] = None
+            self._ent = np.full((1, num_disks, width), inf)
+            self._th = None
         else:
             self.entries = None  # per-gap schedules from the history
             self.ci = float(interval)
@@ -336,6 +361,9 @@ class _DiskBank:
             self.k = 0
             self.gap_log = [[] for _ in range(num_disks)]
             log_spans = True
+            self._ent = np.full((8, num_disks, width), inf)
+            self._th = np.empty((8, num_disks))
+        self._set_schedule_row(0, th)
         if log_spans:
             # Keyed by rung index across the whole pool (entries carry the
             # disk id); maxR covers the deepest ladder in the mix.
@@ -344,11 +372,78 @@ class _DiskBank:
             )
         else:
             self.park_spans = self.down_spans = self.wake_spans = None
+        self._init_core(num_disks, 0.0 if interval is None else self.ci)
+
+    def _init_core(self, num_disks: int, ci: float) -> None:
+        """Constant arrays, state buffers and record buffers the compiled
+        core reads and writes; the lists above stay the owner of the
+        state, copied in and out around each :func:`_serve_segment`
+        call."""
+        maxR = self.maxR
+        self._core = serve_core()
+        self._R_a = np.asarray(self.R, dtype=np.int64)
+        self._dn_a = np.zeros((num_disks, maxR))
+        self._wk_a = np.zeros((num_disks, maxR))
+        for d in range(num_disks):
+            self._dn_a[d, : self.R[d]] = self.dn[d]
+            self._wk_a[d, : self.R[d]] = self.wk[d]
+        self._fst = np.zeros((4, num_disks))  # avail, load, pt, pv
+        self._ust = np.zeros((2, num_disks), dtype=np.int64)  # n_up, n_down
+        self._rst = np.zeros((3, num_disks, maxR))  # park, down, wake
+        self._gap_n = np.zeros(num_disks, dtype=np.int64)
+        self._first = np.zeros(num_disks + 1, dtype=np.int64)
+        self._key_n = np.zeros(3 * maxR, dtype=np.int64)
+        def ptrs(rows):
+            return [row.ctypes.data for row in rows]
+
+        avail, load, pt, pv = ptrs(self._fst)
+        n_up, n_down = ptrs(self._ust)
+        park, down, wake = ptrs(self._rst)
+        args = self._args = ServeArgs(
+            D=num_disks, maxR=maxR, W=self._ent.shape[2], T=self.T, ci=ci,
+            oh=self.oh_a.ctypes.data, R=self._R_a.ctypes.data,
+            dn=self._dn_a.ctypes.data, wk=self._wk_a.ctypes.data,
+            avail=avail, load=load, pt=pt, pv=pv, n_up=n_up, n_down=n_down,
+            park=park, down=down, wake=wake,
+            gap_n=self._gap_n.ctypes.data, first=self._first.ctypes.data,
+            key_n=self._key_n.ctypes.data,
+        )
+        if self.gap_log is not None:
+            self._gaps = np.empty((2, _LOG_CHUNK))  # gap, threshold
+            args.gap_cap = _LOG_CHUNK
+            args.gap_g, args.gap_th = ptrs(self._gaps)
+        if self.park_spans is not None:
+            # Raw records (key, disk, start, end), then sorted by key; room
+            # for at least one request's spans, so every call progresses.
+            cap = max(_LOG_CHUNK, 2 * maxR)
+            self._span_i = np.empty((3, cap), dtype=np.int64)
+            self._span_f = np.empty((4, cap))
+            args.span_cap = cap
+            args.span_key, args.span_d, args.out_d = ptrs(self._span_i)
+            args.span_s, args.span_e, args.out_s, args.out_e = ptrs(
+                self._span_f
+            )
+
+    def _set_schedule_row(self, k: int, th: List[float]) -> None:
+        """Fill row ``k`` of the compiled core's schedule tables from the
+        scaled-schedule cache (growing them when a controlled run outlives
+        their capacity)."""
+        if k == len(self._ent):
+            self._ent = np.concatenate((self._ent, np.full_like(self._ent, inf)))
+            self._th = np.concatenate((self._th, np.empty_like(self._th)))
+        ent = self._ent[k]
+        for d, th_d in enumerate(th):
+            e = self._entries_for(d, th_d)
+            ent[d, : len(e)] = e
+        if self._th is not None:
+            self._th[k] = th
 
     def push_thresholds(self, thresholds: np.ndarray) -> None:
         """Apply the vector decided at the boundary entering interval k+1."""
-        self._th_rows.append(np.asarray(thresholds, dtype=float).tolist())
+        row = np.asarray(thresholds, dtype=float).tolist()
+        self._th_rows.append(row)
         self.k += 1
+        self._set_schedule_row(self.k, row)
 
     def _th_at(self, drain: float, d: int) -> float:
         """Threshold governing a gap that began at ``drain`` on disk ``d``."""
@@ -446,99 +541,6 @@ class _DiskBank:
         self.load[d] += self.oh[d] + tr
         return s
 
-    def serve_batch(self, d: int, ts: list, trs: list) -> List[float]:
-        """:meth:`serve` over one disk's FIFO run, with the per-disk state
-        held in locals for the long runs between coupling points.  Same
-        arithmetic: a one-descent-rung ladder (the classic drive) walks
-        its gaps inline, deeper ladders go through :meth:`_descend`."""
-        out: List[float] = []
-        append = out.append
-        a = self.avail[d]
-        ld = self.load[d]
-        pt_d = self.pt[d]
-        pv_d = self.pv[d]
-        oh = self.oh[d]
-        T = self.T
-        descend = self._descend
-        fixed = self.entries is not None
-        if fixed:
-            entries = self.entries[d]
-            e1 = entries[1]
-        else:
-            log = self.gap_log[d].append
-            ci = self.ci
-            rows = self._th_rows
-            k = self.k
-            cached = self._entry_cache[d].get
-            entries_for = self._entries_for
-        inline = self.R[d] == 2
-        if inline:
-            D = self.dn[d][1]
-            U = self.wk[d][1]
-            sd_t = self.down_t[d][1]
-            sb_t = self.park_t[d][1]
-            su_t = self.wake_t[d][1]
-            n_up = self.n_up[d]
-            n_down = self.n_down[d]
-            if self.park_spans is None:
-                sd_log = sb_log = su_log = None
-            else:
-                sd_log = self.down_spans[1].append
-                sb_log = self.park_spans[1].append
-                su_log = self.wake_spans[1].append
-        for t, tr in zip(ts, trs):
-            if t != pt_d:
-                pt_d = t
-                pv_d = a
-            if t > a:
-                if not fixed:
-                    idx = int(a / ci)
-                    th = rows[idx if idx <= k else k][d]
-                    log((t - a, th))
-                    entries = cached(th) or entries_for(d, th)
-                    e1 = entries[1]
-                if t - a <= e1:
-                    s = t
-                elif not inline:
-                    s = descend(d, a, t, entries)
-                else:
-                    # _descend's walk for a single descent rung.
-                    sd = a + e1
-                    sd_end = sd + D
-                    n_down += 1
-                    sd_t += min(sd_end, T) - sd
-                    if sd_log is not None:
-                        sd_log((d, sd, sd_end))
-                    if t >= sd_end:
-                        sb_t += t - sd_end
-                        if sb_log is not None:
-                            sb_log((d, sd_end, t))
-                        su = t
-                    else:
-                        su = sd_end
-                    if su < T:
-                        n_up += 1
-                        su_t += min(su + U, T) - su
-                        if su_log is not None:
-                            su_log((d, su, su + U))
-                    s = su + U
-            else:
-                s = a
-            append(s)
-            a = s + oh + tr
-            ld += oh + tr
-        if inline:
-            self.down_t[d][1] = sd_t
-            self.park_t[d][1] = sb_t
-            self.wake_t[d][1] = su_t
-            self.n_up[d] = n_up
-            self.n_down[d] = n_down
-        self.avail[d] = a
-        self.load[d] = ld
-        self.pt[d] = pt_d
-        self.pv[d] = pv_d
-        return out
-
     def spinning_mask(self, t: float) -> np.ndarray:
         """Per-disk "not parked in the deepest rung at ``t``" — the §1.1
         write policy's view of the pool.
@@ -628,32 +630,85 @@ def _serve_segment(
     tr_seg: np.ndarray,
     starts_out: np.ndarray,
 ) -> None:
-    """Replay one read-only segment: stable per-disk grouping + batch FIFO.
+    """Replay one read-only segment through the compiled serve core.
 
     ``d_seg`` must be fully resolved (no ``-1``; callers validate); times
-    are globally non-decreasing, so a stable sort on the disk index
-    preserves each disk's arrival order.  ``starts_out`` (a view onto the
-    segment's slice of the global starts array) is filled in place.
+    are globally non-decreasing, so the core's stable counting sort by
+    disk preserves each disk's arrival order.  ``starts_out`` (a view onto
+    the segment's slice of the global starts array) is filled in place.
+    The bank's per-disk state is copied into the core's arrays once and
+    back once.  Gap-log and span records come back disk-major, in arrival
+    order inside each disk (the order the Python loop appended them in),
+    at most :data:`_LOG_CHUNK` per call: the core then stops, and resumes
+    once they are appended to the bank's logs.
     """
     n = int(d_seg.size)
     if not n:
         return
-    # A stable sort of 16-bit keys is a radix sort, several times faster
-    # than on int64; a stable order is unique, so the result is the same.
-    key = d_seg.astype(np.uint16) if len(bank.avail) <= 1 << 16 else d_seg
-    order = np.argsort(key, kind="stable")
-    d_s = d_seg[order]
-    t_s = t_seg[order]
-    tr_s = tr_seg[order]
-    cuts = np.flatnonzero(np.diff(d_s)) + 1
-    group_lo = np.concatenate(([0], cuts))
-    group_hi = np.concatenate((cuts, [n]))
-    seg_starts = np.empty(n, dtype=float)
-    for lo, hi in zip(group_lo.tolist(), group_hi.tolist()):
-        seg_starts[lo:hi] = bank.serve_batch(
-            int(d_s[lo]), t_s[lo:hi].tolist(), tr_s[lo:hi].tolist()
+    if not t_seg.size == tr_seg.size == starts_out.size == n:
+        raise SimulationError(
+            f"segment arrays differ in length: {n} disks, {t_seg.size} "
+            f"times, {tr_seg.size} transfers, {starts_out.size} starts"
         )
-    starts_out[order] = seg_starts
+    disk = np.ascontiguousarray(d_seg, dtype=np.int64)
+    t = np.ascontiguousarray(t_seg, dtype=float)
+    tr = np.ascontiguousarray(tr_seg, dtype=float)
+    direct = starts_out.flags.c_contiguous and starts_out.dtype == float
+    starts = starts_out if direct else np.empty(n)
+    order = np.empty(n, dtype=np.int64)
+    args = bank._args
+    args.n = n
+    args.disk = disk.ctypes.data
+    args.t = t.ctypes.data
+    args.tr = tr.ctypes.data
+    args.starts = starts.ctypes.data
+    args.order = order.ctypes.data
+    args.ent = bank._ent.ctypes.data
+    gap_log = bank.gap_log
+    if gap_log is not None:
+        args.th = bank._th.ctypes.data
+        args.k = bank.k
+    spans = bank.park_spans is not None
+    if spans:
+        logs = (bank.park_spans, bank.down_spans, bank.wake_spans)
+        maxR = bank.maxR
+    bank._fst[:] = (bank.avail, bank.load, bank.pt, bank.pv)
+    bank._ust[:] = (bank.n_up, bank.n_down)
+    bank._rst[:] = (bank.park_t, bank.down_t, bank.wake_t)
+    core = bank._core
+    ref = byref(args)
+    pos = 0
+    while pos < n:
+        pos = core(ref, pos)
+        if pos < 0:
+            raise SimulationError(
+                f"segment references a disk outside the {len(bank.avail)}-"
+                "disk pool"
+            )
+        if gap_log is not None and args.n_gap:
+            m = args.n_gap
+            pairs = list(zip(*bank._gaps[:, :m].tolist()))
+            lo = 0
+            for d, c in enumerate(bank._gap_n.tolist()):
+                if c:
+                    gap_log[d] += pairs[lo : lo + c]
+                    lo += c
+        if spans and args.n_span:
+            m = args.n_span
+            d_l = bank._span_i[2, :m].tolist()
+            s_l, e_l = bank._span_f[2:, :m].tolist()
+            lo = 0
+            for key, c in enumerate(bank._key_n.tolist()):
+                if c:
+                    kind, i = divmod(key, maxR)
+                    hi = lo + c
+                    logs[kind][i].extend(zip(d_l[lo:hi], s_l[lo:hi], e_l[lo:hi]))
+                    lo = hi
+    bank.avail, bank.load, bank.pt, bank.pv = bank._fst.tolist()
+    bank.n_up, bank.n_down = bank._ust.tolist()
+    bank.park_t, bank.down_t, bank.wake_t = bank._rst.tolist()
+    if not direct:
+        starts_out[:] = starts
 
 
 def _serve_segmented(

@@ -1,26 +1,38 @@
-"""``_DiskBank.serve_batch`` (the hoisted per-disk loop) must evolve
-exactly the state per-request ``serve`` does, controlled or not.
+"""The compiled serve core against per-request ``serve`` and the Python
+oracle.
 
-Twin banks see the same arrivals: one replays each disk's run through
-``serve_batch`` in random segments, the other calls ``serve`` once per
-request.  Gaps are drawn around the threshold-scaled rung entries (just
-below, on, and just above each), plus same-instant arrivals, over a
-mixed fleet with a one-rung ladder and an ``inf`` threshold row.  The
-``two_state`` pool takes the inline one-descent-rung walk on every disk.
+``_serve_segment`` replays read-only segments through the C routine of
+:mod:`repro.native`.  It must evolve exactly the state per-request
+``serve`` does, controlled or not, and it must match the Python loop it
+replaced (``serve_oracle``) bit for bit: starts, ``avail``/``load``/
+``pt``/``pv``, per-rung park/descent/wake residencies, spin counts, gap
+logs and span lists in order.
+
+Gaps are drawn around the threshold-scaled rung entries (just below, on,
+and just above each), plus same-instant arrivals and arrivals queued
+behind the backlog, over ``two_state``, ``nap`` and ``drpm4`` pools, a
+one-rung ladder and a mixed fleet, with thresholds of 0, finite values
+and ``inf`` (controlled rows include ``inf`` rows).  Segments are cut at
+random, so state must carry across calls.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import serve_oracle as oracle
 from repro.disk.dpm import DpmLadder, LadderRung, make_dpm_ladder
 from repro.disk.specs import ST3500630AS, WD10EADS
-from repro.sim.fastkernel import _DiskBank
+from repro.errors import SimulationError
+from repro.sim.fastkernel import _DiskBank, _serve_segment
 
 HORIZON = 4_000.0
 INTERVAL = 250.0
 FLAT = DpmLadder("flat", (LadderRung("idle", 9.0),))
+KINDS = ("uniform", "mixed", "one_rung", "two_state", "nap")
 
 
 def _fleet(kind):
@@ -31,6 +43,8 @@ def _fleet(kind):
         return FLAT, ST3500630AS, 2
     if kind == "two_state":
         return make_dpm_ladder("two_state", ST3500630AS), ST3500630AS, 3
+    if kind == "nap":
+        return make_dpm_ladder("nap", WD10EADS), WD10EADS, 3
     ladders = [
         make_dpm_ladder("drpm4", specs[0]),
         make_dpm_ladder("two_state", specs[1]),
@@ -92,15 +106,38 @@ def _state(bank):
     )
 
 
+def _banks(n, kind, rows, controlled, log_spans=False, pushed=None):
+    """``n`` identical banks: controlled ones get ``rows[1:pushed]`` pushed
+    (all rows by default), fixed ones run ``rows[0]``."""
+    ladder, spec, num_disks = _fleet(kind)
+    banks = []
+    for _ in range(n):
+        if controlled:
+            bank = _DiskBank(
+                num_disks, rows[0], ladder, spec, HORIZON, interval=INTERVAL
+            )
+            for row in rows[1:pushed]:
+                bank.push_thresholds(row)
+        else:
+            bank = _DiskBank(
+                num_disks, rows[0], ladder, spec, HORIZON, log_spans=log_spans
+            )
+        banks.append(bank)
+    return banks
+
+
 def _check_twins(rng, kind, banks, rows):
     batched, single = banks
     for d in range(len(batched.avail)):
         ts, trs, starts_s = _drive(rng, single, rows, d)
         cuts = sorted({0, len(ts), *rng.integers(0, len(ts), 6).tolist()})
-        starts_b = []
+        starts_b = np.empty(len(ts))
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            starts_b += batched.serve_batch(d, ts[lo:hi], trs[lo:hi])
-        assert starts_b == starts_s
+            _serve_segment(
+                batched, np.full(hi - lo, d), np.array(ts[lo:hi]),
+                np.array(trs[lo:hi]), starts_b[lo:hi],
+            )
+        assert starts_b.tolist() == starts_s
     assert _state(batched) == _state(single)
     assert batched.apply_tail()[0].tolist() == single.apply_tail()[0].tolist()
     assert _state(batched) == _state(single)
@@ -114,19 +151,11 @@ def _check_twins(rng, kind, banks, rows):
 @pytest.mark.parametrize("kind", ["uniform", "mixed", "one_rung", "two_state"])
 @pytest.mark.parametrize("seed", range(4))
 def test_serve_batch_matches_per_request_serve(kind, seed):
+    """Controlled banks: one disk's run served through the compiled core
+    in random segments vs one ``serve`` call per request."""
     rng = np.random.default_rng(seed)
-    ladder, spec, num_disks = _fleet(kind)
-    rows = _threshold_rows(rng, num_disks)
-    banks = [
-        _DiskBank(
-            num_disks, rows[0], ladder, spec, HORIZON, interval=INTERVAL
-        )
-        for _ in range(2)
-    ]
-    for bank in banks:
-        for row in rows[1:]:
-            bank.push_thresholds(row)
-    _check_twins(rng, kind, banks, rows)
+    rows = _threshold_rows(rng, _fleet(kind)[2])
+    _check_twins(rng, kind, _banks(2, kind, rows, controlled=True), rows)
 
 
 @pytest.mark.parametrize("log_spans", [False, True])
@@ -136,12 +165,134 @@ def test_fixed_serve_batch_matches_per_request_serve(kind, seed, log_spans):
     """Fixed thresholds (one per disk, disk 0 at ``inf``), with and
     without the observer's span logs."""
     rng = np.random.default_rng(100 + seed)
-    ladder, spec, num_disks = _fleet(kind)
-    rows = _threshold_rows(rng, num_disks)[5:6]
-    banks = [
-        _DiskBank(
-            num_disks, rows[0], ladder, spec, HORIZON, log_spans=log_spans
+    rows = _threshold_rows(rng, _fleet(kind)[2])[5:6]
+    banks = _banks(2, kind, rows, controlled=False, log_spans=log_spans)
+    _check_twins(rng, kind, banks, rows)
+
+
+def _merged_stream(rng, kind, rows):
+    """Every disk's targeted arrivals (see :func:`_drive`) merged into one
+    time-sorted stream; returns disks, times and transfer times."""
+    (probe,) = _banks(1, kind, rows, controlled=True)
+    per_disk = []
+    for d in range(len(probe.avail)):
+        ts, trs, _ = _drive(rng, probe, rows, d)
+        per_disk.append((np.full(len(ts), d), np.array(ts), np.array(trs)))
+    disks, times, trs = (np.concatenate(c) for c in zip(*per_disk))
+    order = np.argsort(times, kind="stable")
+    return disks[order], times[order], trs[order]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(KINDS),
+    mode=st.sampled_from(["fixed", "fixed_spans", "controlled", "clamped"]),
+    n_cuts=st.integers(0, 12),
+)
+def test_compiled_core_matches_oracle(seed, kind, mode, n_cuts):
+    """A multi-disk stream cut into random segments, served by the
+    compiled core and by the Python oracle on twin banks.  ``clamped``
+    pushes only some of the controlled rows, so late drains take the last
+    pushed row."""
+    rng = np.random.default_rng(seed)
+    num_disks = _fleet(kind)[2]
+    rows = _threshold_rows(rng, num_disks)
+    if mode.startswith("fixed"):
+        # One threshold per disk from 0 / finite / inf.
+        rows = rng.choice([0.0, 2.0, 20.0, math.inf], size=(1, num_disks))
+    disks, times, trs = _merged_stream(rng, kind, rows)
+    controlled = mode in ("controlled", "clamped")
+    pushed = int(rng.integers(1, len(rows))) if mode == "clamped" else None
+    native, python = _banks(
+        2, kind, rows, controlled, log_spans=mode == "fixed_spans",
+        pushed=pushed,
+    )
+    n = len(times)
+    cuts = sorted({0, n, *rng.integers(0, n, n_cuts).tolist()})
+    starts_c = np.full(n, np.nan)
+    starts_o = np.full(n, np.nan)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        seg = slice(lo, hi)
+        _serve_segment(native, disks[seg], times[seg], trs[seg], starts_c[seg])
+        oracle.serve_segment(
+            python, disks[seg], times[seg], trs[seg], starts_o[seg]
         )
+        assert _state(native) == _state(python)
+    assert starts_c.tobytes() == starts_o.tobytes()
+    if controlled:
+        assert any(native.gap_log)
+    assert native.apply_tail()[1].tolist() == python.apply_tail()[1].tolist()
+    assert _state(native) == _state(python)
+
+
+@pytest.mark.parametrize("mode", ["fixed_spans", "controlled"])
+def test_record_buffers_resume_mid_segment(monkeypatch, mode):
+    """Record buffers far smaller than one segment's gap logs and spans:
+    the core stops, hands its records back and resumes, with the same
+    lists in the same order as the oracle's single pass."""
+    import repro.sim.fastkernel as fastkernel
+
+    rng = np.random.default_rng(7)
+    rows = _threshold_rows(rng, 4)
+    if mode == "fixed_spans":
+        rows = rng.choice([0.0, 2.0, 20.0], size=(1, 4))
+    disks, times, trs = _merged_stream(rng, "uniform", rows)
+    monkeypatch.setattr(fastkernel, "_LOG_CHUNK", 2 * 5 + 3)
+    banks = _banks(
+        2, "uniform", rows, mode == "controlled", log_spans=True
+    )
+    starts = [np.empty(len(times)) for _ in banks]
+    _serve_segment(banks[0], disks, times, trs, starts[0])
+    oracle.serve_segment(banks[1], disks, times, trs, starts[1])
+    assert sum(map(len, banks[0].down_spans)) > 100
+    assert starts[0].tobytes() == starts[1].tobytes()
+    assert _state(banks[0]) == _state(banks[1])
+
+
+def test_disk_outside_pool_raises():
+    (bank,) = _banks(1, "two_state", np.zeros((1, 3)), controlled=False)
+    before = _state(bank)
+    with pytest.raises(SimulationError, match="outside the 3-disk pool"):
+        _serve_segment(
+            bank, np.array([0, 3]), np.array([1.0, 2.0]),
+            np.array([0.1, 0.1]), np.empty(2),
+        )
+    assert _state(bank) == before
+
+
+@pytest.mark.parametrize("serve_twin", ["oracle", "per_request"])
+def test_wake_starting_exactly_at_horizon_is_not_billed(serve_twin):
+    """A request arriving mid-descent whose descent ends exactly at the
+    horizon: the wake would start at ``T``, so it is neither counted nor
+    billed nor logged (pinned, since random draws never hit it)."""
+    ladder = make_dpm_ladder("two_state", ST3500630AS)
+    th = 7.5
+    a = 0.0 + ST3500630AS.access_overhead + 0.5
+    horizon = (a + th) + ladder.rungs[1].down_time
+    banks = [
+        _DiskBank(1, th, ladder, ST3500630AS, horizon, log_spans=True)
         for _ in range(2)
     ]
-    _check_twins(rng, kind, banks, rows)
+    d = np.zeros(2, dtype=np.int64)
+    t = np.array([0.0, horizon - 1.0])
+    tr = np.array([0.5, 0.5])
+    starts = np.empty(2)
+    _serve_segment(banks[0], d, t, tr, starts)
+    if serve_twin == "oracle":
+        oracle.serve_segment(banks[1], d, t, tr, np.empty(2))
+    else:
+        for ti, tri in zip(t.tolist(), tr.tolist()):
+            banks[1].serve(0, ti, tri)
+    assert banks[0].avail[0] > horizon
+    assert banks[0].n_up == [0] and banks[0].n_down == [1]
+    assert banks[0].wake_spans == [[], []]
+    assert _state(banks[0]) == _state(banks[1])
+
+
+def test_segment_arrays_of_different_lengths_raise():
+    (bank,) = _banks(1, "two_state", np.zeros((1, 3)), controlled=False)
+    with pytest.raises(SimulationError, match="differ in length"):
+        _serve_segment(
+            bank, np.array([0, 1]), np.array([1.0]), np.array([0.1, 0.1]),
+            np.empty(2),
+        )
