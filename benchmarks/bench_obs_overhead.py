@@ -127,19 +127,24 @@ def test_disabled_observer_is_normalized_away():
 
 
 #: Cached + traced / fixed read-only time ratio the shared-cache path must
-#: stay under.  Over 10 runs on a 2-CPU x86-64 Linux host this test
-#: measured 9.3-13.7; the floor is the top of that range plus 25%
-#: headroom.  With per-event observer calls, a three-call eviction and
-#: NumPy-wrapper placement it measured 11.0-14.7 on the same host, and
-#: before that, with per-hook registry counters, a per-element histogram
-#: loop and a per-policy second eviction order, 13.7-21.9.  Since the
-#: serve loop moved to C, the fixed side is timed with the Python oracle
-#: loop swapped in, as calibrated (8 runs: 9.12-11.24).
-CACHED_TRACED_FLOOR = 17.2
+#: stay under.  Since the shared-cache walk moved to C (one compiled walk
+#: per batch, cache events as column blocks), 12 runs on a 2-CPU x86-64
+#: Linux host measured 2.48-3.22 (the Python walk before it measured
+#: 10.2-13.0 in 6 of them, interleaved); the floor is the top of that
+#: range plus 25% headroom.  The fixed side is timed with the Python
+#: oracle serve loop swapped in, as calibrated.  Earlier floors: 17.2
+#: (Python walk: 9.3-13.7, and 9.12-11.24 once the fixed side took the
+#: oracle loop); before that, with per-event observer calls, a three-call
+#: eviction and NumPy-wrapper placement, 11.0-14.7, and with per-hook
+#: registry counters, a per-element histogram loop and a per-policy
+#: second eviction order, 13.7-21.9.
+CACHED_TRACED_FLOOR = 4.03
 
 #: Traced / bare time ratio on the same cached mixed stream.  Over 10
 #: runs on the same host it measured 1.18-1.54; the bound is the top of
-#: that range plus 25% headroom.
+#: that range plus 25% headroom.  With cache events as column blocks it
+#: measured 1.01-1.14 (6 runs; the Python walk 1.08-1.58 in the same
+#: interleaved session).
 CACHED_TRACE_BOUND = 1.93
 
 

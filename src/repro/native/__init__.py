@@ -1,8 +1,10 @@
-"""Compiled per-disk serve core of the fast kernel, loaded through ``ctypes``.
+"""Compiled serve core of the fast kernel, loaded through ``ctypes``.
 
-:mod:`repro.sim.fastkernel` replays each read-only segment through the C
+:mod:`repro.sim.fastkernel` replays each read-only segment through one C
 routine in ``serve.c`` (the per-disk Lindley / DPM-ladder recursion, bit for
-bit the Python one).  The shared library is built from that source with the
+bit the Python one), and walks each shared-cache batch through another (the
+arrival-order merge of cache lookups, pending admissions, evictions and the
+same per-disk step).  The shared library is built from that source with the
 host's C compiler the first time this package is imported and cached under
 ``~/.cache/repro/native/``, named by a hash of the source, the compiler, the
 flags and the Python ABI, so later imports only load it.  The build writes
@@ -33,7 +35,16 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 
-__all__ = ["CFLAGS", "ServeArgs", "build", "cache_dir", "compiler", "serve_core"]
+__all__ = [
+    "CFLAGS",
+    "CoupledArgs",
+    "ServeArgs",
+    "build",
+    "cache_dir",
+    "compiler",
+    "coupled_core",
+    "serve_core",
+]
 
 SOURCE = Path(__file__).with_name("serve.c")
 
@@ -60,10 +71,36 @@ class ServeArgs(ctypes.Structure):
         ("n", _i), ("disk", _p), ("t", _p), ("tr", _p), ("starts", _p),
         ("order", _p), ("first", _p),
         ("gap_cap", _i), ("n_gap", _i),
-        ("gap_g", _p), ("gap_th", _p), ("gap_n", _p),
+        ("gap_g", _p), ("gap_th", _p), ("gap_d", _p), ("gap_tmp", _p),
+        ("gap_n", _p),
         ("span_cap", _i), ("n_span", _i),
         ("span_key", _p), ("span_d", _p), ("span_s", _p), ("span_e", _p),
         ("out_d", _p), ("out_s", _p), ("out_e", _p), ("key_n", _p),
+    ]
+
+
+class CoupledArgs(ctypes.Structure):
+    """Mirror of ``coupled_args`` in ``serve.c``: the bank it serves
+    through, the cache state in per-file-id arrays, the pending-admission
+    and LFU heaps, the batch and the cache-event buffers."""
+
+    _fields_ = [
+        ("s", ctypes.POINTER(ServeArgs)),
+        ("policy", _i), ("nf", _i), ("capacity", ctypes.c_double),
+        ("size", _p), ("map", _p), ("rate", _p),
+        ("csize", _p), ("nxt", _p), ("prv", _p), ("res", _p), ("ref", _p),
+        ("freq", _p),
+        ("head", _i), ("tail", _i), ("count", _i),
+        ("used", ctypes.c_double),
+        ("hits", _i), ("misses", _i), ("insertions", _i), ("evictions", _i),
+        ("rejected", _i),
+        ("bytes_hit", ctypes.c_double), ("bytes_missed", ctypes.c_double),
+        ("lh", _p), ("lh_n", _i), ("lh_cap", _i), ("lh_seq", _i),
+        ("ad", _p), ("ad_n", _i), ("ad_cap", _i),
+        ("n", _i), ("base", _i), ("final", _i),
+        ("fid", _p), ("t", _p), ("w", _p), ("starts", _p), ("dreq", _p),
+        ("ev_cap", _i), ("ev_n", _i), ("ev_t", _p), ("ev_k", _p), ("ev_f", _p),
+        ("stop", _i),
     ]
 
 
@@ -141,8 +178,8 @@ def build(directory: Path, cc: str) -> Path:
     return target
 
 
-def _load() -> Tuple[Optional[Callable[..., int]], Optional[str]]:
-    """Build (or find) and load the library: ``(function, None)``, or
+def _load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
+    """Build (or find) and load the library: ``(library, None)``, or
     ``(None, reason)`` when it cannot be had."""
     cc = compiler()
     if cc is None:
@@ -163,22 +200,44 @@ def _load() -> Tuple[Optional[Callable[..., int]], Optional[str]]:
         lib = ctypes.CDLL(str(path))
     except (ConfigError, OSError) as exc:
         return None, str(exc)
-    lib.repro_serve_args_size.argtypes = []
-    lib.repro_serve_args_size.restype = ctypes.c_int64
-    if lib.repro_serve_args_size() != ctypes.sizeof(ServeArgs):
-        return None, f"{path} does not match ServeArgs; delete it to rebuild"
-    fn = lib.repro_serve_segment
-    fn.argtypes = [ctypes.POINTER(ServeArgs), ctypes.c_int64]
-    fn.restype = ctypes.c_int64
-    return fn, None
+    for size_fn, mirror in (
+        (lib.repro_serve_args_size, ServeArgs),
+        (lib.repro_coupled_args_size, CoupledArgs),
+    ):
+        size_fn.argtypes = []
+        size_fn.restype = ctypes.c_int64
+        if size_fn() != ctypes.sizeof(mirror):
+            return None, (
+                f"{path} does not match {mirror.__name__}; delete it to rebuild"
+            )
+    lib.repro_serve_segment.argtypes = [ctypes.POINTER(ServeArgs), _i]
+    lib.repro_serve_segment.restype = _i
+    lib.repro_serve_coupled.argtypes = [ctypes.POINTER(CoupledArgs), _i]
+    lib.repro_serve_coupled.restype = _i
+    lib.repro_cache_order.argtypes = [ctypes.POINTER(CoupledArgs), _p]
+    lib.repro_cache_order.restype = None
+    return lib, None
 
 
-_CORE, _REASON = _load()
+_LIB, _REASON = _load()
 
 
-def serve_core():
+def _lib() -> ctypes.CDLL:
+    if _LIB is None:
+        raise ConfigError(_REASON)
+    return _LIB
+
+
+def serve_core() -> Callable[..., int]:
     """The compiled ``repro_serve_segment(ServeArgs *, pos)`` routine;
     raises :class:`~repro.errors.ConfigError` when it could not be built."""
-    if _CORE is None:
-        raise ConfigError(_REASON)
-    return _CORE
+    return _lib().repro_serve_segment
+
+
+def coupled_core() -> Tuple[Callable[..., int], Callable[..., None]]:
+    """The compiled ``repro_serve_coupled(CoupledArgs *, pos)`` walk and
+    ``repro_cache_order(CoupledArgs *, out)``, which lists the resident
+    files in eviction order; raises :class:`~repro.errors.ConfigError`
+    when the library could not be built."""
+    lib = _lib()
+    return lib.repro_serve_coupled, lib.repro_cache_order

@@ -1,18 +1,26 @@
 /*
- * Per-disk serve core of the fast kernel (repro.sim.fastkernel).
+ * Serve core of the fast kernel (repro.sim.fastkernel).
  *
- * One call replays a read-only segment of requests through each disk's
- * FIFO queue and DPM-ladder descent schedule: the Lindley recursion of
- * paper Figure 1, extended to multi-rung ladders.  The arithmetic is the
- * Python recursion's, term for term and in the same order, so starts,
- * per-disk state and every logged record come out bit for bit equal to it
- * (build with -ffp-contract=off and without -ffast-math).
+ * repro_serve_segment replays a read-only segment of requests through each
+ * disk's FIFO queue and DPM-ladder descent schedule: the Lindley recursion
+ * of paper Figure 1, extended to multi-rung ladders.  repro_serve_coupled
+ * walks a shared-cache batch in arrival order instead: it drains the
+ * pending cache admissions due before each arrival, looks the file up in
+ * the whole-file cache (LRU, FIFO, CLOCK or LFU, kept in per-file-id
+ * arrays), and serves misses and writes through the same per-request step.
+ * The arithmetic is the Python reference's, term for term and in the same
+ * order, so starts, per-disk state, cache state and every logged record
+ * come out bit for bit equal to it (build with -ffp-contract=off and
+ * without -ffast-math).
  *
- * Requests are walked disk-major, in arrival order inside each disk (a
+ * The segment walk is disk-major, in arrival order inside each disk (a
  * stable counting sort by disk), which is the order the gap-log and span
- * records are kept in.  A call stops early when a record buffer could
- * overflow and returns the position reached; the caller drains the
- * records and calls again with that position to resume the walk.
+ * records are kept in; the coupled walk sorts its arrival-order records
+ * into the same layout.  A call stops early when a record buffer could
+ * overflow (and the coupled walk also at a write that needs a placement
+ * or a read of an unmapped file) and returns the position reached; the
+ * caller drains the records, acts, and calls again with that position to
+ * resume the walk.
  */
 
 #include <stdint.h>
@@ -45,9 +53,12 @@ typedef struct {
     double *starts;
     int64_t *order;       /* [n] disk-major permutation (work space) */
     int64_t *first;       /* [D+1] (work space) */
-    /* gap log (controlled): records of this call, per-disk counts */
+    /* gap log (controlled): records of this call, disk-major, with
+     * per-disk counts (gap_d and gap_tmp are work space) */
     int64_t gap_cap, n_gap;
     double *gap_g, *gap_th;
+    int64_t *gap_d;
+    double *gap_tmp;      /* [2*gap_cap] */
     int64_t *gap_n;       /* [D] */
     /* spans: raw records of this call, then sorted by key */
     int64_t span_cap, n_span;
@@ -183,13 +194,60 @@ static void sort_spans(serve_args *a)
     }
 }
 
+/* Log one closed idle gap of disk d: the gap and the threshold in effect
+ * at its drain instant. */
+static inline void put_gap(serve_args *a, int64_t d, double g, double th)
+{
+    int64_t m = a->n_gap++;
+    a->gap_g[m] = g;
+    a->gap_th[m] = th;
+    a->gap_d[m] = d;
+    a->gap_n[d]++;
+}
+
+/* Whether one more request could overflow a record buffer. */
+static inline int records_full(const serve_args *a, int spans)
+{
+    return (spans && a->n_span + 2 * a->maxR > a->span_cap)
+        || (a->th != NULL && a->n_gap == a->gap_cap);
+}
+
+/* The per-request step both walks share: queue a request arriving at t
+ * with transfer time tr on disk d, whose state st = {avail, load, pt, pv}
+ * and schedule *E are updated in place; returns the service start. */
+static inline double step(serve_args *a, int64_t d, double st[4],
+                          const double **E, double oh, double t, double tr,
+                          int spans)
+{
+    const double av = st[0];
+    double s;
+    if (t != st[2]) {
+        st[2] = t;
+        st[3] = av;
+    }
+    if (t > av) {
+        if (a->th != NULL) {
+            /* The threshold in effect at the drain instant. */
+            double q = av / a->ci;
+            int64_t row = q < (double)a->k ? (int64_t)q : a->k;
+            put_gap(a, d, t - av, a->th[row * a->D + d]);
+            *E = a->ent + (row * a->D + d) * a->W;
+        }
+        s = (t - av <= (*E)[1]) ? t : descend(a, d, av, t, *E, spans);
+    } else {
+        s = av;
+    }
+    st[0] = s + oh + tr;
+    st[1] += oh + tr;
+    return s;
+}
+
 /* Serve the segment from disk-major position pos; returns the position
  * reached (n when done), or -1 for a disk index out of range. */
 int64_t repro_serve_segment(serve_args *a, int64_t pos)
 {
-    const int64_t n = a->n, W = a->W;
+    const int64_t n = a->n;
     const int spans = a->span_cap > 0;
-    const int64_t room = 2 * a->maxR;  /* records one request may log */
     if (pos == 0 && group_by_disk(a) < 0)
         return -1;
     memset(a->gap_n, 0, (size_t)a->D * sizeof *a->gap_n);
@@ -199,51 +257,453 @@ int64_t repro_serve_segment(serve_args *a, int64_t pos)
     int full = 0;
     while (p < n && !full) {
         const int64_t d = a->disk[a->order[p]];
-        double av = a->avail[d], ld = a->load[d];
-        double pt = a->pt[d], pv = a->pv[d];
+        double st[4] = {a->avail[d], a->load[d], a->pt[d], a->pv[d]};
         const double oh = a->oh[d];
-        const double *E = a->ent + d * W;
+        const double *E = a->ent + d * a->W;
         for (; p < n; p++) {
             const int64_t j = a->order[p];
             if (a->disk[j] != d)
                 break;
-            if ((spans && a->n_span + room > a->span_cap)
-                || (a->th != NULL && a->n_gap == a->gap_cap)) {
+            if (records_full(a, spans)) {
                 full = 1;
                 break;
             }
-            const double t = a->t[j], tr = a->tr[j];
-            double s;
-            if (t != pt) {
-                pt = t;
-                pv = av;
-            }
-            if (t > av) {
-                if (a->th != NULL) {
-                    /* The threshold in effect at the drain instant. */
-                    double q = av / a->ci;
-                    int64_t row = q < (double)a->k ? (int64_t)q : a->k;
-                    double th = a->th[row * a->D + d];
-                    a->gap_g[a->n_gap] = t - av;
-                    a->gap_th[a->n_gap] = th;
-                    a->n_gap++;
-                    a->gap_n[d]++;
-                    E = a->ent + (row * a->D + d) * W;
-                }
-                s = (t - av <= E[1]) ? t : descend(a, d, av, t, E, spans);
-            } else {
-                s = av;
-            }
-            a->starts[j] = s;
-            av = s + oh + tr;
-            ld += oh + tr;
+            a->starts[j] = step(a, d, st, &E, oh, a->t[j], a->tr[j], spans);
         }
-        a->avail[d] = av;
-        a->load[d] = ld;
-        a->pt[d] = pt;
-        a->pv[d] = pv;
+        a->avail[d] = st[0];
+        a->load[d] = st[1];
+        a->pt[d] = st[2];
+        a->pv[d] = st[3];
     }
     if (spans)
         sort_spans(a);
     return p;
+}
+
+/* ---------------------------------------------------------------------
+ * The coupled walk: a shared whole-file cache in front of the disks.
+ * ------------------------------------------------------------------- */
+
+enum { LRU = 0, FIFO = 1, CLOCK = 2, LFU = 3 };
+enum { EV_HIT = 0, EV_MISS = 1, EV_ADMIT = 2, EV_EVICT = 3 };
+enum {
+    STOP_DONE = 0,      /* batch served (or horizon drain done) */
+    STOP_FULL = 1,      /* a record or event buffer is full: drain, resume */
+    STOP_PLACE = 2,     /* write of an unmapped file: place it, resume */
+    STOP_UNMAPPED = 3,  /* read of an unmapped file (its miss is counted) */
+    STOP_BAD_FILE = 4,  /* file id outside the catalog */
+    STOP_BAD_DISK = 5,  /* mapping names a disk outside the pool */
+};
+
+typedef struct {        /* a pending admission: a miss's completion */
+    double c;
+    int64_t seq, f;
+    double size;
+} admission;
+
+typedef struct {        /* an LFU (frequency, seq, file) snapshot */
+    int64_t freq, seq, f;
+} snapshot;
+
+typedef struct {
+    serve_args *s;        /* the bank */
+    int64_t policy;       /* LRU, FIFO, CLOCK or LFU */
+    int64_t nf;           /* catalog files: stream ids must be below */
+    double capacity;
+    const double *size;   /* [nf] catalog sizes */
+    const int64_t *map;   /* [nf] file -> disk, -1 while unmapped */
+    const double *rate;   /* [D] transfer rates */
+    /* cache state, per file id: resident size, eviction-order list
+     * (head is the next victim), residency, CLOCK reference bit and LFU
+     * frequency */
+    double *csize;
+    int64_t *nxt, *prv;
+    uint8_t *res, *ref;
+    int64_t *freq;
+    int64_t head, tail, count;
+    double used;
+    int64_t hits, misses, insertions, evictions, rejected;
+    double bytes_hit, bytes_missed;
+    /* LFU lazy snapshot heap, in heapq's exact layout */
+    snapshot *lh;
+    int64_t lh_n, lh_cap, lh_seq;
+    /* pending admissions, a min-heap on (completion, global seq) */
+    admission *ad;
+    int64_t ad_n, ad_cap;
+    /* the batch (final: no batch, admit everything due before T) */
+    int64_t n, base, final;
+    const int64_t *fid;
+    const double *t;
+    const uint8_t *w;     /* NULL: no writes in the batch */
+    double *starts;
+    int64_t *dreq;        /* serving disk, -1 for a hit */
+    /* cache events of this call (ev_cap 0: not recorded) */
+    int64_t ev_cap, ev_n;
+    double *ev_t;
+    int8_t *ev_k;
+    int64_t *ev_f;
+    int64_t stop;
+} coupled_args;
+
+int64_t repro_coupled_args_size(void)
+{
+    return (int64_t)sizeof(coupled_args);
+}
+
+static inline void emit(coupled_args *c, double t, int8_t kind, int64_t f)
+{
+    if (c->ev_cap) {
+        int64_t m = c->ev_n++;
+        c->ev_t[m] = t;
+        c->ev_k[m] = kind;
+        c->ev_f[m] = f;
+    }
+}
+
+static inline void unlink_file(coupled_args *c, int64_t f)
+{
+    int64_t p = c->prv[f], q = c->nxt[f];
+    if (p >= 0)
+        c->nxt[p] = q;
+    else
+        c->head = q;
+    if (q >= 0)
+        c->prv[q] = p;
+    else
+        c->tail = p;
+}
+
+static inline void append_file(coupled_args *c, int64_t f)
+{
+    c->prv[f] = c->tail;
+    c->nxt[f] = -1;
+    if (c->tail >= 0)
+        c->nxt[c->tail] = f;
+    else
+        c->head = f;
+    c->tail = f;
+}
+
+/* heapq's tuple order on (freq, seq, file). */
+static inline int snap_less(const snapshot *x, const snapshot *y)
+{
+    if (x->freq != y->freq)
+        return x->freq < y->freq;
+    if (x->seq != y->seq)
+        return x->seq < y->seq;
+    return x->f < y->f;
+}
+
+/* heapq._siftdown */
+static void snap_siftdown(snapshot *h, int64_t start, int64_t pos)
+{
+    snapshot item = h[pos];
+    while (pos > start) {
+        int64_t parent = (pos - 1) >> 1;
+        if (!snap_less(&item, &h[parent]))
+            break;
+        h[pos] = h[parent];
+        pos = parent;
+    }
+    h[pos] = item;
+}
+
+/* heapq._siftup */
+static void snap_siftup(snapshot *h, int64_t end, int64_t pos)
+{
+    const int64_t start = pos;
+    snapshot item = h[pos];
+    int64_t child = 2 * pos + 1;
+    while (child < end) {
+        int64_t right = child + 1;
+        if (right < end && !snap_less(&h[child], &h[right]))
+            child = right;
+        h[pos] = h[child];
+        pos = child;
+        child = 2 * pos + 1;
+    }
+    h[pos] = item;
+    snap_siftdown(h, start, pos);
+}
+
+static void lfu_push(coupled_args *c, int64_t f)
+{
+    snapshot *x = &c->lh[c->lh_n];
+    x->freq = c->freq[f];
+    x->seq = c->lh_seq++;
+    x->f = f;
+    snap_siftdown(c->lh, 0, c->lh_n++);
+}
+
+static void lfu_pop(coupled_args *c)
+{
+    snapshot last = c->lh[--c->lh_n];
+    if (c->lh_n) {
+        c->lh[0] = last;
+        snap_siftup(c->lh, c->lh_n, 0);
+    }
+}
+
+/* A hit, or the admission of a resident file. */
+static inline void on_hit(coupled_args *c, int64_t f)
+{
+    switch (c->policy) {
+    case LRU:
+        unlink_file(c, f);
+        append_file(c, f);
+        break;
+    case CLOCK:
+        c->ref[f] = 1;
+        break;
+    case LFU:
+        c->freq[f]++;
+        lfu_push(c, f);
+        break;
+    }
+}
+
+/* Remove the next victim from the eviction order; returns its id. */
+static int64_t pop_victim(coupled_args *c)
+{
+    int64_t f;
+    switch (c->policy) {
+    case CLOCK:
+        for (;;) {
+            f = c->head;
+            unlink_file(c, f);
+            if (!c->ref[f])
+                break;
+            c->ref[f] = 0;  /* second chance: behind the hand */
+            append_file(c, f);
+        }
+        break;
+    case LFU:
+        for (;;) {
+            /* A valid top snapshot stays on the heap (LFUCache does the
+             * same): a re-admitted file ranks by it until it is popped. */
+            f = c->lh[0].f;
+            if (c->res[f] && c->freq[f] == c->lh[0].freq) {
+                unlink_file(c, f);
+                break;
+            }
+            lfu_pop(c);  /* stale snapshot */
+        }
+        break;
+    default:
+        f = c->head;
+        unlink_file(c, f);
+    }
+    c->res[f] = 0;
+    c->count--;
+    return f;
+}
+
+static void admit(coupled_args *c, int64_t f, double size, double now)
+{
+    if (size > c->capacity) {
+        c->rejected++;
+        return;
+    }
+    if (c->res[f]) {
+        on_hit(c, f);
+        return;
+    }
+    while (c->count && c->used + size > c->capacity) {
+        int64_t v = pop_victim(c);
+        c->used -= c->csize[v];
+        if (!c->count)
+            c->used = 0.0;  /* no float residue in an empty cache */
+        c->evictions++;
+        emit(c, now, EV_EVICT, v);
+    }
+    append_file(c, f);
+    c->res[f] = 1;
+    c->csize[f] = size;
+    c->count++;
+    c->used += size;
+    c->insertions++;
+    if (c->policy == LFU) {
+        c->freq[f] = 1;
+        lfu_push(c, f);
+    }
+}
+
+static inline int lookup(coupled_args *c, int64_t f, double size)
+{
+    if (c->res[f]) {
+        c->hits++;
+        c->bytes_hit += size;
+        on_hit(c, f);
+        return 1;
+    }
+    c->misses++;
+    c->bytes_missed += size;
+    return 0;
+}
+
+static inline int ad_less(const admission *x, const admission *y)
+{
+    return x->c < y->c || (x->c == y->c && x->seq < y->seq);
+}
+
+static void ad_push(coupled_args *c, double done, int64_t seq, int64_t f,
+                    double size)
+{
+    admission *h = c->ad;
+    int64_t pos = c->ad_n++;
+    admission item = {done, seq, f, size};
+    while (pos > 0) {
+        int64_t parent = (pos - 1) >> 1;
+        if (!ad_less(&item, &h[parent]))
+            break;
+        h[pos] = h[parent];
+        pos = parent;
+    }
+    h[pos] = item;
+}
+
+static admission ad_pop(coupled_args *c)
+{
+    admission *h = c->ad;
+    admission top = h[0];
+    admission last = h[--c->ad_n];
+    int64_t n = c->ad_n, pos = 0;
+    if (n) {
+        for (;;) {
+            int64_t child = 2 * pos + 1;
+            if (child >= n)
+                break;
+            if (child + 1 < n && ad_less(&h[child + 1], &h[child]))
+                child++;
+            if (!ad_less(&h[child], &last))
+                break;
+            h[pos] = h[child];
+            pos = child;
+        }
+        h[pos] = last;
+    }
+    return top;
+}
+
+/* Admit the pending completions before limit (at it too when inclusive),
+ * in (completion, seq) order; -1 if the event buffer fills first. */
+static int drain(coupled_args *c, double limit, int inclusive)
+{
+    while (c->ad_n) {
+        const double top = c->ad[0].c;
+        if (inclusive ? !(top <= limit) : !(top < limit))
+            break;
+        if (c->ev_cap && c->ev_n + 1 + c->count > c->ev_cap)
+            return -1;  /* room for the admit and every eviction */
+        admission x = ad_pop(c);
+        emit(c, x.c, EV_ADMIT, x.f);
+        admit(c, x.f, x.size, x.c);
+    }
+    return 0;
+}
+
+/* Stable counting sort of this call's arrival-order gap records by disk
+ * into the disk-major layout the segment walk produces. */
+static void sort_gaps(serve_args *a)
+{
+    const int64_t m = a->n_gap;
+    int64_t *first = a->first;
+    double *tg = a->gap_tmp, *tth = a->gap_tmp + a->gap_cap;
+    first[0] = 0;
+    for (int64_t d = 0; d < a->D; d++)
+        first[d + 1] = first[d] + a->gap_n[d];
+    for (int64_t r = 0; r < m; r++) {
+        int64_t q = first[a->gap_d[r]]++;
+        tg[q] = a->gap_g[r];
+        tth[q] = a->gap_th[r];
+    }
+    memcpy(a->gap_g, tg, (size_t)m * sizeof *tg);
+    memcpy(a->gap_th, tth, (size_t)m * sizeof *tth);
+}
+
+/* Walk the batch in arrival order from position pos; returns the position
+ * reached, with the reason in c->stop.  Records and cache events collect
+ * across calls until the caller takes them and zeroes their counts (it
+ * need not between a placement stop and the resumed walk); the records
+ * are sorted into the segment walk's layout at every other stop. */
+int64_t repro_serve_coupled(coupled_args *c, int64_t pos)
+{
+    serve_args *a = c->s;
+    const int spans = a->span_cap > 0;
+    const int64_t D = a->D;
+    c->stop = STOP_DONE;
+    int64_t i = pos;
+    if (c->final) {
+        /* The horizon: admissions at or after T never happen. */
+        if (drain(c, a->T, 0) < 0)
+            c->stop = STOP_FULL;
+        return i;
+    }
+    for (; i < c->n; i++) {
+        const double t = c->t[i];
+        if (drain(c, t, 1) < 0) {
+            c->stop = STOP_FULL;
+            break;
+        }
+        const int64_t f = c->fid[i];
+        if (f < 0 || f >= c->nf) {
+            c->stop = STOP_BAD_FILE;
+            break;
+        }
+        const double size = c->size[f];
+        const int write = c->w != NULL && c->w[i];
+        if (records_full(a, spans) || (c->ev_cap && c->ev_n == c->ev_cap)) {
+            c->stop = STOP_FULL;
+            break;
+        }
+        if (!write) {
+            if (lookup(c, f, size)) {
+                emit(c, t, EV_HIT, f);
+                c->starts[i] = t;  /* a hit completes at its arrival */
+                c->dreq[i] = -1;
+                continue;
+            }
+            emit(c, t, EV_MISS, f);
+        }
+        const int64_t d = c->map[f];
+        if (d < 0) {
+            c->stop = write ? STOP_PLACE : STOP_UNMAPPED;
+            break;
+        }
+        if (d >= D) {
+            c->stop = STOP_BAD_DISK;
+            break;
+        }
+        const double tr = size / c->rate[d];
+        const double oh = a->oh[d];
+        double st[4] = {a->avail[d], a->load[d], a->pt[d], a->pv[d]};
+        const double *E = a->ent + d * a->W;
+        const double s = step(a, d, st, &E, oh, t, tr, spans);
+        a->avail[d] = st[0];
+        a->load[d] = st[1];
+        a->pt[d] = st[2];
+        a->pv[d] = st[3];
+        c->starts[i] = s;
+        c->dreq[i] = d;
+        if (!write) {
+            const double done = s + oh + tr;
+            if (done < a->T)
+                ad_push(c, done, c->base + i, f, size);
+        }
+    }
+    if (c->stop != STOP_PLACE) {
+        if (a->th != NULL && a->n_gap)
+            sort_gaps(a);
+        if (spans)
+            sort_spans(a);
+    }
+    return i;
+}
+
+/* The resident files in eviction order (head first) into out[count]. */
+void repro_cache_order(const coupled_args *c, int64_t *out)
+{
+    int64_t m = 0;
+    for (int64_t f = c->head; f >= 0; f = c->nxt[f])
+        out[m++] = f;
 }

@@ -25,10 +25,13 @@ batch boundaries — per-request service spans would defeat its batching.
 Each hook's own events arrive in simulation order, but the order in
 which *different* hooks fire relative to each other is not part of the
 contract.  The event engine calls :meth:`RunObserver.on_cache_event`
-once per event; the fast kernel collects a batch's cache events and
-hands them over in one :meth:`RunObserver.on_cache_events` call per
-batch (chunk, control interval or release batch, plus one for the
-admissions drained at the horizon), after that batch's placements.
+once per event; the fast kernel's compiled cache walk records a batch's
+cache events as columns and hands them over as one
+:class:`CacheEventBlock` in one :meth:`RunObserver.on_cache_events` call
+per batch (chunk, control interval or release batch, plus one for the
+admissions drained at the horizon), after that batch's placements.  A
+block iterates as the same ``(time, kind, file_id)`` tuples, so an
+observer that only implements ``on_cache_event`` sees the same sequence.
 
 Hot paths stay allocation-free by normalizing observers up front with
 :func:`active_observer`: a disabled (or absent) observer becomes
@@ -37,9 +40,12 @@ Hot paths stay allocation-free by normalizing observers up front with
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
+    "CacheEventBlock",
     "RunObserver",
     "NullObserver",
     "NULL_OBSERVER",
@@ -47,8 +53,47 @@ __all__ = [
     "active_observer",
 ]
 
-#: Vocabulary of ``on_cache_event`` kinds, in lifecycle order.
+#: Vocabulary of ``on_cache_event`` kinds, in lifecycle order; a
+#: :class:`CacheEventBlock` codes each kind by its index here.
 CACHE_EVENT_KINDS = ("hit", "miss", "admit", "evict")
+
+
+class CacheEventBlock:
+    """A batch of cache events as columns: simulated ``times``, kind
+    ``codes`` (indices into :data:`CACHE_EVENT_KINDS`) and ``file_ids``.
+
+    Iterating yields the ``(time, kind, file_id)`` tuples the single-event
+    hook receives, as plain Python values.
+    """
+
+    __slots__ = ("times", "codes", "file_ids")
+
+    def __init__(
+        self, times: np.ndarray, codes: np.ndarray, file_ids: np.ndarray
+    ) -> None:
+        self.times = times
+        self.codes = codes
+        self.file_ids = file_ids
+
+    def __len__(self) -> int:
+        return int(self.times.size)
+
+    def __iter__(self) -> Iterator[Tuple[float, str, int]]:
+        kinds = CACHE_EVENT_KINDS
+        return zip(
+            self.times.tolist(),
+            [kinds[c] for c in self.codes.tolist()],
+            self.file_ids.tolist(),
+        )
+
+    def kind_counts(self) -> Iterable[Tuple[str, int]]:
+        """``(kind, count)`` for every kind present in the block."""
+        counts = np.bincount(self.codes, minlength=len(CACHE_EVENT_KINDS))
+        return [
+            (kind, int(n))
+            for kind, n in zip(CACHE_EVENT_KINDS, counts.tolist())
+            if n
+        ]
 
 
 class RunObserver:
@@ -75,13 +120,14 @@ class RunObserver:
         """A shared-cache event (``kind`` in :data:`CACHE_EVENT_KINDS`)."""
 
     def on_cache_events(
-        self, events: Sequence[Tuple[float, str, int]]
+        self, events: Iterable[Tuple[float, str, int]]
     ) -> None:
         """A batch of ``(time, kind, file_id)`` cache events, in order.
 
-        The fast kernel hands over its cache events once per batch; this
-        default forwards each to :meth:`on_cache_event`, so an observer
-        that only implements the single-event hook sees the same sequence.
+        The fast kernel hands over its cache events once per batch, as a
+        :class:`CacheEventBlock`; this default forwards each to
+        :meth:`on_cache_event`, so an observer that only implements the
+        single-event hook sees the same sequence.
         """
         on_cache_event = self.on_cache_event
         for time, kind, file_id in events:

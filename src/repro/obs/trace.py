@@ -32,7 +32,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
 
-from repro.obs.hooks import RunObserver
+from repro.obs.hooks import CacheEventBlock, RunObserver
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["TraceRecorder", "sweep_chrome_trace", "write_trace"]
@@ -53,16 +53,35 @@ _PROCESS_NAMES = {
 class TraceRecorder(RunObserver):
     """Buffer observer events and export them as a Chrome trace.
 
-    The hooks only append to the event lists.  ``registry`` derives the
-    per-event-type counts from those lists when it is read, so a recorded
-    run's ``extra["obs"]`` snapshot carries an ``events`` section.
+    The hooks only append to the event lists.  Cache events arrive either
+    one at a time (event engine) or as the fast kernel's
+    :class:`~repro.obs.hooks.CacheEventBlock` columns, which are stored
+    as they come; :attr:`cache_events` builds the ``(time, kind,
+    file_id)`` list when it is read.  ``registry`` derives the
+    per-event-type counts when it is read (counting block kinds from
+    their codes), so a recorded run's ``extra["obs"]`` snapshot carries an
+    ``events`` section.
     """
 
     def __init__(self) -> None:
         self.state_spans: List[Tuple[int, str, float, float]] = []
-        self.cache_events: List[Tuple[float, str, int]] = []
+        # Cache events in arrival order: blocks and lists of tuples.
+        self._cache_parts: List[Any] = []
         self.threshold_events: List[Tuple[float, Tuple[float, ...]]] = []
         self.placements: List[Tuple[float, int, int]] = []
+
+    @property
+    def cache_events(self) -> List[Tuple[float, str, int]]:
+        """Every recorded cache event as a ``(time, kind, file_id)``
+        tuple, in order (the list later single events append to)."""
+        parts = self._cache_parts
+        if len(parts) == 1 and isinstance(parts[0], list):
+            return parts[0]
+        events: List[Tuple[float, str, int]] = []
+        for part in parts:
+            events.extend(part)
+        self._cache_parts = [events]
+        return events
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -70,11 +89,17 @@ class TraceRecorder(RunObserver):
         ``control.threshold_updates`` and ``placement.writes``, each present
         once its hook has fired."""
         registry = MetricsRegistry()
-        for prefix, events in (
-            ("span.", self.state_spans), ("cache.", self.cache_events)
-        ):
-            for kind, n in Counter(map(itemgetter(1), events)).items():
-                registry.counter(prefix + kind).inc(n)
+        counts = Counter(map(itemgetter(1), self.state_spans))
+        for kind, n in counts.items():
+            registry.counter("span." + kind).inc(n)
+        counts = Counter()
+        for part in self._cache_parts:
+            if isinstance(part, CacheEventBlock):
+                counts.update(dict(part.kind_counts()))
+            else:
+                counts.update(map(itemgetter(1), part))
+        for kind, n in counts.items():
+            registry.counter("cache." + kind).inc(n)
         for name, events in (
             ("control.threshold_updates", self.threshold_events),
             ("placement.writes", self.placements),
@@ -88,13 +113,23 @@ class TraceRecorder(RunObserver):
     def on_state_span(self, disk: int, state: str, start: float, end: float) -> None:
         self.state_spans.append((disk, state, start, end))
 
+    def _event_list(self) -> List[Tuple[float, str, int]]:
+        """The trailing list part single events append to."""
+        parts = self._cache_parts
+        if not parts or not isinstance(parts[-1], list):
+            parts.append([])
+        return parts[-1]
+
     def on_cache_event(self, time: float, kind: str, file_id: int) -> None:
-        self.cache_events.append((time, kind, file_id))
+        self._event_list().append((time, kind, file_id))
 
     def on_cache_events(
-        self, events: Sequence[Tuple[float, str, int]]
+        self, events: Iterable[Tuple[float, str, int]]
     ) -> None:
-        self.cache_events.extend(events)
+        if isinstance(events, CacheEventBlock):
+            self._cache_parts.append(events)
+        else:
+            self._event_list().extend(events)
 
     def on_thresholds(self, time: float, thresholds: Sequence[float]) -> None:
         self.threshold_events.append((time, tuple(float(t) for t in thresholds)))

@@ -98,24 +98,33 @@ Execution strategy (fastest applicable path is chosen per run):
 0. **the compiled serve core** (:mod:`repro.native`, C loaded through
    ``ctypes``): :func:`_serve_segment` hands a whole read-only segment to
    one C call, which groups it by disk with a counting sort and runs each
-   disk's queue and ladder recursion, bit for bit the Python recursion
-   (``tests/sim/serve_oracle.py`` keeps that loop as the test oracle).
-   The grouped, segmented and controlled paths all serve through it, so
-   ``engine="fast"`` needs a C compiler (the library is built once and
-   cached under ``~/.cache/repro/native``); single requests at coupling
-   points stay on :meth:`_DiskBank.serve` in Python;
+   disk's queue and ladder recursion, and :func:`_serve_coupled` hands a
+   whole shared-cache batch to another, which walks it in arrival order
+   through the same per-request step.  Both are bit for bit the Python
+   loops ``tests/sim/serve_oracle.py`` keeps as test oracles.  Every path
+   serves through them, and the bank's state lives only in their arrays,
+   so ``engine="fast"`` needs a C compiler (the library is built once and
+   cached under ``~/.cache/repro/native``); there is no Python fallback;
 1. **grouped** (read-only, no cache): the whole stream (or chunk) is one
    segment for the compiled core, each disk's queue advanced
    independently — the original fully batched path;
 2. **segmented** (writes, no cache): only writes that *allocate* a new
    file couple the disks, so the stream is split at those coupling points
    and the compiled core replays each read-only segment between them;
-   the allocation itself is resolved scalar against the banked per-disk
-   spin state;
-3. **coupled** (shared cache): a single globally time-merged pass walks
-   arrivals in order, draining a min-heap of pending cache admissions
-   (miss completions) between arrivals; the per-disk recursion state is
-   identical, only advanced one request at a time;
+   the allocation itself is resolved against the bank's live spin state
+   and the allocating write is served as a one-request segment;
+3. **coupled** (shared cache): one compiled walk per batch takes the
+   arrivals in order.  Before each arrival it drains the min-heap of
+   pending cache admissions (miss completions) due by then; it looks the
+   file up in the cache, which lives in per-file-id arrays for the whole
+   run (LRU, FIFO and CLOCK share one intrusive list in eviction order,
+   LFU keeps frequencies and its lazy snapshot heap) and is loaded from
+   and written back to the run's cache object; misses and writes are
+   served through the per-request step, and each miss pushes its
+   admission.  The walk stops only at a write that needs a placement
+   (run here in Python, then resumed), at a read of an unmapped file
+   (raised) and at a full record buffer.  Cache events leave it as one
+   column block per batch;
 4. **controlled** (a dynamic ``StorageConfig.dpm_policy``): the stream is
    segmented at control-interval boundaries and each interval replays
    through whichever of the three paths above applies, against a
@@ -151,22 +160,22 @@ the default ``engine="event"`` for those.
 
 from __future__ import annotations
 
-from ctypes import byref
-from heapq import heappop, heappush
-from itertools import repeat
+from ctypes import byref, pointer
+from itertools import count
 from math import inf
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.cache import ClockCache, FIFOCache, LFUCache, LRUCache
 from repro.disk.dpm import DpmLadder, make_dpm_ladder
 from repro.disk.drive import WRITE
 from repro.disk.fleet import ResolvedFleet
 from repro.disk.power import DiskState, PowerModel
 from repro.disk.specs import DiskSpec
 from repro.errors import ConfigError, SimulationError
-from repro.native import ServeArgs, serve_core
-from repro.obs.hooks import active_observer
+from repro.native import CoupledArgs, ServeArgs, coupled_core, serve_core
+from repro.obs.hooks import CacheEventBlock, active_observer
 from repro.system.dispatcher import (
     initial_free_bytes,
     per_disk_capacities,
@@ -253,14 +262,14 @@ class _DiskBank:
 
     Evolves exactly the state the event kernel's drives evolve — per disk,
     the time it next falls idle plus per-rung park/descent/wake
-    residencies — in plain Python lists, so single-request advances at
-    coupling points (:meth:`serve`) stay cheap, while
-    :func:`_serve_segment` replays whole read-only segments through the
-    compiled core of :mod:`repro.native` over array copies of that state.
-    The classic drive of paper Figure 1
-    (:class:`~repro.disk.drive.DiskDrive`) is the ``two_state`` ladder: one
-    descent rung whose descent, park and wake are SPINDOWN, STANDBY and
-    SPINUP, with the classic recursion's arithmetic term for term.
+    residencies — in the arrays the compiled core of :mod:`repro.native`
+    reads and writes in place: :func:`_serve_segment` replays read-only
+    segments and :func:`_serve_coupled` walks shared-cache batches through
+    it, so these arrays are the bank's only state.  The classic drive of
+    paper Figure 1 (:class:`~repro.disk.drive.DiskDrive`) is the
+    ``two_state`` ladder: one descent rung whose descent, park and wake are
+    SPINDOWN, STANDBY and SPINUP, with the classic recursion's arithmetic
+    term for term.
 
     An idle gap walks the disk's threshold-scaled descent schedule
     (:meth:`~repro.disk.dpm.DpmLadder.scaled_entries`): fully traversed
@@ -284,7 +293,7 @@ class _DiskBank:
     arithmetic.
 
     Heterogeneous fleets: ladders, specs and thresholds are per disk, and
-    residencies are disk-major (``park_t[d][i]``), each row padded to the
+    residencies are disk-major (``park_t[d, i]``), each row padded to the
     deepest ladder in the pool.  Scalars tile across the pool, reproducing
     the historical uniform recursion bit for bit.
     """
@@ -301,26 +310,8 @@ class _DiskBank:
     ) -> None:
         specs = _per_disk_specs(spec, num_disks)
         ladders = _per_disk_ladders(ladder, num_disks)
-        self.avail = [0.0] * num_disks
-        # Cumulative dispatched service seconds per disk, accumulated one
-        # request at a time (same order as the event dispatcher's ledger,
-        # so load-comparing placement policies see bit-equal values).
-        self.load = [0.0] * num_disks
-        # Same-instant state snapshot for the placement policy's spin view:
-        # ``pv[d]`` is disk ``d``'s ``avail`` as of the *start* of instant
-        # ``pt[d]`` (the arrival time of its most recent serve).  The event
-        # kernel's drive processes do not run between same-instant
-        # submissions — the dispatcher submits a whole release batch in one
-        # resumption — so a placement at time t must see the spin states as
-        # they stood when the instant began, not mid-batch.
-        self.pt = [float("-inf")] * num_disks
-        self.pv = [0.0] * num_disks
-        self.n_up = [0] * num_disks
-        self.n_down = [0] * num_disks
-        self.oh = [s.access_overhead for s in specs]
-        self.rate = [s.transfer_rate for s in specs]
-        self.oh_a = np.asarray(self.oh, dtype=float)
-        self.rate_a = np.asarray(self.rate, dtype=float)
+        self.oh_a = np.array([s.access_overhead for s in specs], dtype=float)
+        self.rate_a = np.array([s.transfer_rate for s in specs], dtype=float)
         self.ap = np.array([s.active_power for s in specs], dtype=float)
         self.cap = None  # per-disk usable bytes, set by _simulate_chunks
         self.T = horizon
@@ -329,41 +320,51 @@ class _DiskBank:
         self.maxR = max(self.R)
         self.dn = [[r.down_time for r in l.rungs] for l in ladders]
         self.wk = [[r.wake_time for r in l.rungs] for l in ladders]
-        # Rung 0's park time is the horizon residual, computed at the end;
-        # rungs past a disk's own ladder stay 0.
-        self.park_t = [[0.0] * self.maxR for _ in range(num_disks)]
-        self.down_t = [[0.0] * self.maxR for _ in range(num_disks)]
-        self.wake_t = [[0.0] * self.maxR for _ in range(num_disks)]
+        # Per-disk state.  ``avail`` is the time each disk next falls idle.
+        # ``load`` is the cumulative dispatched service seconds, accumulated
+        # one request at a time (same order as the event dispatcher's
+        # ledger, so load-comparing placement policies see bit-equal
+        # values).  ``pv[d]`` is disk ``d``'s ``avail`` as of the *start*
+        # of instant ``pt[d]`` (the arrival time of its most recent
+        # serve): the event kernel's drive processes do not run between
+        # same-instant submissions — the dispatcher submits a whole
+        # release batch in one resumption — so a placement at time t must
+        # see the spin states as they stood when the instant began.
+        self._fst = np.zeros((4, num_disks))
+        self.avail, self.load, self.pt, self.pv = self._fst
+        self.pt[:] = -inf
+        self._ust = np.zeros((2, num_disks), dtype=np.int64)
+        self.n_up, self.n_down = self._ust
+        # Residencies per (disk, rung).  Rung 0's park time is the horizon
+        # residual, computed at the end; rungs past a disk's own ladder
+        # stay 0.
+        self._rst = np.zeros((3, num_disks, self.maxR))
+        self.park_t, self.down_t, self.wake_t = self._rst
         # Per-disk scaled-schedule caches (mixed fleets scale different
         # ladders with the same threshold).
         self._entry_cache: List[dict] = [{} for _ in range(num_disks)]
-        # Descent schedules for the compiled core: one (disk, rung) matrix
-        # per threshold row, padded with inf past each disk's ladder (a
-        # one-rung ladder's schedule is (0, inf), hence at least 2 wide).
+        # Descent schedules: one (disk, rung) matrix per threshold row,
+        # padded with inf past each disk's ladder (a one-rung ladder's
+        # schedule is (0, inf), hence at least 2 wide).  The spin view
+        # reads each disk's last entry and last descent.
         width = max(self.maxR, 2)
+        self._last_col = np.maximum(np.asarray(self.R), 2) - 1
+        self._last_dn = np.array([dn[-1] for dn in self.dn])
+        self._disks = np.arange(num_disks)
+        rows = 1 if interval is None else 8
+        self._last_ent = np.empty((rows, num_disks))
         th = _per_disk_floats(thresholds, num_disks)
+        self._ent = np.full((rows, num_disks, width), inf)
         if interval is None:
-            self.entries: Optional[list] = [
-                self._entries_for(d, th[d]) for d in range(num_disks)
-            ]
-            self._last_entry = np.array([e[-1] for e in self.entries])
-            self._last_dn = np.array([dn[-1] for dn in self.dn])
+            self.ci = 0.0
             self.gap_log: Optional[List[list]] = None
-            self._ent = np.full((1, num_disks, width), inf)
-            self._th = None
+            self._th: Optional[np.ndarray] = None
         else:
-            self.entries = None  # per-gap schedules from the history
             self.ci = float(interval)
-            # One row per control interval; plain float lists because the
-            # hot per-gap lookup (a list index) beats NumPy scalar
-            # extraction by a wide margin.
-            self._th_rows: List[List[float]] = [th]
-            self.k = 0
             self.gap_log = [[] for _ in range(num_disks)]
             log_spans = True
-            self._ent = np.full((8, num_disks, width), inf)
-            self._th = np.empty((8, num_disks))
-        self._set_schedule_row(0, th)
+            self._th = np.empty((rows, num_disks))
+        self.k = 0
         if log_spans:
             # Keyed by rung index across the whole pool (entries carry the
             # disk id); maxR covers the deepest ladder in the mix.
@@ -372,13 +373,12 @@ class _DiskBank:
             )
         else:
             self.park_spans = self.down_spans = self.wake_spans = None
-        self._init_core(num_disks, 0.0 if interval is None else self.ci)
+        self._init_core(num_disks)
+        self._set_schedule_row(0, th)
 
-    def _init_core(self, num_disks: int, ci: float) -> None:
-        """Constant arrays, state buffers and record buffers the compiled
-        core reads and writes; the lists above stay the owner of the
-        state, copied in and out around each :func:`_serve_segment`
-        call."""
+    def _init_core(self, num_disks: int) -> None:
+        """Constant arrays and record buffers the compiled core reads and
+        writes, bound into the bank's ``ServeArgs``."""
         maxR = self.maxR
         self._core = serve_core()
         self._R_a = np.asarray(self.R, dtype=np.int64)
@@ -387,12 +387,10 @@ class _DiskBank:
         for d in range(num_disks):
             self._dn_a[d, : self.R[d]] = self.dn[d]
             self._wk_a[d, : self.R[d]] = self.wk[d]
-        self._fst = np.zeros((4, num_disks))  # avail, load, pt, pv
-        self._ust = np.zeros((2, num_disks), dtype=np.int64)  # n_up, n_down
-        self._rst = np.zeros((3, num_disks, maxR))  # park, down, wake
         self._gap_n = np.zeros(num_disks, dtype=np.int64)
         self._first = np.zeros(num_disks + 1, dtype=np.int64)
         self._key_n = np.zeros(3 * maxR, dtype=np.int64)
+
         def ptrs(rows):
             return [row.ctypes.data for row in rows]
 
@@ -400,8 +398,8 @@ class _DiskBank:
         n_up, n_down = ptrs(self._ust)
         park, down, wake = ptrs(self._rst)
         args = self._args = ServeArgs(
-            D=num_disks, maxR=maxR, W=self._ent.shape[2], T=self.T, ci=ci,
-            oh=self.oh_a.ctypes.data, R=self._R_a.ctypes.data,
+            D=num_disks, maxR=maxR, W=self._ent.shape[2], T=self.T,
+            ci=self.ci, oh=self.oh_a.ctypes.data, R=self._R_a.ctypes.data,
             dn=self._dn_a.ctypes.data, wk=self._wk_a.ctypes.data,
             avail=avail, load=load, pt=pt, pv=pv, n_up=n_up, n_down=n_down,
             park=park, down=down, wake=wake,
@@ -409,9 +407,12 @@ class _DiskBank:
             key_n=self._key_n.ctypes.data,
         )
         if self.gap_log is not None:
-            self._gaps = np.empty((2, _LOG_CHUNK))  # gap, threshold
+            # gap, threshold, then sort space for arrival-order records.
+            self._gaps = np.empty((4, _LOG_CHUNK))
+            self._gap_d = np.empty(_LOG_CHUNK, dtype=np.int64)
             args.gap_cap = _LOG_CHUNK
-            args.gap_g, args.gap_th = ptrs(self._gaps)
+            args.gap_g, args.gap_th, args.gap_tmp = ptrs(self._gaps[:3])
+            args.gap_d = self._gap_d.ctypes.data
         if self.park_spans is not None:
             # Raw records (key, disk, start, end), then sorted by key; room
             # for at least one request's spans, so every call progresses.
@@ -425,32 +426,33 @@ class _DiskBank:
             )
 
     def _set_schedule_row(self, k: int, th: List[float]) -> None:
-        """Fill row ``k`` of the compiled core's schedule tables from the
-        scaled-schedule cache (growing them when a controlled run outlives
-        their capacity)."""
+        """Fill row ``k`` of the schedule tables from the scaled-schedule
+        cache (growing them when a controlled run outlives their
+        capacity) and point the core at them."""
         if k == len(self._ent):
             self._ent = np.concatenate((self._ent, np.full_like(self._ent, inf)))
             self._th = np.concatenate((self._th, np.empty_like(self._th)))
+            self._last_ent = np.concatenate(
+                (self._last_ent, np.empty_like(self._last_ent))
+            )
         ent = self._ent[k]
         for d, th_d in enumerate(th):
             e = self._entries_for(d, th_d)
             ent[d, : len(e)] = e
+        self._last_ent[k] = ent[self._disks, self._last_col]
+        args = self._args
+        args.ent = self._ent.ctypes.data
+        args.k = k
         if self._th is not None:
             self._th[k] = th
+            args.th = self._th.ctypes.data
 
     def push_thresholds(self, thresholds: np.ndarray) -> None:
         """Apply the vector decided at the boundary entering interval k+1."""
-        row = np.asarray(thresholds, dtype=float).tolist()
-        self._th_rows.append(row)
         self.k += 1
-        self._set_schedule_row(self.k, row)
-
-    def _th_at(self, drain: float, d: int) -> float:
-        """Threshold governing a gap that began at ``drain`` on disk ``d``."""
-        idx = int(drain / self.ci)
-        if idx > self.k:
-            idx = self.k
-        return self._th_rows[idx][d]
+        self._set_schedule_row(
+            self.k, np.asarray(thresholds, dtype=float).tolist()
+        )
 
     def _entries_for(self, d: int, th: float) -> tuple:
         """Disk ``d``'s descent schedule under threshold ``th``; a one-rung
@@ -464,82 +466,14 @@ class _DiskBank:
             cache[th] = entries
         return entries
 
-    def _gap_entries(self, d: int, drain: float) -> tuple:
-        """Schedule governing a gap that began at ``drain`` on disk ``d``."""
-        if self.entries is not None:
-            return self.entries[d]
-        return self._entries_for(d, self._th_at(drain, d))
-
-    def _descend(self, d: int, a: float, t: float, entries) -> float:
-        """Walk the idle gap ``[a, t)`` down disk ``d``'s ladder; returns
-        the wake completion (service start) and bills every residency
-        touched."""
-        g = t - a
-        T = self.T
-        dn = self.dn[d]
-        R = self.R[d]
-        down_t = self.down_t[d]
-        park_t = self.park_t[d]
-        spans = self.park_spans is not None
-        i = 1
-        while i + 1 < R and g > entries[i + 1]:
-            i += 1
-        for j in range(1, i):
-            # Rungs fully traversed before the arrival: full descent plus
-            # park until the next rung's descent starts (all before t < T).
-            ds = a + entries[j]
-            de = ds + dn[j]
-            down_t[j] += de - ds
-            if spans:
-                self.down_spans[j].append((d, ds, de))
-            pe = a + entries[j + 1]
-            if pe > de:
-                park_t[j] += pe - de
-                if spans:
-                    self.park_spans[j].append((d, de, pe))
-        ds = a + entries[i]
-        de = ds + dn[i]
-        self.n_down[d] += i
-        down_t[i] += min(de, T) - ds
-        if spans:
-            self.down_spans[i].append((d, ds, de))
-        if t >= de:
-            park_t[i] += t - de
-            if spans:
-                self.park_spans[i].append((d, de, t))
-            ws = t
-        else:
-            # Arrived mid-descent: the transition is not abortable.
-            ws = de
-        w = self.wk[d][i]
-        if ws < T:
-            self.n_up[d] += 1
-            self.wake_t[d][i] += min(ws + w, T) - ws
-            if spans:
-                self.wake_spans[i].append((d, ws, ws + w))
-        return ws + w
-
-    def serve(self, d: int, t: float, tr: float) -> float:
-        """Queue one request on disk ``d`` arriving at ``t``; returns the
-        service start (the event kernel's seek entry time)."""
-        a = self.avail[d]
-        if t != self.pt[d]:
-            self.pt[d] = t
-            self.pv[d] = a
-        if t > a:
-            if self.entries is None:
-                th = self._th_at(a, d)
-                self.gap_log[d].append((t - a, th))
-                entries = self._entries_for(d, th)
-            else:
-                entries = self.entries[d]
-            # A gap never exceeds an inf entry: such disks never descend.
-            s = t if t - a <= entries[1] else self._descend(d, a, t, entries)
-        else:
-            s = a
-        self.avail[d] = s + self.oh[d] + tr
-        self.load[d] += self.oh[d] + tr
-        return s
+    def _rows(self, drain: np.ndarray):
+        """Schedule row governing a gap that began at ``drain`` (per disk):
+        the drain instant's control interval, clamped to the last row
+        pushed; row 0 on a fixed bank."""
+        if self._th is None:
+            return 0
+        q = drain / self.ci
+        return np.where(q < self.k, q, self.k).astype(np.int64)
 
     def spinning_mask(self, t: float) -> np.ndarray:
         """Per-disk "not parked in the deepest rung at ``t``" — the §1.1
@@ -552,19 +486,14 @@ class _DiskBank:
         rides the transitions straight back up.  Same-instant earlier
         serves are excluded via the instant-start snapshot: a disk woken
         at exactly ``t`` still reads parked, like the event kernel's
-        not-yet-resumed drive process.
+        not-yet-resumed drive process.  An ``inf`` entry never parks.
         """
-        avail = np.array(self.avail, dtype=float)
-        if t in self.pt:
-            same = np.array(self.pt) == t
-            avail[same] = np.array(self.pv, dtype=float)[same]
-        # inf entry => a + inf == inf => always spinning.
-        if self.entries is not None:
-            return t < (avail + self._last_entry) + self._last_dn
-        out = np.empty(len(avail), dtype=bool)
-        for d, a in enumerate(avail.tolist()):
-            out[d] = t < (a + self._gap_entries(d, a)[-1]) + self.dn[d][-1]
-        return out
+        avail = np.where(self.pt == t, self.pv, self.avail)
+        if self._th is None:
+            last = self._last_ent[0]
+        else:
+            last = self._last_ent[self._rows(avail), self._disks]
+        return t < (avail + last) + self._last_dn
 
     def apply_tail(self):
         """Trailing-idleness pass at the horizon: every disk (including
@@ -573,18 +502,23 @@ class _DiskBank:
         per-disk ``(spinups, spindowns)`` arrays."""
         T = self.T
         spans = self.park_spans is not None
-        for d, a in enumerate(self.avail):
-            entries = self._gap_entries(d, a)
+        avail = self.avail.tolist()
+        rows = self._rows(self.avail)
+        schedules = self._ent[rows, self._disks].tolist()
+        n_down = self.n_down.tolist()
+        park, down, _ = self._rst.tolist()
+        for d, a in enumerate(avail):
+            entries = schedules[d]
             R = self.R[d]
             dn = self.dn[d]
-            down_t = self.down_t[d]
-            park_t = self.park_t[d]
+            down_t = down[d]
+            park_t = park[d]
             for i in range(1, R):
                 ds = a + entries[i]
                 if ds >= T:
                     break
                 de = ds + dn[i]
-                self.n_down[d] += 1
+                n_down[d] += 1
                 down_t[i] += min(de, T) - ds
                 if spans:
                     self.down_spans[i].append((d, ds, de))
@@ -595,10 +529,10 @@ class _DiskBank:
                     park_t[i] += pe - de
                     if spans:
                         self.park_spans[i].append((d, de, pe))
-        return (
-            np.asarray(self.n_up, dtype=np.int64),
-            np.asarray(self.n_down, dtype=np.int64),
-        )
+        self.n_down[:] = n_down
+        self.park_t[:] = park
+        self.down_t[:] = down
+        return self.n_up.copy(), self.n_down.copy()
 
 
 def _allocate_for_write(
@@ -623,6 +557,39 @@ def _allocate_for_write(
     return policy.choose(ctx, size)
 
 
+def _take_records(bank: _DiskBank) -> None:
+    """Append the gap-log and span records the core holds to the bank's
+    logs, and empty its buffers.  They come back disk-major, in arrival
+    order inside each disk (gaps), and grouped by (kind, rung) in arrival
+    order inside each group (spans): the order per-request serving appends
+    them in."""
+    args = bank._args
+    if args.n_gap:
+        m = args.n_gap
+        pairs = list(zip(*bank._gaps[:2, :m].tolist()))
+        gap_log = bank.gap_log
+        lo = 0
+        for d, c in enumerate(bank._gap_n.tolist()):
+            if c:
+                gap_log[d] += pairs[lo : lo + c]
+                lo += c
+        args.n_gap = 0
+        bank._gap_n[:] = 0
+    if args.n_span:
+        m = args.n_span
+        logs = (bank.park_spans, bank.down_spans, bank.wake_spans)
+        d_l = bank._span_i[2, :m].tolist()
+        s_l, e_l = bank._span_f[2:, :m].tolist()
+        lo = 0
+        for key, c in enumerate(bank._key_n.tolist()):
+            if c:
+                kind, i = divmod(key, bank.maxR)
+                hi = lo + c
+                logs[kind][i].extend(zip(d_l[lo:hi], s_l[lo:hi], e_l[lo:hi]))
+                lo = hi
+        args.n_span = 0
+
+
 def _serve_segment(
     bank: _DiskBank,
     d_seg: np.ndarray,
@@ -635,12 +602,10 @@ def _serve_segment(
     ``d_seg`` must be fully resolved (no ``-1``; callers validate); times
     are globally non-decreasing, so the core's stable counting sort by
     disk preserves each disk's arrival order.  ``starts_out`` (a view onto
-    the segment's slice of the global starts array) is filled in place.
-    The bank's per-disk state is copied into the core's arrays once and
-    back once.  Gap-log and span records come back disk-major, in arrival
-    order inside each disk (the order the Python loop appended them in),
-    at most :data:`_LOG_CHUNK` per call: the core then stops, and resumes
-    once they are appended to the bank's logs.
+    the segment's slice of the global starts array) is filled in place,
+    and the core advances the bank's state arrays in place.  Gap-log and
+    span records come back at most :data:`_LOG_CHUNK` per call: the core
+    then stops, and resumes once they are appended to the bank's logs.
     """
     n = int(d_seg.size)
     if not n:
@@ -663,18 +628,6 @@ def _serve_segment(
     args.tr = tr.ctypes.data
     args.starts = starts.ctypes.data
     args.order = order.ctypes.data
-    args.ent = bank._ent.ctypes.data
-    gap_log = bank.gap_log
-    if gap_log is not None:
-        args.th = bank._th.ctypes.data
-        args.k = bank.k
-    spans = bank.park_spans is not None
-    if spans:
-        logs = (bank.park_spans, bank.down_spans, bank.wake_spans)
-        maxR = bank.maxR
-    bank._fst[:] = (bank.avail, bank.load, bank.pt, bank.pv)
-    bank._ust[:] = (bank.n_up, bank.n_down)
-    bank._rst[:] = (bank.park_t, bank.down_t, bank.wake_t)
     core = bank._core
     ref = byref(args)
     pos = 0
@@ -685,28 +638,7 @@ def _serve_segment(
                 f"segment references a disk outside the {len(bank.avail)}-"
                 "disk pool"
             )
-        if gap_log is not None and args.n_gap:
-            m = args.n_gap
-            pairs = list(zip(*bank._gaps[:, :m].tolist()))
-            lo = 0
-            for d, c in enumerate(bank._gap_n.tolist()):
-                if c:
-                    gap_log[d] += pairs[lo : lo + c]
-                    lo += c
-        if spans and args.n_span:
-            m = args.n_span
-            d_l = bank._span_i[2, :m].tolist()
-            s_l, e_l = bank._span_f[2:, :m].tolist()
-            lo = 0
-            for key, c in enumerate(bank._key_n.tolist()):
-                if c:
-                    kind, i = divmod(key, maxR)
-                    hi = lo + c
-                    logs[kind][i].extend(zip(d_l[lo:hi], s_l[lo:hi], e_l[lo:hi]))
-                    lo = hi
-    bank.avail, bank.load, bank.pt, bank.pv = bank._fst.tolist()
-    bank.n_up, bank.n_down = bank._ust.tolist()
-    bank.park_t, bank.down_t, bank.wake_t = bank._rst.tolist()
+        _take_records(bank)
     if not direct:
         starts_out[:] = starts
 
@@ -770,8 +702,11 @@ def _serve_segmented(
             obs.on_placement(t, f, d)
         mapping[f] = d
         free[d] -= size
-        starts[b] = bank.serve(d, t, size / bank.rate[d])
         d_req[b] = d
+        _serve_segment(
+            bank, d_req[b : b + 1], t_all[b : b + 1],
+            sz_all[b : b + 1] / rate_a[d], starts[b : b + 1],
+        )
         prev = b + 1
 
     tail = slice(prev, int(t_all.size))
@@ -788,6 +723,188 @@ def _serve_segmented(
     d_req[tail] = d_tail
 
 
+#: Cache classes the coupled walk runs, by their policy code in ``serve.c``.
+_LRU, _FIFO, _CLOCK, _LFU = range(4)
+_CACHE_POLICIES = {
+    LRUCache: _LRU, FIFOCache: _FIFO, ClockCache: _CLOCK, LFUCache: _LFU
+}
+
+#: ``coupled_args.stop`` codes (``serve.c``).
+_STOP_FULL, _STOP_PLACE, _STOP_UNMAPPED, _STOP_BAD_FILE = 1, 2, 3, 4
+
+_ADMISSION = np.dtype(
+    [("c", float), ("seq", np.int64), ("f", np.int64), ("size", float)]
+)
+_SNAPSHOT = np.dtype([("freq", np.int64), ("seq", np.int64), ("f", np.int64)])
+
+
+class _CacheState:
+    """A run's shared cache and pending admissions, held for the compiled
+    coupled walk in per-file-id arrays.
+
+    Loaded from the run's cache object (an :class:`~repro.cache.LRUCache`,
+    :class:`~repro.cache.FIFOCache`, :class:`~repro.cache.ClockCache` or
+    :class:`~repro.cache.LFUCache`, possibly pre-filled) when the run
+    starts, and written back to it by :meth:`write_back` when the run ends
+    or raises: resident files in eviction order, ``used``,
+    :class:`~repro.cache.CacheStats` and the policy's bookkeeping (CLOCK
+    reference bits; LFU frequencies, its lazy snapshot heap in ``heapq``
+    layout and its sequence counter).  LRU, FIFO and CLOCK share one
+    intrusive list in eviction order; LFU keeps its insertion order in the
+    same list.  Pending admissions — a min-heap on (completion, global
+    arrival seq) — carry across batches.  With ``observe`` the walk records
+    cache events into column buffers.
+    """
+
+    def __init__(self, cache, sizes, mapping, bank: _DiskBank, observe: bool):
+        policy = _CACHE_POLICIES.get(type(cache))
+        if policy is None:
+            raise ConfigError(
+                f"engine='fast' runs the lru, fifo, clock and lfu caches; "
+                f"got a {type(cache).__name__}"
+            )
+        self.cache = cache
+        self.walk, self._order = coupled_core()
+        resident = list(cache._sizes.items())
+        ids = [f for f, _ in resident]
+        if policy == _LFU:
+            ids += [f for _, _, f in cache._heap]
+        elif policy == _CLOCK:
+            ids += list(cache._referenced)
+        if not all(isinstance(f, (int, np.integer)) and f >= 0 for f in ids):
+            raise ConfigError(
+                "engine='fast' needs the cache's file ids to be "
+                "non-negative integers"
+            )
+        nf = int(sizes.size)
+        ns = max([nf, *(int(f) + 1 for f in ids)])
+        self.csize = np.zeros(ns)
+        self.nxt = np.full(ns, -1, dtype=np.int64)
+        self.prv = np.full(ns, -1, dtype=np.int64)
+        self.res = np.zeros(ns, dtype=np.uint8)
+        self.ref = np.zeros(ns, dtype=np.uint8)
+        self.freq = np.zeros(ns, dtype=np.int64)
+        self.ad = np.empty(64, dtype=_ADMISSION)
+        self.lh = np.empty(64 if policy == _LFU else 0, dtype=_SNAPSHOT)
+        st = cache.stats
+        args = self.args = CoupledArgs(
+            s=pointer(bank._args), policy=policy, nf=nf,
+            capacity=cache.capacity, size=sizes.ctypes.data,
+            map=mapping.ctypes.data, rate=bank.rate_a.ctypes.data,
+            head=-1, tail=-1, count=len(resident), used=cache.used,
+            hits=st.hits, misses=st.misses, insertions=st.insertions,
+            evictions=st.evictions, rejected=st.rejected,
+            bytes_hit=st.bytes_hit, bytes_missed=st.bytes_missed,
+        )
+        if resident:
+            order = np.asarray(ids[: len(resident)], dtype=np.int64)
+            self.csize[order] = [size for _, size in resident]
+            self.res[order] = 1
+            self.nxt[order[:-1]] = order[1:]
+            self.prv[order[1:]] = order[:-1]
+            args.head, args.tail = int(order[0]), int(order[-1])
+        if policy == _CLOCK and cache._referenced:
+            self.ref[list(cache._referenced)] = 1
+        if policy == _LFU:
+            # The walk relies on LFUCache's invariant: every resident file
+            # has a snapshot of its current frequency on the heap.
+            snaps = {(n, f) for n, _, f in cache._heap}
+            if set(cache._freq) != set(cache._sizes) or any(
+                (n, f) not in snaps for f, n in cache._freq.items()
+            ):
+                raise ConfigError(
+                    "the LFU cache's frequencies and snapshot heap do not "
+                    "match its resident files"
+                )
+            for f, n in cache._freq.items():
+                self.freq[f] = n
+            self._reserve_snapshots(len(cache._heap))
+            self.lh[: len(cache._heap)] = cache._heap
+            args.lh_n = len(cache._heap)
+            args.lh_seq = next(cache._seq)
+        self._bind()
+        if observe:
+            # Room for one admission evicting every resident file.
+            cap = max(_LOG_CHUNK, ns + 2)
+            self.ev_t = np.empty(cap)
+            self.ev_k = np.empty(cap, dtype=np.int8)
+            self.ev_f = np.empty(cap, dtype=np.int64)
+            args.ev_cap = cap
+            args.ev_t = self.ev_t.ctypes.data
+            args.ev_k = self.ev_k.ctypes.data
+            args.ev_f = self.ev_f.ctypes.data
+        self.ref_args = byref(args)
+        self._keep = (sizes, mapping)
+
+    def _bind(self) -> None:
+        """Point the walk at the arrays it may have outgrown."""
+        args = self.args
+        for name in ("csize", "nxt", "prv", "res", "ref", "freq", "ad", "lh"):
+            setattr(args, name, getattr(self, name).ctypes.data)
+        args.ad_cap = self.ad.size
+        args.lh_cap = self.lh.size
+
+    def _reserve_snapshots(self, need: int) -> None:
+        if need > self.lh.size:
+            grown = np.empty(max(need, 2 * self.lh.size), dtype=_SNAPSHOT)
+            grown[: self.args.lh_n] = self.lh[: self.args.lh_n]
+            self.lh = grown
+
+    def reserve(self, n: int) -> None:
+        """Heap room for ``n`` more arrivals: each pushes at most one
+        admission, and each lookup or admission one LFU snapshot."""
+        args = self.args
+        need = args.ad_n + n
+        if need > self.ad.size:
+            grown = np.empty(max(need, 2 * self.ad.size), dtype=_ADMISSION)
+            grown[: args.ad_n] = self.ad[: args.ad_n]
+            self.ad = grown
+        if args.policy == _LFU:
+            self._reserve_snapshots(args.lh_n + args.ad_n + 2 * n)
+        self._bind()
+
+    def take_events(self):
+        """The cache events the walk has collected, as copied ``(times,
+        codes, file ids)`` columns; empties the buffer."""
+        m = self.args.ev_n
+        self.args.ev_n = 0
+        return self.ev_t[:m].copy(), self.ev_k[:m].copy(), self.ev_f[:m].copy()
+
+    def write_back(self) -> None:
+        """Store the cache state into the run's cache object (its own
+        containers, updated in place: ``LRUCache`` holds a bound method of
+        its ordered map)."""
+        cache, args = self.cache, self.args
+        order = np.empty(args.count, dtype=np.int64)
+        self._order(self.ref_args, order.ctypes.data)
+        ids = order.tolist()
+        sizes = cache._sizes
+        sizes.clear()
+        sizes.update(zip(ids, self.csize[order].tolist()))
+        cache.used = args.used
+        st = cache.stats
+        st.hits, st.misses = args.hits, args.misses
+        st.insertions, st.evictions = args.insertions, args.evictions
+        st.rejected = args.rejected
+        st.bytes_hit, st.bytes_missed = args.bytes_hit, args.bytes_missed
+        if args.policy == _CLOCK:
+            cache._referenced.clear()
+            cache._referenced.update(np.flatnonzero(self.ref).tolist())
+        elif args.policy == _LFU:
+            cache._freq.clear()
+            cache._freq.update(zip(ids, self.freq[order].tolist()))
+            cache._heap[:] = [
+                tuple(x) for x in self.lh[: args.lh_n].tolist()
+            ]
+            cache._seq = count(args.lh_seq)
+
+
+def _cache_event_block(parts: list) -> CacheEventBlock:
+    if len(parts) == 1:
+        return CacheEventBlock(*parts[0])
+    return CacheEventBlock(*(np.concatenate(c) for c in zip(*parts)))
+
+
 def _serve_coupled(
     bank: _DiskBank,
     policy: WritePlacementPolicy,
@@ -797,103 +914,121 @@ def _serve_coupled(
     fid: np.ndarray,
     t_all: np.ndarray,
     is_write: Optional[np.ndarray],
-    cache,
+    state: _CacheState,
     starts: np.ndarray,
     d_req: np.ndarray,
-    heap: list,
     base_index: int,
-    map_l: list,
-    size_l: list,
     obs=None,
-    victims: Optional[list] = None,
 ) -> None:
-    """Globally time-merged pass for shared-cache runs (writes optional).
+    """Globally time-merged pass for shared-cache runs (writes optional),
+    one compiled walk in arrival order.
 
     Reads look the cache up at arrival and, on a miss, schedule an
-    admission at their completion time; a min-heap drains those admissions
-    in completion order between arrivals, reproducing the event kernel's
-    interleaving (hit short-circuit, admit-on-miss-completion).  Ties
-    (admission exactly at an arrival instant) admit first; admissions at or
-    after the horizon never happen, exactly like the event kernel's URGENT
-    stop pre-empting completion events at ``T``.
+    admission at their completion time; before each arrival the walk
+    drains those admissions in (completion, global seq) order, reproducing
+    the event kernel's interleaving (hit short-circuit,
+    admit-on-miss-completion).  Ties (admission exactly at an arrival
+    instant) admit first; admissions at or after the horizon never happen,
+    exactly like the event kernel's URGENT stop pre-empting completion
+    events at ``T``.  Misses and writes are served through the same
+    per-request step as the segment walk.
 
-    Called once per batch (chunk, control interval or release batch):
-    ``heap`` carries pending admissions across the calls (the caller
-    drains the rest at the horizon), ``base_index`` keeps the heap's
-    tie-break sequence global, and ``map_l``/``size_l`` reuse one list
-    materialization of the (large) per-file arrays across all batches
-    (``map_l`` is kept in sync with ``mapping`` on every allocation, so
-    sharing it is safe).
-
-    Under an observer, cache events are collected as ``(time, kind,
-    file_id)`` tuples and handed over in one ``obs.on_cache_events`` call,
-    even when the pass raises.  ``victims`` is the list the cache's
-    ``evict_hook`` appends to; each admission's victims are stamped with
-    its completion time.
+    The walk stops at a write of an unmapped file (the placement policy
+    runs here against the bank's live arrays, then the walk resumes), at a
+    read of an unmapped file (raised here, after the batch's events are
+    handed over) and at a full record buffer.  Called once per batch
+    (chunk, control interval or release batch); ``base_index`` keeps the
+    admission tie-break global.  Under an observer the batch's cache
+    events go to ``obs.on_cache_events`` as one
+    :class:`~repro.obs.hooks.CacheEventBlock`, even when the pass raises.
     """
-    lookup = cache.lookup
-    admit = cache.admit
-    serve = bank.serve
-    oh_l = bank.oh
-    rate_l = bank.rate
-    T = bank.T
-    events: Optional[list] = [] if obs is not None else None
-    emit = events.append if events is not None else None
-    start_l: list = []
-    disk_l: list = []
-    put_start = start_l.append
-    put_disk = disk_l.append
-    w_l = is_write.tolist() if is_write is not None else repeat(False)
+    n = int(t_all.size)
+    for out, dtype in ((starts, float), (d_req, np.int64)):
+        # The walk writes through these pointers.
+        if out.shape != (n,) or out.dtype != dtype or not out.flags.c_contiguous:
+            raise SimulationError(
+                f"coupled walk outputs must be contiguous {n}-element "
+                f"{np.dtype(dtype).name} arrays"
+            )
+    fid = np.ascontiguousarray(fid, dtype=np.int64)
+    t_all = np.ascontiguousarray(t_all, dtype=float)
+    w = None if is_write is None else np.ascontiguousarray(is_write, np.uint8)
+    if fid.shape != (n,) or (w is not None and w.shape != (n,)):
+        raise SimulationError(
+            f"batch arrays differ in length: {n} times, {fid.size} file ids"
+        )
+    state.reserve(n)
+    args = state.args
+    args.n, args.base, args.final = n, base_index, 0
+    args.fid = fid.ctypes.data
+    args.t = t_all.ctypes.data
+    args.w = None if w is None else w.ctypes.data
+    args.starts = starts.ctypes.data
+    args.dreq = d_req.ctypes.data
+    parts: list = []
+    pos = 0
     try:
-        for i, (t, f, w) in enumerate(zip(t_all.tolist(), fid.tolist(), w_l)):
-            while heap and heap[0][0] <= t:
-                c_adm, _, hf, hs = heappop(heap)
-                if emit is not None:
-                    emit((c_adm, "admit", hf))
-                admit(hf, hs)
-                if victims:
-                    for v in victims:
-                        emit((c_adm, "evict", v))
-                    victims.clear()
-            if w:
-                d = map_l[f]
-                if d < 0:
-                    size = size_l[f]
-                    d = _allocate_for_write(bank, policy, free, size, t)
-                    if obs is not None:
-                        obs.on_placement(t, f, d)
-                    map_l[f] = d
-                    mapping[f] = d
-                    free[d] -= size
-                put_start(serve(d, t, size_l[f] / rate_l[d]))
-                put_disk(d)
+        while True:
+            pos = state.walk(state.ref_args, pos)
+            stop = args.stop
+            if stop != _STOP_PLACE:
+                # A placement stop leaves the records and events in the
+                # buffers: the resumed walk appends to them.
+                _take_records(bank)
+                if args.ev_n:
+                    parts.append(state.take_events())
+            if not stop:
+                break
+            if stop == _STOP_FULL:
                 continue
-            size = size_l[f]
-            if lookup(f, size):
-                if emit is not None:
-                    emit((t, "hit", f))
-                put_start(t)  # a hit "completes" at its arrival instant
-                put_disk(-1)
-                continue
-            if emit is not None:
-                emit((t, "miss", f))
-            d = map_l[f]
-            if d < 0:
+            f = int(fid[pos])
+            if stop == _STOP_PLACE:
+                t = float(t_all[pos])
+                size = float(sizes[f])
+                d = _allocate_for_write(bank, policy, free, size, t)
+                if obs is not None:
+                    obs.on_placement(t, f, d)
+                mapping[f] = d
+                free[d] -= size
+            elif stop == _STOP_UNMAPPED:
                 raise SimulationError(
                     f"read of unallocated file {f}; allocate it first"
                 )
-            tr = size / rate_l[d]
-            s = serve(d, t, tr)
-            put_start(s)
-            put_disk(d)
-            c = s + oh_l[d] + tr
-            if c < T:
-                heappush(heap, (c, base_index + i, f, size))
+            elif stop == _STOP_BAD_FILE:
+                raise SimulationError(
+                    f"request for file {f} outside the {sizes.size}-file "
+                    "catalog"
+                )
+            else:
+                raise SimulationError(
+                    f"file {f} is mapped to disk {int(mapping[f])}, outside "
+                    f"the {len(bank.avail)}-disk pool"
+                )
     finally:
-        if events:
-            obs.on_cache_events(events)
-    starts[:] = start_l
-    d_req[:] = disk_l
+        if args.ev_n:  # a placement that raised
+            parts.append(state.take_events())
+        if parts:
+            obs.on_cache_events(_cache_event_block(parts))
+
+
+def _admit_pending(state: _CacheState, obs=None) -> None:
+    """Run the admissions still pending at the horizon that complete
+    before it (admissions at or after ``T`` never happen: the event
+    kernel's stop event pre-empts completions at ``T``)."""
+    state.reserve(0)
+    args = state.args
+    args.n, args.final = 0, 1
+    parts: list = []
+    try:
+        while True:
+            state.walk(state.ref_args, 0)
+            if args.ev_n:
+                parts.append(state.take_events())
+            if not args.stop:
+                break
+    finally:
+        if parts:
+            obs.on_cache_events(_cache_event_block(parts))
 
 
 class _ControlledDriver:
@@ -1303,8 +1438,11 @@ def simulate_fast(
     assembles: ``sizes``/``mapping`` are dense per-file arrays, ``threshold``
     is the effective idleness threshold (``inf`` disables spin-down) and
     ``duration`` the measurement horizon.  ``cache`` is an optional
-    :class:`~repro.cache.base.BaseCache` instance (hits respond with
-    ``cache_hit_latency``); ``usable_capacity`` is the per-disk byte budget
+    :class:`~repro.cache.LRUCache`, :class:`~repro.cache.FIFOCache`,
+    :class:`~repro.cache.ClockCache` or :class:`~repro.cache.LFUCache`
+    (hits respond with ``cache_hit_latency``; another class raises
+    :class:`~repro.errors.ConfigError`); the run starts from its contents
+    and leaves its final state in it, also when the run raises; ``usable_capacity`` is the per-disk byte budget
     the write allocation spends (defaults to the spec's raw capacity, like
     the dispatcher); ``write_policy`` selects the placement strategy (a
     registry name, a policy instance, or ``None`` for the paper's §1.1
@@ -1475,7 +1613,7 @@ def _simulate_chunks(
             f"metrics_mode must be 'full' or 'streaming', got {metrics_mode!r}"
         )
     T = float(duration)
-    sizes = np.asarray(sizes, dtype=float)
+    sizes = np.ascontiguousarray(sizes, dtype=float)
     mapping = np.asarray(mapping, dtype=np.int64).copy()
     if mapping.shape != sizes.shape:
         raise SimulationError("mapping and sizes must align per file id")
@@ -1534,20 +1672,6 @@ def _simulate_chunks(
     streaming = metrics_mode == "streaming"
     obs = active_observer(observer)
 
-    # Cache plumbing shared by every chunk: one heap of pending admissions
-    # and one list materialization of the (large) per-file arrays
-    # (``map_l`` is kept in sync with ``mapping`` on every allocation).
-    heap: Optional[list] = [] if cache is not None else None
-    map_l = mapping.tolist() if cache is not None else None
-    size_l = sizes.tolist() if cache is not None else None
-
-    # Evictions happen inside ``cache.admit``, which has no notion of
-    # simulated time: under an observer the cache's evict hook appends the
-    # victims here, and the admitting loop stamps them with its time.
-    victims: Optional[list] = None
-    if obs is not None and cache is not None:
-        victims = []
-
     def serve(fid_c, t_c, sz_c, w_c, starts_c, base) -> np.ndarray:
         """Serve one time-sorted batch through whichever path applies —
         coupled (shared cache), segmented (writes) or grouped (reads) —
@@ -1564,10 +1688,10 @@ def _simulate_chunks(
             _serve_segment(bank, d_c, t_c, sz_c / bank.rate_a[d_c], starts_c)
             return d_c
         d_c = np.empty(t_c.size, dtype=np.int64)
-        if cache is not None:
+        if cache_state is not None:
             _serve_coupled(
-                bank, policy, mapping, free, sizes, fid_c, t_c, w_c, cache,
-                starts_c, d_c, heap, base, map_l, size_l, obs, victims,
+                bank, policy, mapping, free, sizes, fid_c, t_c, w_c,
+                cache_state, starts_c, d_c, base, obs,
             )
         else:
             _serve_segmented(
@@ -1597,6 +1721,13 @@ def _simulate_chunks(
     # The per-disk byte budget the placement context exposes (same values
     # the event dispatcher hands its policies).
     bank.cap = per_disk_capacities(usable, num_disks)
+    # The shared cache lives in the coupled walk's arrays for the whole run
+    # and goes back into ``cache`` when the run ends or raises.
+    cache_state = (
+        _CacheState(cache, sizes, mapping, bank, obs is not None)
+        if cache is not None
+        else None
+    )
 
     # Persistent accumulators (fixed size in the pool, not the stream).
     seek_time = np.zeros(num_disks, dtype=float)
@@ -1738,8 +1869,6 @@ def _simulate_chunks(
                 t_c - t_p[idx],
             )
 
-    if victims is not None:
-        cache.evict_hook = victims.append
     try:
         prev_last: Optional[float] = None
         for chunk in chunks:
@@ -1773,6 +1902,11 @@ def _simulate_chunks(
                 t_all = t_all[:cut]
                 n = cut
             fid = np.asarray(chunk.file_ids, dtype=np.int64)[:n]
+            if fid.size != n or int(fid.min()) < 0 or int(fid.max()) >= sizes.size:
+                raise SimulationError(
+                    f"stream file ids must be one per arrival in "
+                    f"[0, {sizes.size}) (the catalog)"
+                )
             kinds = getattr(chunk, "kinds", None)
             is_write: Optional[np.ndarray] = None
             if kinds is not None:
@@ -1837,28 +1971,11 @@ def _simulate_chunks(
                 _flush(T, False)
         if driver is not None:
             driver.finish()
-        if cache is not None:
-            # Admissions pending at the horizon never happen (the event
-            # kernel's stop event pre-empts completions at T).
-            admit = cache.admit
-            events: list = []
-            try:
-                while heap and heap[0][0] < T:
-                    c_adm, _, hf, hs = heappop(heap)
-                    if obs is not None:
-                        events.append((c_adm, "admit", hf))
-                    admit(hf, hs)
-                    if victims:
-                        events.extend((c_adm, "evict", v) for v in victims)
-                        victims.clear()
-            finally:
-                if events:
-                    obs.on_cache_events(events)
+        if cache_state is not None:
+            _admit_pending(cache_state, obs)
     finally:
-        # The cache may be the caller's: never leave the hook installed,
-        # not even when the run raises.
-        if victims is not None:
-            cache.evict_hook = None
+        if cache_state is not None:
+            cache_state.write_back()
 
     # -- vectorized accounting over the banked state ---------------------------
 
@@ -1912,18 +2029,9 @@ def _simulate_chunks(
         idx = np.asarray(idx_list, dtype=np.int64)
         rungs = lad.rungs
         R = len(rungs)
-        park = [
-            np.array([bank.park_t[d][i] for d in idx_list], dtype=float)
-            for i in range(R)
-        ]
-        down = [
-            np.array([bank.down_t[d][i] for d in idx_list], dtype=float)
-            for i in range(R)
-        ]
-        wake = [
-            np.array([bank.wake_t[d][i] for d in idx_list], dtype=float)
-            for i in range(R)
-        ]
+        park, down, wake = (
+            [resid[idx, i] for i in range(R)] for resid in bank._rst
+        )
         occupied = seek_time[idx] + active_time[idx]
         for arr in down[1:]:
             occupied = occupied + arr

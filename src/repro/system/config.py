@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Optional, Union
 
 from repro.control.controller import controller_from
@@ -30,6 +32,21 @@ from repro.system.scheduling import (
 from repro.units import GiB
 
 __all__ = ["StorageConfig"]
+
+#: Numeric fields and the number type each must hold.
+_NUMERIC_FIELDS = {
+    "num_disks": Integral,
+    "idleness_threshold": Real,
+    "load_constraint": Real,
+    "storage_utilization": Real,
+    "cache_capacity": Real,
+    "cache_hit_latency": Real,
+    "control_interval": Real,
+    "slo_target": Real,
+    "slo_percentile": Real,
+}
+#: Numeric fields that may be ``None``.
+_OPTIONAL_FIELDS = ("idleness_threshold", "slo_target")
 
 
 @dataclass(frozen=True)
@@ -167,6 +184,15 @@ class StorageConfig:
     chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # Type first, so a string or None in a numeric field is a typed
+        # error rather than a bare TypeError from a comparison below.
+        for name, kind in _NUMERIC_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_FIELDS:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is Integral else "a number"
+                raise ConfigError(f"{name} must be {noun}, got {value!r}")
         if self.num_disks < 1:
             raise ConfigError("num_disks must be >= 1")
         if isinstance(self.fleet, str) and self.fleet not in fleet_names():
@@ -188,8 +214,10 @@ class StorageConfig:
         threshold = self.idleness_threshold
         if threshold is not None and not threshold >= 0:
             raise ConfigError("idleness_threshold must be >= 0")
-        if not self.cache_hit_latency >= 0:
-            raise ConfigError("cache_hit_latency must be >= 0")
+        # A hit is served in finite time: an infinite latency would turn
+        # every mean and percentile of the run into inf.
+        if not 0 <= self.cache_hit_latency < math.inf:
+            raise ConfigError("cache_hit_latency must be finite and >= 0")
         if not self.cache_capacity > 0:
             raise ConfigError("cache_capacity must be positive")
         if self.write_policy not in placement_policy_names():

@@ -1,45 +1,143 @@
-"""The fast kernel's per-disk serve loop in pure Python: the oracle the
-compiled core is held to.
+"""The fast kernel's serve loops in pure Python: the oracle the compiled
+core is held to.
 
 :func:`serve_segment` is the Python ``_serve_segment`` that
 :mod:`repro.sim.fastkernel` ran before its serve loop moved to C
 (:mod:`repro.native`): a stable per-disk grouping, then one hoisted
 FIFO loop per disk (:func:`serve_batch`, formerly
-``_DiskBank.serve_batch``) over the bank's list state.  The twin tests
-compare the compiled core with it bit for bit, and the same-machine
-benchmark floors swap it in to time the seed's own loop.  Kept out of
+``_DiskBank.serve_batch``).  :func:`serve` and :func:`descend` are the
+per-request step (formerly ``_DiskBank.serve`` / ``_descend``), and
+:func:`serve_coupled` is the shared-cache pass that walked arrivals one at
+a time through them, with the cache object's own ``lookup``/``admit`` and
+a ``heapq`` of pending admissions (formerly ``fastkernel._serve_coupled``).
+All of them read and write the bank's state arrays in place, converting
+to Python floats on the way in.  The twin tests compare the compiled core
+with them bit for bit, and the same-machine benchmark floors swap
+:func:`serve_segment` in to time the seed's own loop.  Kept out of
 ``src/`` on purpose — it is a test oracle, not a second implementation.
 """
 
 from __future__ import annotations
 
-from typing import List
+from contextlib import contextmanager
+from heapq import heappop, heappush
+from itertools import repeat
+from typing import List, Optional
 
 import numpy as np
+
+from repro.errors import SimulationError
+
+
+def fixed_entries(bank, d: int) -> tuple:
+    """Disk ``d``'s descent schedule on a fixed-threshold bank."""
+    return tuple(bank._ent[0, d, : max(bank.R[d], 2)].tolist())
+
+
+def threshold_at(bank, drain: float, d: int) -> float:
+    """Threshold governing a gap that began at ``drain`` on disk ``d``."""
+    idx = int(drain / bank.ci)
+    if idx > bank.k:
+        idx = bank.k
+    return float(bank._th[idx, d])
+
+
+def descend(bank, d: int, a: float, t: float, entries) -> float:
+    """Walk the idle gap ``[a, t)`` down disk ``d``'s ladder; returns
+    the wake completion (service start) and bills every residency
+    touched."""
+    g = t - a
+    T = bank.T
+    dn = bank.dn[d]
+    R = bank.R[d]
+    down_t = bank.down_t[d]
+    park_t = bank.park_t[d]
+    spans = bank.park_spans is not None
+    i = 1
+    while i + 1 < R and g > entries[i + 1]:
+        i += 1
+    for j in range(1, i):
+        # Rungs fully traversed before the arrival: full descent plus
+        # park until the next rung's descent starts (all before t < T).
+        ds = a + entries[j]
+        de = ds + dn[j]
+        down_t[j] = float(down_t[j]) + (de - ds)
+        if spans:
+            bank.down_spans[j].append((d, ds, de))
+        pe = a + entries[j + 1]
+        if pe > de:
+            park_t[j] = float(park_t[j]) + (pe - de)
+            if spans:
+                bank.park_spans[j].append((d, de, pe))
+    ds = a + entries[i]
+    de = ds + dn[i]
+    bank.n_down[d] += i
+    down_t[i] = float(down_t[i]) + (min(de, T) - ds)
+    if spans:
+        bank.down_spans[i].append((d, ds, de))
+    if t >= de:
+        park_t[i] = float(park_t[i]) + (t - de)
+        if spans:
+            bank.park_spans[i].append((d, de, t))
+        ws = t
+    else:
+        # Arrived mid-descent: the transition is not abortable.
+        ws = de
+    w = bank.wk[d][i]
+    if ws < T:
+        bank.n_up[d] += 1
+        bank.wake_t[d][i] = float(bank.wake_t[d][i]) + (min(ws + w, T) - ws)
+        if spans:
+            bank.wake_spans[i].append((d, ws, ws + w))
+    return ws + w
+
+
+def serve(bank, d: int, t: float, tr: float) -> float:
+    """Queue one request on disk ``d`` arriving at ``t``; returns the
+    service start (the event kernel's seek entry time)."""
+    t = float(t)
+    a = float(bank.avail[d])
+    if t != bank.pt[d]:
+        bank.pt[d] = t
+        bank.pv[d] = a
+    if t > a:
+        if bank.gap_log is not None:
+            th = threshold_at(bank, a, d)
+            bank.gap_log[d].append((t - a, th))
+            entries = bank._entries_for(d, th)
+        else:
+            entries = fixed_entries(bank, d)
+        # A gap never exceeds an inf entry: such disks never descend.
+        s = t if t - a <= entries[1] else descend(bank, d, a, t, entries)
+    else:
+        s = a
+    oh = float(bank.oh_a[d])
+    bank.avail[d] = s + oh + tr
+    bank.load[d] = float(bank.load[d]) + (oh + tr)
+    return s
 
 
 def serve_batch(bank, d: int, ts: list, trs: list) -> List[float]:
     """``bank.serve`` over one disk's FIFO run, with the per-disk state
     held in locals for the long runs between coupling points.  Same
     arithmetic: a one-descent-rung ladder (the classic drive) walks
-    its gaps inline, deeper ladders go through ``bank._descend``."""
+    its gaps inline, deeper ladders go through :func:`descend`."""
     out: List[float] = []
     append = out.append
-    a = bank.avail[d]
-    ld = bank.load[d]
-    pt_d = bank.pt[d]
-    pv_d = bank.pv[d]
-    oh = bank.oh[d]
+    a = float(bank.avail[d])
+    ld = float(bank.load[d])
+    pt_d = float(bank.pt[d])
+    pv_d = float(bank.pv[d])
+    oh = float(bank.oh_a[d])
     T = bank.T
-    descend = bank._descend
-    fixed = bank.entries is not None
+    fixed = bank.gap_log is None
     if fixed:
-        entries = bank.entries[d]
+        entries = fixed_entries(bank, d)
         e1 = entries[1]
     else:
         log = bank.gap_log[d].append
         ci = bank.ci
-        rows = bank._th_rows
+        rows = bank._th[: bank.k + 1, d].tolist()
         k = bank.k
         cached = bank._entry_cache[d].get
         entries_for = bank._entries_for
@@ -47,11 +145,11 @@ def serve_batch(bank, d: int, ts: list, trs: list) -> List[float]:
     if inline:
         D = bank.dn[d][1]
         U = bank.wk[d][1]
-        sd_t = bank.down_t[d][1]
-        sb_t = bank.park_t[d][1]
-        su_t = bank.wake_t[d][1]
-        n_up = bank.n_up[d]
-        n_down = bank.n_down[d]
+        sd_t = float(bank.down_t[d, 1])
+        sb_t = float(bank.park_t[d, 1])
+        su_t = float(bank.wake_t[d, 1])
+        n_up = int(bank.n_up[d])
+        n_down = int(bank.n_down[d])
         if bank.park_spans is None:
             sd_log = sb_log = su_log = None
         else:
@@ -65,16 +163,16 @@ def serve_batch(bank, d: int, ts: list, trs: list) -> List[float]:
         if t > a:
             if not fixed:
                 idx = int(a / ci)
-                th = rows[idx if idx <= k else k][d]
+                th = rows[idx if idx <= k else k]
                 log((t - a, th))
                 entries = cached(th) or entries_for(d, th)
                 e1 = entries[1]
             if t - a <= e1:
                 s = t
             elif not inline:
-                s = descend(d, a, t, entries)
+                s = descend(bank, d, a, t, entries)
             else:
-                # _descend's walk for a single descent rung.
+                # descend's walk for a single descent rung.
                 sd = a + e1
                 sd_end = sd + D
                 n_down += 1
@@ -100,9 +198,9 @@ def serve_batch(bank, d: int, ts: list, trs: list) -> List[float]:
         a = s + oh + tr
         ld += oh + tr
     if inline:
-        bank.down_t[d][1] = sd_t
-        bank.park_t[d][1] = sb_t
-        bank.wake_t[d][1] = su_t
+        bank.down_t[d, 1] = sd_t
+        bank.park_t[d, 1] = sb_t
+        bank.wake_t[d, 1] = su_t
         bank.n_up[d] = n_up
         bank.n_down[d] = n_down
     bank.avail[d] = a
@@ -145,3 +243,144 @@ def serve_segment(
             bank, int(d_s[lo]), t_s[lo:hi].tolist(), tr_s[lo:hi].tolist()
         )
     starts_out[order] = seg_starts
+
+
+class CacheState:
+    """The oracle's side of ``fastkernel._CacheState``: the run's cache
+    object itself (driven through its Python ``lookup``/``admit``), a
+    ``heapq`` of pending admissions and list copies of the per-file
+    arrays.  Under an observer the cache's ``evict_hook`` collects the
+    victims of each admission until :meth:`write_back` removes it."""
+
+    def __init__(self, cache, sizes, mapping, bank, observe: bool) -> None:
+        self.cache = cache
+        self.T = bank.T
+        self.heap: list = []
+        self.map_l = mapping.tolist()
+        self.size_l = sizes.tolist()
+        self.victims: Optional[list] = [] if observe else None
+        if observe:
+            cache.evict_hook = self.victims.append
+
+    def write_back(self) -> None:
+        self.cache.evict_hook = None
+
+
+def serve_coupled(
+    bank, policy, mapping, free, sizes, fid, t_all, is_write, state,
+    starts, d_req, base_index, obs=None,
+) -> None:
+    """The Python shared-cache pass: arrivals one at a time, draining the
+    pending admissions due at or before each arrival first."""
+    from repro.sim.fastkernel import _allocate_for_write
+
+    cache = state.cache
+    lookup = cache.lookup
+    admit = cache.admit
+    heap = state.heap
+    map_l = state.map_l
+    size_l = state.size_l
+    victims = state.victims
+    oh_l = bank.oh_a.tolist()
+    rate_l = bank.rate_a.tolist()
+    T = bank.T
+    events: Optional[list] = [] if obs is not None else None
+    emit = events.append if events is not None else None
+    start_l: list = []
+    disk_l: list = []
+    put_start = start_l.append
+    put_disk = disk_l.append
+    w_l = is_write.tolist() if is_write is not None else repeat(False)
+    try:
+        for i, (t, f, w) in enumerate(zip(t_all.tolist(), fid.tolist(), w_l)):
+            while heap and heap[0][0] <= t:
+                c_adm, _, hf, hs = heappop(heap)
+                if emit is not None:
+                    emit((c_adm, "admit", hf))
+                admit(hf, hs)
+                if victims:
+                    for v in victims:
+                        emit((c_adm, "evict", v))
+                    victims.clear()
+            if w:
+                d = map_l[f]
+                if d < 0:
+                    size = size_l[f]
+                    d = _allocate_for_write(bank, policy, free, size, t)
+                    if obs is not None:
+                        obs.on_placement(t, f, d)
+                    map_l[f] = d
+                    mapping[f] = d
+                    free[d] -= size
+                put_start(serve(bank, d, t, size_l[f] / rate_l[d]))
+                put_disk(d)
+                continue
+            size = size_l[f]
+            if lookup(f, size):
+                if emit is not None:
+                    emit((t, "hit", f))
+                put_start(t)  # a hit "completes" at its arrival instant
+                put_disk(-1)
+                continue
+            if emit is not None:
+                emit((t, "miss", f))
+            d = map_l[f]
+            if d < 0:
+                raise SimulationError(
+                    f"read of unallocated file {f}; allocate it first"
+                )
+            tr = size / rate_l[d]
+            s = serve(bank, d, t, tr)
+            put_start(s)
+            put_disk(d)
+            c = s + oh_l[d] + tr
+            if c < T:
+                heappush(heap, (c, base_index + i, f, size))
+    finally:
+        if events:
+            obs.on_cache_events(events)
+    starts[:] = start_l
+    d_req[:] = disk_l
+
+
+def admit_pending(state: CacheState, obs=None) -> None:
+    """The admissions still pending at the horizon that complete before
+    it."""
+    heap = state.heap
+    admit = state.cache.admit
+    victims = state.victims
+    events: list = []
+    try:
+        while heap and heap[0][0] < state.T:
+            c_adm, _, hf, hs = heappop(heap)
+            if obs is not None:
+                events.append((c_adm, "admit", hf))
+            admit(hf, hs)
+            if victims:
+                events.extend((c_adm, "evict", v) for v in victims)
+                victims.clear()
+    finally:
+        if events:
+            obs.on_cache_events(events)
+
+
+@contextmanager
+def coupled_oracle():
+    """Run the fast kernel's shared-cache batches through this module's
+    Python pass instead of the compiled walk (whole-run twins)."""
+    from repro.sim import fastkernel
+
+    saved = (
+        fastkernel._CacheState, fastkernel._serve_coupled,
+        fastkernel._admit_pending,
+    )
+    fastkernel._CacheState = CacheState
+    fastkernel._serve_coupled = serve_coupled
+    fastkernel._admit_pending = admit_pending
+    try:
+        yield
+    finally:
+        (
+            fastkernel._CacheState, fastkernel._serve_coupled,
+            fastkernel._admit_pending,
+        ) = saved

@@ -1,9 +1,9 @@
-"""The compiled serve core against per-request ``serve`` and the Python
-oracle.
+"""The compiled serve core against the oracle's per-request ``serve`` and
+its Python segment loop.
 
 ``_serve_segment`` replays read-only segments through the C routine of
 :mod:`repro.native`.  It must evolve exactly the state per-request
-``serve`` does, controlled or not, and it must match the Python loop it
+``serve_oracle.serve`` does, controlled or not, and it must match the Python loop it
 replaced (``serve_oracle``) bit for bit: starts, ``avail``/``load``/
 ``pt``/``pv``, per-rung park/descent/wake residencies, spin counts, gap
 logs and span lists in order.
@@ -83,7 +83,7 @@ def _drive(rng, bank, rows, d):
         tr = float(rng.uniform(0.01, 0.04))
         ts.append(t)
         trs.append(tr)
-        starts.append(bank.serve(d, t, tr))
+        starts.append(oracle.serve(bank, d, t, tr))
         r = rng.random()
         if r < 0.2:
             continue  # same instant
@@ -100,9 +100,11 @@ def _drive(rng, bank, rows, d):
 
 def _state(bank):
     return (
-        bank.avail, bank.load, bank.pt, bank.pv, bank.gap_log,
+        bank.avail.tolist(), bank.load.tolist(), bank.pt.tolist(),
+        bank.pv.tolist(), bank.gap_log,
         bank.park_spans, bank.down_spans, bank.wake_spans,
-        bank.park_t, bank.down_t, bank.wake_t, bank.n_up, bank.n_down,
+        bank.park_t.tolist(), bank.down_t.tolist(), bank.wake_t.tolist(),
+        bank.n_up.tolist(), bank.n_down.tolist(),
     )
 
 
@@ -282,9 +284,9 @@ def test_wake_starting_exactly_at_horizon_is_not_billed(serve_twin):
         oracle.serve_segment(banks[1], d, t, tr, np.empty(2))
     else:
         for ti, tri in zip(t.tolist(), tr.tolist()):
-            banks[1].serve(0, ti, tri)
+            oracle.serve(banks[1], 0, ti, tri)
     assert banks[0].avail[0] > horizon
-    assert banks[0].n_up == [0] and banks[0].n_down == [1]
+    assert banks[0].n_up.tolist() == [0] and banks[0].n_down.tolist() == [1]
     assert banks[0].wake_spans == [[], []]
     assert _state(banks[0]) == _state(banks[1])
 

@@ -49,6 +49,44 @@ class TestValidation:
         with pytest.raises(ConfigError, match=field):
             StorageConfig(**{field: math.nan})
 
+    def test_infinite_hit_latency_rejected(self):
+        # It used to be accepted and turned the mean and p95 response of
+        # both engines into inf.
+        with pytest.raises(ConfigError, match="cache_hit_latency"):
+            StorageConfig(cache_hit_latency=math.inf)
+
+    def test_unbounded_cache_accepted(self):
+        assert StorageConfig(cache_capacity=math.inf).cache_capacity == math.inf
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cache_capacity", "5"),
+            ("num_disks", "5"),
+            ("num_disks", 2.5),
+            ("num_disks", True),
+            ("idleness_threshold", "1"),
+            ("load_constraint", "0.7"),
+            ("storage_utilization", [1.0]),
+            ("cache_hit_latency", None),
+            ("control_interval", "250"),
+            ("slo_target", "60"),
+            ("slo_percentile", None),
+        ],
+    )
+    def test_non_number_rejected(self, field, value):
+        # These used to raise a bare TypeError from a range comparison.
+        with pytest.raises(ConfigError, match=field):
+            StorageConfig(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        import numpy as np
+
+        cfg = StorageConfig(
+            num_disks=np.int64(4), idleness_threshold=np.float64(3.0)
+        )
+        assert cfg.num_disks == 4
+
 
 class TestDerived:
     def test_threshold_defaults_to_breakeven(self, spec):
