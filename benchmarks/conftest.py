@@ -52,9 +52,10 @@ def report(capsys):
 
 @pytest.fixture
 def oracle_core():
-    """``with oracle_core():`` serves the fast kernel's read-only segments
-    through the pure-Python loop the compiled core replaced
-    (``tests/sim/serve_oracle.py``).  Same-machine floors time their fixed
+    """``with oracle_core():`` serves the fast kernel's cache-less
+    read-only batches through the pure-Python loop the compiled walk
+    replaced (``serve_oracle.serve_segment`` in ``tests/sim``); every other
+    batch still takes the walk.  Same-machine floors time their fixed
     fast-run denominator this way, so each keeps measuring against the
     loop it was calibrated on."""
     sys.path.insert(0, str(TESTS_SIM))
@@ -62,13 +63,28 @@ def oracle_core():
 
     from repro.sim import fastkernel
 
+    compiled = fastkernel._serve_coupled
+
+    def route(bank, policy, mapping, free, sizes, fid, t_all, is_write,
+              state, starts, d_req, base_index, obs=None):
+        if isinstance(state, fastkernel._CacheState) or is_write is not None:
+            compiled(
+                bank, policy, mapping, free, sizes, fid, t_all, is_write,
+                state, starts, d_req, base_index, obs,
+            )
+            return
+        d = mapping[fid]
+        serve_oracle.serve_segment(
+            bank, d, t_all, sizes[fid] / bank.rate_a[d], starts
+        )
+        d_req[:] = d
+
     @contextmanager
     def swap():
-        compiled = fastkernel._serve_segment
-        fastkernel._serve_segment = serve_oracle.serve_segment
+        fastkernel._serve_coupled = route
         try:
             yield
         finally:
-            fastkernel._serve_segment = compiled
+            fastkernel._serve_coupled = compiled
 
     return swap

@@ -1,11 +1,11 @@
 """Compiled serve core of the fast kernel, loaded through ``ctypes``.
 
-:mod:`repro.sim.fastkernel` replays each read-only segment through one C
-routine in ``serve.c`` (the per-disk Lindley / DPM-ladder recursion, bit for
-bit the Python one), and walks each shared-cache batch through another (the
-arrival-order merge of cache lookups, pending admissions, evictions and the
-same per-disk step).  The shared library is built from that source with the
-host's C compiler the first time this package is imported and cached under
+:mod:`repro.sim.fastkernel` walks every batch of a run through one C routine
+in ``serve.c``: the arrival-order walk of the per-disk Lindley / DPM-ladder
+recursion, bit for bit the Python one, with the shared whole-file cache's
+lookups, pending admissions and evictions merged in when the run has a
+cache.  The shared library is built from that source with the host's C
+compiler the first time this package is imported and cached under
 ``~/.cache/repro/native/``, named by a hash of the source, the compiler, the
 flags and the Python ABI, so later imports only load it.  The build writes
 to a temporary name and renames it into place, so processes that build at
@@ -14,7 +14,7 @@ the cache directory is not writable the library is built in a private
 temporary directory instead.
 
 There is no Python fallback: on a host without a C compiler the import still
-succeeds, but :func:`serve_core` raises :class:`~repro.errors.ConfigError`
+succeeds, but :func:`coupled_core` raises :class:`~repro.errors.ConfigError`
 naming the missing compiler, so ``engine="fast"`` fails loudly while the
 event engine keeps working.
 """
@@ -43,7 +43,6 @@ __all__ = [
     "cache_dir",
     "compiler",
     "coupled_core",
-    "serve_core",
 ]
 
 SOURCE = Path(__file__).with_name("serve.c")
@@ -67,9 +66,7 @@ class ServeArgs(ctypes.Structure):
         ("avail", _p), ("load", _p), ("pt", _p), ("pv", _p),
         ("n_up", _p), ("n_down", _p),
         ("park", _p), ("down", _p), ("wake", _p),
-        ("ent", _p), ("th", _p), ("k", _i),
-        ("n", _i), ("disk", _p), ("t", _p), ("tr", _p), ("starts", _p),
-        ("order", _p), ("first", _p),
+        ("ent", _p), ("th", _p), ("k", _i), ("first", _p),
         ("gap_cap", _i), ("n_gap", _i),
         ("gap_g", _p), ("gap_th", _p), ("gap_d", _p), ("gap_tmp", _p),
         ("gap_n", _p),
@@ -81,12 +78,13 @@ class ServeArgs(ctypes.Structure):
 
 class CoupledArgs(ctypes.Structure):
     """Mirror of ``coupled_args`` in ``serve.c``: the bank it serves
-    through, the cache state in per-file-id arrays, the pending-admission
-    and LFU heaps, the batch and the cache-event buffers."""
+    through, the cache state in per-file-id arrays (``cached`` 0: none),
+    the pending-admission and LFU heaps, the batch and the cache-event
+    buffers."""
 
     _fields_ = [
         ("s", ctypes.POINTER(ServeArgs)),
-        ("policy", _i), ("nf", _i), ("capacity", ctypes.c_double),
+        ("cached", _i), ("policy", _i), ("nf", _i), ("capacity", ctypes.c_double),
         ("size", _p), ("map", _p), ("rate", _p),
         ("csize", _p), ("nxt", _p), ("prv", _p), ("res", _p), ("ref", _p),
         ("freq", _p),
@@ -210,8 +208,6 @@ def _load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
             return None, (
                 f"{path} does not match {mirror.__name__}; delete it to rebuild"
             )
-    lib.repro_serve_segment.argtypes = [ctypes.POINTER(ServeArgs), _i]
-    lib.repro_serve_segment.restype = _i
     lib.repro_serve_coupled.argtypes = [ctypes.POINTER(CoupledArgs), _i]
     lib.repro_serve_coupled.restype = _i
     lib.repro_cache_order.argtypes = [ctypes.POINTER(CoupledArgs), _p]
@@ -226,12 +222,6 @@ def _lib() -> ctypes.CDLL:
     if _LIB is None:
         raise ConfigError(_REASON)
     return _LIB
-
-
-def serve_core() -> Callable[..., int]:
-    """The compiled ``repro_serve_segment(ServeArgs *, pos)`` routine;
-    raises :class:`~repro.errors.ConfigError` when it could not be built."""
-    return _lib().repro_serve_segment
 
 
 def coupled_core() -> Tuple[Callable[..., int], Callable[..., None]]:

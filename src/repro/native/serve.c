@@ -1,26 +1,25 @@
 /*
  * Serve core of the fast kernel (repro.sim.fastkernel).
  *
- * repro_serve_segment replays a read-only segment of requests through each
- * disk's FIFO queue and DPM-ladder descent schedule: the Lindley recursion
- * of paper Figure 1, extended to multi-rung ladders.  repro_serve_coupled
- * walks a shared-cache batch in arrival order instead: it drains the
- * pending cache admissions due before each arrival, looks the file up in
- * the whole-file cache (LRU, FIFO, CLOCK or LFU, kept in per-file-id
- * arrays), and serves misses and writes through the same per-request step.
- * The arithmetic is the Python reference's, term for term and in the same
- * order, so starts, per-disk state, cache state and every logged record
- * come out bit for bit equal to it (build with -ffp-contract=off and
- * without -ffast-math).
+ * repro_serve_coupled walks one batch of requests in arrival order through
+ * each disk's FIFO queue and DPM-ladder descent schedule: the Lindley
+ * recursion of paper Figure 1, extended to multi-rung ladders.  Every
+ * batch of a run goes through it: read-only and write streams, fixed and
+ * controlled thresholds, scheduled releases and chunks.  With a shared
+ * whole-file cache (LRU, FIFO, CLOCK or LFU, kept in per-file-id arrays)
+ * the walk also drains the pending cache admissions due before each
+ * arrival, looks the file up, and serves only misses and writes; without
+ * one it serves every request.  The arithmetic is the Python reference's,
+ * term for term and in the same order, so starts, per-disk state, cache
+ * state and every logged record come out bit for bit equal to it (build
+ * with -ffp-contract=off and without -ffast-math).
  *
- * The segment walk is disk-major, in arrival order inside each disk (a
- * stable counting sort by disk), which is the order the gap-log and span
- * records are kept in; the coupled walk sorts its arrival-order records
- * into the same layout.  A call stops early when a record buffer could
- * overflow (and the coupled walk also at a write that needs a placement
- * or a read of an unmapped file) and returns the position reached; the
- * caller drains the records, acts, and calls again with that position to
- * resume the walk.
+ * Gap-log records are sorted by disk (arrival order inside each disk) and
+ * span records by (kind, rung) (arrival order inside each key) before they
+ * are handed back.  A call stops early when a record buffer could overflow,
+ * at a write that needs a placement and at a read of an unmapped file, and
+ * returns the position reached; the caller drains the records, acts, and
+ * calls again with that position to resume the walk.
  */
 
 #include <stdint.h>
@@ -46,14 +45,8 @@ typedef struct {
     const double *ent;
     const double *th;     /* NULL for fixed thresholds */
     int64_t k;            /* current interval row */
-    /* the segment */
-    int64_t n;
-    const int64_t *disk;
-    const double *t, *tr;
-    double *starts;
-    int64_t *order;       /* [n] disk-major permutation (work space) */
     int64_t *first;       /* [D+1] (work space) */
-    /* gap log (controlled): records of this call, disk-major, with
+    /* gap log (controlled): records of this call, sorted by disk, with
      * per-disk counts (gap_d and gap_tmp are work space) */
     int64_t gap_cap, n_gap;
     double *gap_g, *gap_th;
@@ -145,26 +138,6 @@ static double descend(serve_args *a, int64_t d, double av, double t,
     return we;
 }
 
-/* Stable counting sort of the segment by disk into a->order; -1 if a
- * disk index is out of range. */
-static int group_by_disk(serve_args *a)
-{
-    const int64_t D = a->D, n = a->n;
-    int64_t *first = a->first;
-    memset(first, 0, (size_t)(D + 1) * sizeof *first);
-    for (int64_t p = 0; p < n; p++) {
-        int64_t d = a->disk[p];
-        if (d < 0 || d >= D)
-            return -1;
-        first[d + 1]++;
-    }
-    for (int64_t d = 0; d < D; d++)
-        first[d + 1] += first[d];
-    for (int64_t p = 0; p < n; p++)
-        a->order[first[a->disk[p]]++] = p;
-    return 0;
-}
-
 /* Sort this call's span records by key (stable) into the out arrays. */
 static void sort_spans(serve_args *a)
 {
@@ -212,9 +185,9 @@ static inline int records_full(const serve_args *a, int spans)
         || (a->th != NULL && a->n_gap == a->gap_cap);
 }
 
-/* The per-request step both walks share: queue a request arriving at t
- * with transfer time tr on disk d, whose state st = {avail, load, pt, pv}
- * and schedule *E are updated in place; returns the service start. */
+/* Queue a request arriving at t with transfer time tr on disk d, whose
+ * state st = {avail, load, pt, pv} and schedule *E are updated in place;
+ * returns the service start. */
 static inline double step(serve_args *a, int64_t d, double st[4],
                           const double **E, double oh, double t, double tr,
                           int spans)
@@ -242,46 +215,9 @@ static inline double step(serve_args *a, int64_t d, double st[4],
     return s;
 }
 
-/* Serve the segment from disk-major position pos; returns the position
- * reached (n when done), or -1 for a disk index out of range. */
-int64_t repro_serve_segment(serve_args *a, int64_t pos)
-{
-    const int64_t n = a->n;
-    const int spans = a->span_cap > 0;
-    if (pos == 0 && group_by_disk(a) < 0)
-        return -1;
-    memset(a->gap_n, 0, (size_t)a->D * sizeof *a->gap_n);
-    a->n_gap = 0;
-    a->n_span = 0;
-    int64_t p = pos;
-    int full = 0;
-    while (p < n && !full) {
-        const int64_t d = a->disk[a->order[p]];
-        double st[4] = {a->avail[d], a->load[d], a->pt[d], a->pv[d]};
-        const double oh = a->oh[d];
-        const double *E = a->ent + d * a->W;
-        for (; p < n; p++) {
-            const int64_t j = a->order[p];
-            if (a->disk[j] != d)
-                break;
-            if (records_full(a, spans)) {
-                full = 1;
-                break;
-            }
-            a->starts[j] = step(a, d, st, &E, oh, a->t[j], a->tr[j], spans);
-        }
-        a->avail[d] = st[0];
-        a->load[d] = st[1];
-        a->pt[d] = st[2];
-        a->pv[d] = st[3];
-    }
-    if (spans)
-        sort_spans(a);
-    return p;
-}
-
 /* ---------------------------------------------------------------------
- * The coupled walk: a shared whole-file cache in front of the disks.
+ * The walk, and the shared whole-file cache it may run in front of the
+ * disks.
  * ------------------------------------------------------------------- */
 
 enum { LRU = 0, FIFO = 1, CLOCK = 2, LFU = 3 };
@@ -307,6 +243,7 @@ typedef struct {        /* an LFU (frequency, seq, file) snapshot */
 
 typedef struct {
     serve_args *s;        /* the bank */
+    int64_t cached;       /* 0: no cache, every request is served */
     int64_t policy;       /* LRU, FIFO, CLOCK or LFU */
     int64_t nf;           /* catalog files: stream ids must be below */
     double capacity;
@@ -602,8 +539,8 @@ static int drain(coupled_args *c, double limit, int inclusive)
     return 0;
 }
 
-/* Stable counting sort of this call's arrival-order gap records by disk
- * into the disk-major layout the segment walk produces. */
+/* Stable counting sort of this call's arrival-order gap records by
+ * disk. */
 static void sort_gaps(serve_args *a)
 {
     const int64_t m = a->n_gap;
@@ -625,11 +562,12 @@ static void sort_gaps(serve_args *a)
  * reached, with the reason in c->stop.  Records and cache events collect
  * across calls until the caller takes them and zeroes their counts (it
  * need not between a placement stop and the resumed walk); the records
- * are sorted into the segment walk's layout at every other stop. */
+ * are sorted at every other stop. */
 int64_t repro_serve_coupled(coupled_args *c, int64_t pos)
 {
     serve_args *a = c->s;
     const int spans = a->span_cap > 0;
+    const int cached = c->cached != 0;
     const int64_t D = a->D;
     c->stop = STOP_DONE;
     int64_t i = pos;
@@ -656,7 +594,7 @@ int64_t repro_serve_coupled(coupled_args *c, int64_t pos)
             c->stop = STOP_FULL;
             break;
         }
-        if (!write) {
+        if (!write && cached) {
             if (lookup(c, f, size)) {
                 emit(c, t, EV_HIT, f);
                 c->starts[i] = t;  /* a hit completes at its arrival */
@@ -685,7 +623,7 @@ int64_t repro_serve_coupled(coupled_args *c, int64_t pos)
         a->pv[d] = st[3];
         c->starts[i] = s;
         c->dreq[i] = d;
-        if (!write) {
+        if (!write && cached) {
             const double done = s + oh + tr;
             if (done < a->T)
                 ad_push(c, done, c->base + i, f, size);

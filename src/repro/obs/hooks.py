@@ -22,9 +22,14 @@ the fast kernel emits power-state *transitions* (spin-downs, spin-ups,
 standby dwells, ladder rung changes) recovered from its span logs at
 batch boundaries — per-request service spans would defeat its batching.
 
-Each hook's own events arrive in simulation order, but the order in
-which *different* hooks fire relative to each other is not part of the
-contract.  The event engine calls :meth:`RunObserver.on_cache_event`
+On the event engine each hook's own events arrive in simulation order;
+the order in which *different* hooks fire relative to each other is not
+part of the contract on either engine.  The fast kernel hands over state
+spans per chunk (and once more at the end of the run, with the trailing
+idle descents), grouped by (rung, kind); within a group they are in the
+arrival order of the requests that closed them, not interleaved across
+disks in simulated time.  Placements, threshold pushes and cache events
+arrive in simulation order.  The event engine calls :meth:`RunObserver.on_cache_event`
 once per event; the fast kernel's compiled cache walk records a batch's
 cache events as columns and hands them over as one
 :class:`CacheEventBlock` in one :meth:`RunObserver.on_cache_events` call

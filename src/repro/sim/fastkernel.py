@@ -93,51 +93,44 @@ order), so allocation decisions — and hence final file→disk mappings — are
 byte-identical across engines; ``tests/experiments/test_engine_smoke.py``
 iterates the registry to enforce this.
 
-Execution strategy (fastest applicable path is chosen per run):
+Execution strategy: one compiled walk serves every batch — a chunk, the
+slice of one inside a control interval, or a block of scheduled releases:
 
-0. **the compiled serve core** (:mod:`repro.native`, C loaded through
-   ``ctypes``): :func:`_serve_segment` hands a whole read-only segment to
-   one C call, which groups it by disk with a counting sort and runs each
-   disk's queue and ladder recursion, and :func:`_serve_coupled` hands a
-   whole shared-cache batch to another, which walks it in arrival order
-   through the same per-request step.  Both are bit for bit the Python
-   loops ``tests/sim/serve_oracle.py`` keeps as test oracles.  Every path
-   serves through them, and the bank's state lives only in their arrays,
-   so ``engine="fast"`` needs a C compiler (the library is built once and
-   cached under ``~/.cache/repro/native``); there is no Python fallback;
-1. **grouped** (read-only, no cache): the whole stream (or chunk) is one
-   segment for the compiled core, each disk's queue advanced
-   independently — the original fully batched path;
-2. **segmented** (writes, no cache): only writes that *allocate* a new
-   file couple the disks, so the stream is split at those coupling points
-   and the compiled core replays each read-only segment between them;
-   the allocation itself is resolved against the bank's live spin state
-   and the allocating write is served as a one-request segment;
-3. **coupled** (shared cache): one compiled walk per batch takes the
-   arrivals in order.  Before each arrival it drains the min-heap of
-   pending cache admissions (miss completions) due by then; it looks the
-   file up in the cache, which lives in per-file-id arrays for the whole
-   run (LRU, FIFO and CLOCK share one intrusive list in eviction order,
-   LFU keeps frequencies and its lazy snapshot heap) and is loaded from
-   and written back to the run's cache object; misses and writes are
-   served through the per-request step, and each miss pushes its
-   admission.  The walk stops only at a write that needs a placement
-   (run here in Python, then resumed), at a read of an unmapped file
-   (raised) and at a full record buffer.  Cache events leave it as one
-   column block per batch;
-4. **controlled** (a dynamic ``StorageConfig.dpm_policy``): the stream is
-   segmented at control-interval boundaries and each interval replays
-   through whichever of the three paths above applies, against a
-   :class:`_DiskBank` holding *per-interval, per-disk* threshold
-   vectors.  An idle gap is governed by the threshold in effect at the
-   disk's drain instant (the event drive's already-armed timer), so the
-   per-gap threshold is looked up from the drain time's interval.  At
-   each boundary the interval's telemetry — responses in completion
-   order, closed idle gaps per disk, queue depths — is handed to the
-   shared :class:`~repro.control.controller.ThresholdController`, which
-   returns the next threshold vector; the event engine's control process
-   consumes identical telemetry, so every registered DPM policy
-   simulates identically (~1e-9) on both engines.
+* **the walk** (:mod:`repro.native`, C loaded through ``ctypes``):
+  :func:`_serve_coupled` hands the whole batch to one C call, which takes
+  the arrivals in order and serves each through its disk's queue and
+  ladder recursion.  It is bit for bit the per-request Python loop
+  ``tests/sim/serve_oracle.py`` keeps as the test oracle.  The bank's
+  state lives only in its arrays, so ``engine="fast"`` needs a C compiler
+  (the library is built once and cached under ``~/.cache/repro/native``);
+  there is no Python fallback;
+* **writes**: only writes that *allocate* a new file couple the disks.
+  The walk stops at such a write, the placement policy runs here against
+  the bank's live spin state, free bytes and load, and the walk resumes
+  with the write on its new disk.  It also stops, and the run raises, at
+  a read of an unmapped file, and it stops to hand back full record
+  buffers;
+* **a shared cache**: before each arrival the walk drains the min-heap of
+  pending cache admissions (miss completions) due by then; it looks the
+  file up in the cache, which lives in per-file-id arrays for the whole
+  run (LRU, FIFO and CLOCK share one intrusive list in eviction order,
+  LFU keeps frequencies and its lazy snapshot heap) and is loaded from
+  and written back to the run's cache object; misses and writes are
+  served, and each miss pushes its admission.  Cache events leave the
+  walk as one column block per batch.  A run without a cache builds none
+  of this state, and the walk serves every request;
+* **controlled** (a dynamic ``StorageConfig.dpm_policy``): the stream is
+  segmented at control-interval boundaries and each interval's slice is
+  walked against a :class:`_DiskBank` holding *per-interval, per-disk*
+  threshold vectors.  An idle gap is governed by the threshold in effect
+  at the disk's drain instant (the event drive's already-armed timer), so
+  the per-gap threshold is looked up from the drain time's interval.  At
+  each boundary the interval's telemetry — responses in completion
+  order, closed idle gaps per disk, queue depths — is handed to the
+  shared :class:`~repro.control.controller.ThresholdController`, which
+  returns the next threshold vector; the event engine's control process
+  consumes identical telemetry, so every registered DPM policy
+  simulates identically (~1e-9) on both engines.
 
 All state-time, energy and response accounting is vectorized afterwards
 and truncated at the measurement horizon exactly like the event kernel's
@@ -174,7 +167,7 @@ from repro.disk.fleet import ResolvedFleet
 from repro.disk.power import DiskState, PowerModel
 from repro.disk.specs import DiskSpec
 from repro.errors import ConfigError, SimulationError
-from repro.native import CoupledArgs, ServeArgs, coupled_core, serve_core
+from repro.native import CoupledArgs, ServeArgs, coupled_core
 from repro.obs.hooks import CacheEventBlock, active_observer
 from repro.system.dispatcher import (
     initial_free_bytes,
@@ -253,7 +246,7 @@ def _per_disk_floats(value, num_disks: int) -> List[float]:
 
 #: Gap-log or span records one compiled-core call may buffer before it
 #: hands them back (the walk then resumes where it stopped), so record
-#: memory stays bounded on long segments.
+#: memory stays bounded on long batches.
 _LOG_CHUNK = 1 << 14
 
 
@@ -262,10 +255,9 @@ class _DiskBank:
 
     Evolves exactly the state the event kernel's drives evolve — per disk,
     the time it next falls idle plus per-rung park/descent/wake
-    residencies — in the arrays the compiled core of :mod:`repro.native`
-    reads and writes in place: :func:`_serve_segment` replays read-only
-    segments and :func:`_serve_coupled` walks shared-cache batches through
-    it, so these arrays are the bank's only state.  The classic drive of
+    residencies — in the arrays the compiled walk of :mod:`repro.native`
+    reads and writes in place (:func:`_serve_coupled` serves every batch
+    through it), so these arrays are the bank's only state.  The classic drive of
     paper Figure 1 (:class:`~repro.disk.drive.DiskDrive`) is the
     ``two_state`` ladder: one descent rung whose descent, park and wake are
     SPINDOWN, STANDBY and SPINUP, with the classic recursion's arithmetic
@@ -380,7 +372,6 @@ class _DiskBank:
         """Constant arrays and record buffers the compiled core reads and
         writes, bound into the bank's ``ServeArgs``."""
         maxR = self.maxR
-        self._core = serve_core()
         self._R_a = np.asarray(self.R, dtype=np.int64)
         self._dn_a = np.zeros((num_disks, maxR))
         self._wk_a = np.zeros((num_disks, maxR))
@@ -558,11 +549,12 @@ def _allocate_for_write(
 
 
 def _take_records(bank: _DiskBank) -> None:
-    """Append the gap-log and span records the core holds to the bank's
-    logs, and empty its buffers.  They come back disk-major, in arrival
-    order inside each disk (gaps), and grouped by (kind, rung) in arrival
-    order inside each group (spans): the order per-request serving appends
-    them in."""
+    """Append the gap-log and span records the walk holds to the bank's
+    logs, and empty its buffers.  Gaps come back sorted by disk and spans
+    by (kind, rung), each in arrival order inside its disk or key: every
+    log list ends up in the order per-request serving appends to it, and
+    :func:`_flush_bank_spans` hands an observer each list in turn (see
+    :mod:`repro.obs.hooks`)."""
     args = bank._args
     if args.n_gap:
         m = args.n_gap
@@ -590,139 +582,6 @@ def _take_records(bank: _DiskBank) -> None:
         args.n_span = 0
 
 
-def _serve_segment(
-    bank: _DiskBank,
-    d_seg: np.ndarray,
-    t_seg: np.ndarray,
-    tr_seg: np.ndarray,
-    starts_out: np.ndarray,
-) -> None:
-    """Replay one read-only segment through the compiled serve core.
-
-    ``d_seg`` must be fully resolved (no ``-1``; callers validate); times
-    are globally non-decreasing, so the core's stable counting sort by
-    disk preserves each disk's arrival order.  ``starts_out`` (a view onto
-    the segment's slice of the global starts array) is filled in place,
-    and the core advances the bank's state arrays in place.  Gap-log and
-    span records come back at most :data:`_LOG_CHUNK` per call: the core
-    then stops, and resumes once they are appended to the bank's logs.
-    """
-    n = int(d_seg.size)
-    if not n:
-        return
-    if not t_seg.size == tr_seg.size == starts_out.size == n:
-        raise SimulationError(
-            f"segment arrays differ in length: {n} disks, {t_seg.size} "
-            f"times, {tr_seg.size} transfers, {starts_out.size} starts"
-        )
-    disk = np.ascontiguousarray(d_seg, dtype=np.int64)
-    t = np.ascontiguousarray(t_seg, dtype=float)
-    tr = np.ascontiguousarray(tr_seg, dtype=float)
-    direct = starts_out.flags.c_contiguous and starts_out.dtype == float
-    starts = starts_out if direct else np.empty(n)
-    order = np.empty(n, dtype=np.int64)
-    args = bank._args
-    args.n = n
-    args.disk = disk.ctypes.data
-    args.t = t.ctypes.data
-    args.tr = tr.ctypes.data
-    args.starts = starts.ctypes.data
-    args.order = order.ctypes.data
-    core = bank._core
-    ref = byref(args)
-    pos = 0
-    while pos < n:
-        pos = core(ref, pos)
-        if pos < 0:
-            raise SimulationError(
-                f"segment references a disk outside the {len(bank.avail)}-"
-                "disk pool"
-            )
-        _take_records(bank)
-    if not direct:
-        starts_out[:] = starts
-
-
-def _serve_segmented(
-    bank: _DiskBank,
-    policy: WritePlacementPolicy,
-    mapping: np.ndarray,
-    free: np.ndarray,
-    sizes: np.ndarray,
-    fid: np.ndarray,
-    t_all: np.ndarray,
-    sz_all: np.ndarray,
-    is_write: np.ndarray,
-    starts: np.ndarray,
-    d_req: np.ndarray,
-    obs=None,
-) -> None:
-    """Mixed read/write stream without a cache.
-
-    Only the *first* touch of an initially-unmapped file couples the disks
-    (it runs the placement policy against global spin/load state);
-    everything between those coupling points is replayed through the
-    vectorized per-disk recursion with carried-in state.  Transfer times
-    are resolved here, once the serving disk is known — per-disk rates on
-    a mixed fleet make them a property of the (request, disk) pair.
-    """
-    rate_a = bank.rate_a
-    unmapped = np.flatnonzero(mapping[fid] < 0)
-    if unmapped.size:
-        _, first = np.unique(fid[unmapped], return_index=True)
-        boundaries = np.sort(unmapped[first])
-    else:
-        boundaries = np.empty(0, dtype=np.int64)
-
-    prev = 0
-    for b in boundaries.tolist():
-        if b > prev:
-            seg = slice(prev, b)
-            d_seg = mapping[fid[seg]]
-            bad = np.flatnonzero(d_seg < 0)
-            if bad.size:
-                raise SimulationError(
-                    f"read of unallocated file {int(fid[prev + bad[0]])}; "
-                    "allocate it first"
-                )
-            _serve_segment(
-                bank, d_seg, t_all[seg], sz_all[seg] / rate_a[d_seg],
-                starts[seg],
-            )
-            d_req[seg] = d_seg
-        f = int(fid[b])
-        if not is_write[b]:
-            raise SimulationError(
-                f"read of unallocated file {f}; allocate it first"
-            )
-        t = float(t_all[b])
-        size = float(sizes[f])
-        d = _allocate_for_write(bank, policy, free, size, t)
-        if obs is not None:
-            obs.on_placement(t, f, d)
-        mapping[f] = d
-        free[d] -= size
-        d_req[b] = d
-        _serve_segment(
-            bank, d_req[b : b + 1], t_all[b : b + 1],
-            sz_all[b : b + 1] / rate_a[d], starts[b : b + 1],
-        )
-        prev = b + 1
-
-    tail = slice(prev, int(t_all.size))
-    d_tail = mapping[fid[tail]]
-    bad = np.flatnonzero(d_tail < 0)
-    if bad.size:
-        raise SimulationError(
-            f"read of unallocated file {int(fid[prev + bad[0]])}; "
-            "allocate it first"
-        )
-    _serve_segment(
-        bank, d_tail, t_all[tail], sz_all[tail] / rate_a[d_tail], starts[tail]
-    )
-    d_req[tail] = d_tail
-
-
 #: Cache classes the coupled walk runs, by their policy code in ``serve.c``.
 _LRU, _FIFO, _CLOCK, _LFU = range(4)
 _CACHE_POLICIES = {
@@ -738,9 +597,32 @@ _ADMISSION = np.dtype(
 _SNAPSHOT = np.dtype([("freq", np.int64), ("seq", np.int64), ("f", np.int64)])
 
 
-class _CacheState:
+class _Walk:
+    """A run's binding of the compiled walk: the bank it serves through,
+    and the catalog sizes, live file-to-disk mapping and per-disk transfer
+    rates it reads (a write's placement updates ``mapping`` in place).
+    Each batch points it at its own arrays (:func:`_serve_coupled`).  A run
+    without a cache walks with this alone: it holds no cache state, and
+    every request is served."""
+
+    def __init__(self, sizes, mapping, bank: _DiskBank) -> None:
+        self.walk, self._order = coupled_core()
+        self.args = CoupledArgs(
+            s=pointer(bank._args), nf=int(sizes.size),
+            size=sizes.ctypes.data, map=mapping.ctypes.data,
+            rate=bank.rate_a.ctypes.data, head=-1, tail=-1,
+        )
+        self.ref_args = byref(self.args)
+        self._keep = (sizes, mapping)
+
+    def reserve(self, n: int) -> None:
+        """Room for ``n`` more arrivals' pending state (none without a
+        cache)."""
+
+
+class _CacheState(_Walk):
     """A run's shared cache and pending admissions, held for the compiled
-    coupled walk in per-file-id arrays.
+    walk in per-file-id arrays.
 
     Loaded from the run's cache object (an :class:`~repro.cache.LRUCache`,
     :class:`~repro.cache.FIFOCache`, :class:`~repro.cache.ClockCache` or
@@ -763,8 +645,8 @@ class _CacheState:
                 f"engine='fast' runs the lru, fifo, clock and lfu caches; "
                 f"got a {type(cache).__name__}"
             )
+        super().__init__(sizes, mapping, bank)
         self.cache = cache
-        self.walk, self._order = coupled_core()
         resident = list(cache._sizes.items())
         ids = [f for f, _ in resident]
         if policy == _LFU:
@@ -787,15 +669,15 @@ class _CacheState:
         self.ad = np.empty(64, dtype=_ADMISSION)
         self.lh = np.empty(64 if policy == _LFU else 0, dtype=_SNAPSHOT)
         st = cache.stats
-        args = self.args = CoupledArgs(
-            s=pointer(bank._args), policy=policy, nf=nf,
-            capacity=cache.capacity, size=sizes.ctypes.data,
-            map=mapping.ctypes.data, rate=bank.rate_a.ctypes.data,
-            head=-1, tail=-1, count=len(resident), used=cache.used,
-            hits=st.hits, misses=st.misses, insertions=st.insertions,
-            evictions=st.evictions, rejected=st.rejected,
-            bytes_hit=st.bytes_hit, bytes_missed=st.bytes_missed,
+        args = self.args
+        args.cached, args.policy = 1, policy
+        args.capacity, args.count, args.used = (
+            cache.capacity, len(resident), cache.used
         )
+        args.hits, args.misses = st.hits, st.misses
+        args.insertions, args.evictions = st.insertions, st.evictions
+        args.rejected = st.rejected
+        args.bytes_hit, args.bytes_missed = st.bytes_hit, st.bytes_missed
         if resident:
             order = np.asarray(ids[: len(resident)], dtype=np.int64)
             self.csize[order] = [size for _, size in resident]
@@ -833,8 +715,6 @@ class _CacheState:
             args.ev_t = self.ev_t.ctypes.data
             args.ev_k = self.ev_k.ctypes.data
             args.ev_f = self.ev_f.ctypes.data
-        self.ref_args = byref(args)
-        self._keep = (sizes, mapping)
 
     def _bind(self) -> None:
         """Point the walk at the arrays it may have outgrown."""
@@ -914,32 +794,33 @@ def _serve_coupled(
     fid: np.ndarray,
     t_all: np.ndarray,
     is_write: Optional[np.ndarray],
-    state: _CacheState,
+    state: _Walk,
     starts: np.ndarray,
     d_req: np.ndarray,
     base_index: int,
     obs=None,
 ) -> None:
-    """Globally time-merged pass for shared-cache runs (writes optional),
-    one compiled walk in arrival order.
+    """Serve one time-sorted batch (chunk, control interval or release
+    batch) in one compiled walk in arrival order, filling ``starts`` and
+    ``d_req`` (the serving disk, -1 for a cache hit) in place.
 
-    Reads look the cache up at arrival and, on a miss, schedule an
-    admission at their completion time; before each arrival the walk
-    drains those admissions in (completion, global seq) order, reproducing
-    the event kernel's interleaving (hit short-circuit,
-    admit-on-miss-completion).  Ties (admission exactly at an arrival
-    instant) admit first; admissions at or after the horizon never happen,
-    exactly like the event kernel's URGENT stop pre-empting completion
-    events at ``T``.  Misses and writes are served through the same
-    per-request step as the segment walk.
+    Each request is served through its disk's queue and ladder recursion,
+    with transfer time ``size / rate`` on its disk.  With a shared cache
+    (``state`` a :class:`_CacheState`) reads look the cache up at arrival
+    and, on a miss, schedule an admission at their completion time; before
+    each arrival the walk drains those admissions in (completion, global
+    seq) order, reproducing the event kernel's interleaving (hit
+    short-circuit, admit-on-miss-completion).  Ties (admission exactly at
+    an arrival instant) admit first; admissions at or after the horizon
+    never happen, exactly like the event kernel's URGENT stop pre-empting
+    completion events at ``T``.  ``base_index`` keeps the admission
+    tie-break global.
 
     The walk stops at a write of an unmapped file (the placement policy
     runs here against the bank's live arrays, then the walk resumes), at a
     read of an unmapped file (raised here, after the batch's events are
-    handed over) and at a full record buffer.  Called once per batch
-    (chunk, control interval or release batch); ``base_index`` keeps the
-    admission tie-break global.  Under an observer the batch's cache
-    events go to ``obs.on_cache_events`` as one
+    handed over) and at a full record buffer.  Under an observer the
+    batch's cache events go to ``obs.on_cache_events`` as one
     :class:`~repro.obs.hooks.CacheEventBlock`, even when the pass raises.
     """
     n = int(t_all.size)
@@ -947,7 +828,7 @@ def _serve_coupled(
         # The walk writes through these pointers.
         if out.shape != (n,) or out.dtype != dtype or not out.flags.c_contiguous:
             raise SimulationError(
-                f"coupled walk outputs must be contiguous {n}-element "
+                f"walk outputs must be contiguous {n}-element "
                 f"{np.dtype(dtype).name} arrays"
             )
     fid = np.ascontiguousarray(fid, dtype=np.int64)
@@ -956,6 +837,7 @@ def _serve_coupled(
     if fid.shape != (n,) or (w is not None and w.shape != (n,)):
         raise SimulationError(
             f"batch arrays differ in length: {n} times, {fid.size} file ids"
+            + ("" if w is None else f", {w.size} kinds")
         )
     state.reserve(n)
     args = state.args
@@ -1043,11 +925,11 @@ class _ControlledDriver:
     controller's interval position — so splitting the stream at any point
     is bit-identical to the single call:
 
-    * arrivals are processed one control interval at a time through
-      whichever of the grouped/segmented/coupled paths applies; an
-      interval whose arrivals span several chunks is served in several
-      sub-slices (the per-disk recursion carries exactly, and the coupled
-      pass's heap tie-break uses the *global* arrival index ``n_seen``);
+    * arrivals are processed one control interval at a time through the
+      run's compiled walk; an interval whose arrivals span several chunks
+      is served in several sub-slices (the per-disk recursion carries
+      exactly, and the cache heap's tie-break uses the *global* arrival
+      index ``n_seen``);
     * an interval's boundary is processed only once an arrival at or past
       its ``t_end`` has been seen — a later chunk may still add arrivals
       to the open interval.  :meth:`finish` processes every remaining
@@ -1077,8 +959,7 @@ class _ControlledDriver:
     ) -> None:
         self.bank = bank
         self.dpm = dpm
-        # The run's batch server (see _simulate_chunks): routes a slice
-        # through the grouped/segmented/coupled path that applies.
+        # The run's batch server (see _simulate_chunks).
         self.serve = serve
         self.hit_lat = float(cache_hit_latency)
         self.T = bank.T
@@ -1111,10 +992,9 @@ class _ControlledDriver:
         holds: Optional[np.ndarray] = None,
     ) -> None:
         sl = slice(lo, hi)
-        d_req[sl] = self.serve(
-            fid[sl], t_all[sl], sz_all[sl],
-            None if is_write is None else is_write[sl],
-            starts[sl], self.n_seen + lo,
+        self.serve(
+            fid[sl], t_all[sl], None if is_write is None else is_write[sl],
+            starts[sl], d_req[sl], self.n_seen + lo,
         )
         # Queue newly served requests' completions for the telemetry feed
         # (cache hits complete at their arrival instant; requests censored
@@ -1672,33 +1552,15 @@ def _simulate_chunks(
     streaming = metrics_mode == "streaming"
     obs = active_observer(observer)
 
-    def serve(fid_c, t_c, sz_c, w_c, starts_c, base) -> np.ndarray:
-        """Serve one time-sorted batch through whichever path applies —
-        coupled (shared cache), segmented (writes) or grouped (reads) —
-        filling ``starts_c`` in place; returns each request's disk (-1 for
-        a cache hit).  ``base`` is the batch's global arrival index (the
-        cache heap's tie-break)."""
-        if cache is None and w_c is None:
-            d_c = mapping[fid_c]
-            if int(d_c.min()) < 0:
-                bad_f = int(fid_c[int(np.argmin(d_c))])
-                raise SimulationError(
-                    f"read of unallocated file {bad_f}; allocate it first"
-                )
-            _serve_segment(bank, d_c, t_c, sz_c / bank.rate_a[d_c], starts_c)
-            return d_c
-        d_c = np.empty(t_c.size, dtype=np.int64)
-        if cache_state is not None:
-            _serve_coupled(
-                bank, policy, mapping, free, sizes, fid_c, t_c, w_c,
-                cache_state, starts_c, d_c, base, obs,
-            )
-        else:
-            _serve_segmented(
-                bank, policy, mapping, free, sizes, fid_c, t_c, sz_c, w_c,
-                starts_c, d_c, obs=obs,
-            )
-        return d_c
+    def serve(fid_c, t_c, w_c, starts_c, d_c, base) -> None:
+        """Serve one time-sorted batch through the compiled walk, filling
+        ``starts_c`` and ``d_c`` (each request's disk, -1 for a cache hit)
+        in place.  ``base`` is the batch's global arrival index (the cache
+        heap's tie-break)."""
+        _serve_coupled(
+            bank, policy, mapping, free, sizes, fid_c, t_c, w_c, walk,
+            starts_c, d_c, base, obs,
+        )
 
     driver: Optional[_ControlledDriver] = None
     binner: Optional[_SpanBinner] = None
@@ -1721,12 +1583,12 @@ def _simulate_chunks(
     # The per-disk byte budget the placement context exposes (same values
     # the event dispatcher hands its policies).
     bank.cap = per_disk_capacities(usable, num_disks)
-    # The shared cache lives in the coupled walk's arrays for the whole run
-    # and goes back into ``cache`` when the run ends or raises.
-    cache_state = (
-        _CacheState(cache, sizes, mapping, bank, obs is not None)
-        if cache is not None
-        else None
+    # A shared cache lives in the walk's arrays for the whole run and goes
+    # back into ``cache`` when the run ends or raises.
+    walk = (
+        _Walk(sizes, mapping, bank)
+        if cache is None
+        else _CacheState(cache, sizes, mapping, bank, obs is not None)
     )
 
     # Persistent accumulators (fixed size in the pool, not the stream).
@@ -1749,11 +1611,11 @@ def _simulate_chunks(
         nonlocal arrivals, hits, req_count
         n_c = int(t_c.size)
         starts_c = np.empty(n_c, dtype=float)
+        d_req_c = np.empty(n_c, dtype=np.int64)
         if driver is not None:
-            d_req_c = np.empty(n_c, dtype=np.int64)
             driver.feed(fid_c, t_c, sz_c, w_c, starts_c, d_req_c, holds_c)
         else:
-            d_req_c = serve(fid_c, t_c, sz_c, w_c, starts_c, arrivals)
+            serve(fid_c, t_c, w_c, starts_c, d_req_c, arrivals)
         served = d_req_c >= 0
         n_hits = n_c - int(served.sum())
         if n_hits:
@@ -1910,7 +1772,13 @@ def _simulate_chunks(
             kinds = getattr(chunk, "kinds", None)
             is_write: Optional[np.ndarray] = None
             if kinds is not None:
-                w = np.asarray(kinds)[:n] == WRITE
+                kinds = np.asarray(kinds)[:n]
+                if kinds.shape != (n,):
+                    raise SimulationError(
+                        f"stream kinds must be one per arrival: got "
+                        f"{kinds.size} kinds for {n} arrivals"
+                    )
+                w = kinds == WRITE
                 if w.any():
                     is_write = w
             if arrivals and bank.park_spans is not None:
@@ -1971,11 +1839,11 @@ def _simulate_chunks(
                 _flush(T, False)
         if driver is not None:
             driver.finish()
-        if cache_state is not None:
-            _admit_pending(cache_state, obs)
+        if cache is not None:
+            _admit_pending(walk, obs)
     finally:
-        if cache_state is not None:
-            cache_state.write_back()
+        if cache is not None:
+            walk.write_back()
 
     # -- vectorized accounting over the banked state ---------------------------
 

@@ -1,20 +1,22 @@
 """The fast kernel's serve loops in pure Python: the oracle the compiled
-core is held to.
+walk is held to.
 
-:func:`serve_segment` is the Python ``_serve_segment`` that
-:mod:`repro.sim.fastkernel` ran before its serve loop moved to C
-(:mod:`repro.native`): a stable per-disk grouping, then one hoisted
-FIFO loop per disk (:func:`serve_batch`, formerly
-``_DiskBank.serve_batch``).  :func:`serve` and :func:`descend` are the
-per-request step (formerly ``_DiskBank.serve`` / ``_descend``), and
-:func:`serve_coupled` is the shared-cache pass that walked arrivals one at
-a time through them, with the cache object's own ``lookup``/``admit`` and
-a ``heapq`` of pending admissions (formerly ``fastkernel._serve_coupled``).
+:func:`serve` and :func:`descend` are the per-request step (formerly
+``_DiskBank.serve`` / ``_descend``), and :func:`serve_coupled` is the pass
+that walks a batch's arrivals one at a time through them (formerly
+``fastkernel._serve_coupled``): with a shared cache it drives the cache
+object's own ``lookup``/``admit`` and a ``heapq`` of pending admissions;
+without one it serves every request.  :func:`serve_segment` is the
+read-only loop the kernel ran before its serve loop moved to C
+(:mod:`repro.native`): a stable per-disk grouping, then one hoisted FIFO
+loop per disk (:func:`serve_batch`, formerly ``_DiskBank.serve_batch``).
 All of them read and write the bank's state arrays in place, converting
-to Python floats on the way in.  The twin tests compare the compiled core
-with them bit for bit, and the same-machine benchmark floors swap
-:func:`serve_segment` in to time the seed's own loop.  Kept out of
-``src/`` on purpose — it is a test oracle, not a second implementation.
+to Python floats on the way in.  The twin tests compare the compiled walk
+with :func:`serve` and :func:`serve_coupled` bit for bit
+(:func:`coupled_oracle` swaps the latter into whole runs), and the
+same-machine benchmark floors route cache-less read-only batches through
+:func:`serve_segment` to time the seed's own loop.  Kept out of ``src/``
+on purpose — it is a test oracle, not a second implementation.
 """
 
 from __future__ import annotations
@@ -246,7 +248,8 @@ def serve_segment(
 
 
 class CacheState:
-    """The oracle's side of ``fastkernel._CacheState``: the run's cache
+    """The oracle's side of ``fastkernel._CacheState`` (``cache`` an
+    object) or ``fastkernel._Walk`` (``cache`` ``None``): the run's cache
     object itself (driven through its Python ``lookup``/``admit``), a
     ``heapq`` of pending admissions and list copies of the per-file
     arrays.  Under an observer the cache's ``evict_hook`` collects the
@@ -258,25 +261,34 @@ class CacheState:
         self.heap: list = []
         self.map_l = mapping.tolist()
         self.size_l = sizes.tolist()
-        self.victims: Optional[list] = [] if observe else None
-        if observe:
+        self.victims: Optional[list] = (
+            [] if observe and cache is not None else None
+        )
+        if self.victims is not None:
             cache.evict_hook = self.victims.append
 
     def write_back(self) -> None:
         self.cache.evict_hook = None
 
 
+def walk_state(sizes, mapping, bank) -> CacheState:
+    """The oracle's side of ``fastkernel._Walk``: a run without a cache."""
+    return CacheState(None, sizes, mapping, bank, False)
+
+
 def serve_coupled(
     bank, policy, mapping, free, sizes, fid, t_all, is_write, state,
     starts, d_req, base_index, obs=None,
 ) -> None:
-    """The Python shared-cache pass: arrivals one at a time, draining the
-    pending admissions due at or before each arrival first."""
+    """The Python walk: arrivals one at a time.  With a cache it drains
+    the pending admissions due at or before each arrival first, and
+    serves only misses and writes."""
     from repro.sim.fastkernel import _allocate_for_write
 
     cache = state.cache
-    lookup = cache.lookup
-    admit = cache.admit
+    cached = cache is not None
+    lookup = cache.lookup if cached else None
+    admit = cache.admit if cached else None
     heap = state.heap
     map_l = state.map_l
     size_l = state.size_l
@@ -316,14 +328,15 @@ def serve_coupled(
                 put_disk(d)
                 continue
             size = size_l[f]
-            if lookup(f, size):
+            if cached:
+                if lookup(f, size):
+                    if emit is not None:
+                        emit((t, "hit", f))
+                    put_start(t)  # a hit "completes" at its arrival instant
+                    put_disk(-1)
+                    continue
                 if emit is not None:
-                    emit((t, "hit", f))
-                put_start(t)  # a hit "completes" at its arrival instant
-                put_disk(-1)
-                continue
-            if emit is not None:
-                emit((t, "miss", f))
+                    emit((t, "miss", f))
             d = map_l[f]
             if d < 0:
                 raise SimulationError(
@@ -334,7 +347,7 @@ def serve_coupled(
             put_start(s)
             put_disk(d)
             c = s + oh_l[d] + tr
-            if c < T:
+            if cached and c < T:
                 heappush(heap, (c, base_index + i, f, size))
     finally:
         if events:
@@ -366,21 +379,19 @@ def admit_pending(state: CacheState, obs=None) -> None:
 
 @contextmanager
 def coupled_oracle():
-    """Run the fast kernel's shared-cache batches through this module's
-    Python pass instead of the compiled walk (whole-run twins)."""
+    """Run every batch of the fast kernel through this module's Python
+    pass instead of the compiled walk (whole-run twins), with or without
+    a cache."""
     from repro.sim import fastkernel
 
-    saved = (
-        fastkernel._CacheState, fastkernel._serve_coupled,
-        fastkernel._admit_pending,
-    )
-    fastkernel._CacheState = CacheState
-    fastkernel._serve_coupled = serve_coupled
-    fastkernel._admit_pending = admit_pending
+    names = ("_Walk", "_CacheState", "_serve_coupled", "_admit_pending")
+    saved = [getattr(fastkernel, name) for name in names]
+    for name, value in zip(
+        names, (walk_state, CacheState, serve_coupled, admit_pending)
+    ):
+        setattr(fastkernel, name, value)
     try:
         yield
     finally:
-        (
-            fastkernel._CacheState, fastkernel._serve_coupled,
-            fastkernel._admit_pending,
-        ) = saved
+        for name, value in zip(names, saved):
+            setattr(fastkernel, name, value)

@@ -461,6 +461,22 @@ class TestUnsupportedScenarios:
                 cache=LRUCache(100 * GiB) if cached else None,
             )
 
+    @pytest.mark.parametrize("cache_policy", [None, "lru"])
+    def test_short_kinds_column_raises(self, small_catalog, cache_policy):
+        # A chunk whose kinds column is shorter than its times: a raw
+        # IndexError without a cache, and an error naming the file ids
+        # with one, before the kernel checked the column itself.
+        extended, stream, mapping, cfg = mixed_scenario(
+            small_catalog, engine="fast", cache_policy=cache_policy
+        )
+        n = len(stream)
+        stream.kinds = stream.kinds[: n // 2]
+        system = StorageSystem(extended, mapping, cfg)
+        with pytest.raises(
+            SimulationError, match=f"{n // 2} kinds for {n} arrivals"
+        ):
+            system.run(stream)
+
     @pytest.mark.parametrize("engine", ["event", "fast"])
     @pytest.mark.parametrize("cache_policy", [None, "lru"])
     def test_nan_file_size_raises_on_both_engines(

@@ -1,10 +1,11 @@
-"""Whole fast-kernel runs with the compiled serve core vs the same runs
-with the Python oracle swapped in for ``_serve_segment``.
+"""Whole fast-kernel runs with the compiled walk vs the same runs with the
+Python oracle pass swapped in (``serve_oracle.coupled_oracle``).
 
-The grouped, segmented and controlled paths all serve through
-``_serve_segment``; every simulated output — responses, per-disk energy,
-residencies, spin counts, the controller's per-interval traces and an
-observer's recorded spans — must be bit-identical either way.
+Every batch of a cache-less run, read-only or with writes, fixed,
+controlled, chunked or scheduled, goes through the walk; every simulated
+output — responses, per-disk energy, residencies, spin counts, the
+controller's per-interval traces and an observer's recorded spans and
+placements — must be bit-identical either way.
 """
 
 import math
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 
 import serve_oracle as oracle
-import repro.sim.fastkernel as fastkernel
 from repro.obs.trace import TraceRecorder
 from repro.system import StorageConfig, StorageSystem, allocate
 from repro.workload.generator import SyntheticWorkloadParams, generate_workload
@@ -75,7 +75,7 @@ def _outputs(result, recorder):
 
 @pytest.mark.parametrize("writes", [False, True])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_run_matches_oracle_core(inputs, monkeypatch, name, writes):
+def test_run_matches_oracle_core(inputs, name, writes):
     workload, catalog, mixed, mapping = inputs
     cfg = BASE.with_overrides(**CONFIGS[name])
     stream = mixed if writes else workload.stream
@@ -88,22 +88,22 @@ def test_run_matches_oracle_core(inputs, monkeypatch, name, writes):
         return _outputs(result, recorder)
 
     compiled = run()
-    monkeypatch.setattr(fastkernel, "_serve_segment", oracle.serve_segment)
-    python = run()
+    with oracle.coupled_oracle():
+        python = run()
     assert compiled == python
     assert compiled[4] > 0 or CONFIGS[name].get("idleness_threshold") == math.inf
     assert compiled[-3]  # the observer saw spans
 
 
-def test_bare_run_matches_oracle_core(inputs, monkeypatch):
-    """No observer: the fixed grouped path logs no spans at all."""
+def test_bare_run_matches_oracle_core(inputs):
+    """No observer: a fixed run logs no spans at all."""
     workload, _, _, mapping = inputs
     system = StorageSystem(
         workload.catalog, mapping[: workload.catalog.n], BASE
     )
     compiled = system.run(workload.stream)
-    monkeypatch.setattr(fastkernel, "_serve_segment", oracle.serve_segment)
-    python = system.run(workload.stream)
+    with oracle.coupled_oracle():
+        python = system.run(workload.stream)
     assert compiled.response_times.tobytes() == python.response_times.tobytes()
     assert compiled.energy_per_disk.tobytes() == python.energy_per_disk.tobytes()
     assert compiled.state_durations == python.state_durations
