@@ -17,9 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.disk import ST3500630AS
+from repro.disk import DiskDrive, ST3500630AS
 from repro.disk.dpm import DpmState, MultiStateDpmPolicy
-from repro.disk.multistate import MultiStateDiskDrive
 from repro.reporting.table import format_table
 from repro.sim import Environment
 from repro.system import StorageConfig, StorageSystem, allocate
@@ -37,7 +36,7 @@ NAP_LADDER = [
 
 def _simulate(policy: MultiStateDpmPolicy, gaps: np.ndarray):
     env = Environment()
-    drive = MultiStateDiskDrive(env, SPEC, policy)
+    drive = DiskDrive(env, SPEC, ladder=policy)
     times = np.cumsum(gaps)
     requests = []
 

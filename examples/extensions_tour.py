@@ -18,9 +18,8 @@ Usage::
 import numpy as np
 
 from repro import StorageConfig, StorageSystem
-from repro.disk import ST3500630AS
+from repro.disk import DiskDrive, ST3500630AS
 from repro.disk.dpm import DpmState, MultiStateDpmPolicy
-from repro.disk.multistate import MultiStateDiskDrive
 from repro.sim import Environment
 from repro.system import ReorganizingRunner, allocate
 from repro.units import HOUR, MB
@@ -106,7 +105,7 @@ def part4_dpm() -> None:
     print(f"   lower-envelope thresholds: nap at {t1:.1f} s, "
           f"standby at {t2:.1f} s (2-competitive)")
     env = Environment()
-    drive = MultiStateDiskDrive(env, ST3500630AS, policy)
+    drive = DiskDrive(env, ST3500630AS, ladder=policy)
     gaps = np.random.default_rng(4).exponential(90.0, size=200)
     times = np.cumsum(gaps)
     requests = []

@@ -20,7 +20,6 @@ from repro.disk.dpm import (
     make_dpm_ladder,
 )
 from repro.disk.drive import DiskDrive, DiskRequest, DriveStats
-from repro.disk.multistate import MultiStateDiskDrive
 from repro.disk.power import DiskState, PowerModel
 from repro.disk.service import ServiceModel
 from repro.disk.specs import DiskSpec, ST3500630AS
@@ -36,7 +35,6 @@ __all__ = [
     "DiskState",
     "DriveStats",
     "LadderRung",
-    "MultiStateDiskDrive",
     "MultiStateDpmPolicy",
     "PowerModel",
     "ST3500630AS",

@@ -10,7 +10,6 @@ import numpy as np
 from repro.disk.dpm import DpmLadder
 from repro.disk.drive import DiskDrive, DiskRequest
 from repro.disk.fleet import ResolvedFleet
-from repro.disk.multistate import MultiStateDiskDrive
 from repro.disk.power import DiskState, PowerModel
 from repro.disk.specs import DiskSpec
 from repro.errors import ConfigError
@@ -31,12 +30,9 @@ class DiskArray:
     idleness_threshold:
         Shared spin-down threshold (``None`` = break-even, or the
         ladder's native first entry when a ladder is given).
-    initial_state:
-        Starting state for every drive (classic drives only).
     ladder:
-        Optional :class:`~repro.disk.dpm.DpmLadder`: the pool is built
-        from :class:`~repro.disk.multistate.MultiStateDiskDrive` instead
-        of the classic two-state drive, descending the ladder while idle.
+        Optional :class:`~repro.disk.dpm.DpmLadder` every drive descends
+        while idle; ``None`` runs the classic two-state drive.
     fleet:
         Optional :class:`~repro.disk.fleet.ResolvedFleet`: per-drive
         specs, ladders and thresholds (overriding ``spec``/
@@ -52,7 +48,6 @@ class DiskArray:
         spec: DiskSpec,
         num_disks: int,
         idleness_threshold: Optional[float] = None,
-        initial_state: DiskState = DiskState.IDLE,
         record_history: bool = False,
         ladder: Optional[DpmLadder] = None,
         fleet: Optional[ResolvedFleet] = None,
@@ -79,34 +74,17 @@ class DiskArray:
         self.homogeneous_specs = len(set(self.specs)) == 1
         self.spec = self.specs[0]
         self.power_model = PowerModel(self.spec)
-        if ladders[0] is not None:
-            if initial_state is not DiskState.IDLE:
-                raise ConfigError(
-                    "ladder-backed arrays start spinning (rung 0)"
-                )
-            self.disks: List = [
-                MultiStateDiskDrive(
-                    env,
-                    specs[i],
-                    ladders[i],
-                    disk_id=i,
-                    idleness_threshold=thresholds[i],
-                    record_history=record_history,
-                )
-                for i in range(num_disks)
-            ]
-        else:
-            self.disks = [
-                DiskDrive(
-                    env,
-                    specs[i],
-                    disk_id=i,
-                    idleness_threshold=thresholds[i],
-                    initial_state=initial_state,
-                    record_history=record_history,
-                )
-                for i in range(num_disks)
-            ]
+        self.disks: List[DiskDrive] = [
+            DiskDrive(
+                env,
+                specs[i],
+                disk_id=i,
+                idleness_threshold=thresholds[i],
+                record_history=record_history,
+                ladder=ladders[i],
+            )
+            for i in range(num_disks)
+        ]
 
     def __len__(self) -> int:
         return len(self.disks)

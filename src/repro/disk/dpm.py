@@ -24,11 +24,14 @@ Figure 1 spin-down generalized per rung) — so that energy and timing can
 be accounted exactly: parked time at each rung's power, descents at their
 ``down_power``, wakes billed at ``wake_power`` for the *configured* wake
 time (no folded lump sums).  The ``two_state`` preset built from a
-:class:`~repro.disk.specs.DiskSpec` reproduces the classic
-:class:`~repro.disk.drive.DiskDrive` bit for bit; :mod:`repro.disk.multistate`
-runs ladders inside the event engine and
+:class:`~repro.disk.specs.DiskSpec` is the paper's Figure 1 drive.
+:class:`~repro.disk.drive.DiskDrive` runs every ladder inside the event
+engine (a drive built without one runs ``two_state``) and
 :mod:`repro.sim.fastkernel` runs the same semantics batched
-(``StorageConfig(dpm_ladder=...)`` selects a preset by name).
+(``StorageConfig(dpm_ladder=...)`` selects a preset by name).  Both
+engines report a ladder-free run under the classic
+:class:`~repro.disk.power.DiskState` names through
+:data:`CLASSIC_STATES`, the one place that maps the two vocabularies.
 """
 
 from __future__ import annotations
@@ -37,10 +40,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.disk.power import DiskState
 from repro.disk.specs import DiskSpec
 from repro.errors import ConfigError
 
 __all__ = [
+    "CLASSIC_STATES",
     "DPM_LADDERS",
     "DpmLadder",
     "DpmState",
@@ -549,6 +554,19 @@ def _drpm4_ladder(spec: DiskSpec) -> DpmLadder:
         "drpm4",
         [("rpm_hi", 0.55, 0.15, 0.15), ("rpm_lo", 0.25, 0.30, 0.40)],
     )
+
+
+#: Timeline labels of the ``two_state`` ladder -> the classic drive's
+#: states, under which runs without a ladder report their residencies,
+#: transition histories and observer spans (in both engines).
+CLASSIC_STATES: Dict[str, DiskState] = {
+    "idle": DiskState.IDLE,
+    "standby": DiskState.STANDBY,
+    "seek": DiskState.SEEK,
+    "active": DiskState.ACTIVE,
+    "wake:standby": DiskState.SPINUP,
+    "down:standby": DiskState.SPINDOWN,
+}
 
 
 #: name -> builder(spec); the presets ``StorageConfig(dpm_ladder=...)``

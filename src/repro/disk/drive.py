@@ -1,17 +1,31 @@
-"""The simulated disk drive: FIFO service, idleness timer, spin transitions.
+"""The simulated disk drive: FIFO service and a DPM ladder descended while idle.
 
-State machine (paper Figure 1):
+State machine (paper Figure 1, generalized per rung of a
+:class:`~repro.disk.dpm.DpmLadder`):
 
 * While requests are queued the drive is ``SEEK`` (positioning) then
   ``ACTIVE`` (transferring) per request, FIFO.
-* When the queue drains, the drive sits ``IDLE``.  If no request arrives
-  within the *idleness threshold*, it transitions ``SPINDOWN`` (10 s) ->
-  ``STANDBY``.
-* A request arriving in ``STANDBY`` (or during ``SPINDOWN`` — the spin-down
-  is not abortable) triggers ``SPINUP`` (15 s) before service resumes.
+* When the queue drains, the drive parks in rung 0 (``IDLE``).  At each
+  rung's (possibly control-scaled) entry time it starts a
+  **non-abortable descent** into the next rung, billed at that rung's
+  ``down_power`` for ``down_time`` seconds — Figure 1's ``SPINDOWN`` (10 s)
+  -> ``STANDBY``, generalized per rung.
+* A request arriving while parked in rung ``i`` (or mid-descent into it;
+  the descent finishes first) pays the rung's wake, billed at
+  ``wake_power`` for exactly the configured ``wake_time`` — Figure 1's
+  ``SPINUP`` (15 s) before service resumes.
 
-Energy is integrated from the state timeline against the spec's per-state
-power figures.
+A drive built without a ladder runs its spec's ``two_state`` ladder (the
+paper's drive) and records the classic :class:`~repro.disk.power.DiskState`
+members, named through :data:`~repro.disk.dpm.CLASSIC_STATES`.  A drive
+built with a ladder records the ladder's labels: rung names while parked,
+``down:<name>`` during descents, ``wake:<name>`` during wakes, plus
+``seek``/``active`` while serving.  The fast kernel's
+:class:`~repro.sim.fastkernel._DiskBank` replays the same semantics under
+the same labels.
+
+Energy is integrated from the state timeline against per-label power
+figures.
 """
 
 from __future__ import annotations
@@ -19,9 +33,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Hashable, List, Optional, Tuple, Union
 
-from repro.disk.power import DiskState, PowerModel
+from repro.disk.dpm import (
+    CLASSIC_STATES,
+    DpmLadder,
+    MultiStateDpmPolicy,
+    make_dpm_ladder,
+)
 from repro.disk.specs import DiskSpec
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
@@ -101,13 +120,20 @@ class DiskDrive:
     disk_id:
         Identifier used in results.
     idleness_threshold:
-        Seconds of idleness before spinning down.  ``None`` uses the spec's
-        break-even threshold (the paper's default policy); ``math.inf``
-        disables spin-down entirely; ``0`` spins down immediately.
-    initial_state:
-        ``DiskState.IDLE`` (spinning, default) or ``DiskState.STANDBY``.
+        First-descent threshold (seconds of idleness before spinning
+        down).  ``None`` uses the ladder's native first entry — the
+        spec's break-even threshold without a ladder (the paper's default
+        policy); ``math.inf`` disables descent entirely; ``0`` descends
+        immediately.  Deeper entries scale proportionally (see
+        :meth:`~repro.disk.dpm.DpmLadder.scaled_entries`).
     record_history:
         Keep the full state-transition history (for tests/plots).
+    ladder:
+        ``None`` (the spec's ``two_state`` ladder under the classic
+        :class:`~repro.disk.power.DiskState` labels), a
+        :class:`~repro.disk.dpm.DpmLadder`, or a
+        :class:`~repro.disk.dpm.MultiStateDpmPolicy` (bridged via
+        :meth:`DpmLadder.from_policy`).
     """
 
     def __init__(
@@ -116,32 +142,58 @@ class DiskDrive:
         spec: DiskSpec,
         disk_id: int = 0,
         idleness_threshold: Optional[float] = None,
-        initial_state: DiskState = DiskState.IDLE,
         record_history: bool = False,
+        ladder: Union[None, DpmLadder, MultiStateDpmPolicy] = None,
     ) -> None:
-        if initial_state not in (DiskState.IDLE, DiskState.STANDBY):
-            raise SimulationError(
-                "drives must start IDLE (spinning) or STANDBY (spun down)"
-            )
+        classic = ladder is None
+        if classic:
+            ladder = make_dpm_ladder("two_state", spec)
+        elif isinstance(ladder, MultiStateDpmPolicy):
+            ladder = DpmLadder.from_policy(ladder, spec)
         if idleness_threshold is None:
-            idleness_threshold = spec.breakeven_threshold()
+            idleness_threshold = ladder.base_threshold
         if not idleness_threshold >= 0:  # also rejects NaN
             raise SimulationError(
                 f"idleness threshold must be >= 0, got {idleness_threshold!r}"
             )
         self.env = env
         self.spec = spec
+        self.ladder = ladder
         self.disk_id = disk_id
+        #: First-descent threshold; the control loop overwrites this and
+        #: the value is consumed at the next queue drain (the idleness
+        #: timer already armed keeps the old one).
         self.threshold = float(idleness_threshold)
-        self.power_model = PowerModel(spec)
-        self.timeline = StateTimeline(env, initial_state, record_history)
+        self._classic = classic
+        # Every label the drive can enter, and its draw, fixed up front:
+        # per rung the park, descent and wake labels, plus seek and active.
+        rungs = ladder.rungs
+        deep = rungs[1:]
+        names = (
+            [r.name for r in rungs]
+            + [f"down:{r.name}" for r in deep]
+            + [f"wake:{r.name}" for r in deep]
+            + ["seek", "active"]
+        )
+        labels = {n: CLASSIC_STATES[n] if classic else n for n in names}
+        table = ladder.power_table(spec)
+        self._power: Dict[Hashable, float] = {
+            lab: table[n] for n, lab in labels.items()
+        }
+        self._park = tuple(labels[r.name] for r in rungs)
+        self._down = (None,) + tuple(labels[f"down:{r.name}"] for r in deep)
+        self._woken = (None,) + tuple(labels[f"wake:{r.name}"] for r in deep)
+        self._serving = (labels["seek"], labels["active"])
+        # Only a disk parked in the deepest rung counts as spun down.
+        self._asleep = self._park[-1] if deep else None
+        self.timeline = StateTimeline(env, self._park[0], record_history)
         self.stats = DriveStats()
         self._pending: Deque[DiskRequest] = deque()
         self._wake: Optional[Event] = None
         #: Closed idle gaps in close order: ``(gap_seconds,
         #: threshold_at_drain)`` appended at the arrival that ends the gap.
         #: The control loop (:mod:`repro.control`) consumes this per
-        #: interval; whether the gap spun the disk down is derivable
+        #: interval; whether the gap descended is derivable
         #: (``gap > threshold``).  The fast kernel logs identical entries.
         #: Populated only while :attr:`log_gaps` is set — uncontrolled
         #: runs must not accumulate telemetry nothing reads.
@@ -153,23 +205,25 @@ class DiskDrive:
         # began at creation time — like the fast kernel's avail=0 start.
         self._drain_time: Optional[float] = env.now
         self._drain_threshold: float = self.threshold
-        self.process = env.process(self._run(initial_state))
+        self.process = env.process(self._run())
 
     # -- public API ------------------------------------------------------------
 
     @property
-    def state(self) -> DiskState:
-        """Current power state."""
+    def state(self) -> Hashable:
+        """Current timeline label: a :class:`~repro.disk.power.DiskState`
+        without a ladder, the ladder's label string with one."""
         return self.timeline.state
 
     @property
     def spinning(self) -> bool:
         """Whether the platters are (or are being brought) up to speed.
 
-        Duck-typed with :class:`~repro.disk.multistate.MultiStateDiskDrive`
-        so the dispatcher's placement context reads either drive kind.
+        Only a disk *parked in the deepest rung* counts as spun down:
+        descents (like Figure 1's ``SPINDOWN``), intermediate reduced-RPM
+        rungs and wakes all spin.
         """
-        return self.state.spinning
+        return self.timeline.state != self._asleep
 
     @property
     def queue_depth(self) -> int:
@@ -198,13 +252,15 @@ class DiskDrive:
         self._wake = None
         return request
 
-    def state_durations(self) -> Dict[DiskState, float]:
-        """Seconds spent per power state so far."""
+    def state_durations(self) -> Dict[Hashable, float]:
+        """Seconds spent per timeline label so far."""
         return self.timeline.durations()
 
     def energy(self) -> float:
-        """Energy consumed so far (J)."""
-        return self.power_model.energy(self.timeline.durations())
+        """Energy consumed so far (J): every label billed at its power."""
+        power = self._power
+        durations = self.timeline.durations()
+        return sum(power[state] * t for state, t in durations.items())
 
     def mean_power(self) -> float:
         """Average draw so far (W); ``nan`` before any time elapses."""
@@ -213,69 +269,91 @@ class DiskDrive:
 
     # -- the drive process -------------------------------------------------------
 
-    def _run(self, initial_state: DiskState):
+    def _run(self):
         env = self.env
         spec = self.spec
+        ladder = self.ladder
+        rungs = ladder.rungs
+        deepest = len(rungs) - 1
         # Per-drive constants and bound methods, hoisted out of the loop.
         overhead = spec.access_overhead
         rate = spec.transfer_rate
         pending = self._pending
         set_state = self.timeline.set
-        record = self.stats.record_completion
-        IDLE, SEEK, ACTIVE = DiskState.IDLE, DiskState.SEEK, DiskState.ACTIVE
-
-        if initial_state is DiskState.STANDBY:
-            yield from self._sleep_then_spin_up()
-
+        stats = self.stats
+        record = stats.record_completion
+        park, down, woken = self._park, self._down, self._woken
+        seek, active = self._serving
+        parked = park[0]
+        classic = self._classic
+        inf = math.inf
+        scaled = None  # the threshold ``entries`` were scaled for
         while True:
             if not pending:
-                set_state(IDLE)
-                # The queue just drained: the gap starting now is governed
-                # by the *current* threshold (the timer armed below), even
-                # if a control loop changes ``self.threshold`` mid-gap.
+                # The queue just drained (the drive is parked in rung 0):
+                # the gap starting now is governed by the *current*
+                # threshold (the timer armed below), even if a control
+                # loop changes ``self.threshold`` mid-gap.
+                drain = env.now
                 threshold = self.threshold
-                self._drain_time = env.now
+                self._drain_time = drain
                 self._drain_threshold = threshold
-                wake = self._wake = Event(env)
-                if math.isinf(threshold):
+                if threshold != scaled:
+                    entries = ladder.scaled_entries(threshold)
+                    first = max(0.0, entries[1]) if deepest else inf
+                    scaled = threshold
+                self._wake = wake = Event(env)
+                if first == inf:
                     yield wake
-                else:
-                    yield AnyOf(env, (wake, Timeout(env, threshold)))
-                    if not pending:
-                        # The idleness threshold expired: power down.
-                        yield from self._spin_down()
-                        yield from self._sleep_then_spin_up()
+                    continue
+                yield AnyOf(env, (wake, Timeout(env, first)))
+                if pending:
+                    continue
+                i = 1
+                while True:
+                    # Non-abortable descent into rung i: an arrival during
+                    # it waits for the transition to finish.
+                    set_state(down[i])
+                    stats.spindowns += 1
+                    yield Timeout(env, rungs[i].down_time)
+                    set_state(park[i])
+                    if pending:
+                        break
+                    self._wake = wake = Event(env)
+                    if i == deepest:
+                        # Deepest rung: only an arrival ends the gap.
+                        yield wake
+                        break
+                    # Parked in rung i: wait for the next descent or an
+                    # arrival, whichever comes first.
+                    remaining = entries[i + 1] - (env.now - drain)
+                    yield AnyOf(env, (wake, Timeout(env, max(0.0, remaining))))
+                    if pending:
+                        break
+                    i += 1
+                wake_time = rungs[i].wake_time
+                set_state(woken[i])
+                stats.spinups += 1
+                if wake_time > 0 or classic:
+                    yield Timeout(env, wake_time)
+                if classic:
+                    # Figure 1's spin-up ends in IDLE: a zero-length dwell
+                    # before SEEK that classic histories keep.
+                    set_state(parked)
                 continue
 
             request = pending.popleft()
-            set_state(SEEK)
+            set_state(seek)
             yield Timeout(env, overhead)
-            set_state(ACTIVE)
+            set_state(active)
             yield Timeout(env, request.size / rate)
-            set_state(IDLE)
+            set_state(parked)
             response = env.now - request.arrival_time
             record(request.size, request.kind)
             request.done.succeed(response)
 
-    def _spin_down(self):
-        self.timeline.set(DiskState.SPINDOWN)
-        self.stats.spindowns += 1
-        # Not abortable: requests arriving now wait for the full transition.
-        yield Timeout(self.env, self.spec.spindown_time)
-        self.timeline.set(DiskState.STANDBY)
-
-    def _sleep_then_spin_up(self):
-        if not self._pending:
-            self.timeline.set(DiskState.STANDBY)
-            self._wake = Event(self.env)
-            yield self._wake
-        self.timeline.set(DiskState.SPINUP)
-        self.stats.spinups += 1
-        yield Timeout(self.env, self.spec.spinup_time)
-        self.timeline.set(DiskState.IDLE)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<DiskDrive {self.disk_id} state={self.state.value} "
+            f"<DiskDrive {self.disk_id} state={self.state} "
             f"queue={self.queue_depth}>"
         )

@@ -211,8 +211,9 @@ def _canon(obj: Any) -> Any:
 #: write-placement policy.
 #: v5: multi-state DPM ladders (``StorageConfig.dpm_ladder`` salts
 #: fingerprints via the config dataclass; ladder runs key
-#: ``state_durations`` by timeline label) + the reworked
-#: ``MultiStateDiskDrive`` descent/wake energy accounting.
+#: ``state_durations`` by timeline label) + the reworked ladder-drive
+#: descent/wake energy accounting (now :class:`~repro.disk.drive.DiskDrive`
+#: with a ladder).
 #: v6: out-of-core streaming (``StorageConfig.metrics_mode`` /
 #: ``chunk_size`` salt fingerprints via the config dataclass; streaming
 #: results carry ``response_stats`` instead of ``response_times``) + the

@@ -8,10 +8,10 @@ sweeps (the paper's Figures 2-6 grids) simulation bound.
 
 This module computes the same runs directly, without the event loop.  The
 drive semantics are exactly those of :class:`~repro.disk.drive.DiskDrive`
-(paper Figure 1): each disk is a FIFO queue whose service start follows a
-Lindley recursion extended with the idleness-threshold spin-down / spin-up
-transitions.  That per-disk recursion needs only two kinds of global
-coupling, both handled here:
+(paper Figure 1, generalized to DPM ladders): each disk is a FIFO queue
+whose service start follows a Lindley recursion extended with the
+idleness-threshold descent / wake transitions.  That per-disk recursion
+needs only two kinds of global coupling, both handled here:
 
 * **write allocation** — a write of a not-yet-mapped file inspects every
   disk's *current* spin state, free space and dispatched load through the
@@ -67,9 +67,12 @@ request count.
 Multi-state ladders (``StorageConfig(dpm_ladder=...)`` — presets
 ``two_state``/``nap``/``drpm4`` in :data:`repro.disk.dpm.DPM_LADDERS`,
 or any user :class:`~repro.disk.dpm.DpmLadder`) replay through the
-per-rung :class:`_DiskBank` recursion.  There is one bank: a run without
-a ladder is the ``two_state`` ladder of each disk's spec, reported under
-the classic :class:`~repro.disk.power.DiskState` keys, and the seeded
+per-rung :class:`_DiskBank` recursion.  There is one bank, as there is
+one event-engine drive: a run without a ladder is the ``two_state``
+ladder of each disk's spec, reported under the classic
+:class:`~repro.disk.power.DiskState` keys through
+:data:`~repro.disk.dpm.CLASSIC_STATES` (the map the event drive labels
+its timeline with), and the seeded
 randomized differential harness in ``tests/differential/`` holds both
 engines to 1e-9 agreement across the full config space (disks x streams
 x arrival shape x cache x write policy x DPM policy x ladder x fleet).
@@ -161,10 +164,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cache import ClockCache, FIFOCache, LFUCache, LRUCache
-from repro.disk.dpm import DpmLadder, make_dpm_ladder
+from repro.disk.dpm import CLASSIC_STATES, DpmLadder, make_dpm_ladder
 from repro.disk.drive import WRITE
 from repro.disk.fleet import ResolvedFleet
-from repro.disk.power import DiskState, PowerModel
+from repro.disk.power import PowerModel
 from repro.disk.specs import DiskSpec
 from repro.errors import ConfigError, SimulationError
 from repro.native import CoupledArgs, ServeArgs, coupled_core
@@ -257,11 +260,12 @@ class _DiskBank:
     the time it next falls idle plus per-rung park/descent/wake
     residencies — in the arrays the compiled walk of :mod:`repro.native`
     reads and writes in place (:func:`_serve_coupled` serves every batch
-    through it), so these arrays are the bank's only state.  The classic drive of
-    paper Figure 1 (:class:`~repro.disk.drive.DiskDrive`) is the
-    ``two_state`` ladder: one descent rung whose descent, park and wake are
-    SPINDOWN, STANDBY and SPINUP, with the classic recursion's arithmetic
-    term for term.
+    through it), so these arrays are the bank's only state.  Like
+    :class:`~repro.disk.drive.DiskDrive`, a run without a ladder runs the
+    ``two_state`` ladder of paper Figure 1: one descent rung whose descent,
+    park and wake are SPINDOWN, STANDBY and SPINUP
+    (:data:`~repro.disk.dpm.CLASSIC_STATES`), with the classic recursion's
+    arithmetic term for term.
 
     An idle gap walks the disk's threshold-scaled descent schedule
     (:meth:`~repro.disk.dpm.DpmLadder.scaled_entries`): fully traversed
@@ -471,7 +475,7 @@ class _DiskBank:
         write policy's view of the pool.
 
         Descents, intermediate rungs and wakes all count as spinning, like
-        :attr:`~repro.disk.power.DiskState.spinning` counts SPINDOWN: a
+        :attr:`~repro.disk.drive.DiskDrive.spinning`: a
         drained disk is spinning until its last descent ends, and a disk
         still working (``t < avail``) always is, because a pending request
         rides the transitions straight back up.  Same-instant earlier
@@ -1195,19 +1199,6 @@ class _SpanBinner:
         return mat
 
 
-#: Timeline labels of the ``two_state`` ladder -> the classic drive's
-#: states, under which runs without a ladder report their residencies
-#: and observer spans.
-_CLASSIC_STATES = {
-    "idle": DiskState.IDLE,
-    "standby": DiskState.STANDBY,
-    "seek": DiskState.SEEK,
-    "active": DiskState.ACTIVE,
-    "wake:standby": DiskState.SPINUP,
-    "down:standby": DiskState.SPINDOWN,
-}
-
-
 #: Span kind -> the rung attribute holding its power draw.
 _SPAN_POWER = {"park": "power", "down": "down_power", "wake": "wake_power"}
 
@@ -1225,7 +1216,7 @@ def _flush_bank_spans(
     """Drain a bank's logged transition spans and clear them in place
     (the serve loops hold bound references): fold them into the binner
     (controlled runs), emit them to an observer (clipped at the horizon,
-    like every accounting path, and named by :data:`_CLASSIC_STATES` on a
+    like every accounting path, and named by :data:`CLASSIC_STATES` on a
     ``classic`` run), or both.  Called between chunks and once at the end
     of the run, so span-log memory stays bounded by the chunk size and
     observer emission order is deterministic for any chunking.
@@ -1244,7 +1235,7 @@ def _flush_bank_spans(
                     if prefix != "park":
                         name = f"{prefix}:{name}"
                     if classic:
-                        name = _CLASSIC_STATES[name].value
+                        name = CLASSIC_STATES[name].value
                     obs.on_state_span(int(d), name, s, e if e < T else T)
             spans.clear()
 
@@ -1529,7 +1520,7 @@ def _simulate_chunks(
         th_in = threshold
         homogeneous = True
     # The classic drive runs as the two_state ladder of each disk's spec;
-    # its results keep DiskState keys through _CLASSIC_STATES.
+    # its results keep DiskState keys through CLASSIC_STATES.
     classic = ladders is None
     if classic:
         two_state = {s: make_dpm_ladder("two_state", s) for s in set(specs)}
@@ -1754,6 +1745,18 @@ def _simulate_chunks(
                     f"at {t_all[0]} but the previous chunk ended at {prev_last}"
                 )
             prev_last = float(t_all[-1])
+            # Columns must align with the times before censoring cuts them
+            # all to the same length.
+            fid = np.asarray(chunk.file_ids, dtype=np.int64)
+            kinds = getattr(chunk, "kinds", None)
+            if kinds is not None:
+                kinds = np.asarray(kinds)
+            for column, values in (("file_ids", fid), ("kinds", kinds)):
+                if values is not None and values.shape != (n,):
+                    raise SimulationError(
+                        f"stream {column} must be one per arrival: got "
+                        f"{values.size} {column} for {n} arrivals"
+                    )
             # The event kernel's cutoff is strict: the URGENT stop event at T
             # pre-empts arrival and completion events scheduled at exactly T.
             censored = bool(t_all[-1] >= T)
@@ -1762,22 +1765,17 @@ def _simulate_chunks(
                 if not cut:
                     break
                 t_all = t_all[:cut]
+                fid = fid[:cut]
+                if kinds is not None:
+                    kinds = kinds[:cut]
                 n = cut
-            fid = np.asarray(chunk.file_ids, dtype=np.int64)[:n]
-            if fid.size != n or int(fid.min()) < 0 or int(fid.max()) >= sizes.size:
+            if int(fid.min()) < 0 or int(fid.max()) >= sizes.size:
                 raise SimulationError(
-                    f"stream file ids must be one per arrival in "
-                    f"[0, {sizes.size}) (the catalog)"
+                    f"stream file ids must lie in [0, {sizes.size}) "
+                    f"(the catalog)"
                 )
-            kinds = getattr(chunk, "kinds", None)
             is_write: Optional[np.ndarray] = None
             if kinds is not None:
-                kinds = np.asarray(kinds)[:n]
-                if kinds.shape != (n,):
-                    raise SimulationError(
-                        f"stream kinds must be one per arrival: got "
-                        f"{kinds.size} kinds for {n} arrivals"
-                    )
                 w = kinds == WRITE
                 if w.any():
                     is_write = w
@@ -1928,7 +1926,7 @@ def _simulate_chunks(
             )
             vec[idx] = per_disk
     if classic:
-        per_state = {_CLASSIC_STATES[k]: v for k, v in per_state.items()}
+        per_state = {CLASSIC_STATES[k]: v for k, v in per_state.items()}
     state_durations = {
         state: float(per_disk.sum())
         for state, per_disk in per_state.items()

@@ -143,24 +143,6 @@ class TestSpinDown:
         env.run(until=460.0)
         assert drive.stats.spindowns == 0
 
-    def test_initial_standby_state(self):
-        env = Environment()
-        drive = DiskDrive(
-            env, SPEC, idleness_threshold=1e9,
-            initial_state=DiskState.STANDBY,
-        )
-        env.run(until=100.0)
-        assert drive.state is DiskState.STANDBY
-        req = drive.submit(0, 72 * MB)
-        env.run(until=req.done)
-        assert req.done.value == pytest.approx(
-            SPEC.spinup_time + 1.0 + OVERHEAD
-        )
-
-    def test_invalid_initial_state(self, env):
-        with pytest.raises(SimulationError):
-            DiskDrive(env, SPEC, initial_state=DiskState.SPINUP)
-
     def test_negative_threshold_rejected(self, env):
         with pytest.raises(SimulationError):
             DiskDrive(env, SPEC, idleness_threshold=-1.0)

@@ -1,5 +1,5 @@
-"""Tests for the multi-state drive, including exact equivalence with the
-classic two-state drive and energy conservation across descent/ascent
+"""Tests for the drive on multi-state ladders, including exact equivalence
+with the ladder-free (classic two-state) drive and energy conservation across descent/ascent
 cycles (wake transitions bill spin-up power for the *configured* wake
 time; descents are explicit, non-abortable transitions)."""
 
@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.dpm import DpmState, MultiStateDpmPolicy
+from repro.disk.dpm import CLASSIC_STATES
 from repro.disk import (
     DiskDrive,
+    DiskState,
     DpmLadder,
     LadderRung,
-    MultiStateDiskDrive,
     ST3500630AS,
     make_dpm_ladder,
 )
@@ -116,8 +117,8 @@ class TestScaledEntries:
 class TestBasicService:
     def test_serves_fifo(self):
         env = Environment()
-        drive = MultiStateDiskDrive(
-            env, SPEC, MultiStateDpmPolicy(NAP_LADDER)
+        drive = DiskDrive(
+            env, SPEC, ladder=MultiStateDpmPolicy(NAP_LADDER)
         )
         first = drive.submit(0, 72 * MB)
         second = drive.submit(1, 72 * MB)
@@ -126,16 +127,16 @@ class TestBasicService:
 
     def test_negative_size_rejected(self):
         env = Environment()
-        drive = MultiStateDiskDrive(
-            env, SPEC, MultiStateDpmPolicy(NAP_LADDER)
+        drive = DiskDrive(
+            env, SPEC, ladder=MultiStateDpmPolicy(NAP_LADDER)
         )
         with pytest.raises(SimulationError):
             drive.submit(0, -1.0)
 
     def test_nan_size_rejected(self):
         env = Environment()
-        drive = MultiStateDiskDrive(
-            env, SPEC, MultiStateDpmPolicy(NAP_LADDER)
+        drive = DiskDrive(
+            env, SPEC, ladder=MultiStateDpmPolicy(NAP_LADDER)
         )
         with pytest.raises(SimulationError, match="size"):
             drive.submit(0, float("nan"))
@@ -146,20 +147,20 @@ class TestBasicService:
         # the descent timer.
         env = Environment()
         with pytest.raises(SimulationError, match="threshold"):
-            MultiStateDiskDrive(
-                env, SPEC, MultiStateDpmPolicy(NAP_LADDER),
+            DiskDrive(
+                env, SPEC, ladder=MultiStateDpmPolicy(NAP_LADDER),
                 idleness_threshold=math.nan,
             )
 
     def test_descends_ladder_when_idle(self):
         env = Environment()
-        drive = MultiStateDiskDrive(env, SPEC, MultiStateDpmPolicy(NAP_LADDER))
+        drive = DiskDrive(env, SPEC, ladder=MultiStateDpmPolicy(NAP_LADDER))
         ladder = drive.ladder
         t1, t2 = ladder.rungs[1].entry, ladder.rungs[2].entry
         env.run(until=(t1 + t2) / 2)
-        assert drive.state_name == "nap"
+        assert drive.state == "nap"
         env.run(until=t2 + ladder.rungs[2].down_time + 1.0)
-        assert drive.state_name == "standby"
+        assert drive.state == "standby"
         assert not drive.spinning
 
     def test_descent_is_not_abortable(self):
@@ -167,7 +168,7 @@ class TestBasicService:
         # pays the wake — exactly the classic SPINDOWN semantics.
         env = Environment()
         ladder = make_dpm_ladder("two_state", SPEC)
-        drive = MultiStateDiskDrive(env, SPEC, ladder)
+        drive = DiskDrive(env, SPEC, ladder=ladder)
         entry = ladder.rungs[1].entry
         arrival = entry + SPEC.spindown_time / 2
         requests = feed(env, drive, [arrival])
@@ -184,7 +185,7 @@ class TestBasicService:
 
         def response_after(idle_gap):
             env = Environment()
-            drive = MultiStateDiskDrive(env, SPEC, policy)
+            drive = DiskDrive(env, SPEC, ladder=policy)
             requests = feed(env, drive, [idle_gap])
             env.run(until=idle_gap + 200.0)
             (response,) = responses(requests)
@@ -198,7 +199,7 @@ class TestBasicService:
     def test_arrival_before_first_threshold_no_penalty(self):
         env = Environment()
         policy = MultiStateDpmPolicy(NAP_LADDER)
-        drive = MultiStateDiskDrive(env, SPEC, policy)
+        drive = DiskDrive(env, SPEC, ladder=policy)
         requests = feed(env, drive, [10.0])
         env.run(until=100.0)
         assert drive.stats.spinups == 0
@@ -210,18 +211,19 @@ class TestBasicService:
         # Halving the drive's threshold halves the first descent time.
         env = Environment()
         ladder = make_dpm_ladder("nap", SPEC)
-        drive = MultiStateDiskDrive(
-            env, SPEC, ladder, idleness_threshold=ladder.base_threshold / 2
+        drive = DiskDrive(
+            env, SPEC, ladder=ladder,
+            idleness_threshold=ladder.base_threshold / 2,
         )
         env.run(until=ladder.base_threshold / 2 + ladder.rungs[1].down_time + 0.5)
-        assert drive.state_name == "nap"
+        assert drive.state == "nap"
 
 
 class TestEnergyAccounting:
     def test_durations_cover_elapsed(self):
         env = Environment()
-        drive = MultiStateDiskDrive(
-            env, SPEC, MultiStateDpmPolicy(NAP_LADDER)
+        drive = DiskDrive(
+            env, SPEC, ladder=MultiStateDpmPolicy(NAP_LADDER)
         )
         feed(env, drive, [50.0, 400.0, 2_000.0])
         env.run(until=5_000.0)
@@ -236,7 +238,7 @@ class TestEnergyAccounting:
         """
         env = Environment()
         ladder = make_dpm_ladder("drpm4", SPEC)
-        drive = MultiStateDiskDrive(env, SPEC, ladder)
+        drive = DiskDrive(env, SPEC, ladder=ladder)
         rng = np.random.default_rng(3)
         times = np.cumsum(rng.exponential(90.0, size=80))
         feed(env, drive, times)
@@ -258,20 +260,22 @@ class TestEnergyAccounting:
         assert sum(durations.values()) == pytest.approx(env.now)
 
     def test_two_state_ladder_matches_classic_drive_exactly(self):
-        """The generalized drive with Table 2's two-state ladder is the
-        classic DiskDrive bit for bit: same spin transitions, same
-        response times, same energy."""
+        """The drive on Table 2's two-state ladder is the ladder-free
+        drive bit for bit: same spin transitions, same response times,
+        same energy, and the same history once its labels go through
+        the shared label map."""
         rng = np.random.default_rng(5)
         times = np.cumsum(rng.exponential(120.0, size=300))
 
         env_a = Environment()
-        classic = DiskDrive(env_a, SPEC)  # break-even threshold
+        classic = DiskDrive(env_a, SPEC, record_history=True)  # break-even
         classic_requests = feed(env_a, classic, times)
         env_a.run(until=float(times[-1]) + 100.0)
 
         env_b = Environment()
-        modern = MultiStateDiskDrive(
-            env_b, SPEC, make_dpm_ladder("two_state", SPEC)
+        modern = DiskDrive(
+            env_b, SPEC, record_history=True,
+            ladder=make_dpm_ladder("two_state", SPEC),
         )
         modern_requests = feed(env_b, modern, times)
         env_b.run(until=float(times[-1]) + 100.0)
@@ -283,17 +287,24 @@ class TestEnergyAccounting:
         assert len(classic_responses) == classic.stats.completions
         assert responses(modern_requests) == classic_responses
         assert modern.energy() == classic.energy()
-        mapping = {
-            "idle": "idle",
-            "standby": "standby",
-            "seek": "seek",
-            "active": "active",
-            "spinup": "wake:standby",
-            "spindown": "down:standby",
-        }
+        label = {state: name for name, state in CLASSIC_STATES.items()}
         modern_durations = modern.state_durations()
         for state, t in classic.state_durations().items():
-            assert modern_durations.get(mapping[state.value], 0.0) == t
+            assert modern_durations.get(label[state], 0.0) == t
+        # The ladder-free drive re-enters IDLE for zero time after each
+        # SPINUP; otherwise the histories agree entry for entry.
+        history = classic.timeline.history
+        rests = {
+            i + 1 for i, (_, state) in enumerate(history)
+            if state is DiskState.SPINUP
+        }
+        assert len(rests) == classic.stats.spinups > 0
+        for i in rests:
+            assert history[i][1] is DiskState.IDLE
+            assert history[i + 1][0] == history[i][0]
+        assert [e for i, e in enumerate(history) if i not in rests] == [
+            (t, CLASSIC_STATES[name]) for t, name in modern.timeline.history
+        ]
 
     def test_policy_bridge_matches_classic_to_float_noise(self):
         """MultiStateDpmPolicy.two_state bridged through from_policy keeps
@@ -308,8 +319,8 @@ class TestEnergyAccounting:
         env_a.run(until=float(times[-1]) + 100.0)
 
         env_b = Environment()
-        modern = MultiStateDiskDrive(
-            env_b, SPEC, MultiStateDpmPolicy.two_state(SPEC)
+        modern = DiskDrive(
+            env_b, SPEC, ladder=MultiStateDpmPolicy.two_state(SPEC)
         )
         modern_requests = feed(env_b, modern, times)
         env_b.run(until=float(times[-1]) + 100.0)
@@ -330,7 +341,7 @@ class TestEnergyAccounting:
 
         def run(policy):
             env = Environment()
-            drive = MultiStateDiskDrive(env, SPEC, policy)
+            drive = DiskDrive(env, SPEC, ladder=policy)
             feed(env, drive, times)
             env.run(until=float(times[-1]) + 10.0)
             return drive.energy()
@@ -342,8 +353,8 @@ class TestEnergyAccounting:
 
     def test_gap_log_matches_classic_contract(self):
         env = Environment()
-        drive = MultiStateDiskDrive(
-            env, SPEC, make_dpm_ladder("nap", SPEC)
+        drive = DiskDrive(
+            env, SPEC, ladder=make_dpm_ladder("nap", SPEC)
         )
         drive.log_gaps = True
         feed(env, drive, [40.0, 45.0, 300.0])

@@ -12,7 +12,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from repro.analysis.dpm import MultiStateDpmPolicy
-from repro.disk import DiskDrive, MultiStateDiskDrive, ST3500630AS, make_dpm_ladder
+from repro.disk import DiskDrive, ST3500630AS, make_dpm_ladder
 from repro.sim import Environment
 from repro.units import MB
 
@@ -57,16 +57,16 @@ def test_two_state_policy_matches_classic_drive(gaps, size_mb):
     note(f"times = {times.tolist()!r}; size = {size!r}")
     note(
         "classic: DiskDrive(env, ST3500630AS); modern: "
-        "MultiStateDiskDrive(env, ST3500630AS, "
-        "MultiStateDpmPolicy.two_state(ST3500630AS))"
+        "DiskDrive(env, ST3500630AS, "
+        "ladder=MultiStateDpmPolicy.two_state(ST3500630AS))"
     )
 
     classic, classic_responses = _run_drive(
         lambda env: DiskDrive(env, SPEC), times, size, horizon
     )
     modern, modern_responses = _run_drive(
-        lambda env: MultiStateDiskDrive(
-            env, SPEC, MultiStateDpmPolicy.two_state(SPEC)
+        lambda env: DiskDrive(
+            env, SPEC, ladder=MultiStateDpmPolicy.two_state(SPEC)
         ),
         times,
         size,
@@ -93,7 +93,7 @@ def test_ladder_energy_is_conserved(gaps):
     note(f"times = {times.tolist()!r}")
     ladder = make_dpm_ladder("drpm4", SPEC)
     drive, _ = _run_drive(
-        lambda env: MultiStateDiskDrive(env, SPEC, ladder),
+        lambda env: DiskDrive(env, SPEC, ladder=ladder),
         times,
         36 * MB,
         horizon,

@@ -461,19 +461,38 @@ class TestUnsupportedScenarios:
                 cache=LRUCache(100 * GiB) if cached else None,
             )
 
-    @pytest.mark.parametrize("cache_policy", [None, "lru"])
-    def test_short_kinds_column_raises(self, small_catalog, cache_policy):
+    @pytest.mark.parametrize(
+        "cache_policy, column, longer",
+        [
+            pytest.param(cache_policy, column, longer, id="-".join(
+                [str(cache_policy)] + (["long", column] if longer else [])
+            ))
+            for column, longer in [
+                ("kinds", False), ("kinds", True), ("file_ids", True),
+            ]
+            for cache_policy in [None, "lru"]
+        ],
+    )
+    def test_short_kinds_column_raises(
+        self, small_catalog, cache_policy, column, longer
+    ):
         # A chunk whose kinds column is shorter than its times: a raw
         # IndexError without a cache, and an error naming the file ids
-        # with one, before the kernel checked the column itself.
+        # with one, before the kernel checked the column itself.  A
+        # longer kinds or file_ids column was cut to the times and ran.
         extended, stream, mapping, cfg = mixed_scenario(
             small_catalog, engine="fast", cache_policy=cache_policy
         )
         n = len(stream)
-        stream.kinds = stream.kinds[: n // 2]
+        values = getattr(stream, column)
+        bad = (
+            np.concatenate([values, values[:3]]) if longer
+            else values[: n // 2]
+        )
+        setattr(stream, column, bad)
         system = StorageSystem(extended, mapping, cfg)
         with pytest.raises(
-            SimulationError, match=f"{n // 2} kinds for {n} arrivals"
+            SimulationError, match=f"{bad.size} {column} for {n} arrivals"
         ):
             system.run(stream)
 
