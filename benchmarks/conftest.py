@@ -65,17 +65,16 @@ def oracle_core():
 
     compiled = fastkernel._serve_coupled
 
-    def route(bank, policy, mapping, free, sizes, fid, t_all, is_write,
-              state, starts, d_req, base_index, obs=None):
+    def route(state, fid, t_all, is_write, starts, d_req, base_index,
+              obs=None):
         if isinstance(state, fastkernel._CacheState) or is_write is not None:
-            compiled(
-                bank, policy, mapping, free, sizes, fid, t_all, is_write,
-                state, starts, d_req, base_index, obs,
-            )
+            compiled(state, fid, t_all, is_write, starts, d_req, base_index,
+                     obs)
             return
-        d = mapping[fid]
+        bank = state.bank
+        d = state.mapping[fid]
         serve_oracle.serve_segment(
-            bank, d, t_all, sizes[fid] / bank.rate_a[d], starts
+            bank, d, t_all, state.sizes[fid] / bank.rate_a[d], starts
         )
         d_req[:] = d
 

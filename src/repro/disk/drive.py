@@ -33,7 +33,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, List, Optional, Tuple, Union
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Deque, Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 from repro.disk.dpm import (
     CLASSIC_STATES,
@@ -108,6 +110,37 @@ class DriveStats:
             self.reads += 1
 
 
+@lru_cache(maxsize=64)
+def _label_tables(spec: DiskSpec, ladder: Optional[DpmLadder]) -> tuple:
+    """``(ladder, power by label, park, descent and wake labels per rung,
+    (seek, active) labels, spun-down label)`` of a drive, shared by every
+    drive with the same ``spec`` and ``ladder`` (``None``: the spec's
+    ``two_state`` ladder under the classic labels)."""
+    classic = ladder is None
+    if classic:
+        ladder = make_dpm_ladder("two_state", spec)
+    rungs = ladder.rungs
+    deep = rungs[1:]
+    names = (
+        [r.name for r in rungs]
+        + [f"down:{r.name}" for r in deep]
+        + [f"wake:{r.name}" for r in deep]
+        + ["seek", "active"]
+    )
+    labels = {n: CLASSIC_STATES[n] if classic else n for n in names}
+    table = ladder.power_table(spec)
+    power: Mapping[Hashable, float] = MappingProxyType(
+        {lab: table[n] for n, lab in labels.items()}
+    )
+    park = tuple(labels[r.name] for r in rungs)
+    down = (None,) + tuple(labels[f"down:{r.name}"] for r in deep)
+    woken = (None,) + tuple(labels[f"wake:{r.name}"] for r in deep)
+    serving = (labels["seek"], labels["active"])
+    # Only a disk parked in the deepest rung counts as spun down.
+    asleep = park[-1] if deep else None
+    return ladder, power, park, down, woken, serving, asleep
+
+
 class DiskDrive:
     """A single simulated drive bound to an environment.
 
@@ -145,11 +178,13 @@ class DiskDrive:
         record_history: bool = False,
         ladder: Union[None, DpmLadder, MultiStateDpmPolicy] = None,
     ) -> None:
-        classic = ladder is None
-        if classic:
-            ladder = make_dpm_ladder("two_state", spec)
-        elif isinstance(ladder, MultiStateDpmPolicy):
+        if isinstance(ladder, MultiStateDpmPolicy):
             ladder = DpmLadder.from_policy(ladder, spec)
+        classic = ladder is None
+        (
+            ladder, self._power, self._park, self._down, self._woken,
+            self._serving, self._asleep,
+        ) = _label_tables(spec, ladder)
         if idleness_threshold is None:
             idleness_threshold = ladder.base_threshold
         if not idleness_threshold >= 0:  # also rejects NaN
@@ -165,27 +200,6 @@ class DiskDrive:
         #: timer already armed keeps the old one).
         self.threshold = float(idleness_threshold)
         self._classic = classic
-        # Every label the drive can enter, and its draw, fixed up front:
-        # per rung the park, descent and wake labels, plus seek and active.
-        rungs = ladder.rungs
-        deep = rungs[1:]
-        names = (
-            [r.name for r in rungs]
-            + [f"down:{r.name}" for r in deep]
-            + [f"wake:{r.name}" for r in deep]
-            + ["seek", "active"]
-        )
-        labels = {n: CLASSIC_STATES[n] if classic else n for n in names}
-        table = ladder.power_table(spec)
-        self._power: Dict[Hashable, float] = {
-            lab: table[n] for n, lab in labels.items()
-        }
-        self._park = tuple(labels[r.name] for r in rungs)
-        self._down = (None,) + tuple(labels[f"down:{r.name}"] for r in deep)
-        self._woken = (None,) + tuple(labels[f"wake:{r.name}"] for r in deep)
-        self._serving = (labels["seek"], labels["active"])
-        # Only a disk parked in the deepest rung counts as spun down.
-        self._asleep = self._park[-1] if deep else None
         self.timeline = StateTimeline(env, self._park[0], record_history)
         self.stats = DriveStats()
         self._pending: Deque[DiskRequest] = deque()

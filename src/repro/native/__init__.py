@@ -2,21 +2,25 @@
 
 :mod:`repro.sim.fastkernel` walks every batch of a run through one C routine
 in ``serve.c``: the arrival-order walk of the per-disk Lindley / DPM-ladder
-recursion, bit for bit the Python one, with the shared whole-file cache's
-lookups, pending admissions and evictions merged in when the run has a
-cache.  The shared library is built from that source with the host's C
-compiler the first time this package is imported and cached under
-``~/.cache/repro/native/``, named by a hash of the source, the compiler, the
-flags and the Python ABI, so later imports only load it.  The build writes
-to a temporary name and renames it into place, so processes that build at
-the same moment (parallel sweep workers) never load a half-written file.  If
-the cache directory is not writable the library is built in a private
-temporary directory instead.
+recursion, bit for bit the Python one, with write placement by the run's
+rule-table row and the shared whole-file cache's lookups, pending
+admissions and evictions merged in.  The shared library is built from that
+source with the host's C compiler the first time this package is imported
+and cached under ``~/.cache/repro/native/``, named by a hash of the source,
+the compiler, the flags and the Python ABI, so later imports only load it.
+The build writes to a temporary name and renames it into place, so
+processes that build at the same moment (parallel sweep workers) never
+load a half-written file.  If the cache directory is not writable the
+library is built in a private temporary directory instead.
 
 There is no Python fallback: on a host without a C compiler the import still
 succeeds, but :func:`coupled_core` raises :class:`~repro.errors.ConfigError`
 naming the missing compiler, so ``engine="fast"`` fails loudly while the
 event engine keeps working.
+
+Tests may :func:`build` with extra compiler flags (a sanitizer or
+warnings-as-errors build) and :func:`load` the result; the flags are
+hashed into the library name, so it never shadows the normal build.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "cache_dir",
     "compiler",
     "coupled_core",
+    "load",
 ]
 
 SOURCE = Path(__file__).with_name("serve.c")
@@ -78,14 +83,18 @@ class ServeArgs(ctypes.Structure):
 
 class CoupledArgs(ctypes.Structure):
     """Mirror of ``coupled_args`` in ``serve.c``: the bank it serves
-    through, the cache state in per-file-id arrays (``cached`` 0: none),
-    the pending-admission and LFU heaps, the batch and the cache-event
-    buffers."""
+    through, the placement rule and its record buffers, the cache state in
+    per-file-id arrays (``cached`` 0: none), the pending-admission and LFU
+    heaps, the batch and the cache-event buffers."""
 
     _fields_ = [
         ("s", ctypes.POINTER(ServeArgs)),
         ("cached", _i), ("policy", _i), ("nf", _i), ("capacity", ctypes.c_double),
         ("size", _p), ("map", _p), ("rate", _p),
+        ("free", _p), ("ap", _p),
+        ("pl_spin", _i), ("pl_key", _i), ("pl_max", _i), ("pl_fallback", _i),
+        ("cursor", _i),
+        ("pl_cap", _i), ("pl_n", _i), ("pl_t", _p), ("pl_f", _p), ("pl_d", _p),
         ("csize", _p), ("nxt", _p), ("prv", _p), ("res", _p), ("ref", _p),
         ("freq", _p),
         ("head", _i), ("tail", _i), ("count", _i),
@@ -128,7 +137,7 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "native"
 
 
-def _library_name(cc: str) -> str:
+def _library_name(cc: str, flags: Tuple[str, ...]) -> str:
     """File name keyed by the source, the compiler, the flags and the ABI."""
     real = os.path.realpath(cc)
     st = os.stat(real)
@@ -137,7 +146,7 @@ def _library_name(cc: str) -> str:
     for part in (
         SOURCE.read_bytes(),
         f"{real}:{st.st_size}:{st.st_mtime_ns}".encode(),
-        " ".join(CFLAGS).encode(),
+        " ".join(flags).encode(),
         str(abi).encode(),
     ):
         key.update(part)
@@ -145,12 +154,13 @@ def _library_name(cc: str) -> str:
     return f"serve-{key.hexdigest()[:20]}.so"
 
 
-def build(directory: Path, cc: str) -> Path:
-    """Build the library into ``directory`` unless it is already there;
-    returns its path.  The compiler writes a private temporary file that
-    is renamed into place, so a concurrent builder never sees it
-    half-written."""
-    target = directory / _library_name(cc)
+def build(directory: Path, cc: str, extra_flags: Tuple[str, ...] = ()) -> Path:
+    """Build the library into ``directory`` (with ``extra_flags`` after
+    :data:`CFLAGS`) unless it is already there; returns its path.  The
+    compiler writes a private temporary file that is renamed into place,
+    so a concurrent builder never sees it half-written."""
+    flags = CFLAGS + tuple(extra_flags)
+    target = directory / _library_name(cc, flags)
     if target.exists():
         return target
     directory.mkdir(parents=True, exist_ok=True)
@@ -160,7 +170,7 @@ def build(directory: Path, cc: str) -> Path:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *CFLAGS, "-o", tmp, str(SOURCE)],
+            [cc, *flags, "-o", tmp, str(SOURCE)],
             capture_output=True,
             text=True,
         )
@@ -195,9 +205,15 @@ def _load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
             private = Path(tempfile.mkdtemp(prefix="repro-native-"))
             atexit.register(shutil.rmtree, private, True)
             path = build(private, cc)
-        lib = ctypes.CDLL(str(path))
+        return load(path), None
     except (ConfigError, OSError) as exc:
         return None, str(exc)
+
+
+def load(path: Path) -> ctypes.CDLL:
+    """Load a built library and declare its entry points (a
+    :class:`~repro.errors.ConfigError` if its structures do not match)."""
+    lib = ctypes.CDLL(str(path))
     for size_fn, mirror in (
         (lib.repro_serve_args_size, ServeArgs),
         (lib.repro_coupled_args_size, CoupledArgs),
@@ -205,14 +221,14 @@ def _load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
         size_fn.argtypes = []
         size_fn.restype = ctypes.c_int64
         if size_fn() != ctypes.sizeof(mirror):
-            return None, (
+            raise ConfigError(
                 f"{path} does not match {mirror.__name__}; delete it to rebuild"
             )
     lib.repro_serve_coupled.argtypes = [ctypes.POINTER(CoupledArgs), _i]
     lib.repro_serve_coupled.restype = _i
     lib.repro_cache_order.argtypes = [ctypes.POINTER(CoupledArgs), _p]
     lib.repro_cache_order.restype = None
-    return lib, None
+    return lib
 
 
 _LIB, _REASON = _load()

@@ -9,15 +9,18 @@
  * whole-file cache (LRU, FIFO, CLOCK or LFU, kept in per-file-id arrays)
  * the walk also drains the pending cache admissions due before each
  * arrival, looks the file up, and serves only misses and writes; without
- * one it serves every request.  The arithmetic is the Python reference's,
- * term for term and in the same order, so starts, per-disk state, cache
+ * one it serves every request.  A write of an unmapped file is placed
+ * here, by the run's row of the write-placement rule table
+ * (repro.system.placement), against the bank's live spin state, free
+ * bytes and load.  The arithmetic is the Python reference's, term for
+ * term and in the same order, so starts, per-disk state, placements, cache
  * state and every logged record come out bit for bit equal to it (build
  * with -ffp-contract=off and without -ffast-math).
  *
  * Gap-log records are sorted by disk (arrival order inside each disk) and
  * span records by (kind, rung) (arrival order inside each key) before they
  * are handed back.  A call stops early when a record buffer could overflow,
- * at a write that needs a placement and at a read of an unmapped file, and
+ * at a write no disk has room for and at a read of an unmapped file, and
  * returns the position reached; the caller drains the records, acts, and
  * calls again with that position to resume the walk.
  */
@@ -225,7 +228,7 @@ enum { EV_HIT = 0, EV_MISS = 1, EV_ADMIT = 2, EV_EVICT = 3 };
 enum {
     STOP_DONE = 0,      /* batch served (or horizon drain done) */
     STOP_FULL = 1,      /* a record or event buffer is full: drain, resume */
-    STOP_PLACE = 2,     /* write of an unmapped file: place it, resume */
+    STOP_NO_ROOM = 2,   /* write of an unmapped file no disk has room for */
     STOP_UNMAPPED = 3,  /* read of an unmapped file (its miss is counted) */
     STOP_BAD_FILE = 4,  /* file id outside the catalog */
     STOP_BAD_DISK = 5,  /* mapping names a disk outside the pool */
@@ -248,8 +251,18 @@ typedef struct {
     int64_t nf;           /* catalog files: stream ids must be below */
     double capacity;
     const double *size;   /* [nf] catalog sizes */
-    const int64_t *map;   /* [nf] file -> disk, -1 while unmapped */
+    int64_t *map;         /* [nf] file -> disk, -1 until a write places it */
     const double *rate;   /* [D] transfer rates */
+    /* write placement: free bytes each placement debits, the active power
+     * key, the rule-table row (candidates, key, direction, fallback) and
+     * the round-robin cursor */
+    double *free;         /* [D] */
+    const double *ap;     /* [D] */
+    int64_t pl_spin, pl_key, pl_max, pl_fallback, cursor;
+    /* placements of this call (pl_cap 0: not recorded) */
+    int64_t pl_cap, pl_n;
+    double *pl_t;
+    int64_t *pl_f, *pl_d;
     /* cache state, per file id: resident size, eviction-order list
      * (head is the next victim), residency, CLOCK reference bit and LFU
      * frequency */
@@ -539,6 +552,81 @@ static int drain(coupled_args *c, double limit, int inclusive)
     return 0;
 }
 
+/* ---------------------------------------------------------------------
+ * Write placement: one rule-table row, evaluated on the bank's arrays.
+ * ------------------------------------------------------------------- */
+
+enum { KEY_FREE = 0, KEY_ID = 1, KEY_LOAD = 2, KEY_POWER = 3, KEY_CURSOR = 4 };
+enum { FALLBACK_NONE = 0, FALLBACK_WORST = 1, FALLBACK_BEST = 2 };
+
+/* Whether disk d is spinning at t: not parked in its deepest rung.  A
+ * drained disk spins until its last descent ends, and a working one
+ * always does.  Serves earlier in the same instant are not seen: the
+ * disk's avail as of the start of instant t (pv) stands in, as the event
+ * engine's drive processes have not run yet.  The last descent starts at
+ * the schedule row in effect at the drain instant; an inf entry never
+ * parks. */
+static inline int spinning(const serve_args *a, int64_t d, double t)
+{
+    const double av = a->pt[d] == t ? a->pv[d] : a->avail[d];
+    int64_t row = 0;
+    if (a->th != NULL) {
+        const double q = av / a->ci;
+        row = q < (double)a->k ? (int64_t)q : a->k;
+    }
+    const int64_t R = a->R[d];
+    const double last = a->ent[(row * a->D + d) * a->W + (R > 2 ? R - 1 : 1)];
+    return t < (av + last) + a->dn[d * a->maxR + R - 1];
+}
+
+/* The disk with room (and spinning, with spin) whose key is smallest
+ * (largest, with max) for a size-byte file written at t, or -1.  Ties go
+ * to the lowest disk id, as NumPy's argmin and argmax keep the first. */
+static int64_t pick(const coupled_args *c, double size, double t, int spin,
+                    int64_t key_code, int max)
+{
+    const serve_args *a = c->s;
+    const double *key = key_code == KEY_FREE ? c->free
+        : key_code == KEY_LOAD ? a->load
+        : key_code == KEY_POWER ? c->ap : NULL;
+    int64_t best = -1;
+    double bk = 0.0;
+    for (int64_t d = 0; d < a->D; d++) {
+        if (!(c->free[d] >= size) || (spin && !spinning(a, d, t)))
+            continue;
+        const double v = key != NULL ? key[d] : (double)d;
+        if (best < 0 || (max ? v > bk : v < bk)) {
+            best = d;
+            bk = v;
+        }
+    }
+    return best;
+}
+
+/* The disk the rule row places a size-byte file written at t on, or -1
+ * when no disk has room. */
+static int64_t place(coupled_args *c, double size, double t)
+{
+    const int64_t D = c->s->D;
+    if (c->pl_key == KEY_CURSOR) {
+        int64_t d = c->cursor % D;
+        if (d < 0)
+            d += D;
+        for (int64_t j = 0; j < D; j++, d = d + 1 == D ? 0 : d + 1) {
+            if (c->free[d] >= size) {
+                c->cursor = d + 1 == D ? 0 : d + 1;
+                return d;
+            }
+        }
+        return -1;
+    }
+    int64_t d = pick(c, size, t, c->pl_spin != 0, c->pl_key, c->pl_max != 0);
+    if (d < 0 && c->pl_spin && c->pl_fallback != FALLBACK_NONE)
+        /* No spinning disk has room: worst-fit (most room) or best-fit. */
+        d = pick(c, size, t, 0, KEY_FREE, c->pl_fallback == FALLBACK_WORST);
+    return d;
+}
+
 /* Stable counting sort of this call's arrival-order gap records by
  * disk. */
 static void sort_gaps(serve_args *a)
@@ -559,10 +647,9 @@ static void sort_gaps(serve_args *a)
 }
 
 /* Walk the batch in arrival order from position pos; returns the position
- * reached, with the reason in c->stop.  Records and cache events collect
- * across calls until the caller takes them and zeroes their counts (it
- * need not between a placement stop and the resumed walk); the records
- * are sorted at every other stop. */
+ * reached, with the reason in c->stop.  The caller takes the records,
+ * placements and cache events at every stop and zeroes their counts; the
+ * records are sorted at every stop. */
 int64_t repro_serve_coupled(coupled_args *c, int64_t pos)
 {
     serve_args *a = c->s;
@@ -590,7 +677,8 @@ int64_t repro_serve_coupled(coupled_args *c, int64_t pos)
         }
         const double size = c->size[f];
         const int write = c->w != NULL && c->w[i];
-        if (records_full(a, spans) || (c->ev_cap && c->ev_n == c->ev_cap)) {
+        if (records_full(a, spans) || (c->ev_cap && c->ev_n == c->ev_cap)
+            || (c->pl_cap && c->pl_n == c->pl_cap)) {
             c->stop = STOP_FULL;
             break;
         }
@@ -603,12 +691,26 @@ int64_t repro_serve_coupled(coupled_args *c, int64_t pos)
             }
             emit(c, t, EV_MISS, f);
         }
-        const int64_t d = c->map[f];
+        int64_t d = c->map[f];
         if (d < 0) {
-            c->stop = write ? STOP_PLACE : STOP_UNMAPPED;
-            break;
-        }
-        if (d >= D) {
+            if (!write) {
+                c->stop = STOP_UNMAPPED;
+                break;
+            }
+            d = place(c, size, t);
+            if (d < 0) {
+                c->stop = STOP_NO_ROOM;
+                break;
+            }
+            c->map[f] = d;
+            c->free[d] -= size;
+            if (c->pl_cap) {
+                const int64_t m = c->pl_n++;
+                c->pl_t[m] = t;
+                c->pl_f[m] = f;
+                c->pl_d[m] = d;
+            }
+        } else if (d >= D) {
             c->stop = STOP_BAD_DISK;
             break;
         }
@@ -629,12 +731,10 @@ int64_t repro_serve_coupled(coupled_args *c, int64_t pos)
                 ad_push(c, done, c->base + i, f, size);
         }
     }
-    if (c->stop != STOP_PLACE) {
-        if (a->th != NULL && a->n_gap)
-            sort_gaps(a);
-        if (spans)
-            sort_spans(a);
-    }
+    if (a->th != NULL && a->n_gap)
+        sort_gaps(a);
+    if (spans)
+        sort_spans(a);
     return i;
 }
 

@@ -29,14 +29,17 @@ spans per chunk (and once more at the end of the run, with the trailing
 idle descents), grouped by (rung, kind); within a group they are in the
 arrival order of the requests that closed them, not interleaved across
 disks in simulated time.  Placements, threshold pushes and cache events
-arrive in simulation order.  The event engine calls :meth:`RunObserver.on_cache_event`
-once per event; the fast kernel's compiled cache walk records a batch's
-cache events as columns and hands them over as one
-:class:`CacheEventBlock` in one :meth:`RunObserver.on_cache_events` call
-per batch (chunk, control interval or release batch, plus one for the
-admissions drained at the horizon), after that batch's placements.  A
-block iterates as the same ``(time, kind, file_id)`` tuples, so an
-observer that only implements ``on_cache_event`` sees the same sequence.
+arrive in simulation order.  The event engine calls
+:meth:`RunObserver.on_placement` and :meth:`RunObserver.on_cache_event`
+once per event; the fast kernel's compiled walk records a batch's
+placements and cache events as columns and hands them over once per batch
+(chunk, control interval or release batch, also when the batch raises):
+first one :class:`PlacementBlock` to :meth:`RunObserver.on_placements`,
+then one :class:`CacheEventBlock` to :meth:`RunObserver.on_cache_events`
+(plus one cache-event block for the admissions drained at the horizon).
+A block iterates as the tuples the single-event hook receives, and the
+default block hooks forward each one to it, so an observer that only
+implements ``on_placement`` or ``on_cache_event`` sees the same sequence.
 
 Hot paths stay allocation-free by normalizing observers up front with
 :func:`active_observer`: a disabled (or absent) observer becomes
@@ -51,6 +54,7 @@ import numpy as np
 
 __all__ = [
     "CacheEventBlock",
+    "PlacementBlock",
     "RunObserver",
     "NullObserver",
     "NULL_OBSERVER",
@@ -63,7 +67,21 @@ __all__ = [
 CACHE_EVENT_KINDS = ("hit", "miss", "admit", "evict")
 
 
-class CacheEventBlock:
+class _ColumnBlock:
+    """Equal-length column arrays, named by the subclass's ``__slots__``
+    (``times`` first), given in that order."""
+
+    __slots__: Tuple[str, ...] = ()
+
+    def __init__(self, *columns: np.ndarray) -> None:
+        for name, column in zip(self.__slots__, columns, strict=True):
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return int(getattr(self, "times").size)
+
+
+class CacheEventBlock(_ColumnBlock):
     """A batch of cache events as columns: simulated ``times``, kind
     ``codes`` (indices into :data:`CACHE_EVENT_KINDS`) and ``file_ids``.
 
@@ -72,16 +90,6 @@ class CacheEventBlock:
     """
 
     __slots__ = ("times", "codes", "file_ids")
-
-    def __init__(
-        self, times: np.ndarray, codes: np.ndarray, file_ids: np.ndarray
-    ) -> None:
-        self.times = times
-        self.codes = codes
-        self.file_ids = file_ids
-
-    def __len__(self) -> int:
-        return int(self.times.size)
 
     def __iter__(self) -> Iterator[Tuple[float, str, int]]:
         kinds = CACHE_EVENT_KINDS
@@ -99,6 +107,19 @@ class CacheEventBlock:
             for kind, n in zip(CACHE_EVENT_KINDS, counts.tolist())
             if n
         ]
+
+
+class PlacementBlock(_ColumnBlock):
+    """A batch of write placements as columns: simulated ``times``,
+    ``file_ids`` and the chosen ``disks``; iterates as ``(time, file_id,
+    disk)`` tuples of plain Python values."""
+
+    __slots__ = ("times", "file_ids", "disks")
+
+    def __iter__(self) -> Iterator[Tuple[float, int, int]]:
+        return zip(
+            self.times.tolist(), self.file_ids.tolist(), self.disks.tolist()
+        )
 
 
 class RunObserver:
@@ -143,6 +164,16 @@ class RunObserver:
 
     def on_placement(self, time: float, file_id: int, disk: int) -> None:
         """A write-placement policy allocated ``file_id`` to ``disk``."""
+
+    def on_placements(
+        self, placements: Iterable[Tuple[float, int, int]]
+    ) -> None:
+        """A batch of ``(time, file_id, disk)`` placements, in order (the
+        fast kernel's :class:`PlacementBlock`); forwards each to
+        :meth:`on_placement`."""
+        on_placement = self.on_placement
+        for time, file_id, disk in placements:
+            on_placement(time, file_id, disk)
 
 
 class NullObserver(RunObserver):

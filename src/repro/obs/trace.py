@@ -32,7 +32,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
 
-from repro.obs.hooks import CacheEventBlock, RunObserver
+from repro.obs.hooks import CacheEventBlock, PlacementBlock, RunObserver
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["TraceRecorder", "sweep_chrome_trace", "write_trace"]
@@ -53,35 +53,35 @@ _PROCESS_NAMES = {
 class TraceRecorder(RunObserver):
     """Buffer observer events and export them as a Chrome trace.
 
-    The hooks only append to the event lists.  Cache events arrive either
-    one at a time (event engine) or as the fast kernel's
-    :class:`~repro.obs.hooks.CacheEventBlock` columns, which are stored
-    as they come; :attr:`cache_events` builds the ``(time, kind,
-    file_id)`` list when it is read.  ``registry`` derives the
-    per-event-type counts when it is read (counting block kinds from
-    their codes), so a recorded run's ``extra["obs"]`` snapshot carries an
-    ``events`` section.
+    The hooks only append to the event lists.  Cache events and
+    placements arrive either one at a time (event engine) or as the fast
+    kernel's :class:`~repro.obs.hooks.CacheEventBlock` and
+    :class:`~repro.obs.hooks.PlacementBlock` columns, which are stored as
+    they come; :attr:`cache_events` and :attr:`placements` build the tuple
+    lists when they are read.  ``registry`` derives the per-event-type
+    counts when it is read (counting block kinds from their codes), so a
+    recorded run's ``extra["obs"]`` snapshot carries an ``events``
+    section.
     """
 
     def __init__(self) -> None:
         self.state_spans: List[Tuple[int, str, float, float]] = []
-        # Cache events in arrival order: blocks and lists of tuples.
+        # Cache events and placements in order: blocks and tuple lists.
         self._cache_parts: List[Any] = []
+        self._placement_parts: List[Any] = []
         self.threshold_events: List[Tuple[float, Tuple[float, ...]]] = []
-        self.placements: List[Tuple[float, int, int]] = []
 
     @property
     def cache_events(self) -> List[Tuple[float, str, int]]:
         """Every recorded cache event as a ``(time, kind, file_id)``
         tuple, in order (the list later single events append to)."""
-        parts = self._cache_parts
-        if len(parts) == 1 and isinstance(parts[0], list):
-            return parts[0]
-        events: List[Tuple[float, str, int]] = []
-        for part in parts:
-            events.extend(part)
-        self._cache_parts = [events]
-        return events
+        return _joined(self._cache_parts)
+
+    @property
+    def placements(self) -> List[Tuple[float, int, int]]:
+        """Every recorded placement as a ``(time, file_id, disk)`` tuple,
+        in order (the list later single placements append to)."""
+        return _joined(self._placement_parts)
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -100,12 +100,12 @@ class TraceRecorder(RunObserver):
                 counts.update(map(itemgetter(1), part))
         for kind, n in counts.items():
             registry.counter("cache." + kind).inc(n)
-        for name, events in (
-            ("control.threshold_updates", self.threshold_events),
-            ("placement.writes", self.placements),
+        for name, n in (
+            ("control.threshold_updates", len(self.threshold_events)),
+            ("placement.writes", sum(map(len, self._placement_parts))),
         ):
-            if events:
-                registry.counter(name).inc(len(events))
+            if n:
+                registry.counter(name).inc(n)
         return registry
 
     # -- RunObserver hooks -------------------------------------------------
@@ -113,15 +113,8 @@ class TraceRecorder(RunObserver):
     def on_state_span(self, disk: int, state: str, start: float, end: float) -> None:
         self.state_spans.append((disk, state, start, end))
 
-    def _event_list(self) -> List[Tuple[float, str, int]]:
-        """The trailing list part single events append to."""
-        parts = self._cache_parts
-        if not parts or not isinstance(parts[-1], list):
-            parts.append([])
-        return parts[-1]
-
     def on_cache_event(self, time: float, kind: str, file_id: int) -> None:
-        self._event_list().append((time, kind, file_id))
+        _tail(self._cache_parts).append((time, kind, file_id))
 
     def on_cache_events(
         self, events: Iterable[Tuple[float, str, int]]
@@ -129,13 +122,21 @@ class TraceRecorder(RunObserver):
         if isinstance(events, CacheEventBlock):
             self._cache_parts.append(events)
         else:
-            self._event_list().extend(events)
+            _tail(self._cache_parts).extend(events)
 
     def on_thresholds(self, time: float, thresholds: Sequence[float]) -> None:
         self.threshold_events.append((time, tuple(float(t) for t in thresholds)))
 
     def on_placement(self, time: float, file_id: int, disk: int) -> None:
-        self.placements.append((time, file_id, disk))
+        _tail(self._placement_parts).append((time, file_id, disk))
+
+    def on_placements(
+        self, placements: Iterable[Tuple[float, int, int]]
+    ) -> None:
+        if isinstance(placements, PlacementBlock):
+            self._placement_parts.append(placements)
+        else:
+            _tail(self._placement_parts).extend(placements)
 
     # -- export ------------------------------------------------------------
 
@@ -199,6 +200,24 @@ class TraceRecorder(RunObserver):
 
     def write_chrome_trace(self, path: Union[str, Path]) -> Path:
         return write_trace(self.to_chrome_trace(), path)
+
+
+def _tail(parts: List[Any]) -> list:
+    """The trailing list part single events append to."""
+    if not parts or not isinstance(parts[-1], list):
+        parts.append([])
+    return parts[-1]
+
+
+def _joined(parts: List[Any]) -> list:
+    """``parts`` (blocks and tuple lists) joined into the one list part."""
+    if len(parts) == 1 and isinstance(parts[0], list):
+        return parts[0]
+    events: list = []
+    for part in parts:
+        events.extend(part)
+    parts[:] = [events]
+    return events
 
 
 def _meta(pid: int, tid: int, name: str, args: Dict[str, Any]) -> Dict[str, Any]:

@@ -15,9 +15,8 @@ needs only two kinds of global coupling, both handled here:
 
 * **write allocation** — a write of a not-yet-mapped file inspects every
   disk's *current* spin state, free space and dispatched load through the
-  configured :class:`~repro.system.placement.WritePlacementPolicy` (the
-  paper's §1.1 ``spinning_best_fit`` by default), then updates the mapping
-  for later requests;
+  configured write-placement rule (the paper's §1.1 ``spinning_best_fit``
+  by default), then updates the mapping for later requests;
 * **a shared whole-file cache** — reads look the cache up at arrival and
   admit on miss *completion*, so cache contents depend on the global
   interleaving of arrivals and completions across disks.
@@ -88,13 +87,18 @@ byte-identical to the pre-fleet scalar path
 (``tests/regression/test_uniform_byte_identity.py`` pins this against
 recorded goldens).
 
-Every policy in :data:`repro.system.placement.PLACEMENT_POLICIES` is
-engine-agnostic: both kernels feed it the same
-:class:`~repro.system.placement.PlacementContext` (spin mask, free bytes,
-per-disk dispatched service seconds accumulated in the same per-request
-order), so allocation decisions — and hence final file→disk mappings — are
-byte-identical across engines; ``tests/experiments/test_engine_smoke.py``
-iterates the registry to enforce this.
+Every registered write-placement policy is a row of the rule table
+:data:`repro.system.placement.PLACEMENT_RULES`, and both kernels evaluate
+that row on the same inputs: the event kernel with NumPy on its drives'
+spin states, the fast kernel in its compiled walk on the bank's arrays
+(spin view, free bytes, per-disk dispatched service seconds accumulated in
+the same per-request order).  Allocation decisions — and hence final
+file→disk mappings and :class:`~repro.system.placement.RoundRobin`'s
+cursor — are byte-identical across engines;
+``tests/experiments/test_engine_smoke.py`` iterates the registry to enforce
+this.  A policy object outside the table (a subclass with its own
+``choose``) runs on the event engine only: ``engine="fast"`` raises
+:class:`~repro.errors.ConfigError` for it.
 
 Execution strategy: one compiled walk serves every batch — a chunk, the
 slice of one inside a control interval, or a block of scheduled releases:
@@ -108,11 +112,12 @@ slice of one inside a control interval, or a block of scheduled releases:
   (the library is built once and cached under ``~/.cache/repro/native``);
   there is no Python fallback;
 * **writes**: only writes that *allocate* a new file couple the disks.
-  The walk stops at such a write, the placement policy runs here against
-  the bank's live spin state, free bytes and load, and the walk resumes
-  with the write on its new disk.  It also stops, and the run raises, at
-  a read of an unmapped file, and it stops to hand back full record
-  buffers;
+  The walk places such a write itself, by the policy's rule-table row
+  against the bank's live spin state, free bytes and load, and debits the
+  run's free bytes and mapping in place; placements leave the walk as one
+  column block per batch.  It stops, and the run raises, at a write no
+  disk has room for and at a read of an unmapped file, and it stops to
+  hand back full record buffers;
 * **a shared cache**: before each arrival the walk drains the min-heap of
   pending cache admissions (miss completions) due by then; it looks the
   file up in the cache, which lives in per-file-id arrays for the whole
@@ -171,17 +176,15 @@ from repro.disk.power import PowerModel
 from repro.disk.specs import DiskSpec
 from repro.errors import ConfigError, SimulationError
 from repro.native import CoupledArgs, ServeArgs, coupled_core
-from repro.obs.hooks import CacheEventBlock, active_observer
-from repro.system.dispatcher import (
-    initial_free_bytes,
-    per_disk_capacities,
-    validate_free_bytes,
-)
+from repro.obs.hooks import CacheEventBlock, PlacementBlock, active_observer
+from repro.system.dispatcher import initial_free_bytes, validate_free_bytes
 from repro.system.metrics import ResponseAccumulator, SimulationResult
 from repro.system.placement import (
-    PlacementContext,
     WritePlacementPolicy,
     make_placement_policy,
+    no_room,
+    placement_policy_names,
+    table_rule,
 )
 
 __all__ = [
@@ -309,7 +312,6 @@ class _DiskBank:
         self.oh_a = np.array([s.access_overhead for s in specs], dtype=float)
         self.rate_a = np.array([s.transfer_rate for s in specs], dtype=float)
         self.ap = np.array([s.active_power for s in specs], dtype=float)
-        self.cap = None  # per-disk usable bytes, set by _simulate_chunks
         self.T = horizon
         self.ladders = ladders
         self.R = [len(l.rungs) for l in ladders]
@@ -325,7 +327,8 @@ class _DiskBank:
         # serve): the event kernel's drive processes do not run between
         # same-instant submissions — the dispatcher submits a whole
         # release batch in one resumption — so a placement at time t must
-        # see the spin states as they stood when the instant began.
+        # see the spin states as they stood when the instant began (the
+        # walk's spin view reads it).
         self._fst = np.zeros((4, num_disks))
         self.avail, self.load, self.pt, self.pv = self._fst
         self.pt[:] = -inf
@@ -341,14 +344,11 @@ class _DiskBank:
         self._entry_cache: List[dict] = [{} for _ in range(num_disks)]
         # Descent schedules: one (disk, rung) matrix per threshold row,
         # padded with inf past each disk's ladder (a one-rung ladder's
-        # schedule is (0, inf), hence at least 2 wide).  The spin view
-        # reads each disk's last entry and last descent.
+        # schedule is (0, inf), hence at least 2 wide).  The walk's spin
+        # view reads each disk's last entry and last descent.
         width = max(self.maxR, 2)
-        self._last_col = np.maximum(np.asarray(self.R), 2) - 1
-        self._last_dn = np.array([dn[-1] for dn in self.dn])
         self._disks = np.arange(num_disks)
         rows = 1 if interval is None else 8
-        self._last_ent = np.empty((rows, num_disks))
         th = _per_disk_floats(thresholds, num_disks)
         self._ent = np.full((rows, num_disks, width), inf)
         if interval is None:
@@ -427,14 +427,10 @@ class _DiskBank:
         if k == len(self._ent):
             self._ent = np.concatenate((self._ent, np.full_like(self._ent, inf)))
             self._th = np.concatenate((self._th, np.empty_like(self._th)))
-            self._last_ent = np.concatenate(
-                (self._last_ent, np.empty_like(self._last_ent))
-            )
         ent = self._ent[k]
         for d, th_d in enumerate(th):
             e = self._entries_for(d, th_d)
             ent[d, : len(e)] = e
-        self._last_ent[k] = ent[self._disks, self._last_col]
         args = self._args
         args.ent = self._ent.ctypes.data
         args.k = k
@@ -469,26 +465,6 @@ class _DiskBank:
             return 0
         q = drain / self.ci
         return np.where(q < self.k, q, self.k).astype(np.int64)
-
-    def spinning_mask(self, t: float) -> np.ndarray:
-        """Per-disk "not parked in the deepest rung at ``t``" — the §1.1
-        write policy's view of the pool.
-
-        Descents, intermediate rungs and wakes all count as spinning, like
-        :attr:`~repro.disk.drive.DiskDrive.spinning`: a
-        drained disk is spinning until its last descent ends, and a disk
-        still working (``t < avail``) always is, because a pending request
-        rides the transitions straight back up.  Same-instant earlier
-        serves are excluded via the instant-start snapshot: a disk woken
-        at exactly ``t`` still reads parked, like the event kernel's
-        not-yet-resumed drive process.  An ``inf`` entry never parks.
-        """
-        avail = np.where(self.pt == t, self.pv, self.avail)
-        if self._th is None:
-            last = self._last_ent[0]
-        else:
-            last = self._last_ent[self._rows(avail), self._disks]
-        return t < (avail + last) + self._last_dn
 
     def apply_tail(self):
         """Trailing-idleness pass at the horizon: every disk (including
@@ -528,28 +504,6 @@ class _DiskBank:
         self.park_t[:] = park
         self.down_t[:] = down
         return self.n_up.copy(), self.n_down.copy()
-
-
-def _allocate_for_write(
-    bank: _DiskBank,
-    policy: WritePlacementPolicy,
-    free: np.ndarray,
-    size: float,
-    t: float,
-) -> int:
-    """Placement for a new file at time ``t``: the shared registry policy
-    decides against the banked spin state / free bytes / dispatched load
-    (plus the per-disk capacity and power-rank views a mixed fleet adds),
-    so both engines pick byte-identical disks."""
-    ctx = PlacementContext(
-        time=t,
-        spinning=bank.spinning_mask(t),
-        free=free,
-        load=bank.load,
-        capacity=bank.cap,
-        active_power=bank.ap,
-    )
-    return policy.choose(ctx, size)
 
 
 def _take_records(bank: _DiskBank) -> None:
@@ -593,7 +547,11 @@ _CACHE_POLICIES = {
 }
 
 #: ``coupled_args.stop`` codes (``serve.c``).
-_STOP_FULL, _STOP_PLACE, _STOP_UNMAPPED, _STOP_BAD_FILE = 1, 2, 3, 4
+_STOP_FULL, _STOP_NO_ROOM, _STOP_UNMAPPED, _STOP_BAD_FILE = 1, 2, 3, 4
+
+#: Rule-table vocabulary -> its code in ``serve.c``.
+_KEYS = {"free": 0, "id": 1, "load": 2, "power": 3, "cursor": 4}
+_FALLBACKS = {None: 0, "worst_fit": 1, "best_fit": 2}
 
 _ADMISSION = np.dtype(
     [("c", float), ("seq", np.int64), ("f", np.int64), ("size", float)]
@@ -603,25 +561,80 @@ _SNAPSHOT = np.dtype([("freq", np.int64), ("seq", np.int64), ("f", np.int64)])
 
 class _Walk:
     """A run's binding of the compiled walk: the bank it serves through,
-    and the catalog sizes, live file-to-disk mapping and per-disk transfer
-    rates it reads (a write's placement updates ``mapping`` in place).
-    Each batch points it at its own arrays (:func:`_serve_coupled`).  A run
-    without a cache walks with this alone: it holds no cache state, and
-    every request is served."""
+    the catalog sizes and transfer rates it reads, the write policy's
+    rule-table row, and the mapping and free bytes its placements update
+    in place (recorded as columns with ``observe``).  Each batch points it
+    at its own arrays (:func:`_serve_coupled`).  A run without a cache
+    walks with this alone, and every request is served."""
 
-    def __init__(self, sizes, mapping, bank: _DiskBank) -> None:
+    def __init__(
+        self, sizes, mapping, free, policy: WritePlacementPolicy,
+        bank: _DiskBank, observe: bool,
+    ) -> None:
+        rule = table_rule(policy)
+        if rule is None:
+            raise ConfigError(
+                f"engine='fast' runs the registered write placement "
+                f"policies {placement_policy_names()}; got a "
+                f"{type(policy).__name__} (use engine='event')"
+            )
+        for name, arr, dtype, n in (
+            ("sizes", sizes, float, sizes.size),
+            ("mapping", mapping, np.int64, sizes.size),
+            ("free", free, float, len(bank.avail)),
+        ):
+            # The walk reads and writes through these pointers.
+            if arr.shape != (n,) or arr.dtype != dtype or not arr.flags.c_contiguous:
+                raise SimulationError(
+                    f"walk {name} must be a contiguous {n}-element "
+                    f"{np.dtype(dtype).name} array"
+                )
         self.walk, self._order = coupled_core()
+        self.bank = bank
+        self.sizes = sizes
+        self.mapping = mapping
+        self.policy = policy
+        cursor = rule.key == "cursor"
         self.args = CoupledArgs(
             s=pointer(bank._args), nf=int(sizes.size),
             size=sizes.ctypes.data, map=mapping.ctypes.data,
             rate=bank.rate_a.ctypes.data, head=-1, tail=-1,
+            free=free.ctypes.data, ap=bank.ap.ctypes.data,
+            pl_spin=rule.candidates == "spinning", pl_key=_KEYS[rule.key],
+            pl_max=rule.direction == "max",
+            pl_fallback=_FALLBACKS[rule.fallback],
+            cursor=policy._cursor if cursor else 0,
         )
         self.ref_args = byref(self.args)
-        self._keep = (sizes, mapping)
+        self._cursor = cursor
+        self._keep = free
+        if observe:
+            # At most one placement per arrival, so one slot always lets
+            # the walk progress.
+            self.pl_t = np.empty(_LOG_CHUNK)
+            self.pl_f = np.empty(_LOG_CHUNK, dtype=np.int64)
+            self.pl_d = np.empty(_LOG_CHUNK, dtype=np.int64)
+            args = self.args
+            args.pl_cap = _LOG_CHUNK
+            args.pl_t = self.pl_t.ctypes.data
+            args.pl_f = self.pl_f.ctypes.data
+            args.pl_d = self.pl_d.ctypes.data
 
     def reserve(self, n: int) -> None:
         """Room for ``n`` more arrivals' pending state (none without a
         cache)."""
+
+    def take_placements(self):
+        """The placements the walk has recorded, as copied ``(times, file
+        ids, disks)`` columns; empties the buffer."""
+        m = self.args.pl_n
+        self.args.pl_n = 0
+        return self.pl_t[:m].copy(), self.pl_f[:m].copy(), self.pl_d[:m].copy()
+
+    def sync_policy(self) -> None:
+        """Write the round-robin cursor back into the policy object."""
+        if self._cursor:
+            self.policy._cursor = self.args.cursor
 
 
 class _CacheState(_Walk):
@@ -642,20 +655,23 @@ class _CacheState(_Walk):
     cache events into column buffers.
     """
 
-    def __init__(self, cache, sizes, mapping, bank: _DiskBank, observe: bool):
-        policy = _CACHE_POLICIES.get(type(cache))
-        if policy is None:
+    def __init__(
+        self, cache, sizes, mapping, free, policy: WritePlacementPolicy,
+        bank: _DiskBank, observe: bool,
+    ) -> None:
+        code = _CACHE_POLICIES.get(type(cache))
+        if code is None:
             raise ConfigError(
                 f"engine='fast' runs the lru, fifo, clock and lfu caches; "
                 f"got a {type(cache).__name__}"
             )
-        super().__init__(sizes, mapping, bank)
+        super().__init__(sizes, mapping, free, policy, bank, observe)
         self.cache = cache
         resident = list(cache._sizes.items())
         ids = [f for f, _ in resident]
-        if policy == _LFU:
+        if code == _LFU:
             ids += [f for _, _, f in cache._heap]
-        elif policy == _CLOCK:
+        elif code == _CLOCK:
             ids += list(cache._referenced)
         if not all(isinstance(f, (int, np.integer)) and f >= 0 for f in ids):
             raise ConfigError(
@@ -671,10 +687,10 @@ class _CacheState(_Walk):
         self.ref = np.zeros(ns, dtype=np.uint8)
         self.freq = np.zeros(ns, dtype=np.int64)
         self.ad = np.empty(64, dtype=_ADMISSION)
-        self.lh = np.empty(64 if policy == _LFU else 0, dtype=_SNAPSHOT)
+        self.lh = np.empty(64 if code == _LFU else 0, dtype=_SNAPSHOT)
         st = cache.stats
         args = self.args
-        args.cached, args.policy = 1, policy
+        args.cached, args.policy = 1, code
         args.capacity, args.count, args.used = (
             cache.capacity, len(resident), cache.used
         )
@@ -689,9 +705,9 @@ class _CacheState(_Walk):
             self.nxt[order[:-1]] = order[1:]
             self.prv[order[1:]] = order[:-1]
             args.head, args.tail = int(order[0]), int(order[-1])
-        if policy == _CLOCK and cache._referenced:
+        if code == _CLOCK and cache._referenced:
             self.ref[list(cache._referenced)] = 1
-        if policy == _LFU:
+        if code == _LFU:
             # The walk relies on LFUCache's invariant: every resident file
             # has a snapshot of its current frequency on the heap.
             snaps = {(n, f) for n, _, f in cache._heap}
@@ -783,22 +799,19 @@ class _CacheState(_Walk):
             cache._seq = count(args.lh_seq)
 
 
-def _cache_event_block(parts: list) -> CacheEventBlock:
+def _block(cls, parts: list):
+    """One :class:`CacheEventBlock` or :class:`PlacementBlock` from the
+    column triples taken at a batch's stops."""
     if len(parts) == 1:
-        return CacheEventBlock(*parts[0])
-    return CacheEventBlock(*(np.concatenate(c) for c in zip(*parts)))
+        return cls(*parts[0])
+    return cls(*(np.concatenate(c) for c in zip(*parts)))
 
 
 def _serve_coupled(
-    bank: _DiskBank,
-    policy: WritePlacementPolicy,
-    mapping: np.ndarray,
-    free: np.ndarray,
-    sizes: np.ndarray,
+    state: _Walk,
     fid: np.ndarray,
     t_all: np.ndarray,
     is_write: Optional[np.ndarray],
-    state: _Walk,
     starts: np.ndarray,
     d_req: np.ndarray,
     base_index: int,
@@ -809,22 +822,22 @@ def _serve_coupled(
     ``d_req`` (the serving disk, -1 for a cache hit) in place.
 
     Each request is served through its disk's queue and ladder recursion,
-    with transfer time ``size / rate`` on its disk.  With a shared cache
-    (``state`` a :class:`_CacheState`) reads look the cache up at arrival
-    and, on a miss, schedule an admission at their completion time; before
-    each arrival the walk drains those admissions in (completion, global
-    seq) order, reproducing the event kernel's interleaving (hit
-    short-circuit, admit-on-miss-completion).  Ties (admission exactly at
-    an arrival instant) admit first; admissions at or after the horizon
-    never happen, exactly like the event kernel's URGENT stop pre-empting
-    completion events at ``T``.  ``base_index`` keeps the admission
-    tie-break global.
+    with transfer time ``size / rate`` on its disk, a write of an unmapped
+    file once the walk has placed it.  With a shared cache (``state`` a
+    :class:`_CacheState`) reads look the cache up at arrival and, on a
+    miss, schedule an admission at their completion time; before each
+    arrival the walk drains those admissions in (completion, global seq)
+    order, reproducing the event kernel's interleaving (hit short-circuit,
+    admit-on-miss-completion).  Ties (admission exactly at an arrival
+    instant) admit first; admissions at or after the horizon never happen,
+    exactly like the event kernel's URGENT stop pre-empting completion
+    events at ``T``.  ``base_index`` keeps the admission tie-break global.
 
-    The walk stops at a write of an unmapped file (the placement policy
-    runs here against the bank's live arrays, then the walk resumes), at a
-    read of an unmapped file (raised here, after the batch's events are
-    handed over) and at a full record buffer.  Under an observer the
-    batch's cache events go to ``obs.on_cache_events`` as one
+    The walk stops at a write no disk has room for and at a read of an
+    unmapped file (raised here) and at a full record buffer.  Under an
+    observer the batch's placements go to ``obs.on_placements`` as one
+    :class:`~repro.obs.hooks.PlacementBlock`, then its cache events to
+    ``obs.on_cache_events`` as one
     :class:`~repro.obs.hooks.CacheEventBlock`, even when the pass raises.
     """
     n = int(t_all.size)
@@ -851,50 +864,44 @@ def _serve_coupled(
     args.w = None if w is None else w.ctypes.data
     args.starts = starts.ctypes.data
     args.dreq = d_req.ctypes.data
-    parts: list = []
+    placed: list = []
+    events: list = []
     pos = 0
     try:
         while True:
             pos = state.walk(state.ref_args, pos)
             stop = args.stop
-            if stop != _STOP_PLACE:
-                # A placement stop leaves the records and events in the
-                # buffers: the resumed walk appends to them.
-                _take_records(bank)
-                if args.ev_n:
-                    parts.append(state.take_events())
-            if not stop:
-                break
+            _take_records(state.bank)
+            if args.pl_n:
+                placed.append(state.take_placements())
+            if args.ev_n:
+                events.append(state.take_events())
             if stop == _STOP_FULL:
                 continue
+            if not stop:
+                break
             f = int(fid[pos])
-            if stop == _STOP_PLACE:
-                t = float(t_all[pos])
-                size = float(sizes[f])
-                d = _allocate_for_write(bank, policy, free, size, t)
-                if obs is not None:
-                    obs.on_placement(t, f, d)
-                mapping[f] = d
-                free[d] -= size
-            elif stop == _STOP_UNMAPPED:
+            if stop == _STOP_NO_ROOM:
+                raise no_room(float(state.sizes[f]))
+            if stop == _STOP_UNMAPPED:
                 raise SimulationError(
                     f"read of unallocated file {f}; allocate it first"
                 )
-            elif stop == _STOP_BAD_FILE:
+            if stop == _STOP_BAD_FILE:
                 raise SimulationError(
-                    f"request for file {f} outside the {sizes.size}-file "
-                    "catalog"
+                    f"request for file {f} outside the "
+                    f"{state.sizes.size}-file catalog"
                 )
-            else:
-                raise SimulationError(
-                    f"file {f} is mapped to disk {int(mapping[f])}, outside "
-                    f"the {len(bank.avail)}-disk pool"
-                )
+            raise SimulationError(
+                f"file {f} is mapped to disk {int(state.mapping[f])}, outside "
+                f"the {len(state.bank.avail)}-disk pool"
+            )
     finally:
-        if args.ev_n:  # a placement that raised
-            parts.append(state.take_events())
-        if parts:
-            obs.on_cache_events(_cache_event_block(parts))
+        state.sync_policy()
+        if placed:
+            obs.on_placements(_block(PlacementBlock, placed))
+        if events:
+            obs.on_cache_events(_block(CacheEventBlock, events))
 
 
 def _admit_pending(state: _CacheState, obs=None) -> None:
@@ -914,7 +921,7 @@ def _admit_pending(state: _CacheState, obs=None) -> None:
                 break
     finally:
         if parts:
-            obs.on_cache_events(_cache_event_block(parts))
+            obs.on_cache_events(_block(CacheEventBlock, parts))
 
 
 class _ControlledDriver:
@@ -1548,10 +1555,7 @@ def _simulate_chunks(
         ``starts_c`` and ``d_c`` (each request's disk, -1 for a cache hit)
         in place.  ``base`` is the batch's global arrival index (the cache
         heap's tie-break)."""
-        _serve_coupled(
-            bank, policy, mapping, free, sizes, fid_c, t_c, w_c, walk,
-            starts_c, d_c, base, obs,
-        )
+        _serve_coupled(walk, fid_c, t_c, w_c, starts_c, d_c, base, obs)
 
     driver: Optional[_ControlledDriver] = None
     binner: Optional[_SpanBinner] = None
@@ -1571,15 +1575,13 @@ def _simulate_chunks(
         bank = _DiskBank(
             num_disks, th_in, ladders, specs, T, log_spans=obs is not None
         )
-    # The per-disk byte budget the placement context exposes (same values
-    # the event dispatcher hands its policies).
-    bank.cap = per_disk_capacities(usable, num_disks)
     # A shared cache lives in the walk's arrays for the whole run and goes
     # back into ``cache`` when the run ends or raises.
+    observe = obs is not None
     walk = (
-        _Walk(sizes, mapping, bank)
+        _Walk(sizes, mapping, free, policy, bank, observe)
         if cache is None
-        else _CacheState(cache, sizes, mapping, bank, obs is not None)
+        else _CacheState(cache, sizes, mapping, free, policy, bank, observe)
     )
 
     # Persistent accumulators (fixed size in the pool, not the stream).

@@ -13,8 +13,8 @@ space (best-fit — the tightest remaining space, concentrating new data on
 the already-loaded disks), otherwise fall back to *worst-fit* — the disk
 with the most free space — so one unlucky spin-up absorbs as many future
 writes as possible.  Either way the mapping table is updated so later
-reads find the file.  The same policy instance semantics drive the fast
-kernel, so placement decisions are byte-identical across engines.
+reads find the file.  The fast kernel evaluates the same rule-table row,
+so placement decisions are byte-identical across engines.
 """
 
 from __future__ import annotations
@@ -36,12 +36,10 @@ from repro.system.placement import (
     PlacementContext,
     WritePlacementPolicy,
     make_placement_policy,
-    spinning_best_fit_choice,
 )
 
 __all__ = [
     "Dispatcher",
-    "choose_write_disk",
     "drive_scheduled_stream",
     "drive_stream",
     "initial_free_bytes",
@@ -120,25 +118,6 @@ def validate_free_bytes(
             f"{capacity[worst] - free[worst]:.0f} bytes mapped but only "
             f"{capacity[worst]:.0f} usable on that disk"
         )
-
-
-def choose_write_disk(
-    spinning: np.ndarray, free: np.ndarray, size: float
-) -> int:
-    """The paper §1.1 placement decision (compat shim).
-
-    Best-fit (tightest remaining space) among spinning disks with room;
-    otherwise worst-fit (most free space) among all disks with room, so one
-    spin-up absorbs as many future writes as possible.  Ties break toward
-    the lowest disk id in both branches.  Raises
-    :class:`~repro.errors.CapacityError` when no disk fits the file.
-
-    The decision itself lives in
-    :func:`repro.system.placement.spinning_best_fit_choice`, the default
-    entry of the write-placement registry; this wrapper is kept for callers
-    of the pre-registry API.
-    """
-    return spinning_best_fit_choice(spinning, free, size)
 
 
 class Dispatcher:
@@ -331,10 +310,11 @@ class Dispatcher:
     def _allocate_for_write(self, size: float) -> int:
         """Pick a disk for a new file via the configured placement policy.
 
-        The decision lives in the policy object (shared registry with the
-        fast kernel, so neither engine's copy can drift); this method only
-        assembles the :class:`~repro.system.placement.PlacementContext`
-        from the live drives' spin states and the dispatch ledger.
+        The decision lives in the policy object (for a registered policy,
+        its row of the rule table the fast kernel also evaluates); this
+        method only assembles the
+        :class:`~repro.system.placement.PlacementContext` from the live
+        drives' spin states and the dispatch ledger.
         """
         spinning = np.fromiter(
             (d.spinning for d in self.array.disks),

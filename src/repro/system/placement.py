@@ -5,46 +5,40 @@ worst-fit fallback among all disks with room.  That rule is exactly the
 power/response lever the placement ablation sweeps, so it lives here as one
 of several registered :class:`WritePlacementPolicy` strategies, selected
 via ``StorageConfig(write_policy=...)`` and honored **identically** by both
-simulation engines:
+simulation engines.
 
-* the event kernel's :class:`~repro.system.dispatcher.Dispatcher` calls the
-  policy from ``_allocate_for_write``;
-* the fast kernel (:mod:`repro.sim.fastkernel`) calls the same policy
-  instance at its write-allocation coupling points.
+Each registered policy is one row of a single rule table,
+:data:`PLACEMENT_RULES`, and the table has two evaluators: the event
+kernel's :class:`~repro.system.dispatcher.Dispatcher` calls
+:meth:`WritePlacementPolicy.choose`, which evaluates the row with NumPy,
+and the fast kernel's compiled walk (``serve.c``) evaluates it in C against
+the disk bank's live arrays.  Both read the same spin states, free bytes
+and dispatched loads (accumulated in the same per-request order), so every
+decision, float ties included, is byte-identical across engines;
+:class:`RoundRobin`'s cursor stays in sync because placements happen in
+stream order in both.  A subclass that overrides :meth:`choose` is outside
+the table: it runs on the event engine only, and ``engine="fast"`` refuses
+it with a :class:`~repro.errors.ConfigError`.
 
-Both engines hand the policy an identical :class:`PlacementContext` — the
-per-disk spin mask, free bytes and cumulative dispatched service seconds
-are maintained with the same per-request accumulation order on both sides,
-so every policy's decisions (including float-tie argmins) are
-byte-identical across engines.  Policies carrying state across decisions
-(:class:`RoundRobin`'s cursor) stay in sync because allocation decisions
-happen in stream order in both engines.
+A row names the candidates (spinning disks with room, or all disks with
+room), the key minimized or maximized among them, ties going to the lowest
+disk id, and the fallback among all disks with room when no spinning disk
+has room (worst-fit: most room; best-fit: least room).  ``load`` is the
+cumulative dispatched service time, ``power`` the active power draw and
+``cursor`` the cyclic distance from :class:`RoundRobin`'s cursor.
 
-Registered policies
--------------------
-
-==================== ========================================================
-name                 rule (ties break toward the lowest disk id)
-==================== ========================================================
-spinning_best_fit    paper §1.1: best-fit (tightest room) among spinning
-                     disks; worst-fit fallback among all disks with room
-spinning_worst_fit   worst-fit (most room) among spinning disks; worst-fit
-                     fallback — spreads writes over the loaded disks
-first_fit_spinning   lowest-id spinning disk with room; worst-fit fallback
-fullest_spinning     best-fit among spinning *and* best-fit fallback —
-                     isolates the effect of §1.1's worst-fit standby rule
-round_robin          cyclic cursor over all disks with room, spin-oblivious
-                     (the classic load-spreading, spin-up-heavy baseline)
-coldest_disk         the most-idle disk with room (least cumulative
-                     dispatched service time), spin-oblivious
-hottest_spinning     popularity-aware: the busiest spinning disk with room
-                     (highest cumulative dispatched service time — the
-                     observed heat ledger); worst-fit standby fallback
-cheapest_spinning    spec-aware (heterogeneous fleets): the lowest
-                     active-power spinning disk with room; worst-fit
-                     standby fallback — steers new data onto the
-                     efficient generation of a mixed fleet
-==================== ========================================================
+==================== ========== ======= ===== =========  ==================
+name                 candidates key     dir   fallback   rule
+==================== ========== ======= ===== =========  ==================
+spinning_best_fit    spinning   free    min   worst_fit  paper §1.1
+spinning_worst_fit   spinning   free    max   worst_fit  spread writes
+first_fit_spinning   spinning   id      min   worst_fit  lowest id
+fullest_spinning     spinning   free    min   best_fit   no worst-fit rule
+round_robin          all        cursor  min   —          load spreading
+coldest_disk         all        load    min   —          most idle disk
+hottest_spinning     spinning   load    max   worst_fit  heat ledger
+cheapest_spinning    spinning   power   min   worst_fit  mixed fleets
+==================== ========== ======= ===== =========  ==================
 
 Use :func:`make_placement_policy` to instantiate by name and
 :func:`placement_policy_names` to iterate the registry (tests do, so new
@@ -62,12 +56,13 @@ from repro.errors import CapacityError, ConfigError
 
 __all__ = [
     "DEFAULT_WRITE_POLICY",
+    "PLACEMENT_RULES",
     "PlacementContext",
+    "PlacementRule",
     "WritePlacementPolicy",
     "make_placement_policy",
     "placement_policy_names",
     "register_placement_policy",
-    "spinning_best_fit_choice",
 ]
 
 #: The paper's §1.1 rule; what ``StorageConfig.write_policy`` defaults to.
@@ -97,8 +92,8 @@ class PlacementContext:
         exact across engines.
     capacity:
         Per-disk usable byte budget (heterogeneous fleets differ per
-        disk).  ``None`` when the caller predates the fleet refactor;
-        spec-blind policies never consult it.
+        disk).  ``None`` when the caller does not provide it; no table
+        row consults it.
     active_power:
         Per-disk active power draw (W) from the fleet's specs — the
         power-rank view spec-aware policies (``cheapest_spinning``) place
@@ -113,35 +108,87 @@ class PlacementContext:
     active_power: Optional[np.ndarray] = None
 
 
-def _no_room(size: float) -> CapacityError:
+@dataclass(frozen=True)
+class PlacementRule:
+    """One row of the rule table: ``candidates`` (``"spinning"`` or
+    ``"all"``), ``key`` (``"free"``, ``"id"``, ``"load"``, ``"power"`` or
+    ``"cursor"``), ``direction`` (``"min"`` or ``"max"``) and ``fallback``
+    (``"worst_fit"``, ``"best_fit"`` or ``None``)."""
+
+    candidates: str
+    key: str
+    direction: str
+    fallback: Optional[str]
+
+
+#: name -> rule, in registration order (the default first).
+PLACEMENT_RULES: Dict[str, PlacementRule] = {
+    "spinning_best_fit": PlacementRule("spinning", "free", "min", "worst_fit"),
+    "spinning_worst_fit": PlacementRule("spinning", "free", "max", "worst_fit"),
+    "first_fit_spinning": PlacementRule("spinning", "id", "min", "worst_fit"),
+    "fullest_spinning": PlacementRule("spinning", "free", "min", "best_fit"),
+    "round_robin": PlacementRule("all", "cursor", "min", None),
+    "coldest_disk": PlacementRule("all", "load", "min", None),
+    "hottest_spinning": PlacementRule("spinning", "load", "max", "worst_fit"),
+    "cheapest_spinning": PlacementRule("spinning", "power", "min", "worst_fit"),
+}
+
+
+#: A spinning row's fallback among all disks with room, as a row itself.
+_FALLBACKS = {
+    "worst_fit": PlacementRule("all", "free", "max", None),
+    "best_fit": PlacementRule("all", "free", "min", None),
+}
+
+
+def no_room(size: float) -> CapacityError:
+    """The error both engines raise when no disk has room for a write."""
     return CapacityError(
         f"no disk has {size:.0f} free bytes for the written file"
     )
 
 
-def _worst_fit(free: np.ndarray, size: float) -> int:
-    """Most free space among disks with room (§1.1's standby fallback)."""
-    feasible = (free >= size).nonzero()[0]
-    if feasible.size == 0:
-        raise _no_room(size)
-    return int(feasible[free[feasible].argmax()])
-
-
-def _best_fit(free: np.ndarray, size: float) -> int:
-    """Tightest remaining space among disks with room."""
-    feasible = (free >= size).nonzero()[0]
-    if feasible.size == 0:
-        raise _no_room(size)
-    return int(feasible[free[feasible].argmin()])
+def _evaluate(
+    rule: PlacementRule, policy, ctx: PlacementContext, size: float
+) -> int:
+    """The NumPy evaluator of one table row (``policy`` holds the
+    round-robin cursor)."""
+    free = ctx.free
+    fits = free >= size
+    spinning = rule.candidates == "spinning"
+    candidates = (ctx.spinning & fits if spinning else fits).nonzero()[0]
+    if not candidates.size:
+        if not (spinning and rule.fallback):
+            raise no_room(size)
+        # No spinning disk has room: worst-fit (most room) or best-fit.
+        return _evaluate(_FALLBACKS[rule.fallback], policy, ctx, size)
+    if rule.key == "free":
+        keys = free
+    elif rule.key == "load":
+        keys = np.asarray(ctx.load, dtype=float)
+    elif rule.key == "power" and ctx.active_power is not None:
+        keys = ctx.active_power
+    elif rule.key == "cursor":
+        keys = (np.arange(free.size) - policy._cursor) % free.size
+    else:  # by id, or no power view
+        return int(candidates[-1 if rule.direction == "max" else 0])
+    ranked = keys[candidates]
+    pick = ranked.argmax() if rule.direction == "max" else ranked.argmin()
+    disk = int(candidates[pick])
+    if rule.key == "cursor":
+        policy._cursor = (disk + 1) % free.size
+    return disk
 
 
 class WritePlacementPolicy:
     """Base class: one placement decision per not-yet-mapped written file.
 
-    Subclasses set ``name`` (the registry key) and implement
-    :meth:`choose`.  :meth:`reset` is called once per simulation run with
-    the pool size; stateful policies (e.g. :class:`RoundRobin`) initialize
-    their cross-decision state there.
+    Subclasses set ``name`` (the registry key).  A name with a row in
+    :data:`PLACEMENT_RULES` is all a table policy needs: :meth:`choose`
+    evaluates that row.  A policy outside the table overrides
+    :meth:`choose` and runs on the event engine only.  :meth:`reset` is
+    called once per simulation run with the pool size; stateful policies
+    (e.g. :class:`RoundRobin`) initialize their cross-decision state there.
     """
 
     name: str = ""
@@ -155,7 +202,12 @@ class WritePlacementPolicy:
         Must raise :class:`~repro.errors.CapacityError` when no disk has
         room; must never return a disk with ``free < size``.
         """
-        raise NotImplementedError
+        rule = PLACEMENT_RULES.get(self.name)
+        if rule is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} has no rule-table row; override choose"
+            )
+        return _evaluate(rule, self, ctx, size)
 
 
 #: name -> policy class.  Populated by :func:`register_placement_policy`.
@@ -202,22 +254,16 @@ def make_placement_policy(
     return cls()
 
 
-# -- the registered strategies --------------------------------------------------
+def table_rule(policy: WritePlacementPolicy) -> Optional[PlacementRule]:
+    """The table row ``policy`` runs, or ``None`` for a policy outside
+    the table (one that is not exactly a registered table class)."""
+    rule = PLACEMENT_RULES.get(policy.name)
+    if rule is None or type(policy) is not PLACEMENT_POLICIES.get(policy.name):
+        return None
+    return rule
 
 
-def spinning_best_fit_choice(
-    spinning: np.ndarray, free: np.ndarray, size: float
-) -> int:
-    """The paper §1.1 decision as a plain function (shared compat shim).
-
-    Best-fit among spinning disks with room; otherwise worst-fit among all
-    disks with room, so one unlucky spin-up absorbs as many future writes
-    as possible.  Ties break toward the lowest disk id in both branches.
-    """
-    candidates = (spinning & (free >= size)).nonzero()[0]
-    if candidates.size:
-        return int(candidates[free[candidates].argmin()])
-    return _worst_fit(free, size)
+# -- the registered strategies (one per table row) ------------------------------
 
 
 @register_placement_policy
@@ -226,9 +272,6 @@ class SpinningBestFit(WritePlacementPolicy):
 
     name = "spinning_best_fit"
 
-    def choose(self, ctx: PlacementContext, size: float) -> int:
-        return spinning_best_fit_choice(ctx.spinning, ctx.free, size)
-
 
 @register_placement_policy
 class SpinningWorstFit(WritePlacementPolicy):
@@ -236,25 +279,12 @@ class SpinningWorstFit(WritePlacementPolicy):
 
     name = "spinning_worst_fit"
 
-    def choose(self, ctx: PlacementContext, size: float) -> int:
-        free = ctx.free
-        candidates = (ctx.spinning & (free >= size)).nonzero()[0]
-        if candidates.size:
-            return int(candidates[free[candidates].argmax()])
-        return _worst_fit(free, size)
-
 
 @register_placement_policy
 class FirstFitSpinning(WritePlacementPolicy):
     """Lowest-id spinning disk with room; worst-fit standby fallback."""
 
     name = "first_fit_spinning"
-
-    def choose(self, ctx: PlacementContext, size: float) -> int:
-        candidates = (ctx.spinning & (ctx.free >= size)).nonzero()[0]
-        if candidates.size:
-            return int(candidates[0])
-        return _worst_fit(ctx.free, size)
 
 
 @register_placement_policy
@@ -268,13 +298,6 @@ class FullestSpinning(WritePlacementPolicy):
     """
 
     name = "fullest_spinning"
-
-    def choose(self, ctx: PlacementContext, size: float) -> int:
-        free = ctx.free
-        candidates = (ctx.spinning & (free >= size)).nonzero()[0]
-        if candidates.size:
-            return int(candidates[free[candidates].argmin()])
-        return _best_fit(free, size)
 
 
 @register_placement_policy
@@ -294,16 +317,6 @@ class RoundRobin(WritePlacementPolicy):
     def reset(self, num_disks: int) -> None:
         self._cursor = 0
 
-    def choose(self, ctx: PlacementContext, size: float) -> int:
-        n = int(ctx.free.shape[0])
-        order = (np.arange(n) + self._cursor) % n
-        feasible = ctx.free[order] >= size
-        if not feasible.any():
-            raise _no_room(size)
-        disk = int(order[feasible.argmax()])
-        self._cursor = (disk + 1) % n
-        return disk
-
 
 @register_placement_policy
 class ColdestDisk(WritePlacementPolicy):
@@ -318,13 +331,6 @@ class ColdestDisk(WritePlacementPolicy):
 
     name = "coldest_disk"
 
-    def choose(self, ctx: PlacementContext, size: float) -> int:
-        feasible = (ctx.free >= size).nonzero()[0]
-        if feasible.size == 0:
-            raise _no_room(size)
-        load = np.asarray(ctx.load, dtype=float)
-        return int(feasible[load[feasible].argmin()])
-
 
 @register_placement_policy
 class HottestSpinning(WritePlacementPolicy):
@@ -332,23 +338,14 @@ class HottestSpinning(WritePlacementPolicy):
 
     "Hottest" = highest cumulative dispatched service time
     (:attr:`PlacementContext.load`) — the same observed per-disk heat the
-    reorganizer estimates popularities from, already carried by both
-    engines' placement contexts.  Concentrating new data where the traffic
-    already is keeps the cold disks' idle gaps long (deeper spin-down
-    residency than best-fit-by-space can achieve) at the cost of queueing
-    on the hot disk.  Falls back to §1.1's worst-fit among standby disks
-    so one unlucky spin-up absorbs future writes.  Ties break toward the
-    lowest disk id.
+    reorganizer estimates popularities from.  Concentrating new data where
+    the traffic already is keeps the cold disks' idle gaps long (deeper
+    spin-down residency than best-fit-by-space can achieve) at the cost of
+    queueing on the hot disk.  Falls back to §1.1's worst-fit among
+    standby disks so one unlucky spin-up absorbs future writes.
     """
 
     name = "hottest_spinning"
-
-    def choose(self, ctx: PlacementContext, size: float) -> int:
-        candidates = (ctx.spinning & (ctx.free >= size)).nonzero()[0]
-        if candidates.size:
-            load = np.asarray(ctx.load, dtype=float)
-            return int(candidates[load[candidates].argmax()])
-        return _worst_fit(ctx.free, size)
 
 
 @register_placement_policy
@@ -366,11 +363,3 @@ class CheapestSpinning(WritePlacementPolicy):
     """
 
     name = "cheapest_spinning"
-
-    def choose(self, ctx: PlacementContext, size: float) -> int:
-        candidates = (ctx.spinning & (ctx.free >= size)).nonzero()[0]
-        if candidates.size:
-            if ctx.active_power is None:
-                return int(candidates[0])
-            return int(candidates[ctx.active_power[candidates].argmin()])
-        return _worst_fit(ctx.free, size)

@@ -6,9 +6,22 @@ benchmarks get it too.)
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+import repro.native as native
+
+# Extra compiler flags for the compiled serve core, for a sanitizer or
+# warnings build (see the CI sanitizer job): every test then runs on a
+# library built with them, kept under its own name next to the normal one.
+_EXTRA_CFLAGS = tuple(os.environ.get("REPRO_NATIVE_TEST_CFLAGS", "").split())
+if _EXTRA_CFLAGS:
+    native._LIB = native.load(
+        native.build(native.cache_dir(), native.compiler(), _EXTRA_CFLAGS)
+    )
 
 # CI boxes vary wildly; deadlines cause flaky failures on shared runners.
 settings.register_profile(

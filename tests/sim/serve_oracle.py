@@ -6,7 +6,11 @@ walk is held to.
 that walks a batch's arrivals one at a time through them (formerly
 ``fastkernel._serve_coupled``): with a shared cache it drives the cache
 object's own ``lookup``/``admit`` and a ``heapq`` of pending admissions;
-without one it serves every request.  :func:`serve_segment` is the
+without one it serves every request.  A write of an unmapped file is
+placed by :func:`allocate_for_write` (formerly
+``fastkernel._allocate_for_write``): the policy's own ``choose`` — the
+NumPy evaluator of its rule-table row — against :func:`spinning_mask`
+(formerly ``_DiskBank.spinning_mask``), the bank's free bytes and load.  :func:`serve_segment` is the
 read-only loop the kernel ran before its serve loop moved to C
 (:mod:`repro.native`): a stable per-disk grouping, then one hoisted FIFO
 loop per disk (:func:`serve_batch`, formerly ``_DiskBank.serve_batch``).
@@ -29,6 +33,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.system.placement import PlacementContext
 
 
 def fixed_entries(bank, d: int) -> tuple:
@@ -247,16 +252,58 @@ def serve_segment(
     starts_out[order] = seg_starts
 
 
+def spinning_mask(bank, t: float) -> np.ndarray:
+    """Per-disk "not parked in the deepest rung at ``t``" — the write
+    policy's view of the pool.
+
+    Descents, intermediate rungs and wakes all count as spinning, like
+    :attr:`~repro.disk.drive.DiskDrive.spinning`: a drained disk is
+    spinning until its last descent ends, and a disk still working
+    (``t < avail``) always is, because a pending request rides the
+    transitions straight back up.  Same-instant earlier serves are
+    excluded via the instant-start snapshot: a disk woken at exactly ``t``
+    still reads parked, like the event kernel's not-yet-resumed drive
+    process.  An ``inf`` entry never parks.
+    """
+    disks = np.arange(len(bank.avail))
+    last_col = np.maximum(np.asarray(bank.R), 2) - 1
+    last_dn = np.array([dn[-1] for dn in bank.dn])
+    avail = np.where(bank.pt == t, bank.pv, bank.avail)
+    last = bank._ent[bank._rows(avail), disks, last_col]
+    return t < (avail + last) + last_dn
+
+
+def allocate_for_write(bank, policy, free, size: float, t: float) -> int:
+    """Placement for a new file at time ``t``: the policy decides against
+    the banked spin state, free bytes, dispatched load and active power."""
+    ctx = PlacementContext(
+        time=t,
+        spinning=spinning_mask(bank, t),
+        free=free,
+        load=bank.load,
+        active_power=bank.ap,
+    )
+    return policy.choose(ctx, size)
+
+
 class CacheState:
     """The oracle's side of ``fastkernel._CacheState`` (``cache`` an
     object) or ``fastkernel._Walk`` (``cache`` ``None``): the run's cache
     object itself (driven through its Python ``lookup``/``admit``), a
-    ``heapq`` of pending admissions and list copies of the per-file
-    arrays.  Under an observer the cache's ``evict_hook`` collects the
-    victims of each admission until :meth:`write_back` removes it."""
+    ``heapq`` of pending admissions, the bank, the placement policy, the
+    live mapping and free bytes, and list copies of the per-file arrays.
+    Under an observer the cache's ``evict_hook`` collects the victims of
+    each admission until :meth:`write_back` removes it."""
 
-    def __init__(self, cache, sizes, mapping, bank, observe: bool) -> None:
+    def __init__(
+        self, cache, sizes, mapping, free, policy, bank, observe: bool
+    ) -> None:
         self.cache = cache
+        self.bank = bank
+        self.policy = policy
+        self.sizes = sizes
+        self.mapping = mapping
+        self.free = free
         self.T = bank.T
         self.heap: list = []
         self.map_l = mapping.tolist()
@@ -271,20 +318,20 @@ class CacheState:
         self.cache.evict_hook = None
 
 
-def walk_state(sizes, mapping, bank) -> CacheState:
+def walk_state(sizes, mapping, free, policy, bank, observe) -> CacheState:
     """The oracle's side of ``fastkernel._Walk``: a run without a cache."""
-    return CacheState(None, sizes, mapping, bank, False)
+    return CacheState(None, sizes, mapping, free, policy, bank, observe)
 
 
 def serve_coupled(
-    bank, policy, mapping, free, sizes, fid, t_all, is_write, state,
-    starts, d_req, base_index, obs=None,
+    state, fid, t_all, is_write, starts, d_req, base_index, obs=None,
 ) -> None:
     """The Python walk: arrivals one at a time.  With a cache it drains
     the pending admissions due at or before each arrival first, and
-    serves only misses and writes."""
-    from repro.sim.fastkernel import _allocate_for_write
-
+    serves only misses and writes.  Placements go to the observer as one
+    list, then the cache events, also when a placement raises."""
+    bank, policy, free = state.bank, state.policy, state.free
+    mapping = state.mapping
     cache = state.cache
     cached = cache is not None
     lookup = cache.lookup if cached else None
@@ -298,6 +345,7 @@ def serve_coupled(
     T = bank.T
     events: Optional[list] = [] if obs is not None else None
     emit = events.append if events is not None else None
+    placed: list = []
     start_l: list = []
     disk_l: list = []
     put_start = start_l.append
@@ -318,9 +366,9 @@ def serve_coupled(
                 d = map_l[f]
                 if d < 0:
                     size = size_l[f]
-                    d = _allocate_for_write(bank, policy, free, size, t)
+                    d = allocate_for_write(bank, policy, free, size, t)
                     if obs is not None:
-                        obs.on_placement(t, f, d)
+                        placed.append((t, f, d))
                     map_l[f] = d
                     mapping[f] = d
                     free[d] -= size
@@ -350,6 +398,8 @@ def serve_coupled(
             if cached and c < T:
                 heappush(heap, (c, base_index + i, f, size))
     finally:
+        if placed:
+            obs.on_placements(placed)
         if events:
             obs.on_cache_events(events)
     starts[:] = start_l

@@ -29,6 +29,7 @@ from repro.disk.dpm import DpmLadder, LadderRung, make_dpm_ladder
 from repro.disk.specs import ST3500630AS, WD10EADS
 from repro.errors import SimulationError
 from repro.sim.fastkernel import _DiskBank, _serve_coupled, _Walk
+from repro.system.placement import make_placement_policy
 
 HORIZON = 4_000.0
 INTERVAL = 250.0
@@ -108,15 +109,18 @@ class _Walker:
         self.bank = bank
         self.mapping = np.array(disks, dtype=np.int64)
         self.sizes = np.array(sizes, dtype=float)
-        self.walk = _Walk(self.sizes, self.mapping, bank)
+        self.walk = _Walk(
+            self.sizes, self.mapping, np.zeros(len(bank.avail)),
+            make_placement_policy(), bank, False,
+        )
 
     def serve(self, times, starts, lo, hi):
         """Walk requests ``[lo, hi)`` as one batch into ``starts[lo:hi]``."""
         d_req = np.empty(hi - lo, dtype=np.int64)
         _serve_coupled(
-            self.bank, None, self.mapping, None, self.sizes,
-            np.arange(lo, hi), np.asarray(times[lo:hi], dtype=float), None,
-            self.walk, starts[lo:hi], d_req, lo,
+            self.walk, np.arange(lo, hi),
+            np.asarray(times[lo:hi], dtype=float), None, starts[lo:hi],
+            d_req, lo,
         )
         assert d_req.tolist() == self.mapping[lo:hi].tolist()
 
@@ -312,9 +316,11 @@ def test_wake_starting_exactly_at_horizon_is_not_billed(serve_twin):
     sizes = np.array([size, size])
     _Walker(banks[0], d, sizes).serve(t, np.empty(2), 0, 2)
     if serve_twin == "oracle":
+        state = oracle.walk_state(
+            sizes, d, np.zeros(1), make_placement_policy(), banks[1], False
+        )
         oracle.serve_coupled(
-            banks[1], None, d, None, sizes, np.arange(2), t, None,
-            oracle.walk_state(sizes, d, banks[1]), np.empty(2),
+            state, np.arange(2), t, None, np.empty(2),
             np.empty(2, dtype=np.int64), 0,
         )
     else:
@@ -330,7 +336,6 @@ def test_segment_arrays_of_different_lengths_raise():
     walker = _Walker(bank, [0, 1], [1e6, 1e6])
     with pytest.raises(SimulationError, match="differ in length"):
         _serve_coupled(
-            bank, None, walker.mapping, None, walker.sizes, np.arange(1),
-            np.array([1.0, 2.0]), None, walker.walk, np.empty(2),
-            np.empty(2, dtype=np.int64), 0,
+            walker.walk, np.arange(1), np.array([1.0, 2.0]), None,
+            np.empty(2), np.empty(2, dtype=np.int64), 0,
         )

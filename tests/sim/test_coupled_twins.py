@@ -116,7 +116,6 @@ class _Side:
                 num_disks, [3.0, 0.0, math.inf][:num_disks], ladder, GRID,
                 horizon, log_spans=spans,
             )
-        self.bank.cap = np.full(num_disks, 1e12)
         self.cache = cache
         self.mapping = mapping.copy()
         self.free = np.full(num_disks, 1e12)
@@ -124,16 +123,16 @@ class _Side:
         self.policy.reset(num_disks)
         self.obs = TraceRecorder() if observe else None
         state_cls = _CacheState if impl == "c" else oracle.CacheState
-        self.state = state_cls(cache, sizes, self.mapping, self.bank, observe)
+        self.state = state_cls(
+            cache, sizes, self.mapping, self.free, self.policy, self.bank,
+            observe,
+        )
 
     def serve(self, sizes, fid, t, w, base):
         walk = _serve_coupled if self.impl == "c" else oracle.serve_coupled
         starts = np.full(t.size, np.nan)
         d_req = np.full(t.size, -7, dtype=np.int64)
-        walk(
-            self.bank, self.policy, self.mapping, self.free, sizes, fid, t,
-            w, self.state, starts, d_req, base, self.obs,
-        )
+        walk(self.state, fid, t, w, starts, d_req, base, self.obs)
         return starts, d_req
 
     def finish(self):
@@ -233,6 +232,39 @@ def test_compiled_walk_matches_oracle(
     _run_twins(sides, sizes, times, fid, write, cuts, rows)
     stats = sides[0].cache.stats
     assert stats.lookups > 0
+
+
+@pytest.mark.parametrize("mode", ["fixed_spans", "controlled"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_one_record_buffers_resume(policy, mode):
+    """Placement and gap-log buffers of one record, span buffers of one
+    request's worth and an event buffer of two (an admission evicting the
+    one file the cache holds): the walk stops at nearly every arrival, and
+    every resume path must still match the oracle."""
+    rng = np.random.default_rng(11)
+    n_files, num_disks = 12, 3
+    sizes = np.full(n_files, 1.0 * MB)
+    mapping = rng.integers(0, num_disks, size=n_files)
+    mapping[::3] = -1
+    times, fid, write = _stream(rng, n_files, 150, mapping >= 0)
+    n = times.size
+    cuts = [0, n // 3, n]
+    controlled = mode == "controlled"
+    rows = None
+    if controlled:
+        rows = rng.choice([0.0, 1.0, 7.5, math.inf], size=(len(cuts), 3))
+    saved = fastkernel._LOG_CHUNK
+    fastkernel._LOG_CHUNK = 1
+    try:
+        sides = _twins(
+            policy, 1.0 * MB, sizes, mapping, num_disks,
+            make_dpm_ladder("drpm4", GRID), controlled, True, not controlled,
+        )
+    finally:
+        fastkernel._LOG_CHUNK = saved
+    sides[0].state.args.ev_cap = 2
+    _run_twins(sides, sizes, times, fid, write, cuts, rows)
+    assert sides[0].obs.placements and sides[0].cache.stats.evictions
 
 
 def _pinned(policy, capacity, times, fid, sizes, horizon=HORIZON):

@@ -6,9 +6,11 @@ the same simulated outputs as the library this process loaded, two
 processes building at once must both load one valid library, an
 unwritable cache falls back to a private build directory, and a host with
 no C compiler gets a ``ConfigError`` from ``engine="fast"`` while the
-event engine still runs.
+event engine still runs.  Extra compiler flags (tests only) build a
+library of their own, and ``serve.c`` builds warning-free.
 """
 
+import ctypes
 import json
 import os
 import subprocess
@@ -139,3 +141,23 @@ def test_build_is_reused(tmp_path):
     assert native.build(tmp_path, cc) == first
     assert first.stat().st_mtime_ns == stamp
     assert [p.name for p in tmp_path.iterdir()] == [first.name]
+
+
+#: The warnings gate the CI sanitizer job also applies.
+WARNING_FLAGS = ("-Wall", "-Wextra", "-Werror")
+
+
+@needs_compiler
+def test_extra_flags_build_their_own_library(tmp_path):
+    """Extra flags are hashed into the name, so a warnings-as-errors
+    build (which ``serve.c`` must pass) sits beside the normal one and
+    loads with the same structures."""
+    cc = native.compiler()
+    plain = native.build(tmp_path, cc)
+    strict = native.build(tmp_path, cc, WARNING_FLAGS)
+    assert strict != plain
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [plain.name, strict.name]
+    )
+    lib = native.load(strict)
+    assert lib.repro_coupled_args_size() == ctypes.sizeof(native.CoupledArgs)

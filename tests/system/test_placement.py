@@ -13,7 +13,6 @@ from repro.system.placement import (
     make_placement_policy,
     placement_policy_names,
     register_placement_policy,
-    spinning_best_fit_choice,
 )
 
 
@@ -97,9 +96,6 @@ class TestDecisions:
         assert choose("spinning_best_fit", ctx(self.SPIN, self.FREE), 20) == 1
         # No spinning disk fits: worst-fit fallback -> disk 3 (100 free).
         assert choose("spinning_best_fit", ctx(self.SPIN, self.FREE), 50) == 3
-        assert spinning_best_fit_choice(
-            np.array(self.SPIN), np.array(self.FREE), 50
-        ) == 3
 
     def test_spinning_worst_fit(self):
         # Most room among spinning: disk 1 (40 free).
