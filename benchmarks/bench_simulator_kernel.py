@@ -5,7 +5,8 @@ enough for the full-scale experiments (hundreds of thousands of events per
 second) and guard against regressions.  The largest cases pit the batched
 fast kernel (``engine="fast"``) against the event kernel — on a Figure 2/4
 style read-only scenario (>= 3x enforced) and on a shared-cache mixed
-read/write scenario through the global-merge path (>= 5x enforced) — and
+read/write scenario, where the walk also places writes and runs the
+cache (>= 5x enforced) — and
 the sweep case drives a grid through the orchestrator's caching.  The
 event-engine floor bounds the other side: the event engine may take at
 most a fixed multiple of the fast path's time on the same inputs, so a
@@ -118,7 +119,7 @@ def test_fast_engine_speedup(scale, capsys):
 
 
 def test_fast_engine_speedup_cached_mixed(capsys):
-    """The global-merge path: cache + writes; fast must win 5x.
+    """A shared cache plus writes; fast must win 5x.
 
     The stream is a fixed 4,000 s (about 32k requests) at any bench scale,
     so the fast side runs for about 0.1 s, and the engines are timed

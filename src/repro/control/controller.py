@@ -102,6 +102,11 @@ class ThresholdController:
             raise SimulationError(
                 "policy initial_thresholds must be one value per disk"
             )
+        if not np.all(self.thresholds >= 0):
+            raise SimulationError(
+                f"{self.policy.name} returned a negative or NaN initial "
+                "threshold"
+            )
         self.p95 = P2Quantile(95.0)
         self.p99 = P2Quantile(99.0)
         slo_percentile = float(slo_percentile)
@@ -199,9 +204,9 @@ class ThresholdController:
                 f"{self.policy.name} returned {new.shape} thresholds for "
                 f"{self.num_disks} disks"
             )
-        if np.any(new < 0):
+        if not np.all(new >= 0):
             raise SimulationError(
-                f"{self.policy.name} returned a negative threshold"
+                f"{self.policy.name} returned a negative or NaN threshold"
             )
         self.thresholds = new.copy()
         return self.thresholds

@@ -379,12 +379,12 @@ class DpmLadder:
         scaled entry would land inside the previous rung's descent.
         ``inf`` disables descent entirely; ``0`` cascades straight down.
         """
+        th = float(threshold)
+        if not th >= 0:
+            raise ConfigError("threshold must be >= 0")
         rungs = self.rungs
         if len(rungs) < 2:
             return (0.0,)
-        th = float(threshold)
-        if th < 0:
-            raise ConfigError("threshold must be >= 0")
         if th == rungs[1].entry:
             return self.entries
         if math.isinf(th):

@@ -75,7 +75,7 @@ class FleetDisk:
             self.ladder, (str, DpmLadder)
         ):
             raise ConfigError("FleetDisk.ladder must be a name or a DpmLadder")
-        if self.threshold is not None and self.threshold < 0:
+        if self.threshold is not None and not self.threshold >= 0:
             raise ConfigError("FleetDisk.threshold must be >= 0")
 
 

@@ -567,9 +567,9 @@ class SweepRunner:
             if self.engine == "fast":
                 # Every known workload spec materializes an array-backed
                 # stream — the only thing the fast kernel still cannot
-                # express (writes and shared caches are covered since the
-                # global-merge pass).  Leave unknown future specs alone
-                # rather than risk a mid-sweep ConfigError.
+                # express (writes and shared caches run on it).  Leave
+                # unknown future specs alone rather than risk a mid-sweep
+                # ConfigError.
                 apply_engine = isinstance(
                     task.workload,
                     (SyntheticWorkloadParams, NerscTraceParams, InlineWorkload),

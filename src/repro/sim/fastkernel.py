@@ -127,9 +127,9 @@ slice of one inside a control interval, or a block of scheduled releases:
   served, and each miss pushes its admission.  Cache events leave the
   walk as one column block per batch.  A run without a cache builds none
   of this state, and the walk serves every request;
-* **controlled** (a dynamic ``StorageConfig.dpm_policy``): the stream is
-  segmented at control-interval boundaries and each interval's slice is
-  walked against a :class:`_DiskBank` holding *per-interval, per-disk*
+* **control** (a dynamic ``StorageConfig.dpm_policy``): the run cuts
+  each batch at the control-interval boundaries and walks each slice
+  against a :class:`_DiskBank` holding *per-interval, per-disk*
   threshold vectors.  An idle gap is governed by the threshold in effect
   at the disk's drain instant (the event drive's already-armed timer), so
   the per-gap threshold is looked up from the drain time's interval.  At
@@ -140,12 +140,13 @@ slice of one inside a control interval, or a block of scheduled releases:
   consumes identical telemetry, so every registered DPM policy
   simulates identically (~1e-9) on both engines.
 
-All state-time, energy and response accounting is vectorized afterwards
-and truncated at the measurement horizon exactly like the event kernel's
-cutoff.  Semantics mirror :class:`~repro.disk.drive.DiskDrive`: drives
-start IDLE with the idleness timer armed at t=0, spin-downs are not
-abortable (a request arriving mid-transition waits for spin-down +
-spin-up), and requests arriving at or after the horizon are censored
+Service and response accounting is vectorized per batch and energy is
+assembled at the end (one :class:`_Run` method per phase), all truncated
+at the measurement horizon exactly like the event kernel's cutoff.
+Semantics mirror :class:`~repro.disk.drive.DiskDrive`: drives start IDLE
+with the idleness timer armed at t=0, spin-downs are not abortable (a
+request arriving mid-transition waits for spin-down + spin-up), and
+requests arriving at or after the horizon are censored
 (counted as neither arrivals nor completions).  Agreement with the event
 kernel is tested to tight tolerances in ``tests/sim/test_fastkernel.py``;
 the only differences are ~1 ulp float drift (the event loop accumulates
@@ -197,9 +198,9 @@ __all__ = [
 def fast_unsupported_reason(config, stream) -> Optional[str]:
     """Why ``engine="fast"`` cannot run this scenario (``None`` if it can).
 
-    Since the global-merge pass landed, write streams and shared caches are
-    supported; the only remaining requirement is a batchable stream —
-    either array-backed (dense ``.times``/``.file_ids``, plus optional
+    Write streams, shared caches, control and scheduling all run on the
+    fast kernel; the one requirement is a batchable stream — either
+    array-backed (dense ``.times``/``.file_ids``, plus optional
     ``.kinds``) for :func:`simulate_fast`, or chunked
     (``.iter_chunks()`` with a ``duration``) for
     :func:`simulate_fast_chunked`.
@@ -257,7 +258,7 @@ _LOG_CHUNK = 1 << 14
 
 
 class _DiskBank:
-    """Per-disk queue and DPM-ladder state with carry-in, shared by all paths.
+    """Per-disk queue and DPM-ladder state, carried from batch to batch.
 
     Evolves exactly the state the event kernel's drives evolve — per disk,
     the time it next falls idle plus per-rung park/descent/wake
@@ -279,12 +280,12 @@ class _DiskBank:
 
     ``thresholds`` (a scalar or a per-disk vector) is fixed for the run
     unless ``interval`` is given.  It is then the first row of the
-    per-interval history the controlled path extends with
-    :meth:`push_thresholds`, and the threshold governing a gap is the one
-    in effect at the disk's *drain* instant (the event drive's
-    already-armed timer).  By the time a gap's closing arrival is
-    processed its drain interval has been reached, so the lookup always
-    resolves.  A controlled bank also logs closed idle gaps
+    per-interval history a controlled run extends with
+    :meth:`push_thresholds` at each control boundary, and the threshold
+    governing a gap is the one in effect at the disk's *drain* instant
+    (the event drive's already-armed timer).  By the time a gap's closing
+    arrival is processed its drain interval has been reached, so the
+    lookup always resolves.  A controlled bank also logs closed idle gaps
     ``(gap, threshold_at_drain)`` for the control telemetry.  With
     ``log_spans`` (implied by ``interval``) every descent/park/wake
     episode is logged as a ``(disk, start, end)`` span per rung, for the
@@ -924,213 +925,6 @@ def _admit_pending(state: _CacheState, obs=None) -> None:
             obs.on_cache_events(_block(CacheEventBlock, parts))
 
 
-class _ControlledDriver:
-    """Interval-segmented execution under a dynamic DPM policy, with all
-    carry state threaded across chunk boundaries.
-
-    The monolithic controlled path is one :meth:`feed` of the whole stream
-    followed by :meth:`finish`; the chunked path feeds one chunk at a time.
-    Everything the interval loop needs to resume lives on the driver — the
-    cache-admission heap, the telemetry backlog (completions not yet
-    reported at a boundary), dispatched-but-waiting requests and the
-    controller's interval position — so splitting the stream at any point
-    is bit-identical to the single call:
-
-    * arrivals are processed one control interval at a time through the
-      run's compiled walk; an interval whose arrivals span several chunks
-      is served in several sub-slices (the per-disk recursion carries
-      exactly, and the cache heap's tie-break uses the *global* arrival
-      index ``n_seen``);
-    * an interval's boundary is processed only once an arrival at or past
-      its ``t_end`` has been seen — a later chunk may still add arrivals
-      to the open interval.  :meth:`finish` processes every remaining
-      boundary, including trailing empty intervals, and hands the final
-      partial interval to ``dpm.finalize`` (a decision at or beyond the
-      horizon could never take effect; the event engine's cutoff pre-empts
-      that firing too).
-
-    Telemetry at each boundary matches the event engine's control process:
-    responses completed strictly before ``t_end`` in completion order
-    (sequence-stable at ties via the global arrival index), per-disk idle
-    gaps closed during the interval (the bank's ``gap_log`` is drained and
-    cleared *in place* — the serve loops hold bound ``append`` references)
-    and per-disk queue depths of dispatched requests not yet in service,
-    carried as ``(service start, disk)`` value arrays so no global
-    ``starts`` array is ever materialized.
-    """
-
-    __slots__ = (
-        "bank", "dpm", "serve", "hit_lat", "T", "ci", "oh_a", "rate_a",
-        "pend_c", "pend_seq", "pend_r", "wait_s", "wait_d",
-        "n_seen", "k", "t_start", "finished", "obs",
-    )
-
-    def __init__(
-        self, bank, dpm, serve, cache_hit_latency: float, obs=None
-    ) -> None:
-        self.bank = bank
-        self.dpm = dpm
-        # The run's batch server (see _simulate_chunks).
-        self.serve = serve
-        self.hit_lat = float(cache_hit_latency)
-        self.T = bank.T
-        self.ci = dpm.interval
-        self.oh_a = bank.oh_a
-        self.rate_a = bank.rate_a
-        # Telemetry backlog: completions not yet reported at a boundary.
-        self.pend_c: List[np.ndarray] = []
-        self.pend_seq: List[np.ndarray] = []
-        self.pend_r: List[np.ndarray] = []
-        # Dispatched but not yet in service, as (service start, disk).
-        self.wait_s = np.empty(0, dtype=float)
-        self.wait_d = np.empty(0, dtype=np.int64)
-        self.n_seen = 0  # live arrivals fed so far (global sequence ids)
-        self.k = 0
-        self.t_start = 0.0
-        self.finished = False
-        self.obs = obs
-
-    def _serve_slice(
-        self,
-        fid: np.ndarray,
-        t_all: np.ndarray,
-        sz_all: np.ndarray,
-        is_write: Optional[np.ndarray],
-        starts: np.ndarray,
-        d_req: np.ndarray,
-        lo: int,
-        hi: int,
-        holds: Optional[np.ndarray] = None,
-    ) -> None:
-        sl = slice(lo, hi)
-        self.serve(
-            fid[sl], t_all[sl], None if is_write is None else is_write[sl],
-            starts[sl], d_req[sl], self.n_seen + lo,
-        )
-        # Queue newly served requests' completions for the telemetry feed
-        # (cache hits complete at their arrival instant; requests censored
-        # at the horizon never complete, like the event engine's cutoff
-        # pre-empting their completion events).
-        d_sl = d_req[sl]
-        served = d_sl >= 0
-        # Per-disk overheads/rates: resolve against disk 0 for unserved
-        # (hit) slots — the value is discarded by the where() below.
-        d_safe = np.where(served, d_sl, 0)
-        oh_sl = self.oh_a[d_safe]
-        tr_sl = sz_all[sl] / self.rate_a[d_safe]
-        c_sl = np.where(served, starts[sl] + oh_sl + tr_sl, t_all[sl])
-        r_sl = np.where(served, c_sl - t_all[sl], self.hit_lat)
-        if holds is not None:
-            # Scheduled runs measure responses from the *original* arrival:
-            # the hold (release - arrival) rides on top of the post-release
-            # response, exactly like the event dispatcher's response_offset.
-            r_sl = r_sl + holds[sl]
-        keep = c_sl < self.T
-        self.pend_c.append(c_sl[keep])
-        self.pend_seq.append(
-            np.arange(self.n_seen + lo, self.n_seen + hi, dtype=np.int64)[keep]
-        )
-        self.pend_r.append(r_sl[keep])
-        # Dispatched requests not yet in service at some future boundary
-        # (the event drive pops a request from its queue exactly at service
-        # start); boundaries only filter these down, never rescan.
-        w = starts[sl][served]
-        if w.size:
-            self.wait_s = np.concatenate((self.wait_s, w))
-            self.wait_d = np.concatenate((self.wait_d, d_sl[served]))
-
-    def _boundary(self, t_end: float, last: bool) -> None:
-        bank = self.bank
-        c = np.concatenate(self.pend_c) if self.pend_c else np.empty(0)
-        seq = (
-            np.concatenate(self.pend_seq)
-            if self.pend_seq
-            else np.empty(0, np.int64)
-        )
-        r = np.concatenate(self.pend_r) if self.pend_r else np.empty(0)
-        # Strictly-before: a completion landing exactly on a boundary is
-        # observed in the *next* interval, matching the event engine's
-        # control event (armed at the previous boundary, hence an earlier
-        # FIFO id than completions scheduled during the interval) firing
-        # first at the shared instant.
-        done = c < t_end
-        order = np.lexsort((seq[done], c[done]))
-        responses = r[done][order]
-        self.pend_c = [c[~done]]
-        self.pend_seq = [seq[~done]]
-        self.pend_r = [r[~done]]
-        gaps = []
-        for log in bank.gap_log:
-            gaps.append(log[:])
-            log.clear()
-        keep = self.wait_s > t_end
-        self.wait_s = self.wait_s[keep]
-        self.wait_d = self.wait_d[keep]
-        queue_depth = np.bincount(
-            self.wait_d, minlength=len(bank.avail)
-        ).astype(float)
-        if last:
-            self.dpm.finalize(self.t_start, t_end, responses, gaps, queue_depth)
-            self.finished = True
-        else:
-            new_th = self.dpm.advance(
-                self.t_start, t_end, responses, gaps, queue_depth
-            )
-            bank.push_thresholds(new_th)
-            if self.obs is not None:
-                self.obs.on_thresholds(t_end, new_th)
-            self.t_start = t_end
-            self.k += 1
-
-    def feed(
-        self,
-        fid: np.ndarray,
-        t_all: np.ndarray,
-        sz_all: np.ndarray,
-        is_write: Optional[np.ndarray],
-        starts: np.ndarray,
-        d_req: np.ndarray,
-        holds: Optional[np.ndarray] = None,
-    ) -> None:
-        """Serve one chunk of live (pre-censored, time-sorted) arrivals, or
-        one batch of releases (``holds`` = release - arrival)."""
-        n = int(t_all.size)
-        lo = 0
-        while lo < n:
-            t_end = min((self.k + 1) * self.ci, self.T)
-            hi = int(np.searchsorted(t_all, t_end, side="left"))
-            if hi > lo:
-                self._serve_slice(
-                    fid, t_all, sz_all, is_write, starts, d_req, lo, hi,
-                    holds,
-                )
-            if hi == n:
-                # Chunk exhausted mid-interval: a later chunk may still add
-                # arrivals before t_end, so the boundary stays open.
-                break
-            self._boundary(t_end, t_end >= self.T)
-            lo = hi
-            if self.finished:  # pragma: no cover - arrivals are censored < T
-                break
-        self.n_seen += n
-
-    def drain_to(self, t: float) -> None:
-        """Process every boundary at or before ``t`` (scheduled runs: a
-        deferred release landing exactly on a control boundary submits
-        *after* that boundary, matching the event engine's requeue)."""
-        while not self.finished:
-            t_end = min((self.k + 1) * self.ci, self.T)
-            if t_end > t:
-                break
-            self._boundary(t_end, t_end >= self.T)
-
-    def finish(self) -> None:
-        """Process every remaining boundary (trailing empty intervals
-        included) and hand the final partial interval to ``dpm.finalize``."""
-        while not self.finished:
-            t_end = min((self.k + 1) * self.ci, self.T)
-            self._boundary(t_end, t_end >= self.T)
-
 
 def _bad_releases(releases: np.ndarray, times: np.ndarray) -> None:
     """Raise for a scheduler block whose releases are not one number at or
@@ -1147,22 +941,18 @@ def _bad_releases(releases: np.ndarray, times: np.ndarray) -> None:
     )
 
 
-def _interval_edges(interval: float, horizon: float) -> np.ndarray:
-    """The ascending control-interval grid ``[0, ci, 2ci, ..., T]``.
 
-    Computes the exact floats the controlled interval loop produces
-    (``min((k + 1) * ci, T)``), so the per-interval power bins align with
-    ``dpm.records`` bit-for-bit.
-    """
+def _interval_edges(interval: float, horizon: float) -> List[float]:
+    """The control-interval grid ``[0, ci, 2ci, ..., T]``, the run's one
+    interval clock: a controlled run closes interval ``k`` at
+    ``edges[k + 1]`` and bins its power trace on the same floats, so the
+    bins align with ``dpm.records`` bit-for-bit."""
     edges = [0.0]
     k = 0
-    while True:
-        t_end = min((k + 1) * float(interval), horizon)
-        edges.append(t_end)
-        if t_end >= horizon:
-            break
+    while edges[-1] < horizon:
+        edges.append(min((k + 1) * interval, horizon))
         k += 1
-    return np.asarray(edges, dtype=float)
+    return edges
 
 
 class _SpanBinner:
@@ -1220,13 +1010,13 @@ def _span_kinds(classic: bool) -> tuple:
 def _flush_bank_spans(
     binner: Optional[_SpanBinner], bank, classic: bool, obs=None
 ) -> None:
-    """Drain a bank's logged transition spans and clear them in place
-    (the serve loops hold bound references): fold them into the binner
-    (controlled runs), emit them to an observer (clipped at the horizon,
-    like every accounting path, and named by :data:`CLASSIC_STATES` on a
-    ``classic`` run), or both.  Called between chunks and once at the end
-    of the run, so span-log memory stays bounded by the chunk size and
-    observer emission order is deterministic for any chunking.
+    """Drain a bank's logged transition spans and clear them: fold them
+    into the binner (controlled runs), emit them to an observer (clipped
+    at the horizon, like all accounting, and named by
+    :data:`CLASSIC_STATES` on a ``classic`` run), or both.  Called
+    between chunks and once at the end of the run, so span-log memory
+    stays bounded by the chunk size and observer emission order is
+    deterministic for any chunking.
     """
     T = bank.T
     for i in range(1, bank.maxR):
@@ -1325,15 +1115,16 @@ def simulate_fast(
     the dispatcher); ``write_policy`` selects the placement strategy (a
     registry name, a policy instance, or ``None`` for the paper's §1.1
     ``spinning_best_fit``).  ``dpm`` is an optional fresh
-    :class:`~repro.control.controller.ThresholdController` (one per run)
-    engaging the interval-segmented controlled path — ``None`` (or a
-    static policy, which :meth:`StorageConfig.dpm_controller` maps to
-    ``None``) keeps the fixed-threshold paths byte-identical to the
-    pre-control kernel.  ``ladder`` is an optional
-    :class:`~repro.disk.dpm.DpmLadder` whose descent schedule
-    ``threshold`` (or the controller vector) scales; ``state_durations``
-    is then keyed by the ladder's timeline labels instead of
-    :class:`DiskState`.  ``metrics_mode="streaming"`` skips the
+    :class:`~repro.control.controller.ThresholdController` (one per run):
+    the run is then cut at its control-interval boundaries, and each
+    boundary hands the controller the interval's telemetry and takes
+    back the next threshold vector.  ``None`` (or a static policy, which
+    :meth:`StorageConfig.dpm_controller` maps to ``None``) runs one
+    fixed threshold vector, byte-identical to the pre-control kernel.
+    ``ladder`` is an optional :class:`~repro.disk.dpm.DpmLadder` whose
+    descent schedule ``threshold`` (or the controller vector) scales;
+    ``state_durations`` is then keyed by the ladder's timeline labels
+    instead of :class:`DiskState`.  ``metrics_mode="streaming"`` skips the
     per-request response array: the result carries a bounded
     :class:`~repro.system.metrics.ResponseStats` (exact count/mean/min/max,
     P² percentiles) and ``response_times`` is ``None``.  Returns the same
@@ -1369,8 +1160,8 @@ def simulate_fast(
     ``drive_scheduled_stream``, so every registered scheduler is held to
     1e-9 cross-engine agreement by the differential harness's scheduler
     axis.  ``None`` (what :meth:`StorageConfig.request_scheduler` returns
-    for the default ``"fifo"``) keeps every path byte-identical to the
-    unscheduled kernel.
+    for the default ``"fifo"``) submits every arrival at its arrival,
+    byte-identical to the pre-scheduler kernel.
     """
     if not hasattr(stream, "times") or not hasattr(stream, "file_ids"):
         raise ConfigError(
@@ -1378,8 +1169,8 @@ def simulate_fast(
             "chunked streams go through simulate_fast_chunked"
         )
     # The stream itself is a valid single chunk (``.times``/``.file_ids``
-    # and, for mixed streams, ``.kinds``) — every code path below is the
-    # chunked core, so monolithic and chunked runs cannot drift apart.
+    # and, for mixed streams, ``.kinds``) — the run below is the chunked
+    # core, so monolithic and chunked runs cannot drift apart.
     return _simulate_chunks(
         sizes, mapping, spec, num_disks, threshold, (stream,), duration,
         label, cache, cache_hit_latency, usable_capacity, write_policy,
@@ -1474,497 +1265,635 @@ def _simulate_chunks(
     observer=None,
     scheduler=None,
 ) -> SimulationResult:
-    """Shared replay core: one pass over ``chunks`` with full carry state.
+    """Shared replay core: one :class:`_Run` fed ``chunks`` in order.
 
-    Every accumulator that the monolithic kernel used to compute in one
-    vectorized shot at the end (per-disk seek/active bincounts, response
-    assembly, per-interval power bins) is maintained incrementally with
-    operations chosen for partition invariance — serial ``np.add.at``
-    scatter-adds continue ``np.bincount``'s left-to-right reduction exactly,
-    so a single-chunk pass reproduces the historical monolithic results
-    bit-for-bit and a many-chunk pass reproduces the single-chunk one.
+    The run's cache goes back into ``cache`` when the run ends or raises.
     """
-    if duration <= 0:
-        raise ConfigError("duration must be positive")
-    if metrics_mode not in ("full", "streaming"):
-        raise ConfigError(
-            f"metrics_mode must be 'full' or 'streaming', got {metrics_mode!r}"
-        )
-    T = float(duration)
-    sizes = np.ascontiguousarray(sizes, dtype=float)
-    mapping = np.asarray(mapping, dtype=np.int64).copy()
-    if mapping.shape != sizes.shape:
-        raise SimulationError("mapping and sizes must align per file id")
-    # A NaN size would otherwise surface only as a NaN energy.
-    bad = ~(np.isfinite(sizes) & (sizes >= 0))
-    if bad.any():
-        f = int(bad.argmax())
-        raise SimulationError(
-            f"file {f} has size {sizes[f]!r}; sizes must be finite and >= 0"
-        )
-    if mapping.size and int(mapping.max()) >= num_disks:
-        raise SimulationError(
-            f"mapping references disk {int(mapping.max())} but the pool has "
-            f"only {num_disks} disks"
-        )
-    # A resolved fleet overrides the uniform spec/threshold/ladder sugar
-    # with per-disk values; everything downstream runs per-disk vectors
-    # either way (a uniform pool is a tiled vector, bit-identical to the
-    # historical scalar constants).
-    if fleet is not None:
-        if fleet.num_disks != num_disks:
-            raise ConfigError(
-                f"fleet resolves {fleet.num_disks} disks but the pool has "
-                f"{num_disks}"
-            )
-        specs = fleet.specs
-        ladders = fleet.ladders if fleet.has_ladders else None
-        th_in = fleet.thresholds
-        homogeneous = fleet.homogeneous_specs
-    else:
-        specs = (spec,) * num_disks
-        ladders = ladder
-        th_in = threshold
-        homogeneous = True
-    # The classic drive runs as the two_state ladder of each disk's spec;
-    # its results keep DiskState keys through CLASSIC_STATES.
-    classic = ladders is None
-    if classic:
-        two_state = {s: make_dpm_ladder("two_state", s) for s in set(specs)}
-        ladders = [two_state[s] for s in specs]
-    if usable_capacity is None:
-        usable = (
-            specs[0].capacity
-            if homogeneous
-            else np.array([s.capacity for s in specs], dtype=float)
-        )
-    elif np.ndim(usable_capacity) == 0:
-        usable = float(usable_capacity)
-    else:
-        usable = np.asarray(usable_capacity, dtype=float)
-    free = initial_free_bytes(mapping, sizes, usable, num_disks)
-    validate_free_bytes(free, usable)
-    policy = make_placement_policy(write_policy)
-    policy.reset(num_disks)
-
-    streaming = metrics_mode == "streaming"
-    obs = active_observer(observer)
-
-    def serve(fid_c, t_c, w_c, starts_c, d_c, base) -> None:
-        """Serve one time-sorted batch through the compiled walk, filling
-        ``starts_c`` and ``d_c`` (each request's disk, -1 for a cache hit)
-        in place.  ``base`` is the batch's global arrival index (the cache
-        heap's tie-break)."""
-        _serve_coupled(walk, fid_c, t_c, w_c, starts_c, d_c, base, obs)
-
-    driver: Optional[_ControlledDriver] = None
-    binner: Optional[_SpanBinner] = None
-    if dpm is not None:
-        if dpm.num_disks != num_disks:
-            raise ConfigError(
-                f"controller sized for {dpm.num_disks} disks but the pool "
-                f"has {num_disks}"
-            )
-        bank = _DiskBank(
-            num_disks, dpm.thresholds, ladders, specs, T,
-            interval=dpm.interval,
-        )
-        driver = _ControlledDriver(bank, dpm, serve, cache_hit_latency, obs)
-        binner = _SpanBinner(_interval_edges(dpm.interval, T), num_disks)
-    else:
-        bank = _DiskBank(
-            num_disks, th_in, ladders, specs, T, log_spans=obs is not None
-        )
-    # A shared cache lives in the walk's arrays for the whole run and goes
-    # back into ``cache`` when the run ends or raises.
-    observe = obs is not None
-    walk = (
-        _Walk(sizes, mapping, free, policy, bank, observe)
-        if cache is None
-        else _CacheState(cache, sizes, mapping, free, policy, bank, observe)
+    run = _Run(
+        sizes, mapping, spec, num_disks, threshold, duration, label, cache,
+        cache_hit_latency, usable_capacity, write_policy, dpm, ladder,
+        metrics_mode, fleet, observer, scheduler,
     )
-
-    # Persistent accumulators (fixed size in the pool, not the stream).
-    seek_time = np.zeros(num_disks, dtype=float)
-    active_time = np.zeros(num_disks, dtype=float)
-    req_count = np.zeros(num_disks, dtype=np.int64)
-    arrivals = 0
-    hits = 0
-    hit_lat = float(cache_hit_latency)
-    acc = ResponseAccumulator() if streaming else None
-    resp_c_parts: List[np.ndarray] = []
-    resp_v_parts: List[np.ndarray] = []
-    hit_t_parts: List[np.ndarray] = []
-    hit_v_parts: List[np.ndarray] = []
-
-    def _submit(fid_c, t_c, sz_c, w_c, holds_c=None) -> None:
-        """Serve one time-sorted batch — a chunk's arrivals, or released
-        requests in (release, seq) order with ``holds_c`` = release -
-        arrival — and fold it into the persistent accumulators."""
-        nonlocal arrivals, hits, req_count
-        n_c = int(t_c.size)
-        starts_c = np.empty(n_c, dtype=float)
-        d_req_c = np.empty(n_c, dtype=np.int64)
-        if driver is not None:
-            driver.feed(fid_c, t_c, sz_c, w_c, starts_c, d_req_c, holds_c)
-        else:
-            serve(fid_c, t_c, w_c, starts_c, d_req_c, arrivals)
-        served = d_req_c >= 0
-        n_hits = n_c - int(served.sum())
-        if n_hits:
-            d_s = d_req_c[served]
-            s_s = starts_c[served]
-            sz_s = sz_c[served]
-            t_s = t_c[served]
-        else:
-            d_s, s_s, sz_s, t_s = d_req_c, starts_c, sz_c, t_c
-        # Per-request overhead/transfer resolved against the serving
-        # disk's own spec (identical to the uniform scalars on a
-        # homogeneous pool).
-        oh_s = bank.oh_a[d_s]
-        tr_s = sz_s / bank.rate_a[d_s]
-        # Service accounting truncated at the horizon; the serial scatter-
-        # add continues np.bincount's reduction exactly across chunks.
-        np.add.at(seek_time, d_s, np.clip(T - s_s, 0.0, oh_s))
-        np.add.at(active_time, d_s, np.clip(T - (s_s + oh_s), 0.0, tr_s))
-        req_count += np.bincount(d_s, minlength=num_disks)
-        if binner is not None:
-            binner.add("seek", d_s, s_s, s_s + oh_s)
-            binner.add("active", d_s, s_s + oh_s, s_s + oh_s + tr_s)
-        completion = s_s + oh_s + tr_s
-        done = completion < T
-        resp = completion - t_s
-        if holds_c is None:
-            hit_v = np.full(n_hits, hit_lat)
-        else:
-            # Scheduled runs measure responses from the *original* arrival:
-            # the hold rides on top of the post-release response, exactly
-            # like the event dispatcher's response_offset.
-            resp = resp + (holds_c[served] if n_hits else holds_c)
-            hit_v = hit_lat + holds_c[~served]
-        if streaming:
-            # Feed responses in arrival order (served completions where
-            # they complete before T, hits at the hit latency) — the same
-            # per-batch formula for every partition, so the accumulator's
-            # serial reductions are partition-invariant.
-            vals = np.empty(n_c, dtype=float)
-            ok = np.ones(n_c, dtype=bool)
-            vals[served] = resp
-            ok[served] = done
-            if n_hits:
-                vals[~served] = hit_v
-            acc.add(vals[ok])
-        else:
-            resp_c_parts.append(completion[done])
-            resp_v_parts.append(resp[done])
-            if n_hits:
-                hit_t_parts.append(t_c[~served])
-                hit_v_parts.append(hit_v)
-        arrivals += n_c
-        hits += n_hits
-
-    # -- slack-aware request scheduling (repro.system.scheduling) --------------
-    # Arrivals are assigned release times by the scheduler's deterministic
-    # forecast (in arrival order, reading the controller's interval-constant
-    # slo_estimate under control) and submitted to the disks in global
-    # (release, arrival-seq) order — the exact submission sequence the event
-    # engine's drive_scheduled_stream produces.  Pending releases ride
-    # across interval and chunk boundaries as (release, arrival, file id,
-    # is-write) array blocks in arrival-seq order.  scheduler=None takes the
-    # historical unscheduled paths, byte-identical to the pre-scheduler
-    # kernel.
-    pending: List[tuple] = []
-    if scheduler is not None:
-        release_many = scheduler.release_many
-
-        def _schedule(fid_a, t_a, w_a, lo, hi, est) -> None:
-            """Assign releases to arrivals [lo, hi) (one open interval)."""
-            t_c = t_a[lo:hi]
-            f_c = fid_a[lo:hi]
-            if w_a is None:
-                w_c = np.zeros(hi - lo, dtype=bool)
-                w_l = None
-            else:
-                w_c = w_a[lo:hi]
-                w_l = w_c.tolist()
-            r_c = np.array(
-                release_many(t_c.tolist(), f_c.tolist(), w_l, est), dtype=float
-            )
-            if r_c.shape != t_c.shape or not (r_c >= t_c).all():
-                _bad_releases(r_c, t_c)
-            # A release at or past the horizon never submits (the event
-            # engine's URGENT stop pre-empts it) — censored, neither an
-            # arrival nor a completion.
-            keep = r_c < T
-            if keep.any():
-                pending.append((r_c[keep], t_c[keep], f_c[keep], w_c[keep]))
-
-        def _flush(limit: float, inclusive: bool) -> None:
-            """Take the pending releases before ``limit`` (or at it, when
-            ``inclusive``) and serve them as one batch in (release, seq)
-            order — a stable sort on release, since the pending blocks
-            hold arrivals in seq order."""
-            if not pending:
-                return
-            rel, t_p, fid_p, w_p = (np.concatenate(c) for c in zip(*pending))
-            pending.clear()
-            due = (rel <= limit) if inclusive else (rel < limit)
-            if not due.all():
-                rest = ~due
-                pending.append((rel[rest], t_p[rest], fid_p[rest], w_p[rest]))
-            idx = np.flatnonzero(due)
-            if not idx.size:
-                return
-            idx = idx[np.argsort(rel[idx], kind="stable")]
-            t_c = rel[idx]
-            fid_c = fid_p[idx]
-            w_c = w_p[idx]
-            _submit(
-                fid_c, t_c, sizes[fid_c], w_c if w_c.any() else None,
-                t_c - t_p[idx],
-            )
-
     try:
-        prev_last: Optional[float] = None
         for chunk in chunks:
-            t_all = np.asarray(chunk.times, dtype=float)
-            n = int(t_all.size)
-            if not n:
-                continue
-            # Every path relies on time-sorted arrivals (stable per-disk
-            # grouping, the global merge); the event engine's drive_stream
-            # raises on out-of-order times, so match it rather than silently
-            # reordering — within each chunk and across chunk boundaries.
-            if n > 1 and bool(np.any(np.diff(t_all) < 0)):
-                bad = int(np.argmax(np.diff(t_all) < 0)) + 1
-                raise SimulationError(
-                    "request stream times must be non-decreasing: got "
-                    f"{t_all[bad]} after {t_all[bad - 1]}"
-                )
-            if prev_last is not None and t_all[0] < prev_last:
-                raise SimulationError(
-                    "chunked stream is not globally time-sorted: a chunk starts "
-                    f"at {t_all[0]} but the previous chunk ended at {prev_last}"
-                )
-            prev_last = float(t_all[-1])
-            # Columns must align with the times before censoring cuts them
-            # all to the same length.
-            fid = np.asarray(chunk.file_ids, dtype=np.int64)
-            kinds = getattr(chunk, "kinds", None)
-            if kinds is not None:
-                kinds = np.asarray(kinds)
-            for column, values in (("file_ids", fid), ("kinds", kinds)):
-                if values is not None and values.shape != (n,):
-                    raise SimulationError(
-                        f"stream {column} must be one per arrival: got "
-                        f"{values.size} {column} for {n} arrivals"
-                    )
-            # The event kernel's cutoff is strict: the URGENT stop event at T
-            # pre-empts arrival and completion events scheduled at exactly T.
-            censored = bool(t_all[-1] >= T)
-            if censored:
-                cut = int(np.searchsorted(t_all, T, side="left"))
-                if not cut:
-                    break
-                t_all = t_all[:cut]
-                fid = fid[:cut]
-                if kinds is not None:
-                    kinds = kinds[:cut]
-                n = cut
-            if int(fid.min()) < 0 or int(fid.max()) >= sizes.size:
-                raise SimulationError(
-                    f"stream file ids must lie in [0, {sizes.size}) "
-                    f"(the catalog)"
-                )
-            is_write: Optional[np.ndarray] = None
-            if kinds is not None:
-                w = kinds == WRITE
-                if w.any():
-                    is_write = w
-            if arrivals and bank.park_spans is not None:
-                # Bounded memory: fold/emit the spans logged so far before the
-                # next chunk grows the logs.  A single-chunk run never gets
-                # here and takes the one-shot fold at the end, staying
-                # bit-exact with the historical monolithic binning; emission
-                # order is chunking-invariant because spans are only ever
-                # appended in simulation order.
-                _flush_bank_spans(binner, bank, classic, obs)
-            if scheduler is None:
-                _submit(fid, t_all, sizes[fid], is_write)
-            elif driver is not None:
-                # Interval-segmented: arrivals in one control interval all
-                # read the same slo_estimate, and a boundary is processed —
-                # with every release strictly before it flushed first — as
-                # soon as an arrival at or past it is seen.
-                ci = driver.ci
-                pos = 0
-                while pos < n:
-                    t_edge = min((driver.k + 1) * ci, T)
-                    hi = int(np.searchsorted(t_all, t_edge, side="left"))
-                    if hi > pos:
-                        _schedule(fid, t_all, is_write, pos, hi, dpm.slo_estimate)
-                    if hi == n:
-                        # Chunk exhausted mid-interval: a later chunk may
-                        # still add arrivals before t_edge, so the boundary
-                        # stays open.
-                        break
-                    _flush(t_edge, False)
-                    driver._boundary(t_edge, t_edge >= T)
-                    pos = hi
-            else:
-                _schedule(fid, t_all, is_write, 0, n, None)
-            if scheduler is not None:
-                # Releases at or before the chunk's last arrival are final:
-                # every future arrival (hence every future release) is at or
-                # after it, and at a tie the smaller arrival seq flushes first
-                # either way — so the global submission order is invariant to
-                # the chunk partition.
-                _flush(float(t_all[-1]), True)
-            if censored:
-                # Chunks are globally sorted, so everything after this chunk's
-                # cut is at or past the horizon — censored, like the event
-                # engine's URGENT stop discarding queued arrivals.
+            if not run.intake(chunk):
                 break
-
-        if scheduler is not None and pending:
-            # Requests still held past the last arrival: interleave the
-            # remaining releases (all < T) with the control boundaries they
-            # straddle — a release exactly on a boundary submits after it.
-            if driver is not None:
-                ci = driver.ci
-                while pending:
-                    driver.drain_to(min(float(b[0].min()) for b in pending))
-                    _flush(min((driver.k + 1) * ci, T), False)
-            else:
-                _flush(T, False)
-        if driver is not None:
-            driver.finish()
-        if cache is not None:
-            _admit_pending(walk, obs)
+        run.close()
     finally:
-        if cache is not None:
-            walk.write_back()
+        run.write_back()
+    return run.result()
 
-    # -- vectorized accounting over the banked state ---------------------------
 
-    # Trailing idleness: a disk whose post-drain gap outlasts its entries
-    # descends the ladder before the horizon.
-    spinups, spindowns = bank.apply_tail()
-    if bank.park_spans is not None:
-        # Remaining spans, including the trailing-idleness episodes the
-        # tail pass just logged.
-        _flush_bank_spans(binner, bank, classic, obs)
+class _Run:
+    """One fast-kernel run: its validated inputs, the bank and walk it
+    serves through, and every accumulator, with one method per phase.
 
-    if streaming:
-        stats = acc.result()
-        response_times = None
-        completions = int(stats.count)
-    else:
-        stats = None
-        resp_completion = (
-            np.concatenate(resp_c_parts) if resp_c_parts else np.empty(0)
-        )
-        resp_values = (
-            np.concatenate(resp_v_parts) if resp_v_parts else np.empty(0)
-        )
-        if hits:
-            resp_completion = np.concatenate(
-                (resp_completion, np.concatenate(hit_t_parts))
+    :func:`_simulate_chunks` builds it (set-up and validation), hands it
+    the stream one chunk at a time (:meth:`intake`), then :meth:`close`\\ s
+    it and builds the :meth:`result` from the response fold
+    (:meth:`responses`) and the energy assembly (:meth:`energy`).  Every
+    accumulator is maintained incrementally with operations chosen for
+    partition invariance — serial ``np.add.at`` scatter-adds continue
+    ``np.bincount``'s left-to-right reduction exactly — so a single-chunk
+    pass reproduces the one-shot vectorized results bit-for-bit and a
+    many-chunk pass reproduces the single-chunk one.
+
+    Every batch goes through :meth:`submit`: the compiled walk, then the
+    one completion formula (:meth:`_complete`), whose values feed both the
+    controller's telemetry and the accounting.  Under a dynamic DPM
+    policy the run also drives the controller, with all carry state on
+    the run, so splitting the stream at any point is bit-identical to one
+    chunk:
+
+    * :meth:`_intervals` cuts a batch at the control-interval grid
+      ``edges`` — the one place the run reads boundaries from, and the
+      grid the power-trace binner folds on.  An interval whose arrivals
+      span several chunks is served in several slices (the per-disk
+      recursion carries exactly, and the cache heap's tie-break uses the
+      *global* arrival index);
+    * an interval's boundary is closed (:meth:`_boundary`) only once an
+      arrival at or past its edge has been seen — a later chunk may still
+      add arrivals to the open interval.  :meth:`close` closes every
+      remaining boundary, including trailing empty intervals, and the
+      last one hands the final partial interval to ``dpm.finalize`` (a
+      decision at or beyond the horizon could never take effect; the
+      event engine's cutoff pre-empts that firing too).
+
+    With a request scheduler, :meth:`schedule` assigns each arrival its
+    release and holds it, and :meth:`flush` submits the held releases in
+    global ``(release, arrival seq)`` order.
+    """
+
+    def __init__(
+        self, sizes, mapping, spec, num_disks, threshold, duration, label,
+        cache, cache_hit_latency, usable_capacity, write_policy, dpm,
+        ladder, metrics_mode, fleet, observer, scheduler,
+    ) -> None:
+        # NaN fails every comparison, so ask for the range, not its
+        # complement.
+        if not 0 < duration < inf:
+            raise ConfigError(
+                f"duration must be positive and finite, got {duration!r}"
             )
-            resp_values = np.concatenate(
-                (resp_values, np.concatenate(hit_v_parts))
+        if metrics_mode not in ("full", "streaming"):
+            raise ConfigError(
+                f"metrics_mode must be 'full' or 'streaming', got {metrics_mode!r}"
             )
-        # Report response times in completion order, like the dispatcher
-        # does (stable at ties: served completions before cache hits).
-        response_times = resp_values[
-            np.argsort(resp_completion, kind="stable")
-        ]
-        completions = int(response_times.size)
-
-    # Residencies keyed by timeline label, accumulated in the order
-    # (rung 0, parks, seek, active, wakes, descents) — for the two_state
-    # ladder term for term the classic drive's (idle, standby, seek,
-    # active, spinup, spindown).  Disks are grouped by their (ladder, spec)
-    # pair and each group runs the rung-major arithmetic on its own
-    # sub-vectors: a uniform pool is a single group, while a mixed pool
-    # prices every drive against its own ladder depth and power table.
-    groups: Dict[tuple, List[int]] = {}
-    for d in range(num_disks):
-        groups.setdefault((bank.ladders[d], specs[d]), []).append(d)
-    energy_per_disk = np.zeros(num_disks, dtype=float)
-    per_state: Dict = {}
-    for (lad, spec_g), idx_list in groups.items():
-        idx = np.asarray(idx_list, dtype=np.int64)
-        rungs = lad.rungs
-        R = len(rungs)
-        park, down, wake = (
-            [resid[idx, i] for i in range(R)] for resid in bank._rst
+        T = self.T = float(duration)
+        sizes = self.sizes = np.ascontiguousarray(sizes, dtype=float)
+        mapping = self.mapping = np.asarray(mapping, dtype=np.int64).copy()
+        if mapping.shape != sizes.shape:
+            raise SimulationError("mapping and sizes must align per file id")
+        # A NaN size would otherwise surface only as a NaN energy.
+        bad = ~(np.isfinite(sizes) & (sizes >= 0))
+        if bad.any():
+            f = int(bad.argmax())
+            raise SimulationError(
+                f"file {f} has size {sizes[f]!r}; sizes must be finite and >= 0"
+            )
+        if mapping.size and int(mapping.max()) >= num_disks:
+            raise SimulationError(
+                f"mapping references disk {int(mapping.max())} but the pool has "
+                f"only {num_disks} disks"
+            )
+        # A resolved fleet overrides the uniform spec/threshold/ladder sugar
+        # with per-disk values; everything downstream runs per-disk vectors
+        # either way (a uniform pool is a tiled vector, bit-identical to the
+        # scalar constants).
+        if fleet is not None:
+            if fleet.num_disks != num_disks:
+                raise ConfigError(
+                    f"fleet resolves {fleet.num_disks} disks but the pool has "
+                    f"{num_disks}"
+                )
+            specs = fleet.specs
+            ladders = fleet.ladders if fleet.has_ladders else None
+            th_in = fleet.thresholds
+            self.homogeneous = fleet.homogeneous_specs
+        else:
+            specs = (spec,) * num_disks
+            ladders = ladder
+            th_in = threshold
+            self.homogeneous = True
+        # The classic drive runs as the two_state ladder of each disk's spec;
+        # its results keep DiskState keys through CLASSIC_STATES.
+        self.classic = ladders is None
+        if self.classic:
+            two_state = {s: make_dpm_ladder("two_state", s) for s in set(specs)}
+            ladders = [two_state[s] for s in specs]
+        if usable_capacity is None:
+            usable = (
+                specs[0].capacity
+                if self.homogeneous
+                else np.array([s.capacity for s in specs], dtype=float)
+            )
+        elif np.ndim(usable_capacity) == 0:
+            usable = float(usable_capacity)
+        else:
+            usable = np.asarray(usable_capacity, dtype=float)
+        free = initial_free_bytes(mapping, sizes, usable, num_disks)
+        validate_free_bytes(free, usable)
+        policy = make_placement_policy(write_policy)
+        policy.reset(num_disks)
+        self.specs = specs
+        self.num_disks = num_disks
+        self.label = label
+        self.cache = cache
+        self.hit_lat = float(cache_hit_latency)
+        self.dpm = dpm
+        self.scheduler = scheduler
+        self.obs = obs = active_observer(observer)
+        self.binner: Optional[_SpanBinner] = None
+        if dpm is not None:
+            if dpm.num_disks != num_disks:
+                raise ConfigError(
+                    f"controller sized for {dpm.num_disks} disks but the pool "
+                    f"has {num_disks}"
+                )
+            self.bank = _DiskBank(
+                num_disks, dpm.thresholds, ladders, specs, T,
+                interval=dpm.interval,
+            )
+            self.edges = _interval_edges(dpm.interval, T)
+            self.binner = _SpanBinner(np.asarray(self.edges), num_disks)
+            # The open interval is [edges[k], edges[k + 1]).
+            self.k = 0
+            # Telemetry backlog: (completion, global arrival seq, response)
+            # blocks not yet reported at a boundary.
+            self.backlog = [(np.empty(0), np.empty(0, np.int64), np.empty(0))]
+            # Dispatched but not yet in service, as (service start, disk).
+            self.wait_s = np.empty(0, dtype=float)
+            self.wait_d = np.empty(0, dtype=np.int64)
+        else:
+            self.bank = _DiskBank(
+                num_disks, th_in, ladders, specs, T, log_spans=obs is not None
+            )
+        # Per-disk overhead, rate and added latency, then a last entry that
+        # a cache hit (disk -1) reads: no overhead, an infinite rate and
+        # the hit latency.  A hit thus completes at its start, which the
+        # walk records as its arrival, and responds in the hit latency.
+        self.oh_table = np.append(self.bank.oh_a, 0.0)
+        self.rate_table = np.append(self.bank.rate_a, inf)
+        self.lat_table = (
+            None if cache is None
+            else np.append(np.zeros(num_disks), self.hit_lat)
         )
-        occupied = seek_time[idx] + active_time[idx]
-        for arr in down[1:]:
-            occupied = occupied + arr
-        for arr in wake[1:]:
-            occupied = occupied + arr
-        for arr in park[1:]:
-            occupied = occupied + arr
-        idle_g = np.clip(T - occupied, 0.0, None)
-        per_state_g = {rungs[0].name: idle_g}
-        for i in range(1, R):
-            per_state_g[rungs[i].name] = park[i]
-        per_state_g["seek"] = seek_time[idx]
-        per_state_g["active"] = active_time[idx]
-        for i in range(1, R):
-            per_state_g[f"wake:{rungs[i].name}"] = wake[i]
-        for i in range(1, R):
-            per_state_g[f"down:{rungs[i].name}"] = down[i]
-        powers = lad.power_table(spec_g)
-        e_g = np.zeros(len(idx_list), dtype=float)
-        for state, per_disk in per_state_g.items():
-            e_g += powers[state] * per_disk
-        energy_per_disk[idx] = e_g
-        for state, per_disk in per_state_g.items():
-            vec = per_state.setdefault(
-                state, np.zeros(num_disks, dtype=float)
-            )
-            vec[idx] = per_disk
-    if classic:
-        per_state = {CLASSIC_STATES[k]: v for k, v in per_state.items()}
-    state_durations = {
-        state: float(per_disk.sum())
-        for state, per_disk in per_state.items()
-        if per_disk.any()
-    }
-
-    extra = {}
-    if dpm is not None:
-        dpm.attach_power(
-            _power_from_binner(binner, bank.ladders, specs, classic)
+        observe = obs is not None
+        self.walk = (
+            _Walk(sizes, mapping, free, policy, self.bank, observe)
+            if cache is None
+            else _CacheState(cache, sizes, mapping, free, policy, self.bank, observe)
         )
-        extra["dpm"] = dpm.extra()
+        # Accumulators, fixed in size by the pool, not the stream, with a
+        # spare last slot that cache hits (disk -1) bill nothing to.
+        self.seek_time = np.zeros(num_disks + 1, dtype=float)
+        self.active_time = np.zeros(num_disks + 1, dtype=float)
+        self.req_count = np.zeros(num_disks + 1, dtype=np.int64)
+        self.arrivals = 0
+        self.streaming = metrics_mode == "streaming"
+        self.acc = ResponseAccumulator() if self.streaming else None
+        # Full mode: (completion, response) parts of served requests and
+        # of cache hits.
+        self.served_parts: List[tuple] = []
+        self.hit_parts: List[tuple] = []
+        # Held releases as (release, arrival, file id, is-write) blocks in
+        # arrival-seq order.
+        self.pending: List[tuple] = []
+        self.prev_last: Optional[float] = None
 
-    return SimulationResult(
-        algorithm=label,
-        duration=T,
-        num_disks=num_disks,
-        energy=float(energy_per_disk.sum()),
-        energy_per_disk=energy_per_disk,
-        state_durations=state_durations,
-        response_times=response_times,
-        arrivals=arrivals,
-        completions=completions,
-        spinups=int(spinups.sum()),
-        spindowns=int(spindowns.sum()),
-        always_on_energy=(
-            num_disks * PowerModel(specs[0]).always_on_energy(T)
-            if homogeneous
-            else float(
-                sum(PowerModel(s).always_on_energy(T) for s in specs)
+    def intake(self, chunk) -> bool:
+        """Check one chunk, censor it at the horizon, and serve it (or,
+        with a scheduler, hold it for release).  Returns ``False`` once
+        the chunk reaches the horizon: chunks are globally sorted, so
+        everything after its cut is censored, like the event engine's
+        URGENT stop discarding queued arrivals."""
+        t_all = np.asarray(chunk.times, dtype=float)
+        n = int(t_all.size)
+        if not n:
+            return True
+        # The walk serves arrivals in order and the cache heap breaks ties
+        # by arrival seq; the event engine's drive_stream raises on
+        # out-of-order times, so match it rather than silently reordering
+        # — within each chunk and across chunk boundaries.
+        if n > 1 and bool(np.any(np.diff(t_all) < 0)):
+            bad = int(np.argmax(np.diff(t_all) < 0)) + 1
+            raise SimulationError(
+                "request stream times must be non-decreasing: got "
+                f"{t_all[bad]} after {t_all[bad - 1]}"
             )
-        ),
-        cache_stats=cache.stats if cache is not None else None,
-        requests_per_disk=req_count,
-        spinups_per_disk=spinups,
-        final_mapping=mapping,
-        extra=extra,
-        response_stats=stats,
-    )
+        if self.prev_last is not None and t_all[0] < self.prev_last:
+            raise SimulationError(
+                "chunked stream is not globally time-sorted: a chunk starts "
+                f"at {t_all[0]} but the previous chunk ended at {self.prev_last}"
+            )
+        self.prev_last = float(t_all[-1])
+        # Columns must align with the times before censoring cuts them
+        # all to the same length.
+        fid = np.asarray(chunk.file_ids, dtype=np.int64)
+        kinds = getattr(chunk, "kinds", None)
+        if kinds is not None:
+            kinds = np.asarray(kinds)
+        for column, values in (("file_ids", fid), ("kinds", kinds)):
+            if values is not None and values.shape != (n,):
+                raise SimulationError(
+                    f"stream {column} must be one per arrival: got "
+                    f"{values.size} {column} for {n} arrivals"
+                )
+        # The event kernel's cutoff is strict: the URGENT stop event at T
+        # pre-empts arrival and completion events scheduled at exactly T.
+        live = bool(t_all[-1] < self.T)
+        if not live:
+            cut = int(np.searchsorted(t_all, self.T, side="left"))
+            if not cut:
+                return False
+            t_all = t_all[:cut]
+            fid = fid[:cut]
+            if kinds is not None:
+                kinds = kinds[:cut]
+        if int(fid.min()) < 0 or int(fid.max()) >= self.sizes.size:
+            raise SimulationError(
+                f"stream file ids must lie in [0, {self.sizes.size}) "
+                f"(the catalog)"
+            )
+        is_write: Optional[np.ndarray] = None
+        if kinds is not None:
+            w = kinds == WRITE
+            if w.any():
+                is_write = w
+        if self.arrivals and self.bank.park_spans is not None:
+            # Bounded memory: fold/emit the spans logged so far before the
+            # next chunk grows the logs.  A single-chunk run never gets
+            # here and takes the one-shot fold at the end, staying
+            # bit-exact with one-shot binning; emission order is
+            # chunking-invariant because spans are only ever appended in
+            # simulation order.
+            _flush_bank_spans(self.binner, self.bank, self.classic, self.obs)
+        if self.scheduler is None:
+            self.submit(fid, t_all, self.sizes[fid], is_write)
+            return live
+        # Arrivals in one control interval all read the same slo_estimate,
+        # and a boundary is closed — with every release strictly before it
+        # submitted first — as soon as an arrival at or past it is seen.
+        for lo, hi in self._intervals(t_all):
+            self.schedule(
+                fid[lo:hi], t_all[lo:hi],
+                None if is_write is None else is_write[lo:hi],
+            )
+        # Releases at or before the chunk's last arrival are final: every
+        # future arrival (hence every future release) is at or after it,
+        # and at a tie the smaller arrival seq goes first either way — so
+        # the global submission order is invariant to the chunk partition.
+        self.flush(float(t_all[-1]), True)
+        return live
+
+    def _intervals(self, t: np.ndarray):
+        """Walk sorted times ``t`` one control interval at a time: yield
+        each non-empty ``(lo, hi)`` slice inside one interval, and once an
+        arrival at or past the interval's edge shows it is over, submit
+        the releases due strictly before the edge and close its boundary.
+        The interval ``t`` ends in stays open: a later batch may still
+        add arrivals before its edge.  Without control ``t`` is one
+        slice."""
+        n = int(t.size)
+        if self.dpm is None:
+            yield 0, n
+            return
+        lo = 0
+        while lo < n:
+            edge = self.edges[self.k + 1]
+            hi = int(np.searchsorted(t, edge, side="left"))
+            if hi > lo:
+                yield lo, hi
+            if hi == n:
+                return
+            self.flush(edge, False)
+            self._boundary()
+            lo = hi
+
+    def submit(self, fid, t, sz, w, holds=None) -> None:
+        """Serve one time-sorted batch — a chunk's arrivals, or released
+        requests in (release, seq) order with ``holds`` = release -
+        arrival — and fold it into the accumulators.
+
+        Under control each interval slice is walked, and its completions
+        queued for the telemetry, before the boundary after it closes.
+        Service time is truncated at the horizon, and seek/active spans
+        are binned once per batch (see :class:`_SpanBinner`)."""
+        n = int(t.size)
+        base = self.arrivals
+        starts = np.empty(n, dtype=float)
+        d_req = np.empty(n, dtype=np.int64)
+        # Per request: overhead, transfer, completion and response.
+        cols = np.empty((4, n))
+        for lo, hi in self._intervals(t):
+            sl = slice(lo, hi)
+            _serve_coupled(
+                self.walk, fid[sl], t[sl], None if w is None else w[sl],
+                starts[sl], d_req[sl], base + lo, self.obs,
+            )
+            self._complete(
+                t[sl], sz[sl], starts[sl], d_req[sl],
+                None if holds is None else holds[sl], cols[:, sl],
+            )
+            if self.dpm is not None:
+                self._queue(*cols[2:, sl], starts[sl], d_req[sl], base + lo)
+        oh, tr, comp, resp = cols
+        T = self.T
+        # Service time truncated at the horizon.  A hit's zero seek and
+        # transfer land in the accumulators' spare last slot, and its spans
+        # are empty, which bin_spans drops.  The serial scatter-add
+        # continues np.bincount's reduction exactly across batches.
+        np.add.at(self.seek_time, d_req, np.clip(T - starts, 0.0, oh))
+        np.add.at(self.active_time, d_req, np.clip(T - (starts + oh), 0.0, tr))
+        np.add.at(self.req_count, d_req, 1)
+        if self.binner is not None:
+            self.binner.add("seek", d_req, starts, starts + oh)
+            self.binner.add("active", d_req, starts + oh, comp)
+        # A hit completes at its arrival (or release), before the horizon.
+        done = comp < T
+        if self.streaming:
+            # Responses in arrival order: the same per-batch formula for
+            # every partition, so the accumulator's serial reductions are
+            # partition-invariant.
+            self.acc.add(resp[done])
+        else:
+            hit = d_req < 0
+            if hit.any():
+                done &= ~hit
+                self.hit_parts.append((comp[hit], resp[hit]))
+            self.served_parts.append((comp[done], resp[done]))
+        self.arrivals += n
+
+    def _complete(self, t, sz, starts, d, holds, out) -> None:
+        """The completion formula for one walked slice, written into the
+        rows of ``out``: per request its access overhead and transfer time
+        on the serving disk's own spec, its completion (start + overhead +
+        transfer) and its response (completion - arrival, plus the hit
+        latency for a cache hit, which completes at its arrival instant).
+        Scheduled runs measure responses from the *original* arrival: the
+        hold rides on top of the post-release response, exactly like the
+        event dispatcher's response_offset."""
+        oh, tr, comp, resp = out
+        oh[:] = self.oh_table[d]
+        np.divide(sz, self.rate_table[d], out=tr)
+        np.add(starts, oh, out=comp)
+        comp += tr
+        np.subtract(comp, t, out=resp)
+        if self.lat_table is not None:
+            resp += self.lat_table[d]
+        if holds is not None:
+            resp += holds
+
+    def _queue(self, comp, resp, starts, d, base: int) -> None:
+        """Queue a walked slice for the boundaries ahead: its completions
+        before the horizon with their global arrival seqs and responses
+        (requests censored at the horizon never complete, like the event
+        engine's cutoff pre-empting their completion events), and its
+        dispatched requests as (service start, disk) — the event drive
+        pops a request from its queue exactly at service start, and
+        boundaries only filter these down, never rescan."""
+        keep = comp < self.T
+        seq = np.arange(base, base + comp.size, dtype=np.int64)
+        self.backlog.append((comp[keep], seq[keep], resp[keep]))
+        served = d >= 0
+        if served.any():
+            self.wait_s = np.concatenate((self.wait_s, starts[served]))
+            self.wait_d = np.concatenate((self.wait_d, d[served]))
+
+    def _boundary(self) -> None:
+        """Close the open control interval with the telemetry the event
+        engine's control process collects: responses completed strictly
+        before its edge in completion order (sequence-stable at ties via
+        the global arrival index), per-disk idle gaps closed during it,
+        and per-disk depths of dispatched requests not yet in service.
+        The controller's new thresholds take effect in the bank from the
+        next interval on; the last interval is only recorded."""
+        bank = self.bank
+        k = self.k
+        t_start, t_end = self.edges[k], self.edges[k + 1]
+        c, seq, r = (np.concatenate(x) for x in zip(*self.backlog))
+        # Strictly-before: a completion landing exactly on a boundary is
+        # observed in the *next* interval, matching the event engine's
+        # control event (armed at the previous boundary, hence an earlier
+        # FIFO id than completions scheduled during the interval) firing
+        # first at the shared instant.
+        done = c < t_end
+        order = np.lexsort((seq[done], c[done]))
+        responses = r[done][order]
+        self.backlog = [(c[~done], seq[~done], r[~done])]
+        gaps, bank.gap_log = bank.gap_log, [[] for _ in bank.gap_log]
+        keep = self.wait_s > t_end
+        self.wait_s = self.wait_s[keep]
+        self.wait_d = self.wait_d[keep]
+        queue_depth = np.bincount(
+            self.wait_d, minlength=self.num_disks
+        ).astype(float)
+        self.k = k + 1
+        if self.k == len(self.edges) - 1:
+            self.dpm.finalize(t_start, t_end, responses, gaps, queue_depth)
+            return
+        new_th = self.dpm.advance(t_start, t_end, responses, gaps, queue_depth)
+        bank.push_thresholds(new_th)
+        if self.obs is not None:
+            self.obs.on_thresholds(t_end, new_th)
+
+    def schedule(self, fid, t, w) -> None:
+        """Assign releases to arrivals inside one open control interval
+        by the scheduler's deterministic forecast (in arrival order,
+        reading the controller's interval-constant ``slo_estimate`` under
+        control) and hold them — the exact submission sequence the event
+        engine's drive_scheduled_stream produces."""
+        if w is None:
+            w_l = None
+            w = np.zeros(t.size, dtype=bool)
+        else:
+            w_l = w.tolist()
+        est = None if self.dpm is None else self.dpm.slo_estimate
+        r = np.array(
+            self.scheduler.release_many(t.tolist(), fid.tolist(), w_l, est),
+            dtype=float,
+        )
+        if r.shape != t.shape or not (r >= t).all():
+            _bad_releases(r, t)
+        # A release at or past the horizon never submits (the event
+        # engine's URGENT stop pre-empts it) — censored, neither an
+        # arrival nor a completion.
+        keep = r < self.T
+        if keep.any():
+            self.pending.append((r[keep], t[keep], fid[keep], w[keep]))
+
+    def flush(self, limit: float, inclusive: bool) -> None:
+        """Submit the held releases before ``limit`` (or at it, when
+        ``inclusive``) as one batch in (release, seq) order — a stable
+        sort on release, since the pending blocks hold arrivals in seq
+        order."""
+        if not self.pending:
+            return
+        rel, t_p, fid_p, w_p = (np.concatenate(c) for c in zip(*self.pending))
+        self.pending.clear()
+        due = (rel <= limit) if inclusive else (rel < limit)
+        if not due.all():
+            rest = ~due
+            self.pending.append((rel[rest], t_p[rest], fid_p[rest], w_p[rest]))
+        idx = np.flatnonzero(due)
+        if not idx.size:
+            return
+        idx = idx[np.argsort(rel[idx], kind="stable")]
+        t_c = rel[idx]
+        fid_c = fid_p[idx]
+        w_c = w_p[idx]
+        self.submit(
+            fid_c, t_c, self.sizes[fid_c], w_c if w_c.any() else None,
+            t_c - t_p[idx],
+        )
+
+    def close(self) -> None:
+        """End of stream: submit the releases still held, close the
+        remaining control boundaries, run the cache admissions still
+        pending at the horizon, then the trailing-idleness pass and the
+        last span flush.  The cache write-back (:meth:`write_back`) runs
+        in :func:`_simulate_chunks`'s ``finally``, also when a chunk
+        raises."""
+        if self.dpm is None:
+            self.flush(self.T, False)
+        else:
+            while self.pending:
+                # Interleave the remaining releases (all < T) with the
+                # boundaries they straddle — a release exactly on a
+                # boundary submits after it, matching the event engine's
+                # requeue.
+                first = min(float(b[0].min()) for b in self.pending)
+                while self.edges[self.k + 1] <= first:
+                    self._boundary()
+                self.flush(self.edges[self.k + 1], False)
+            while self.k < len(self.edges) - 1:
+                self._boundary()
+        if self.cache is not None:
+            _admit_pending(self.walk, self.obs)
+        # Trailing idleness: a disk whose post-drain gap outlasts its
+        # entries descends the ladder before the horizon.
+        self.spinups, self.spindowns = self.bank.apply_tail()
+        if self.bank.park_spans is not None:
+            # Remaining spans, including the trailing-idleness episodes the
+            # tail pass just logged.
+            _flush_bank_spans(self.binner, self.bank, self.classic, self.obs)
+
+    def write_back(self) -> None:
+        """Store the walk's cache state into the run's cache object."""
+        if self.cache is not None:
+            self.walk.write_back()
+
+    def responses(self):
+        """The response fold: ``(stats, response_times, completions)`` —
+        streaming stats, or every response in completion order, like the
+        dispatcher reports them (stable at ties: served completions before
+        cache hits)."""
+        if self.streaming:
+            stats = self.acc.result()
+            return stats, None, int(stats.count)
+        parts = self.served_parts + self.hit_parts
+        if not parts:
+            return None, np.empty(0), 0
+        comp, resp = (np.concatenate(c) for c in zip(*parts))
+        response_times = resp[np.argsort(comp, kind="stable")]
+        return None, response_times, int(response_times.size)
+
+    def energy(self):
+        """Energy assembly: ``(energy_per_disk, state_durations)``.
+
+        Residencies keyed by timeline label, accumulated in the order
+        (rung 0, parks, seek, active, wakes, descents) — for the two_state
+        ladder term for term the classic drive's (idle, standby, seek,
+        active, spinup, spindown).  Disks are grouped by their (ladder,
+        spec) pair and each group runs the rung-major arithmetic on its
+        own sub-vectors: a uniform pool is a single group, while a mixed
+        pool prices every drive against its own ladder depth and power
+        table."""
+        bank, T, num_disks = self.bank, self.T, self.num_disks
+        groups: Dict[tuple, List[int]] = {}
+        for d in range(num_disks):
+            groups.setdefault((bank.ladders[d], self.specs[d]), []).append(d)
+        energy_per_disk = np.zeros(num_disks, dtype=float)
+        per_state: Dict = {}
+        for (lad, spec_g), idx_list in groups.items():
+            idx = np.asarray(idx_list, dtype=np.int64)
+            rungs = lad.rungs
+            R = len(rungs)
+            park, down, wake = (
+                [resid[idx, i] for i in range(R)] for resid in bank._rst
+            )
+            occupied = self.seek_time[idx] + self.active_time[idx]
+            for arr in down[1:]:
+                occupied = occupied + arr
+            for arr in wake[1:]:
+                occupied = occupied + arr
+            for arr in park[1:]:
+                occupied = occupied + arr
+            idle_g = np.clip(T - occupied, 0.0, None)
+            per_state_g = {rungs[0].name: idle_g}
+            for i in range(1, R):
+                per_state_g[rungs[i].name] = park[i]
+            per_state_g["seek"] = self.seek_time[idx]
+            per_state_g["active"] = self.active_time[idx]
+            for i in range(1, R):
+                per_state_g[f"wake:{rungs[i].name}"] = wake[i]
+            for i in range(1, R):
+                per_state_g[f"down:{rungs[i].name}"] = down[i]
+            powers = lad.power_table(spec_g)
+            e_g = np.zeros(len(idx_list), dtype=float)
+            for state, per_disk in per_state_g.items():
+                e_g += powers[state] * per_disk
+            energy_per_disk[idx] = e_g
+            for state, per_disk in per_state_g.items():
+                vec = per_state.setdefault(
+                    state, np.zeros(num_disks, dtype=float)
+                )
+                vec[idx] = per_disk
+        if self.classic:
+            per_state = {CLASSIC_STATES[k]: v for k, v in per_state.items()}
+        state_durations = {
+            state: float(per_disk.sum())
+            for state, per_disk in per_state.items()
+            if per_disk.any()
+        }
+        return energy_per_disk, state_durations
+
+    def result(self) -> SimulationResult:
+        """The closed run as a :class:`SimulationResult`."""
+        stats, response_times, completions = self.responses()
+        energy_per_disk, state_durations = self.energy()
+        T, specs = self.T, self.specs
+        extra = {}
+        if self.dpm is not None:
+            self.dpm.attach_power(
+                _power_from_binner(
+                    self.binner, self.bank.ladders, specs, self.classic
+                )
+            )
+            extra["dpm"] = self.dpm.extra()
+        return SimulationResult(
+            algorithm=self.label,
+            duration=T,
+            num_disks=self.num_disks,
+            energy=float(energy_per_disk.sum()),
+            energy_per_disk=energy_per_disk,
+            state_durations=state_durations,
+            response_times=response_times,
+            arrivals=self.arrivals,
+            completions=completions,
+            spinups=int(self.spinups.sum()),
+            spindowns=int(self.spindowns.sum()),
+            always_on_energy=(
+                self.num_disks * PowerModel(specs[0]).always_on_energy(T)
+                if self.homogeneous
+                else float(
+                    sum(PowerModel(s).always_on_energy(T) for s in specs)
+                )
+            ),
+            cache_stats=self.cache.stats if self.cache is not None else None,
+            requests_per_disk=self.req_count[: self.num_disks],
+            spinups_per_disk=self.spinups,
+            final_mapping=self.mapping,
+            extra=extra,
+            response_stats=stats,
+        )

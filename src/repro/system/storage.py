@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -219,8 +220,12 @@ class StorageSystem:
         obs = active_observer(observer)
         if duration is None:
             duration = stream.duration
-        if duration <= 0:
-            raise ConfigError("duration must be positive")
+        # NaN fails every comparison, so ask for the range, not its
+        # complement.
+        if not 0 < duration < math.inf:
+            raise ConfigError(
+                f"duration must be positive and finite, got {duration!r}"
+            )
         if self.config.engine == "fast":
             reason = fast_unsupported_reason(self.config, stream)
             if reason is not None:

@@ -176,8 +176,8 @@ class TestEngineOverride:
         assert runner._with_engine(make_task()).config.engine == "fast"
 
     def test_engine_applied_to_cache_configs(self):
-        # The fast kernel covers shared caches since the global-merge pass,
-        # so the override applies to cached grid points too.
+        # The fast kernel covers shared caches, so the override applies to
+        # cached grid points too.
         runner = SweepRunner(max_workers=1, engine="fast")
         cached_cfg = CFG.with_overrides(cache_policy="lru")
         task = make_task(config=cached_cfg)

@@ -397,7 +397,7 @@ class TestUnsupportedScenarios:
         ) is None
 
     def test_cache_configs_supported(self, small_catalog):
-        # Narrowed since the global-merge pass: caches no longer fall back.
+        # The fast kernel runs shared caches: they never fall back.
         stream = RequestStream(
             times=np.array([1.0]), file_ids=np.array([0]), duration=10.0
         )
