@@ -18,6 +18,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -54,10 +55,11 @@ def report(capsys):
 def oracle_core():
     """``with oracle_core():`` serves the fast kernel's cache-less
     read-only batches through the pure-Python loop the compiled walk
-    replaced (``serve_oracle.serve_segment`` in ``tests/sim``); every other
-    batch still takes the walk.  Same-machine floors time their fixed
-    fast-run denominator this way, so each keeps measuring against the
-    loop it was calibrated on."""
+    replaced (``serve_oracle.serve_segment`` in ``tests/sim``), then the
+    NumPy completion formula and service accounting
+    (``serve_oracle.complete``); every other batch still takes the walk.
+    Same-machine floors time their fixed fast-run denominator this way, so
+    each keeps measuring against the loops it was calibrated on."""
     sys.path.insert(0, str(TESTS_SIM))
     import serve_oracle
 
@@ -65,18 +67,21 @@ def oracle_core():
 
     compiled = fastkernel._serve_coupled
 
-    def route(state, fid, t_all, is_write, starts, d_req, base_index,
-              obs=None):
+    def route(state, fid, t_all, is_write, starts, d_req, comp, resp,
+              base_index, obs=None, holds=None):
         if isinstance(state, fastkernel._CacheState) or is_write is not None:
-            compiled(state, fid, t_all, is_write, starts, d_req, base_index,
-                     obs)
+            compiled(state, fid, t_all, is_write, starts, d_req, comp, resp,
+                     base_index, obs, holds)
             return
         bank = state.bank
         d = state.mapping[fid]
+        s = np.empty(d.size) if starts is None else starts
         serve_oracle.serve_segment(
-            bank, d, t_all, state.sizes[fid] / bank.rate_a[d], starts
+            bank, d, t_all, state.sizes[fid] / bank.rate_a[d], s
         )
-        d_req[:] = d
+        if d_req is not None:
+            d_req[:] = d
+        serve_oracle.complete(state, fid, t_all, s, d, comp, resp, holds)
 
     @contextmanager
     def swap():

@@ -4,7 +4,10 @@
 in ``serve.c``: the arrival-order walk of the per-disk Lindley / DPM-ladder
 recursion, bit for bit the Python one, with write placement by the run's
 rule-table row and the shared whole-file cache's lookups, pending
-admissions and evictions merged in.  The shared library is built from that
+admissions and evictions merged in; it also writes each request's
+completion and response and bills its service per disk.
+:func:`stable_order` puts completions (and scheduler releases) in order
+with the same library's bucket sort.  The shared library is built from that
 source with the host's C compiler the first time this package is imported
 and cached under ``~/.cache/repro/native/``, named by a hash of the source,
 the compiler, the flags and the Python ABI, so later imports only load it.
@@ -37,6 +40,8 @@ import tempfile
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigError
 
 __all__ = [
@@ -48,6 +53,7 @@ __all__ = [
     "compiler",
     "coupled_core",
     "load",
+    "stable_order",
 ]
 
 SOURCE = Path(__file__).with_name("serve.c")
@@ -71,6 +77,7 @@ class ServeArgs(ctypes.Structure):
         ("avail", _p), ("load", _p), ("pt", _p), ("pv", _p),
         ("n_up", _p), ("n_down", _p),
         ("park", _p), ("down", _p), ("wake", _p),
+        ("seek_t", _p), ("active_t", _p), ("n_req", _p),
         ("ent", _p), ("th", _p), ("k", _i), ("first", _p),
         ("gap_cap", _i), ("n_gap", _i),
         ("gap_g", _p), ("gap_th", _p), ("gap_d", _p), ("gap_tmp", _p),
@@ -106,6 +113,8 @@ class CoupledArgs(ctypes.Structure):
         ("ad", _p), ("ad_n", _i), ("ad_cap", _i),
         ("n", _i), ("base", _i), ("final", _i),
         ("fid", _p), ("t", _p), ("w", _p), ("starts", _p), ("dreq", _p),
+        ("comp", _p), ("resp", _p), ("hold", _p),
+        ("hit_lat", ctypes.c_double),
         ("ev_cap", _i), ("ev_n", _i), ("ev_t", _p), ("ev_k", _p), ("ev_f", _p),
         ("stop", _i),
     ]
@@ -228,6 +237,8 @@ def load(path: Path) -> ctypes.CDLL:
     lib.repro_serve_coupled.restype = _i
     lib.repro_cache_order.argtypes = [ctypes.POINTER(CoupledArgs), _p]
     lib.repro_cache_order.restype = None
+    lib.repro_stable_order.argtypes = [_p, _i, _p]
+    lib.repro_stable_order.restype = _i
     return lib
 
 
@@ -247,3 +258,18 @@ def coupled_core() -> Tuple[Callable[..., int], Callable[..., None]]:
     when the library could not be built."""
     lib = _lib()
     return lib.repro_serve_coupled, lib.repro_cache_order
+
+
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """The permutation ``np.argsort(values, kind="stable")`` of a 1-D float
+    array (NaN last), from the compiled bucket sort: the fast kernel's
+    completion order.  Raises :class:`~repro.errors.ConfigError` when the
+    library could not be built, and :class:`MemoryError` when the sort's
+    work space could not be allocated."""
+    x = np.ascontiguousarray(values, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"stable_order sorts 1-D arrays, got shape {x.shape}")
+    out = np.empty(x.size, dtype=np.int64)
+    if _lib().repro_stable_order(x.ctypes.data, x.size, out.ctypes.data):
+        raise MemoryError(f"no work space to order {x.size} values")
+    return out

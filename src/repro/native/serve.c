@@ -15,7 +15,15 @@
  * bytes and load.  The arithmetic is the Python reference's, term for
  * term and in the same order, so starts, per-disk state, placements, cache
  * state and every logged record come out bit for bit equal to it (build
- * with -ffp-contract=off and without -ffast-math).
+ * with -ffp-contract=off and without -ffast-math).  The walk also writes
+ * each request's completion (start + overhead + transfer) and response,
+ * and bills its seek and transfer time before the horizon and its count
+ * to its disk, in arrival order: the serial order of the NumPy
+ * scatter-adds it replaced, so the per-disk sums are bit for bit theirs.
+ *
+ * repro_stable_order puts a run's completions in order: a counting sort
+ * on a monotone bucket key, then a stable sort inside each bucket, the
+ * permutation of NumPy's stable argsort.
  *
  * Gap-log records are sorted by disk (arrival order inside each disk) and
  * span records by (kind, rung) (arrival order inside each key) before they
@@ -26,6 +34,7 @@
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef struct {
@@ -43,6 +52,9 @@ typedef struct {
     double *avail, *load, *pt, *pv;  /* [D] */
     int64_t *n_up, *n_down;          /* [D] */
     double *park, *down, *wake;      /* [D*maxR] residencies */
+    /* service accounting: seek and transfer seconds before T, requests */
+    double *seek_t, *active_t;       /* [D] */
+    int64_t *n_req;                  /* [D] */
     /* descent schedules: fixed runs [D*W]; controlled runs one [D*W]
      * block per control interval, with thresholds [(k+1)*D] */
     const double *ent;
@@ -285,8 +297,11 @@ typedef struct {
     const int64_t *fid;
     const double *t;
     const uint8_t *w;     /* NULL: no writes in the batch */
-    double *starts;
-    int64_t *dreq;        /* serving disk, -1 for a hit */
+    double *starts;       /* service start (NULL: not recorded) */
+    int64_t *dreq;        /* serving disk, -1 for a hit (with starts) */
+    double *comp, *resp;  /* completion; response from the arrival */
+    const double *hold;   /* NULL, or each request's scheduler hold */
+    double hit_lat;       /* a hit's response */
     /* cache events of this call (ev_cap 0: not recorded) */
     int64_t ev_cap, ev_n;
     double *ev_t;
@@ -646,6 +661,39 @@ static void sort_gaps(serve_args *a)
     memcpy(a->gap_th, tth, (size_t)m * sizeof *tth);
 }
 
+/* NumPy's clip(x, 0, hi): NaN passes through. */
+static inline double clip0(double x, double hi)
+{
+    if (x != x)
+        return x;
+    x = x > 0.0 ? x : 0.0;
+    return x < hi ? x : hi;
+}
+
+/* Bill a request served on disk d from s, with overhead oh and transfer
+ * tr, truncated at the horizon; requests are billed in arrival order. */
+static inline void bill(serve_args *a, int64_t d, double s, double oh,
+                        double tr)
+{
+    a->seek_t[d] += clip0(a->T - s, oh);
+    a->active_t[d] += clip0(a->T - (s + oh), tr);
+    a->n_req[d] += 1;
+}
+
+/* Record request i's completion and its response: from the arrival t,
+ * plus the hit latency for a hit, plus the request's scheduler hold. */
+static inline void complete(coupled_args *c, int64_t i, double t,
+                            double done, int hit)
+{
+    double r = done - t;
+    if (hit)
+        r += c->hit_lat;
+    if (c->hold != NULL)
+        r += c->hold[i];
+    c->comp[i] = done;
+    c->resp[i] = r;
+}
+
 /* Walk the batch in arrival order from position pos; returns the position
  * reached, with the reason in c->stop.  The caller takes the records,
  * placements and cache events at every stop and zeroes their counts; the
@@ -685,8 +733,13 @@ int64_t repro_serve_coupled(coupled_args *c, int64_t pos)
         if (!write && cached) {
             if (lookup(c, f, size)) {
                 emit(c, t, EV_HIT, f);
-                c->starts[i] = t;  /* a hit completes at its arrival */
-                c->dreq[i] = -1;
+                /* A hit completes at its arrival (the served formula
+                 * with no overhead or transfer) and bills no disk. */
+                if (c->starts != NULL) {
+                    c->starts[i] = t;
+                    c->dreq[i] = -1;
+                }
+                complete(c, i, t, t + 0.0, 1);
                 continue;
             }
             emit(c, t, EV_MISS, f);
@@ -723,13 +776,15 @@ int64_t repro_serve_coupled(coupled_args *c, int64_t pos)
         a->load[d] = st[1];
         a->pt[d] = st[2];
         a->pv[d] = st[3];
-        c->starts[i] = s;
-        c->dreq[i] = d;
-        if (!write && cached) {
-            const double done = s + oh + tr;
-            if (done < a->T)
-                ad_push(c, done, c->base + i, f, size);
+        const double done = s + oh + tr;
+        if (c->starts != NULL) {
+            c->starts[i] = s;
+            c->dreq[i] = d;
         }
+        complete(c, i, t, done, 0);
+        bill(a, d, s, oh, tr);
+        if (!write && cached && done < a->T)
+            ad_push(c, done, c->base + i, f, size);
     }
     if (a->th != NULL && a->n_gap)
         sort_gaps(a);
@@ -744,4 +799,134 @@ void repro_cache_order(const coupled_args *c, int64_t *out)
     int64_t m = 0;
     for (int64_t f = c->head; f >= 0; f = c->nxt[f])
         out[m++] = f;
+}
+
+/* ---------------------------------------------------------------------
+ * Completion order: the stable argsort of a run's completion (or release)
+ * times, NumPy's np.argsort(x, kind="stable") permutation.
+ * ------------------------------------------------------------------- */
+
+/* Buckets of more values than this are merge-sorted, so clustered values
+ * cost O(m log m), never O(m^2). */
+enum { SMALL_BUCKET = 32 };
+
+/* NumPy's sort order: NaN after every number. */
+static inline int before(double x, double y)
+{
+    return x < y || (y != y && x == x);
+}
+
+static inline int is_finite(double x)
+{
+    return x - x == 0.0;
+}
+
+/* Stable insertion sort of the indices ix[m] by their values in x. */
+static void insertion_sort(const double *x, int64_t *ix, int64_t m)
+{
+    for (int64_t i = 1; i < m; i++) {
+        const int64_t k = ix[i];
+        const double v = x[k];
+        int64_t j = i;
+        for (; j > 0 && before(v, x[ix[j - 1]]); j--)
+            ix[j] = ix[j - 1];
+        ix[j] = k;
+    }
+}
+
+/* Stable merge sort of the indices ix[m] by their values in x, with work
+ * space for m / 2 indices in tmp. */
+static void merge_sort(const double *x, int64_t *ix, int64_t m, int64_t *tmp)
+{
+    if (m <= SMALL_BUCKET) {
+        insertion_sort(x, ix, m);
+        return;
+    }
+    const int64_t h = m / 2;
+    merge_sort(x, ix, h, tmp);
+    merge_sort(x, ix + h, m - h, tmp);
+    if (!before(x[ix[h]], x[ix[h - 1]]))
+        return;  /* the halves are already in order */
+    memcpy(tmp, ix, (size_t)h * sizeof *tmp);
+    /* Merge the left half (now in tmp) with the right one in place: the
+     * write position never passes the right half's read position.  Ties
+     * take the left index first. */
+    int64_t i = 0, j = h, k = 0;
+    while (i < h && j < m)
+        ix[k++] = before(x[ix[j]], x[tmp[i]]) ? ix[j++] : tmp[i++];
+    while (i < h)
+        ix[k++] = tmp[i++];
+}
+
+/* The monotone bucket of x among nb buckets over [lo, lo + nb / scale]. */
+static inline int64_t bucket(double x, double lo, double scale, int64_t nb)
+{
+    const double q = (x - lo) * scale;
+    return q < (double)nb ? (int64_t)q : nb - 1;
+}
+
+/* The stable argsort of x[n] into out[n]; returns 0, or -1 when work space
+ * could not be allocated.
+ *
+ * Finite values with a positive spread go through a counting sort on the
+ * monotone bucket key floor((x - lo) * n / (hi - lo)), clamped to the last
+ * bucket: no value is larger than one in a later bucket, and the scatter
+ * keeps index order inside each bucket.  Buckets of more than SMALL_BUCKET
+ * values (clustered completions) are merge-sorted; then one insertion pass
+ * finishes the rest, moving each index fewer than SMALL_BUCKET places, as
+ * none passes an equal or smaller value.  Anything else (NaN, infinities,
+ * one distinct value, a spread too small to scale) is merge-sorted
+ * whole. */
+int64_t repro_stable_order(const double *x, int64_t n, int64_t *out)
+{
+    if (n <= 0)
+        return 0;
+    double lo = x[0], hi = x[0];
+    int finite = 1;
+    for (int64_t i = 0; i < n; i++) {
+        const double xi = x[i];
+        finite &= is_finite(xi);
+        lo = xi < lo ? xi : lo;
+        hi = xi > hi ? xi : hi;
+    }
+    const double scale = (double)n / (hi - lo);
+    if (!(finite && hi > lo && is_finite(scale))) {
+        int64_t *tmp = malloc((size_t)(n / 2 + 1) * sizeof *tmp);
+        if (tmp == NULL)
+            return -1;
+        for (int64_t i = 0; i < n; i++)
+            out[i] = i;
+        merge_sort(x, out, n, tmp);
+        free(tmp);
+        return 0;
+    }
+    /* Bucket starts, then ends; then merge work space for the largest
+     * oversize bucket. */
+    int64_t *first = calloc((size_t)n + 1, sizeof *first);
+    if (first == NULL)
+        return -1;
+    for (int64_t i = 0; i < n; i++)
+        first[bucket(x[i], lo, scale, n) + 1]++;
+    int64_t largest = 0;
+    for (int64_t b = 0; b < n; b++) {
+        largest = first[b + 1] > largest ? first[b + 1] : largest;
+        first[b + 1] += first[b];
+    }
+    for (int64_t i = 0; i < n; i++)
+        out[first[bucket(x[i], lo, scale, n)]++] = i;
+    if (largest > SMALL_BUCKET) {
+        int64_t *tmp = malloc((size_t)(largest / 2) * sizeof *tmp);
+        if (tmp == NULL) {
+            free(first);
+            return -1;
+        }
+        for (int64_t b = 0, start = 0; b < n; start = first[b++]) {
+            if (first[b] - start > SMALL_BUCKET)
+                merge_sort(x, out + start, first[b] - start, tmp);
+        }
+        free(tmp);
+    }
+    free(first);
+    insertion_sort(x, out, n);
+    return 0;
 }

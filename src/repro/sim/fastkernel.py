@@ -106,7 +106,9 @@ slice of one inside a control interval, or a block of scheduled releases:
 * **the walk** (:mod:`repro.native`, C loaded through ``ctypes``):
   :func:`_serve_coupled` hands the whole batch to one C call, which takes
   the arrivals in order and serves each through its disk's queue and
-  ladder recursion.  It is bit for bit the per-request Python loop
+  ladder recursion, writes its completion and response, and bills its
+  seek and transfer time and its count to its disk.  It is bit for bit
+  the per-request Python loop and the NumPy accounting
   ``tests/sim/serve_oracle.py`` keeps as the test oracle.  The bank's
   state lives only in its arrays, so ``engine="fast"`` needs a C compiler
   (the library is built once and cached under ``~/.cache/repro/native``);
@@ -140,9 +142,10 @@ slice of one inside a control interval, or a block of scheduled releases:
   consumes identical telemetry, so every registered DPM policy
   simulates identically (~1e-9) on both engines.
 
-Service and response accounting is vectorized per batch and energy is
-assembled at the end (one :class:`_Run` method per phase), all truncated
-at the measurement horizon exactly like the event kernel's cutoff.
+Responses are put in completion order by the compiled bucket sort
+(:func:`~repro.native.stable_order`) and energy is assembled at the end
+(one :class:`_Run` method per phase), all truncated at the measurement
+horizon exactly like the event kernel's cutoff.
 Semantics mirror :class:`~repro.disk.drive.DiskDrive`: drives start IDLE
 with the idleness timer armed at t=0, spin-downs are not abortable (a
 request arriving mid-transition waits for spin-down + spin-up), and
@@ -176,7 +179,7 @@ from repro.disk.fleet import ResolvedFleet
 from repro.disk.power import PowerModel
 from repro.disk.specs import DiskSpec
 from repro.errors import ConfigError, SimulationError
-from repro.native import CoupledArgs, ServeArgs, coupled_core
+from repro.native import CoupledArgs, ServeArgs, coupled_core, stable_order
 from repro.obs.hooks import CacheEventBlock, PlacementBlock, active_observer
 from repro.system.dispatcher import initial_free_bytes, validate_free_bytes
 from repro.system.metrics import ResponseAccumulator, SimulationResult
@@ -340,6 +343,11 @@ class _DiskBank:
         # stay 0.
         self._rst = np.zeros((3, num_disks, self.maxR))
         self.park_t, self.down_t, self.wake_t = self._rst
+        # Service accounting the walk bills in arrival order: seek and
+        # transfer seconds before the horizon, and requests served.
+        self._svc = np.zeros((2, num_disks))
+        self.seek_t, self.active_t = self._svc
+        self.n_req = np.zeros(num_disks, dtype=np.int64)
         # Per-disk scaled-schedule caches (mixed fleets scale different
         # ladders with the same threshold).
         self._entry_cache: List[dict] = [{} for _ in range(num_disks)]
@@ -393,12 +401,14 @@ class _DiskBank:
         avail, load, pt, pv = ptrs(self._fst)
         n_up, n_down = ptrs(self._ust)
         park, down, wake = ptrs(self._rst)
+        seek_t, active_t = ptrs(self._svc)
         args = self._args = ServeArgs(
             D=num_disks, maxR=maxR, W=self._ent.shape[2], T=self.T,
             ci=self.ci, oh=self.oh_a.ctypes.data, R=self._R_a.ctypes.data,
             dn=self._dn_a.ctypes.data, wk=self._wk_a.ctypes.data,
             avail=avail, load=load, pt=pt, pv=pv, n_up=n_up, n_down=n_down,
-            park=park, down=down, wake=wake,
+            park=park, down=down, wake=wake, seek_t=seek_t,
+            active_t=active_t, n_req=self.n_req.ctypes.data,
             gap_n=self._gap_n.ctypes.data, first=self._first.ctypes.data,
             key_n=self._key_n.ctypes.data,
         )
@@ -652,13 +662,14 @@ class _CacheState(_Walk):
     layout and its sequence counter).  LRU, FIFO and CLOCK share one
     intrusive list in eviction order; LFU keeps its insertion order in the
     same list.  Pending admissions — a min-heap on (completion, global
-    arrival seq) — carry across batches.  With ``observe`` the walk records
-    cache events into column buffers.
+    arrival seq) — carry across batches.  A hit responds in
+    ``hit_latency``.  With ``observe`` the walk records cache events into
+    column buffers.
     """
 
     def __init__(
         self, cache, sizes, mapping, free, policy: WritePlacementPolicy,
-        bank: _DiskBank, observe: bool,
+        bank: _DiskBank, observe: bool, hit_latency: float = 0.0,
     ) -> None:
         code = _CACHE_POLICIES.get(type(cache))
         if code is None:
@@ -692,6 +703,7 @@ class _CacheState(_Walk):
         st = cache.stats
         args = self.args
         args.cached, args.policy = 1, code
+        args.hit_lat = hit_latency
         args.capacity, args.count, args.used = (
             cache.capacity, len(resident), cache.used
         )
@@ -800,12 +812,12 @@ class _CacheState(_Walk):
             cache._seq = count(args.lh_seq)
 
 
-def _block(cls, parts: list):
-    """One :class:`CacheEventBlock` or :class:`PlacementBlock` from the
-    column triples taken at a batch's stops."""
+def _columns(parts: list) -> tuple:
+    """Column blocks (tuples of equal-length columns) joined column by
+    column; a single block as it is."""
     if len(parts) == 1:
-        return cls(*parts[0])
-    return cls(*(np.concatenate(c) for c in zip(*parts)))
+        return tuple(parts[0])
+    return tuple(np.concatenate(c) for c in zip(*parts))
 
 
 def _serve_coupled(
@@ -813,26 +825,32 @@ def _serve_coupled(
     fid: np.ndarray,
     t_all: np.ndarray,
     is_write: Optional[np.ndarray],
-    starts: np.ndarray,
-    d_req: np.ndarray,
+    starts: Optional[np.ndarray],
+    d_req: Optional[np.ndarray],
+    comp: np.ndarray,
+    resp: np.ndarray,
     base_index: int,
     obs=None,
+    holds: Optional[np.ndarray] = None,
 ) -> None:
     """Serve one time-sorted batch (chunk, control interval or release
-    batch) in one compiled walk in arrival order, filling ``starts`` and
-    ``d_req`` (the serving disk, -1 for a cache hit) in place.
+    batch) in one compiled walk in arrival order, filling ``comp`` and
+    ``resp`` in place, and ``starts`` and ``d_req`` (the serving disk, -1
+    for a cache hit) unless both are ``None``.
 
-    Each request is served through its disk's queue and ladder recursion,
-    with transfer time ``size / rate`` on its disk, a write of an unmapped
-    file once the walk has placed it.  With a shared cache (``state`` a
-    :class:`_CacheState`) reads look the cache up at arrival and, on a
-    miss, schedule an admission at their completion time; before each
-    arrival the walk drains those admissions in (completion, global seq)
-    order, reproducing the event kernel's interleaving (hit short-circuit,
-    admit-on-miss-completion).  Ties (admission exactly at an arrival
-    instant) admit first; admissions at or after the horizon never happen,
-    exactly like the event kernel's URGENT stop pre-empting completion
-    events at ``T``.  ``base_index`` keeps the admission tie-break global.
+    A request is served through its disk's queue and ladder recursion
+    (transfer time ``size / rate``; a write of an unmapped file once the
+    walk has placed it), completes at start + overhead + transfer, responds
+    from its arrival plus its ``holds`` entry (release - arrival, like the
+    event dispatcher's response_offset), and bills its seek and transfer
+    time before the horizon to its disk.  With a shared cache (``state`` a
+    :class:`_CacheState`) a hit completes at its arrival, responds in the
+    hit latency and bills nothing; a miss schedules an admission at its
+    completion, and before each arrival the walk drains the admissions due
+    in (completion, global seq) order, reproducing the event kernel's
+    interleaving: ties admit first, and admissions at or after the horizon
+    never happen (the event kernel's URGENT stop pre-empts them).
+    ``base_index`` keeps the admission tie-break global.
 
     The walk stops at a write no disk has room for and at a read of an
     unmapped file (raised here) and at a full record buffer.  Under an
@@ -842,9 +860,14 @@ def _serve_coupled(
     :class:`~repro.obs.hooks.CacheEventBlock`, even when the pass raises.
     """
     n = int(t_all.size)
-    for out, dtype in ((starts, float), (d_req, np.int64)):
+    outputs = [(comp, float), (resp, float)]
+    if starts is not None or d_req is not None:
+        outputs += [(starts, float), (d_req, np.int64)]
+    for out, dtype in outputs:
         # The walk writes through these pointers.
-        if out.shape != (n,) or out.dtype != dtype or not out.flags.c_contiguous:
+        if getattr(out, "shape", None) != (n,) or out.dtype != dtype or (
+            not out.flags.c_contiguous
+        ):
             raise SimulationError(
                 f"walk outputs must be contiguous {n}-element "
                 f"{np.dtype(dtype).name} arrays"
@@ -852,19 +875,25 @@ def _serve_coupled(
     fid = np.ascontiguousarray(fid, dtype=np.int64)
     t_all = np.ascontiguousarray(t_all, dtype=float)
     w = None if is_write is None else np.ascontiguousarray(is_write, np.uint8)
-    if fid.shape != (n,) or (w is not None and w.shape != (n,)):
+    if holds is not None:
+        holds = np.ascontiguousarray(holds, dtype=float)
+    if fid.shape != (n,) or any(
+        x is not None and x.shape != (n,) for x in (w, holds)
+    ):
         raise SimulationError(
             f"batch arrays differ in length: {n} times, {fid.size} file ids"
             + ("" if w is None else f", {w.size} kinds")
+            + ("" if holds is None else f", {holds.size} holds")
         )
     state.reserve(n)
     args = state.args
     args.n, args.base, args.final = n, base_index, 0
-    args.fid = fid.ctypes.data
-    args.t = t_all.ctypes.data
-    args.w = None if w is None else w.ctypes.data
-    args.starts = starts.ctypes.data
-    args.dreq = d_req.ctypes.data
+    args.fid, args.t, args.comp, args.resp = (
+        a.ctypes.data for a in (fid, t_all, comp, resp)
+    )
+    args.w, args.hold, args.starts, args.dreq = (
+        None if a is None else a.ctypes.data for a in (w, holds, starts, d_req)
+    )
     placed: list = []
     events: list = []
     pos = 0
@@ -900,9 +929,14 @@ def _serve_coupled(
     finally:
         state.sync_policy()
         if placed:
-            obs.on_placements(_block(PlacementBlock, placed))
+            obs.on_placements(PlacementBlock(*_columns(placed)))
         if events:
-            obs.on_cache_events(_block(CacheEventBlock, events))
+            obs.on_cache_events(CacheEventBlock(*_columns(events)))
+
+
+def _part(a: Optional[np.ndarray], sl: slice) -> Optional[np.ndarray]:
+    """``a[sl]``, or ``None`` for a column the batch does not have."""
+    return None if a is None else a[sl]
 
 
 def _admit_pending(state: _CacheState, obs=None) -> None:
@@ -922,7 +956,7 @@ def _admit_pending(state: _CacheState, obs=None) -> None:
                 break
     finally:
         if parts:
-            obs.on_cache_events(_block(CacheEventBlock, parts))
+            obs.on_cache_events(CacheEventBlock(*_columns(parts)))
 
 
 
@@ -1293,14 +1327,15 @@ class _Run:
     it and builds the :meth:`result` from the response fold
     (:meth:`responses`) and the energy assembly (:meth:`energy`).  Every
     accumulator is maintained incrementally with operations chosen for
-    partition invariance — serial ``np.add.at`` scatter-adds continue
-    ``np.bincount``'s left-to-right reduction exactly — so a single-chunk
-    pass reproduces the one-shot vectorized results bit-for-bit and a
-    many-chunk pass reproduces the single-chunk one.
+    partition invariance — the walk bills each request's service to its
+    disk one request at a time in arrival order, whatever the batches —
+    so a single-chunk pass reproduces the one-shot results bit-for-bit and
+    a many-chunk pass reproduces the single-chunk one.
 
-    Every batch goes through :meth:`submit`: the compiled walk, then the
-    one completion formula (:meth:`_complete`), whose values feed both the
-    controller's telemetry and the accounting.  Under a dynamic DPM
+    Every batch goes through :meth:`submit`: the compiled walk writes each
+    request's completion and response into per-run buffers and bills the
+    service accounting, and those values feed both the controller's
+    telemetry and the response fold.  Under a dynamic DPM
     policy the run also drives the controller, with all carry state on
     the run, so splitting the stream at any point is bit-identical to one
     chunk:
@@ -1399,7 +1434,6 @@ class _Run:
         self.num_disks = num_disks
         self.label = label
         self.cache = cache
-        self.hit_lat = float(cache_hit_latency)
         self.dpm = dpm
         self.scheduler = scheduler
         self.obs = obs = active_observer(observer)
@@ -1418,9 +1452,9 @@ class _Run:
             self.binner = _SpanBinner(np.asarray(self.edges), num_disks)
             # The open interval is [edges[k], edges[k + 1]).
             self.k = 0
-            # Telemetry backlog: (completion, global arrival seq, response)
-            # blocks not yet reported at a boundary.
-            self.backlog = [(np.empty(0), np.empty(0, np.int64), np.empty(0))]
+            # Telemetry backlog: (completion, response) blocks not yet
+            # reported at a boundary, in global arrival-seq order.
+            self.backlog = [(np.empty(0), np.empty(0))]
             # Dispatched but not yet in service, as (service start, disk).
             self.wait_s = np.empty(0, dtype=float)
             self.wait_d = np.empty(0, dtype=np.int64)
@@ -1428,27 +1462,22 @@ class _Run:
             self.bank = _DiskBank(
                 num_disks, th_in, ladders, specs, T, log_spans=obs is not None
             )
-        # Per-disk overhead, rate and added latency, then a last entry that
-        # a cache hit (disk -1) reads: no overhead, an infinite rate and
-        # the hit latency.  A hit thus completes at its start, which the
-        # walk records as its arrival, and responds in the hit latency.
-        self.oh_table = np.append(self.bank.oh_a, 0.0)
-        self.rate_table = np.append(self.bank.rate_a, inf)
-        self.lat_table = (
-            None if cache is None
-            else np.append(np.zeros(num_disks), self.hit_lat)
-        )
         observe = obs is not None
         self.walk = (
             _Walk(sizes, mapping, free, policy, self.bank, observe)
             if cache is None
-            else _CacheState(cache, sizes, mapping, free, policy, self.bank, observe)
+            else _CacheState(
+                cache, sizes, mapping, free, policy, self.bank, observe,
+                float(cache_hit_latency),
+            )
         )
-        # Accumulators, fixed in size by the pool, not the stream, with a
-        # spare last slot that cache hits (disk -1) bill nothing to.
-        self.seek_time = np.zeros(num_disks + 1, dtype=float)
-        self.active_time = np.zeros(num_disks + 1, dtype=float)
-        self.req_count = np.zeros(num_disks + 1, dtype=np.int64)
+        # The walk's per-request outputs, reused batch after batch until
+        # the run closes: completion and response, then the service start
+        # and serving disk where control or a cache reads them.
+        track = dpm is not None or cache is not None
+        self._out = [np.empty(0), np.empty(0)] + (
+            [np.empty(0), np.empty(0, np.int64)] if track else [None, None]
+        )
         self.arrivals = 0
         self.streaming = metrics_mode == "streaming"
         self.acc = ResponseAccumulator() if self.streaming else None
@@ -1475,8 +1504,9 @@ class _Run:
         # by arrival seq; the event engine's drive_stream raises on
         # out-of-order times, so match it rather than silently reordering
         # — within each chunk and across chunk boundaries.
-        if n > 1 and bool(np.any(np.diff(t_all) < 0)):
-            bad = int(np.argmax(np.diff(t_all) < 0)) + 1
+        back = t_all[1:] < t_all[:-1]
+        if back.any():
+            bad = int(back.argmax()) + 1
             raise SimulationError(
                 "request stream times must be non-decreasing: got "
                 f"{t_all[bad]} after {t_all[bad - 1]}"
@@ -1529,7 +1559,7 @@ class _Run:
             # simulation order.
             _flush_bank_spans(self.binner, self.bank, self.classic, self.obs)
         if self.scheduler is None:
-            self.submit(fid, t_all, self.sizes[fid], is_write)
+            self.submit(fid, t_all, is_write)
             return live
         # Arrivals in one control interval all read the same slo_estimate,
         # and a boundary is closed — with every release strictly before it
@@ -1570,91 +1600,61 @@ class _Run:
             self._boundary()
             lo = hi
 
-    def submit(self, fid, t, sz, w, holds=None) -> None:
+    def submit(self, fid, t, w, holds=None) -> None:
         """Serve one time-sorted batch — a chunk's arrivals, or released
         requests in (release, seq) order with ``holds`` = release -
-        arrival — and fold it into the accumulators.
-
-        Under control each interval slice is walked, and its completions
-        queued for the telemetry, before the boundary after it closes.
-        Service time is truncated at the horizon, and seek/active spans
-        are binned once per batch (see :class:`_SpanBinner`)."""
+        arrival — and fold its responses.  Under control each interval
+        slice is walked, and its completions queued for the telemetry,
+        before the boundary after it closes, and seek/active spans are
+        binned once per batch (see :class:`_SpanBinner`)."""
         n = int(t.size)
         base = self.arrivals
-        starts = np.empty(n, dtype=float)
-        d_req = np.empty(n, dtype=np.int64)
-        # Per request: overhead, transfer, completion and response.
-        cols = np.empty((4, n))
+        if self._out[0].size < n:
+            self._out = [
+                a if a is None else np.empty(n, a.dtype) for a in self._out
+            ]
+        comp, resp, starts, d_req = (_part(a, slice(n)) for a in self._out)
         for lo, hi in self._intervals(t):
             sl = slice(lo, hi)
             _serve_coupled(
-                self.walk, fid[sl], t[sl], None if w is None else w[sl],
-                starts[sl], d_req[sl], base + lo, self.obs,
-            )
-            self._complete(
-                t[sl], sz[sl], starts[sl], d_req[sl],
-                None if holds is None else holds[sl], cols[:, sl],
+                self.walk, fid[sl], t[sl], _part(w, sl), _part(starts, sl),
+                _part(d_req, sl), comp[sl], resp[sl], base + lo, self.obs,
+                _part(holds, sl),
             )
             if self.dpm is not None:
-                self._queue(*cols[2:, sl], starts[sl], d_req[sl], base + lo)
-        oh, tr, comp, resp = cols
-        T = self.T
-        # Service time truncated at the horizon.  A hit's zero seek and
-        # transfer land in the accumulators' spare last slot, and its spans
-        # are empty, which bin_spans drops.  The serial scatter-add
-        # continues np.bincount's reduction exactly across batches.
-        np.add.at(self.seek_time, d_req, np.clip(T - starts, 0.0, oh))
-        np.add.at(self.active_time, d_req, np.clip(T - (starts + oh), 0.0, tr))
-        np.add.at(self.req_count, d_req, 1)
+                self._queue(comp[sl], resp[sl], starts[sl], d_req[sl])
         if self.binner is not None:
+            # A hit's spans are empty (no overhead, no transfer), which
+            # bin_spans drops.
+            oh = np.append(self.bank.oh_a, 0.0)[d_req]
             self.binner.add("seek", d_req, starts, starts + oh)
             self.binner.add("active", d_req, starts + oh, comp)
         # A hit completes at its arrival (or release), before the horizon.
-        done = comp < T
+        done = comp < self.T
         if self.streaming:
             # Responses in arrival order: the same per-batch formula for
             # every partition, so the accumulator's serial reductions are
             # partition-invariant.
             self.acc.add(resp[done])
         else:
-            hit = d_req < 0
-            if hit.any():
-                done &= ~hit
-                self.hit_parts.append((comp[hit], resp[hit]))
+            if self.cache is not None:
+                hit = d_req < 0
+                if hit.any():
+                    done &= ~hit
+                    self.hit_parts.append((comp[hit], resp[hit]))
             self.served_parts.append((comp[done], resp[done]))
         self.arrivals += n
 
-    def _complete(self, t, sz, starts, d, holds, out) -> None:
-        """The completion formula for one walked slice, written into the
-        rows of ``out``: per request its access overhead and transfer time
-        on the serving disk's own spec, its completion (start + overhead +
-        transfer) and its response (completion - arrival, plus the hit
-        latency for a cache hit, which completes at its arrival instant).
-        Scheduled runs measure responses from the *original* arrival: the
-        hold rides on top of the post-release response, exactly like the
-        event dispatcher's response_offset."""
-        oh, tr, comp, resp = out
-        oh[:] = self.oh_table[d]
-        np.divide(sz, self.rate_table[d], out=tr)
-        np.add(starts, oh, out=comp)
-        comp += tr
-        np.subtract(comp, t, out=resp)
-        if self.lat_table is not None:
-            resp += self.lat_table[d]
-        if holds is not None:
-            resp += holds
-
-    def _queue(self, comp, resp, starts, d, base: int) -> None:
+    def _queue(self, comp, resp, starts, d) -> None:
         """Queue a walked slice for the boundaries ahead: its completions
-        before the horizon with their global arrival seqs and responses
-        (requests censored at the horizon never complete, like the event
-        engine's cutoff pre-empting their completion events), and its
-        dispatched requests as (service start, disk) — the event drive
-        pops a request from its queue exactly at service start, and
-        boundaries only filter these down, never rescan."""
+        before the horizon with their responses (requests censored at the
+        horizon never complete, like the event engine's cutoff pre-empting
+        their completion events), and its dispatched requests as (service
+        start, disk) — the event drive pops a request from its queue
+        exactly at service start, and boundaries only filter these down,
+        never rescan."""
         keep = comp < self.T
-        seq = np.arange(base, base + comp.size, dtype=np.int64)
-        self.backlog.append((comp[keep], seq[keep], resp[keep]))
+        self.backlog.append((comp[keep], resp[keep]))
         served = d >= 0
         if served.any():
             self.wait_s = np.concatenate((self.wait_s, starts[served]))
@@ -1671,16 +1671,16 @@ class _Run:
         bank = self.bank
         k = self.k
         t_start, t_end = self.edges[k], self.edges[k + 1]
-        c, seq, r = (np.concatenate(x) for x in zip(*self.backlog))
+        c, r = _columns(self.backlog)
         # Strictly-before: a completion landing exactly on a boundary is
         # observed in the *next* interval, matching the event engine's
         # control event (armed at the previous boundary, hence an earlier
         # FIFO id than completions scheduled during the interval) firing
-        # first at the shared instant.
+        # first at the shared instant.  The backlog is in seq order, so a
+        # stable order on completion breaks ties by seq.
         done = c < t_end
-        order = np.lexsort((seq[done], c[done]))
-        responses = r[done][order]
-        self.backlog = [(c[~done], seq[~done], r[~done])]
+        responses = r[done][stable_order(c[done])]
+        self.backlog = [(c[~done], r[~done])]
         gaps, bank.gap_log = bank.gap_log, [[] for _ in bank.gap_log]
         keep = self.wait_s > t_end
         self.wait_s = self.wait_s[keep]
@@ -1729,7 +1729,7 @@ class _Run:
         order."""
         if not self.pending:
             return
-        rel, t_p, fid_p, w_p = (np.concatenate(c) for c in zip(*self.pending))
+        rel, t_p, fid_p, w_p = _columns(self.pending)
         self.pending.clear()
         due = (rel <= limit) if inclusive else (rel < limit)
         if not due.all():
@@ -1738,13 +1738,11 @@ class _Run:
         idx = np.flatnonzero(due)
         if not idx.size:
             return
-        idx = idx[np.argsort(rel[idx], kind="stable")]
+        idx = idx[stable_order(rel[idx])]
         t_c = rel[idx]
-        fid_c = fid_p[idx]
         w_c = w_p[idx]
         self.submit(
-            fid_c, t_c, self.sizes[fid_c], w_c if w_c.any() else None,
-            t_c - t_p[idx],
+            fid_p[idx], t_c, w_c if w_c.any() else None, t_c - t_p[idx]
         )
 
     def close(self) -> None:
@@ -1777,6 +1775,7 @@ class _Run:
             # Remaining spans, including the trailing-idleness episodes the
             # tail pass just logged.
             _flush_bank_spans(self.binner, self.bank, self.classic, self.obs)
+        self._out = None
 
     def write_back(self) -> None:
         """Store the walk's cache state into the run's cache object."""
@@ -1794,8 +1793,8 @@ class _Run:
         parts = self.served_parts + self.hit_parts
         if not parts:
             return None, np.empty(0), 0
-        comp, resp = (np.concatenate(c) for c in zip(*parts))
-        response_times = resp[np.argsort(comp, kind="stable")]
+        comp, resp = _columns(parts)
+        response_times = resp[stable_order(comp)]
         return None, response_times, int(response_times.size)
 
     def energy(self):
@@ -1822,7 +1821,7 @@ class _Run:
             park, down, wake = (
                 [resid[idx, i] for i in range(R)] for resid in bank._rst
             )
-            occupied = self.seek_time[idx] + self.active_time[idx]
+            occupied = bank.seek_t[idx] + bank.active_t[idx]
             for arr in down[1:]:
                 occupied = occupied + arr
             for arr in wake[1:]:
@@ -1833,8 +1832,8 @@ class _Run:
             per_state_g = {rungs[0].name: idle_g}
             for i in range(1, R):
                 per_state_g[rungs[i].name] = park[i]
-            per_state_g["seek"] = self.seek_time[idx]
-            per_state_g["active"] = self.active_time[idx]
+            per_state_g["seek"] = bank.seek_t[idx]
+            per_state_g["active"] = bank.active_t[idx]
             for i in range(1, R):
                 per_state_g[f"wake:{rungs[i].name}"] = wake[i]
             for i in range(1, R):
@@ -1891,7 +1890,7 @@ class _Run:
                 )
             ),
             cache_stats=self.cache.stats if self.cache is not None else None,
-            requests_per_disk=self.req_count[: self.num_disks],
+            requests_per_disk=self.bank.n_req,
             spinups_per_disk=self.spinups,
             final_mapping=self.mapping,
             extra=extra,

@@ -15,7 +15,9 @@ read-only loop the kernel ran before its serve loop moved to C
 (:mod:`repro.native`): a stable per-disk grouping, then one hoisted FIFO
 loop per disk (:func:`serve_batch`, formerly ``_DiskBank.serve_batch``).
 All of them read and write the bank's state arrays in place, converting
-to Python floats on the way in.  The twin tests compare the compiled walk
+to Python floats on the way in.  :func:`complete` is the completion
+formula and the ``np.add.at`` service accounting the kernel ran in NumPy
+before the walk took them over.  The twin tests compare the compiled walk
 with :func:`serve` and :func:`serve_coupled` bit for bit
 (:func:`coupled_oracle` swaps the latter into whole runs), and the
 same-machine benchmark floors route cache-less read-only batches through
@@ -291,14 +293,17 @@ class CacheState:
     object) or ``fastkernel._Walk`` (``cache`` ``None``): the run's cache
     object itself (driven through its Python ``lookup``/``admit``), a
     ``heapq`` of pending admissions, the bank, the placement policy, the
-    live mapping and free bytes, and list copies of the per-file arrays.
-    Under an observer the cache's ``evict_hook`` collects the victims of
-    each admission until :meth:`write_back` removes it."""
+    live mapping and free bytes, the hit latency, and list copies of the
+    per-file arrays.  Under an observer the cache's ``evict_hook``
+    collects the victims of each admission until :meth:`write_back`
+    removes it."""
 
     def __init__(
-        self, cache, sizes, mapping, free, policy, bank, observe: bool
+        self, cache, sizes, mapping, free, policy, bank, observe: bool,
+        hit_latency: float = 0.0,
     ) -> None:
         self.cache = cache
+        self.hit_latency = hit_latency
         self.bank = bank
         self.policy = policy
         self.sizes = sizes
@@ -323,13 +328,49 @@ def walk_state(sizes, mapping, free, policy, bank, observe) -> CacheState:
     return CacheState(None, sizes, mapping, free, policy, bank, observe)
 
 
+def complete(state, fid, t, starts, d, comp, resp, holds=None) -> None:
+    """The completion formula and the service accounting of a walked
+    batch, vectorized (formerly ``fastkernel._Run._complete`` and the
+    scatter-adds of ``_Run.submit``): per request its access overhead and
+    transfer time on the serving disk's own spec, its completion (start +
+    overhead + transfer) into ``comp`` and its response (completion -
+    arrival, plus the hit latency for a cache hit, plus its ``holds``
+    entry) into ``resp``; then, per disk and in arrival order, seek and
+    transfer seconds truncated at the horizon and a request count, added
+    to the bank's accounting with ``np.add.at``.  A hit (disk -1) has no
+    overhead and an infinite rate, so it completes at its start (its
+    arrival), and bills nothing."""
+    bank = state.bank
+    D = len(bank.avail)
+    oh = np.append(bank.oh_a, 0.0)[d]
+    tr = state.sizes[fid] / np.append(bank.rate_a, np.inf)[d]
+    comp[:] = (starts + oh) + tr
+    r = comp - t
+    if getattr(state, "cache", None) is not None:
+        r += np.append(np.zeros(D), state.hit_latency)[d]
+    if holds is not None:
+        r += holds
+    resp[:] = r
+    T = bank.T
+    served = d >= 0
+    ds = d[served]
+    np.add.at(bank.seek_t, ds, np.clip(T - starts, 0.0, oh)[served])
+    np.add.at(
+        bank.active_t, ds, np.clip(T - (starts + oh), 0.0, tr)[served]
+    )
+    np.add.at(bank.n_req, ds, 1)
+
+
 def serve_coupled(
-    state, fid, t_all, is_write, starts, d_req, base_index, obs=None,
+    state, fid, t_all, is_write, starts, d_req, comp, resp, base_index,
+    obs=None, holds=None,
 ) -> None:
     """The Python walk: arrivals one at a time.  With a cache it drains
     the pending admissions due at or before each arrival first, and
     serves only misses and writes.  Placements go to the observer as one
-    list, then the cache events, also when a placement raises."""
+    list, then the cache events, also when a placement raises.  Then
+    :func:`complete` fills ``comp`` and ``resp`` and bills the batch;
+    ``starts`` and ``d_req`` may be ``None``, like the walk's."""
     bank, policy, free = state.bank, state.policy, state.free
     mapping = state.mapping
     cache = state.cache
@@ -402,8 +443,12 @@ def serve_coupled(
             obs.on_placements(placed)
         if events:
             obs.on_cache_events(events)
-    starts[:] = start_l
-    d_req[:] = disk_l
+    s_all = np.array(start_l, dtype=float)
+    d_all = np.array(disk_l, dtype=np.int64)
+    if starts is not None:
+        starts[:] = s_all
+        d_req[:] = d_all
+    complete(state, fid, t_all, s_all, d_all, comp, resp, holds)
 
 
 def admit_pending(state: CacheState, obs=None) -> None:

@@ -117,10 +117,11 @@ class _Walker:
     def serve(self, times, starts, lo, hi):
         """Walk requests ``[lo, hi)`` as one batch into ``starts[lo:hi]``."""
         d_req = np.empty(hi - lo, dtype=np.int64)
+        comp, resp = np.empty((2, hi - lo))
         _serve_coupled(
             self.walk, np.arange(lo, hi),
             np.asarray(times[lo:hi], dtype=float), None, starts[lo:hi],
-            d_req, lo,
+            d_req, comp, resp, lo,
         )
         assert d_req.tolist() == self.mapping[lo:hi].tolist()
 
@@ -321,7 +322,7 @@ def test_wake_starting_exactly_at_horizon_is_not_billed(serve_twin):
         )
         oracle.serve_coupled(
             state, np.arange(2), t, None, np.empty(2),
-            np.empty(2, dtype=np.int64), 0,
+            np.empty(2, dtype=np.int64), np.empty(2), np.empty(2), 0,
         )
     else:
         _serve_oracle(banks[1], d, sizes, t, np.empty(2), 0, 2)
@@ -337,5 +338,6 @@ def test_segment_arrays_of_different_lengths_raise():
     with pytest.raises(SimulationError, match="differ in length"):
         _serve_coupled(
             walker.walk, np.arange(1), np.array([1.0, 2.0]), None,
-            np.empty(2), np.empty(2, dtype=np.int64), 0,
+            np.empty(2), np.empty(2, dtype=np.int64), np.empty(2),
+            np.empty(2), 0,
         )

@@ -6,8 +6,10 @@ arrays (LRU, FIFO, CLOCK, LFU), misses and writes served through the
 per-request step.  ``serve_oracle.serve_coupled`` is the Python pass it
 replaced, driving the cache object's own ``lookup``/``admit``.  Both run
 on twin banks and twin caches, batch by batch, and must agree bit for
-bit: starts, serving disks, bank arrays, gap logs and spans, the mapping
-and free bytes after placements, ``CacheStats``, the final cache object
+bit: starts, serving disks, completions and responses (with a hit
+latency and scheduler holds), bank arrays with the per-disk service
+accounting, gap logs and spans, the mapping and free bytes after
+placements, ``CacheStats``, the final cache object
 (resident order, ``used``, CLOCK bits, LFU frequencies, snapshot heap and
 sequence counter), cache events and placements.
 
@@ -74,6 +76,7 @@ def _cache_snapshot(cache):
 def _bank_state(bank):
     return (
         bank._fst.tobytes(), bank._ust.tobytes(), bank._rst.tobytes(),
+        bank._svc.tobytes(), bank.n_req.tobytes(),
         bank.gap_log, bank.park_spans, bank.down_spans, bank.wake_spans,
     )
 
@@ -105,7 +108,7 @@ class _Side:
     the per-file arrays, advanced batch by batch."""
 
     def __init__(self, impl, cache, sizes, mapping, num_disks, ladder,
-                 controlled, observe, spans, horizon):
+                 controlled, observe, spans, horizon, hit_latency):
         self.impl = impl
         if controlled:
             self.bank = _DiskBank(
@@ -125,15 +128,16 @@ class _Side:
         state_cls = _CacheState if impl == "c" else oracle.CacheState
         self.state = state_cls(
             cache, sizes, self.mapping, self.free, self.policy, self.bank,
-            observe,
+            observe, hit_latency,
         )
 
-    def serve(self, sizes, fid, t, w, base):
+    def serve(self, sizes, fid, t, w, base, holds):
         walk = _serve_coupled if self.impl == "c" else oracle.serve_coupled
-        starts = np.full(t.size, np.nan)
+        starts, comp, resp = np.full((3, t.size), np.nan)
         d_req = np.full(t.size, -7, dtype=np.int64)
-        walk(self.state, fid, t, w, starts, d_req, base, self.obs)
-        return starts, d_req
+        walk(self.state, fid, t, w, starts, d_req, comp, resp, base,
+             self.obs, holds)
+        return starts, d_req, comp, resp
 
     def finish(self):
         drain = _admit_pending if self.impl == "c" else oracle.admit_pending
@@ -151,7 +155,8 @@ class _Side:
 
 
 def _twins(policy, capacity, sizes, mapping, num_disks, ladder, controlled,
-           observe, spans, prefill_rng=None, horizon=HORIZON):
+           observe, spans, prefill_rng=None, horizon=HORIZON,
+           hit_latency=0.0):
     sides = []
     for impl in ("c", "py"):
         cache = make_cache(policy, capacity)
@@ -162,18 +167,21 @@ def _twins(policy, capacity, sizes, mapping, num_disks, ladder, controlled,
             )
         sides.append(
             _Side(impl, cache, sizes, mapping, num_disks, ladder, controlled,
-                  observe, spans, horizon)
+                  observe, spans, horizon, hit_latency)
         )
     return sides
 
 
-def _run_twins(sides, sizes, times, fid, write, cuts, rows=None):
+def _run_twins(sides, sizes, times, fid, write, cuts, rows=None, holds=None):
     base = 0
     for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
         w = write[lo:hi] if write[lo:hi].any() else None
-        got = [s.serve(sizes, fid[lo:hi], times[lo:hi], w, base) for s in sides]
-        assert got[0][0].tobytes() == got[1][0].tobytes()
-        assert got[0][1].tolist() == got[1][1].tolist()
+        h = None if holds is None else holds[lo:hi]
+        got = [
+            s.serve(sizes, fid[lo:hi], times[lo:hi], w, base, h) for s in sides
+        ]
+        for c, py in zip(*got):
+            assert c.tobytes() == py.tobytes()
         assert sides[0].outputs()[:3] == sides[1].outputs()[:3]
         if rows is not None and k + 1 < len(rows):
             for s in sides:
@@ -195,15 +203,18 @@ def _run_twins(sides, sizes, times, fid, write, cuts, rows=None):
     n_cuts=st.integers(0, 6),
     tiny=st.booleans(),
     grid=st.booleans(),
+    hit_latency=st.sampled_from([0.0, 0.05]),
+    held=st.booleans(),
 )
 def test_compiled_walk_matches_oracle(
-    seed, policy, cap_mb, ladder, mode, observe, prefill, n_cuts, tiny, grid
+    seed, policy, cap_mb, ladder, mode, observe, prefill, n_cuts, tiny, grid,
+    hit_latency, held,
 ):
     """Random streams over 3 disks and 40 files (zero-size files and files
     larger than the cache among them), cut into batches.  Grid sizes make
     completions tie with arrivals; off the grid, ``used`` collects float
     residue.  ``tiny`` record and event buffers make the walk stop and
-    resume."""
+    resume.  ``held`` batches carry scheduler holds."""
     rng = np.random.default_rng(seed)
     n_files, num_disks = 40, 3
     sizes = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0, 10.0], size=n_files) * MB
@@ -226,10 +237,12 @@ def test_compiled_walk_matches_oracle(
             policy, cap_mb * MB, sizes, mapping, num_disks,
             make_dpm_ladder(ladder, GRID), controlled, observe,
             mode == "fixed_spans", prefill_rng=seed if prefill else None,
+            hit_latency=hit_latency,
         )
     finally:
         fastkernel._LOG_CHUNK = saved
-    _run_twins(sides, sizes, times, fid, write, cuts, rows)
+    holds = rng.choice([0.0, 0.25, 1.0, 7.5], size=n) if held else None
+    _run_twins(sides, sizes, times, fid, write, cuts, rows, holds)
     stats = sides[0].cache.stats
     assert stats.lookups > 0
 
@@ -447,7 +460,7 @@ def test_event_block_iterates_as_tuples():
 BASE = StorageConfig(num_disks=6, load_constraint=0.7, engine="fast")
 
 RUNS = {
-    "plain": {},
+    "plain": {"cache_hit_latency": 0.05},
     "chunked": {"chunk_size": 97},
     "controlled": {
         "dpm_policy": "slo_feedback", "slo_target": 20.0,
@@ -457,6 +470,7 @@ RUNS = {
         "scheduler": "slack_defer", "scheduler_params": {"max_hold": 15.0},
         "dpm_policy": "slo_feedback", "slo_target": 20.0,
         "control_interval": 150.0, "chunk_size": 211,
+        "cache_hit_latency": 0.05,
     },
     "drpm4_streaming": {"dpm_ladder": "drpm4", "metrics_mode": "streaming"},
 }

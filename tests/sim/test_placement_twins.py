@@ -6,8 +6,8 @@ bank's live arrays.  ``serve_oracle.serve_coupled`` places the same write
 through ``serve_oracle.allocate_for_write``: the policy's NumPy ``choose``
 against ``serve_oracle.spinning_mask``.  Both run on twin banks, batch by
 batch, over random pools, and must agree bit for bit: starts, serving
-disks, bank arrays and logs, the mapping, free bytes, the round-robin
-cursor, the placements an observer sees, and the error (message included)
+disks, completions, responses, bank arrays and logs, the per-disk service
+accounting, the mapping, free bytes, the round-robin cursor, the placements an observer sees, and the error (message included)
 when a write finds no disk with room.
 
 Times, sizes, overheads, transfer rates and ladder times sit on a grid of
@@ -107,15 +107,22 @@ class _Side:
             )
 
     def serve(self, fid, t, w, base):
-        """One batch; returns ``(starts, d_req, error)``."""
+        """One batch; returns ``(outputs, error)``: starts, serving disks,
+        completions and responses, then the per-disk service accounting
+        (only on success: the oracle bills a batch once it is done)."""
         walk = _serve_coupled if self.impl == "c" else oracle.serve_coupled
-        starts = np.full(t.size, np.nan)
+        starts, comp, resp = np.full((3, t.size), np.nan)
         d_req = np.full(t.size, -7, dtype=np.int64)
         try:
-            walk(self.state, fid, t, w, starts, d_req, base, self.obs)
+            walk(self.state, fid, t, w, starts, d_req, comp, resp, base,
+                 self.obs)
         except CapacityError as exc:
-            return None, None, str(exc)
-        return starts, d_req, None
+            return None, str(exc)
+        bank = self.bank
+        return [
+            a.tobytes() for a in (starts, d_req, comp, resp, bank._svc,
+                                  bank.n_req)
+        ], None
 
     def outputs(self):
         bank = self.bank
@@ -153,12 +160,11 @@ def _run_twins(sides, times, fid, write, cuts, pushes=None):
     for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
         w = write[lo:hi] if write[lo:hi].any() else None
         got = [s.serve(fid[lo:hi], times[lo:hi], w, base) for s in sides]
-        assert got[0][2] == got[1][2]
+        assert got[0][1] == got[1][1]
         assert sides[0].outputs() == sides[1].outputs()
-        if got[0][2] is not None:
-            return got[0][2]
-        assert got[0][0].tobytes() == got[1][0].tobytes()
-        assert got[0][1].tolist() == got[1][1].tolist()
+        if got[0][1] is not None:
+            return got[0][1]
+        assert got[0][0] == got[1][0]
         for row in (pushes[k] if pushes is not None else ()):
             for s in sides:
                 s.bank.push_thresholds(row)
