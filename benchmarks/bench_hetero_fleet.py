@@ -96,10 +96,12 @@ def test_fast_engine_speedup_hetero_fleet(scale, capsys, fleet_name):
 #: Fleet/uniform fixed fast-run time ratio that each fleet's run must stay
 #: under.  Over 8 runs on a 2-CPU x86-64 Linux host this test measured
 #: 1.24-1.43 (``mixed_generation``) and 2.88-3.35 (``tiered_ladders``,
-#: most of whose extra time is resolving a ladder per disk); each floor is
-#: the top of its range plus 25% headroom.  Both sides run the compiled
-#: serve core.
-FLEET_FLOOR = {"mixed_generation": 1.8, "tiered_ladders": 4.2}
+#: most of whose extra time was resolving a ladder per disk); each floor is
+#: the top of its range plus 25% headroom.  Since ``Fleet.resolve`` builds
+#: one ladder per (preset, spec) pair, 8 runs measured 1.23-1.35 and
+#: 1.35-1.54, and the tiered floor moved from 4.2 to the new top plus 25%.
+#: Both sides run the compiled serve core.
+FLEET_FLOOR = {"mixed_generation": 1.8, "tiered_ladders": 1.95}
 
 
 @pytest.mark.parametrize("fleet_name", sorted(FLEETS))

@@ -147,7 +147,11 @@ def test_scheduler_composes_with_controller(scale, capsys):
 #: before that measured 17.1-18.3.  Since the serve loop moved to C, the
 #: fixed side is timed with the Python oracle loop swapped in, as
 #: calibrated (8 runs: 6.24-8.30, the controlled side on the compiled core).
-CONTROLLED_FLOOR = 11.25
+#: With the P² fold compiled it measured 2.46-3.02 over 8 runs on a 2-CPU
+#: x86-64 Linux VM, and 6.05-8.06 over 3 runs with the estimators forced
+#: onto their Python loop; the floor is the top of the compiled range plus
+#: 25% headroom, so a fold that falls back to Python trips it.
+CONTROLLED_FLOOR = 3.8
 
 
 def test_controlled_scheduled_streaming_floor(capsys, oracle_core):

@@ -132,17 +132,29 @@ class Fleet:
             raise ConfigError(f"num_disks must be >= 1, got {num_disks}")
         slots = [self.profile[d % len(self.profile)] for d in range(num_disks)]
         specs = [s.spec for s in slots]
+        # Ladders are frozen, so every disk that names one preset on one
+        # spec shares a single build.
+        built: Dict[Tuple[str, DiskSpec], Optional[DpmLadder]] = {}
+
+        def ladder(
+            name: Union[None, str, DpmLadder], spec: DiskSpec
+        ) -> Optional[DpmLadder]:
+            if not isinstance(name, str):
+                return make_dpm_ladder(name, spec)
+            key = (name, spec)
+            if key not in built:
+                built[key] = make_dpm_ladder(name, spec)
+            return built[key]
+
         ladders: List[Optional[DpmLadder]] = [
-            make_dpm_ladder(
-                s.ladder if s.ladder is not None else default_ladder, s.spec
-            )
+            ladder(s.ladder if s.ladder is not None else default_ladder, s.spec)
             for s in slots
         ]
         if any(l is not None for l in ladders) and any(
             l is None for l in ladders
         ):
             ladders = [
-                l if l is not None else make_dpm_ladder("two_state", sp)
+                l if l is not None else ladder("two_state", sp)
                 for l, sp in zip(ladders, specs)
             ]
         thresholds: List[float] = []

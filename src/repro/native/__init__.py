@@ -7,19 +7,24 @@ rule-table row and the shared whole-file cache's lookups, pending
 admissions and evictions merged in; it also writes each request's
 completion and response and bills its service per disk.
 :func:`stable_order` puts completions (and scheduler releases) in order
-with the same library's bucket sort.  The shared library is built from that
-source with the host's C compiler the first time this package is imported
-and cached under ``~/.cache/repro/native/``, named by a hash of the source,
-the compiler, the flags and the Python ABI, so later imports only load it.
+with the same library's bucket sort, and :func:`p2_fold` folds
+observations into a P² percentile estimator
+(:class:`~repro.control.telemetry.P2Quantile`).  The shared library is
+built from that source with the host's C compiler the first time this
+package is imported and cached under ``~/.cache/repro/native/``, named by a
+hash of the source, the compiler, the flags and the Python ABI, so later
+imports only load it.
 The build writes to a temporary name and renames it into place, so
 processes that build at the same moment (parallel sweep workers) never
 load a half-written file.  If the cache directory is not writable the
 library is built in a private temporary directory instead.
 
-There is no Python fallback: on a host without a C compiler the import still
-succeeds, but :func:`coupled_core` raises :class:`~repro.errors.ConfigError`
-naming the missing compiler, so ``engine="fast"`` fails loudly while the
-event engine keeps working.
+The fast kernel has no Python fallback: on a host without a C compiler the
+import still succeeds, but :func:`coupled_core` raises
+:class:`~repro.errors.ConfigError` naming the missing compiler, so
+``engine="fast"`` fails loudly while the event engine keeps working;
+:func:`p2_fold` then returns ``False`` and the estimator runs its own Python
+loop, which gives the same markers bit for bit.
 
 Tests may :func:`build` with extra compiler flags (a sanitizer or
 warnings-as-errors build) and :func:`load` the result; the flags are
@@ -53,6 +58,7 @@ __all__ = [
     "compiler",
     "coupled_core",
     "load",
+    "p2_fold",
     "stable_order",
 ]
 
@@ -239,6 +245,8 @@ def load(path: Path) -> ctypes.CDLL:
     lib.repro_cache_order.restype = None
     lib.repro_stable_order.argtypes = [_p, _i, _p]
     lib.repro_stable_order.restype = _i
+    lib.repro_p2_fold.argtypes = [_p, _p, _p, _i]
+    lib.repro_p2_fold.restype = None
     return lib
 
 
@@ -273,3 +281,24 @@ def stable_order(values: np.ndarray) -> np.ndarray:
     if _lib().repro_stable_order(x.ctypes.data, x.size, out.ctypes.data):
         raise MemoryError(f"no work space to order {x.size} values")
     return out
+
+
+def p2_fold(markers: np.ndarray, dn: np.ndarray, xs: np.ndarray) -> bool:
+    """Fold the observations ``xs`` (as float64, in C order) into one P²
+    estimator's 15 ``markers`` (heights, positions, desired positions) with
+    the 5 desired-position increments ``dn``, in order, by the compiled
+    recursion; ``False``, touching nothing, when the library could not be
+    built (the caller then runs its Python loop).  Raises
+    :class:`ValueError` unless both arrays are contiguous float64 of those
+    sizes, as the recursion writes ``markers`` in place."""
+    if _LIB is None:
+        return False
+    x = np.ascontiguousarray(xs, dtype=float)
+    for a, n in ((markers, 15), (dn, 5)):
+        if a.shape != (n,) or a.dtype != np.float64 or not a.flags.c_contiguous:
+            raise ValueError(
+                f"p2_fold needs {n} contiguous float64 values, got "
+                f"{a.dtype} of shape {a.shape}"
+            )
+    _LIB.repro_p2_fold(markers.ctypes.data, dn.ctypes.data, x.ctypes.data, x.size)
+    return True

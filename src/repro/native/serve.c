@@ -25,6 +25,11 @@
  * on a monotone bucket key, then a stable sort inside each bucket, the
  * permutation of NumPy's stable argsort.
  *
+ * repro_p2_fold folds a batch of observations into one P² percentile
+ * estimator's markers (the running p95/p99 the slo_feedback controller
+ * steers by, and the streaming metrics' percentiles), statement for
+ * statement the Python loop of repro.control.telemetry.
+ *
  * Gap-log records are sorted by disk (arrival order inside each disk) and
  * span records by (kind, rung) (arrival order inside each key) before they
  * are handed back.  A call stops early when a record buffer could overflow,
@@ -929,4 +934,107 @@ int64_t repro_stable_order(const double *x, int64_t n, int64_t *out)
     free(first);
     insertion_sort(x, out, n);
     return 0;
+}
+
+/* ---------------------------------------------------------------------
+ * P² streaming percentile (Jain & Chlamtac, CACM 1985): the marker
+ * recursion of repro.control.telemetry.P2Quantile.add_many.
+ * ------------------------------------------------------------------- */
+
+/* Fold xs[n] into one estimator, in order.  s[15] holds the marker
+ * heights q[0..4], positions n[0..4] and desired positions np[0..4];
+ * dn[5] are the desired-position increments.  The statements are the
+ * Python loop's, in its order (classification from the middle marker out,
+ * then markers 1, 2 and 3 nudged by the parabolic step, or the linear one
+ * when the parabola leaves the neighbours' interval), so every marker
+ * comes out bit for bit equal to it.  n[0] and np[0] never move, and
+ * np[4] only counts observations. */
+void repro_p2_fold(double *s, const double *dn, const double *xs, int64_t n)
+{
+    double q0 = s[0], q1 = s[1], q2 = s[2], q3 = s[3], q4 = s[4];
+    double n1 = s[6], n2 = s[7], n3 = s[8], n4 = s[9];
+    double np1 = s[11], np2 = s[12], np3 = s[13];
+    const double d1 = dn[1], d2 = dn[2], d3 = dn[3];
+    for (int64_t i = 0; i < n; i++) {
+        const double x = xs[i];
+        if (x < q2) {
+            if (x < q1) {
+                if (x < q0)
+                    q0 = x;
+                n1 += 1.0;
+            }
+            n2 += 1.0;
+            n3 += 1.0;
+        } else if (x < q3) {
+            n3 += 1.0;
+        } else if (x >= q4) {
+            q4 = x;
+        }
+        n4 += 1.0;
+        np1 += d1;
+        np2 += d2;
+        np3 += d3;
+        /* Marker 1 (neighbours: 0 at position 0, and 2). */
+        double d = np1 - n1;
+        if ((d >= 1.0 && n2 - n1 > 1.0) || (d <= -1.0 && n1 > 1.0)) {
+            const double step = d > 0 ? 1.0 : -1.0;
+            double cand = q1 + step / n2 * (
+                (n1 + step) * (q2 - q1) / (n2 - n1)
+                + (n2 - n1 - step) * (q1 - q0) / n1);
+            if (!(q0 < cand && cand < q2)) {
+                if (step > 0)
+                    cand = q1 + (q2 - q1) / (n2 - n1);
+                else
+                    cand = q1 - (q0 - q1) / -n1;
+            }
+            q1 = cand;
+            n1 += step;
+        }
+        /* Marker 2 (neighbours: 1 and 3). */
+        d = np2 - n2;
+        if ((d >= 1.0 && n3 - n2 > 1.0) || (d <= -1.0 && n1 - n2 < -1.0)) {
+            const double step = d > 0 ? 1.0 : -1.0;
+            double cand = q2 + step / (n3 - n1) * (
+                (n2 - n1 + step) * (q3 - q2) / (n3 - n2)
+                + (n3 - n2 - step) * (q2 - q1) / (n2 - n1));
+            if (!(q1 < cand && cand < q3)) {
+                if (step > 0)
+                    cand = q2 + (q3 - q2) / (n3 - n2);
+                else
+                    cand = q2 - (q1 - q2) / (n1 - n2);
+            }
+            q2 = cand;
+            n2 += step;
+        }
+        /* Marker 3 (neighbours: 2 and 4). */
+        d = np3 - n3;
+        if ((d >= 1.0 && n4 - n3 > 1.0) || (d <= -1.0 && n2 - n3 < -1.0)) {
+            const double step = d > 0 ? 1.0 : -1.0;
+            double cand = q3 + step / (n4 - n2) * (
+                (n3 - n2 + step) * (q4 - q3) / (n4 - n3)
+                + (n4 - n3 - step) * (q3 - q2) / (n3 - n2));
+            if (!(q2 < cand && cand < q4)) {
+                if (step > 0)
+                    cand = q3 + (q4 - q3) / (n4 - n3);
+                else
+                    cand = q3 - (q2 - q3) / (n2 - n3);
+            }
+            q3 = cand;
+            n3 += step;
+        }
+    }
+    s[0] = q0;
+    s[1] = q1;
+    s[2] = q2;
+    s[3] = q3;
+    s[4] = q4;
+    s[6] = n1;
+    s[7] = n2;
+    s[8] = n3;
+    s[9] = n4;
+    s[11] = np1;
+    s[12] = np2;
+    s[13] = np3;
+    /* Exact: an integer-valued count far below 2**53. */
+    s[14] += (double)n;
 }

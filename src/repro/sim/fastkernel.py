@@ -1053,22 +1053,34 @@ def _flush_bank_spans(
     deterministic for any chunking.
     """
     T = bank.T
+    ladders = bank.ladders
     for i in range(1, bank.maxR):
         for prefix in _span_kinds(classic):
             spans = getattr(bank, f"{prefix}_spans")[i]
             if binner is not None:
                 binner.add_entries((prefix, i), spans)
-            if obs is not None:
+            if obs is not None and spans:
+                # Each disk's label for this (kind, rung) is built once.
+                names: Dict[int, str] = {}
+                on_state_span = obs.on_state_span
                 for d, s, e in spans:
                     if s >= T:
                         continue
-                    name = bank.ladders[d].rungs[i].name
-                    if prefix != "park":
-                        name = f"{prefix}:{name}"
-                    if classic:
-                        name = CLASSIC_STATES[name].value
-                    obs.on_state_span(int(d), name, s, e if e < T else T)
+                    name = names.get(d)
+                    if name is None:
+                        name = names[d] = _span_name(
+                            prefix, ladders[d].rungs[i].name, classic
+                        )
+                    on_state_span(int(d), name, s, e if e < T else T)
             spans.clear()
+
+
+def _span_name(prefix: str, rung: str, classic: bool) -> str:
+    """An observer's label for a ``prefix`` span at ``rung``: the rung
+    name, ``down:``/``wake:`` plus it, or on a ``classic`` run the
+    :data:`CLASSIC_STATES` name."""
+    name = rung if prefix == "park" else f"{prefix}:{rung}"
+    return CLASSIC_STATES[name].value if classic else name
 
 
 def _power_from_binner(

@@ -133,3 +133,52 @@ class TestValidation:
         assert ST3500630AS.model in text
         assert WD10EADS.model in text
         assert "3x" in text and "2x" in text
+
+
+class TestLadderSharing:
+    #: The tiered fleet of benchmarks/bench_hetero_fleet.py: a DRPM ladder
+    #: on the Seagate slot, a two-state backfill on the green slot.
+    TIERED = Fleet(
+        "tiered",
+        (
+            FleetDisk(ST3500630AS, ladder="drpm4"),
+            FleetDisk(WD10EADS, threshold=30.0),
+        ),
+    )
+
+    @staticmethod
+    def _per_disk(fleet, num_disks):
+        """The resolution with one ladder build per disk slot."""
+        slots = [fleet.profile[d % len(fleet.profile)] for d in range(num_disks)]
+        ladders = [make_dpm_ladder(s.ladder, s.spec) for s in slots]
+        return [
+            l if l is not None else make_dpm_ladder("two_state", s.spec)
+            for l, s in zip(ladders, slots)
+        ]
+
+    def test_one_build_per_preset_and_spec(self, monkeypatch):
+        import repro.disk.dpm as dpm
+
+        builds = []
+        for name, builder in list(dpm.DPM_LADDERS.items()):
+            def counted(spec, _name=name, _builder=builder):
+                builds.append((_name, spec.model))
+                return _builder(spec)
+
+            monkeypatch.setitem(dpm.DPM_LADDERS, name, counted)
+        resolved = self.TIERED.resolve(100)
+        assert sorted(builds) == sorted(
+            [("drpm4", ST3500630AS.model), ("two_state", WD10EADS.model)]
+        )
+        assert resolved.ladders[0] is resolved.ladders[98]
+        assert resolved.ladders[1] is resolved.ladders[99]
+
+    def test_shared_ladders_resolve_as_before(self):
+        resolved = self.TIERED.resolve(100)
+        assert list(resolved.ladders) == self._per_disk(self.TIERED, 100)
+        assert resolved.specs == (ST3500630AS, WD10EADS) * 50
+        assert resolved.thresholds.tolist() == [
+            make_dpm_ladder("drpm4", ST3500630AS).base_threshold, 30.0
+        ] * 50
+        assert resolved.has_ladders and not resolved.homogeneous
+        assert resolved.num_disks == 100

@@ -6,7 +6,8 @@ the same simulated outputs as the library this process loaded, two
 processes building at once must both load one valid library, an
 unwritable cache falls back to a private build directory, and a host with
 no C compiler gets a ``ConfigError`` from ``engine="fast"`` while the
-event engine still runs.  Extra compiler flags (tests only) build a
+event engine still runs, its P² estimates folded by the Python loop to
+the compiled fold's bits.  Extra compiler flags (tests only) build a
 library of their own, and ``serve.c`` builds warning-free.
 """
 
@@ -27,7 +28,10 @@ import repro.native as native
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: One small run per engine named on the command line; prints a JSON
-#: digest of each run's outputs (or the ConfigError it raised).
+#: digest of each run's outputs (or the ConfigError it raised).  A name
+#: ending in ``+slo`` runs ``slo_feedback`` control with streaming metrics,
+#: whose P² estimates (the running p95 per interval and the streamed
+#: percentiles) go into its digest.
 SCRIPT = r"""
 import hashlib, json, sys
 import numpy as np
@@ -40,17 +44,28 @@ wl = generate_workload(SyntheticWorkloadParams(
 cfg = StorageConfig(num_disks=10, dpm_ladder="drpm4")
 mapping = np.arange(wl.catalog.n) % 10
 out = {}
-for engine in sys.argv[1:]:
-    system = StorageSystem(wl.catalog, mapping, cfg.with_overrides(engine=engine))
+for name in sys.argv[1:]:
+    engine, _, mode = name.partition("+")
+    run_cfg = cfg.with_overrides(engine=engine)
+    if mode == "slo":
+        run_cfg = run_cfg.with_overrides(
+            dpm_policy="slo_feedback", slo_target=2.0, control_interval=50.0,
+            metrics_mode="streaming")
+    system = StorageSystem(wl.catalog, mapping, run_cfg)
     try:
         r = system.run(wl.stream)
     except ConfigError as exc:
-        out[engine] = "ConfigError: " + str(exc)
+        out[name] = "ConfigError: " + str(exc)
         continue
-    h = hashlib.sha256(r.response_times.tobytes())
+    if mode == "slo":
+        h = hashlib.sha256(repr(r.response_stats).encode())
+        h.update(repr([x.hex() for x in r.extra["dpm"]["p95_running"]]).encode())
+        h.update(repr(r.extra["dpm"]["thresholds"]).encode())
+    else:
+        h = hashlib.sha256(r.response_times.tobytes())
     h.update(r.energy_per_disk.tobytes())
     h.update(repr(sorted(r.state_durations.items())).encode())
-    out[engine] = [h.hexdigest(), r.spinups, r.completions]
+    out[name] = [h.hexdigest(), r.spinups, r.completions]
 print(json.dumps(out))
 """
 
@@ -125,12 +140,16 @@ def test_unwritable_cache_builds_privately(tmp_path):
 
 
 def test_no_compiler_fast_raises_event_runs(tmp_path):
+    """The event engine runs without the library, and its P² estimates
+    (folded by the Python loop there) equal the compiled fold's here."""
     empty = tmp_path / "bin"
     empty.mkdir()
-    got = _result(_start(tmp_path, "fast", "event", PATH=str(empty)))
+    got = _result(_start(tmp_path, "fast", "event", "event+slo", PATH=str(empty)))
     assert got["fast"].startswith("ConfigError: engine='fast' needs a C compiler")
     assert "install one or use engine='event'" in got["fast"]
     assert isinstance(got["event"], list) and got["event"][2] > 0
+    if native._LIB is not None:
+        assert got["event+slo"] == _here("event+slo")["event+slo"]
 
 
 @needs_compiler
