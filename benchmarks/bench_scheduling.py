@@ -10,16 +10,21 @@ Guards two properties of the slack-aware scheduling subsystem:
   controller (the scheduler reads the controller's live percentile
   telemetry for its stress gate) without breaking cross-engine agreement
   on the control trajectory;
+* **scheduled floor** — a fast ``slack_defer`` run must stay within a
+  fixed multiple of the fast fixed-threshold run on the same inputs,
+  timed on the same machine, so release decisions that fall back to the
+  Python loops trip it;
 * **controlled-path floor** — the fast kernel's slowest composed path
   (``drpm4`` + ``slo_feedback`` + ``slack_defer`` + streaming metrics)
   must stay within a fixed multiple of the fast fixed-threshold run on
   the same inputs, timed on the same machine.  Unlike the event-engine
-  ratios above, this catches a slowdown of the fast kernel itself.
+  ratios above, these catch a slowdown of the fast kernel itself.
 """
 
 import math
 import time
 
+import numpy as np
 import pytest
 
 from repro.system import StorageConfig, StorageSystem, allocate
@@ -137,6 +142,64 @@ def test_scheduler_composes_with_controller(scale, capsys):
         )
 
 
+#: slack_defer/fixed fast-run time ratio the scheduled path must stay
+#: under.  The fixed side serves through the Python oracle loop
+#: (``oracle_core``), like the other same-machine floors.  With the
+#: release decisions compiled it measured 0.34-0.40 over 8 runs on a 2-CPU
+#: x86-64 Linux VM, and 5.08-5.71 over 3 runs with the rules forced onto
+#: their Python loops; the floor is the top of the compiled range plus 25%
+#: headroom, so rules that fall back to Python trip it.
+SCHEDULED_FLOOR = 0.5
+
+
+def test_scheduled_floor(capsys, oracle_core):
+    """A fast ``slack_defer`` run vs a fast fixed run on the canonical
+    4,000 s stream (8,000 files from the catalog seed perfbench derives
+    from its seed 0, R = 8 req/s, L = 0.7), timed on the same machine
+    (interleaved best-of-7)."""
+    seed = int(np.random.SeedSequence(0).generate_state(2)[0])
+    workload = generate_workload(
+        SyntheticWorkloadParams(
+            n_files=8_000, arrival_rate=8.0, duration=4_000.0, seed=seed
+        )
+    )
+    fixed = StorageConfig(num_disks=100, load_constraint=0.7, engine="fast")
+    scheduled = fixed.with_overrides(
+        slo_target=60.0,
+        scheduler="slack_defer",
+        scheduler_params={"max_hold": 30.0},
+    )
+    mapping = allocate(workload.catalog, "pack", fixed, 8.0).mapping(
+        workload.catalog.n
+    )
+
+    def run(cfg):
+        return StorageSystem(workload.catalog, mapping, cfg).run(
+            workload.stream
+        )
+
+    # Interleaved, so host drift hits both sides alike.
+    fixed_s = scheduled_s = math.inf
+    for _ in range(7):
+        t0 = time.perf_counter()
+        result = run(scheduled)
+        t1 = time.perf_counter()
+        with oracle_core():
+            run(fixed)
+        t2 = time.perf_counter()
+        scheduled_s = min(scheduled_s, t1 - t0)
+        fixed_s = min(fixed_s, t2 - t1)
+    assert result.completions > 0
+    ratio = scheduled_s / fixed_s
+    with capsys.disabled():
+        print(
+            f"\n[scheduled floor] {len(workload.stream)} requests: "
+            f"scheduled {scheduled_s:.4f}s, fixed {fixed_s:.4f}s "
+            f"(ratio {ratio:.2f}, floor {SCHEDULED_FLOOR})"
+        )
+    assert ratio < SCHEDULED_FLOOR
+
+
 #: Controlled/fixed time ratio the composed path must stay under.  This
 #: test first measured 7.9-9.0 on a 2-CPU x86-64 Linux host, and the floor
 #: is the top of that range plus 25% headroom.  With block release
@@ -149,9 +212,12 @@ def test_scheduler_composes_with_controller(scale, capsys):
 #: calibrated (8 runs: 6.24-8.30, the controlled side on the compiled core).
 #: With the P² fold compiled it measured 2.46-3.02 over 8 runs on a 2-CPU
 #: x86-64 Linux VM, and 6.05-8.06 over 3 runs with the estimators forced
-#: onto their Python loop; the floor is the top of the compiled range plus
-#: 25% headroom, so a fold that falls back to Python trips it.
-CONTROLLED_FLOOR = 3.8
+#: onto their Python loop; the floor was the top of the compiled range plus
+#: 25% headroom, so a fold that falls back to Python trips it (3.8).  With
+#: the release decisions compiled too it measured 1.44-2.05 over 8 runs on
+#: the same host, and 4.88-6.29 over 3 runs with the rules forced onto
+#: their Python loops; the floor is again the top plus 25% headroom.
+CONTROLLED_FLOOR = 2.6
 
 
 def test_controlled_scheduled_streaming_floor(capsys, oracle_core):

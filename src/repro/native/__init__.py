@@ -7,9 +7,14 @@ rule-table row and the shared whole-file cache's lookups, pending
 admissions and evictions merged in; it also writes each request's
 completion and response and bills its service per disk.
 :func:`stable_order` puts completions (and scheduler releases) in order
-with the same library's bucket sort, and :func:`p2_fold` folds
+with the same library's bucket sort, :func:`p2_fold` folds
 observations into a P² percentile estimator
-(:class:`~repro.control.telemetry.P2Quantile`).  The shared library is
+(:class:`~repro.control.telemetry.P2Quantile`), and :func:`release_core`
+decides the release times of a block of arrivals for the deferring
+request schedulers of :mod:`repro.system.scheduling` (``slack_defer``,
+``batch_release``, ``spinup_coalesce``) with their disk forecast, from a
+:class:`SchedArgs` block each scheduler builds once per run: one call per
+fast-kernel block, one per arrival on the event engine.  The shared library is
 built from that source with the host's C compiler the first time this
 package is imported and cached under ``~/.cache/repro/native/``, named by a
 hash of the source, the compiler, the flags and the Python ABI, so later
@@ -24,7 +29,8 @@ import still succeeds, but :func:`coupled_core` raises
 :class:`~repro.errors.ConfigError` naming the missing compiler, so
 ``engine="fast"`` fails loudly while the event engine keeps working;
 :func:`p2_fold` then returns ``False`` and the estimator runs its own Python
-loop, which gives the same markers bit for bit.
+loop, and :func:`release_core` returns ``None`` and the schedulers run
+theirs, which give the same markers and releases bit for bit.
 
 Tests may :func:`build` with extra compiler flags (a sanitizer or
 warnings-as-errors build) and :func:`load` the result; the flags are
@@ -52,6 +58,8 @@ from repro.errors import ConfigError
 __all__ = [
     "CFLAGS",
     "CoupledArgs",
+    "RULES",
+    "SchedArgs",
     "ServeArgs",
     "build",
     "cache_dir",
@@ -59,6 +67,7 @@ __all__ = [
     "coupled_core",
     "load",
     "p2_fold",
+    "release_core",
     "stable_order",
 ]
 
@@ -124,6 +133,26 @@ class CoupledArgs(ctypes.Structure):
         ("ev_cap", _i), ("ev_n", _i), ("ev_t", _p), ("ev_k", _p), ("ev_f", _p),
         ("stop", _i),
     ]
+
+
+class SchedArgs(ctypes.Structure):
+    """Mirror of ``sched_args`` in ``serve.c``: a deferring request
+    scheduler's rule (:data:`RULES`), the ``file -> disk`` mapping and file
+    sizes, its disk forecast's per-disk constants and state (``avail``,
+    ``group_until``, updated in place), and the rule's parameters."""
+
+    _fields_ = [
+        ("rule", _i), ("nf", _i),
+        ("map", _p), ("size", _p),
+        ("oh", _p), ("rate", _p), ("th", _p), ("down", _p), ("up", _p),
+        ("avail", _p), ("group_until", _p),
+        ("budget", ctypes.c_double), ("window", ctypes.c_double),
+        ("max_hold", ctypes.c_double),
+    ]
+
+
+#: Scheduler name -> ``SchedArgs.rule`` (the rule ``repro_release`` runs).
+RULES = {"slack_defer": 0, "batch_release": 1, "spinup_coalesce": 2}
 
 
 def compiler() -> Optional[str]:
@@ -232,6 +261,7 @@ def load(path: Path) -> ctypes.CDLL:
     for size_fn, mirror in (
         (lib.repro_serve_args_size, ServeArgs),
         (lib.repro_coupled_args_size, CoupledArgs),
+        (lib.repro_sched_args_size, SchedArgs),
     ):
         size_fn.argtypes = []
         size_fn.restype = ctypes.c_int64
@@ -247,6 +277,9 @@ def load(path: Path) -> ctypes.CDLL:
     lib.repro_stable_order.restype = _i
     lib.repro_p2_fold.argtypes = [_p, _p, _p, _i]
     lib.repro_p2_fold.restype = None
+    # Declared without argtypes: callers pass ctypes objects, so the event
+    # engine's call per request converts nothing.
+    lib.repro_release.restype = None
     return lib
 
 
@@ -302,3 +335,16 @@ def p2_fold(markers: np.ndarray, dn: np.ndarray, xs: np.ndarray) -> bool:
             )
     _LIB.repro_p2_fold(markers.ctypes.data, dn.ctypes.data, x.ctypes.data, x.size)
     return True
+
+
+def release_core() -> Optional[Callable[..., None]]:
+    """The compiled ``repro_release(SchedArgs *, t, fid, n, stressed,
+    out)``, which writes the release times of ``n`` arrivals ``t`` of files
+    ``fid`` (float64 and int64 buffers) into the float64 buffer ``out`` and
+    updates the forecast state the arguments point at; ``None`` when the
+    library could not be built (the schedulers then run their Python
+    loops, which give the same releases bit for bit).  It has no declared
+    argument types: pass the arguments as ctypes objects (a
+    ``byref(SchedArgs)``, buffers or ``c_void_p`` addresses, ``c_int64``
+    counts)."""
+    return None if _LIB is None else _LIB.repro_release

@@ -30,6 +30,11 @@
  * steers by, and the streaming metrics' percentiles), statement for
  * statement the Python loop of repro.control.telemetry.
  *
+ * repro_release decides the release times of one block of arrivals for
+ * the deferring request schedulers (slack_defer, batch_release,
+ * spinup_coalesce) and updates their two-state disk forecast, statement
+ * for statement the Python loops of repro.system.scheduling.
+ *
  * Gap-log records are sorted by disk (arrival order inside each disk) and
  * span records by (kind, rung) (arrival order inside each key) before they
  * are handed back.  A call stops early when a record buffer could overflow,
@@ -38,6 +43,7 @@
  * calls again with that position to resume the walk.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -1037,4 +1043,109 @@ void repro_p2_fold(double *s, const double *dn, const double *xs, int64_t n)
     s[13] = np3;
     /* Exact: an integer-valued count far below 2**53. */
     s[14] += (double)n;
+}
+
+/* ---------------------------------------------------------------------
+ * Release decisions of the deferring request schedulers: the block loops
+ * of repro.system.scheduling's slack_defer, batch_release and
+ * spinup_coalesce, with the two-state disk forecast they read and write.
+ * ------------------------------------------------------------------- */
+
+typedef struct {
+    int64_t rule;         /* SLACK_DEFER, BATCH_RELEASE or SPINUP_COALESCE */
+    int64_t nf;           /* files in the mapping */
+    const int64_t *map;   /* [nf] file -> disk, negative: not yet placed */
+    const double *size;   /* [nf] bytes */
+    /* forecast constants: access overhead, transfer rate, idle threshold,
+     * spin-down and spin-up time */
+    const double *oh, *rate, *th, *down, *up;  /* [D] */
+    double *avail;        /* [D] forecast next-free time */
+    double *group_until;  /* [D] open spinup_coalesce group deadline */
+    double budget, window, max_hold;
+} sched_args;
+
+/* The rule numbers of repro.native.RULES. */
+enum { SLACK_DEFER = 0, BATCH_RELEASE = 1, SPINUP_COALESCE = 2 };
+
+/* Lets the loader check its ctypes mirror of sched_args. */
+int64_t repro_sched_args_size(void)
+{
+    return (int64_t)sizeof(sched_args);
+}
+
+/* Forecast service start for a request reaching disk d at t: behind the
+ * backlog, or after the spin-down the idle gap triggers and a spin-up. */
+static inline double projected_start(const sched_args *a, int64_t d, double t)
+{
+    const double av = a->avail[d];
+    if (t <= av)
+        return av;
+    if (t - av > a->th[d]) {
+        const double sd_end = av + a->th[d] + a->down[d];
+        return (t >= sd_end ? t : sd_end) + a->up[d];
+    }
+    return t;
+}
+
+/* The first multiple of the window at or after t, in doubles: infinite
+ * when t / window overflows.  Adding 0.0 turns ceil's -0.0 into the +0.0
+ * of Python's integer ceil. */
+static inline double next_epoch(double t, double window)
+{
+    return (ceil(t / window) + 0.0) * window;
+}
+
+/* Release times out[n] for the arrivals t[n] of files fid[n], in arrival
+ * order.  stressed (slack_defer only): the controller's running
+ * percentile estimate exceeds the budget, so nothing is deferred.  Each
+ * statement is the Python loop's, in its order, so releases and forecast
+ * state come out bit for bit equal to it. */
+void repro_release(sched_args *a, const double *ts, const int64_t *fid,
+                   int64_t n, int64_t stressed, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double t = ts[i];
+        if (a->rule == BATCH_RELEASE) {
+            /* Guarded back onto [t, ...): the epoch lands one ulp below
+             * t when t / window rounds down to an integer. */
+            double epoch = next_epoch(t, a->window);
+            if (!(epoch > t))
+                epoch = t;
+            const double cap = t + a->max_hold;
+            out[i] = cap < epoch ? cap : epoch;
+            continue;
+        }
+        const int64_t f = fid[i];
+        const int64_t d = 0 <= f && f < a->nf ? a->map[f] : -1;
+        if (d < 0) {
+            out[i] = t;  /* not yet placed: pass through, forecast untouched */
+            continue;
+        }
+        const double service = a->oh[d] + a->size[f] / a->rate[d];
+        double r = t;
+        if (a->rule == SLACK_DEFER) {
+            if (!stressed) {
+                /* All or nothing: land on a finite epoch within max_hold
+                 * whose forecast response fits the budget, else pass
+                 * through. */
+                const double epoch = next_epoch(t, a->window);
+                if (epoch > t && epoch - t <= a->max_hold && epoch < INFINITY
+                    && (projected_start(a, d, epoch) - t) + service
+                           <= a->budget)
+                    r = epoch;
+            }
+        } else {
+            double until = a->group_until[d];
+            if (t >= until)
+                until = a->group_until[d] = -INFINITY;  /* released */
+            if (until > t) {
+                r = until;  /* join the open group */
+            } else if (t >= a->avail[d] + a->th[d] + a->down[d]) {
+                r = t + a->max_hold;  /* asleep: open a group */
+                a->group_until[d] = r;
+            }
+        }
+        a->avail[d] = projected_start(a, d, r) + service;
+        out[i] = r;
+    }
 }

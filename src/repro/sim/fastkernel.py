@@ -1715,16 +1715,12 @@ class _Run:
         reading the controller's interval-constant ``slo_estimate`` under
         control) and hold them — the exact submission sequence the event
         engine's drive_scheduled_stream produces."""
-        if w is None:
-            w_l = None
-            w = np.zeros(t.size, dtype=bool)
-        else:
-            w_l = w.tolist()
         est = None if self.dpm is None else self.dpm.slo_estimate
-        r = np.array(
-            self.scheduler.release_many(t.tolist(), fid.tolist(), w_l, est),
-            dtype=float,
+        r = np.asarray(
+            self.scheduler.release_many(t, fid, w, est), dtype=float
         )
+        if w is None:
+            w = np.zeros(t.size, dtype=bool)
         if r.shape != t.shape or not (r >= t).all():
             _bad_releases(r, t)
         # A release at or past the horizon never submits (the event

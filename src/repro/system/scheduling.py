@@ -66,6 +66,12 @@ spinup_coalesce  park arrivals whose destination disk the model predicts
                  requests to spinning or not-yet-placed files pass through.
 ================ =============================================================
 
+The three deferring rules decide in the compiled core
+(:func:`repro.native.release_core`): one C call per fast-kernel block and
+one per event-engine arrival, over per-disk forecast state kept in
+float64 arrays.  Their Python loops run only where the library could not
+be built, and give the same releases bit for bit.
+
 Use :func:`make_request_scheduler` to instantiate by name and
 :func:`request_scheduler_names` to iterate the registry (the parity
 grids do, so new schedulers are covered automatically — reprolint R003
@@ -74,12 +80,14 @@ enforces it).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
+from repro import native
 from repro.disk.drive import WRITE
 from repro.errors import ConfigError
 
@@ -227,19 +235,22 @@ class _DiskModel:
     the scheduler's own commits — it is a deterministic *forecast* shared
     verbatim by both engines, never a readout of either engine's truth
     (caches, dynamic thresholds and placement updates are invisible to
-    it on purpose).  State is kept in Python lists: the model is read and
-    written one scalar at a time, once per request.
+    it on purpose).  Constants and state are per-disk float64 arrays,
+    which the compiled release routine (:func:`repro.native.release_core`)
+    reads and updates in place; the methods are its Python twin, run only
+    when the library could not be built.
     """
 
     __slots__ = ("avail", "_oh", "_rate", "_th", "_down", "_up")
 
     def __init__(self, setup: SchedulingSetup) -> None:
-        self.avail = [0.0] * setup.num_disks
-        self._oh = np.asarray(setup.access_overhead, dtype=float).tolist()
-        self._rate = np.asarray(setup.transfer_rate, dtype=float).tolist()
-        self._th = np.asarray(setup.threshold, dtype=float).tolist()
-        self._down = np.asarray(setup.spindown_time, dtype=float).tolist()
-        self._up = np.asarray(setup.spinup_time, dtype=float).tolist()
+        n = setup.num_disks
+        self.avail = np.zeros(n)
+        self._oh = _per_disk(setup.access_overhead, n, "access_overhead")
+        self._rate = _per_disk(setup.transfer_rate, n, "transfer_rate")
+        self._th = _per_disk(setup.threshold, n, "threshold")
+        self._down = _per_disk(setup.spindown_time, n, "spindown_time")
+        self._up = _per_disk(setup.spinup_time, n, "spinup_time")
 
     def projected_start(self, d: int, t: float) -> float:
         """Predicted service start for a request hitting disk ``d`` at ``t``."""
@@ -261,6 +272,27 @@ class _DiskModel:
     def commit(self, d: int, t: float, size: float) -> None:
         """Record a request released at ``t`` onto disk ``d``."""
         self.avail[d] = self.projected_start(d, t) + self.service_time(d, size)
+
+
+def _per_disk(values, num_disks: int, name: str) -> np.ndarray:
+    """One contiguous float64 value per disk (the compiled routine indexes
+    it by disk, so a short column is a configuration error, not a read
+    past its end)."""
+    arr = np.ascontiguousarray(values, dtype=float)
+    if arr.shape != (num_disks,):
+        raise ConfigError(
+            f"scheduling setup {name} must hold one value per disk "
+            f"({num_disks}), got shape {arr.shape}"
+        )
+    return arr
+
+
+def _next_epoch(t: float, window: float) -> float:
+    """The first multiple of ``window`` at or after ``t``, computed in
+    doubles like the compiled routine: infinite (not an
+    ``OverflowError``) when ``t / window`` overflows."""
+    x = float(t) / window  # a Python float: overflows without a warning
+    return (float(math.ceil(x)) if math.isfinite(x) else x) * window
 
 
 class RequestScheduler:
@@ -300,21 +332,24 @@ class RequestScheduler:
 
     def release_many(
         self,
-        times: List[float],
-        file_ids: List[int],
-        writes: Optional[List[bool]],
+        times: Sequence[float],
+        file_ids: Sequence[int],
+        writes: Optional[Sequence[bool]],
         slo_estimate: Optional[float],
-    ) -> List[float]:
+    ) -> Sequence[float]:
         """Release times for one block of arrivals, each in
         ``[t, t + max_hold]``.
 
         ``times`` and ``file_ids`` are the block's arrivals in arrival
         order; ``writes`` flags the writes (``None`` for an all-read
-        block).  ``slo_estimate`` is the controller's running percentile
-        estimate as of the last control boundary at or before the block
-        (``None`` without a dynamic controller, NaN before the estimator
-        warms up).  Both engines pass every request through exactly once,
-        in arrival order; the returned times are final.
+        block).  The fast kernel passes NumPy arrays (float64, int64 and
+        bool) and reads the result through ``np.asarray``, so a list
+        works as well as an array.  ``slo_estimate`` is the controller's
+        running percentile estimate as of the last control boundary at or
+        before the block (``None`` without a dynamic controller, NaN
+        before the estimator warms up).  Both engines pass every request
+        through exactly once, in arrival order; the returned times are
+        final.
         """
         raise NotImplementedError
 
@@ -400,16 +435,134 @@ class Fifo(RequestScheduler):
 
     def release_many(
         self,
-        times: List[float],
-        file_ids: List[int],
-        writes: Optional[List[bool]],
+        times: Sequence[float],
+        file_ids: Sequence[int],
+        writes: Optional[Sequence[bool]],
         slo_estimate: Optional[float],
-    ) -> List[float]:
+    ) -> Sequence[float]:
         return list(times)
 
 
+#: The per-request call's count and stress flags, made once.
+_ONE = ctypes.c_int64(1)
+_STRESSED = (ctypes.c_int64(0), ctypes.c_int64(1))
+
+
+class _CompiledRule(RequestScheduler):
+    """A deferring rule whose release decisions run in the compiled core.
+
+    A subclass's :meth:`reset` checks its params and calls :meth:`_bind`,
+    which builds the rule's :class:`~repro.native.SchedArgs` block once per
+    run over the arrays its forecast lives in.  :meth:`release_many` is
+    then one call of :func:`repro.native.release_core` per block, and
+    :meth:`release` one per request through preallocated one-element
+    buffers.  Where the library could not be built, both run the
+    subclass's :meth:`_loop` instead, the same rule in Python, which gives
+    the same releases and forecast state bit for bit.
+    """
+
+    #: A block whose ``slo_estimate`` exceeds this passes through
+    #: (slack_defer's stress gate; never for the other rules).
+    _gate = math.inf
+
+    def _bind(
+        self,
+        setup: Optional[SchedulingSetup],
+        window: float = 0.0,
+        max_hold: float = 0.0,
+        budget: float = 0.0,
+    ) -> None:
+        """Build the per-run state (the catalog and the disk forecast when
+        the rule reads them) and, where the library loaded, the compiled
+        routine's argument block pointing at it."""
+        args = native.SchedArgs(
+            rule=native.RULES[self.name], budget=budget, window=window,
+            max_hold=max_hold,
+        )
+        if setup is not None:
+            mapping = np.ascontiguousarray(setup.mapping, dtype=np.int64)
+            sizes = np.ascontiguousarray(setup.sizes, dtype=float)
+            if mapping.ndim != 1 or sizes.shape != mapping.shape:
+                raise ConfigError(
+                    f"scheduling setup needs one size per mapped file, got "
+                    f"{sizes.shape} sizes for a mapping of {mapping.shape}"
+                )
+            if mapping.size and int(mapping.max()) >= setup.num_disks:
+                raise ConfigError(
+                    f"scheduling setup maps a file to disk "
+                    f"{int(mapping.max())} of a {setup.num_disks}-disk pool"
+                )
+            self._mapping = mapping
+            self._sizes = sizes
+            self._model = model = _DiskModel(setup)
+            self._group_until = np.full(setup.num_disks, -math.inf)
+            args.nf = mapping.size
+            args.map = mapping.ctypes.data
+            args.size = sizes.ctypes.data
+            args.oh = model._oh.ctypes.data
+            args.rate = model._rate.ctypes.data
+            args.th = model._th.ctypes.data
+            args.down = model._down.ctypes.data
+            args.up = model._up.ctypes.data
+            args.avail = model.avail.ctypes.data
+            args.group_until = self._group_until.ctypes.data
+        self._core = native.release_core()
+        self._args = ctypes.byref(args)  # holds a reference to ``args``
+        self._t1 = (ctypes.c_double * 1)()
+        self._f1 = (ctypes.c_int64 * 1)()
+        self._r1 = (ctypes.c_double * 1)()
+
+    def release_many(
+        self,
+        times: Sequence[float],
+        file_ids: Sequence[int],
+        writes: Optional[Sequence[bool]],
+        slo_estimate: Optional[float],
+    ) -> Sequence[float]:
+        stressed = slo_estimate is not None and slo_estimate > self._gate
+        if self._core is None:
+            return self._loop(times, file_ids, stressed)
+        t = np.ascontiguousarray(times, dtype=float)
+        f = np.ascontiguousarray(file_ids, dtype=np.int64)
+        if t.ndim != 1 or f.shape != t.shape:
+            raise ValueError(
+                f"release_many needs one file id per arrival, got "
+                f"{f.size} ids for {t.size} arrivals"
+            )
+        out = np.empty(t.size)
+        self._core(
+            self._args, ctypes.c_void_p(t.ctypes.data),
+            ctypes.c_void_p(f.ctypes.data), ctypes.c_int64(t.size),
+            _STRESSED[stressed], ctypes.c_void_p(out.ctypes.data),
+        )
+        return out
+
+    def release(
+        self,
+        t: float,
+        file_id: int,
+        kind: str,
+        slo_estimate: Optional[float] = None,
+    ) -> float:
+        stressed = slo_estimate is not None and slo_estimate > self._gate
+        if self._core is None:
+            return self._loop([t], [file_id], stressed)[0]
+        self._t1[0] = t
+        self._f1[0] = file_id
+        self._core(self._args, self._t1, self._f1, _ONE, _STRESSED[stressed],
+                   self._r1)
+        return self._r1[0]
+
+    def _loop(
+        self, times: Sequence[float], file_ids: Sequence[int], stressed: bool
+    ) -> List[float]:
+        """The rule in Python: the releases of one block, in arrival
+        order, updating the forecast state as the compiled routine does."""
+        raise NotImplementedError
+
+
 @register_request_scheduler
-class SlackDefer(RequestScheduler):
+class SlackDefer(_CompiledRule):
     """Spend each request's projected tail slack batching it onto epochs.
 
     Each request is a candidate for deferral to the next budget-aligned
@@ -418,9 +571,10 @@ class SlackDefer(RequestScheduler):
     every idle gap exactly as long as before; it is the *batching* that
     buys spin-down residency and shared wake-ups, TimeTrader-style).
     Deferral is all-or-nothing: a request whose next epoch is farther
-    than ``max_hold`` away passes through instead of being shifted
-    mid-window, because a truncated hold delays the response without
-    merging any wake-up.  The internal disk model projects the response the
+    than ``max_hold`` away (or infinitely far, when ``t / window``
+    overflows) passes through instead of being shifted mid-window,
+    because a truncated hold delays the response without merging any
+    wake-up.  The internal disk model projects the response the
     request would see measured from its arrival if released at the epoch
     — queueing behind the model's backlog, the wake penalty if the disk
     is predicted asleep *at the release* (a deferral that causes the very
@@ -464,7 +618,7 @@ class SlackDefer(RequestScheduler):
             raise ConfigError(
                 f"slack_defer max_hold must be >= 0, got {max_hold}"
             )
-        self._budget = float(margin * target)
+        self._budget = self._gate = float(margin * target)
         self._max_hold = float(max_hold)
         window = self.params["window"]
         if window is None:
@@ -474,16 +628,10 @@ class SlackDefer(RequestScheduler):
                 f"slack_defer window must be positive, got {window}"
             )
         self._window = float(window)
-        self._mapping = setup.mapping.tolist()
-        self._sizes = setup.sizes.tolist()
-        self._model = _DiskModel(setup)
+        self._bind(setup, self._window, self._max_hold, self._budget)
 
-    def release_many(
-        self,
-        times: List[float],
-        file_ids: List[int],
-        writes: Optional[List[bool]],
-        slo_estimate: Optional[float],
+    def _loop(
+        self, times: Sequence[float], file_ids: Sequence[int], stressed: bool
     ) -> List[float]:
         mapping = self._mapping
         n_files = len(mapping)
@@ -495,8 +643,6 @@ class SlackDefer(RequestScheduler):
         budget = self._budget
         window = self._window
         max_hold = self._max_hold
-        ceil = math.ceil
-        stressed = slo_estimate is not None and slo_estimate > budget
         out: List[float] = []
         append = out.append
         for t, f in zip(times, file_ids):
@@ -510,12 +656,12 @@ class SlackDefer(RequestScheduler):
                 # ``epoch > t`` below also rejects an epoch one float ulp
                 # below t, where ceil lands at exact multiples of the
                 # window; an arrival on an epoch passes through.
-                epoch = ceil(t / window) * window
+                epoch = _next_epoch(t, window)
                 # All-or-nothing: land on the epoch or pass through.  A
                 # hold truncated short of the epoch would be a mid-window
                 # shift — it delays the response without merging any
                 # wake-up, the worst of both worlds.
-                if epoch > t and epoch - t <= max_hold:
+                if epoch > t and epoch - t <= max_hold and epoch < math.inf:
                     # Project at the *release*, not the arrival: the disk
                     # may spin down inside [t, epoch), and a deferral that
                     # causes the very wake it was meant to avoid busts the
@@ -528,14 +674,16 @@ class SlackDefer(RequestScheduler):
 
 
 @register_request_scheduler
-class BatchRelease(RequestScheduler):
+class BatchRelease(_CompiledRule):
     """Quantize releases onto ``window`` epochs (idle-gap-extending batching).
 
     Every arrival is held until the next multiple of ``window``, so
     requests land in bunches and the gaps between bunches are request-free
     — the simplest way to buy longer idle gaps with bounded per-request
     delay.  ``max_hold`` caps the hold independently of the window (an
-    arrival just past an epoch would otherwise wait a full window).
+    arrival just past an epoch would otherwise wait a full window, and
+    one whose next epoch is infinitely far, when ``t / window``
+    overflows, waits exactly ``max_hold``).
     """
 
     name = "batch_release"
@@ -554,24 +702,20 @@ class BatchRelease(RequestScheduler):
             )
         self._window = float(self.params["window"])
         self._max_hold = float(max_hold)
+        self._bind(None, self._window, self._max_hold)
 
-    def release_many(
-        self,
-        times: List[float],
-        file_ids: List[int],
-        writes: Optional[List[bool]],
-        slo_estimate: Optional[float],
+    def _loop(
+        self, times: Sequence[float], file_ids: Sequence[int], stressed: bool
     ) -> List[float]:
         window = self._window
         max_hold = self._max_hold
-        ceil = math.ceil
         out: List[float] = []
         append = out.append
         for t in times:
             # The next epoch, guarded back onto [t, ...) (ceil(t / w) * w
             # can land one float ulp below t when t / w rounds down to an
             # integer), capped at t + max_hold.
-            epoch = ceil(t / window) * window
+            epoch = _next_epoch(t, window)
             if not epoch > t:
                 epoch = t
             cap = t + max_hold
@@ -580,7 +724,7 @@ class BatchRelease(RequestScheduler):
 
 
 @register_request_scheduler
-class SpinupCoalesce(RequestScheduler):
+class SpinupCoalesce(_CompiledRule):
     """Park arrivals bound for a sleeping disk; wake once per group.
 
     When the model predicts the destination disk fully in standby, the
@@ -604,17 +748,10 @@ class SpinupCoalesce(RequestScheduler):
                 f"spinup_coalesce max_hold must be >= 0, got {max_hold}"
             )
         self._max_hold = float(max_hold)
-        self._mapping = setup.mapping.tolist()
-        self._sizes = setup.sizes.tolist()
-        self._model = _DiskModel(setup)
-        self._group_until = [-math.inf] * setup.num_disks
+        self._bind(setup, max_hold=self._max_hold)
 
-    def release_many(
-        self,
-        times: List[float],
-        file_ids: List[int],
-        writes: Optional[List[bool]],
-        slo_estimate: Optional[float],
+    def _loop(
+        self, times: Sequence[float], file_ids: Sequence[int], stressed: bool
     ) -> List[float]:
         mapping = self._mapping
         n_files = len(mapping)

@@ -6,8 +6,8 @@ the same simulated outputs as the library this process loaded, two
 processes building at once must both load one valid library, an
 unwritable cache falls back to a private build directory, and a host with
 no C compiler gets a ``ConfigError`` from ``engine="fast"`` while the
-event engine still runs, its P² estimates folded by the Python loop to
-the compiled fold's bits.  Extra compiler flags (tests only) build a
+event engine still runs, its P² estimates folded and its schedulers'
+releases decided by the Python loops to the compiled paths' bits.  Extra compiler flags (tests only) build a
 library of their own, and ``serve.c`` builds warning-free.
 """
 
@@ -31,41 +31,70 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 #: digest of each run's outputs (or the ConfigError it raised).  A name
 #: ending in ``+slo`` runs ``slo_feedback`` control with streaming metrics,
 #: whose P² estimates (the running p95 per interval and the streamed
-#: percentiles) go into its digest.
+#: percentiles) go into its digest.  ``+defer`` adds ``slack_defer`` to
+#: that, and ``+coalesce`` runs ``spinup_coalesce``, both on a lighter
+#: stream, where the disks idle long enough for the rules to hold
+#: requests; their digests also hold the scheduler's releases of the
+#: whole stream in one block, and they report how many requests it held.
 SCRIPT = r"""
 import hashlib, json, sys
 import numpy as np
 from repro.errors import ConfigError
 from repro.system import StorageConfig, StorageSystem
+from repro.system.scheduling import build_scheduling_setup
 from repro.workload.generator import SyntheticWorkloadParams, generate_workload
 
 wl = generate_workload(SyntheticWorkloadParams(
     n_files=600, arrival_rate=4.0, duration=800.0, seed=3))
+light = generate_workload(SyntheticWorkloadParams(
+    n_files=600, arrival_rate=0.2, duration=2000.0, seed=3))
 cfg = StorageConfig(num_disks=10, dpm_ladder="drpm4")
 mapping = np.arange(wl.catalog.n) % 10
 out = {}
 for name in sys.argv[1:]:
     engine, _, mode = name.partition("+")
     run_cfg = cfg.with_overrides(engine=engine)
-    if mode == "slo":
+    if mode in ("slo", "defer"):
         run_cfg = run_cfg.with_overrides(
             dpm_policy="slo_feedback", slo_target=2.0, control_interval=50.0,
             metrics_mode="streaming")
-    system = StorageSystem(wl.catalog, mapping, run_cfg)
+    run_wl = wl
+    if mode == "defer":
+        run_wl = light
+        run_cfg = run_cfg.with_overrides(
+            slo_target=60.0, scheduler="slack_defer",
+            scheduler_params={"max_hold": 30.0})
+    elif mode == "coalesce":
+        run_wl = light
+        run_cfg = run_cfg.with_overrides(
+            scheduler="spinup_coalesce", scheduler_params={"max_hold": 20.0},
+            metrics_mode="streaming")
+    system = StorageSystem(run_wl.catalog, mapping, run_cfg)
     try:
-        r = system.run(wl.stream)
+        r = system.run(run_wl.stream)
     except ConfigError as exc:
         out[name] = "ConfigError: " + str(exc)
         continue
-    if mode == "slo":
+    if r.response_stats is not None:
         h = hashlib.sha256(repr(r.response_stats).encode())
-        h.update(repr([x.hex() for x in r.extra["dpm"]["p95_running"]]).encode())
-        h.update(repr(r.extra["dpm"]["thresholds"]).encode())
     else:
         h = hashlib.sha256(r.response_times.tobytes())
+    if mode in ("slo", "defer"):
+        h.update(repr([x.hex() for x in r.extra["dpm"]["p95_running"]]).encode())
+        h.update(repr(r.extra["dpm"]["thresholds"]).encode())
     h.update(r.energy_per_disk.tobytes())
     h.update(repr(sorted(r.state_durations.items())).encode())
     out[name] = [h.hexdigest(), r.spinups, r.completions]
+    if mode in ("defer", "coalesce"):
+        sched = run_cfg.request_scheduler()
+        sched.reset(build_scheduling_setup(
+            run_cfg, run_wl.catalog.sizes, mapping, cfg.num_disks))
+        times = np.asarray(run_wl.stream.times, dtype=float)
+        rel = np.asarray(sched.release_many(
+            times, np.asarray(run_wl.stream.file_ids), None, None), dtype=float)
+        h.update(rel.tobytes())
+        out[name] = [h.hexdigest(), r.spinups, r.completions,
+                     int((rel > times).sum())]
 print(json.dumps(out))
 """
 
@@ -141,15 +170,23 @@ def test_unwritable_cache_builds_privately(tmp_path):
 
 def test_no_compiler_fast_raises_event_runs(tmp_path):
     """The event engine runs without the library, and its P² estimates
-    (folded by the Python loop there) equal the compiled fold's here."""
+    (folded by the Python loop there) and its schedulers' releases
+    (decided by the Python loops there) equal the compiled paths' here."""
     empty = tmp_path / "bin"
     empty.mkdir()
-    got = _result(_start(tmp_path, "fast", "event", "event+slo", PATH=str(empty)))
+    scheduled = ("event+defer", "event+coalesce")
+    got = _result(_start(
+        tmp_path, "fast", "event", "event+slo", *scheduled, PATH=str(empty)
+    ))
     assert got["fast"].startswith("ConfigError: engine='fast' needs a C compiler")
     assert "install one or use engine='event'" in got["fast"]
     assert isinstance(got["event"], list) and got["event"][2] > 0
+    for name in scheduled:
+        assert got[name][3] > 0, f"{name} held no request"
     if native._LIB is not None:
-        assert got["event+slo"] == _here("event+slo")["event+slo"]
+        here = _here("event+slo", *scheduled)
+        for name in ("event+slo", *scheduled):
+            assert got[name] == here[name], name
 
 
 @needs_compiler

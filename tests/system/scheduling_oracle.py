@@ -1,19 +1,26 @@
 """Per-request twins of the deferring request schedulers.
 
 The reference :mod:`repro.system.scheduling` rules decide a whole block of
-arrivals per call (``release_many``).  These classes keep the earlier
-one-request-at-a-time form of ``slack_defer``, ``batch_release`` and
-``spinup_coalesce``, with their own copy of the two-state disk forecast,
-so a test can hold the batched rules to them release by release.  Kept
-out of ``src/`` on purpose — it is a test oracle, not a second
-implementation.
-"""
+arrivals per call (``release_many``), in the compiled core
+(:func:`repro.native.release_core`) or, where it could not be built, in
+their Python loops.  These classes keep the earlier one-request-at-a-time
+form of ``slack_defer``, ``batch_release`` and ``spinup_coalesce``, with
+their own copy of the two-state disk forecast, so a test can hold both
+batched paths to them release by release.  Kept out of ``src/`` on
+purpose — it is a test oracle, not a second implementation."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+
+def next_epoch(t: float, window: float) -> float:
+    """The first multiple of ``window`` at or after ``t`` in doubles
+    (C's ``ceil``; infinite when ``t / window`` overflows)."""
+    x = t / window
+    return (float(math.ceil(x)) if math.isfinite(x) else x) * window
 
 
 class OracleDiskModel:
@@ -81,8 +88,9 @@ class OracleSlackDefer:
         r = t
         stressed = slo_estimate is not None and slo_estimate > self._budget
         if not stressed:
-            epoch = max(t, math.ceil(t / self._window) * self._window)
-            if epoch > t and epoch - t <= self._max_hold:
+            epoch = max(t, next_epoch(t, self._window))
+            # An infinite epoch (t / window overflows) passes through.
+            if epoch > t and epoch - t <= self._max_hold and epoch < math.inf:
                 projected = (model.projected_start(d, epoch) - t) + service
                 if projected <= self._budget:
                     r = epoch
@@ -92,7 +100,7 @@ class OracleSlackDefer:
 
 class OracleBatchRelease:
     """``batch_release``: the next ``window`` epoch, capped at
-    ``max_hold``."""
+    ``max_hold`` (so ``t + max_hold`` when the epoch is infinite)."""
 
     def __init__(self, window=10.0, max_hold=30.0):
         self.params = {"window": window, "max_hold": max_hold}
@@ -102,7 +110,7 @@ class OracleBatchRelease:
         self._max_hold = float(self.params["max_hold"])
 
     def release(self, t, file_id, kind, slo_estimate=None) -> float:
-        epoch = max(t, math.ceil(t / self._window) * self._window)
+        epoch = max(t, next_epoch(t, self._window))
         return min(epoch, t + self._max_hold)
 
 

@@ -8,23 +8,66 @@ other, so a rule that depended on the block split — or that drifted from
 the per-request rule it replaced — would pass it as long as both engines
 drifted alike.  Here ``release_many`` over random splits of a stream must
 equal ``scheduling_oracle``'s per-request rules release by release, and
-the forecast state (``avail``, ``_group_until``) must match after every
+the forecast state (``avail``, the group deadlines) must match after every
 block.
+
+Every case runs on both decision paths in turn: the compiled routine
+(:func:`repro.native.release_core`) and the Python loops that run when the
+library could not be built (selected here the same way, by unloading the
+library before the scheduler's ``reset``).
 """
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.native as native
 from repro.disk.drive import READ, WRITE
-from repro.system.scheduling import SchedulingSetup, make_request_scheduler
+from repro.system import StorageConfig, StorageSystem
+from repro.system.scheduling import (
+    RequestScheduler,
+    SchedulingSetup,
+    make_request_scheduler,
+)
+from repro.workload.generator import SyntheticWorkloadParams, generate_workload
 from scheduling_oracle import ORACLES
 
+#: The decision paths every case runs on (the compiled one only where it
+#: built).
+PATHS = ("python",) if native._LIB is None else ("compiled", "python")
+
+
+@contextmanager
+def rules(path):
+    """Run the body on the compiled routine or on the Python loops."""
+    if path == "compiled":
+        yield
+        return
+    lib = native._LIB
+    native._LIB = None
+    try:
+        yield
+    finally:
+        native._LIB = lib
+
+
+def _scheduler(path, name, params, setup):
+    with rules(path):
+        sched = make_request_scheduler(name, params)
+        sched.reset(setup)
+    assert (sched._core is None) == (path == "python")
+    return sched
+
+
 # Dyadic windows and holds make ``k * window - max_hold`` exact, so an
-# arrival can sit exactly ``max_hold`` before an epoch.
+# arrival can sit exactly ``max_hold`` before an epoch.  A subnormal window
+# overflows ``t / window``, so the next epoch is infinitely far.
 windows = st.one_of(
-    st.sampled_from([1.0, 2.5, 10.0]), st.floats(0.5, 20.0, allow_nan=False)
+    st.sampled_from([1.0, 2.5, 10.0, 1e-310]),
+    st.floats(0.5, 20.0, allow_nan=False),
 )
 holds = st.one_of(
     st.sampled_from([0.5, 2.5]), st.floats(0.0, 60.0), st.just(math.inf)
@@ -92,16 +135,22 @@ def cases(draw):
         slo_percentile=95.0,
     )
     # Arrivals: ties, short and long gaps, plus some exactly on epoch
-    # multiples of the scheduler's window or exactly max_hold before one.
+    # multiples of the scheduler's window, one ulp below one (k = 0 gives
+    # the negative subnormal whose epoch is +0.0), or exactly max_hold
+    # before one.
     gaps = draw(st.lists(
         st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(3.0, 60.0)),
         max_size=80,
     ))
     hold = params["max_hold"]
     on_epoch = [
-        k * window - lead
+        t
         for k in draw(st.lists(st.integers(0, 40), max_size=20))
-        for lead in ((0.0, hold) if hold < k * window else (0.0,))
+        for t in (
+            k * window,
+            math.nextafter(k * window, -math.inf),
+            *((k * window - hold,) if hold < k * window else ()),
+        )
     ]
     times = sorted(np.cumsum(gaps).tolist() + on_epoch)
     n = len(times)
@@ -129,43 +178,126 @@ def _assert_same_state(sched, oracle, note):
         assert _bits(sched._group_until) == _bits(oracle._group_until), note
 
 
-@given(case=cases(), all_read_as_none=st.booleans())
+@given(case=cases(), all_read_as_none=st.booleans(), as_arrays=st.booleans())
 @settings(max_examples=400, deadline=None)
 def test_release_many_over_any_split_matches_per_request_oracle(
-    case, all_read_as_none
+    case, all_read_as_none, as_arrays
 ):
+    """Blocks as the fast kernel passes them (float64, int64 and bool
+    arrays) or as lists, on both paths."""
     name, params, setup, times, file_ids, writes, blocks, estimates = case
-    sched = make_request_scheduler(name, params)
-    sched.reset(setup)
-    oracle = ORACLES[name](**params)
-    oracle.reset(setup)
-    for (lo, hi), est in zip(blocks, estimates):
-        ts, fs, ws = times[lo:hi], file_ids[lo:hi], writes[lo:hi]
-        flags = None if all_read_as_none and not any(ws) else ws
-        got = sched.release_many(ts, fs, flags, est)
-        want = [
-            oracle.release(t, f, WRITE if w else READ, slo_estimate=est)
-            for t, f, w in zip(ts, fs, ws)
-        ]
-        note = f"{name} block [{lo}, {hi}) est={est}"
-        assert _bits(got) == _bits(want), note
-        _assert_same_state(sched, oracle, note)
+    for path in PATHS:
+        sched = _scheduler(path, name, params, setup)
+        oracle = ORACLES[name](**params)
+        oracle.reset(setup)
+        for (lo, hi), est in zip(blocks, estimates):
+            ts, fs, ws = times[lo:hi], file_ids[lo:hi], writes[lo:hi]
+            flags = None if all_read_as_none and not any(ws) else ws
+            if as_arrays:
+                ts, fs = np.asarray(ts), np.asarray(fs, dtype=np.int64)
+                flags = None if flags is None else np.asarray(flags)
+            got = sched.release_many(ts, fs, flags, est)
+            want = [
+                oracle.release(t, f, WRITE if w else READ, slo_estimate=est)
+                for t, f, w in zip(times[lo:hi], file_ids[lo:hi], ws)
+            ]
+            note = f"{path} {name} block [{lo}, {hi}) est={est}"
+            assert _bits(got) == _bits(want), note
+            _assert_same_state(sched, oracle, note)
 
 
 @given(case=cases())
 @settings(max_examples=100, deadline=None)
 def test_release_of_one_matches_per_request_oracle(case):
-    """The event engine's per-arrival ``release`` is ``release_many`` of
-    one, so it follows the same rule."""
+    """The event engine's per-arrival ``release`` follows the same rule
+    on both paths."""
     name, params, setup, times, file_ids, writes, blocks, estimates = case
-    sched = make_request_scheduler(name, params)
-    sched.reset(setup)
-    oracle = ORACLES[name](**params)
-    oracle.reset(setup)
     est = estimates[0] if estimates else None
-    for t, f, w in zip(times, file_ids, writes):
-        kind = WRITE if w else READ
-        got = sched.release(t, f, kind, slo_estimate=est)
-        want = oracle.release(t, f, kind, slo_estimate=est)
-        assert float(got).hex() == float(want).hex()
-    _assert_same_state(sched, oracle, name)
+    for path in PATHS:
+        sched = _scheduler(path, name, params, setup)
+        oracle = ORACLES[name](**params)
+        oracle.reset(setup)
+        for t, f, w in zip(times, file_ids, writes):
+            kind = WRITE if w else READ
+            got = sched.release(t, f, kind, slo_estimate=est)
+            want = oracle.release(t, f, kind, slo_estimate=est)
+            assert float(got).hex() == float(want).hex(), path
+        _assert_same_state(sched, oracle, f"{path} {name}")
+
+
+def _one_disk_setup():
+    one = np.ones(1)
+    return SchedulingSetup(
+        num_disks=1, mapping=np.zeros(1, dtype=np.int64), sizes=one,
+        access_overhead=one, transfer_rate=one, threshold=5.0 * one,
+        spindown_time=one, spinup_time=one, slo_target=None,
+        slo_percentile=95.0,
+    )
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_overflowing_epoch_passes_through_or_holds_to_max_hold(path):
+    """``t / window`` overflows for a subnormal window: the next epoch is
+    infinitely far (once an ``OverflowError``), so ``slack_defer`` passes
+    the request through (even with an unbounded hold and budget) and
+    ``batch_release`` holds it ``max_hold``."""
+    setup = _one_disk_setup()
+    for max_hold in (30.0, math.inf):
+        defer = _scheduler(
+            path, "slack_defer",
+            {"target": math.inf, "window": 1e-310, "max_hold": max_hold},
+            setup,
+        )
+        assert list(defer.release_many([5.0], [0], None, None)) == [5.0]
+        assert defer.release(6.0, 0, READ) == 6.0
+        # Both served at once: 5 + (1 + 1), then queued behind it.
+        assert defer._model.avail[0] == 9.0
+        batch = _scheduler(
+            path, "batch_release", {"window": 1e-310, "max_hold": max_hold},
+            setup,
+        )
+        assert list(batch.release_many([5.0], [0], None, None)) == [
+            5.0 + max_hold
+        ]
+        assert batch.release(6.0, 0, READ) == 6.0 + max_hold
+
+
+class _NextSecond(RequestScheduler):
+    """Not registered: holds each arrival to the next whole second and
+    returns a plain list, as a user subclass written against lists
+    would."""
+
+    name = "next_second"
+
+    def release_many(self, times, file_ids, writes, slo_estimate):
+        return [float(math.floor(t)) + 1.0 for t in times]
+
+
+def test_list_returning_subclass_runs_on_both_engines(monkeypatch):
+    wl = generate_workload(
+        SyntheticWorkloadParams(
+            n_files=200, arrival_rate=0.8, duration=260.0, seed=7
+        )
+    )
+    cfg = StorageConfig(num_disks=10, load_constraint=0.6)
+    mapping = np.arange(wl.catalog.n, dtype=np.int64) % cfg.num_disks
+    monkeypatch.setattr(
+        StorageConfig, "request_scheduler", lambda self: _NextSecond()
+    )
+    event, fast = (
+        StorageSystem(
+            wl.catalog, mapping, cfg.with_overrides(engine=engine)
+        ).run(wl.stream)
+        for engine in ("event", "fast")
+    )
+    assert (event.arrivals, event.completions) == (
+        fast.arrivals, fast.completions
+    )
+    assert fast.completions > 0
+    np.testing.assert_allclose(
+        np.sort(fast.response_times), np.sort(event.response_times),
+        rtol=1e-9, atol=1e-9,
+    )
+    np.testing.assert_allclose(
+        fast.energy_per_disk, event.energy_per_disk, rtol=1e-9, atol=1e-6
+    )
