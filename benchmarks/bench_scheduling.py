@@ -145,10 +145,10 @@ def test_scheduler_composes_with_controller(scale, capsys):
 #: slack_defer/fixed fast-run time ratio the scheduled path must stay
 #: under.  The fixed side serves through the Python oracle loop
 #: (``oracle_core``), like the other same-machine floors.  With the
-#: release decisions compiled it measured 0.34-0.40 over 8 runs on a 2-CPU
-#: x86-64 Linux VM, and 5.08-5.71 over 3 runs with the rules forced onto
-#: their Python loops; the floor is the top of the compiled range plus 25%
-#: headroom, so rules that fall back to Python trip it.
+#: release decisions compiled it measured 0.34-0.41 over 11 runs on a
+#: 2-CPU x86-64 Linux VM, and 1.80-1.93 over 3 runs with the rules forced
+#: onto their Python loops; the floor is the top of the compiled range plus
+#: 25% headroom, so rules that fall back to Python trip it.
 SCHEDULED_FLOOR = 0.5
 
 
@@ -215,8 +215,10 @@ def test_scheduled_floor(capsys, oracle_core):
 #: onto their Python loop; the floor was the top of the compiled range plus
 #: 25% headroom, so a fold that falls back to Python trips it (3.8).  With
 #: the release decisions compiled too it measured 1.44-2.05 over 8 runs on
-#: the same host, and 4.88-6.29 over 3 runs with the rules forced onto
-#: their Python loops; the floor is again the top plus 25% headroom.
+#: the same host; the floor is again the top plus 25% headroom.  With the
+#: rules forced onto their Python loops it measured 2.39-2.62 over 3 runs,
+#: too close to the floor to trip reliably: ``SCHEDULED_FLOOR`` is the
+#: floor that guards the compiled rules.
 CONTROLLED_FLOOR = 2.6
 
 

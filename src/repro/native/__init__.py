@@ -10,11 +10,11 @@ completion and response and bills its service per disk.
 with the same library's bucket sort, :func:`p2_fold` folds
 observations into a P² percentile estimator
 (:class:`~repro.control.telemetry.P2Quantile`), and :func:`release_core`
-decides the release times of a block of arrivals for the deferring
+decides the release times of a block of arrivals for the forecasting
 request schedulers of :mod:`repro.system.scheduling` (``slack_defer``,
-``batch_release``, ``spinup_coalesce``) with their disk forecast, from a
-:class:`SchedArgs` block each scheduler builds once per run: one call per
-fast-kernel block, one per arrival on the event engine.  The shared library is
+``spinup_coalesce``) with their disk forecast, from a :class:`SchedArgs`
+block each scheduler builds once per run: one call per fast-kernel block,
+one per arrival on the event engine.  The shared library is
 built from that source with the host's C compiler the first time this
 package is imported and cached under ``~/.cache/repro/native/``, named by a
 hash of the source, the compiler, the flags and the Python ABI, so later
@@ -58,6 +58,7 @@ from repro.errors import ConfigError
 __all__ = [
     "CFLAGS",
     "CoupledArgs",
+    "LIBS",
     "RULES",
     "SchedArgs",
     "ServeArgs",
@@ -76,6 +77,10 @@ SOURCE = Path(__file__).with_name("serve.c")
 #: No ``-ffast-math`` or ``-march=native``: the core must round exactly like
 #: the Python recursion, and ``-ffp-contract=off`` forbids fused multiply-adds.
 CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
+
+#: Libraries linked after the source: libm for ``ceil``, which the
+#: compiler inlines on some targets and leaves an external call on others.
+LIBS = ("-lm",)
 
 
 _p = ctypes.c_void_p
@@ -152,7 +157,7 @@ class SchedArgs(ctypes.Structure):
 
 
 #: Scheduler name -> ``SchedArgs.rule`` (the rule ``repro_release`` runs).
-RULES = {"slack_defer": 0, "batch_release": 1, "spinup_coalesce": 2}
+RULES = {"slack_defer": 0, "spinup_coalesce": 1}
 
 
 def compiler() -> Optional[str]:
@@ -204,7 +209,7 @@ def build(directory: Path, cc: str, extra_flags: Tuple[str, ...] = ()) -> Path:
     compiler writes a private temporary file that is renamed into place,
     so a concurrent builder never sees it half-written."""
     flags = CFLAGS + tuple(extra_flags)
-    target = directory / _library_name(cc, flags)
+    target = directory / _library_name(cc, flags + LIBS)
     if target.exists():
         return target
     directory.mkdir(parents=True, exist_ok=True)
@@ -214,7 +219,7 @@ def build(directory: Path, cc: str, extra_flags: Tuple[str, ...] = ()) -> Path:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *flags, "-o", tmp, str(SOURCE)],
+            [cc, *flags, "-o", tmp, str(SOURCE), *LIBS],
             capture_output=True,
             text=True,
         )

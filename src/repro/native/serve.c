@@ -31,9 +31,9 @@
  * statement the Python loop of repro.control.telemetry.
  *
  * repro_release decides the release times of one block of arrivals for
- * the deferring request schedulers (slack_defer, batch_release,
- * spinup_coalesce) and updates their two-state disk forecast, statement
- * for statement the Python loops of repro.system.scheduling.
+ * the forecasting request schedulers (slack_defer, spinup_coalesce) and
+ * updates their two-state disk forecast, statement for statement the
+ * Python loops of repro.system.scheduling.
  *
  * Gap-log records are sorted by disk (arrival order inside each disk) and
  * span records by (kind, rung) (arrival order inside each key) before they
@@ -1046,13 +1046,13 @@ void repro_p2_fold(double *s, const double *dn, const double *xs, int64_t n)
 }
 
 /* ---------------------------------------------------------------------
- * Release decisions of the deferring request schedulers: the block loops
- * of repro.system.scheduling's slack_defer, batch_release and
- * spinup_coalesce, with the two-state disk forecast they read and write.
+ * Release decisions of the forecasting request schedulers: the block
+ * loops of repro.system.scheduling's slack_defer and spinup_coalesce,
+ * with the two-state disk forecast they read and write.
  * ------------------------------------------------------------------- */
 
 typedef struct {
-    int64_t rule;         /* SLACK_DEFER, BATCH_RELEASE or SPINUP_COALESCE */
+    int64_t rule;         /* SLACK_DEFER or SPINUP_COALESCE */
     int64_t nf;           /* files in the mapping */
     const int64_t *map;   /* [nf] file -> disk, negative: not yet placed */
     const double *size;   /* [nf] bytes */
@@ -1065,7 +1065,7 @@ typedef struct {
 } sched_args;
 
 /* The rule numbers of repro.native.RULES. */
-enum { SLACK_DEFER = 0, BATCH_RELEASE = 1, SPINUP_COALESCE = 2 };
+enum { SLACK_DEFER = 0, SPINUP_COALESCE = 1 };
 
 /* Lets the loader check its ctypes mirror of sched_args. */
 int64_t repro_sched_args_size(void)
@@ -1105,16 +1105,6 @@ void repro_release(sched_args *a, const double *ts, const int64_t *fid,
 {
     for (int64_t i = 0; i < n; i++) {
         const double t = ts[i];
-        if (a->rule == BATCH_RELEASE) {
-            /* Guarded back onto [t, ...): the epoch lands one ulp below
-             * t when t / window rounds down to an integer. */
-            double epoch = next_epoch(t, a->window);
-            if (!(epoch > t))
-                epoch = t;
-            const double cap = t + a->max_hold;
-            out[i] = cap < epoch ? cap : epoch;
-            continue;
-        }
         const int64_t f = fid[i];
         const int64_t d = 0 <= f && f < a->nf ? a->map[f] : -1;
         if (d < 0) {

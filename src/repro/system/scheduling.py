@@ -66,11 +66,13 @@ spinup_coalesce  park arrivals whose destination disk the model predicts
                  requests to spinning or not-yet-placed files pass through.
 ================ =============================================================
 
-The three deferring rules decide in the compiled core
-(:func:`repro.native.release_core`): one C call per fast-kernel block and
-one per event-engine arrival, over per-disk forecast state kept in
-float64 arrays.  Their Python loops run only where the library could not
-be built, and give the same releases bit for bit.
+The two forecasting rules, ``slack_defer`` and ``spinup_coalesce``,
+decide in the compiled core (:func:`repro.native.release_core`): one C
+call per fast-kernel block and one per event-engine arrival, over per-disk
+forecast state kept in float64 arrays.  Their Python loops run only where
+the library could not be built, and give the same releases bit for bit.
+``batch_release`` keeps no state and stays a Python loop: a foreign call
+per arrival costs the event engine more than its two-line rule.
 
 Use :func:`make_request_scheduler` to instantiate by name and
 :func:`request_scheduler_names` to iterate the registry (the parity
@@ -237,8 +239,10 @@ class _DiskModel:
     (caches, dynamic thresholds and placement updates are invisible to
     it on purpose).  Constants and state are per-disk float64 arrays,
     which the compiled release routine (:func:`repro.native.release_core`)
-    reads and updates in place; the methods are its Python twin, run only
-    when the library could not be built.
+    reads and updates in place.  The methods are its Python twin, run only
+    when the library could not be built, and then over Python lists
+    (:meth:`to_lists`): they index one scalar at a time, which costs less
+    on a list than on an array.
     """
 
     __slots__ = ("avail", "_oh", "_rate", "_th", "_down", "_up")
@@ -251,6 +255,11 @@ class _DiskModel:
         self._th = _per_disk(setup.threshold, n, "threshold")
         self._down = _per_disk(setup.spindown_time, n, "spindown_time")
         self._up = _per_disk(setup.spinup_time, n, "spinup_time")
+
+    def to_lists(self) -> None:
+        """Keep constants and state in Python lists from now on."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name).tolist())
 
     def projected_start(self, d: int, t: float) -> float:
         """Predicted service start for a request hitting disk ``d`` at ``t``."""
@@ -285,14 +294,6 @@ def _per_disk(values, num_disks: int, name: str) -> np.ndarray:
             f"({num_disks}), got shape {arr.shape}"
         )
     return arr
-
-
-def _next_epoch(t: float, window: float) -> float:
-    """The first multiple of ``window`` at or after ``t``, computed in
-    doubles like the compiled routine: infinite (not an
-    ``OverflowError``) when ``t / window`` overflows."""
-    x = float(t) / window  # a Python float: overflows without a warning
-    return (float(math.ceil(x)) if math.isfinite(x) else x) * window
 
 
 class RequestScheduler:
@@ -448,65 +449,71 @@ _ONE = ctypes.c_int64(1)
 _STRESSED = (ctypes.c_int64(0), ctypes.c_int64(1))
 
 
+def _listed(xs: Sequence) -> Sequence:
+    """An array block as a list, for the Python loops: their scalar
+    arithmetic costs less on Python numbers than on NumPy scalars."""
+    return xs.tolist() if isinstance(xs, np.ndarray) else xs
+
+
 class _CompiledRule(RequestScheduler):
-    """A deferring rule whose release decisions run in the compiled core.
+    """A forecasting rule whose release decisions run in the compiled core.
 
     A subclass's :meth:`reset` checks its params and calls :meth:`_bind`,
-    which builds the rule's :class:`~repro.native.SchedArgs` block once per
-    run over the arrays its forecast lives in.  :meth:`release_many` is
-    then one call of :func:`repro.native.release_core` per block, and
-    :meth:`release` one per request through preallocated one-element
-    buffers.  Where the library could not be built, both run the
-    subclass's :meth:`_loop` instead, the same rule in Python, which gives
-    the same releases and forecast state bit for bit.
+    which builds the catalog and disk forecast once per run and, where the
+    library loaded, the rule's :class:`~repro.native.SchedArgs` block over
+    their arrays.  :meth:`release_many` is then one call of
+    :func:`repro.native.release_core` per block, and :meth:`release` one
+    per request through preallocated one-element buffers.  Where the
+    library could not be built, both run the subclass's :meth:`_loop`
+    instead, the same rule in Python over lists, which gives the same
+    releases and forecast state bit for bit.
     """
 
     #: A block whose ``slo_estimate`` exceeds this passes through
-    #: (slack_defer's stress gate; never for the other rules).
+    #: (slack_defer's stress gate; never for spinup_coalesce).
     _gate = math.inf
 
     def _bind(
         self,
-        setup: Optional[SchedulingSetup],
+        setup: SchedulingSetup,
+        max_hold: float,
         window: float = 0.0,
-        max_hold: float = 0.0,
         budget: float = 0.0,
     ) -> None:
-        """Build the per-run state (the catalog and the disk forecast when
-        the rule reads them) and, where the library loaded, the compiled
-        routine's argument block pointing at it."""
-        args = native.SchedArgs(
-            rule=native.RULES[self.name], budget=budget, window=window,
-            max_hold=max_hold,
-        )
-        if setup is not None:
-            mapping = np.ascontiguousarray(setup.mapping, dtype=np.int64)
-            sizes = np.ascontiguousarray(setup.sizes, dtype=float)
-            if mapping.ndim != 1 or sizes.shape != mapping.shape:
-                raise ConfigError(
-                    f"scheduling setup needs one size per mapped file, got "
-                    f"{sizes.shape} sizes for a mapping of {mapping.shape}"
-                )
-            if mapping.size and int(mapping.max()) >= setup.num_disks:
-                raise ConfigError(
-                    f"scheduling setup maps a file to disk "
-                    f"{int(mapping.max())} of a {setup.num_disks}-disk pool"
-                )
-            self._mapping = mapping
-            self._sizes = sizes
-            self._model = model = _DiskModel(setup)
-            self._group_until = np.full(setup.num_disks, -math.inf)
-            args.nf = mapping.size
-            args.map = mapping.ctypes.data
-            args.size = sizes.ctypes.data
-            args.oh = model._oh.ctypes.data
-            args.rate = model._rate.ctypes.data
-            args.th = model._th.ctypes.data
-            args.down = model._down.ctypes.data
-            args.up = model._up.ctypes.data
-            args.avail = model.avail.ctypes.data
-            args.group_until = self._group_until.ctypes.data
+        """Build the per-run state and, where the library loaded, the
+        compiled routine's argument block pointing at it."""
+        mapping = np.ascontiguousarray(setup.mapping, dtype=np.int64)
+        sizes = np.ascontiguousarray(setup.sizes, dtype=float)
+        if mapping.ndim != 1 or sizes.shape != mapping.shape:
+            raise ConfigError(
+                f"scheduling setup needs one size per mapped file, got "
+                f"{sizes.shape} sizes for a mapping of {mapping.shape}"
+            )
+        if mapping.size and int(mapping.max()) >= setup.num_disks:
+            raise ConfigError(
+                f"scheduling setup maps a file to disk "
+                f"{int(mapping.max())} of a {setup.num_disks}-disk pool"
+            )
+        self._model = model = _DiskModel(setup)
+        self._group_until = np.full(setup.num_disks, -math.inf)
         self._core = native.release_core()
+        if self._core is None:
+            self._mapping = mapping.tolist()
+            self._sizes = sizes.tolist()
+            self._group_until = self._group_until.tolist()
+            model.to_lists()
+            return
+        self._mapping = mapping
+        self._sizes = sizes
+        args = native.SchedArgs(
+            rule=native.RULES[self.name], nf=mapping.size,
+            map=mapping.ctypes.data, size=sizes.ctypes.data,
+            oh=model._oh.ctypes.data, rate=model._rate.ctypes.data,
+            th=model._th.ctypes.data, down=model._down.ctypes.data,
+            up=model._up.ctypes.data, avail=model.avail.ctypes.data,
+            group_until=self._group_until.ctypes.data,
+            budget=budget, window=window, max_hold=max_hold,
+        )
         self._args = ctypes.byref(args)  # holds a reference to ``args``
         self._t1 = (ctypes.c_double * 1)()
         self._f1 = (ctypes.c_int64 * 1)()
@@ -521,7 +528,7 @@ class _CompiledRule(RequestScheduler):
     ) -> Sequence[float]:
         stressed = slo_estimate is not None and slo_estimate > self._gate
         if self._core is None:
-            return self._loop(times, file_ids, stressed)
+            return self._loop(_listed(times), _listed(file_ids), stressed)
         t = np.ascontiguousarray(times, dtype=float)
         f = np.ascontiguousarray(file_ids, dtype=np.int64)
         if t.ndim != 1 or f.shape != t.shape:
@@ -628,7 +635,7 @@ class SlackDefer(_CompiledRule):
                 f"slack_defer window must be positive, got {window}"
             )
         self._window = float(window)
-        self._bind(setup, self._window, self._max_hold, self._budget)
+        self._bind(setup, self._max_hold, self._window, self._budget)
 
     def _loop(
         self, times: Sequence[float], file_ids: Sequence[int], stressed: bool
@@ -643,6 +650,7 @@ class SlackDefer(_CompiledRule):
         budget = self._budget
         window = self._window
         max_hold = self._max_hold
+        ceil = math.ceil
         out: List[float] = []
         append = out.append
         for t, f in zip(times, file_ids):
@@ -656,9 +664,12 @@ class SlackDefer(_CompiledRule):
                 # ``epoch > t`` below also rejects an epoch one float ulp
                 # below t, where ceil lands at exact multiples of the
                 # window; an arrival on an epoch passes through.
-                epoch = _next_epoch(t, window)
-                # All-or-nothing: land on the epoch or pass through.  A
-                # hold truncated short of the epoch would be a mid-window
+                try:
+                    epoch = ceil(t / window) * window
+                except OverflowError:  # t / window is infinite
+                    epoch = math.inf
+                # All-or-nothing: land on a finite epoch or pass through.
+                # A hold truncated short of the epoch would be a mid-window
                 # shift — it delays the response without merging any
                 # wake-up, the worst of both worlds.
                 if epoch > t and epoch - t <= max_hold and epoch < math.inf:
@@ -674,7 +685,7 @@ class SlackDefer(_CompiledRule):
 
 
 @register_request_scheduler
-class BatchRelease(_CompiledRule):
+class BatchRelease(RequestScheduler):
     """Quantize releases onto ``window`` epochs (idle-gap-extending batching).
 
     Every arrival is held until the next multiple of ``window``, so
@@ -702,25 +713,42 @@ class BatchRelease(_CompiledRule):
             )
         self._window = float(self.params["window"])
         self._max_hold = float(max_hold)
-        self._bind(None, self._window, self._max_hold)
 
-    def _loop(
-        self, times: Sequence[float], file_ids: Sequence[int], stressed: bool
+    def release_many(
+        self,
+        times: Sequence[float],
+        file_ids: Sequence[int],
+        writes: Optional[Sequence[bool]],
+        slo_estimate: Optional[float],
     ) -> List[float]:
         window = self._window
         max_hold = self._max_hold
+        ceil = math.ceil
         out: List[float] = []
         append = out.append
-        for t in times:
+        for t in _listed(times):
             # The next epoch, guarded back onto [t, ...) (ceil(t / w) * w
             # can land one float ulp below t when t / w rounds down to an
             # integer), capped at t + max_hold.
-            epoch = _next_epoch(t, window)
+            try:
+                epoch = ceil(t / window) * window
+            except OverflowError:  # t / window is infinite
+                epoch = math.inf
             if not epoch > t:
                 epoch = t
             cap = t + max_hold
             append(cap if cap < epoch else epoch)
         return out
+
+    def release(
+        self,
+        t: float,
+        file_id: int,
+        kind: str,
+        slo_estimate: Optional[float] = None,
+    ) -> float:
+        # The rule reads only the arrival time.
+        return self.release_many((t,), (), None, None)[0]
 
 
 @register_request_scheduler
@@ -748,7 +776,7 @@ class SpinupCoalesce(_CompiledRule):
                 f"spinup_coalesce max_hold must be >= 0, got {max_hold}"
             )
         self._max_hold = float(max_hold)
-        self._bind(setup, max_hold=self._max_hold)
+        self._bind(setup, self._max_hold)
 
     def _loop(
         self, times: Sequence[float], file_ids: Sequence[int], stressed: bool

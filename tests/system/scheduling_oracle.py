@@ -1,13 +1,14 @@
 """Per-request twins of the deferring request schedulers.
 
 The reference :mod:`repro.system.scheduling` rules decide a whole block of
-arrivals per call (``release_many``), in the compiled core
-(:func:`repro.native.release_core`) or, where it could not be built, in
-their Python loops.  These classes keep the earlier one-request-at-a-time
-form of ``slack_defer``, ``batch_release`` and ``spinup_coalesce``, with
-their own copy of the two-state disk forecast, so a test can hold both
-batched paths to them release by release.  Kept out of ``src/`` on
-purpose — it is a test oracle, not a second implementation."""
+arrivals per call (``release_many``): ``slack_defer`` and
+``spinup_coalesce`` in the compiled core (:func:`repro.native.release_core`)
+or, where it could not be built, in their Python loops, and
+``batch_release`` in its one Python loop.  These classes keep the earlier
+one-request-at-a-time form of the three rules, with their own copy of the
+two-state disk forecast, so a test can hold every batched path to them
+release by release.  Kept out of ``src/`` on purpose — it is a test
+oracle, not a second implementation."""
 
 from __future__ import annotations
 

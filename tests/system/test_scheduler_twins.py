@@ -11,10 +11,12 @@ equal ``scheduling_oracle``'s per-request rules release by release, and
 the forecast state (``avail``, the group deadlines) must match after every
 block.
 
-Every case runs on both decision paths in turn: the compiled routine
+Every case of ``slack_defer`` and ``spinup_coalesce`` runs on both
+decision paths in turn: the compiled routine
 (:func:`repro.native.release_core`) and the Python loops that run when the
 library could not be built (selected here the same way, by unloading the
-library before the scheduler's ``reset``).
+library before the scheduler's ``reset``).  ``batch_release`` has only its
+Python loop.
 """
 
 import math
@@ -35,9 +37,12 @@ from repro.system.scheduling import (
 from repro.workload.generator import SyntheticWorkloadParams, generate_workload
 from scheduling_oracle import ORACLES
 
-#: The decision paths every case runs on (the compiled one only where it
-#: built).
-PATHS = ("python",) if native._LIB is None else ("compiled", "python")
+def _paths(name):
+    """The decision paths of a rule: the compiled one (for the rules it
+    carries, where it built) and the Python loop."""
+    if native._LIB is None or name not in native.RULES:
+        return ("python",)
+    return ("compiled", "python")
 
 
 @contextmanager
@@ -58,15 +63,17 @@ def _scheduler(path, name, params, setup):
     with rules(path):
         sched = make_request_scheduler(name, params)
         sched.reset(setup)
-    assert (sched._core is None) == (path == "python")
+    assert (getattr(sched, "_core", None) is None) == (path == "python")
     return sched
 
 
 # Dyadic windows and holds make ``k * window - max_hold`` exact, so an
-# arrival can sit exactly ``max_hold`` before an epoch.  A subnormal window
-# overflows ``t / window``, so the next epoch is infinitely far.
+# arrival can sit exactly ``max_hold`` before an epoch.  Against 0.7,
+# ``ceil(t / window) * window`` lands one ulp below an arrival one ulp past
+# an epoch (k = 17).  A subnormal window overflows ``t / window``, so the
+# next epoch is infinitely far.
 windows = st.one_of(
-    st.sampled_from([1.0, 2.5, 10.0, 1e-310]),
+    st.sampled_from([1.0, 2.5, 10.0, 0.7, 1e-310]),
     st.floats(0.5, 20.0, allow_nan=False),
 )
 holds = st.one_of(
@@ -136,8 +143,8 @@ def cases(draw):
     )
     # Arrivals: ties, short and long gaps, plus some exactly on epoch
     # multiples of the scheduler's window, one ulp below one (k = 0 gives
-    # the negative subnormal whose epoch is +0.0), or exactly max_hold
-    # before one.
+    # the negative subnormal whose epoch is +0.0) or above one, or exactly
+    # max_hold before one.
     gaps = draw(st.lists(
         st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(3.0, 60.0)),
         max_size=80,
@@ -149,6 +156,7 @@ def cases(draw):
         for t in (
             k * window,
             math.nextafter(k * window, -math.inf),
+            math.nextafter(k * window, math.inf),
             *((k * window - hold,) if hold < k * window else ()),
         )
     ]
@@ -186,7 +194,7 @@ def test_release_many_over_any_split_matches_per_request_oracle(
     """Blocks as the fast kernel passes them (float64, int64 and bool
     arrays) or as lists, on both paths."""
     name, params, setup, times, file_ids, writes, blocks, estimates = case
-    for path in PATHS:
+    for path in _paths(name):
         sched = _scheduler(path, name, params, setup)
         oracle = ORACLES[name](**params)
         oracle.reset(setup)
@@ -213,7 +221,7 @@ def test_release_of_one_matches_per_request_oracle(case):
     on both paths."""
     name, params, setup, times, file_ids, writes, blocks, estimates = case
     est = estimates[0] if estimates else None
-    for path in PATHS:
+    for path in _paths(name):
         sched = _scheduler(path, name, params, setup)
         oracle = ORACLES[name](**params)
         oracle.reset(setup)
@@ -235,31 +243,38 @@ def _one_disk_setup():
     )
 
 
-@pytest.mark.parametrize("path", PATHS)
-def test_overflowing_epoch_passes_through_or_holds_to_max_hold(path):
+@pytest.mark.parametrize("path", _paths("slack_defer"))
+def test_overflowing_epoch_passes_slack_defer_through(path):
     """``t / window`` overflows for a subnormal window: the next epoch is
     infinitely far (once an ``OverflowError``), so ``slack_defer`` passes
-    the request through (even with an unbounded hold and budget) and
-    ``batch_release`` holds it ``max_hold``."""
-    setup = _one_disk_setup()
+    the request through, even with an unbounded hold and budget."""
     for max_hold in (30.0, math.inf):
         defer = _scheduler(
             path, "slack_defer",
             {"target": math.inf, "window": 1e-310, "max_hold": max_hold},
-            setup,
+            _one_disk_setup(),
         )
         assert list(defer.release_many([5.0], [0], None, None)) == [5.0]
         assert defer.release(6.0, 0, READ) == 6.0
         # Both served at once: 5 + (1 + 1), then queued behind it.
         assert defer._model.avail[0] == 9.0
-        batch = _scheduler(
-            path, "batch_release", {"window": 1e-310, "max_hold": max_hold},
-            setup,
-        )
-        assert list(batch.release_many([5.0], [0], None, None)) == [
-            5.0 + max_hold
-        ]
-        assert batch.release(6.0, 0, READ) == 6.0 + max_hold
+
+
+@pytest.mark.parametrize("max_hold", [30.0, math.inf])
+def test_overflowing_epoch_holds_batch_release_to_max_hold(max_hold):
+    """The same infinitely far epoch caps ``batch_release``'s hold at
+    ``max_hold``, for list and array blocks alike."""
+    batch = _scheduler(
+        "python", "batch_release", {"window": 1e-310, "max_hold": max_hold},
+        _one_disk_setup(),
+    )
+    assert list(batch.release_many([5.0], [0], None, None)) == [
+        5.0 + max_hold
+    ]
+    got = batch.release_many(np.array([5.0]), np.zeros(1, np.int64), None,
+                             None)
+    assert list(got) == [5.0 + max_hold]
+    assert batch.release(6.0, 0, READ) == 6.0 + max_hold
 
 
 class _NextSecond(RequestScheduler):
