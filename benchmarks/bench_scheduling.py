@@ -12,8 +12,8 @@ Guards two properties of the slack-aware scheduling subsystem:
   on the control trajectory;
 * **scheduled floor** — a fast ``slack_defer`` run must stay within a
   fixed multiple of the fast fixed-threshold run on the same inputs,
-  timed on the same machine, so release decisions that fall back to the
-  Python loops trip it;
+  timed on the same machine, so a slow-down of the compiled release
+  decisions trips it;
 * **controlled-path floor** — the fast kernel's slowest composed path
   (``drpm4`` + ``slo_feedback`` + ``slack_defer`` + streaming metrics)
   must stay within a fixed multiple of the fast fixed-threshold run on
@@ -148,7 +148,8 @@ def test_scheduler_composes_with_controller(scale, capsys):
 #: release decisions compiled it measured 0.34-0.41 over 11 runs on a
 #: 2-CPU x86-64 Linux VM, and 1.80-1.93 over 3 runs with the rules forced
 #: onto their Python loops; the floor is the top of the compiled range plus
-#: 25% headroom, so rules that fall back to Python trip it.
+#: 25% headroom.  The rules no longer have a Python fallback, so what
+#: the floor guards now is a slow-down of the compiled rules themselves.
 SCHEDULED_FLOOR = 0.5
 
 
@@ -217,8 +218,10 @@ def test_scheduled_floor(capsys, oracle_core):
 #: the release decisions compiled too it measured 1.44-2.05 over 8 runs on
 #: the same host; the floor is again the top plus 25% headroom.  With the
 #: rules forced onto their Python loops it measured 2.39-2.62 over 3 runs,
-#: too close to the floor to trip reliably: ``SCHEDULED_FLOOR`` is the
-#: floor that guards the compiled rules.
+#: too close to the floor to trip reliably.  Neither the fold nor the
+#: rules have a Python fallback any more, so this floor guards a slow-down
+#: of the compiled P² fold and rules on the composed path, and
+#: ``SCHEDULED_FLOOR`` the finer one of the rules alone.
 CONTROLLED_FLOOR = 2.6
 
 

@@ -103,7 +103,9 @@ def test_fast_engine_speedup_under_control(scale, capsys):
 #: the floor was the top of the compiled range plus 25% headroom, so a fold
 #: that falls back to Python trips it (3.1).  Re-measured over 16 runs on
 #: the same host: 1.87-2.52, median 1.98.  The floor is the top plus 15%,
-#: still below the Python-fold range.
+#: still below the Python-fold range.  The fold no longer has a Python
+#: fallback, so what the floor guards now is a slow-down of the compiled
+#: fold itself.
 CONTROLLED_FULL_FLOOR = 2.9
 
 

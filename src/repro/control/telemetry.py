@@ -52,7 +52,10 @@ class P2Quantile:
     empirical percentile (same convention as ``np.percentile``).
 
     The recursion is deterministic in the observation order, which is why
-    both simulation engines must feed completions in the same order.
+    both simulation engines must feed completions in the same order.  It
+    runs only in the compiled library, so construction raises its
+    :class:`~repro.errors.ConfigError` where that could not be built
+    (before an estimator could count observations it cannot fold).
 
     Parameters
     ----------
@@ -63,6 +66,7 @@ class P2Quantile:
     __slots__ = ("percentile", "count", "_p", "_dn", "_markers", "_initial")
 
     def __init__(self, percentile: float) -> None:
+        native.library()
         percentile = float(percentile)
         if not 0.0 < percentile < 100.0:
             raise ConfigError(
@@ -91,9 +95,8 @@ class P2Quantile:
 
         The marker recursion runs in the compiled library
         (:func:`repro.native.p2_fold`, ~0.02 us per observation with the
-        finite check); on a host where it could not be built, :func:`_fold`
-        runs the same recursion in Python (~0.4 us per observation) to the
-        same bits.  The result does not depend on how a stream is split
+        finite check), which classifies each observation from the middle
+        marker out.  The result does not depend on how a stream is split
         into batches: it is bit-equal to the textbook
         one-observation-at-a-time recursion.
 
@@ -122,8 +125,8 @@ class P2Quantile:
                  0.0, 2.0 * p, 4.0 * p, 2.0 + 2.0 * p, 4.0]
             )
             arr = arr[start:]
-        if arr.size and not native.p2_fold(markers, self._dn, arr):
-            _fold(markers, self._dn, arr)
+        if arr.size:
+            native.p2_fold(markers, self._dn, arr)
 
     @property
     def value(self) -> float:
@@ -139,95 +142,6 @@ class P2Quantile:
             f"<P2Quantile p{self.percentile:g} n={self.count} "
             f"value={self.value:.4g}>"
         )
-
-
-def _fold(markers: FloatArray, dn: FloatArray, xs: FloatArray) -> None:
-    """Fold ``xs`` into a :class:`P2Quantile`'s ``markers``, in order: the
-    Python twin of the compiled :func:`repro.native.p2_fold`, run only when
-    the library could not be built.
-
-    The markers are hoisted into scalar locals and the parabolic/linear
-    adjustment is inlined.  ``n[0]`` is pinned at 0, ``np[0]`` stays 0.0
-    (its increment is 0.0) and ``np[4]`` only counts observations, so
-    those three are updated outside the loop, if at all.
-    """
-    q0, q1, q2, q3, q4, _, n1, n2, n3, n4, _, np1, np2, np3, _ = (
-        markers.tolist()
-    )
-    _, d1, d2, d3, _ = dn.tolist()
-    for x in xs.tolist():
-        # Classify from the middle marker out.  The heights stay sorted
-        # (q0 <= q1 <= q2 <= q3 <= q4), so this lands every x in the
-        # same cell as the textbook scan from q0 up.
-        if x < q2:
-            if x < q1:
-                if x < q0:
-                    q0 = x
-                n1 += 1.0
-            n2 += 1.0
-            n3 += 1.0
-        elif x < q3:
-            n3 += 1.0
-        elif x >= q4:
-            q4 = x
-        n4 += 1.0
-        np1 += d1
-        np2 += d2
-        np3 += d3
-        # Marker 1 (neighbors: 0 at position 0 and 2).
-        d = np1 - n1
-        if (d >= 1.0 and n2 - n1 > 1.0) or (d <= -1.0 and n1 > 1.0):
-            step = 1.0 if d > 0 else -1.0
-            cand = q1 + step / n2 * (
-                (n1 + step) * (q2 - q1) / (n2 - n1)
-                + (n2 - n1 - step) * (q1 - q0) / n1
-            )
-            if not (q0 < cand < q2):
-                if step > 0:
-                    cand = q1 + (q2 - q1) / (n2 - n1)
-                else:
-                    cand = q1 - (q0 - q1) / -n1
-            q1 = cand
-            n1 += step
-        # Marker 2 (neighbors: 1 and 3).
-        d = np2 - n2
-        if (d >= 1.0 and n3 - n2 > 1.0) or (
-            d <= -1.0 and n1 - n2 < -1.0
-        ):
-            step = 1.0 if d > 0 else -1.0
-            cand = q2 + step / (n3 - n1) * (
-                (n2 - n1 + step) * (q3 - q2) / (n3 - n2)
-                + (n3 - n2 - step) * (q2 - q1) / (n2 - n1)
-            )
-            if not (q1 < cand < q3):
-                if step > 0:
-                    cand = q2 + (q3 - q2) / (n3 - n2)
-                else:
-                    cand = q2 - (q1 - q2) / (n1 - n2)
-            q2 = cand
-            n2 += step
-        # Marker 3 (neighbors: 2 and 4).
-        d = np3 - n3
-        if (d >= 1.0 and n4 - n3 > 1.0) or (
-            d <= -1.0 and n2 - n3 < -1.0
-        ):
-            step = 1.0 if d > 0 else -1.0
-            cand = q3 + step / (n4 - n2) * (
-                (n3 - n2 + step) * (q4 - q3) / (n4 - n3)
-                + (n4 - n3 - step) * (q3 - q2) / (n3 - n2)
-            )
-            if not (q2 < cand < q4):
-                if step > 0:
-                    cand = q3 + (q4 - q3) / (n4 - n3)
-                else:
-                    cand = q3 - (q2 - q3) / (n2 - n3)
-            q3 = cand
-            n3 += step
-    markers[0:5] = (q0, q1, q2, q3, q4)
-    markers[6:10] = (n1, n2, n3, n4)
-    markers[11:14] = (np1, np2, np3)
-    # Exact: np[4] is an integer-valued float far below 2**53.
-    markers[14] += float(xs.size)
 
 
 #: One closed idle gap: ``(gap_seconds, threshold_at_drain)``.  Whether the

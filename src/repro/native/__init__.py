@@ -1,4 +1,4 @@
-"""Compiled serve core of the fast kernel, loaded through ``ctypes``.
+"""Compiled simulation core of both engines, loaded through ``ctypes``.
 
 :mod:`repro.sim.fastkernel` walks every batch of a run through one C routine
 in ``serve.c``: the arrival-order walk of the per-disk Lindley / DPM-ladder
@@ -24,13 +24,14 @@ processes that build at the same moment (parallel sweep workers) never
 load a half-written file.  If the cache directory is not writable the
 library is built in a private temporary directory instead.
 
-The fast kernel has no Python fallback: on a host without a C compiler the
-import still succeeds, but :func:`coupled_core` raises
-:class:`~repro.errors.ConfigError` naming the missing compiler, so
-``engine="fast"`` fails loudly while the event engine keeps working;
-:func:`p2_fold` then returns ``False`` and the estimator runs its own Python
-loop, and :func:`release_core` returns ``None`` and the schedulers run
-theirs, which give the same markers and releases bit for bit.
+Every simulation needs the library, on either engine: no routine in it
+has a Python fallback.  A failed build is reported only when the library
+is used, so on a host without a C compiler ``import repro``,
+:mod:`repro.analysis` and the lint still work, while every function
+here that calls into the library raises the
+:class:`~repro.errors.ConfigError` of :func:`library`, naming the missing
+compiler; ``StorageSystem.run`` calls it before it dispatches to either
+engine.
 
 Tests may :func:`build` with extra compiler flags (a sanitizer or
 warnings-as-errors build) and :func:`load` the result; the flags are
@@ -66,6 +67,7 @@ __all__ = [
     "cache_dir",
     "compiler",
     "coupled_core",
+    "library",
     "load",
     "p2_fold",
     "release_core",
@@ -225,7 +227,7 @@ def build(directory: Path, cc: str, extra_flags: Tuple[str, ...] = ()) -> Path:
         )
         if proc.returncode != 0:
             raise ConfigError(
-                f"engine='fast' could not build its serve core with {cc}:\n"
+                f"could not build the compiled simulation core with {cc}:\n"
                 f"{proc.stderr.strip()}"
             )
         os.replace(tmp, target)
@@ -241,9 +243,9 @@ def _load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
     cc = compiler()
     if cc is None:
         return None, (
-            "engine='fast' needs a C compiler to build its serve core, and "
+            "simulation needs a C compiler to build its compiled core, and "
             f"none was found on PATH (looked for {', '.join(_compiler_names())}); "
-            "install one or use engine='event'"
+            "install one"
         )
     try:
         try:
@@ -291,7 +293,9 @@ def load(path: Path) -> ctypes.CDLL:
 _LIB, _REASON = _load()
 
 
-def _lib() -> ctypes.CDLL:
+def library() -> ctypes.CDLL:
+    """The loaded library; raises :class:`~repro.errors.ConfigError`
+    (why it could not be built) when there is none."""
     if _LIB is None:
         raise ConfigError(_REASON)
     return _LIB
@@ -302,7 +306,7 @@ def coupled_core() -> Tuple[Callable[..., int], Callable[..., None]]:
     ``repro_cache_order(CoupledArgs *, out)``, which lists the resident
     files in eviction order; raises :class:`~repro.errors.ConfigError`
     when the library could not be built."""
-    lib = _lib()
+    lib = library()
     return lib.repro_serve_coupled, lib.repro_cache_order
 
 
@@ -316,21 +320,20 @@ def stable_order(values: np.ndarray) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError(f"stable_order sorts 1-D arrays, got shape {x.shape}")
     out = np.empty(x.size, dtype=np.int64)
-    if _lib().repro_stable_order(x.ctypes.data, x.size, out.ctypes.data):
+    if library().repro_stable_order(x.ctypes.data, x.size, out.ctypes.data):
         raise MemoryError(f"no work space to order {x.size} values")
     return out
 
 
-def p2_fold(markers: np.ndarray, dn: np.ndarray, xs: np.ndarray) -> bool:
+def p2_fold(markers: np.ndarray, dn: np.ndarray, xs: np.ndarray) -> None:
     """Fold the observations ``xs`` (as float64, in C order) into one P²
     estimator's 15 ``markers`` (heights, positions, desired positions) with
     the 5 desired-position increments ``dn``, in order, by the compiled
-    recursion; ``False``, touching nothing, when the library could not be
-    built (the caller then runs its Python loop).  Raises
-    :class:`ValueError` unless both arrays are contiguous float64 of those
-    sizes, as the recursion writes ``markers`` in place."""
-    if _LIB is None:
-        return False
+    recursion.  Raises :class:`~repro.errors.ConfigError` when the library
+    could not be built, and :class:`ValueError` unless both arrays are
+    contiguous float64 of those sizes, as the recursion writes ``markers``
+    in place."""
+    lib = library()
     x = np.ascontiguousarray(xs, dtype=float)
     for a, n in ((markers, 15), (dn, 5)):
         if a.shape != (n,) or a.dtype != np.float64 or not a.flags.c_contiguous:
@@ -338,18 +341,16 @@ def p2_fold(markers: np.ndarray, dn: np.ndarray, xs: np.ndarray) -> bool:
                 f"p2_fold needs {n} contiguous float64 values, got "
                 f"{a.dtype} of shape {a.shape}"
             )
-    _LIB.repro_p2_fold(markers.ctypes.data, dn.ctypes.data, x.ctypes.data, x.size)
-    return True
+    lib.repro_p2_fold(markers.ctypes.data, dn.ctypes.data, x.ctypes.data, x.size)
 
 
-def release_core() -> Optional[Callable[..., None]]:
+def release_core() -> Callable[..., None]:
     """The compiled ``repro_release(SchedArgs *, t, fid, n, stressed,
     out)``, which writes the release times of ``n`` arrivals ``t`` of files
     ``fid`` (float64 and int64 buffers) into the float64 buffer ``out`` and
-    updates the forecast state the arguments point at; ``None`` when the
-    library could not be built (the schedulers then run their Python
-    loops, which give the same releases bit for bit).  It has no declared
-    argument types: pass the arguments as ctypes objects (a
-    ``byref(SchedArgs)``, buffers or ``c_void_p`` addresses, ``c_int64``
-    counts)."""
-    return None if _LIB is None else _LIB.repro_release
+    updates the forecast state the arguments point at; raises
+    :class:`~repro.errors.ConfigError` when the library could not be
+    built.  It has no declared argument types: pass the arguments as
+    ctypes objects (a ``byref(SchedArgs)``, buffers or ``c_void_p``
+    addresses, ``c_int64`` counts)."""
+    return library().repro_release

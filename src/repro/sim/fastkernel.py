@@ -110,9 +110,9 @@ slice of one inside a control interval, or a block of scheduled releases:
   seek and transfer time and its count to its disk.  It is bit for bit
   the per-request Python loop and the NumPy accounting
   ``tests/sim/serve_oracle.py`` keeps as the test oracle.  The bank's
-  state lives only in its arrays, so ``engine="fast"`` needs a C compiler
-  (the library is built once and cached under ``~/.cache/repro/native``);
-  there is no Python fallback;
+  state lives only in its arrays, and there is no Python fallback: like
+  every simulation on either engine, the walk needs a C compiler (the
+  library is built once and cached under ``~/.cache/repro/native``);
 * **writes**: only writes that *allocate* a new file couple the disks.
   The walk places such a write itself, by the policy's rule-table row
   against the bank's live spin state, free bytes and load, and debits the

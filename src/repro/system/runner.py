@@ -440,10 +440,16 @@ class ReorganizingRunner:
         # Integer epoch count: float edge accumulation (np.arange) could emit
         # a sliver epoch when duration/interval lands near an integer, and a
         # zero-length final epoch crashes StorageSystem.run.  Sub-1e-9
-        # overhangs are absorbed into the last epoch.
-        n_epochs = max(
-            1, int(math.ceil(stream.duration / self.interval - 1e-9))
-        )
+        # overhangs are absorbed into the last epoch.  A subnormal (or NaN)
+        # interval makes the count infinite (or NaN), which ``ceil`` cannot
+        # take.
+        epochs = stream.duration / self.interval
+        if not math.isfinite(epochs):
+            raise ConfigError(
+                f"interval {self.interval!r} splits a {stream.duration!r} s "
+                f"stream into {epochs} epochs; it must give a finite count"
+            )
+        n_epochs = max(1, int(math.ceil(epochs - 1e-9)))
         # A duck-typed mixed stream carries a per-request kind; epochs must
         # keep it, or every write would silently be simulated as a read
         # (and writes of new files would crash as unallocated reads).

@@ -69,10 +69,13 @@ spinup_coalesce  park arrivals whose destination disk the model predicts
 The two forecasting rules, ``slack_defer`` and ``spinup_coalesce``,
 decide in the compiled core (:func:`repro.native.release_core`): one C
 call per fast-kernel block and one per event-engine arrival, over per-disk
-forecast state kept in float64 arrays.  Their Python loops run only where
-the library could not be built, and give the same releases bit for bit.
-``batch_release`` keeps no state and stays a Python loop: a foreign call
-per arrival costs the event engine more than its two-line rule.
+forecast state kept in float64 arrays.  They have no Python twin in this
+package: like every simulation, they need the compiled library, and
+``reset`` raises :class:`~repro.errors.ConfigError` where it could not be
+built (``tests/system/scheduling_oracle.py`` keeps the per-request rules
+they are held to).  ``batch_release`` keeps no state and stays a Python
+loop: a foreign call per arrival costs the event engine more than its
+two-line rule.
 
 Use :func:`make_request_scheduler` to instantiate by name and
 :func:`request_scheduler_names` to iterate the registry (the parity
@@ -237,12 +240,9 @@ class _DiskModel:
     the scheduler's own commits — it is a deterministic *forecast* shared
     verbatim by both engines, never a readout of either engine's truth
     (caches, dynamic thresholds and placement updates are invisible to
-    it on purpose).  Constants and state are per-disk float64 arrays,
-    which the compiled release routine (:func:`repro.native.release_core`)
-    reads and updates in place.  The methods are its Python twin, run only
-    when the library could not be built, and then over Python lists
-    (:meth:`to_lists`): they index one scalar at a time, which costs less
-    on a list than on an array.
+    it on purpose).  It holds the per-disk float64 constants and the
+    next-free times ``avail``, which the compiled release routine
+    (:func:`repro.native.release_core`) reads and updates in place.
     """
 
     __slots__ = ("avail", "_oh", "_rate", "_th", "_down", "_up")
@@ -255,32 +255,6 @@ class _DiskModel:
         self._th = _per_disk(setup.threshold, n, "threshold")
         self._down = _per_disk(setup.spindown_time, n, "spindown_time")
         self._up = _per_disk(setup.spinup_time, n, "spinup_time")
-
-    def to_lists(self) -> None:
-        """Keep constants and state in Python lists from now on."""
-        for name in self.__slots__:
-            setattr(self, name, getattr(self, name).tolist())
-
-    def projected_start(self, d: int, t: float) -> float:
-        """Predicted service start for a request hitting disk ``d`` at ``t``."""
-        a = self.avail[d]
-        if t <= a:
-            return a
-        if t - a > self._th[d]:
-            sd_end = a + self._th[d] + self._down[d]
-            return (t if t >= sd_end else sd_end) + self._up[d]
-        return t
-
-    def sleeping(self, d: int, t: float) -> bool:
-        """Predicted fully-in-standby at ``t`` (spin-down already drained)."""
-        return t >= self.avail[d] + self._th[d] + self._down[d]
-
-    def service_time(self, d: int, size: float) -> float:
-        return self._oh[d] + size / self._rate[d]
-
-    def commit(self, d: int, t: float, size: float) -> None:
-        """Record a request released at ``t`` onto disk ``d``."""
-        self.avail[d] = self.projected_start(d, t) + self.service_time(d, size)
 
 
 def _per_disk(values, num_disks: int, name: str) -> np.ndarray:
@@ -450,7 +424,7 @@ _STRESSED = (ctypes.c_int64(0), ctypes.c_int64(1))
 
 
 def _listed(xs: Sequence) -> Sequence:
-    """An array block as a list, for the Python loops: their scalar
+    """An array block as a list, for a Python loop: its scalar
     arithmetic costs less on Python numbers than on NumPy scalars."""
     return xs.tolist() if isinstance(xs, np.ndarray) else xs
 
@@ -459,14 +433,13 @@ class _CompiledRule(RequestScheduler):
     """A forecasting rule whose release decisions run in the compiled core.
 
     A subclass's :meth:`reset` checks its params and calls :meth:`_bind`,
-    which builds the catalog and disk forecast once per run and, where the
-    library loaded, the rule's :class:`~repro.native.SchedArgs` block over
-    their arrays.  :meth:`release_many` is then one call of
+    which builds the catalog and disk forecast once per run and the rule's
+    :class:`~repro.native.SchedArgs` block over their arrays (a
+    :class:`~repro.errors.ConfigError` when the library could not be
+    built).  :meth:`release_many` is then one call of
     :func:`repro.native.release_core` per block, and :meth:`release` one
-    per request through preallocated one-element buffers.  Where the
-    library could not be built, both run the subclass's :meth:`_loop`
-    instead, the same rule in Python over lists, which gives the same
-    releases and forecast state bit for bit.
+    per request through preallocated one-element buffers.  The rule itself
+    lives only in ``serve.c``.
     """
 
     #: A block whose ``slo_estimate`` exceeds this passes through
@@ -480,8 +453,8 @@ class _CompiledRule(RequestScheduler):
         window: float = 0.0,
         budget: float = 0.0,
     ) -> None:
-        """Build the per-run state and, where the library loaded, the
-        compiled routine's argument block pointing at it."""
+        """Build the per-run state and the compiled routine's argument
+        block pointing at it."""
         mapping = np.ascontiguousarray(setup.mapping, dtype=np.int64)
         sizes = np.ascontiguousarray(setup.sizes, dtype=float)
         if mapping.ndim != 1 or sizes.shape != mapping.shape:
@@ -497,12 +470,6 @@ class _CompiledRule(RequestScheduler):
         self._model = model = _DiskModel(setup)
         self._group_until = np.full(setup.num_disks, -math.inf)
         self._core = native.release_core()
-        if self._core is None:
-            self._mapping = mapping.tolist()
-            self._sizes = sizes.tolist()
-            self._group_until = self._group_until.tolist()
-            model.to_lists()
-            return
         self._mapping = mapping
         self._sizes = sizes
         args = native.SchedArgs(
@@ -527,8 +494,6 @@ class _CompiledRule(RequestScheduler):
         slo_estimate: Optional[float],
     ) -> Sequence[float]:
         stressed = slo_estimate is not None and slo_estimate > self._gate
-        if self._core is None:
-            return self._loop(_listed(times), _listed(file_ids), stressed)
         t = np.ascontiguousarray(times, dtype=float)
         f = np.ascontiguousarray(file_ids, dtype=np.int64)
         if t.ndim != 1 or f.shape != t.shape:
@@ -552,20 +517,11 @@ class _CompiledRule(RequestScheduler):
         slo_estimate: Optional[float] = None,
     ) -> float:
         stressed = slo_estimate is not None and slo_estimate > self._gate
-        if self._core is None:
-            return self._loop([t], [file_id], stressed)[0]
         self._t1[0] = t
         self._f1[0] = file_id
         self._core(self._args, self._t1, self._f1, _ONE, _STRESSED[stressed],
                    self._r1)
         return self._r1[0]
-
-    def _loop(
-        self, times: Sequence[float], file_ids: Sequence[int], stressed: bool
-    ) -> List[float]:
-        """The rule in Python: the releases of one block, in arrival
-        order, updating the forecast state as the compiled routine does."""
-        raise NotImplementedError
 
 
 @register_request_scheduler
@@ -636,52 +592,6 @@ class SlackDefer(_CompiledRule):
             )
         self._window = float(window)
         self._bind(setup, self._max_hold, self._window, self._budget)
-
-    def _loop(
-        self, times: Sequence[float], file_ids: Sequence[int], stressed: bool
-    ) -> List[float]:
-        mapping = self._mapping
-        n_files = len(mapping)
-        sizes = self._sizes
-        model = self._model
-        avail = model.avail
-        start = model.projected_start
-        service_time = model.service_time
-        budget = self._budget
-        window = self._window
-        max_hold = self._max_hold
-        ceil = math.ceil
-        out: List[float] = []
-        append = out.append
-        for t, f in zip(times, file_ids):
-            d = mapping[f] if 0 <= f < n_files else -1
-            if d < 0:
-                append(t)  # not yet placed: pass through, model untouched
-                continue
-            service = service_time(d, sizes[f])
-            r = t
-            if not stressed:
-                # ``epoch > t`` below also rejects an epoch one float ulp
-                # below t, where ceil lands at exact multiples of the
-                # window; an arrival on an epoch passes through.
-                try:
-                    epoch = ceil(t / window) * window
-                except OverflowError:  # t / window is infinite
-                    epoch = math.inf
-                # All-or-nothing: land on a finite epoch or pass through.
-                # A hold truncated short of the epoch would be a mid-window
-                # shift — it delays the response without merging any
-                # wake-up, the worst of both worlds.
-                if epoch > t and epoch - t <= max_hold and epoch < math.inf:
-                    # Project at the *release*, not the arrival: the disk
-                    # may spin down inside [t, epoch), and a deferral that
-                    # causes the very wake it was meant to avoid busts the
-                    # budget.
-                    if (start(d, epoch) - t) + service <= budget:
-                        r = epoch
-            avail[d] = start(d, r) + service
-            append(r)
-        return out
 
 
 @register_request_scheduler
@@ -777,35 +687,3 @@ class SpinupCoalesce(_CompiledRule):
             )
         self._max_hold = float(max_hold)
         self._bind(setup, self._max_hold)
-
-    def _loop(
-        self, times: Sequence[float], file_ids: Sequence[int], stressed: bool
-    ) -> List[float]:
-        mapping = self._mapping
-        n_files = len(mapping)
-        sizes = self._sizes
-        model = self._model
-        sleeping = model.sleeping
-        commit = model.commit
-        group_until = self._group_until
-        max_hold = self._max_hold
-        out: List[float] = []
-        append = out.append
-        for t, f in zip(times, file_ids):
-            d = mapping[f] if 0 <= f < n_files else -1
-            if d < 0:
-                append(t)
-                continue
-            until = group_until[d]
-            if t >= until:
-                until = group_until[d] = -math.inf  # the group has released
-            if until > t:
-                r = until  # join the open group
-            elif sleeping(d, t):
-                r = t + max_hold
-                group_until[d] = r  # open a group; wake once, together
-            else:
-                r = t
-            commit(d, r, sizes[f])
-            append(r)
-        return out

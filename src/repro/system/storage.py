@@ -7,6 +7,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro import native
 from repro.cache.base import make_cache
 from repro.control.controller import EventControlLoop
 from repro.disk.array import DiskArray
@@ -182,7 +183,10 @@ class StorageSystem:
         batched kernel (:mod:`repro.sim.fastkernel`), which covers write
         streams and shared caches as well as the read-only case; the one
         scenario it cannot express (a stream without dense arrays) raises
-        :class:`~repro.errors.ConfigError`.
+        :class:`~repro.errors.ConfigError`.  Both engines need the compiled
+        core (:mod:`repro.native`): where it could not be built, either
+        raises its :class:`~repro.errors.ConfigError`, naming the missing
+        compiler, before simulating anything.
 
         A dynamic ``config.dpm_policy`` engages the online control loop
         (:mod:`repro.control`): the event engine spawns a control-boundary
@@ -226,6 +230,7 @@ class StorageSystem:
             raise ConfigError(
                 f"duration must be positive and finite, got {duration!r}"
             )
+        native.library()
         if self.config.engine == "fast":
             reason = fast_unsupported_reason(self.config, stream)
             if reason is not None:

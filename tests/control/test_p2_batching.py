@@ -5,16 +5,12 @@ whatever size an interval or chunk happens to have, while both engines
 must agree on every estimate.  ``add_many`` therefore has to reproduce
 the one-observation-at-a-time recursion (``p2_oracle.TextbookP2``) bit
 for bit — marker heights, positions, desired positions, count and value —
-for every split of a stream into batches.
-
-Every case runs on both folds in turn: the compiled one
-(:func:`repro.native.p2_fold`) and the Python loop that runs when the
-library could not be built (selected here the same way, by unloading the
-library).
+for every split of a stream into batches.  The recursion runs only in the
+compiled library (:func:`repro.native.p2_fold`), so every case here holds
+that fold to the oracle.
 """
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,25 +19,7 @@ from hypothesis import given, settings, strategies as st
 import repro.native as native
 from p2_oracle import TextbookP2
 from repro.control import P2Quantile
-from repro.errors import SimulationError
-
-#: The folds every case runs on (the compiled one only where it built).
-FOLDS = ("python",) if native._LIB is None else ("compiled", "python")
-
-
-@contextmanager
-def fold(kind):
-    """Run the body on the compiled fold or on the Python loop."""
-    if kind == "compiled":
-        yield
-        return
-    lib = native._LIB
-    native._LIB = None
-    try:
-        yield
-    finally:
-        native._LIB = lib
-
+from repro.errors import ConfigError, SimulationError
 
 finite = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
 streams = st.one_of(
@@ -126,30 +104,39 @@ def _oracle(pct, values):
 @settings(max_examples=300, deadline=None)
 def test_add_many_over_any_split_matches_textbook(values, pct, cuts, as_array):
     oracle = _oracle(pct, values)
-    for kind in FOLDS:
-        est = P2Quantile(pct)
-        with fold(kind):
-            for part in _split(values, cuts):
-                est.add_many(np.asarray(part, dtype=float) if as_array else part)
-        assert_same_state(est, oracle)
+    est = P2Quantile(pct)
+    for part in _split(values, cuts):
+        est.add_many(np.asarray(part, dtype=float) if as_array else part)
+    assert_same_state(est, oracle)
 
 
 @given(values=st.one_of(streams, edge_streams), pct=percentiles)
 @settings(max_examples=100, deadline=None)
 def test_add_one_at_a_time_matches_textbook(values, pct):
-    for kind in FOLDS:
-        est = P2Quantile(pct)
-        oracle = TextbookP2(pct)
-        with fold(kind):
-            for x in values:
-                est.add(x)
-                oracle.add(x)
-                assert_same_state(est, oracle)
+    est = P2Quantile(pct)
+    oracle = TextbookP2(pct)
+    for x in values:
+        est.add(x)
+        oracle.add(x)
+        assert_same_state(est, oracle)
 
 
-@pytest.mark.skipif(
-    native._LIB is None, reason="the C library could not be built"
-)
+def _sorted_prefix(pct, values):
+    """How many leading observations keep the oracle's heights finite and
+    sorted after every one of them.  Past that, the textbook scan from
+    ``q0`` up and the fold's middle-out classification may land an
+    observation in different cells."""
+    oracle = TextbookP2(pct)
+    for i, x in enumerate(values):
+        oracle.add(x)
+        q = oracle._q
+        if q is not None and not (
+            all(math.isfinite(h) for h in q) and q == sorted(q)
+        ):
+            return i
+    return len(values)
+
+
 @given(
     values=st.lists(
         st.floats(allow_nan=False, allow_infinity=False), max_size=300
@@ -158,22 +145,26 @@ def test_add_one_at_a_time_matches_textbook(values, pct):
     cuts=st.lists(st.integers(0, 300), max_size=10),
 )
 @settings(max_examples=200, deadline=None)
-def test_compiled_fold_matches_python_loop_on_any_finite_floats(
+def test_compiled_fold_on_any_finite_floats_is_split_free_and_textbook(
     values, pct, cuts
 ):
     """Spreads up to the largest doubles overflow a marker step to inf or
-    NaN, where the textbook scan and the middle-out classification may part
-    ways; the two folds still run the same statements, so they agree bit
-    for bit (NaN markers included)."""
+    NaN.  The fold still gives the same bits for every split of the stream
+    (NaN markers included), and the textbook's bits for as long as the
+    textbook's heights stay finite and sorted."""
     states = []
-    for kind in ("compiled", "python"):
+    for parts in ([values], _split(values, cuts)):
         est = P2Quantile(pct)
-        with fold(kind):
-            for part in _split(values, cuts):
-                est.add_many(part)
+        for part in parts:
+            est.add_many(part)
         q, n, npos = _markers(est)
         states.append((est.count, _bits(q), _bits(n), _bits(npos)))
     assert states[0] == states[1]
+    prefix = values[:_sorted_prefix(pct, values)]
+    est = P2Quantile(pct)
+    for part in _split(prefix, cuts):
+        est.add_many(part)
+    assert_same_state(est, _oracle(pct, prefix))
 
 
 @pytest.mark.parametrize("pct", [50.0, 95.0, 99.0, 37.5])
@@ -192,18 +183,16 @@ def test_long_stream_every_split_kind(pct):
     shuffled = _oracle(
         pct, np.concatenate([v.ravel() for v in views]).tolist()
     )
-    for kind in FOLDS:
-        for parts, expected in (
-            ([values], oracle),
-            (_split(values, cuts), oracle),
-            ([values[:4], values[4:5], values[5:]], oracle),
-            (views, shuffled),
-        ):
-            est = P2Quantile(pct)
-            with fold(kind):
-                for part in parts:
-                    est.add_many(part)
-            assert_same_state(est, expected)
+    for parts, expected in (
+        ([values], oracle),
+        (_split(values, cuts), oracle),
+        ([values[:4], values[4:5], values[5:]], oracle),
+        (views, shuffled),
+    ):
+        est = P2Quantile(pct)
+        for part in parts:
+            est.add_many(part)
+        assert_same_state(est, expected)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -211,26 +200,24 @@ def test_non_finite_observation_raises(bad):
     """A NaN used to count as below every marker and silently drag the
     estimate (p95 of 1..6 then 50 NaNs read 4.0).  A rejected batch leaves
     the estimator untouched, before and after its markers exist."""
-    for kind in FOLDS:
-        with fold(kind):
-            est = P2Quantile(95.0)
-            est.add_many([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-            before = (est.count, _markers(est))
-            with pytest.raises(SimulationError, match="finite"):
-                est.add_many([7.0] + [bad] * 50)
-            with pytest.raises(SimulationError, match="finite"):
-                est.add(bad)
-            assert (est.count, _markers(est)) == before
-            warm = P2Quantile(50.0)
-            warm.add_many([3.0, 1.0])
-            with pytest.raises(SimulationError, match="finite"):
-                warm.add_many([2.0, 4.0, 5.0, bad])
-            assert warm.count == 2 and warm._initial == [1.0, 3.0]
-            assert warm._markers is None and warm.value == 2.0
-            cold = P2Quantile(50.0)
-            with pytest.raises(SimulationError, match="finite"):
-                cold.add_many([1.0, bad])
-            assert cold.count == 0 and math.isnan(cold.value)
+    est = P2Quantile(95.0)
+    est.add_many([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    before = (est.count, _markers(est))
+    with pytest.raises(SimulationError, match="finite"):
+        est.add_many([7.0] + [bad] * 50)
+    with pytest.raises(SimulationError, match="finite"):
+        est.add(bad)
+    assert (est.count, _markers(est)) == before
+    warm = P2Quantile(50.0)
+    warm.add_many([3.0, 1.0])
+    with pytest.raises(SimulationError, match="finite"):
+        warm.add_many([2.0, 4.0, 5.0, bad])
+    assert warm.count == 2 and warm._initial == [1.0, 3.0]
+    assert warm._markers is None and warm.value == 2.0
+    cold = P2Quantile(50.0)
+    with pytest.raises(SimulationError, match="finite"):
+        cold.add_many([1.0, bad])
+    assert cold.count == 0 and math.isnan(cold.value)
 
 
 def _assert_markers_sorted(est: P2Quantile) -> None:
@@ -251,20 +238,15 @@ def test_long_tie_heavy_streams_keep_markers_sorted(pct, levels):
     values = rng.choice(rng.exponential(5.0, levels), 8_000).tolist()
     stops = sorted({*rng.integers(1, len(values), 60).tolist(), len(values)})
     oracle = _oracle(pct, values)
-    for kind in FOLDS:
-        est = P2Quantile(pct)
-        start = 0
-        with fold(kind):
-            for stop in stops:
-                est.add_many(values[start:stop])
-                start = stop
-                _assert_markers_sorted(est)
-        assert_same_state(est, oracle)
+    est = P2Quantile(pct)
+    start = 0
+    for stop in stops:
+        est.add_many(values[start:stop])
+        start = stop
+        _assert_markers_sorted(est)
+    assert_same_state(est, oracle)
 
 
-@pytest.mark.skipif(
-    native._LIB is None, reason="the C library could not be built"
-)
 def test_p2_fold_rejects_marker_arrays_it_cannot_write():
     xs = np.arange(3.0)
     dn = np.zeros(5)
@@ -276,3 +258,12 @@ def test_p2_fold_rejects_marker_arrays_it_cannot_write():
         assert np.array_equal(markers, before)
     with pytest.raises(ValueError, match="p2_fold needs 5"):
         native.p2_fold(np.zeros(15), np.zeros(4), xs)
+
+
+def test_estimator_needs_the_compiled_library(monkeypatch):
+    """Without the library nothing could fold the markers, so no estimator
+    is made (one would count observations it never folded)."""
+    monkeypatch.setattr(native, "_LIB", None)
+    monkeypatch.setattr(native, "_REASON", "no C compiler")
+    with pytest.raises(ConfigError, match="no C compiler"):
+        P2Quantile(95.0)

@@ -2,13 +2,13 @@
 
 Each case runs a fresh interpreter with its own ``HOME``, so the library
 cache under ``~/.cache/repro/native`` starts empty: a cold build must give
-the same simulated outputs as the library this process loaded, two
+the same simulated outputs as the library this process loaded (the
+event engine's P² estimates and scheduler releases included), two
 processes building at once must both load one valid library, an
-unwritable cache falls back to a private build directory, and a host with
-no C compiler gets a ``ConfigError`` from ``engine="fast"`` while the
-event engine still runs, its P² estimates folded and its schedulers'
-releases decided by the Python loops to the compiled paths' bits.  Extra compiler flags (tests only) build a
-library of their own, and ``serve.c`` builds warning-free.
+unwritable cache falls back to a private build directory, and on a host
+with no C compiler ``import repro`` still works while both engines raise
+a ``ConfigError`` naming the compiler.  Extra compiler flags (tests only)
+build a library of their own, and ``serve.c`` builds warning-free.
 """
 
 import ctypes
@@ -144,10 +144,17 @@ needs_compiler = pytest.mark.skipif(
 )
 
 
+#: The script's runs whose P² folds and scheduler releases a cold build
+#: must reproduce.
+CONTROLLED = ("event+slo", "event+defer", "event+coalesce")
+
+
 @needs_compiler
 def test_cold_build_gives_identical_outputs(tmp_path):
-    got = _result(_start(tmp_path, "fast"))
-    assert got == _here("fast")
+    got = _result(_start(tmp_path, "fast", *CONTROLLED))
+    assert got == _here("fast", *CONTROLLED)
+    for name in ("event+defer", "event+coalesce"):
+        assert got[name][3] > 0, f"{name} held no request"
     (lib,) = _cache_files(tmp_path)
     assert lib.startswith("serve-") and lib.endswith(".so")
 
@@ -168,25 +175,17 @@ def test_unwritable_cache_builds_privately(tmp_path):
     assert _result(_start(home, "fast")) == _here("fast")
 
 
-def test_no_compiler_fast_raises_event_runs(tmp_path):
-    """The event engine runs without the library, and its P² estimates
-    (folded by the Python loop there) and its schedulers' releases
-    (decided by the Python loops there) equal the compiled paths' here."""
+def test_no_compiler_raises_on_both_engines(tmp_path):
+    """The script imports ``repro`` and builds its workloads, then each
+    engine's run raises before it simulates anything."""
     empty = tmp_path / "bin"
     empty.mkdir()
-    scheduled = ("event+defer", "event+coalesce")
-    got = _result(_start(
-        tmp_path, "fast", "event", "event+slo", *scheduled, PATH=str(empty)
-    ))
-    assert got["fast"].startswith("ConfigError: engine='fast' needs a C compiler")
-    assert "install one or use engine='event'" in got["fast"]
-    assert isinstance(got["event"], list) and got["event"][2] > 0
-    for name in scheduled:
-        assert got[name][3] > 0, f"{name} held no request"
-    if native._LIB is not None:
-        here = _here("event+slo", *scheduled)
-        for name in ("event+slo", *scheduled):
-            assert got[name] == here[name], name
+    got = _result(_start(tmp_path, "fast", "event", PATH=str(empty)))
+    for engine in ("fast", "event"):
+        assert got[engine].startswith(
+            "ConfigError: simulation needs a C compiler"
+        ), got[engine]
+        assert "looked for" in got[engine] and "cc" in got[engine]
 
 
 @needs_compiler

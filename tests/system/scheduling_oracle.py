@@ -2,9 +2,8 @@
 
 The reference :mod:`repro.system.scheduling` rules decide a whole block of
 arrivals per call (``release_many``): ``slack_defer`` and
-``spinup_coalesce`` in the compiled core (:func:`repro.native.release_core`)
-or, where it could not be built, in their Python loops, and
-``batch_release`` in its one Python loop.  These classes keep the earlier
+``spinup_coalesce`` in the compiled core (:func:`repro.native.release_core`),
+``batch_release`` in its Python loop.  These classes keep the earlier
 one-request-at-a-time form of the three rules, with their own copy of the
 two-state disk forecast, so a test can hold every batched path to them
 release by release.  Kept out of ``src/`` on purpose — it is a test

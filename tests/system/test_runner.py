@@ -421,3 +421,18 @@ class TestReorganizingRunnerSplit:
         epochs = self._runner(small_catalog, 1_000.0)._split(stream)
         assert len(epochs) == 1
         assert epochs[0][0].duration == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("interval", [1e-310, float("nan")])
+    def test_non_finite_epoch_count_raises_config_error(self, interval):
+        # 100 / 1e-310 overflows to inf, which math.ceil used to reject
+        # with a bare OverflowError; NaN passes the ``<= 0`` check too.
+        catalog = FileCatalog.from_zipf(n=50, s_max=1e9)
+        stream = RequestStream.poisson(
+            catalog.popularities, rate=0.5, duration=100.0, rng=2
+        )
+        runner = ReorganizingRunner(
+            catalog, StorageConfig(num_disks=5), interval=interval
+        )
+        with pytest.raises(ConfigError, match="interval"):
+            runner.run(stream)
+        assert runner.epoch_results == []

@@ -11,22 +11,17 @@ equal ``scheduling_oracle``'s per-request rules release by release, and
 the forecast state (``avail``, the group deadlines) must match after every
 block.
 
-Every case of ``slack_defer`` and ``spinup_coalesce`` runs on both
-decision paths in turn: the compiled routine
-(:func:`repro.native.release_core`) and the Python loops that run when the
-library could not be built (selected here the same way, by unloading the
-library before the scheduler's ``reset``).  ``batch_release`` has only its
-Python loop.
+``slack_defer`` and ``spinup_coalesce`` decide only in the compiled
+routine (:func:`repro.native.release_core`), ``batch_release`` only in
+its Python loop.
 """
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.native as native
 from repro.disk.drive import READ, WRITE
 from repro.system import StorageConfig, StorageSystem
 from repro.system.scheduling import (
@@ -37,33 +32,10 @@ from repro.system.scheduling import (
 from repro.workload.generator import SyntheticWorkloadParams, generate_workload
 from scheduling_oracle import ORACLES
 
-def _paths(name):
-    """The decision paths of a rule: the compiled one (for the rules it
-    carries, where it built) and the Python loop."""
-    if native._LIB is None or name not in native.RULES:
-        return ("python",)
-    return ("compiled", "python")
 
-
-@contextmanager
-def rules(path):
-    """Run the body on the compiled routine or on the Python loops."""
-    if path == "compiled":
-        yield
-        return
-    lib = native._LIB
-    native._LIB = None
-    try:
-        yield
-    finally:
-        native._LIB = lib
-
-
-def _scheduler(path, name, params, setup):
-    with rules(path):
-        sched = make_request_scheduler(name, params)
-        sched.reset(setup)
-    assert (getattr(sched, "_core", None) is None) == (path == "python")
+def _scheduler(name, params, setup):
+    sched = make_request_scheduler(name, params)
+    sched.reset(setup)
     return sched
 
 
@@ -192,45 +164,43 @@ def test_release_many_over_any_split_matches_per_request_oracle(
     case, all_read_as_none, as_arrays
 ):
     """Blocks as the fast kernel passes them (float64, int64 and bool
-    arrays) or as lists, on both paths."""
+    arrays) or as lists."""
     name, params, setup, times, file_ids, writes, blocks, estimates = case
-    for path in _paths(name):
-        sched = _scheduler(path, name, params, setup)
-        oracle = ORACLES[name](**params)
-        oracle.reset(setup)
-        for (lo, hi), est in zip(blocks, estimates):
-            ts, fs, ws = times[lo:hi], file_ids[lo:hi], writes[lo:hi]
-            flags = None if all_read_as_none and not any(ws) else ws
-            if as_arrays:
-                ts, fs = np.asarray(ts), np.asarray(fs, dtype=np.int64)
-                flags = None if flags is None else np.asarray(flags)
-            got = sched.release_many(ts, fs, flags, est)
-            want = [
-                oracle.release(t, f, WRITE if w else READ, slo_estimate=est)
-                for t, f, w in zip(times[lo:hi], file_ids[lo:hi], ws)
-            ]
-            note = f"{path} {name} block [{lo}, {hi}) est={est}"
-            assert _bits(got) == _bits(want), note
-            _assert_same_state(sched, oracle, note)
+    sched = _scheduler(name, params, setup)
+    oracle = ORACLES[name](**params)
+    oracle.reset(setup)
+    for (lo, hi), est in zip(blocks, estimates):
+        ts, fs, ws = times[lo:hi], file_ids[lo:hi], writes[lo:hi]
+        flags = None if all_read_as_none and not any(ws) else ws
+        if as_arrays:
+            ts, fs = np.asarray(ts), np.asarray(fs, dtype=np.int64)
+            flags = None if flags is None else np.asarray(flags)
+        got = sched.release_many(ts, fs, flags, est)
+        want = [
+            oracle.release(t, f, WRITE if w else READ, slo_estimate=est)
+            for t, f, w in zip(times[lo:hi], file_ids[lo:hi], ws)
+        ]
+        note = f"{name} block [{lo}, {hi}) est={est}"
+        assert _bits(got) == _bits(want), note
+        _assert_same_state(sched, oracle, note)
 
 
 @given(case=cases())
 @settings(max_examples=100, deadline=None)
 def test_release_of_one_matches_per_request_oracle(case):
-    """The event engine's per-arrival ``release`` follows the same rule
-    on both paths."""
+    """The event engine's per-arrival ``release`` follows the same
+    rule."""
     name, params, setup, times, file_ids, writes, blocks, estimates = case
     est = estimates[0] if estimates else None
-    for path in _paths(name):
-        sched = _scheduler(path, name, params, setup)
-        oracle = ORACLES[name](**params)
-        oracle.reset(setup)
-        for t, f, w in zip(times, file_ids, writes):
-            kind = WRITE if w else READ
-            got = sched.release(t, f, kind, slo_estimate=est)
-            want = oracle.release(t, f, kind, slo_estimate=est)
-            assert float(got).hex() == float(want).hex(), path
-        _assert_same_state(sched, oracle, f"{path} {name}")
+    sched = _scheduler(name, params, setup)
+    oracle = ORACLES[name](**params)
+    oracle.reset(setup)
+    for t, f, w in zip(times, file_ids, writes):
+        kind = WRITE if w else READ
+        got = sched.release(t, f, kind, slo_estimate=est)
+        want = oracle.release(t, f, kind, slo_estimate=est)
+        assert float(got).hex() == float(want).hex(), name
+    _assert_same_state(sched, oracle, name)
 
 
 def _one_disk_setup():
@@ -243,14 +213,13 @@ def _one_disk_setup():
     )
 
 
-@pytest.mark.parametrize("path", _paths("slack_defer"))
-def test_overflowing_epoch_passes_slack_defer_through(path):
+def test_overflowing_epoch_passes_slack_defer_through():
     """``t / window`` overflows for a subnormal window: the next epoch is
     infinitely far (once an ``OverflowError``), so ``slack_defer`` passes
     the request through, even with an unbounded hold and budget."""
     for max_hold in (30.0, math.inf):
         defer = _scheduler(
-            path, "slack_defer",
+            "slack_defer",
             {"target": math.inf, "window": 1e-310, "max_hold": max_hold},
             _one_disk_setup(),
         )
@@ -265,7 +234,7 @@ def test_overflowing_epoch_holds_batch_release_to_max_hold(max_hold):
     """The same infinitely far epoch caps ``batch_release``'s hold at
     ``max_hold``, for list and array blocks alike."""
     batch = _scheduler(
-        "python", "batch_release", {"window": 1e-310, "max_hold": max_hold},
+        "batch_release", {"window": 1e-310, "max_hold": max_hold},
         _one_disk_setup(),
     )
     assert list(batch.release_many([5.0], [0], None, None)) == [

@@ -1,7 +1,8 @@
 """Unit tests for the request-scheduler registry (`repro.system.scheduling`).
 
-Covers registry wiring, parameter normalization/validation, the private
-disk model, each registered strategy's release rule, the fifo
+Covers registry wiring, parameter normalization/validation, the disk
+forecast (on the oracle's copy that the compiled rules are held to), each
+registered strategy's release rule, the fifo
 byte-identity pins (config-level *and* forced through the scheduling
 machinery), and a deterministic release-on-control-boundary tie that the
 randomized differential axis cannot hit (float intervals make exact ties
@@ -23,13 +24,13 @@ from repro.system.scheduling import (
     SchedulingSetup,
     SlackDefer,
     SpinupCoalesce,
-    _DiskModel,
     build_scheduling_setup,
     make_request_scheduler,
     normalize_scheduler_params,
     request_scheduler_names,
 )
 from repro.workload.generator import SyntheticWorkloadParams, generate_workload
+from scheduling_oracle import OracleDiskModel
 
 
 def _setup(
@@ -160,11 +161,13 @@ def test_build_setup_uniform_and_fleet():
     assert np.array_equal(sf.spinup_time, fleet.spinup_times)
 
 
-# -- the private disk model -----------------------------------------------------
+# -- the disk forecast ----------------------------------------------------------
 
 
 def test_disk_model_projection_states():
-    m = _DiskModel(_setup())  # oh=0 rate=1 th=5 down=2 up=3, avail=0
+    # The forecast the compiled rules are held to (the twin tests check
+    # them against it release by release).
+    m = OracleDiskModel(_setup())  # oh=0 rate=1 th=5 down=2 up=3, avail=0
     # Within the idle threshold: starts immediately.
     assert m.projected_start(0, 4.0) == 4.0
     # Past threshold + spin-down: fully asleep, pay the wake.
