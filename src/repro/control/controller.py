@@ -118,6 +118,18 @@ class ThresholdController:
             self._slo_estimator = P2Quantile(slo_percentile)
         self.records: List[IntervalRecord] = []
 
+    def check_horizon(self, duration: float) -> None:
+        """Raise a :class:`~repro.errors.ConfigError` naming
+        ``control_interval`` unless it splits a ``duration``-second run
+        into a finite number of intervals: a subnormal interval would
+        make either engine's boundary loop step forever."""
+        intervals = duration / self.interval
+        if not math.isfinite(intervals):
+            raise ConfigError(
+                f"control_interval {self.interval!r} splits a {duration!r} s "
+                f"run into {intervals} intervals; it must give a finite count"
+            )
+
     @property
     def slo_estimate(self) -> float:
         """The running SLO-percentile estimate (NaN before warm-up).

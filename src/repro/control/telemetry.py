@@ -14,7 +14,10 @@ engines:
   queue depth at the boundary, and the running percentile estimates;
 * :class:`IntervalRecord` — the per-interval trace row (thresholds in
   effect, percentile estimates, per-disk mean power when available)
-  surfaced through ``SimulationResult.extra["dpm"]``.
+  surfaced through ``SimulationResult.extra["dpm"]``.  Its per-disk
+  power is diffed from live drive energies on the event engine; the
+  fast kernel bins its logged state spans into the interval windows in
+  the compiled core instead (:func:`repro.native.bin_spans`).
 
 Both engines feed these objects the **same observations in the same
 order** (responses in completion order, gaps in per-disk close order), so
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -211,64 +214,7 @@ class IntervalRecord:
     slo_estimate: float
     mean_queue_depth: float
     #: Per-disk mean draw over the interval (W); filled by the event
-    #: engine online and by the fast kernel's post-run span binning.
+    #: engine online and by the fast kernel's post-run span binning
+    #: (:func:`repro.native.bin_spans` over its logged state spans).
     power: Optional[FloatArray] = None
     gap_count: int = 0
-
-
-def bin_spans(
-    disks: npt.ArrayLike,
-    starts: npt.ArrayLike,
-    ends: npt.ArrayLike,
-    edges: "Sequence[float] | npt.NDArray[Any]",
-    num_disks: int,
-) -> FloatArray:
-    """Overlap seconds of ``[start, end)`` spans with contiguous windows.
-
-    ``edges`` are the ``K+1`` ascending boundaries of ``K`` contiguous
-    windows (``[edges[k], edges[k+1])`` — exactly the control-interval
-    grid).  Returns a ``(K, num_disks)`` matrix; used by the fast kernel
-    to reconstruct the per-interval per-disk power trace from its logged
-    state episodes (the event engine diffs drive energies online
-    instead).
-
-    O(N log K + K·D): each span's first and last partial windows are
-    scattered directly, and the windows a span covers *fully* are
-    accumulated through a difference array over the window axis — no
-    per-window rescans of the span list, so long controlled runs (many
-    intervals) cost the same per span as short ones.
-    """
-    edges = np.asarray(edges, dtype=float)
-    n_windows = int(edges.size) - 1
-    out: FloatArray = np.zeros((max(n_windows, 0), num_disks), dtype=float)
-    d = np.asarray(disks, dtype=np.int64)
-    if not d.size or n_windows <= 0:
-        return out
-    s = np.clip(np.asarray(starts, dtype=float), edges[0], edges[-1])
-    e = np.clip(np.asarray(ends, dtype=float), edges[0], edges[-1])
-    keep = e > s
-    d, s, e = d[keep], s[keep], e[keep]
-    if not d.size:
-        return out
-    i_s = np.clip(
-        np.searchsorted(edges, s, side="right") - 1, 0, n_windows - 1
-    )
-    i_e = np.clip(
-        np.searchsorted(edges, e, side="right") - 1, 0, n_windows - 1
-    )
-    same = i_s == i_e
-    np.add.at(out, (i_s[same], d[same]), e[same] - s[same])
-    cross = ~same
-    if cross.any():
-        dc, sc, ec = d[cross], s[cross], e[cross]
-        lo_w, hi_w = i_s[cross], i_e[cross]
-        np.add.at(out, (lo_w, dc), edges[lo_w + 1] - sc)
-        # A span ending exactly on an edge contributes 0 here — harmless.
-        np.add.at(out, (hi_w, dc), ec - edges[hi_w])
-        # Fully covered windows (lo_w < k < hi_w): +1/-1 difference
-        # markers cumsum'd along the window axis, times window widths.
-        cover = np.zeros((n_windows + 1, num_disks), dtype=float)
-        np.add.at(cover, (lo_w + 1, dc), 1.0)
-        np.add.at(cover, (hi_w, dc), -1.0)
-        out += np.cumsum(cover[:-1], axis=0) * np.diff(edges)[:, None]
-    return out

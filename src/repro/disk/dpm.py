@@ -40,6 +40,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.disk.power import DiskState
 from repro.disk.specs import DiskSpec
 from repro.errors import ConfigError
@@ -400,6 +402,33 @@ class DpmLadder:
             out.append(start)
             prev = start
         return tuple(out)
+
+    def scaled_entries_array(self, thresholds: Sequence[float]) -> np.ndarray:
+        """:meth:`scaled_entries` of every threshold at once, as the rows
+        of an ``(n, len(rungs))`` array: the same arithmetic elementwise,
+        so each row is bit for bit that tuple (a one-rung ladder's rows
+        are ``(0.0,)``).  Its two shortcuts need no branch here: at
+        ``base_threshold`` sigma is 1 and the ladder's own validation
+        keeps every entry at or past its cascade floor, and an ``inf``
+        threshold scales every entry to ``inf``.  Raises
+        :class:`ConfigError` when any threshold is negative or NaN."""
+        th = np.asarray(thresholds, dtype=float)
+        if not (th >= 0).all():
+            raise ConfigError("threshold must be >= 0")
+        rungs = self.rungs
+        out = np.zeros((th.size, len(rungs)))
+        if len(rungs) < 2:
+            return out
+        out[:, 1] = th
+        # Huge finite thresholds may scale to inf entries.
+        with np.errstate(over="ignore"):
+            sigma = th / rungs[1].entry
+            prev = th
+            for i in range(2, len(rungs)):
+                start = sigma * rungs[i].entry
+                floor = prev + rungs[i - 1].down_time
+                prev = out[:, i] = np.where(start < floor, floor, start)
+        return out
 
     def power_table(self, spec: DiskSpec) -> Dict[str, float]:
         """Timeline label -> watts for every state a ladder run can enter."""

@@ -14,7 +14,10 @@ decides the release times of a block of arrivals for the forecasting
 request schedulers of :mod:`repro.system.scheduling` (``slack_defer``,
 ``spinup_coalesce``) with their disk forecast, from a :class:`SchedArgs`
 block each scheduler builds once per run: one call per fast-kernel block,
-one per arrival on the event engine.  The shared library is
+one per arrival on the event engine.  :func:`bin_spans` adds logged
+``[start, end)`` state spans into per-interval, per-disk overlap seconds,
+from which a controlled fast-kernel run builds its power trace.  The
+shared library is
 built from that source with the host's C compiler the first time this
 package is imported and cached under ``~/.cache/repro/native/``, named by a
 hash of the source, the compiler, the flags and the Python ABI, so later
@@ -63,6 +66,7 @@ __all__ = [
     "RULES",
     "SchedArgs",
     "ServeArgs",
+    "bin_spans",
     "build",
     "cache_dir",
     "compiler",
@@ -284,6 +288,8 @@ def load(path: Path) -> ctypes.CDLL:
     lib.repro_stable_order.restype = _i
     lib.repro_p2_fold.argtypes = [_p, _p, _p, _i]
     lib.repro_p2_fold.restype = None
+    lib.repro_bin_spans.argtypes = [_p, _p, _p, _i, _p, _i, _i, _p]
+    lib.repro_bin_spans.restype = _i
     # Declared without argtypes: callers pass ctypes objects, so the event
     # engine's call per request converts nothing.
     lib.repro_release.restype = None
@@ -342,6 +348,59 @@ def p2_fold(markers: np.ndarray, dn: np.ndarray, xs: np.ndarray) -> None:
                 f"{a.dtype} of shape {a.shape}"
             )
     lib.repro_p2_fold(markers.ctypes.data, dn.ctypes.data, x.ctypes.data, x.size)
+
+
+def bin_spans(disks, starts, ends, edges, num_disks: int) -> np.ndarray:
+    """Overlap seconds of the ``[start, end)`` spans on ``disks`` with the
+    ``K`` contiguous windows ``[edges[k], edges[k+1])``, as a new ``(K,
+    num_disks)`` float64 matrix.
+
+    Spans are clipped to ``[edges[0], edges[-1]]``; those that clip to
+    nothing (empty, reversed, NaN or wholly outside) are dropped, also
+    when their disk is out of range.  The compiled routine runs in
+    O(N log K + K * D): each span's first and last partial windows are
+    added directly and the windows it covers fully through per-disk
+    cover counts, in the passes and order of the NumPy scatter-adds it
+    replaced, so the matrix is bit for bit theirs (the oracle
+    ``tests/control/bin_spans_oracle.py``).  Raises
+    :class:`~repro.errors.ConfigError` when the library could not be
+    built, :class:`ValueError` for columns of different lengths, edges
+    that are not finite and ascending, or a binned span's disk outside
+    ``[0, num_disks)``, and :class:`MemoryError` when the work space
+    could not be allocated."""
+    lib = library()
+    edges = np.ascontiguousarray(edges, dtype=float)
+    d = np.ascontiguousarray(disks, dtype=np.int64)
+    s = np.ascontiguousarray(starts, dtype=float)
+    e = np.ascontiguousarray(ends, dtype=float)
+    if edges.ndim != 1 or not d.ndim == s.ndim == e.ndim == 1 or not (
+        d.size == s.size == e.size
+    ):
+        raise ValueError(
+            f"bin_spans needs 1-D edges and equal-length 1-D span columns, "
+            f"got edges {edges.shape}, disks {d.shape}, starts {s.shape}, "
+            f"ends {e.shape}"
+        )
+    k = edges.size - 1
+    out = np.zeros((max(k, 0), num_disks))
+    if not d.size or k <= 0:
+        return out
+    status = lib.repro_bin_spans(
+        d.ctypes.data, s.ctypes.data, e.ctypes.data, d.size,
+        edges.ctypes.data, k, num_disks, out.ctypes.data,
+    )
+    if status == -1:
+        raise ValueError(
+            f"bin_spans edges must be finite and ascending, got {edges}"
+        )
+    if status == -2:
+        raise MemoryError(f"no work space to bin {d.size} spans")
+    if status:
+        raise ValueError(
+            f"span {status - 1} is on disk {d[status - 1]}, outside "
+            f"[0, {num_disks})"
+        )
+    return out
 
 
 def release_core() -> Callable[..., None]:

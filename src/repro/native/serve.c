@@ -35,6 +35,10 @@
  * updates their two-state disk forecast, statement for statement the
  * Python loops of repro.system.scheduling.
  *
+ * repro_bin_spans adds the overlap seconds of logged state spans with the
+ * control-interval windows (a controlled run's per-interval power trace),
+ * pass for pass the NumPy scatter-adds it replaced.
+ *
  * Gap-log records are sorted by disk (arrival order inside each disk) and
  * span records by (kind, rung) (arrival order inside each key) before they
  * are handed back.  A call stops early when a record buffer could overflow,
@@ -1138,4 +1142,136 @@ void repro_release(sched_args *a, const double *ts, const int64_t *fid,
         a->avail[d] = projected_start(a, d, r) + service;
         out[i] = r;
     }
+}
+
+/* ---------------------------------------------------------------------
+ * Span binning: the overlap seconds of logged [start, end) state spans
+ * with the control-interval windows, from which a controlled run builds
+ * its per-interval per-disk power trace.
+ * ------------------------------------------------------------------- */
+
+/* The window of x in edges[0..K]: searchsorted(edges, x, "right") - 1
+ * clipped to [0, K-1], tried first at the window w of the previous span
+ * (spans come nearly in time order), by binary search otherwise. */
+static inline int64_t window_of(const double *edges, int64_t K, double x,
+                                int64_t w)
+{
+    if (edges[w] <= x && x < edges[w + 1])
+        return w;
+    int64_t lo = 0, hi = K + 1;  /* the edges <= x */
+    while (lo < hi) {
+        const int64_t mid = lo + ((hi - lo) >> 1);
+        if (edges[mid] <= x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    lo -= 1;
+    return lo < 0 ? 0 : (lo > K - 1 ? K - 1 : lo);
+}
+
+/* Span m clipped to [edges[0], edges[K]] the way NumPy's clip does it
+ * (NaN passes through) into *x and *y, with its first and last windows
+ * in w[0] and w[1] (hints in, windows out); returns 0 for a span that
+ * clips to nothing (end not after start: empty, reversed or NaN), which
+ * no pass bins. */
+static inline int span_windows(const double *s, const double *e, int64_t m,
+                               const double *edges, int64_t K, double *x,
+                               double *y, int64_t w[2])
+{
+    const double a = edges[0], b = edges[K];
+    double u = s[m], v = e[m];
+    if (u == u) {
+        u = u > a ? u : a;
+        u = u < b ? u : b;
+    }
+    if (v == v) {
+        v = v > a ? v : a;
+        v = v < b ? v : b;
+    }
+    if (!(v > u))
+        return 0;
+    *x = u;
+    *y = v;
+    w[0] = window_of(edges, K, u, w[0]);
+    w[1] = window_of(edges, K, v, w[1]);
+    return 1;
+}
+
+/* Add the overlap seconds of the n spans [s[m], e[m]) on disks d[m] with
+ * the K windows [edges[k], edges[k+1]) into out[K*D] (row k, column d),
+ * in the passes and order of the NumPy scatter-adds this replaced, so
+ * out comes out bit for bit theirs: the spans inside one window in span
+ * order, then every crossing span's first partial window, then every
+ * crossing span's last one, then the windows a span covers fully, as
+ * per-column cover counts (a K*D work space) times the window widths.
+ * Returns 0; -1 when the edges are not finite and ascending (ties
+ * allowed); -2 when the work space could not be allocated; or m + 1 for
+ * the first binned span m whose disk lies outside [0, D).  On an error
+ * out is partly written. */
+int64_t repro_bin_spans(const int64_t *d, const double *s, const double *e,
+                        int64_t n, const double *edges, int64_t K,
+                        int64_t D, double *out)
+{
+    for (int64_t k = 0; k <= K; k++)
+        if (!isfinite(edges[k]) || (k && !(edges[k] >= edges[k - 1])))
+            return -1;
+    double x, y;
+    int64_t w[2] = {0, 0};
+    int64_t *cross = NULL;  /* the crossing spans, in order */
+    int64_t nc = 0;
+    for (int64_t m = 0; m < n; m++) {
+        if (!span_windows(s, e, m, edges, K, &x, &y, w))
+            continue;
+        if (d[m] < 0 || d[m] >= D) {
+            free(cross);
+            return m + 1;
+        }
+        if (w[0] == w[1]) {
+            out[w[0] * D + d[m]] += y - x;
+            continue;
+        }
+        if (cross == NULL) {
+            cross = malloc((size_t)(n - m) * sizeof *cross);
+            if (cross == NULL)
+                return -2;
+        }
+        cross[nc++] = m;
+    }
+    if (!nc)
+        return 0;
+    /* Rows lo + 1 .. hi - 1 covered: +1 at lo + 1, -1 at hi. */
+    int64_t *cover = calloc((size_t)(K * D), sizeof *cover);
+    if (cover == NULL) {
+        free(cross);
+        return -2;
+    }
+    for (int64_t j = 0; j < nc; j++) {
+        const int64_t m = cross[j];
+        span_windows(s, e, m, edges, K, &x, &y, w);
+        out[w[0] * D + d[m]] += edges[w[0] + 1] - x;
+    }
+    for (int64_t j = 0; j < nc; j++) {
+        const int64_t m = cross[j];
+        span_windows(s, e, m, edges, K, &x, &y, w);
+        /* A span ending exactly on an edge adds 0 here. */
+        out[w[1] * D + d[m]] += y - edges[w[1]];
+        cover[(w[0] + 1) * D + d[m]] += 1;
+        cover[w[1] * D + d[m]] -= 1;
+    }
+    free(cross);
+    for (int64_t k = 0; k < K; k++) {
+        const double width = edges[k + 1] - edges[k];
+        for (int64_t j = 0; j < D; j++) {
+            int64_t *c = cover + k * D + j;
+            if (k)
+                *c += c[-D];
+            /* Adding 0 * width would leave out as it is: every entry is
+             * +0.0 or a sum of positive overlaps. */
+            if (*c)
+                out[k * D + j] += (double)*c * width;
+        }
+    }
+    free(cover);
+    return 0;
 }

@@ -179,7 +179,9 @@ from repro.disk.fleet import ResolvedFleet
 from repro.disk.power import PowerModel
 from repro.disk.specs import DiskSpec
 from repro.errors import ConfigError, SimulationError
-from repro.native import CoupledArgs, ServeArgs, coupled_core, stable_order
+from repro.native import (
+    CoupledArgs, ServeArgs, bin_spans, coupled_core, stable_order,
+)
 from repro.obs.hooks import CacheEventBlock, PlacementBlock, active_observer
 from repro.system.dispatcher import initial_free_bytes, validate_free_bytes
 from repro.system.metrics import ResponseAccumulator, SimulationResult
@@ -293,7 +295,14 @@ class _DiskBank:
     ``log_spans`` (implied by ``interval``) every descent/park/wake
     episode is logged as a ``(disk, start, end)`` span per rung, for the
     per-interval power trace and for observers; logging never changes the
-    arithmetic.
+    arithmetic.  ``park_spans``, ``down_spans`` and ``wake_spans`` hold,
+    per rung, a list of ``(disks, starts, ends)`` column blocks in the
+    order the spans were logged: the walk's key-sorted record buffers,
+    copied out by :func:`_take_records`, then the tail pass's.
+
+    Each threshold row's descent schedules are built per distinct ladder
+    in one array operation over the row's thresholds
+    (:meth:`~repro.disk.dpm.DpmLadder.scaled_entries_array`).
 
     Heterogeneous fleets: ladders, specs and thresholds are per disk, and
     residencies are disk-major (``park_t[d, i]``), each row padded to the
@@ -348,9 +357,12 @@ class _DiskBank:
         self._svc = np.zeros((2, num_disks))
         self.seek_t, self.active_t = self._svc
         self.n_req = np.zeros(num_disks, dtype=np.int64)
-        # Per-disk scaled-schedule caches (mixed fleets scale different
-        # ladders with the same threshold).
-        self._entry_cache: List[dict] = [{} for _ in range(num_disks)]
+        # The disks of each distinct ladder (fleets share ladder objects),
+        # whose schedules one array operation builds.
+        groups: Dict[int, tuple] = {}
+        for d, l in enumerate(ladders):
+            groups.setdefault(id(l), (l, []))[1].append(d)
+        self._ladder_disks = [(l, np.array(ds)) for l, ds in groups.values()]
         # Descent schedules: one (disk, rung) matrix per threshold row,
         # padded with inf past each disk's ladder (a one-rung ladder's
         # schedule is (0, inf), hence at least 2 wide).  The walk's spin
@@ -358,7 +370,7 @@ class _DiskBank:
         width = max(self.maxR, 2)
         self._disks = np.arange(num_disks)
         rows = 1 if interval is None else 8
-        th = _per_disk_floats(thresholds, num_disks)
+        th = np.array(_per_disk_floats(thresholds, num_disks))
         self._ent = np.full((rows, num_disks, width), inf)
         if interval is None:
             self.ci = 0.0
@@ -431,17 +443,20 @@ class _DiskBank:
                 self._span_f
             )
 
-    def _set_schedule_row(self, k: int, th: List[float]) -> None:
-        """Fill row ``k`` of the schedule tables from the scaled-schedule
-        cache (growing them when a controlled run outlives their
-        capacity) and point the core at them."""
+    def _set_schedule_row(self, k: int, th: np.ndarray) -> None:
+        """Fill row ``k`` of the schedule tables with the descent schedules
+        under the per-disk thresholds ``th`` (growing the tables when a
+        controlled run outlives their capacity) and point the core at
+        them.  A one-rung ladder keeps the ``inf`` second entry its row
+        was filled with, so no gap ever descends."""
         if k == len(self._ent):
             self._ent = np.concatenate((self._ent, np.full_like(self._ent, inf)))
             self._th = np.concatenate((self._th, np.empty_like(self._th)))
         ent = self._ent[k]
-        for d, th_d in enumerate(th):
-            e = self._entries_for(d, th_d)
-            ent[d, : len(e)] = e
+        for ladder, disks in self._ladder_disks:
+            ent[disks, : len(ladder.rungs)] = ladder.scaled_entries_array(
+                th[disks]
+            )
         args = self._args
         args.ent = self._ent.ctypes.data
         args.k = k
@@ -452,21 +467,7 @@ class _DiskBank:
     def push_thresholds(self, thresholds: np.ndarray) -> None:
         """Apply the vector decided at the boundary entering interval k+1."""
         self.k += 1
-        self._set_schedule_row(
-            self.k, np.asarray(thresholds, dtype=float).tolist()
-        )
-
-    def _entries_for(self, d: int, th: float) -> tuple:
-        """Disk ``d``'s descent schedule under threshold ``th``; a one-rung
-        ladder gets an ``inf`` first entry, so no gap ever descends."""
-        cache = self._entry_cache[d]
-        entries = cache.get(th)
-        if entries is None:
-            entries = self.ladders[d].scaled_entries(th)
-            if len(entries) == 1:
-                entries = (0.0, inf)
-            cache[th] = entries
-        return entries
+        self._set_schedule_row(self.k, np.asarray(thresholds, dtype=float))
 
     def _rows(self, drain: np.ndarray):
         """Schedule row governing a gap that began at ``drain`` (per disk):
@@ -484,6 +485,9 @@ class _DiskBank:
         per-disk ``(spinups, spindowns)`` arrays."""
         T = self.T
         spans = self.park_spans is not None
+        # The (disk, start, end) spans this pass logs, per (log, rung).
+        logs = (self.down_spans, self.park_spans)
+        tail: Dict[tuple, list] = {}
         avail = self.avail.tolist()
         rows = self._rows(self.avail)
         schedules = self._ent[rows, self._disks].tolist()
@@ -503,14 +507,16 @@ class _DiskBank:
                 n_down[d] += 1
                 down_t[i] += min(de, T) - ds
                 if spans:
-                    self.down_spans[i].append((d, ds, de))
+                    tail.setdefault((0, i), []).append((d, ds, de))
                 pe = (a + entries[i + 1]) if i + 1 < R else T
                 if pe > T:
                     pe = T
                 if pe > de:
                     park_t[i] += pe - de
                     if spans:
-                        self.park_spans[i].append((d, de, pe))
+                        tail.setdefault((1, i), []).append((d, de, pe))
+        for (log, i), rows in tail.items():
+            logs[log][i].append(tuple(map(np.array, zip(*rows))))
         self.n_down[:] = n_down
         self.park_t[:] = park
         self.down_t[:] = down
@@ -521,9 +527,10 @@ def _take_records(bank: _DiskBank) -> None:
     """Append the gap-log and span records the walk holds to the bank's
     logs, and empty its buffers.  Gaps come back sorted by disk and spans
     by (kind, rung), each in arrival order inside its disk or key: every
-    log list ends up in the order per-request serving appends to it, and
-    :func:`_flush_bank_spans` hands an observer each list in turn (see
-    :mod:`repro.obs.hooks`)."""
+    log ends up in the order per-request serving appends to it, and
+    :func:`_flush_bank_spans` hands an observer each in turn (see
+    :mod:`repro.obs.hooks`).  A span log gains one column block per key:
+    views into one copy of the walk's sorted buffers."""
     args = bank._args
     if args.n_gap:
         m = args.n_gap
@@ -539,14 +546,14 @@ def _take_records(bank: _DiskBank) -> None:
     if args.n_span:
         m = args.n_span
         logs = (bank.park_spans, bank.down_spans, bank.wake_spans)
-        d_l = bank._span_i[2, :m].tolist()
-        s_l, e_l = bank._span_f[2:, :m].tolist()
+        d_c = bank._span_i[2, :m].copy()
+        s_c, e_c = bank._span_f[2:, :m].copy()
         lo = 0
         for key, c in enumerate(bank._key_n.tolist()):
             if c:
                 kind, i = divmod(key, bank.maxR)
                 hi = lo + c
-                logs[kind][i].extend(zip(d_l[lo:hi], s_l[lo:hi], e_l[lo:hi]))
+                logs[kind][i].append((d_c[lo:hi], s_c[lo:hi], e_c[lo:hi]))
                 lo = hi
         args.n_span = 0
 
@@ -995,11 +1002,13 @@ class _SpanBinner:
     Chunked controlled runs cannot keep every logged state span until the
     end (the span logs grow with the request count), so spans are folded
     into fixed-size ``(K, D)`` overlap matrices between chunks and the
-    logs cleared.  The first batch folded under a key is stored as-is, so
-    a monolithic (single-chunk) run reproduces the historical one-shot
-    ``bin_spans`` call bit-for-bit; later batches accumulate, which only
-    regroups the float sums — the chunked-vs-monolithic differential axis
-    therefore holds the power trace to 1e-9 relative rather than exact.
+    logs cleared.  Each fold bins one batch of span columns in the
+    compiled core (:func:`repro.native.bin_spans`).  The first batch
+    folded under a key is stored as-is, so a monolithic (single-chunk)
+    run reproduces a one-shot binning bit-for-bit; later batches are
+    added to it, which only regroups the float sums — the
+    chunked-vs-monolithic differential axis therefore holds the power
+    trace to 1e-9 relative rather than exact.
     """
 
     __slots__ = ("edges", "num_disks", "_bins")
@@ -1010,18 +1019,12 @@ class _SpanBinner:
         self._bins: dict = {}
 
     def add(self, key, disks, starts, ends) -> None:
-        from repro.control.telemetry import bin_spans
-
         mat = bin_spans(disks, starts, ends, self.edges, self.num_disks)
         prev = self._bins.get(key)
-        self._bins[key] = mat if prev is None else prev + mat
-
-    def add_entries(self, key, entries: list) -> None:
-        """Fold a ``(disk, start, end)`` tuple list (caller clears it)."""
-        if not entries:
-            return
-        arr = np.asarray(entries, dtype=float)
-        self.add(key, arr[:, 0].astype(np.int64), arr[:, 1], arr[:, 2])
+        if prev is None:
+            self._bins[key] = mat
+        else:
+            prev += mat
 
     def get(self, key) -> np.ndarray:
         mat = self._bins.get(key)
@@ -1056,14 +1059,18 @@ def _flush_bank_spans(
     ladders = bank.ladders
     for i in range(1, bank.maxR):
         for prefix in _span_kinds(classic):
-            spans = getattr(bank, f"{prefix}_spans")[i]
+            blocks = getattr(bank, f"{prefix}_spans")[i]
+            if not blocks:
+                continue
+            columns = _columns(blocks)
+            blocks.clear()
             if binner is not None:
-                binner.add_entries((prefix, i), spans)
-            if obs is not None and spans:
+                binner.add((prefix, i), *columns)
+            if obs is not None:
                 # Each disk's label for this (kind, rung) is built once.
                 names: Dict[int, str] = {}
                 on_state_span = obs.on_state_span
-                for d, s, e in spans:
+                for d, s, e in zip(*(c.tolist() for c in columns)):
                     if s >= T:
                         continue
                     name = names.get(d)
@@ -1071,8 +1078,7 @@ def _flush_bank_spans(
                         name = names[d] = _span_name(
                             prefix, ladders[d].rungs[i].name, classic
                         )
-                    on_state_span(int(d), name, s, e if e < T else T)
-            spans.clear()
+                    on_state_span(d, name, s, e if e < T else T)
 
 
 def _span_name(prefix: str, rung: str, classic: bool) -> str:
@@ -1456,6 +1462,7 @@ class _Run:
                     f"controller sized for {dpm.num_disks} disks but the pool "
                     f"has {num_disks}"
                 )
+            dpm.check_horizon(T)
             self.bank = _DiskBank(
                 num_disks, dpm.thresholds, ladders, specs, T,
                 interval=dpm.interval,

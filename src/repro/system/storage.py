@@ -231,6 +231,9 @@ class StorageSystem:
                 f"duration must be positive and finite, got {duration!r}"
             )
         native.library()
+        controller = self.config.dpm_controller(self.num_disks)
+        if controller is not None:
+            controller.check_horizon(duration)
         if self.config.engine == "fast":
             reason = fast_unsupported_reason(self.config, stream)
             if reason is not None:
@@ -289,7 +292,7 @@ class StorageSystem:
                     else self.config.usable_capacity
                 ),
                 write_policy=self.config.placement_policy(),
-                dpm=self.config.dpm_controller(self.num_disks),
+                dpm=controller,
                 ladder=self.config.ladder(),
                 metrics_mode=self.config.metrics_mode,
                 fleet=fleet,
@@ -299,7 +302,6 @@ class StorageSystem:
             if obs is not None:
                 result.extra["obs"] = observability_snapshot(result, obs)
             return result
-        controller = self.config.dpm_controller(self.num_disks)
         if obs is not None:
             # Enable timeline history (purely additive — recording does
             # not perturb the simulation) so per-dwell state spans can be

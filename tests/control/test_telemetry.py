@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.control import P2Quantile
-from repro.control.telemetry import bin_spans
+from repro.native import bin_spans
 from repro.errors import ConfigError
 
 

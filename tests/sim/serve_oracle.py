@@ -30,6 +30,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from itertools import repeat
+from math import inf
 from typing import List, Optional
 
 import numpy as np
@@ -41,6 +42,40 @@ from repro.system.placement import PlacementContext
 def fixed_entries(bank, d: int) -> tuple:
     """Disk ``d``'s descent schedule on a fixed-threshold bank."""
     return tuple(bank._ent[0, d, : max(bank.R[d], 2)].tolist())
+
+
+def entries_for(bank, d: int, th: float) -> tuple:
+    """Disk ``d``'s descent schedule under threshold ``th``, from its
+    ladder's scalar ``scaled_entries`` (formerly
+    ``_DiskBank._entries_for``); a one-rung ladder gets an ``inf`` first
+    entry, so no gap ever descends."""
+    entries = bank.ladders[d].scaled_entries(th)
+    return (0.0, inf) if len(entries) == 1 else entries
+
+
+def log_span(log: list, d: int, s: float, e: float) -> None:
+    """Append one ``(disk, start, end)`` span to a bank span log of
+    ``(disks, starts, ends)`` column blocks, as a block of one."""
+    log.append((np.array([d]), np.array([s]), np.array([e])))
+
+
+def span_logs(bank):
+    """The bank's park, descent and wake logs as per-rung lists of
+    ``(disk, start, end)`` tuples, for comparing twin banks (``None``
+    when the bank logs no spans)."""
+    if bank.park_spans is None:
+        return None
+    return [
+        [
+            [
+                span
+                for block in blocks
+                for span in zip(*(c.tolist() for c in block))
+            ]
+            for blocks in log
+        ]
+        for log in (bank.park_spans, bank.down_spans, bank.wake_spans)
+    ]
 
 
 def threshold_at(bank, drain: float, d: int) -> float:
@@ -72,22 +107,22 @@ def descend(bank, d: int, a: float, t: float, entries) -> float:
         de = ds + dn[j]
         down_t[j] = float(down_t[j]) + (de - ds)
         if spans:
-            bank.down_spans[j].append((d, ds, de))
+            log_span(bank.down_spans[j], d, ds, de)
         pe = a + entries[j + 1]
         if pe > de:
             park_t[j] = float(park_t[j]) + (pe - de)
             if spans:
-                bank.park_spans[j].append((d, de, pe))
+                log_span(bank.park_spans[j], d, de, pe)
     ds = a + entries[i]
     de = ds + dn[i]
     bank.n_down[d] += i
     down_t[i] = float(down_t[i]) + (min(de, T) - ds)
     if spans:
-        bank.down_spans[i].append((d, ds, de))
+        log_span(bank.down_spans[i], d, ds, de)
     if t >= de:
         park_t[i] = float(park_t[i]) + (t - de)
         if spans:
-            bank.park_spans[i].append((d, de, t))
+            log_span(bank.park_spans[i], d, de, t)
         ws = t
     else:
         # Arrived mid-descent: the transition is not abortable.
@@ -97,7 +132,7 @@ def descend(bank, d: int, a: float, t: float, entries) -> float:
         bank.n_up[d] += 1
         bank.wake_t[d][i] = float(bank.wake_t[d][i]) + (min(ws + w, T) - ws)
         if spans:
-            bank.wake_spans[i].append((d, ws, ws + w))
+            log_span(bank.wake_spans[i], d, ws, ws + w)
     return ws + w
 
 
@@ -113,7 +148,7 @@ def serve(bank, d: int, t: float, tr: float) -> float:
         if bank.gap_log is not None:
             th = threshold_at(bank, a, d)
             bank.gap_log[d].append((t - a, th))
-            entries = bank._entries_for(d, th)
+            entries = entries_for(bank, d, th)
         else:
             entries = fixed_entries(bank, d)
         # A gap never exceeds an inf entry: such disks never descend.
@@ -148,8 +183,7 @@ def serve_batch(bank, d: int, ts: list, trs: list) -> List[float]:
         ci = bank.ci
         rows = bank._th[: bank.k + 1, d].tolist()
         k = bank.k
-        cached = bank._entry_cache[d].get
-        entries_for = bank._entries_for
+        schedules: dict = {}
     inline = bank.R[d] == 2
     if inline:
         D = bank.dn[d][1]
@@ -162,9 +196,9 @@ def serve_batch(bank, d: int, ts: list, trs: list) -> List[float]:
         if bank.park_spans is None:
             sd_log = sb_log = su_log = None
         else:
-            sd_log = bank.down_spans[1].append
-            sb_log = bank.park_spans[1].append
-            su_log = bank.wake_spans[1].append
+            sd_log, sb_log, su_log = (
+                bank.down_spans[1], bank.park_spans[1], bank.wake_spans[1]
+            )
     for t, tr in zip(ts, trs):
         if t != pt_d:
             pt_d = t
@@ -174,7 +208,9 @@ def serve_batch(bank, d: int, ts: list, trs: list) -> List[float]:
                 idx = int(a / ci)
                 th = rows[idx if idx <= k else k]
                 log((t - a, th))
-                entries = cached(th) or entries_for(d, th)
+                entries = schedules.get(th)
+                if entries is None:
+                    entries = schedules[th] = entries_for(bank, d, th)
                 e1 = entries[1]
             if t - a <= e1:
                 s = t
@@ -187,11 +223,11 @@ def serve_batch(bank, d: int, ts: list, trs: list) -> List[float]:
                 n_down += 1
                 sd_t += min(sd_end, T) - sd
                 if sd_log is not None:
-                    sd_log((d, sd, sd_end))
+                    log_span(sd_log, d, sd, sd_end)
                 if t >= sd_end:
                     sb_t += t - sd_end
                     if sb_log is not None:
-                        sb_log((d, sd_end, t))
+                        log_span(sb_log, d, sd_end, t)
                     su = t
                 else:
                     su = sd_end
@@ -199,7 +235,7 @@ def serve_batch(bank, d: int, ts: list, trs: list) -> List[float]:
                     n_up += 1
                     su_t += min(su + U, T) - su
                     if su_log is not None:
-                        su_log((d, su, su + U))
+                        log_span(su_log, d, su, su + U)
                 s = su + U
         else:
             s = a

@@ -139,8 +139,7 @@ def _serve_oracle(bank, disks, sizes, times, starts, lo, hi):
 def _state(bank):
     return (
         bank.avail.tolist(), bank.load.tolist(), bank.pt.tolist(),
-        bank.pv.tolist(), bank.gap_log,
-        bank.park_spans, bank.down_spans, bank.wake_spans,
+        bank.pv.tolist(), bank.gap_log, oracle.span_logs(bank),
         bank.park_t.tolist(), bank.down_t.tolist(), bank.wake_t.tolist(),
         bank.n_up.tolist(), bank.n_down.tolist(),
     )
@@ -281,7 +280,7 @@ def test_record_buffers_resume_mid_segment(monkeypatch, mode):
     starts = [np.empty(n) for _ in banks]
     _Walker(banks[0], disks, sizes).serve(times, starts[0], 0, n)
     _serve_oracle(banks[1], disks, sizes, times, starts[1], 0, n)
-    assert sum(map(len, banks[0].down_spans)) > 100
+    assert sum(map(len, oracle.span_logs(banks[0])[1])) > 100
     assert starts[0].tobytes() == starts[1].tobytes()
     assert _state(banks[0]) == _state(banks[1])
 
@@ -328,7 +327,7 @@ def test_wake_starting_exactly_at_horizon_is_not_billed(serve_twin):
         _serve_oracle(banks[1], d, sizes, t, np.empty(2), 0, 2)
     assert banks[0].avail[0] > horizon
     assert banks[0].n_up.tolist() == [0] and banks[0].n_down.tolist() == [1]
-    assert banks[0].wake_spans == [[], []]
+    assert oracle.span_logs(banks[0])[2] == [[], []]
     assert _state(banks[0]) == _state(banks[1])
 
 

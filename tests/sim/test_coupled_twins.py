@@ -77,7 +77,7 @@ def _bank_state(bank):
     return (
         bank._fst.tobytes(), bank._ust.tobytes(), bank._rst.tobytes(),
         bank._svc.tobytes(), bank.n_req.tobytes(),
-        bank.gap_log, bank.park_spans, bank.down_spans, bank.wake_spans,
+        bank.gap_log, oracle.span_logs(bank),
     )
 
 

@@ -128,7 +128,7 @@ class _Side:
         bank = self.bank
         out = [
             bank._fst.tobytes(), bank._ust.tobytes(), bank._rst.tobytes(),
-            bank.gap_log, bank.park_spans, bank.down_spans, bank.wake_spans,
+            bank.gap_log, oracle.span_logs(bank),
             self.mapping.tolist(), self.free.tolist(),
             getattr(self.policy, "_cursor", None),
         ]

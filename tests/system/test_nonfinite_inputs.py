@@ -8,11 +8,14 @@ silent zero-completion run, or a different error per engine.
 """
 
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.control import DPMPolicy
+from repro.control.controller import ThresholdController
 from repro.control.policies import DPM_POLICIES
 from repro.disk.dpm import DpmLadder, make_dpm_ladder
 from repro.disk.fleet import Fleet, FleetDisk
@@ -109,3 +112,40 @@ def test_nan_ladder_threshold_is_a_config_error():
     _, stream = _system("fast")
     with pytest.raises(ConfigError, match="threshold must be >= 0"):
         simulate_fast(SIZES, MAPPING, SPEC, 2, math.nan, stream, 2_000.0)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, when the body runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_subnormal_control_interval_is_a_config_error(engine):
+    # 2,000 s / 1e-310 overflows to inf: the boundary grid would step by a
+    # subnormal forever.  The check runs before any work, so the deadline
+    # (short, since the loop it guards against grows a list) is ample.
+    system, stream = _system(
+        engine, dpm_policy="adaptive_timeout", control_interval=1e-310
+    )
+    with _deadline(2.0), pytest.raises(ConfigError, match="control_interval"):
+        system.run(stream)
+
+
+def test_fast_kernel_refuses_subnormal_control_interval():
+    _, stream = _system("fast")
+    dpm = ThresholdController("adaptive_timeout", 1e-310, 2, 5.0, SPEC)
+    with _deadline(2.0), pytest.raises(ConfigError, match="control_interval"):
+        simulate_fast(
+            SIZES, MAPPING, SPEC, 2, 5.0, stream, 2_000.0, dpm=dpm
+        )
