@@ -2,6 +2,9 @@
 
 Arrivals are synthesized vectorized (single ``rng`` draws for the whole
 stream) per the hpc-parallel guidance: no per-request Python-level RNG calls.
+File ids come from an exact guide-table inverse CDF
+(:class:`~repro.workload.sampling.PopularitySampler`), bit-identical to
+``Generator.choice(n, size, p=p)`` on the same generator.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.sim.rng import rng_from_seed
+from repro.workload.sampling import PopularitySampler
 
 __all__ = [
     "RequestStream",
@@ -40,13 +44,13 @@ def poisson_arrival_times(rate: float, duration: float, rng=None) -> np.ndarray:
 
 
 def sample_file_ids(popularities: np.ndarray, count: int, rng=None) -> np.ndarray:
-    """Draw ``count`` file indices i.i.d. from the popularity distribution."""
-    if count < 0:
-        raise ConfigError(f"count must be >= 0, got {count}")
-    rng = rng_from_seed(rng)
-    p = np.asarray(popularities, dtype=float)
-    p = p / p.sum()
-    return rng.choice(p.shape[0], size=count, p=p)
+    """Draw ``count`` file indices i.i.d. from the popularity distribution.
+
+    Bit-identical to ``rng.choice(n, size=count, p=p / p.sum())``; bad
+    weights raise :class:`~repro.errors.ConfigError` (see
+    :class:`~repro.workload.sampling.PopularitySampler`).
+    """
+    return PopularitySampler(popularities).draw(count, rng_from_seed(rng))
 
 
 def validate_stream_times(times: np.ndarray, duration: float) -> None:

@@ -37,6 +37,13 @@ Two kinds of chunked streams exist:
   NERSC locality) but not the same sample path: seeds partition the
   horizon differently.
 
+File ids come from an exact guide-table inverse CDF
+(:class:`~repro.workload.sampling.PopularitySampler`), bit-identical to
+``Generator.choice(n, size, p=p)`` on the same generator.  Each stream
+builds its sampler once, so every window reuses one table, and bad
+popularity weights raise :class:`~repro.errors.ConfigError` when the
+stream is constructed.
+
 File sizes remain catalog-indexed: the simulator reads ``sizes[file_id]``
 from the (in-memory, O(n_files)) catalog, so chunks carry sizes only as an
 optional convenience (:meth:`StreamChunk.with_sizes`).
@@ -64,6 +71,7 @@ import numpy.typing as npt
 from repro.disk.drive import READ, WRITE
 from repro.errors import ConfigError
 from repro.workload.catalog import FileCatalog
+from repro.workload.sampling import PopularitySampler
 
 if TYPE_CHECKING:
     from repro.workload.mixed import MixedWorkloadParams
@@ -260,8 +268,7 @@ class ChunkedPoissonStream(_SeededStream):
         if duration < 0:
             raise ConfigError(f"duration must be >= 0, got {duration}")
         self.chunk_size = _check_chunk_size(chunk_size)
-        p = np.asarray(popularities, dtype=float)
-        self._pop = p / p.sum()
+        self._sampler = PopularitySampler(popularities)
         self.rate = float(rate)
         self.duration = float(duration)
 
@@ -288,7 +295,7 @@ class ChunkedPoissonStream(_SeededStream):
                 continue
             times = rng.uniform(lo, hi, size=n)
             times.sort()
-            ids = rng.choice(self._pop.shape[0], size=n, p=self._pop)
+            ids = self._sampler.draw(n, rng)
             yield StreamChunk(times=times, file_ids=ids)
 
 
@@ -317,8 +324,7 @@ class ChunkedDiurnalStream(_SeededStream):
         if duration < 0:
             raise ConfigError(f"duration must be >= 0, got {duration}")
         self.chunk_size = _check_chunk_size(chunk_size)
-        p = np.asarray(popularities, dtype=float)
-        self._pop = p / p.sum()
+        self._sampler = PopularitySampler(popularities)
         self.rate_fn = rate_fn
         self.peak_rate = float(peak_rate)
         self.duration = float(duration)
@@ -345,7 +351,7 @@ class ChunkedDiurnalStream(_SeededStream):
             if not keep.any():
                 continue
             times = times[keep]
-            ids = rng.choice(self._pop.shape[0], size=times.size, p=self._pop)
+            ids = self._sampler.draw(times.size, rng)
             yield StreamChunk(times=times, file_ids=ids)
 
 
@@ -374,8 +380,7 @@ class ChunkedMixedStream(_SeededStream):
     ) -> None:
         super().__init__(seed)
         self.chunk_size = _check_chunk_size(chunk_size)
-        p = np.asarray(popularities, dtype=float)
-        self._pop = p / p.sum()
+        self._sampler = PopularitySampler(popularities)
         self.other_rate = float(other_rate)
         self.rewrite_prob = float(rewrite_prob)
         self._new_times = np.asarray(new_times, dtype=float)
@@ -402,7 +407,7 @@ class ChunkedMixedStream(_SeededStream):
             n = int(rng.poisson(self.other_rate * (hi - lo)))
             times = rng.uniform(lo, hi, size=n)
             times.sort()
-            ids = rng.choice(self._pop.shape[0], size=n, p=self._pop)
+            ids = self._sampler.draw(n, rng)
             kinds = np.where(
                 rng.uniform(size=n) < self.rewrite_prob, WRITE, READ
             )
@@ -523,6 +528,7 @@ class ChunkedNerscStream(_SeededStream):
         ranks = base_rng.permutation(params.n_files) + 1
         weights = ranks.astype(float) ** (-params.repeat_exponent)
         self._repeat_weights = weights / weights.sum()
+        self._repeats = PopularitySampler(weights)
         expected = 1.0 + (
             params.n_requests - params.n_files
         ) * self._repeat_weights
@@ -559,9 +565,7 @@ class ChunkedNerscStream(_SeededStream):
             base_t = bt[blo:bhi]
             base_ids = self._base_ids_sorted[blo:bhi]
             n_rep = int(rng.poisson(extra_rate * (hi - lo)))
-            rep_ids = rng.choice(
-                p.n_files, size=n_rep, p=self._repeat_weights
-            )
+            rep_ids = self._repeats.draw(n_rep, rng)
             rep_t = rng.uniform(lo, hi, size=n_rep)
             local = rng.uniform(size=n_rep) < p.repeat_locality
             if local.any():

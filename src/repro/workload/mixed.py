@@ -21,6 +21,7 @@ from repro.errors import ConfigError
 from repro.sim.rng import rng_from_seed
 from repro.workload.arrivals import RequestStream, validate_stream_times
 from repro.workload.catalog import FileCatalog
+from repro.workload.sampling import PopularitySampler
 
 __all__ = ["MixedRequestStream", "MixedWorkloadParams", "generate_mixed_workload"]
 
@@ -136,10 +137,8 @@ def generate_mixed_workload(
 
     file_ids = np.empty(count, dtype=np.int64)
     old_mask = ~is_new
-    file_ids[old_mask] = rng.choice(
-        n_existing,
-        size=int(old_mask.sum()),
-        p=catalog.popularities / catalog.popularities.sum(),
+    file_ids[old_mask] = PopularitySampler(catalog.popularities).draw(
+        int(old_mask.sum()), rng
     )
     file_ids[is_new] = n_existing + np.arange(n_new)
 

@@ -33,6 +33,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.sim.rng import rng_from_seed
 from repro.units import DAY, GB, MB, TB
+from repro.workload.sampling import PopularitySampler
 from repro.workload.trace import Trace
 
 __all__ = ["NerscTraceParams", "nersc_statistics", "synthesize_nersc_trace"]
@@ -244,8 +245,7 @@ def synthesize_nersc_trace(params: NerscTraceParams = NerscTraceParams()) -> Tra
     n_extra = params.n_requests - n
     ranks = rng.permutation(n) + 1  # random popularity order, size-independent
     weights = ranks.astype(float) ** (-params.repeat_exponent)
-    weights /= weights.sum()
-    extra_ids = rng.choice(n, size=n_extra, p=weights)
+    extra_ids = PopularitySampler(weights).draw(n_extra, rng)
     local = rng.uniform(size=n_extra) < params.repeat_locality
     extra_times = np.where(
         local,
