@@ -33,6 +33,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 _CHILD = """
 import json, resource, sys, time
 import numpy as np
+from repro.disk.fleet import Fleet
 from repro.disk.specs import ST3500630AS
 from repro.sim.fastkernel import simulate_fast_chunked
 from repro.workload.chunked import ChunkedPoissonStream
@@ -49,10 +50,10 @@ mapping = np.arange(n_files, dtype=np.int64) % num_disks
 stream = ChunkedPoissonStream(
     pops, rate=rate, duration=duration, chunk_size=65_536, seed=42
 )
+fleet = Fleet.uniform(ST3500630AS, threshold=15.0).resolve(num_disks)
 t0 = time.perf_counter()
 result = simulate_fast_chunked(
-    sizes, mapping, ST3500630AS, num_disks, 15.0, stream, duration,
-    metrics_mode="streaming",
+    sizes, mapping, fleet, stream, duration, metrics_mode="streaming",
 )
 wall = time.perf_counter() - t0
 assert result.response_times is None

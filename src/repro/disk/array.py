@@ -7,83 +7,55 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.disk.dpm import DpmLadder
 from repro.disk.drive import DiskDrive, DiskRequest
 from repro.disk.fleet import ResolvedFleet
-from repro.disk.power import DiskState, PowerModel
-from repro.disk.specs import DiskSpec
-from repro.errors import ConfigError
+from repro.disk.power import DiskState
 from repro.sim.environment import Environment
 
 __all__ = ["DiskArray"]
 
 
 class DiskArray:
-    """``num_disks`` drives sharing one environment.
+    """The drives of one :class:`~repro.disk.fleet.ResolvedFleet`,
+    sharing one environment.
+
+    Each drive is built from *its own* slot of ``fleet`` (spec, ladder
+    and idleness threshold), so a mixed-generation pool simulates every
+    drive against its own power figures and break-even; a uniform pool
+    is the same drive ``fleet.num_disks`` times.  Per-disk spec vectors
+    (capacities, rates, overheads) are read from ``array.fleet``.
 
     Parameters
     ----------
-    env, spec:
-        As for :class:`~repro.disk.drive.DiskDrive`.
-    num_disks:
-        Pool size.
-    idleness_threshold:
-        Shared spin-down threshold (``None`` = break-even, or the
-        ladder's native first entry when a ladder is given).
-    ladder:
-        Optional :class:`~repro.disk.dpm.DpmLadder` every drive descends
-        while idle; ``None`` runs the classic two-state drive.
+    env:
+        The environment every drive runs in.
     fleet:
-        Optional :class:`~repro.disk.fleet.ResolvedFleet`: per-drive
-        specs, ladders and thresholds (overriding ``spec``/
-        ``idleness_threshold``/``ladder``, which remain the uniform-pool
-        sugar).  Each drive is built from *its own* slot, so a
-        mixed-generation pool simulates every drive against its own
-        power figures and break-even.
+        The pool: per-disk specs, ladders (``None``: the classic
+        two-state drive) and thresholds.
+    record_history:
+        As for :class:`~repro.disk.drive.DiskDrive`.
     """
 
     def __init__(
         self,
         env: Environment,
-        spec: DiskSpec,
-        num_disks: int,
-        idleness_threshold: Optional[float] = None,
+        fleet: ResolvedFleet,
         record_history: bool = False,
-        ladder: Optional[DpmLadder] = None,
-        fleet: Optional[ResolvedFleet] = None,
     ) -> None:
-        if num_disks < 1:
-            raise ConfigError(f"num_disks must be >= 1, got {num_disks}")
         self.env = env
-        if fleet is not None:
-            if fleet.num_disks != num_disks:
-                raise ConfigError(
-                    f"fleet resolves {fleet.num_disks} disks but the array "
-                    f"was asked for {num_disks}"
-                )
-            specs = fleet.specs
-            ladders = fleet.ladders
-            thresholds: List[Optional[float]] = [
-                float(t) for t in fleet.thresholds
-            ]
-        else:
-            specs = (spec,) * num_disks
-            ladders = (ladder,) * num_disks
-            thresholds = [idleness_threshold] * num_disks
-        self.specs = tuple(specs)
-        self.homogeneous_specs = len(set(self.specs)) == 1
-        self.spec = self.specs[0]
-        self.power_model = PowerModel(self.spec)
+        self.fleet = fleet
         self.disks: List[DiskDrive] = [
             DiskDrive(
                 env,
-                specs[i],
+                spec,
                 disk_id=i,
-                idleness_threshold=thresholds[i],
+                idleness_threshold=threshold,
                 record_history=record_history,
-                ladder=ladders[i],
+                ladder=ladder,
             )
-            for i in range(num_disks)
+            for i, (spec, ladder, threshold) in enumerate(
+                zip(fleet.specs, fleet.ladders, fleet.thresholds.tolist())
+            )
         ]
 
     def __len__(self) -> int:
@@ -126,50 +98,11 @@ class DiskArray:
     def requests_per_disk(self) -> np.ndarray:
         return np.array([d.stats.arrivals for d in self.disks], dtype=np.int64)
 
-    # -- per-drive spec views (vectors the dispatcher/placement consume) --------
-
-    def _spec_vector(self, attr: str) -> np.ndarray:
-        return np.array(
-            [float(getattr(s, attr)) for s in self.specs], dtype=float
-        )
-
-    @property
-    def capacities(self) -> np.ndarray:
-        """Raw per-drive capacities (bytes)."""
-        return self._spec_vector("capacity")
-
-    @property
-    def access_overheads(self) -> np.ndarray:
-        """Per-drive positioning time (seek + rotation, seconds)."""
-        return self._spec_vector("access_overhead")
-
-    @property
-    def transfer_rates(self) -> np.ndarray:
-        """Per-drive transfer rates (bytes/second)."""
-        return self._spec_vector("transfer_rate")
-
-    @property
-    def active_power(self) -> np.ndarray:
-        """Per-drive active power draw (W) — the placement power rank."""
-        return self._spec_vector("active_power")
-
-    def always_on_energy(self, duration: float) -> float:
-        """Figure 5 normalization: all drives spinning idle for ``duration``."""
-        if duration < 0:
-            raise ConfigError("duration must be >= 0")
-        if self.homogeneous_specs:
-            return len(self.disks) * self.power_model.always_on_energy(duration)
-        return float(
-            sum(
-                PowerModel(s).always_on_energy(duration) for s in self.specs
-            )
-        )
-
     def normalized_power_cost(self, duration: Optional[float] = None) -> float:
         """Energy so far as a fraction of the always-spinning baseline."""
         if duration is None:
             duration = self.env.now
-        baseline = self.always_on_energy(duration)
+        baseline = self.fleet.always_on_energy(duration)
         if baseline <= 0:
             return math.nan
         return self.total_energy() / baseline

@@ -7,8 +7,11 @@ capacity, one break-even threshold shared by all disks.  A
 :class:`FleetDisk` slots (spec + optional per-disk ladder/threshold)
 that :meth:`Fleet.resolve` expands into a concrete per-disk
 :class:`ResolvedFleet` for a given pool size.  ``StorageConfig(fleet=...)``
-selects one by preset name or instance; ``spec=`` remains sugar for a
-uniform fleet and keeps its byte-identical pre-fleet behavior.
+selects one by preset name or instance; without one, the config's
+``spec`` resolves as :meth:`Fleet.uniform`.  Every run describes its
+disks through one :class:`ResolvedFleet`, whatever the pool: a uniform
+pool is vectors of identical entries, which the engines' arithmetic
+treats bit for bit like the paper's scalar figures.
 
 The ``mixed_generation`` preset pairs Table 2's Seagate with a
 newer-generation green drive (:data:`~repro.disk.specs.WD10EADS`):
@@ -20,13 +23,14 @@ lower break-even — the asymmetry that spec-aware placement
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.disk.dpm import DpmLadder, dpm_ladder_names, make_dpm_ladder
-from repro.disk.power import DiskState, PowerModel
+from repro.disk.power import PowerModel
 from repro.disk.specs import ST3500630AS, WD10EADS, DiskSpec
 from repro.errors import ConfigError
 
@@ -75,8 +79,18 @@ class FleetDisk:
             self.ladder, (str, DpmLadder)
         ):
             raise ConfigError("FleetDisk.ladder must be a name or a DpmLadder")
-        if self.threshold is not None and not self.threshold >= 0:
-            raise ConfigError("FleetDisk.threshold must be >= 0")
+        if self.threshold is not None:
+            # Type first, so a string is a typed error rather than a
+            # bare TypeError from the comparison.
+            if isinstance(self.threshold, bool) or not isinstance(
+                self.threshold, Real
+            ):
+                raise ConfigError(
+                    f"FleetDisk.threshold must be a number, got "
+                    f"{self.threshold!r}"
+                )
+            if not self.threshold >= 0:
+                raise ConfigError("FleetDisk.threshold must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -128,6 +142,10 @@ class Fleet:
         spec's ``two_state`` ladder (bit-equal to the classic drive), so
         one machinery runs the whole pool.
         """
+        if isinstance(num_disks, bool) or not isinstance(num_disks, Integral):
+            raise ConfigError(
+                f"num_disks must be an integer, got {num_disks!r}"
+            )
         if num_disks < 1:
             raise ConfigError(f"num_disks must be >= 1, got {num_disks}")
         slots = [self.profile[d % len(self.profile)] for d in range(num_disks)]
@@ -172,13 +190,17 @@ class Fleet:
 
 
 class ResolvedFleet:
-    """Per-disk view of a fleet at a concrete pool size.
+    """Per-disk view of a fleet at a concrete pool size: the one
+    description of the disks every run hands to the event array, the
+    dispatcher, the DPM controller, the request scheduler and the fast
+    kernel.
 
-    Exposes the vectors both engines consume: capacities, transfer
-    rates, access overheads, spin times, per-state power draws, and the
-    per-disk break-even thresholds.  ``ladders`` is either all-``None``
-    (classic two-state pool) or has a :class:`~repro.disk.dpm.DpmLadder`
-    on every disk — :meth:`Fleet.resolve` guarantees the invariant.
+    ``specs``, ``ladders`` and ``thresholds`` hold one entry per disk,
+    and the capacity, transfer-rate, access-overhead and spin-time
+    properties are per-disk vectors over ``specs``.  ``ladders`` is
+    either all-``None`` (classic two-state pool) or has a
+    :class:`~repro.disk.dpm.DpmLadder` on every disk —
+    :meth:`Fleet.resolve` guarantees the invariant.
     """
 
     def __init__(
@@ -204,23 +226,11 @@ class ResolvedFleet:
         self.has_ladders = with_ladder == n
         #: All disks share one spec (power/capacity vectors are constant).
         self.homogeneous_specs = len(set(self.specs)) == 1
-        #: Fully uniform: one spec, one ladder, one threshold — the
-        #: pre-fleet code paths apply byte-identically.
-        self.homogeneous = (
-            self.homogeneous_specs
-            and len(set(self.ladders)) == 1
-            and len(set(self.thresholds.tolist())) == 1
-        )
 
     def _vec(self, attr: str) -> npt.NDArray[np.float64]:
         return np.array(
             [float(getattr(s, attr)) for s in self.specs], dtype=float
         )
-
-    @property
-    def spec(self) -> DiskSpec:
-        """Representative spec (disk 0) — for homogeneous-only callers."""
-        return self.specs[0]
 
     @property
     def capacities(self) -> npt.NDArray[np.float64]:
@@ -242,73 +252,6 @@ class ResolvedFleet:
     def spindown_times(self) -> npt.NDArray[np.float64]:
         return self._vec("spindown_time")
 
-    @property
-    def idle_power(self) -> npt.NDArray[np.float64]:
-        return self._vec("idle_power")
-
-    @property
-    def standby_power(self) -> npt.NDArray[np.float64]:
-        return self._vec("standby_power")
-
-    @property
-    def active_power(self) -> npt.NDArray[np.float64]:
-        return self._vec("active_power")
-
-    @property
-    def seek_power(self) -> npt.NDArray[np.float64]:
-        return self._vec("seek_power")
-
-    @property
-    def spinup_power(self) -> npt.NDArray[np.float64]:
-        return self._vec("spinup_power")
-
-    @property
-    def spindown_power(self) -> npt.NDArray[np.float64]:
-        return self._vec("spindown_power")
-
-    @property
-    def breakevens(self) -> npt.NDArray[np.float64]:
-        """Per-disk break-even thresholds (the control policies' floor)."""
-        return np.array(
-            [s.breakeven_threshold() for s in self.specs], dtype=float
-        )
-
-    def power_vector(self, state: DiskState) -> npt.NDArray[np.float64]:
-        """Per-disk draw (W) in one classic :class:`DiskState`."""
-        return self._vec(
-            {
-                DiskState.IDLE: "idle_power",
-                DiskState.STANDBY: "standby_power",
-                DiskState.SEEK: "seek_power",
-                DiskState.ACTIVE: "active_power",
-                DiskState.SPINUP: "spinup_power",
-                DiskState.SPINDOWN: "spindown_power",
-            }[state]
-        )
-
-    def ladder_groups(
-        self,
-    ) -> List[Tuple[Optional[DpmLadder], npt.NDArray[np.intp]]]:
-        """Disks grouped by identical ladder, in first-seen order.
-
-        The fast kernel assembles ladder energy per group; a uniform
-        fleet is a single group over the full pool, which keeps the
-        pre-fleet vectorized assembly (and its bit-exact summation
-        order) intact.
-        """
-        groups: List[Tuple[Optional[DpmLadder], List[int]]] = []
-        for d, lad in enumerate(self.ladders):
-            for known, members in groups:
-                if known == lad:
-                    members.append(d)
-                    break
-            else:
-                groups.append((lad, [d]))
-        return [
-            (lad, np.asarray(members, dtype=np.intp))
-            for lad, members in groups
-        ]
-
     def always_on_energy(self, duration: float) -> float:
         """Figure 5 baseline: every drive spinning idle for ``duration``."""
         if duration < 0:
@@ -322,13 +265,6 @@ class ResolvedFleet:
                 PowerModel(s).always_on_energy(duration) for s in self.specs
             )
         )
-
-    def describe(self) -> str:
-        """Short human-readable fleet summary (for labels and errors)."""
-        counts: Dict[str, int] = {}
-        for s in self.specs:
-            counts[s.model] = counts.get(s.model, 0) + 1
-        return ", ".join(f"{n}x {m}" for m, n in counts.items())
 
 
 #: Named fleet presets ``StorageConfig(fleet=...)`` accepts.  The
@@ -350,7 +286,8 @@ def fleet_names() -> Tuple[str, ...]:
 
 def make_fleet(fleet: Union[None, str, Fleet]) -> Optional[Fleet]:
     """Resolve a preset name (or pass a ready fleet through); ``None``
-    stays ``None`` (the uniform-``spec`` sugar path)."""
+    stays ``None`` (a config without a fleet resolves its ``spec`` as
+    :meth:`Fleet.uniform`)."""
     if fleet is None or isinstance(fleet, Fleet):
         return fleet
     try:

@@ -76,16 +76,16 @@ randomized differential harness in ``tests/differential/`` holds both
 engines to 1e-9 agreement across the full config space (disks x streams
 x arrival shape x cache x write policy x DPM policy x ladder x fleet).
 
-Heterogeneous fleets (``StorageConfig(fleet=...)`` — the
-``mixed_generation`` preset or any :class:`~repro.disk.fleet.Fleet`)
-turn every per-disk scalar in the banks into a vector: capacities,
-transfer rates, access overheads, spin-up/-down durations, per-state
-power draws, idleness thresholds and (when any slot carries one) DPM
-ladders are all indexed by disk.  A uniform fleet collapses those
-vectors to identical entries, so the arithmetic — and the output — is
-byte-identical to the pre-fleet scalar path
-(``tests/regression/test_uniform_byte_identity.py`` pins this against
-recorded goldens).
+Every run describes its disks with one
+:class:`~repro.disk.fleet.ResolvedFleet` (``StorageConfig.resolved_fleet``:
+the ``mixed_generation`` preset, any :class:`~repro.disk.fleet.Fleet`, or
+the uniform pool of ``StorageConfig(spec=...)``), and the bank indexes
+every constant by disk: capacities, transfer rates, access overheads,
+spin-up/-down durations, per-state power draws, idleness thresholds and
+(when any slot carries one) DPM ladders.  A uniform pool is vectors of
+identical entries, whose element-wise arithmetic is bit for bit the
+paper's scalar recursion (``tests/regression/test_uniform_byte_identity.py``
+pins this against recorded goldens).
 
 Every registered write-placement policy is a row of the rule table
 :data:`repro.system.placement.PLACEMENT_RULES`, and both kernels evaluate
@@ -173,11 +173,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cache import ClockCache, FIFOCache, LFUCache, LRUCache
-from repro.disk.dpm import CLASSIC_STATES, DpmLadder, make_dpm_ladder
+from repro.disk.dpm import CLASSIC_STATES, make_dpm_ladder
 from repro.disk.drive import WRITE
 from repro.disk.fleet import ResolvedFleet
-from repro.disk.power import PowerModel
-from repro.disk.specs import DiskSpec
 from repro.errors import ConfigError, SimulationError
 from repro.native import (
     CoupledArgs, ServeArgs, bin_spans, coupled_core, stable_order,
@@ -220,42 +218,6 @@ def fast_unsupported_reason(config, stream) -> Optional[str]:
     )
 
 
-def _per_disk_specs(spec, num_disks: int) -> tuple:
-    """Normalize a spec-or-sequence into one :class:`DiskSpec` per disk."""
-    if isinstance(spec, DiskSpec):
-        return (spec,) * num_disks
-    specs = tuple(spec)
-    if len(specs) != num_disks:
-        raise ConfigError(
-            f"got {len(specs)} disk specs for a {num_disks}-disk pool"
-        )
-    return specs
-
-
-def _per_disk_ladders(ladder, num_disks: int) -> tuple:
-    """Normalize a ladder-or-sequence into one ladder per disk."""
-    if isinstance(ladder, DpmLadder):
-        return (ladder,) * num_disks
-    ladders = tuple(ladder)
-    if len(ladders) != num_disks:
-        raise ConfigError(
-            f"got {len(ladders)} DPM ladders for a {num_disks}-disk pool"
-        )
-    return ladders
-
-
-def _per_disk_floats(value, num_disks: int) -> List[float]:
-    """Normalize a scalar-or-vector into one float per disk."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return [float(arr)] * num_disks
-    if arr.shape != (num_disks,):
-        raise ConfigError(
-            f"per-disk vector has shape {arr.shape}, expected ({num_disks},)"
-        )
-    return [float(v) for v in arr]
-
-
 #: Gap-log or span records one compiled-core call may buffer before it
 #: hands them back (the walk then resumes where it stopped), so record
 #: memory stays bounded on long batches.
@@ -283,7 +245,9 @@ class _DiskBank:
     park-until-arrival, and the wake is billed for its configured wake
     time.  Descents are not abortable.
 
-    ``thresholds`` (a scalar or a per-disk vector) is fixed for the run
+    ``specs``, ``ladders`` and ``thresholds`` hold one entry per disk
+    (a classic disk's ladder is its spec's ``two_state``; every threshold
+    row is shape-checked).  ``thresholds`` is fixed for the run
     unless ``interval`` is given.  It is then the first row of the
     per-interval history a controlled run extends with
     :meth:`push_thresholds` at each control boundary, and the threshold
@@ -304,24 +268,21 @@ class _DiskBank:
     in one array operation over the row's thresholds
     (:meth:`~repro.disk.dpm.DpmLadder.scaled_entries_array`).
 
-    Heterogeneous fleets: ladders, specs and thresholds are per disk, and
-    residencies are disk-major (``park_t[d, i]``), each row padded to the
-    deepest ladder in the pool.  Scalars tile across the pool, reproducing
-    the historical uniform recursion bit for bit.
+    Residencies are disk-major (``park_t[d, i]``), each row padded to the
+    deepest ladder in the pool.
     """
 
     def __init__(
         self,
-        num_disks: int,
+        specs,
+        ladders,
         thresholds,
-        ladder,
-        spec,
         horizon: float,
         interval: Optional[float] = None,
         log_spans: bool = False,
     ) -> None:
-        specs = _per_disk_specs(spec, num_disks)
-        ladders = _per_disk_ladders(ladder, num_disks)
+        num_disks = len(specs)
+        ladders = tuple(ladders)
         self.oh_a = np.array([s.access_overhead for s in specs], dtype=float)
         self.rate_a = np.array([s.transfer_rate for s in specs], dtype=float)
         self.ap = np.array([s.active_power for s in specs], dtype=float)
@@ -370,7 +331,6 @@ class _DiskBank:
         width = max(self.maxR, 2)
         self._disks = np.arange(num_disks)
         rows = 1 if interval is None else 8
-        th = np.array(_per_disk_floats(thresholds, num_disks))
         self._ent = np.full((rows, num_disks, width), inf)
         if interval is None:
             self.ci = 0.0
@@ -391,7 +351,7 @@ class _DiskBank:
         else:
             self.park_spans = self.down_spans = self.wake_spans = None
         self._init_core(num_disks)
-        self._set_schedule_row(0, th)
+        self._set_schedule_row(0, thresholds)
 
     def _init_core(self, num_disks: int) -> None:
         """Constant arrays and record buffers the compiled core reads and
@@ -443,12 +403,19 @@ class _DiskBank:
                 self._span_f
             )
 
-    def _set_schedule_row(self, k: int, th: np.ndarray) -> None:
+    def _set_schedule_row(self, k: int, th) -> None:
         """Fill row ``k`` of the schedule tables with the descent schedules
         under the per-disk thresholds ``th`` (growing the tables when a
         controlled run outlives their capacity) and point the core at
         them.  A one-rung ladder keeps the ``inf`` second entry its row
         was filled with, so no gap ever descends."""
+        th = np.asarray(th, dtype=float)
+        if th.shape != self._disks.shape:
+            # A controlled bank's rows come from a (possibly user) policy.
+            raise ConfigError(
+                f"threshold row has shape {th.shape}, expected "
+                f"({self._disks.size},)"
+            )
         if k == len(self._ent):
             self._ent = np.concatenate((self._ent, np.full_like(self._ent, inf)))
             self._th = np.concatenate((self._th, np.empty_like(self._th)))
@@ -467,7 +434,7 @@ class _DiskBank:
     def push_thresholds(self, thresholds: np.ndarray) -> None:
         """Apply the vector decided at the boundary entering interval k+1."""
         self.k += 1
-        self._set_schedule_row(self.k, np.asarray(thresholds, dtype=float))
+        self._set_schedule_row(self.k, thresholds)
 
     def _rows(self, drain: np.ndarray):
         """Schedule row governing a gap that began at ``drain`` (per disk):
@@ -1135,9 +1102,7 @@ def _power_from_binner(
 def simulate_fast(
     sizes: np.ndarray,
     mapping: np.ndarray,
-    spec: DiskSpec,
-    num_disks: int,
-    threshold: float,
+    fleet: ResolvedFleet,
     stream,
     duration: float,
     label: str = "run",
@@ -1146,36 +1111,37 @@ def simulate_fast(
     usable_capacity=None,
     write_policy=None,
     dpm=None,
-    ladder=None,
     metrics_mode: str = "full",
-    fleet: Optional[ResolvedFleet] = None,
     observer=None,
     scheduler=None,
 ) -> SimulationResult:
     """Simulate ``stream`` against ``mapping`` without the event loop.
 
     Parameters mirror what :class:`~repro.system.storage.StorageSystem`
-    assembles: ``sizes``/``mapping`` are dense per-file arrays, ``threshold``
-    is the effective idleness threshold (``inf`` disables spin-down) and
+    assembles: ``sizes``/``mapping`` are dense per-file arrays, ``fleet``
+    is the run's :class:`~repro.disk.fleet.ResolvedFleet` (per-disk
+    specs, DPM ladders and idleness thresholds, ``inf`` disabling
+    spin-down; ``StorageConfig.resolved_fleet`` builds it) and
     ``duration`` the measurement horizon.  ``cache`` is an optional
     :class:`~repro.cache.LRUCache`, :class:`~repro.cache.FIFOCache`,
     :class:`~repro.cache.ClockCache` or :class:`~repro.cache.LFUCache`
     (hits respond with ``cache_hit_latency``; another class raises
     :class:`~repro.errors.ConfigError`); the run starts from its contents
-    and leaves its final state in it, also when the run raises; ``usable_capacity`` is the per-disk byte budget
-    the write allocation spends (defaults to the spec's raw capacity, like
-    the dispatcher); ``write_policy`` selects the placement strategy (a
-    registry name, a policy instance, or ``None`` for the paper's §1.1
-    ``spinning_best_fit``).  ``dpm`` is an optional fresh
+    and leaves its final state in it, also when the run raises;
+    ``usable_capacity`` is the per-disk byte budget the write allocation
+    spends (a vector, or a scalar for every disk; defaults to
+    ``fleet.capacities``, like the dispatcher); ``write_policy`` selects
+    the placement strategy (a registry name, a policy instance, or
+    ``None`` for the paper's §1.1 ``spinning_best_fit``).  ``dpm`` is an optional fresh
     :class:`~repro.control.controller.ThresholdController` (one per run):
     the run is then cut at its control-interval boundaries, and each
     boundary hands the controller the interval's telemetry and takes
     back the next threshold vector.  ``None`` (or a static policy, which
     :meth:`StorageConfig.dpm_controller` maps to ``None``) runs one
     fixed threshold vector, byte-identical to the pre-control kernel.
-    ``ladder`` is an optional :class:`~repro.disk.dpm.DpmLadder` whose
-    descent schedule ``threshold`` (or the controller vector) scales;
-    ``state_durations`` is then keyed by the ladder's timeline labels
+    The thresholds (``fleet``'s or the controller's) scale each disk's
+    ladder descent schedule; with ladders in ``fleet``,
+    ``state_durations`` is keyed by the ladders' timeline labels
     instead of :class:`DiskState`.  ``metrics_mode="streaming"`` skips the
     per-request response array: the result carries a bounded
     :class:`~repro.system.metrics.ResponseStats` (exact count/mean/min/max,
@@ -1184,12 +1150,6 @@ def simulate_fast(
     produces, including the post-run ``final_mapping`` and — under
     control — the per-interval traces in ``extra["dpm"]``.  The caller's
     ``mapping`` is not mutated; writes allocate against an internal copy.
-
-    ``fleet`` is an optional :class:`~repro.disk.fleet.ResolvedFleet`
-    carrying per-disk specs, ladders and thresholds; when given it
-    overrides ``spec``/``threshold``/``ladder`` (which remain the
-    uniform-pool sugar) and the recursion runs per-disk constants —
-    ``usable_capacity`` may then be a per-disk vector too.
 
     ``observer`` is an optional :class:`~repro.obs.hooks.RunObserver`:
     spin/ladder transition spans, cache events, controller threshold
@@ -1224,18 +1184,16 @@ def simulate_fast(
     # and, for mixed streams, ``.kinds``) — the run below is the chunked
     # core, so monolithic and chunked runs cannot drift apart.
     return _simulate_chunks(
-        sizes, mapping, spec, num_disks, threshold, (stream,), duration,
-        label, cache, cache_hit_latency, usable_capacity, write_policy,
-        dpm, ladder, metrics_mode, fleet, observer, scheduler,
+        sizes, mapping, fleet, (stream,), duration, label, cache,
+        cache_hit_latency, usable_capacity, write_policy, dpm, metrics_mode,
+        observer, scheduler,
     )
 
 
 def simulate_fast_chunked(
     sizes: np.ndarray,
     mapping: np.ndarray,
-    spec: DiskSpec,
-    num_disks: int,
-    threshold: float,
+    fleet: ResolvedFleet,
     stream,
     duration: Optional[float] = None,
     label: str = "run",
@@ -1244,9 +1202,7 @@ def simulate_fast_chunked(
     usable_capacity=None,
     write_policy=None,
     dpm=None,
-    ladder=None,
     metrics_mode: str = "full",
-    fleet: Optional[ResolvedFleet] = None,
     observer=None,
     scheduler=None,
 ) -> SimulationResult:
@@ -1291,18 +1247,16 @@ def simulate_fast_chunked(
                 "a duration attribute"
             )
     return _simulate_chunks(
-        sizes, mapping, spec, num_disks, threshold, stream.iter_chunks(),
-        float(duration), label, cache, cache_hit_latency, usable_capacity,
-        write_policy, dpm, ladder, metrics_mode, fleet, observer, scheduler,
+        sizes, mapping, fleet, stream.iter_chunks(), float(duration), label,
+        cache, cache_hit_latency, usable_capacity, write_policy, dpm,
+        metrics_mode, observer, scheduler,
     )
 
 
 def _simulate_chunks(
     sizes: np.ndarray,
     mapping: np.ndarray,
-    spec: DiskSpec,
-    num_disks: int,
-    threshold: float,
+    fleet: ResolvedFleet,
     chunks,
     duration: float,
     label: str,
@@ -1311,9 +1265,7 @@ def _simulate_chunks(
     usable_capacity,
     write_policy,
     dpm,
-    ladder,
     metrics_mode: str,
-    fleet: Optional[ResolvedFleet] = None,
     observer=None,
     scheduler=None,
 ) -> SimulationResult:
@@ -1322,9 +1274,8 @@ def _simulate_chunks(
     The run's cache goes back into ``cache`` when the run ends or raises.
     """
     run = _Run(
-        sizes, mapping, spec, num_disks, threshold, duration, label, cache,
-        cache_hit_latency, usable_capacity, write_policy, dpm, ladder,
-        metrics_mode, fleet, observer, scheduler,
+        sizes, mapping, fleet, duration, label, cache, cache_hit_latency,
+        usable_capacity, write_policy, dpm, metrics_mode, observer, scheduler,
     )
     try:
         for chunk in chunks:
@@ -1378,9 +1329,9 @@ class _Run:
     """
 
     def __init__(
-        self, sizes, mapping, spec, num_disks, threshold, duration, label,
-        cache, cache_hit_latency, usable_capacity, write_policy, dpm,
-        ladder, metrics_mode, fleet, observer, scheduler,
+        self, sizes, mapping, fleet, duration, label, cache,
+        cache_hit_latency, usable_capacity, write_policy, dpm, metrics_mode,
+        observer, scheduler,
     ) -> None:
         # NaN fails every comparison, so ask for the range, not its
         # complement.
@@ -1393,6 +1344,7 @@ class _Run:
                 f"metrics_mode must be 'full' or 'streaming', got {metrics_mode!r}"
             )
         T = self.T = float(duration)
+        num_disks = fleet.num_disks
         sizes = self.sizes = np.ascontiguousarray(sizes, dtype=float)
         mapping = self.mapping = np.asarray(mapping, dtype=np.int64).copy()
         if mapping.shape != sizes.shape:
@@ -1409,46 +1361,21 @@ class _Run:
                 f"mapping references disk {int(mapping.max())} but the pool has "
                 f"only {num_disks} disks"
             )
-        # A resolved fleet overrides the uniform spec/threshold/ladder sugar
-        # with per-disk values; everything downstream runs per-disk vectors
-        # either way (a uniform pool is a tiled vector, bit-identical to the
-        # scalar constants).
-        if fleet is not None:
-            if fleet.num_disks != num_disks:
-                raise ConfigError(
-                    f"fleet resolves {fleet.num_disks} disks but the pool has "
-                    f"{num_disks}"
-                )
-            specs = fleet.specs
-            ladders = fleet.ladders if fleet.has_ladders else None
-            th_in = fleet.thresholds
-            self.homogeneous = fleet.homogeneous_specs
-        else:
-            specs = (spec,) * num_disks
-            ladders = ladder
-            th_in = threshold
-            self.homogeneous = True
         # The classic drive runs as the two_state ladder of each disk's spec;
         # its results keep DiskState keys through CLASSIC_STATES.
-        self.classic = ladders is None
+        specs = fleet.specs
+        self.classic = not fleet.has_ladders
         if self.classic:
             two_state = {s: make_dpm_ladder("two_state", s) for s in set(specs)}
             ladders = [two_state[s] for s in specs]
-        if usable_capacity is None:
-            usable = (
-                specs[0].capacity
-                if self.homogeneous
-                else np.array([s.capacity for s in specs], dtype=float)
-            )
-        elif np.ndim(usable_capacity) == 0:
-            usable = float(usable_capacity)
         else:
-            usable = np.asarray(usable_capacity, dtype=float)
+            ladders = fleet.ladders
+        usable = fleet.capacities if usable_capacity is None else usable_capacity
         free = initial_free_bytes(mapping, sizes, usable, num_disks)
         validate_free_bytes(free, usable)
         policy = make_placement_policy(write_policy)
         policy.reset(num_disks)
-        self.specs = specs
+        self.fleet = fleet
         self.num_disks = num_disks
         self.label = label
         self.cache = cache
@@ -1464,8 +1391,7 @@ class _Run:
                 )
             dpm.check_horizon(T)
             self.bank = _DiskBank(
-                num_disks, dpm.thresholds, ladders, specs, T,
-                interval=dpm.interval,
+                specs, ladders, dpm.thresholds, T, interval=dpm.interval
             )
             self.edges = _interval_edges(dpm.interval, T)
             self.binner = _SpanBinner(np.asarray(self.edges), num_disks)
@@ -1479,7 +1405,7 @@ class _Run:
             self.wait_d = np.empty(0, dtype=np.int64)
         else:
             self.bank = _DiskBank(
-                num_disks, th_in, ladders, specs, T, log_spans=obs is not None
+                specs, ladders, fleet.thresholds, T, log_spans=obs is not None
             )
         observe = obs is not None
         self.walk = (
@@ -1825,8 +1751,8 @@ class _Run:
         table."""
         bank, T, num_disks = self.bank, self.T, self.num_disks
         groups: Dict[tuple, List[int]] = {}
-        for d in range(num_disks):
-            groups.setdefault((bank.ladders[d], self.specs[d]), []).append(d)
+        for d, key in enumerate(zip(bank.ladders, self.fleet.specs)):
+            groups.setdefault(key, []).append(d)
         energy_per_disk = np.zeros(num_disks, dtype=float)
         per_state: Dict = {}
         for (lad, spec_g), idx_list in groups.items():
@@ -1876,12 +1802,13 @@ class _Run:
         """The closed run as a :class:`SimulationResult`."""
         stats, response_times, completions = self.responses()
         energy_per_disk, state_durations = self.energy()
-        T, specs = self.T, self.specs
+        T = self.T
         extra = {}
         if self.dpm is not None:
             self.dpm.attach_power(
                 _power_from_binner(
-                    self.binner, self.bank.ladders, specs, self.classic
+                    self.binner, self.bank.ladders, self.fleet.specs,
+                    self.classic,
                 )
             )
             extra["dpm"] = self.dpm.extra()
@@ -1897,13 +1824,7 @@ class _Run:
             completions=completions,
             spinups=int(self.spinups.sum()),
             spindowns=int(self.spindowns.sum()),
-            always_on_energy=(
-                self.num_disks * PowerModel(specs[0]).always_on_energy(T)
-                if self.homogeneous
-                else float(
-                    sum(PowerModel(s).always_on_energy(T) for s in specs)
-                )
-            ),
+            always_on_energy=self.fleet.always_on_energy(T),
             cache_stats=self.cache.stats if self.cache is not None else None,
             requests_per_disk=self.bank.n_req,
             spinups_per_disk=self.spinups,

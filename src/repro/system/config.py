@@ -56,8 +56,8 @@ class StorageConfig:
     Attributes
     ----------
     spec:
-        Drive model (Table 2's Seagate by default).  Sugar for a
-        *uniform* fleet — ignored when ``fleet`` is set.
+        Drive model (Table 2's Seagate by default): the pool is
+        ``Fleet.uniform(spec)`` unless ``fleet`` is set.
     fleet:
         Optional heterogeneous fleet: a preset name from
         :data:`repro.disk.fleet.FLEETS` (``mixed_generation``) or a
@@ -66,8 +66,10 @@ class StorageConfig:
         ladders/thresholds) is tiled across the pool; per-disk
         capacities, transfer rates, power draws and break-even
         thresholds flow through packing, placement, control and both
-        engines.  ``None`` (default) keeps the uniform ``spec`` pool,
-        byte-identical to the pre-fleet simulator.
+        engines.  ``None`` (default) is the uniform ``spec`` pool.
+        Either way a run resolves the pool once
+        (:meth:`resolved_fleet`) and every layer reads that one
+        :class:`~repro.disk.fleet.ResolvedFleet`.
     num_disks:
         Size of the disk pool (Table 1 uses 100).  Allocators may use fewer
         disks; the remainder idle and eventually spin down.
@@ -293,8 +295,8 @@ class StorageConfig:
         """Bytes the packer may place on one disk (uniform pools).
 
         With a heterogeneous ``fleet`` this is the representative
-        (disk 0) figure; use :meth:`usable_capacities` for the per-disk
-        vector.
+        (disk 0) figure; a run budgets each disk by its own
+        ``resolved_fleet(...).capacities * storage_utilization``.
         """
         if self.fleet is not None:
             return float(self.resolved_fleet(1).capacities[0]
@@ -302,11 +304,13 @@ class StorageConfig:
         return self.spec.capacity * self.storage_utilization
 
     def resolved_fleet(self, num_disks: Optional[int] = None) -> ResolvedFleet:
-        """The per-disk spec/ladder/threshold view both engines consume.
+        """The per-disk spec/ladder/threshold view of the pool: the one
+        description of its disks a run hands to both engines, the
+        dispatcher, the controller and the scheduler.
 
-        ``fleet=None`` resolves to a uniform fleet over ``spec`` — the
-        resulting vectors hold exactly the scalar values the pre-fleet
-        code used, so uniform configs stay byte-identical.
+        ``fleet=None`` resolves to :meth:`Fleet.uniform` over ``spec``
+        (``dpm_ladder`` and ``idleness_threshold`` apply to every disk),
+        whose vectors repeat the paper's scalar figures.
         """
         n = self.num_disks if num_disks is None else num_disks
         fleet = make_fleet(self.fleet)
@@ -316,13 +320,6 @@ class StorageConfig:
             n,
             default_ladder=self.dpm_ladder,
             default_threshold=self.idleness_threshold,
-        )
-
-    def usable_capacities(self, num_disks: Optional[int] = None):
-        """Per-disk usable bytes (``capacity * storage_utilization``)."""
-        return (
-            self.resolved_fleet(num_disks).capacities
-            * self.storage_utilization
         )
 
     @property
@@ -367,27 +364,17 @@ class StorageConfig:
             return None
         return make_request_scheduler(self.scheduler, self.scheduler_params)
 
-    def dpm_controller(self, num_disks: int):
+    def dpm_controller(self, fleet: ResolvedFleet):
         """A fresh :class:`~repro.control.controller.ThresholdController`
-        for one run, or ``None`` when ``dpm_policy`` is static (``fixed``)
-        — static policies take the uncontrolled, byte-identical code path
-        in both engines.
+        for one run over ``fleet`` (this config's
+        :meth:`resolved_fleet`), or ``None`` when ``dpm_policy`` is static
+        (``fixed``) — static policies take the uncontrolled, byte-identical
+        code path in both engines.
         """
-        if self.fleet is None:
-            return controller_from(
-                self.dpm_policy,
-                self.control_interval,
-                num_disks,
-                self.threshold,
-                self.spec,
-                slo_target=self.slo_target,
-                slo_percentile=self.slo_percentile,
-            )
-        fleet = self.resolved_fleet(num_disks)
         return controller_from(
             self.dpm_policy,
             self.control_interval,
-            num_disks,
+            fleet.num_disks,
             fleet.thresholds,
             fleet.specs,
             slo_target=self.slo_target,

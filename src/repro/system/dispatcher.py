@@ -60,8 +60,9 @@ def per_disk_capacities(
 ) -> np.ndarray:
     """Normalize a scalar-or-vector capacity budget to one value per disk.
 
-    Uniform pools pass the classic scalar; heterogeneous fleets pass the
-    per-disk vector from ``StorageConfig.usable_capacities``.
+    A run passes its fleet's per-disk vector
+    (``fleet.capacities * storage_utilization``); a scalar tiles across
+    the pool.
     """
     capacity = np.asarray(usable_capacity, dtype=float)
     if capacity.ndim == 0:
@@ -138,9 +139,9 @@ class Dispatcher:
     cache_hit_latency:
         Response time recorded for a cache hit.
     usable_capacity:
-        Byte budget used by the write-allocation policy: a scalar
-        (uniform pool) or a per-disk vector (heterogeneous fleet).
-        Defaults to each drive's own spec capacity.
+        Byte budget used by the write-allocation policy: a per-disk
+        vector, or a scalar for every disk.  Defaults to each drive's
+        own spec capacity (``array.fleet.capacities``).
     write_policy:
         Placement strategy for not-yet-mapped written files: a registry
         name or a ready :class:`~repro.system.placement.WritePlacementPolicy`
@@ -171,28 +172,19 @@ class Dispatcher:
             )
         self.cache = cache
         self.cache_hit_latency = float(cache_hit_latency)
-        if usable_capacity is None:
-            usable_capacity = (
-                array.spec.capacity
-                if array.homogeneous_specs
-                else array.capacities
-            )
-        self.usable_capacity = (
-            float(usable_capacity)
-            if np.ndim(usable_capacity) == 0
-            else np.asarray(usable_capacity, dtype=float)
-        )
+        fleet = array.fleet
         self._capacities = per_disk_capacities(
-            self.usable_capacity, len(array)
+            fleet.capacities if usable_capacity is None else usable_capacity,
+            len(array),
         )
         # Free space per disk under the current mapping (writes consume it).
         # A mapping that materially overpacks a disk is rejected up front
         # rather than letting free_bytes go silently negative and corrupt
         # every later write-allocation decision.
         self.free_bytes = initial_free_bytes(
-            self.mapping, self.sizes, self.usable_capacity, len(array)
+            self.mapping, self.sizes, self._capacities, len(array)
         )
-        validate_free_bytes(self.free_bytes, self.usable_capacity)
+        validate_free_bytes(self.free_bytes, self._capacities)
         self.write_policy = make_placement_policy(write_policy)
         self.write_policy.reset(len(array))
         # Cumulative dispatched service seconds per disk (cache hits
@@ -201,9 +193,11 @@ class Dispatcher:
         # policies comparing load (coldest_disk) then decide identically
         # in both engines.
         self.dispatched_seconds = np.zeros(len(array), dtype=float)
-        self._access_overhead = array.access_overheads
-        self._transfer_rate = array.transfer_rates
-        self._active_power = array.active_power
+        self._access_overhead = fleet.access_overheads
+        self._transfer_rate = fleet.transfer_rates
+        self._active_power = np.array(
+            [s.active_power for s in fleet.specs], dtype=float
+        )
         #: Response time of every completed request, in completion order.
         self.response_times: List[float] = []
         #: Parallel list: True when the request was served from cache.

@@ -153,37 +153,24 @@ class SchedulingSetup:
 
 
 def build_scheduling_setup(
-    config, sizes: np.ndarray, mapping: np.ndarray, num_disks: int
+    config, fleet, sizes: np.ndarray, mapping: np.ndarray
 ) -> SchedulingSetup:
-    """The :class:`SchedulingSetup` for one run.
+    """The :class:`SchedulingSetup` for one run over ``fleet`` (the
+    config's :class:`~repro.disk.fleet.ResolvedFleet`).
 
-    Both engines call this with the same config/catalog/mapping, so the
-    scheduler's view — and therefore every release decision — is
+    Both engines call this with the same config/fleet/catalog/mapping, so
+    the scheduler's view — and therefore every release decision — is
     identical across engines by construction.
     """
-    if config.fleet is not None:
-        fleet = config.resolved_fleet(num_disks)
-        oh = fleet.access_overheads
-        rate = fleet.transfer_rates
-        th = fleet.thresholds.astype(float, copy=True)
-        down = fleet.spindown_times
-        up = fleet.spinup_times
-    else:
-        spec = config.spec
-        oh = np.full(num_disks, float(spec.access_overhead))
-        rate = np.full(num_disks, float(spec.transfer_rate))
-        th = np.full(num_disks, float(config.threshold))
-        down = np.full(num_disks, float(spec.spindown_time))
-        up = np.full(num_disks, float(spec.spinup_time))
     return SchedulingSetup(
-        num_disks=int(num_disks),
+        num_disks=int(fleet.num_disks),
         mapping=np.asarray(mapping, dtype=np.int64).copy(),
         sizes=np.asarray(sizes, dtype=float),
-        access_overhead=oh,
-        transfer_rate=rate,
-        threshold=th,
-        spindown_time=down,
-        spinup_time=up,
+        access_overhead=fleet.access_overheads,
+        transfer_rate=fleet.transfer_rates,
+        threshold=fleet.thresholds.astype(float, copy=True),
+        spindown_time=fleet.spindown_times,
+        spinup_time=fleet.spinup_times,
         slo_target=config.slo_target,
         slo_percentile=float(config.slo_percentile),
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro import native
 from repro.cache.base import make_cache
 from repro.control.controller import EventControlLoop
 from repro.disk.array import DiskArray
+from repro.disk.fleet import ResolvedFleet
 from repro.disk.power import DiskState
 from repro.errors import ConfigError
 from repro.obs.hooks import active_observer
@@ -112,21 +114,20 @@ class StorageSystem:
 
     # -- lazily built event-kernel machinery ------------------------------------
 
+    @cached_property
+    def fleet(self) -> ResolvedFleet:
+        """The pool every layer of a run reads, resolved on first use (so
+        building a system stays as cheap as before) and kept for later
+        runs: the config is frozen and the pool size fixed."""
+        return self.config.resolved_fleet(self.num_disks)
+
+    def _usable_capacity(self) -> np.ndarray:
+        """Per-disk bytes the write placement may fill."""
+        return self.fleet.capacities * self.config.storage_utilization
+
     def _build_event_machinery(self) -> None:
         self._env = Environment()
-        fleet = (
-            self.config.resolved_fleet(self.num_disks)
-            if self.config.fleet is not None
-            else None
-        )
-        self._array = DiskArray(
-            self._env,
-            self.config.spec,
-            self.num_disks,
-            idleness_threshold=self.config.threshold,
-            ladder=self.config.ladder(),
-            fleet=fleet,
-        )
+        self._array = DiskArray(self._env, self.fleet)
         cache = (
             make_cache(self.config.cache_policy, self.config.cache_capacity)
             if self.config.cache_policy
@@ -139,11 +140,7 @@ class StorageSystem:
             self.catalog.sizes,
             cache=cache,
             cache_hit_latency=self.config.cache_hit_latency,
-            usable_capacity=(
-                self.config.usable_capacities(self.num_disks)
-                if fleet is not None
-                else self.config.usable_capacity
-            ),
+            usable_capacity=self._usable_capacity(),
             write_policy=self.config.placement_policy(),
         )
 
@@ -231,7 +228,8 @@ class StorageSystem:
                 f"duration must be positive and finite, got {duration!r}"
             )
         native.library()
-        controller = self.config.dpm_controller(self.num_disks)
+        fleet = self.fleet
+        controller = self.config.dpm_controller(fleet)
         if controller is not None:
             controller.check_horizon(duration)
         if self.config.engine == "fast":
@@ -260,42 +258,26 @@ class StorageSystem:
                 # concern (the stream already yields chunks).
                 kernel = simulate_fast_chunked
                 run_stream = stream
-            fleet = (
-                self.config.resolved_fleet(self.num_disks)
-                if self.config.fleet is not None
-                else None
-            )
             scheduler = self.config.request_scheduler()
             if scheduler is not None:
                 scheduler.reset(
                     build_scheduling_setup(
-                        self.config,
-                        self.catalog.sizes,
-                        self._mapping,
-                        self.num_disks,
+                        self.config, fleet, self.catalog.sizes, self._mapping
                     )
                 )
             result = kernel(
                 sizes=self.catalog.sizes,
                 mapping=self._mapping,
-                spec=self.config.spec,
-                num_disks=self.num_disks,
-                threshold=self.config.threshold,
+                fleet=fleet,
                 stream=run_stream,
                 duration=duration,
                 label=label,
                 cache=cache,
                 cache_hit_latency=self.config.cache_hit_latency,
-                usable_capacity=(
-                    self.config.usable_capacities(self.num_disks)
-                    if fleet is not None
-                    else self.config.usable_capacity
-                ),
+                usable_capacity=self._usable_capacity(),
                 write_policy=self.config.placement_policy(),
                 dpm=controller,
-                ladder=self.config.ladder(),
                 metrics_mode=self.config.metrics_mode,
-                fleet=fleet,
                 observer=obs,
                 scheduler=scheduler,
             )
@@ -328,10 +310,7 @@ class StorageSystem:
         if scheduler is not None:
             scheduler.reset(
                 build_scheduling_setup(
-                    self.config,
-                    self.catalog.sizes,
-                    self._mapping,
-                    self.num_disks,
+                    self.config, fleet, self.catalog.sizes, self._mapping
                 )
             )
             self.env.process(
@@ -377,7 +356,7 @@ class StorageSystem:
             completions=self.dispatcher.completions,
             spinups=self.array.total_spinups(),
             spindowns=self.array.total_spindowns(),
-            always_on_energy=self.array.always_on_energy(duration),
+            always_on_energy=self.fleet.always_on_energy(duration),
             cache_stats=cache.stats if cache is not None else None,
             requests_per_disk=self.array.requests_per_disk(),
             spinups_per_disk=np.array(

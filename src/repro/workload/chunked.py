@@ -58,6 +58,7 @@ from typing import (
     Any,
     Callable,
     Iterator,
+    List,
     Optional,
     Protocol,
     Sequence,
@@ -71,6 +72,7 @@ import numpy.typing as npt
 from repro.disk.drive import READ, WRITE
 from repro.errors import ConfigError
 from repro.workload.catalog import FileCatalog
+from repro.workload.diurnal import thin
 from repro.workload.sampling import PopularitySampler
 
 if TYPE_CHECKING:
@@ -185,6 +187,20 @@ def _check_chunk_size(chunk_size: "int | np.integer[Any]") -> int:
     return int(chunk_size)
 
 
+def _windows(
+    duration: float, chunk_size: int, rate: float
+) -> List[Tuple[float, float]]:
+    """``[lo, hi)`` windows tiling ``[0, duration)``, each holding about
+    ``chunk_size`` expected arrivals at ``rate`` (one window when the rate
+    is 0, none for an empty horizon)."""
+    if duration <= 0:
+        return []
+    width = chunk_size / rate if rate > 0 else duration
+    n_windows = max(1, int(math.ceil(duration / width)))
+    edges: List[float] = np.linspace(0.0, duration, n_windows + 1).tolist()
+    return list(zip(edges[:-1], edges[1:]))
+
+
 class _SeededStream:
     """Shared re-seeding machinery for the windowed generators."""
 
@@ -276,20 +292,9 @@ class ChunkedPoissonStream(_SeededStream):
     def mean_rate(self) -> float:
         return self.rate
 
-    def _windows(self) -> Iterator[Tuple[float, float]]:
-        if self.duration <= 0:
-            return
-        width = (
-            self.chunk_size / self.rate if self.rate > 0 else self.duration
-        )
-        n_windows = max(1, int(math.ceil(self.duration / width)))
-        edges = np.linspace(0.0, self.duration, n_windows + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            yield float(lo), float(hi)
-
     def iter_chunks(self) -> Iterator[StreamChunk]:
         rng = self._rng()
-        for lo, hi in self._windows():
+        for lo, hi in _windows(self.duration, self.chunk_size, self.rate):
             n = int(rng.poisson(self.rate * (hi - lo)))
             if not n:
                 continue
@@ -331,26 +336,16 @@ class ChunkedDiurnalStream(_SeededStream):
 
     def iter_chunks(self) -> Iterator[StreamChunk]:
         rng = self._rng()
-        if self.duration <= 0:
-            return
-        width = self.chunk_size / self.peak_rate
-        n_windows = max(1, int(math.ceil(self.duration / width)))
-        edges = np.linspace(0.0, self.duration, n_windows + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            n = int(rng.poisson(self.peak_rate * (hi - lo)))
+        peak = self.peak_rate
+        for lo, hi in _windows(self.duration, self.chunk_size, peak):
+            n = int(rng.poisson(peak * (hi - lo)))
             if not n:
                 continue
             times = rng.uniform(lo, hi, size=n)
             times.sort()
-            rates = np.array([self.rate_fn(t) for t in times])
-            if np.any(rates > self.peak_rate * (1 + 1e-9)):
-                raise ConfigError("rate_fn exceeds peak_rate; thinning is biased")
-            if np.any(rates < 0):
-                raise ConfigError("rate_fn must be non-negative")
-            keep = rng.uniform(0.0, self.peak_rate, size=n) < rates
-            if not keep.any():
+            times = thin(times, self.rate_fn, peak, rng)
+            if not times.size:
                 continue
-            times = times[keep]
             ids = self._sampler.draw(times.size, rng)
             yield StreamChunk(times=times, file_ids=ids)
 
@@ -393,17 +388,10 @@ class ChunkedMixedStream(_SeededStream):
 
     def iter_chunks(self) -> Iterator[StreamChunk]:
         rng = self._rng()
-        if self.duration <= 0:
-            return
         total_rate = self.other_rate + self._new_times.size / max(
             self.duration, 1e-300
         )
-        width = (
-            self.chunk_size / total_rate if total_rate > 0 else self.duration
-        )
-        n_windows = max(1, int(math.ceil(self.duration / width)))
-        edges = np.linspace(0.0, self.duration, n_windows + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
+        for lo, hi in _windows(self.duration, self.chunk_size, total_rate):
             n = int(rng.poisson(self.other_rate * (hi - lo)))
             times = rng.uniform(lo, hi, size=n)
             times.sort()
@@ -548,15 +536,8 @@ class ChunkedNerscStream(_SeededStream):
         total_rate = extra_rate + (
             p.n_files / self.duration if self.duration > 0 else 0.0
         )
-        if self.duration <= 0:
-            return
-        width = (
-            self.chunk_size / total_rate if total_rate > 0 else self.duration
-        )
-        n_windows = max(1, int(math.ceil(self.duration / width)))
-        edges = np.linspace(0.0, self.duration, n_windows + 1)
         bt = self._base_times_sorted
-        for lo, hi in zip(edges[:-1], edges[1:]):
+        for lo, hi in _windows(self.duration, self.chunk_size, total_rate):
             last = hi >= self.duration
             blo = int(np.searchsorted(bt, lo, side="left"))
             bhi = (

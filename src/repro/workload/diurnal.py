@@ -23,7 +23,12 @@ from repro.sim.rng import rng_from_seed
 from repro.units import DAY
 from repro.workload.arrivals import RequestStream, sample_file_ids
 
-__all__ = ["diurnal_rate", "nonhomogeneous_stream", "thinned_arrival_times"]
+__all__ = [
+    "diurnal_rate",
+    "nonhomogeneous_stream",
+    "thin",
+    "thinned_arrival_times",
+]
 
 
 def diurnal_rate(
@@ -79,12 +84,24 @@ def thinned_arrival_times(
     n = int(rng.poisson(peak_rate * duration))
     times = rng.uniform(0.0, duration, size=n)
     times.sort()
+    return thin(times, rate_fn, peak_rate, rng)
+
+
+def thin(
+    times: np.ndarray,
+    rate_fn: Callable[[float], float],
+    peak_rate: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The Lewis & Shedler thinning step: keep each proposal ``t`` of a
+    homogeneous process at ``peak_rate`` with probability
+    ``rate_fn(t) / peak_rate``, drawing one uniform per proposal."""
     rates = np.array([rate_fn(t) for t in times])
     if np.any(rates > peak_rate * (1 + 1e-9)):
         raise ConfigError("rate_fn exceeds peak_rate; thinning is biased")
     if np.any(rates < 0):
         raise ConfigError("rate_fn must be non-negative")
-    keep = rng.uniform(0.0, peak_rate, size=n) < rates
+    keep = rng.uniform(0.0, peak_rate, size=times.size) < rates
     return times[keep]
 
 

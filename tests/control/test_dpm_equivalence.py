@@ -203,9 +203,7 @@ class TestFixedIsByteIdentical:
         via_system = system.run(wl.stream)
 
         env = Environment()
-        array = DiskArray(
-            env, cfg.spec, system.num_disks, idleness_threshold=cfg.threshold
-        )
+        array = DiskArray(env, cfg.resolved_fleet(system.num_disks))
         dispatcher = Dispatcher(
             env, array, mapping, wl.catalog.sizes,
             usable_capacity=cfg.usable_capacity,
@@ -231,9 +229,7 @@ class TestFixedIsByteIdentical:
         direct = simulate_fast(
             sizes=wl.catalog.sizes,
             mapping=mapping,
-            spec=cfg.spec,
-            num_disks=system.num_disks,
-            threshold=cfg.threshold,
+            fleet=cfg.resolved_fleet(system.num_disks),
             stream=wl.stream,
             duration=wl.stream.duration,
         )
@@ -256,9 +252,7 @@ class TestFixedIsByteIdentical:
         plain = simulate_fast(
             sizes=wl.catalog.sizes,
             mapping=mapping,
-            spec=cfg.spec,
-            num_disks=num_disks,
-            threshold=cfg.threshold,
+            fleet=cfg.resolved_fleet(num_disks),
             stream=wl.stream,
             duration=wl.stream.duration,
         )
@@ -268,9 +262,7 @@ class TestFixedIsByteIdentical:
         controlled = simulate_fast(
             sizes=wl.catalog.sizes,
             mapping=mapping,
-            spec=cfg.spec,
-            num_disks=num_disks,
-            threshold=cfg.threshold,
+            fleet=cfg.resolved_fleet(num_disks),
             stream=wl.stream,
             duration=wl.stream.duration,
             dpm=controller,

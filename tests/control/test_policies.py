@@ -99,11 +99,11 @@ class TestConfigValidation:
     def test_defaults(self):
         cfg = StorageConfig()
         assert cfg.dpm_policy == "fixed"
-        assert cfg.dpm_controller(cfg.num_disks) is None
+        assert cfg.dpm_controller(cfg.resolved_fleet()) is None
 
     def test_dynamic_policy_builds_controller(self):
         cfg = StorageConfig(dpm_policy="adaptive_timeout")
-        ctl = cfg.dpm_controller(cfg.num_disks)
+        ctl = cfg.dpm_controller(cfg.resolved_fleet())
         assert ctl.policy.name == "adaptive_timeout"
         assert ctl.interval == cfg.control_interval
         assert ctl.thresholds.shape == (cfg.num_disks,)
@@ -127,7 +127,7 @@ class TestConfigValidation:
 
     def test_slo_feedback_with_target_accepted(self):
         cfg = StorageConfig(dpm_policy="slo_feedback", slo_target=10.0)
-        ctl = cfg.dpm_controller(8)
+        ctl = cfg.dpm_controller(cfg.resolved_fleet(8))
         assert ctl.policy.slo_target == 10.0
 
 

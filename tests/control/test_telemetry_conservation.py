@@ -67,9 +67,10 @@ def _run(scenario, scheduler, chunk):
         cfg = cfg.with_overrides(
             scheduler=scheduler, scheduler_params={"max_hold": 30.0}
         )
+    fleet = cfg.resolved_fleet(NUM_DISKS)
     sched = cfg.request_scheduler()
     if sched is not None:
-        sched.reset(build_scheduling_setup(cfg, sizes, mapping, NUM_DISKS))
+        sched.reset(build_scheduling_setup(cfg, fleet, sizes, mapping))
     dpm = RecordingController(
         "slo_feedback", cfg.control_interval, NUM_DISKS, cfg.threshold,
         cfg.spec, slo_target=cfg.slo_target,
@@ -79,9 +80,9 @@ def _run(scenario, scheduler, chunk):
     if chunk is not None:
         stream, kernel = stream.chunks(chunk), simulate_fast_chunked
     result = kernel(
-        sizes, mapping, cfg.spec, NUM_DISKS, cfg.threshold, stream,
-        workload.stream.duration, cache=LRUCache(20 * GiB),
-        cache_hit_latency=0.001, dpm=dpm, scheduler=sched,
+        sizes, mapping, fleet, stream, workload.stream.duration,
+        cache=LRUCache(20 * GiB), cache_hit_latency=0.001, dpm=dpm,
+        scheduler=sched,
     )
     return result, dpm
 

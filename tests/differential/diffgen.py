@@ -41,7 +41,6 @@ from repro.disk.fleet import Fleet, FleetDisk
 from repro.disk.specs import ST3500630AS, WD10EADS
 from repro.system import StorageConfig, StorageSystem
 from repro.system.placement import placement_policy_names
-from repro.system.scheduling import request_scheduler_names
 from repro.units import GiB, MB
 from repro.workload.catalog import FileCatalog
 from repro.workload.arrivals import RequestStream
@@ -401,14 +400,9 @@ def assert_invariants(result, case: DifferentialCase) -> None:
     # Energy bounded by the extreme constant draws — over every spec and
     # every ladder actually present in the pool (a heterogeneous fleet
     # widens the envelope to the union of its drives').
-    if case.config.fleet is not None:
-        resolved = case.config.resolved_fleet(case.num_disks)
-        specs = set(resolved.specs)
-        ladders = {lad for lad in resolved.ladders if lad is not None}
-    else:
-        specs = {case.config.spec}
-        ladder = case.config.ladder()
-        ladders = set() if ladder is None else {ladder}
+    resolved = case.config.resolved_fleet(case.num_disks)
+    specs = set(resolved.specs)
+    ladders = {lad for lad in resolved.ladders if lad is not None}
     powers = []
     for spec in specs:
         powers.extend(

@@ -31,7 +31,7 @@ class TestProfileTiling:
 
     def test_uniform_sugar_is_homogeneous(self):
         resolved = Fleet.uniform(ST3500630AS).resolve(4)
-        assert resolved.homogeneous
+        assert resolved.homogeneous_specs
         assert not resolved.has_ladders
         np.testing.assert_allclose(
             resolved.thresholds, ST3500630AS.breakeven_threshold()
@@ -39,7 +39,6 @@ class TestProfileTiling:
 
     def test_mixed_specs_are_not_homogeneous(self):
         resolved = make_fleet("mixed_generation").resolve(2)
-        assert not resolved.homogeneous
         assert not resolved.homogeneous_specs
 
 
@@ -66,16 +65,6 @@ class TestLadderResolution:
         )
         assert resolved.ladders[0] == make_dpm_ladder("nap", ST3500630AS)
         assert resolved.ladders[1] == make_dpm_ladder("nap", WD10EADS)
-
-    def test_ladder_groups_cover_the_pool_once(self):
-        fleet = Fleet(
-            "partial",
-            (FleetDisk(ST3500630AS, ladder="drpm4"), FleetDisk(WD10EADS)),
-        )
-        groups = fleet.resolve(6).ladder_groups()
-        members = np.concatenate([idx for _, idx in groups])
-        assert sorted(members.tolist()) == list(range(6))
-        assert len(groups) == 2
 
 
 class TestThresholdFallback:
@@ -128,11 +117,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="num_disks"):
             make_fleet("mixed_generation").resolve(0)
 
-    def test_describe_counts_models(self):
-        text = make_fleet("mixed_generation").resolve(5).describe()
-        assert ST3500630AS.model in text
-        assert WD10EADS.model in text
-        assert "3x" in text and "2x" in text
+    @pytest.mark.parametrize("threshold", ["5", b"5", [5.0], True])
+    def test_non_numeric_slot_threshold_is_a_config_error(self, threshold):
+        with pytest.raises(ConfigError, match="FleetDisk.threshold"):
+            FleetDisk(ST3500630AS, threshold=threshold)
+
+    @pytest.mark.parametrize("num_disks", [2.5, 2.0, "2", None, True])
+    def test_non_integer_pool_size_is_a_config_error(self, num_disks):
+        with pytest.raises(ConfigError, match="num_disks"):
+            make_fleet("mixed_generation").resolve(num_disks)
+
+    def test_numpy_integer_pool_size_resolves(self):
+        resolved = make_fleet("mixed_generation").resolve(np.int64(3))
+        assert resolved.num_disks == 3
 
 
 class TestLadderSharing:
@@ -180,5 +177,5 @@ class TestLadderSharing:
         assert resolved.thresholds.tolist() == [
             make_dpm_ladder("drpm4", ST3500630AS).base_threshold, 30.0
         ] * 50
-        assert resolved.has_ladders and not resolved.homogeneous
+        assert resolved.has_ladders and not resolved.homogeneous_specs
         assert resolved.num_disks == 100

@@ -22,14 +22,8 @@ _GOLDEN = json.loads(
 )
 
 
-@pytest.mark.parametrize(
-    "key",
-    sorted(_GOLDEN),
-    ids=lambda k: k.replace(":", "-"),
-)
-def test_uniform_output_is_byte_identical(key):
-    name, engine = key.split(":")
-    got = gc.summarize(gc.run_case(name, engine))
+def _assert_golden(key, result):
+    got = gc.summarize(result)
     want = _GOLDEN[key]
     assert sorted(got) == sorted(want), f"digest keys changed for {key}"
     for field in want:
@@ -38,24 +32,32 @@ def test_uniform_output_is_byte_identical(key):
         )
 
 
-def test_uniform_fleet_sugar_matches_spec():
-    """``fleet=Fleet.uniform(spec)`` is pure sugar for ``spec=...``."""
+_KEYS = pytest.mark.parametrize(
+    "key", sorted(_GOLDEN), ids=lambda k: k.replace(":", "-")
+)
+
+
+@_KEYS
+def test_uniform_output_is_byte_identical(key):
+    name, engine = key.split(":")
+    _assert_golden(key, gc.run_case(name, engine))
+
+
+@_KEYS
+def test_uniform_fleet_sugar_matches_spec(key):
+    """``fleet=Fleet.uniform(spec)`` reproduces the digest recorded for
+    ``spec=...`` on every case and engine: ladders, controllers, caches
+    and chunked runs included."""
     from repro.disk.fleet import Fleet
     from repro.system import StorageConfig, StorageSystem
 
-    wl_kw, cfg_kw = gc.CASES["writes_placement"]
+    name, engine = key.split(":")
+    wl_kw, cfg_kw = gc.CASES[name]
     catalog, stream, mapping = gc._workload(**wl_kw)
-    for engine in ("event", "fast"):
-        base = StorageSystem(
-            catalog, mapping, StorageConfig(engine=engine, **cfg_kw),
-            num_disks=cfg_kw["num_disks"],
-        ).run(stream)
-        fleet_cfg = StorageConfig(
-            engine=engine,
-            fleet=Fleet.uniform(StorageConfig().spec),
-            **cfg_kw,
-        )
-        sugar = StorageSystem(
-            catalog, mapping, fleet_cfg, num_disks=cfg_kw["num_disks"]
-        ).run(stream)
-        assert gc.summarize(base) == gc.summarize(sugar), engine
+    config = StorageConfig(
+        engine=engine, fleet=Fleet.uniform(StorageConfig().spec), **cfg_kw
+    )
+    system = StorageSystem(
+        catalog, mapping, config, num_disks=cfg_kw["num_disks"]
+    )
+    _assert_golden(key, system.run(stream))

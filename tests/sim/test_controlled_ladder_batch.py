@@ -38,15 +38,19 @@ KINDS = ("uniform", "mixed", "one_rung", "two_state", "nap")
 
 
 def _fleet(kind):
+    """``(ladders, specs, num_disks)``, one ladder and spec per disk."""
     specs = [ST3500630AS, WD10EADS, ST3500630AS, WD10EADS]
-    if kind == "uniform":
-        return make_dpm_ladder("drpm4", ST3500630AS), ST3500630AS, 4
-    if kind == "one_rung":
-        return FLAT, ST3500630AS, 2
-    if kind == "two_state":
-        return make_dpm_ladder("two_state", ST3500630AS), ST3500630AS, 3
-    if kind == "nap":
-        return make_dpm_ladder("nap", WD10EADS), WD10EADS, 3
+    uniform = {
+        "uniform": (make_dpm_ladder("drpm4", ST3500630AS), ST3500630AS, 4),
+        "one_rung": (FLAT, ST3500630AS, 2),
+        "two_state": (
+            make_dpm_ladder("two_state", ST3500630AS), ST3500630AS, 3
+        ),
+        "nap": (make_dpm_ladder("nap", WD10EADS), WD10EADS, 3),
+    }
+    if kind in uniform:
+        ladder, spec, n = uniform[kind]
+        return (ladder,) * n, (spec,) * n, n
     ladders = [
         make_dpm_ladder("drpm4", specs[0]),
         make_dpm_ladder("two_state", specs[1]),
@@ -148,18 +152,18 @@ def _state(bank):
 def _banks(n, kind, rows, controlled, log_spans=False, pushed=None):
     """``n`` identical banks: controlled ones get ``rows[1:pushed]`` pushed
     (all rows by default), fixed ones run ``rows[0]``."""
-    ladder, spec, num_disks = _fleet(kind)
+    ladders, specs, _ = _fleet(kind)
     banks = []
     for _ in range(n):
         if controlled:
             bank = _DiskBank(
-                num_disks, rows[0], ladder, spec, HORIZON, interval=INTERVAL
+                specs, ladders, rows[0], HORIZON, interval=INTERVAL
             )
             for row in rows[1:pushed]:
                 bank.push_thresholds(row)
         else:
             bank = _DiskBank(
-                num_disks, rows[0], ladder, spec, HORIZON, log_spans=log_spans
+                specs, ladders, rows[0], HORIZON, log_spans=log_spans
             )
         banks.append(bank)
     return banks
@@ -308,7 +312,7 @@ def test_wake_starting_exactly_at_horizon_is_not_billed(serve_twin):
     a = 0.0 + ST3500630AS.access_overhead + 0.5
     horizon = (a + th) + ladder.rungs[1].down_time
     banks = [
-        _DiskBank(1, th, ladder, ST3500630AS, horizon, log_spans=True)
+        _DiskBank((ST3500630AS,), (ladder,), [th], horizon, log_spans=True)
         for _ in range(2)
     ]
     d = np.zeros(2, dtype=np.int64)

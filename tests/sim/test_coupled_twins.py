@@ -32,6 +32,7 @@ import repro.sim.fastkernel as fastkernel
 from repro.cache import ClockCache, LFUCache, LRUCache, make_cache
 from repro.cache.base import BaseCache
 from repro.disk.dpm import make_dpm_ladder
+from repro.disk.fleet import Fleet
 from repro.disk.specs import ST3500630AS
 from repro.errors import ConfigError, SimulationError
 from repro.obs.hooks import CacheEventBlock
@@ -110,14 +111,15 @@ class _Side:
     def __init__(self, impl, cache, sizes, mapping, num_disks, ladder,
                  controlled, observe, spans, horizon, hit_latency):
         self.impl = impl
+        pool = ((GRID,) * num_disks, (ladder,) * num_disks)
         if controlled:
             self.bank = _DiskBank(
-                num_disks, 3.0, ladder, GRID, horizon, interval=INTERVAL
+                *pool, [3.0] * num_disks, horizon, interval=INTERVAL
             )
         else:
             self.bank = _DiskBank(
-                num_disks, [3.0, 0.0, math.inf][:num_disks], ladder, GRID,
-                horizon, log_spans=spans,
+                *pool, [3.0, 0.0, math.inf][:num_disks], horizon,
+                log_spans=spans,
             )
         self.cache = cache
         self.mapping = mapping.copy()
@@ -373,7 +375,7 @@ def _small_run(cache, observer, mapping=None, times=None, fid=None):
     return simulate_fast(
         sizes=sizes,
         mapping=np.array([0, 1, 0, 1]) if mapping is None else mapping,
-        spec=GRID, num_disks=2, threshold=3.0, stream=stream,
+        fleet=Fleet.uniform(GRID, threshold=3.0).resolve(2), stream=stream,
         duration=50.0, cache=cache, observer=observer,
     )
 

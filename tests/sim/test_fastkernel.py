@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cache import LRUCache
+from repro.disk.fleet import Fleet
 from repro.errors import ConfigError, SimulationError
 from repro.obs.trace import TraceRecorder
 from repro.sim.fastkernel import fast_unsupported_reason, simulate_fast
@@ -434,9 +435,7 @@ class TestUnsupportedScenarios:
             simulate_fast(
                 sizes=np.array([MB]),
                 mapping=np.array([0]),
-                spec=spec,
-                num_disks=1,
-                threshold=50.0,
+                fleet=Fleet.uniform(spec, threshold=50.0).resolve(1),
                 stream=Raw(),
                 duration=10.0,
             )
@@ -453,9 +452,7 @@ class TestUnsupportedScenarios:
             simulate_fast(
                 sizes=np.array([1e9, bad, 2e9]),
                 mapping=np.array([0, 0, 0]),
-                spec=spec,
-                num_disks=1,
-                threshold=50.0,
+                fleet=Fleet.uniform(spec, threshold=50.0).resolve(1),
                 stream=stream,
                 duration=10.0,
                 cache=LRUCache(100 * GiB) if cached else None,
@@ -536,9 +533,7 @@ class TestUnsupportedScenarios:
             simulate_fast(
                 sizes=catalog.sizes,
                 mapping=np.array([-1]),
-                spec=spec,
-                num_disks=1,
-                threshold=50.0,
+                fleet=Fleet.uniform(spec, threshold=50.0).resolve(1),
                 stream=stream,
                 duration=10.0,
             )
@@ -558,9 +553,7 @@ class TestUnsupportedScenarios:
             simulate_fast(
                 sizes=np.array([60 * MB, 60 * MB, MB]),
                 mapping=np.array([0, 0, -1]),
-                spec=spec,
-                num_disks=1,
-                threshold=50.0,
+                fleet=Fleet.uniform(spec, threshold=50.0).resolve(1),
                 stream=stream,
                 duration=10.0,
                 cache=cache,
@@ -581,9 +574,7 @@ class TestUnsupportedScenarios:
             simulate_fast(
                 sizes=np.array([MB]),
                 mapping=np.array([0]),
-                spec=spec,
-                num_disks=1,
-                threshold=50.0,
+                fleet=Fleet.uniform(spec, threshold=50.0).resolve(1),
                 stream=stream,
                 duration=0.0,
             )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.disk.drive import READ, WRITE
+from repro.disk.fleet import Fleet
 from repro.disk.specs import ST3500630AS as SPEC
 from repro.errors import ConfigError, SimulationError
 from repro.sim.fastkernel import (
@@ -44,11 +45,12 @@ class _ListStream:
 
 SIZES = np.full(8, 50e6)
 MAPPING = np.arange(8, dtype=np.int64) % 2
+POOL = Fleet.uniform(SPEC, threshold=5.0).resolve(2)
 
 
 def _run(stream, duration, chunked=False, **kw):
     fn = simulate_fast_chunked if chunked else simulate_fast
-    return fn(SIZES, MAPPING, SPEC, 2, 5.0, stream, duration, **kw)
+    return fn(SIZES, MAPPING, POOL, stream, duration, **kw)
 
 
 class TestPathologicalBoundaries:
@@ -128,7 +130,7 @@ class TestPathologicalBoundaries:
                 num_disks=2, base_threshold=5.0, spec=SPEC,
             )
             fn = simulate_fast_chunked if chunked else simulate_fast
-            return fn(SIZES, MAPPING, SPEC, 2, 5.0, s, 200.0, dpm=dpm)
+            return fn(SIZES, MAPPING, POOL, s, 200.0, dpm=dpm)
 
         mono = run(stream, False)
         chunk = run(_ListStream(
@@ -147,14 +149,14 @@ class TestPathologicalBoundaries:
         stream = MixedRequestStream(
             times=times, file_ids=ids, kinds=kinds, duration=60.0
         )
-        mono = simulate_fast(sizes, mapping, SPEC, 2, 5.0, stream, 60.0)
+        mono = simulate_fast(sizes, mapping, POOL, stream, 60.0)
         for cut in (1, 2, 3):
             chunks = [
                 StreamChunk(times[:cut], ids[:cut], kinds=kinds[:cut]),
                 StreamChunk(times[cut:], ids[cut:], kinds=kinds[cut:]),
             ]
             chunk = simulate_fast_chunked(
-                sizes, mapping, SPEC, 2, 5.0, _ListStream(chunks, 60.0), 60.0
+                sizes, mapping, POOL, _ListStream(chunks, 60.0), 60.0
             )
             _assert_identical(mono, chunk, f"cut={cut}")
             assert chunk.final_mapping[8] >= 0
@@ -190,11 +192,11 @@ class TestErrorContracts:
 
     def test_chunked_duration_defaults_and_requires(self):
         s = _ListStream([StreamChunk(times=[1.0], file_ids=[0])], 50.0)
-        r = simulate_fast_chunked(SIZES, MAPPING, SPEC, 2, 5.0, s, None)
+        r = simulate_fast_chunked(SIZES, MAPPING, POOL, s, None)
         assert r.duration == 50.0
         s.duration = None
         with pytest.raises(ConfigError, match="duration"):
-            simulate_fast_chunked(SIZES, MAPPING, SPEC, 2, 5.0, s, None)
+            simulate_fast_chunked(SIZES, MAPPING, POOL, s, None)
 
     def test_bad_metrics_mode(self):
         stream = RequestStream(times=[1.0], file_ids=[0], duration=10.0)
@@ -210,7 +212,7 @@ class TestErrorContracts:
         ]
         with pytest.raises(SimulationError, match="unallocated"):
             simulate_fast_chunked(
-                SIZES, mapping, SPEC, 2, 5.0, _ListStream(chunks, 10.0), 10.0
+                SIZES, mapping, POOL, _ListStream(chunks, 10.0), 10.0
             )
 
     def test_unsupported_reason(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.disk.dpm import make_dpm_ladder
+from repro.disk.fleet import Fleet
 from repro.errors import ConfigError
 from repro.sim.fastkernel import simulate_fast
 from repro.system import StorageConfig, StorageSystem, allocate
@@ -195,12 +196,11 @@ class TestLadderKernel:
         res = simulate_fast(
             sizes=sparse.catalog.sizes,
             mapping=mapping,
-            spec=cfg.spec,
-            num_disks=max(cfg.num_disks, int(mapping.max()) + 1),
-            threshold=ladder.base_threshold,
+            fleet=Fleet.uniform(cfg.spec, ladder=ladder).resolve(
+                max(cfg.num_disks, int(mapping.max()) + 1)
+            ),
             stream=sparse.stream,
             duration=sparse.stream.duration,
-            ladder=ladder,
         )
         assert res.spindowns > 0
         assert "nap" in res.state_durations

@@ -88,7 +88,7 @@ for name in sys.argv[1:]:
     if mode in ("defer", "coalesce"):
         sched = run_cfg.request_scheduler()
         sched.reset(build_scheduling_setup(
-            run_cfg, run_wl.catalog.sizes, mapping, cfg.num_disks))
+            run_cfg, system.fleet, run_wl.catalog.sizes, mapping))
         times = np.asarray(run_wl.stream.times, dtype=float)
         rel = np.asarray(sched.release_many(
             times, np.asarray(run_wl.stream.file_ids), None, None), dtype=float)

@@ -77,13 +77,14 @@ class _Side:
                  sizes, mapping, free, cache, observe):
         self.impl = impl
         num_disks = len(specs)
+        th = np.broadcast_to(np.asarray(th, float), (num_disks,))
         if controlled:
             self.bank = _DiskBank(
-                num_disks, th, ladders, specs, HORIZON, interval=INTERVAL
+                specs, ladders, th, HORIZON, interval=INTERVAL
             )
         else:
             self.bank = _DiskBank(
-                num_disks, th, ladders, specs, HORIZON, log_spans=observe
+                specs, ladders, th, HORIZON, log_spans=observe
             )
         self.mapping = mapping.copy()
         self.free = free.copy()
@@ -360,8 +361,8 @@ def test_placement_block_forwards_to_the_single_hook():
 
 @pytest.mark.parametrize("bad", ["free_dtype", "free_length", "mapping_view"])
 def test_arrays_the_walk_writes_are_checked(bad):
-    bank = _DiskBank(2, 3.0, make_dpm_ladder("two_state", GRID), GRID,
-                     HORIZON)
+    bank = _DiskBank((GRID,) * 2, (make_dpm_ladder("two_state", GRID),) * 2,
+                     [3.0, 3.0], HORIZON)
     sizes = np.full(4, 1.0 * MB)
     mapping = np.full(4, -1)
     free = np.full(2, 4.0 * MB)

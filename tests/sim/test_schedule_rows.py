@@ -55,13 +55,14 @@ LADDERS = (
 
 
 def _pool(kind, num_disks=6):
-    """``(ladders, specs, thresholds)`` of a pool."""
+    """``(ladders, specs, thresholds)`` of a pool, one entry per disk."""
+    specs = (ST3500630AS,) * num_disks
     if kind == "uniform":
         ladder = LADDERS[0]
-        return ladder, ST3500630AS, ladder.base_threshold
+        return (ladder,) * num_disks, specs, [ladder.base_threshold] * num_disks
     if kind == "mixed":
         ladders = [LADDERS[d % len(LADDERS)] for d in range(num_disks)]
-        return ladders, ST3500630AS, [l.base_threshold for l in ladders]
+        return ladders, specs, [l.base_threshold for l in ladders]
     fleet = (
         make_fleet("mixed_generation").resolve(num_disks, "drpm4")
         if kind == "mixed_generation"
@@ -108,13 +109,12 @@ def _thresholds(ladders):
 @given(data=st.data())
 def test_rows_match_scaled_entries(kind, data):
     ladders, specs, th0 = _pool(kind)
-    per_disk = ladders if isinstance(ladders, (list, tuple)) else [ladders] * 6
-    rows = [np.broadcast_to(np.asarray(th0, float), (6,)).tolist()]
+    rows = [np.asarray(th0, float).tolist()]
     # More rows than the bank's first allocation, so the tables grow.
     rows += [
-        list(data.draw(_thresholds(per_disk))) for _ in range(11)
+        list(data.draw(_thresholds(ladders))) for _ in range(11)
     ]
-    bank = _DiskBank(6, rows[0], ladders, specs, 1e4, interval=100.0)
+    bank = _DiskBank(specs, ladders, rows[0], 1e4, interval=100.0)
     for row in rows[1:]:
         bank.push_thresholds(np.array(row))
     assert bank._ent.shape[0] > 8
@@ -149,8 +149,8 @@ def test_cascading_entries():
 
 def test_fixed_bank_row_and_one_rung_padding():
     bank = _DiskBank(
-        len(LADDERS), [7.0, 0.0, math.inf, 3.0, 0.5], list(LADDERS),
-        ST3500630AS, 1e4,
+        (ST3500630AS,) * len(LADDERS), LADDERS,
+        [7.0, 0.0, math.inf, 3.0, 0.5], 1e4,
     )
     _assert_rows(bank, [[7.0, 0.0, math.inf, 3.0, 0.5]])
     assert bank._ent[0, 3, :2].tolist() == [0.0, math.inf]
@@ -161,8 +161,21 @@ def test_fixed_bank_row_and_one_rung_padding():
 def test_negative_or_nan_thresholds_raise(ladder, bad):
     with pytest.raises(ConfigError, match="threshold must be >= 0"):
         ladder.scaled_entries_array([1.0, bad])
+    pool = ((ST3500630AS,) * 2, (ladder,) * 2)
     with pytest.raises(ConfigError, match="threshold must be >= 0"):
-        _DiskBank(2, [1.0, bad], ladder, ST3500630AS, 1e4)
-    bank = _DiskBank(2, 1.0, ladder, ST3500630AS, 1e4, interval=10.0)
+        _DiskBank(*pool, [1.0, bad], 1e4)
+    bank = _DiskBank(*pool, [1.0, 1.0], 1e4, interval=10.0)
     with pytest.raises(ConfigError, match="threshold must be >= 0"):
         bank.push_thresholds(np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("row", [[1.0], [1.0, 2.0, 3.0], 1.0, [[1.0, 2.0]]])
+def test_threshold_rows_need_one_value_per_disk(row):
+    # A controlled bank's rows come from a DPM policy, which may be a
+    # user's: a short, long or scalar row must not be broadcast.
+    pool = ((ST3500630AS,) * 2, (LADDERS[0],) * 2)
+    with pytest.raises(ConfigError, match="threshold row has shape"):
+        _DiskBank(*pool, row, 1e4)
+    bank = _DiskBank(*pool, [1.0, 1.0], 1e4, interval=10.0)
+    with pytest.raises(ConfigError, match="threshold row has shape"):
+        bank.push_thresholds(np.asarray(row))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cache import LRUCache
 from repro.disk import DiskArray, DiskState, ST3500630AS
+from repro.disk.fleet import Fleet
 from repro.errors import CapacityError, SimulationError
 from repro.sim import Environment
 from repro.system.dispatcher import (
@@ -18,8 +19,14 @@ from repro.units import GB, MB
 from repro.workload.arrivals import RequestStream
 
 
+def _array(env, num_disks, threshold):
+    """A uniform pool of Table 2 drives."""
+    fleet = Fleet.uniform(ST3500630AS, threshold=threshold)
+    return DiskArray(env, fleet.resolve(num_disks))
+
+
 def build(env, num_disks=3, mapping=None, sizes=None, **kwargs):
-    array = DiskArray(env, ST3500630AS, num_disks, idleness_threshold=math.inf)
+    array = _array(env, num_disks, math.inf)
     if sizes is None:
         sizes = np.array([72 * MB, 144 * MB, 72 * MB])
     if mapping is None:
@@ -196,7 +203,7 @@ class TestWrites:
 
     def test_new_file_prefers_spinning_disk(self):
         env = Environment()
-        array = DiskArray(env, ST3500630AS, 2, idleness_threshold=5.0)
+        array = _array(env, 2, 5.0)
         sizes = np.array([100 * MB, 100 * MB])
         mapping = np.array([0, -1])
         disp = Dispatcher(env, array, mapping, sizes)
@@ -220,7 +227,7 @@ class TestWrites:
     def test_write_capacity_error(self, env):
         sizes = np.array([400 * GB, 200 * GB])
         mapping = np.array([0, -1])
-        array = DiskArray(env, ST3500630AS, 1, idleness_threshold=math.inf)
+        array = _array(env, 1, math.inf)
         disp = Dispatcher(
             env, array, mapping, sizes, usable_capacity=500 * GB
         )
@@ -249,7 +256,7 @@ class TestWrites:
         # Whole pool asleep: the fallback wakes the disk with the *most*
         # free space, so one spin-up absorbs the most future writes.
         env = Environment()
-        array = DiskArray(env, ST3500630AS, 3, idleness_threshold=2.0)
+        array = _array(env, 3, 2.0)
         sizes = np.array([300 * GB, 100 * GB, 10 * GB])
         mapping = np.array([0, 1, -1])
         disp = Dispatcher(env, array, mapping, sizes)

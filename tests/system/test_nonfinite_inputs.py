@@ -18,7 +18,7 @@ from repro.control import DPMPolicy
 from repro.control.controller import ThresholdController
 from repro.control.policies import DPM_POLICIES
 from repro.disk.dpm import DpmLadder, make_dpm_ladder
-from repro.disk.fleet import Fleet, FleetDisk
+from repro.disk.fleet import Fleet, FleetDisk, ResolvedFleet
 from repro.disk.specs import ST3500630AS as SPEC
 from repro.errors import ConfigError, SimulationError
 from repro.sim.fastkernel import simulate_fast, simulate_fast_chunked
@@ -29,6 +29,7 @@ from repro.workload.catalog import FileCatalog
 ENGINES = ("event", "fast")
 SIZES = np.full(8, 50e6)
 MAPPING = np.arange(8, dtype=np.int64) % 2
+POOL = Fleet.uniform(SPEC, threshold=5.0).resolve(2)
 
 
 def _system(engine, **over):
@@ -50,10 +51,10 @@ def test_run_refuses_non_positive_or_non_finite_duration(engine, duration):
 def test_fast_kernel_refuses_bad_duration(duration):
     _, stream = _system("fast")
     with pytest.raises(ConfigError, match="positive and finite"):
-        simulate_fast(SIZES, MAPPING, SPEC, 2, 5.0, stream, duration)
+        simulate_fast(SIZES, MAPPING, POOL, stream, duration)
     with pytest.raises(ConfigError, match="positive and finite"):
         simulate_fast_chunked(
-            SIZES, MAPPING, SPEC, 2, 5.0, stream.chunks(16), duration
+            SIZES, MAPPING, POOL, stream.chunks(16), duration
         )
 
 
@@ -111,7 +112,11 @@ def test_nan_ladder_threshold_is_a_config_error():
             lad.scaled_entries(math.nan)
     _, stream = _system("fast")
     with pytest.raises(ConfigError, match="threshold must be >= 0"):
-        simulate_fast(SIZES, MAPPING, SPEC, 2, math.nan, stream, 2_000.0)
+        simulate_fast(
+            SIZES, MAPPING, ResolvedFleet((SPEC,) * 2, (None,) * 2,
+                                          (math.nan,) * 2),
+            stream, 2_000.0,
+        )
 
 
 @contextmanager
@@ -146,6 +151,4 @@ def test_fast_kernel_refuses_subnormal_control_interval():
     _, stream = _system("fast")
     dpm = ThresholdController("adaptive_timeout", 1e-310, 2, 5.0, SPEC)
     with _deadline(2.0), pytest.raises(ConfigError, match="control_interval"):
-        simulate_fast(
-            SIZES, MAPPING, SPEC, 2, 5.0, stream, 2_000.0, dpm=dpm
-        )
+        simulate_fast(SIZES, MAPPING, POOL, stream, 2_000.0, dpm=dpm)

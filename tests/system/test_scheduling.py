@@ -147,7 +147,7 @@ def test_build_setup_uniform_and_fleet():
     sizes = np.array([10.0, 20.0])
     mapping = np.array([0, 1], dtype=np.int64)
     cfg = StorageConfig(num_disks=2, idleness_threshold=7.0)
-    s = build_scheduling_setup(cfg, sizes, mapping, 2)
+    s = build_scheduling_setup(cfg, cfg.resolved_fleet(), sizes, mapping)
     assert s.num_disks == 2
     assert np.all(s.threshold == 7.0)
     assert np.all(s.transfer_rate == float(cfg.spec.transfer_rate))
@@ -155,8 +155,8 @@ def test_build_setup_uniform_and_fleet():
     s.mapping[0] = 99
     assert mapping[0] == 0
     cfg_f = StorageConfig(num_disks=2, fleet="mixed_generation")
-    sf = build_scheduling_setup(cfg_f, sizes, mapping, 2)
     fleet = cfg_f.resolved_fleet(2)
+    sf = build_scheduling_setup(cfg_f, fleet, sizes, mapping)
     assert np.array_equal(sf.transfer_rate, fleet.transfer_rates)
     assert np.array_equal(sf.spinup_time, fleet.spinup_times)
 

@@ -112,3 +112,38 @@ class TestRun:
         system = StorageSystem(catalog, mapping, StorageConfig(num_disks=5))
         result = system.run(stream, label="mylabel")
         assert result.algorithm == "mylabel"
+
+
+class TestOnePoolDescription:
+    """A run resolves its pool once and hands that one
+    :class:`~repro.disk.fleet.ResolvedFleet` to every layer."""
+
+    CONFIGS = [
+        dict(),
+        dict(dpm_ladder="drpm4", dpm_policy="adaptive_timeout",
+             control_interval=100.0),
+        dict(fleet="mixed_generation", scheduler="slack_defer",
+             slo_target=60.0, cache_policy="lru", cache_capacity=GiB),
+    ]
+
+    @pytest.mark.parametrize("engine", ["event", "fast"])
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    def test_resolved_once_per_run(
+        self, monkeypatch, catalog, stream, engine, overrides
+    ):
+        calls = []
+        original = StorageConfig.resolved_fleet
+
+        def counted(config, num_disks=None):
+            calls.append(num_disks)
+            return original(config, num_disks)
+
+        monkeypatch.setattr(StorageConfig, "resolved_fleet", counted)
+        cfg = StorageConfig(num_disks=5, engine=engine, **overrides)
+        system = StorageSystem(catalog, np.arange(20) % 5, cfg)
+        assert calls == []  # building a system resolves nothing
+        system.run(stream)
+        assert calls == [5]
+        if engine == "event":
+            assert system.array.fleet is system.fleet
+
