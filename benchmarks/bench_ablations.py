@@ -1,4 +1,5 @@
-"""Bench: the remaining design-choice ablations DESIGN.md calls out.
+"""Bench: the remaining design-choice ablations of
+:mod:`repro.experiments.ablations`.
 
 * size/popularity correlation (the paper's synthetic assumption vs the
   real-log finding),

@@ -97,7 +97,7 @@ def _experiment_registry() -> Dict[str, Callable]:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     registry = _experiment_registry()
-    print("Available experiments (see DESIGN.md for the paper mapping):")
+    print("Available experiments (see the repro.experiments docstrings):")
     for name in registry:
         print(f"  {name}")
     print("\nRun one with: python -m repro run <name> [--scale S] [--seed N]")
@@ -114,8 +114,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(
         "\nCore: Pack_Disks O(n log n) 2DVPP file allocation with the "
         "C*/(1-rho)+1 bound.\nSubstrates: DES kernel, Table-2 disk power "
-        "model, Zipf/NERSC workloads, caches.\nDocs: README.md, DESIGN.md, "
-        "EXPERIMENTS.md."
+        "model, Zipf/NERSC workloads, caches.\nDocs: README.md."
     )
     return 0
 

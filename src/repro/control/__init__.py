@@ -29,13 +29,19 @@ from repro.control.policies import (
     make_dpm_policy,
     register_dpm_policy,
 )
-from repro.control.telemetry import IntervalRecord, IntervalTelemetry, P2Quantile
+from repro.control.telemetry import (
+    IdleGaps,
+    IntervalRecord,
+    IntervalTelemetry,
+    P2Quantile,
+)
 
 __all__ = [
     "DEFAULT_DPM_POLICY",
     "DPM_POLICIES",
     "DPMPolicy",
     "EventControlLoop",
+    "IdleGaps",
     "IntervalRecord",
     "IntervalTelemetry",
     "P2Quantile",

@@ -15,8 +15,9 @@ the single source of threshold decisions for a run:
   (:mod:`repro.sim.fastkernel`), with byte-identical telemetry.
 
 Because both engines feed the controller the same observations in the
-same order, the per-interval threshold vectors — and hence the simulated
-trajectories — agree to the kernels' ~1 ulp float drift; the grid in
+same order (each disk's idle gaps in its close order), the per-interval
+threshold vectors — and hence the simulated trajectories — agree to the
+kernels' ~1 ulp float drift; the grid in
 ``tests/control/test_dpm_equivalence.py`` enforces ~1e-9 agreement for
 every registered policy.
 
@@ -33,12 +34,13 @@ ladder x policy product).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.control.policies import DPMPolicy, make_dpm_policy
 from repro.control.telemetry import (
+    IdleGaps,
     IntervalRecord,
     IntervalTelemetry,
     P2Quantile,
@@ -150,7 +152,7 @@ class ThresholdController:
         t_start: float,
         t_end: float,
         responses: np.ndarray,
-        gaps: Sequence[Sequence],
+        gaps: IdleGaps,
         queue_depth: np.ndarray,
         power: Optional[np.ndarray],
     ) -> IntervalTelemetry:
@@ -192,7 +194,7 @@ class ThresholdController:
                     float(queue_depth.mean()) if queue_depth.size else 0.0
                 ),
                 power=None if power is None else np.asarray(power, float),
-                gap_count=int(sum(len(g) for g in gaps)),
+                gap_count=len(gaps.disks),
             )
         )
         return telemetry
@@ -202,7 +204,7 @@ class ThresholdController:
         t_start: float,
         t_end: float,
         responses: np.ndarray,
-        gaps: Sequence[Sequence],
+        gaps: IdleGaps,
         queue_depth: np.ndarray,
         power: Optional[np.ndarray] = None,
     ) -> np.ndarray:
@@ -228,7 +230,7 @@ class ThresholdController:
         t_start: float,
         t_end: float,
         responses: np.ndarray,
-        gaps: Sequence[Sequence],
+        gaps: IdleGaps,
         queue_depth: np.ndarray,
         power: Optional[np.ndarray] = None,
     ) -> None:
@@ -338,14 +340,15 @@ class EventControlLoop:
         # fast kernel's controlled driver).
         self.observer = observer
         self._consumed_responses = 0
-        self._consumed_gaps = [0] * len(self.drives)
+        #: Every drive's closed gaps, emptied at each boundary.
+        self._gaps: List[Tuple[int, float, float]] = []
         self._last_energy = np.array(
             [d.energy() for d in self.drives], dtype=float
         )
         self._t_start = float(env.now)
         for drive, th in zip(self.drives, controller.thresholds):
             drive.threshold = float(th)
-            drive.log_gaps = True  # gap telemetry is consumed per interval
+            drive.gap_log = self._gaps
 
     def _collect(self, t_end: float):
         responses = np.asarray(
@@ -353,11 +356,8 @@ class EventControlLoop:
             dtype=float,
         )
         self._consumed_responses += int(responses.size)
-        gaps = []
-        for i, drive in enumerate(self.drives):
-            log = drive.gap_log
-            gaps.append(log[self._consumed_gaps[i]:])
-            self._consumed_gaps[i] = len(log)
+        gaps = IdleGaps.from_rows(self._gaps)
+        self._gaps.clear()
         queue_depth = np.array(
             [d.queue_depth for d in self.drives], dtype=float
         )

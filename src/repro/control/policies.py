@@ -258,20 +258,21 @@ class AdaptiveTimeout(DPMPolicy):
         return self._th.copy()
 
     def update(self, telemetry: IntervalTelemetry) -> np.ndarray:
-        for d, gaps in enumerate(telemetry.gaps):
-            be = self.breakevens[d]
-            regrets = 0
-            wastes = 0
-            for gap, th in gaps:
-                if gap > th:
-                    if gap - th < be:
-                        regrets += 1
-                elif gap > be:
-                    wastes += 1
-            if regrets > wastes:
-                self._th[d] = min(self._th[d] * self.factor, self._hi[d])
-            elif wastes > regrets:
-                self._th[d] = max(self._th[d] / self.factor, self._lo[d])
+        d, gap, th = telemetry.gaps
+        be = self.breakevens[d]
+        down = gap > th
+        n = self.num_disks
+        regrets = np.bincount(d[down & (gap - th < be)], minlength=n)
+        wastes = np.bincount(d[~down & (gap > be)], minlength=n)
+        self._th = np.where(
+            regrets > wastes,
+            np.minimum(self._th * self.factor, self._hi),
+            np.where(
+                wastes > regrets,
+                np.maximum(self._th / self.factor, self._lo),
+                self._th,
+            ),
+        )
         return self._th.copy()
 
 
@@ -296,11 +297,11 @@ class ExponentialPredictive(DPMPolicy):
 
     def update(self, telemetry: IntervalTelemetry) -> np.ndarray:
         alpha = self.alpha
-        for d, gaps in enumerate(telemetry.gaps):
-            pred = self._pred[d]
-            for gap, _th in gaps:
-                pred = alpha * gap + (1.0 - alpha) * pred
-            self._pred[d] = pred
+        gaps = telemetry.gaps
+        pred = self._pred.tolist()
+        for d, gap in zip(gaps.disks.tolist(), gaps.gaps.tolist()):
+            pred[d] = alpha * gap + (1.0 - alpha) * pred[d]
+        self._pred = np.array(pred)
         return np.where(
             self._pred > self.breakevens, 0.0, self.base_thresholds
         )

@@ -10,8 +10,9 @@ engines:
   response-time estimates the ``slo_feedback`` controller steers by;
 * :class:`IntervalTelemetry` — everything a policy may consult at one
   control boundary: the interval's completed response times (completion
-  order), the per-disk idle gaps closed during the interval, per-disk
-  queue depth at the boundary, and the running percentile estimates;
+  order), the idle gaps closed during the interval (:class:`IdleGaps`
+  columns), per-disk queue depth at the boundary, and the running
+  percentile estimates;
 * :class:`IntervalRecord` — the per-interval trace row (thresholds in
   effect, percentile estimates, per-disk mean power when available)
   surfaced through ``SimulationResult.extra["dpm"]``.  Its per-disk
@@ -20,9 +21,9 @@ engines:
   the compiled core instead (:func:`repro.native.bin_spans`).
 
 Both engines feed these objects the **same observations in the same
-order** (responses in completion order, gaps in per-disk close order), so
-a policy's threshold decisions — and hence the simulated trajectories —
-agree across engines to the kernels' ~1 ulp float drift.
+order** (responses in completion order, each disk's gaps in its close
+order), so a policy's threshold decisions — and hence the simulated
+trajectories — agree across engines to the kernels' ~1 ulp float drift.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -38,7 +39,7 @@ import numpy.typing as npt
 from repro import native
 from repro.errors import ConfigError, SimulationError
 
-__all__ = ["IntervalRecord", "IntervalTelemetry", "P2Quantile"]
+__all__ = ["IdleGaps", "IntervalRecord", "IntervalTelemetry", "P2Quantile"]
 
 #: Dense float vector (the dtype every telemetry array is coerced to).
 FloatArray = npt.NDArray[np.float64]
@@ -147,10 +148,27 @@ class P2Quantile:
         )
 
 
-#: One closed idle gap: ``(gap_seconds, threshold_at_drain)``.  Whether the
-#: disk spun down during the gap is derivable (``gap > threshold``, the
-#: strict comparison both engines use), so it is not stored separately.
-GapObservation = Tuple[float, float]
+class IdleGaps(NamedTuple):
+    """The idle gaps closed during one control interval, as columns: gap
+    ``j`` ended on disk ``disks[j]`` after ``gaps[j]`` idle seconds, under
+    the threshold ``thresholds[j]`` in effect when it began.  Whether the
+    disk spun down is derivable (``gap > threshold``, the strict
+    comparison both engines use), so it is not stored separately.
+
+    Each disk's gaps appear in its close order; how the disks interleave
+    is the engine's own (arrival order on the fast kernel, event order on
+    the event engine), so a policy may rely on per-disk order only.
+    """
+
+    disks: npt.NDArray[np.int64]
+    gaps: FloatArray
+    thresholds: FloatArray
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Tuple[int, float, float]]) -> IdleGaps:
+        """Columns from ``(disk, gap, threshold)`` rows in close order."""
+        cols: FloatArray = np.array(rows, dtype=float).reshape(-1, 3)
+        return cls(cols[:, 0].astype(np.int64), cols[:, 1], cols[:, 2])
 
 
 @dataclass
@@ -169,9 +187,8 @@ class IntervalTelemetry:
         completion order (cache hits included, horizon-censored requests
         excluded) — identical across engines.
     gaps:
-        Per-disk idle gaps *closed* during the interval (the arrival that
-        ended the gap fell inside it), each a
-        ``(gap_seconds, threshold_at_drain)`` pair in close order.
+        The idle gaps *closed* during the interval (the arrival that ended
+        the gap fell inside it), as :class:`IdleGaps` columns.
     queue_depth:
         Per-disk requests dispatched but not yet in service at ``t_end``.
     thresholds:
@@ -188,7 +205,7 @@ class IntervalTelemetry:
     t_start: float
     t_end: float
     responses: FloatArray
-    gaps: Sequence[Sequence[GapObservation]]
+    gaps: IdleGaps
     queue_depth: FloatArray
     thresholds: FloatArray
     p95_running: float

@@ -204,16 +204,12 @@ class DiskDrive:
         self.stats = DriveStats()
         self._pending: Deque[DiskRequest] = deque()
         self._wake: Optional[Event] = None
-        #: Closed idle gaps in close order: ``(gap_seconds,
-        #: threshold_at_drain)`` appended at the arrival that ends the gap.
-        #: The control loop (:mod:`repro.control`) consumes this per
-        #: interval; whether the gap descended is derivable
-        #: (``gap > threshold``).  The fast kernel logs identical entries.
-        #: Populated only while :attr:`log_gaps` is set — uncontrolled
-        #: runs must not accumulate telemetry nothing reads.
-        self.gap_log: List[Tuple[float, float]] = []
-        #: Enable gap telemetry (set by the control loop at attach time).
-        self.log_gaps: bool = False
+        #: The run-wide gap log of the control loop
+        #: (:mod:`repro.control`), shared by every drive: the arrival that
+        #: ends an idle gap appends ``(disk_id, gap_seconds,
+        #: threshold_at_drain)``.  ``None`` (uncontrolled runs) logs
+        #: nothing.  The fast kernel logs identical entries.
+        self.gap_log: Optional[List[Tuple[int, float, float]]] = None
         # The drive counts as drained from construction: its idleness
         # timer is armed at t=0, so the first arrival closes a gap that
         # began at creation time — like the fast kernel's avail=0 start.
@@ -251,10 +247,11 @@ class DiskDrive:
         env = self.env
         if self._drain_time is not None:
             # First arrival since the queue drained: close the idle gap.
-            if self.log_gaps:
-                self.gap_log.append(
-                    (env.now - self._drain_time, self._drain_threshold)
-                )
+            if self.gap_log is not None:
+                self.gap_log.append((
+                    self.disk_id, env.now - self._drain_time,
+                    self._drain_threshold,
+                ))
             self._drain_time = None
         request = DiskRequest(env, file_id, size, kind)
         pending = self._pending

@@ -1,10 +1,11 @@
 """Experiment harnesses — one module per table/figure of the paper.
 
-Every module exposes ``run(scale=..., seed=...) -> ExperimentResult`` and a
-``main()`` CLI.  ``scale`` shrinks simulated time (synthetic workloads) or
-trace length (NERSC workload) while preserving rates and distributional
-shapes; ``scale=1.0`` is the paper's full configuration.  See DESIGN.md's
-per-experiment index for the mapping to the paper.
+Every module exposes ``run(scale=..., seed=...) -> ExperimentResult``, run
+from the command line as ``python -m repro run <name>`` (``python -m repro
+list`` names them).  ``scale`` shrinks simulated time (synthetic workloads)
+or trace length (NERSC workload) while preserving rates and distributional
+shapes; ``scale=1.0`` is the paper's full configuration.  Each module's
+docstring says which table, figure or extension of the paper it covers.
 
 Grid-shaped experiments route their simulations through
 :mod:`repro.experiments.orchestrator` (``SweepRunner``): per-point result

@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the design choices the paper fixes or leaves open.
 
 * **packing complexity** — the paper's §3 claim: the heap + two-stack data
   structure turns the O(n^2) algorithm of [3] into O(n log n) *without
@@ -383,24 +383,3 @@ def run_segregation(
         "queueing delay at some power cost"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=0.25)
-    args = parser.parse_args()
-    for fn in (
-        run_complexity,
-        run_quality,
-        run_correlation,
-        run_cache_policies,
-        run_segregation,
-    ):
-        print(fn(scale=args.scale).to_text())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -61,17 +61,3 @@ def run(
         f"measured: ratio range {min(ys):.2f} .. {max(ys):.2f}"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=0.25)
-    parser.add_argument("--seed", type=int, default=20090525)
-    args = parser.parse_args()
-    print(run(scale=args.scale, seed=args.seed).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -86,17 +86,3 @@ def run(
     result.bundles["sweep"] = bundle
     result.notes.append(PAPER_NOTE)
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=0.25)
-    parser.add_argument("--seed", type=int, default=20080531)
-    args = parser.parse_args()
-    print(run(scale=args.scale, seed=args.seed).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -232,17 +232,3 @@ def run(
         )
     result.wall_seconds = timer.elapsed
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=0.25)
-    parser.add_argument("--write-policy", type=str, default=None)
-    args = parser.parse_args()
-    print(run(scale=args.scale, write_policy=args.write_policy).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -159,18 +159,3 @@ def run_service_mode(
         "and curves must be nearly identical"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=0.25)
-    args = parser.parse_args()
-    print(run_threshold(scale=args.scale).to_text())
-    print()
-    print(run_service_mode(scale=args.scale).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

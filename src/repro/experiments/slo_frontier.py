@@ -594,28 +594,3 @@ def run(
         )
     result.wall_seconds = timer.elapsed
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=0.25)
-    parser.add_argument("--dpm-policy", type=str, default=None)
-    parser.add_argument("--slo-target", type=float, default=None)
-    parser.add_argument("--dpm-ladder", type=str, default=None)
-    parser.add_argument("--scheduler", type=str, default=None)
-    args = parser.parse_args()
-    print(
-        run(
-            scale=args.scale,
-            dpm_policy=args.dpm_policy,
-            slo_target=args.slo_target,
-            dpm_ladder=args.dpm_ladder,
-            scheduler=args.scheduler,
-        ).to_text()
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

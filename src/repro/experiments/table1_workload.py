@@ -46,11 +46,3 @@ def run(scale: float = 1.0, seed: int = 20090525, rate: float = 6.0) -> Experime
             "(paper 12.86 TB; the ~2% gap is unit rounding)"
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

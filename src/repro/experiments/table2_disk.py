@@ -46,11 +46,3 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         f"derived idleness threshold {threshold:.1f} s (paper: 53.3 s)"
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -104,10 +104,9 @@ class ServeArgs(ctypes.Structure):
         ("n_up", _p), ("n_down", _p),
         ("park", _p), ("down", _p), ("wake", _p),
         ("seek_t", _p), ("active_t", _p), ("n_req", _p),
-        ("ent", _p), ("th", _p), ("k", _i), ("first", _p),
+        ("ent", _p), ("th", _p), ("k", _i),
         ("gap_cap", _i), ("n_gap", _i),
-        ("gap_g", _p), ("gap_th", _p), ("gap_d", _p), ("gap_tmp", _p),
-        ("gap_n", _p),
+        ("gap_g", _p), ("gap_th", _p), ("gap_d", _p),
         ("span_cap", _i), ("n_span", _i),
         ("span_key", _p), ("span_d", _p), ("span_s", _p), ("span_e", _p),
         ("out_d", _p), ("out_s", _p), ("out_e", _p), ("key_n", _p),

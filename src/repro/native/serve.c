@@ -39,12 +39,12 @@
  * control-interval windows (a controlled run's per-interval power trace),
  * pass for pass the NumPy scatter-adds it replaced.
  *
- * Gap-log records are sorted by disk (arrival order inside each disk) and
- * span records by (kind, rung) (arrival order inside each key) before they
- * are handed back.  A call stops early when a record buffer could overflow,
- * at a write no disk has room for and at a read of an unmapped file, and
- * returns the position reached; the caller drains the records, acts, and
- * calls again with that position to resume the walk.
+ * Gap-log records are handed back in arrival order, and span records
+ * sorted by (kind, rung) (arrival order inside each key).  A call stops
+ * early when a record buffer could overflow, at a write no disk has room
+ * for and at a read of an unmapped file, and returns the position reached;
+ * the caller drains the records, acts, and calls again with that position
+ * to resume the walk.
  */
 
 #include <math.h>
@@ -75,14 +75,10 @@ typedef struct {
     const double *ent;
     const double *th;     /* NULL for fixed thresholds */
     int64_t k;            /* current interval row */
-    int64_t *first;       /* [D+1] (work space) */
-    /* gap log (controlled): records of this call, sorted by disk, with
-     * per-disk counts (gap_d and gap_tmp are work space) */
+    /* gap log (controlled): records of this call in arrival order */
     int64_t gap_cap, n_gap;
     double *gap_g, *gap_th;
     int64_t *gap_d;
-    double *gap_tmp;      /* [2*gap_cap] */
-    int64_t *gap_n;       /* [D] */
     /* spans: raw records of this call, then sorted by key */
     int64_t span_cap, n_span;
     int64_t *span_key, *span_d;
@@ -205,7 +201,6 @@ static inline void put_gap(serve_args *a, int64_t d, double g, double th)
     a->gap_g[m] = g;
     a->gap_th[m] = th;
     a->gap_d[m] = d;
-    a->gap_n[d]++;
 }
 
 /* Whether one more request could overflow a record buffer. */
@@ -657,25 +652,6 @@ static int64_t place(coupled_args *c, double size, double t)
     return d;
 }
 
-/* Stable counting sort of this call's arrival-order gap records by
- * disk. */
-static void sort_gaps(serve_args *a)
-{
-    const int64_t m = a->n_gap;
-    int64_t *first = a->first;
-    double *tg = a->gap_tmp, *tth = a->gap_tmp + a->gap_cap;
-    first[0] = 0;
-    for (int64_t d = 0; d < a->D; d++)
-        first[d + 1] = first[d] + a->gap_n[d];
-    for (int64_t r = 0; r < m; r++) {
-        int64_t q = first[a->gap_d[r]]++;
-        tg[q] = a->gap_g[r];
-        tth[q] = a->gap_th[r];
-    }
-    memcpy(a->gap_g, tg, (size_t)m * sizeof *tg);
-    memcpy(a->gap_th, tth, (size_t)m * sizeof *tth);
-}
-
 /* NumPy's clip(x, 0, hi): NaN passes through. */
 static inline double clip0(double x, double hi)
 {
@@ -712,7 +688,7 @@ static inline void complete(coupled_args *c, int64_t i, double t,
 /* Walk the batch in arrival order from position pos; returns the position
  * reached, with the reason in c->stop.  The caller takes the records,
  * placements and cache events at every stop and zeroes their counts; the
- * records are sorted at every stop. */
+ * span records are sorted at every stop. */
 int64_t repro_serve_coupled(coupled_args *c, int64_t pos)
 {
     serve_args *a = c->s;
@@ -801,8 +777,6 @@ int64_t repro_serve_coupled(coupled_args *c, int64_t pos)
         if (!write && cached && done < a->T)
             ad_push(c, done, c->base + i, f, size);
     }
-    if (a->th != NULL && a->n_gap)
-        sort_gaps(a);
     if (spans)
         sort_spans(a);
     return i;

@@ -136,7 +136,7 @@ slice of one inside a control interval, or a block of scheduled releases:
   at the disk's drain instant (the event drive's already-armed timer), so
   the per-gap threshold is looked up from the drain time's interval.  At
   each boundary the interval's telemetry — responses in completion
-  order, closed idle gaps per disk, queue depths — is handed to the
+  order, closed idle gaps as columns, queue depths — is handed to the
   shared :class:`~repro.control.controller.ThresholdController`, which
   returns the next threshold vector; the event engine's control process
   consumes identical telemetry, so every registered DPM policy
@@ -173,6 +173,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cache import ClockCache, FIFOCache, LFUCache, LRUCache
+from repro.control.telemetry import IdleGaps
 from repro.disk.dpm import CLASSIC_STATES, make_dpm_ladder
 from repro.disk.drive import WRITE
 from repro.disk.fleet import ResolvedFleet
@@ -198,7 +199,7 @@ __all__ = [
 ]
 
 
-def fast_unsupported_reason(config, stream) -> Optional[str]:
+def fast_unsupported_reason(stream) -> Optional[str]:
     """Why ``engine="fast"`` cannot run this scenario (``None`` if it can).
 
     Write streams, shared caches, control and scheduling all run on the
@@ -255,7 +256,8 @@ class _DiskBank:
     (the event drive's already-armed timer).  By the time a gap's closing
     arrival is processed its drain interval has been reached, so the
     lookup always resolves.  A controlled bank also logs closed idle gaps
-    ``(gap, threshold_at_drain)`` for the control telemetry.  With
+    as ``(disks, gaps, thresholds_at_drain)`` column blocks in arrival
+    order (``gap_log``) for the control telemetry.  With
     ``log_spans`` (implied by ``interval``) every descent/park/wake
     episode is logged as a ``(disk, start, end)`` span per rung, for the
     per-interval power trace and for observers; logging never changes the
@@ -334,11 +336,11 @@ class _DiskBank:
         self._ent = np.full((rows, num_disks, width), inf)
         if interval is None:
             self.ci = 0.0
-            self.gap_log: Optional[List[list]] = None
+            self.gap_log: Optional[List[tuple]] = None
             self._th: Optional[np.ndarray] = None
         else:
             self.ci = float(interval)
-            self.gap_log = [[] for _ in range(num_disks)]
+            self.gap_log = []
             log_spans = True
             self._th = np.empty((rows, num_disks))
         self.k = 0
@@ -363,8 +365,6 @@ class _DiskBank:
         for d in range(num_disks):
             self._dn_a[d, : self.R[d]] = self.dn[d]
             self._wk_a[d, : self.R[d]] = self.wk[d]
-        self._gap_n = np.zeros(num_disks, dtype=np.int64)
-        self._first = np.zeros(num_disks + 1, dtype=np.int64)
         self._key_n = np.zeros(3 * maxR, dtype=np.int64)
 
         def ptrs(rows):
@@ -381,15 +381,14 @@ class _DiskBank:
             avail=avail, load=load, pt=pt, pv=pv, n_up=n_up, n_down=n_down,
             park=park, down=down, wake=wake, seek_t=seek_t,
             active_t=active_t, n_req=self.n_req.ctypes.data,
-            gap_n=self._gap_n.ctypes.data, first=self._first.ctypes.data,
             key_n=self._key_n.ctypes.data,
         )
         if self.gap_log is not None:
-            # gap, threshold, then sort space for arrival-order records.
-            self._gaps = np.empty((4, _LOG_CHUNK))
+            # Arrival-order records: gap, threshold; disk.
+            self._gaps = np.empty((2, _LOG_CHUNK))
             self._gap_d = np.empty(_LOG_CHUNK, dtype=np.int64)
             args.gap_cap = _LOG_CHUNK
-            args.gap_g, args.gap_th, args.gap_tmp = ptrs(self._gaps[:3])
+            args.gap_g, args.gap_th = ptrs(self._gaps)
             args.gap_d = self._gap_d.ctypes.data
         if self.park_spans is not None:
             # Raw records (key, disk, start, end), then sorted by key; room
@@ -492,24 +491,19 @@ class _DiskBank:
 
 def _take_records(bank: _DiskBank) -> None:
     """Append the gap-log and span records the walk holds to the bank's
-    logs, and empty its buffers.  Gaps come back sorted by disk and spans
-    by (kind, rung), each in arrival order inside its disk or key: every
-    log ends up in the order per-request serving appends to it, and
+    logs, and empty its buffers.  The gap log gains one column block of
+    this take's gaps in arrival order.  Spans come back sorted by (kind,
+    rung), in arrival order inside each key: every span log ends up in
+    the order per-request serving appends to it, and
     :func:`_flush_bank_spans` hands an observer each in turn (see
     :mod:`repro.obs.hooks`).  A span log gains one column block per key:
     views into one copy of the walk's sorted buffers."""
     args = bank._args
     if args.n_gap:
         m = args.n_gap
-        pairs = list(zip(*bank._gaps[:2, :m].tolist()))
-        gap_log = bank.gap_log
-        lo = 0
-        for d, c in enumerate(bank._gap_n.tolist()):
-            if c:
-                gap_log[d] += pairs[lo : lo + c]
-                lo += c
+        g, th = bank._gaps[:, :m].copy()
+        bank.gap_log.append((bank._gap_d[:m].copy(), g, th))
         args.n_gap = 0
-        bank._gap_n[:] = 0
     if args.n_span:
         m = args.n_span
         logs = (bank.park_spans, bank.down_spans, bank.wake_spans)
@@ -1609,7 +1603,7 @@ class _Run:
         """Close the open control interval with the telemetry the event
         engine's control process collects: responses completed strictly
         before its edge in completion order (sequence-stable at ties via
-        the global arrival index), per-disk idle gaps closed during it,
+        the global arrival index), the idle gaps closed during it,
         and per-disk depths of dispatched requests not yet in service.
         The controller's new thresholds take effect in the bank from the
         next interval on; the last interval is only recorded."""
@@ -1626,7 +1620,8 @@ class _Run:
         done = c < t_end
         responses = r[done][stable_order(c[done])]
         self.backlog = [(c[~done], r[~done])]
-        gaps, bank.gap_log = bank.gap_log, [[] for _ in bank.gap_log]
+        log, bank.gap_log = bank.gap_log, []
+        gaps = IdleGaps(*_columns(log)) if log else IdleGaps.from_rows(())
         keep = self.wait_s > t_end
         self.wait_s = self.wait_s[keep]
         self.wait_d = self.wait_d[keep]

@@ -232,8 +232,15 @@ class StorageSystem:
         controller = self.config.dpm_controller(fleet)
         if controller is not None:
             controller.check_horizon(duration)
+        scheduler = self.config.request_scheduler()
+        if scheduler is not None:
+            scheduler.reset(
+                build_scheduling_setup(
+                    self.config, fleet, self.catalog.sizes, self._mapping
+                )
+            )
         if self.config.engine == "fast":
-            reason = fast_unsupported_reason(self.config, stream)
+            reason = fast_unsupported_reason(stream)
             if reason is not None:
                 raise ConfigError(
                     f"engine='fast' cannot simulate this scenario ({reason});"
@@ -258,13 +265,6 @@ class StorageSystem:
                 # concern (the stream already yields chunks).
                 kernel = simulate_fast_chunked
                 run_stream = stream
-            scheduler = self.config.request_scheduler()
-            if scheduler is not None:
-                scheduler.reset(
-                    build_scheduling_setup(
-                        self.config, fleet, self.catalog.sizes, self._mapping
-                    )
-                )
             result = kernel(
                 sizes=self.catalog.sizes,
                 mapping=self._mapping,
@@ -306,13 +306,7 @@ class StorageSystem:
                 horizon=duration, observer=obs,
             )
             self.env.process(loop.run())
-        scheduler = self.config.request_scheduler()
         if scheduler is not None:
-            scheduler.reset(
-                build_scheduling_setup(
-                    self.config, fleet, self.catalog.sizes, self._mapping
-                )
-            )
             self.env.process(
                 drive_scheduled_stream(
                     self.env, self.dispatcher, stream, scheduler,

@@ -1,14 +1,17 @@
 """Unit tests for the DPM policy registry and each policy's control law."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.control import (
     DEFAULT_DPM_POLICY,
     DPM_POLICIES,
     DPMPolicy,
+    IdleGaps,
     IntervalTelemetry,
     ThresholdController,
     controller_from,
@@ -24,6 +27,14 @@ SPEC = ST3500630AS
 BE = SPEC.breakeven_threshold()  # ~53.3 s
 
 
+def idle_gaps(per_disk):
+    """Per-disk lists of ``(gap, threshold)`` pairs as :class:`IdleGaps`
+    columns, disk by disk."""
+    return IdleGaps.from_rows(
+        [(d, g, th) for d, pairs in enumerate(per_disk) for g, th in pairs]
+    )
+
+
 def telemetry(policy_thresholds, gaps=None, responses=(), slo_estimate=None):
     n = len(policy_thresholds)
     responses = np.asarray(responses, dtype=float)
@@ -35,7 +46,7 @@ def telemetry(policy_thresholds, gaps=None, responses=(), slo_estimate=None):
         t_start=0.0,
         t_end=100.0,
         responses=responses,
-        gaps=gaps if gaps is not None else [[] for _ in range(n)],
+        gaps=idle_gaps(gaps or ()),
         queue_depth=np.zeros(n),
         thresholds=np.asarray(policy_thresholds, dtype=float),
         p95_running=est,
@@ -222,6 +233,103 @@ class TestExponentialPredictive:
         assert policy._pred[0] == pytest.approx(expected)
 
 
+# -- the array updates against the per-disk loops they replaced ---------------
+
+
+def adaptive_oracle(policy, per_disk):
+    """``AdaptiveTimeout.update`` as the per-disk loop over
+    ``(gap, threshold)`` pairs, on the policy's own state."""
+    for d, gaps in enumerate(per_disk):
+        be = policy.breakevens[d]
+        regrets = 0
+        wastes = 0
+        for gap, th in gaps:
+            if gap > th:
+                if gap - th < be:
+                    regrets += 1
+            elif gap > be:
+                wastes += 1
+        if regrets > wastes:
+            policy._th[d] = min(policy._th[d] * policy.factor, policy._hi[d])
+        elif wastes > regrets:
+            policy._th[d] = max(policy._th[d] / policy.factor, policy._lo[d])
+    return policy._th.copy()
+
+
+def predictive_oracle(policy, per_disk):
+    """``ExponentialPredictive.update`` as the per-disk EWMA loop."""
+    alpha = policy.alpha
+    for d, gaps in enumerate(per_disk):
+        pred = policy._pred[d]
+        for gap, _th in gaps:
+            pred = alpha * gap + (1.0 - alpha) * pred
+        policy._pred[d] = pred
+    return np.where(
+        policy._pred > policy.breakevens, 0.0, policy.base_thresholds
+    )
+
+
+#: Exactly representable values, so ``gap - th == breakeven`` ties occur.
+GRID = [0.0, 0.5, 2.0, 8.0, 10.0, 18.0, 64.0]
+
+
+@st.composite
+def gap_runs(draw):
+    """A pool (break-evens, base thresholds) and a few intervals of
+    interleaved gap rows: ties at the threshold and at threshold +
+    break-even, zero and infinite thresholds, empty intervals."""
+    n = draw(st.integers(1, 4))
+    bes = draw(st.lists(st.sampled_from([8.0, 10.0, BE]), min_size=n,
+                        max_size=n))
+    bases = draw(st.lists(st.sampled_from([0.0, 8.0, BE, math.inf]),
+                          min_size=n, max_size=n))
+    intervals = []
+    for _ in range(draw(st.integers(1, 5))):
+        rows = []
+        for _ in range(draw(st.integers(0, 12))):
+            d = draw(st.integers(0, n - 1))
+            th = draw(st.sampled_from(GRID + [BE, math.inf]))
+            gap = draw(st.one_of(
+                st.just(th if math.isfinite(th) else 0.0),
+                st.just(th + bes[d] if math.isfinite(th) else bes[d]),
+                st.just(bes[d]),
+                st.sampled_from(GRID),
+                st.floats(0.0, 1e4),
+            ))
+            rows.append((d, gap, th))
+        intervals.append(rows)
+    return bes, bases, intervals
+
+
+@pytest.mark.parametrize(
+    "name, oracle",
+    [("adaptive_timeout", adaptive_oracle),
+     ("exponential_predictive", predictive_oracle)],
+)
+@settings(max_examples=150, deadline=None)
+@given(run=gap_runs())
+def test_array_update_matches_per_disk_loops(name, oracle, run):
+    """The column updates equal the per-disk loops bit for bit, interval
+    after interval, whatever the disks' interleaving."""
+    bes, bases, intervals = run
+    policy = fresh(name, num_disks=len(bes), base=np.array(bases))
+    policy.breakevens = np.array(bes)
+    policy._post_reset()
+    for rows in intervals:
+        twin = copy.deepcopy(policy)
+        per_disk = [[(g, th) for d, g, th in rows if d == k]
+                    for k in range(len(bes))]
+        tele = telemetry(policy.initial_thresholds())
+        tele.gaps = IdleGaps.from_rows(rows)
+        out = policy.update(tele)
+        expected = oracle(twin, per_disk)
+        assert out.tobytes() == expected.tobytes()
+        assert policy.__dict__.keys() == twin.__dict__.keys()
+        for key, value in twin.__dict__.items():
+            if isinstance(value, np.ndarray):
+                assert getattr(policy, key).tobytes() == value.tobytes(), key
+
+
 class TestSloFeedback:
     def test_requires_target(self):
         with pytest.raises(ConfigError, match="slo_target"):
@@ -277,8 +385,12 @@ class TestThresholdController:
     def test_records_one_row_per_interval_and_traces(self):
         ctl = ThresholdController("adaptive_timeout", 100.0, 2, BE, SPEC)
         gaps = [[(BE + 1.0, BE)], []]
-        ctl.advance(0.0, 100.0, np.array([1.0, 2.0]), gaps, np.zeros(2))
-        ctl.finalize(100.0, 150.0, np.array([3.0]), [[], []], np.zeros(2))
+        ctl.advance(
+            0.0, 100.0, np.array([1.0, 2.0]), idle_gaps(gaps), np.zeros(2)
+        )
+        ctl.finalize(
+            100.0, 150.0, np.array([3.0]), idle_gaps([[], []]), np.zeros(2)
+        )
         assert len(ctl.records) == 2
         extra = ctl.extra()
         assert extra["policy"] == "adaptive_timeout"
@@ -290,7 +402,7 @@ class TestThresholdController:
 
     def test_attach_power_shape_checked(self):
         ctl = ThresholdController("adaptive_timeout", 100.0, 2, BE, SPEC)
-        ctl.finalize(0.0, 50.0, np.empty(0), [[], []], np.zeros(2))
+        ctl.finalize(0.0, 50.0, np.empty(0), idle_gaps([]), np.zeros(2))
         with pytest.raises(Exception):
             ctl.attach_power(np.zeros((3, 2)))
         ctl.attach_power(np.full((1, 2), 9.3))

@@ -356,9 +356,10 @@ class TestEnergyAccounting:
         drive = DiskDrive(
             env, SPEC, ladder=make_dpm_ladder("nap", SPEC)
         )
-        drive.log_gaps = True
+        drive.gap_log = []
         feed(env, drive, [40.0, 45.0, 300.0])
         env.run(until=400.0)
-        gaps = [g for g, _ in drive.gap_log]
+        gaps = [g for _, g, _ in drive.gap_log]
         assert gaps[0] == pytest.approx(40.0)
-        assert all(th == drive.threshold for _, th in drive.gap_log)
+        assert all(d == drive.disk_id for d, _, _ in drive.gap_log)
+        assert all(th == drive.threshold for _, _, th in drive.gap_log)

@@ -59,6 +59,25 @@ def log_span(log: list, d: int, s: float, e: float) -> None:
     log.append((np.array([d]), np.array([s]), np.array([e])))
 
 
+def log_gap(bank, d: int, g: float, th: float) -> None:
+    """Append one closed gap to a bank's gap log of ``(disks, gaps,
+    thresholds)`` column blocks, as a block of one."""
+    bank.gap_log.append((np.array([d]), np.array([g]), np.array([th])))
+
+
+def gap_logs(bank):
+    """The bank's gap log as per-disk lists of ``(gap, threshold)``
+    pairs in close order, for comparing twin banks (``None`` when the
+    bank logs no gaps)."""
+    if bank.gap_log is None:
+        return None
+    logs: List[list] = [[] for _ in bank.avail]
+    for block in bank.gap_log:
+        for d, g, th in zip(*(c.tolist() for c in block)):
+            logs[d].append((g, th))
+    return logs
+
+
 def span_logs(bank):
     """The bank's park, descent and wake logs as per-rung lists of
     ``(disk, start, end)`` tuples, for comparing twin banks (``None``
@@ -147,7 +166,7 @@ def serve(bank, d: int, t: float, tr: float) -> float:
     if t > a:
         if bank.gap_log is not None:
             th = threshold_at(bank, a, d)
-            bank.gap_log[d].append((t - a, th))
+            log_gap(bank, d, t - a, th)
             entries = entries_for(bank, d, th)
         else:
             entries = fixed_entries(bank, d)
@@ -179,7 +198,6 @@ def serve_batch(bank, d: int, ts: list, trs: list) -> List[float]:
         entries = fixed_entries(bank, d)
         e1 = entries[1]
     else:
-        log = bank.gap_log[d].append
         ci = bank.ci
         rows = bank._th[: bank.k + 1, d].tolist()
         k = bank.k
@@ -207,7 +225,7 @@ def serve_batch(bank, d: int, ts: list, trs: list) -> List[float]:
             if not fixed:
                 idx = int(a / ci)
                 th = rows[idx if idx <= k else k]
-                log((t - a, th))
+                log_gap(bank, d, t - a, th)
                 entries = schedules.get(th)
                 if entries is None:
                     entries = schedules[th] = entries_for(bank, d, th)

@@ -143,7 +143,7 @@ def _serve_oracle(bank, disks, sizes, times, starts, lo, hi):
 def _state(bank):
     return (
         bank.avail.tolist(), bank.load.tolist(), bank.pt.tolist(),
-        bank.pv.tolist(), bank.gap_log, oracle.span_logs(bank),
+        bank.pv.tolist(), oracle.gap_logs(bank), oracle.span_logs(bank),
         bank.park_t.tolist(), bank.down_t.tolist(), bank.wake_t.tolist(),
         bank.n_up.tolist(), bank.n_down.tolist(),
     )

@@ -78,7 +78,7 @@ def _bank_state(bank):
     return (
         bank._fst.tobytes(), bank._ust.tobytes(), bank._rst.tobytes(),
         bank._svc.tobytes(), bank.n_req.tobytes(),
-        bank.gap_log, oracle.span_logs(bank),
+        oracle.gap_logs(bank), oracle.span_logs(bank),
     )
 
 

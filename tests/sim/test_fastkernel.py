@@ -393,17 +393,15 @@ class TestUnsupportedScenarios:
                 write_fraction=0.0, arrival_rate=1.0, duration=100.0, seed=3
             ),
         )
-        assert fast_unsupported_reason(
-            StorageConfig(engine="fast"), stream
-        ) is None
+        assert fast_unsupported_reason(stream) is None
 
     def test_cache_configs_supported(self, small_catalog):
-        # The fast kernel runs shared caches: they never fall back.
+        # The fast kernel runs shared caches: they never fall back (the
+        # reason reads the stream alone).
         stream = RequestStream(
             times=np.array([1.0]), file_ids=np.array([0]), duration=10.0
         )
-        cfg = StorageConfig(engine="fast", cache_policy="lru")
-        assert fast_unsupported_reason(cfg, stream) is None
+        assert fast_unsupported_reason(stream) is None
 
     def test_write_streams_supported(self, small_catalog):
         extended, stream = generate_mixed_workload(
@@ -412,14 +410,10 @@ class TestUnsupportedScenarios:
                 write_fraction=0.3, arrival_rate=1.0, duration=100.0, seed=3
             ),
         )
-        assert fast_unsupported_reason(
-            StorageConfig(engine="fast"), stream
-        ) is None
+        assert fast_unsupported_reason(stream) is None
 
     def test_non_array_stream_rejected(self):
-        reason = fast_unsupported_reason(
-            StorageConfig(engine="fast"), iter([(0.0, 1)])
-        )
+        reason = fast_unsupported_reason(iter([(0.0, 1)]))
         assert "array-backed" in reason
 
     def test_out_of_order_times_raise(self, spec):

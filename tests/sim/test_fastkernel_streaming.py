@@ -217,16 +217,14 @@ class TestErrorContracts:
 
     def test_unsupported_reason(self):
         assert fast_unsupported_reason(
-            None, RequestStream(times=[1.0], file_ids=[0], duration=2.0)
+            RequestStream(times=[1.0], file_ids=[0], duration=2.0)
         ) is None
-        assert fast_unsupported_reason(
-            None, _ListStream([], 10.0)
-        ) is None
+        assert fast_unsupported_reason(_ListStream([], 10.0)) is None
 
         class Opaque:
             pass
 
-        reason = fast_unsupported_reason(None, Opaque())
+        reason = fast_unsupported_reason(Opaque())
         assert reason is not None and "array-backed" in reason
 
 

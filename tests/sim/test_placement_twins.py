@@ -129,7 +129,7 @@ class _Side:
         bank = self.bank
         out = [
             bank._fst.tobytes(), bank._ust.tobytes(), bank._rst.tobytes(),
-            bank.gap_log, oracle.span_logs(bank),
+            oracle.gap_logs(bank), oracle.span_logs(bank),
             self.mapping.tolist(), self.free.tolist(),
             getattr(self.policy, "_cursor", None),
         ]
