@@ -7,8 +7,8 @@ load stay below capacity — is the two-dimensional vector packing problem
 (2DVPP, NP-complete).
 
 * :func:`~repro.core.packing.pack_disks` — the paper's ``Pack_Disks``
-  O(n log n) approximation (Algorithm 3) on item arrays: sorted runs plus
-  side heaps, and the two-stack open disk,
+  O(n log n) approximation (Algorithm 3), run in the compiled core on
+  item arrays: sorted runs plus side heaps, and the two-stack open disk,
 * :func:`~repro.core.grouped.pack_disks_grouped` — the ``Pack_Disks_v``
   round-robin group variant (§3.2),
 * :func:`~repro.core.reference.pack_disks_quadratic` — the O(n^2)

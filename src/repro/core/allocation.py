@@ -88,13 +88,14 @@ class Allocation:
     def from_order(
         cls,
         items: ItemArray,
-        order: Sequence[int],
-        offsets: Sequence[int],
+        order: np.ndarray,
+        offsets: np.ndarray,
         algorithm: str,
         rho: float = 0.0,
     ) -> "Allocation":
         """Disk ``k`` holds ``items`` at positions
-        ``order[offsets[k]:offsets[k + 1]]``, in placement order."""
+        ``order[offsets[k]:offsets[k + 1]]``, in placement order (both
+        int64 arrays)."""
         alloc = cls(None, algorithm, rho)
         alloc._disks = None
         alloc._items, alloc._order, alloc._offsets = items, order, offsets
@@ -104,8 +105,8 @@ class Allocation:
     def disks(self) -> List[PackedDisk]:
         if self._disks is None:
             items = self._items.items()
-            order = list(self._order)
-            bounds = list(self._offsets)
+            order = self._order.tolist()
+            bounds = self._offsets.tolist()
             self._disks = [
                 PackedDisk(k, [items[pos] for pos in order[lo:hi]])
                 for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
@@ -127,10 +128,9 @@ class Allocation:
     def _placement(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(file index, disk index)`` of every placed item, disk by disk."""
         if self._items is not None:
-            files = self._items.index[np.asarray(self._order, dtype=np.int64)]
+            files = self._items.index[self._order]
             owners = np.repeat(
-                np.arange(self.num_disks, dtype=np.int64),
-                np.diff(np.asarray(self._offsets, dtype=np.int64)),
+                np.arange(self.num_disks, dtype=np.int64), np.diff(self._offsets)
             )
             return files, owners
         disks = self._disks

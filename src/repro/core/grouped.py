@@ -12,10 +12,12 @@ response time but dilute the load concentration that powers the energy
 saving (§5.1).  ``pack_disks_grouped(items, v=1)`` reduces exactly to
 ``Pack_Disks``.
 
-Both run on one engine, :func:`repro.core.packing._pack_groups`: its heaps
-are built by an O(n log n) ``argsort`` and each push or pop of an evicted
-item costs O(log n), so Lemma 7's O(n log n) bound carries over for fixed
-``v``.
+Both run on one routine in the compiled core, through
+:func:`repro.core.packing._pack_groups`: its heaps are built by an
+O(n log n) ``argsort`` and each push or pop of an evicted item costs
+O(log n), so Lemma 7's O(n log n) bound carries over for fixed ``v``.
+Without a C compiler it raises the library's
+:class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations

@@ -23,30 +23,36 @@ eviction: their algorithm searches the open disk for an evictable element
 (O(n) per overflow, O(n^2) total), see
 :func:`repro.core.reference.pack_disks_quadratic`.
 
-Lemma 7 on arrays
------------------
-Each heap is a :class:`_Heap`: one stable ``argsort`` puts the initial
-items in pop order (largest key first, equal keys in input order, the
-heap's FIFO tie-break) in O(n log n), and items pushed back after an
-eviction go to a ``heapq`` side heap at O(log n) per push or pop.  A pop
-takes the side heap's top only when its key is strictly larger than the
-sorted run's head, so the pop order is exactly that of one max-heap with
-FIFO ties.  Every item is popped once plus once per eviction, and by
-Lemma 3 each eviction completes a disk, so the whole pack stays
-O(n log n).  An open disk
-is two lists of item positions plus two float sums, updated in the same
-order as the paper's stacks.  ``Pack_Disks`` runs as the one-disk case of
-the engine behind ``Pack_Disks_v`` (:mod:`repro.core.grouped`).
+Lemma 7 in the compiled core
+----------------------------
+The packing loop runs in C (``repro_pack`` in ``repro/native/serve.c``,
+reached through :func:`repro.native.pack`); this module validates the
+items and builds its inputs.  Each heap starts as a sorted run: one
+stable ``argsort`` puts the initial items in pop order (largest key
+first, equal keys in input order, the heap's FIFO tie-break) in
+O(n log n).  Items pushed back after an eviction go to a binary side
+heap at O(log n) per push or pop, and a pop takes the side heap's top
+only when its key is strictly larger than the run's head, so the pop
+order is exactly that of one max-heap with FIFO ties.  Every item is
+popped once plus once per eviction, and by Lemma 3 each eviction
+completes a disk, so the whole pack stays O(n log n).  An open disk is
+the paper's two stacks, linked item to item, plus two float sums,
+updated in the same order as the paper's stacks.  ``Pack_Disks`` runs
+as the one-disk case of ``Pack_Disks_v`` (:mod:`repro.core.grouped`).
+Packing needs the compiled library like every simulation does: without
+a C compiler it raises the library's :class:`~repro.errors.ConfigError`.
+The heap-based packers in ``tests/core/pack_oracle.py`` are the
+reference the routine is held to, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.core.allocation import Allocation
 from repro.core.item import EPS, ItemArray, PackItem
 from repro.errors import PackingError
@@ -95,61 +101,6 @@ def _check_items(items: ItemArray, rho: Optional[float]) -> float:
     return rho
 
 
-class _Heap:
-    """One of the paper's two max-heaps: a sorted run plus a side heap.
-
-    Built from the initial items' positions ``pos`` and negated keys
-    ``neg``: ``run`` holds the positions in pop order, ``neg`` their keys
-    and ``head`` the next unpopped entry.  Pushed items go to ``side`` as
-    ``(-key, seq, pos)``, where ``seq`` follows every initial item, so on
-    equal keys the run pops first.
-    """
-
-    __slots__ = ("run", "neg", "head", "side", "seq")
-
-    def __init__(self, pos: np.ndarray, neg: np.ndarray) -> None:
-        rank = np.argsort(neg, kind="stable")
-        self.run: List[int] = pos[rank].tolist()
-        self.neg: List[float] = neg[rank].tolist()
-        self.head = 0
-        self.side: List[Tuple[float, int, int]] = []
-        self.seq = len(self.run)
-
-    def __len__(self) -> int:
-        return len(self.run) - self.head + len(self.side)
-
-    def pop(self) -> int:
-        """Position of the max-key item; FIFO on equal keys."""
-        side = self.side
-        head = self.head
-        if side and (head == len(self.run) or side[0][0] < self.neg[head]):
-            return heappop(side)[2]
-        self.head = head + 1
-        return self.run[head]
-
-    def push(self, pos: int, neg_key: float) -> None:
-        heappush(self.side, (neg_key, self.seq, pos))
-        self.seq += 1
-
-    def drain(self) -> Iterator[int]:
-        """Pop every remaining position, in pop order."""
-        while self.side:
-            yield self.pop()
-        yield from self.run[self.head:]
-
-
-def _heaps(items: ItemArray) -> Tuple[_Heap, _Heap, List[float]]:
-    """The ``~S`` and ``~L`` heaps over ``items``, and ``s_i - l_i`` per item.
-
-    An ST item's key is ``s_i - l_i``; an LD item's is ``l_i - s_i``,
-    whose negation is ``s_i - l_i`` exactly in IEEE arithmetic.
-    """
-    diff = items.size - items.load
-    st = np.flatnonzero(items.size >= items.load)
-    ld = np.flatnonzero(items.size < items.load)
-    return _Heap(st, -diff[st]), _Heap(ld, diff[ld]), diff.tolist()
-
-
 def pack_disks(
     items: Sequence[PackItem],
     rho: Optional[float] = None,
@@ -179,6 +130,8 @@ def pack_disks(
     PackingError
         If an item coordinate is NaN or outside ``[0, 1]``, or ``rho`` is
         not finite or is smaller than some item coordinate.
+    ConfigError
+        If the compiled core could not be built (no C compiler).
     """
     return _pack_groups(items, 1, rho, "pack_disks")
 
@@ -190,113 +143,16 @@ def _pack_groups(
     round-robin (``Pack_Disks_v``; ``v = 1`` is ``Pack_Disks``)."""
     arr = ItemArray.of(items)
     rho = _check_items(arr, rho)
-    s_heap, l_heap, diff = _heaps(arr)
-    size = arr.size.tolist()
-    load = arr.load.tolist()
-    cap = 1 + EPS
-    full = 1.0 - rho - EPS
-
-    order: List[int] = []
-    offsets = [0]
-    # Open disk ``k`` of the group: its two stacks (None once closed) and
-    # its two sums.
-    s_lists: List[Optional[List[int]]] = [[] for _ in range(v)]
-    l_lists: List[Optional[List[int]]] = [[] for _ in range(v)]
-    s_sums = [0.0] * v
-    l_sums = [0.0] * v
-    cursor = 0
-    n_open = v
-
-    def close(slot: int) -> None:
-        nonlocal n_open
-        order.extend(s_lists[slot])
-        order.extend(l_lists[slot])
-        offsets.append(len(order))
-        s_lists[slot] = l_lists[slot] = None
-        n_open -= 1
-
-    def fresh_group() -> None:
-        """Close every non-empty open disk; open ``v`` empty ones."""
-        nonlocal cursor, n_open
-        for slot in range(v):
-            if s_lists[slot] is not None and (s_lists[slot] or l_lists[slot]):
-                close(slot)
-            s_lists[slot], l_lists[slot] = [], []
-            s_sums[slot] = l_sums[slot] = 0.0
-        cursor = 0
-        n_open = v
-
-    # -- main loop (Algorithm 3 lines 4-21), one step per open disk in turn ---
-    while True:
-        # The next open disk whose wanted heap is non-empty; none left ends
-        # the main phase.
-        for _ in range(v):
-            s_list = s_lists[cursor]
-            if s_list is not None:
-                s_sum = s_sums[cursor]
-                l_sum = l_sums[cursor]
-                if l_heap if s_sum >= l_sum else s_heap:
-                    break
-            cursor = (cursor + 1) % v
-        else:
-            break
-        # Take from the heap opposite the dominating dimension: a
-        # load-intensive element while storage dominates, else a
-        # size-intensive one.
-        ld = s_sum >= l_sum
-        take, other = (l_heap, s_heap) if ld else (s_heap, l_heap)
-        pos = take.pop()
-        if (s_sum + size[pos] if ld else l_sum + load[pos]) > cap:
-            # Overflow: evict the most recent element of the other kind
-            # (Lemma 1 guarantees it exists and its excess covers the
-            # imbalance), then the disk becomes complete (Lemma 3).
-            evictable = s_list if ld else l_lists[cursor]
-            if evictable:
-                out = evictable.pop()
-                s_sum -= size[out]
-                l_sum -= load[out]
-                other.push(out, -diff[out] if ld else diff[out])
-            else:
-                # Theoretically unreachable (Lemma 1); guard against
-                # degenerate float corner cases: put the element back and
-                # close the disk.
-                take.push(pos, diff[pos] if ld else -diff[pos])
-                pos = -1
-        if pos < 0:
-            close(cursor)
-        else:
-            (l_lists[cursor] if ld else s_list).append(pos)
-            s_sum += size[pos]
-            l_sum += load[pos]
-            s_sums[cursor] = s_sum
-            l_sums[cursor] = l_sum
-            if s_sum >= full and l_sum >= full:
-                close(cursor)
-        cursor = (cursor + 1) % v
-        if not n_open:
-            fresh_group()
-
-    # -- Pack_Remaining_S / Pack_Remaining_L (lines 22-23) ---------------------
-    # At most one heap is non-empty here (Lemma 5).  Remaining size-intensive
-    # items only need the storage check (their load is <= their size), and
-    # symmetrically for load-intensive items.  Each goes to the next open
-    # disk with room, or to a fresh group when none has any.
-    for heap, stacks, need, sums in (
-        (s_heap, s_lists, size, s_sums),
-        (l_heap, l_lists, load, l_sums),
-    ):
-        for pos in heap.drain():
-            tries = v
-            while stacks[cursor] is None or sums[cursor] + need[pos] > cap:
-                cursor = (cursor + 1) % v
-                tries -= 1
-                if not tries:
-                    fresh_group()
-                    break
-            stacks[cursor].append(pos)
-            s_sums[cursor] += size[pos]
-            l_sums[cursor] += load[pos]
-            cursor = (cursor + 1) % v
-
-    fresh_group()  # closes the last non-empty disks
+    diff = arr.size - arr.load
+    st = np.flatnonzero(arr.size >= arr.load)
+    ld = np.flatnonzero(arr.size < arr.load)
+    order, offsets = native.pack(
+        arr.size,
+        arr.load,
+        st[np.argsort(-diff[st], kind="stable")],
+        ld[np.argsort(diff[ld], kind="stable")],
+        v,
+        1 + EPS,
+        1.0 - rho - EPS,
+    )
     return Allocation.from_order(arr, order, offsets, name, rho)

@@ -94,7 +94,7 @@ def run_complexity(
             t0 = time.perf_counter()
             slow = pack_disks_quadratic(items)
             t_slow = time.perf_counter() - t0
-            bundle.add("pack_disks (heap)", n, t_fast)
+            bundle.add("pack_disks (heap, C)", n, t_fast)
             bundle.add("reference (scan)", n, t_slow)
             bundle.add("speedup", n, t_slow / t_fast if t_fast else float("nan"))
             identical &= [
@@ -106,6 +106,10 @@ def run_complexity(
     result.notes.append(
         "paper §3: same packing policy, data structure drops cost from "
         "O(n^2) to O(n log n)"
+    )
+    result.notes.append(
+        "pack_disks runs in the compiled core and the reference in Python, "
+        "so the speedup column includes the language factor"
     )
     result.notes.append(f"measured: outputs bit-identical across sizes: {identical}")
     return result

@@ -222,7 +222,9 @@ def _canon(obj: Any) -> Any:
 #: ``scheduler_params`` salt fingerprints via the config dataclass;
 #: scheduled runs hold requests back and measure response from the
 #: original arrival).
-RESULT_SCHEMA_VERSION = 8
+#: v9: ``StorageConfig.engine`` defaults to ``"fast"``, so a config built
+#: without naming its engine now runs the batched kernel.
+RESULT_SCHEMA_VERSION = 9
 
 
 def task_fingerprint(task: SimTask) -> str:

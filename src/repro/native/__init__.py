@@ -16,8 +16,10 @@ request schedulers of :mod:`repro.system.scheduling` (``slack_defer``,
 block each scheduler builds once per run: one call per fast-kernel block,
 one per arrival on the event engine.  :func:`bin_spans` adds logged
 ``[start, end)`` state spans into per-interval, per-disk overlap seconds,
-from which a controlled fast-kernel run builds its power trace.  The
-shared library is
+from which a controlled fast-kernel run builds its power trace, and
+:func:`pack` runs the paper's ``Pack_Disks``/``Pack_Disks_v`` allocator
+(:mod:`repro.core.packing`), held to the heap-based packers of
+``tests/core/pack_oracle.py``.  The shared library is
 built from that source with the host's C compiler the first time this
 package is imported and cached under ``~/.cache/repro/native/``, named by a
 hash of the source, the compiler, the flags and the Python ABI, so later
@@ -27,14 +29,17 @@ processes that build at the same moment (parallel sweep workers) never
 load a half-written file.  If the cache directory is not writable the
 library is built in a private temporary directory instead.
 
-Every simulation needs the library, on either engine: no routine in it
-has a Python fallback.  A failed build is reported only when the library
-is used, so on a host without a C compiler ``import repro``,
-:mod:`repro.analysis` and the lint still work, while every function
-here that calls into the library raises the
+Every simulation needs the library, on either engine, and so does
+packing: no routine in it has a Python fallback.  A failed build is
+reported only when the library is used, so on a host without a C
+compiler ``import repro``, the closed forms of :mod:`repro.analysis`
+(break-even, power model, M/G/1) and the lint still work, while every
+function here that calls into the library raises the
 :class:`~repro.errors.ConfigError` of :func:`library`, naming the missing
-compiler; ``StorageSystem.run`` calls it before it dispatches to either
-engine.
+compiler: ``StorageSystem.run`` calls it before it dispatches to either
+engine, and ``pack_disks``, ``pack_disks_grouped``, ``allocate`` with a
+``pack`` policy, ``plan_disk_farm`` and ``tradeoff_curve`` reach it
+through :func:`pack`.
 
 Tests may :func:`build` with extra compiler flags (a sanitizer or
 warnings-as-errors build) and :func:`load` the result; the flags are
@@ -74,6 +79,7 @@ __all__ = [
     "library",
     "load",
     "p2_fold",
+    "pack",
     "release_core",
     "stable_order",
 ]
@@ -289,6 +295,10 @@ def load(path: Path) -> ctypes.CDLL:
     lib.repro_p2_fold.restype = None
     lib.repro_bin_spans.argtypes = [_p, _p, _p, _i, _p, _i, _i, _p]
     lib.repro_bin_spans.restype = _i
+    lib.repro_pack.argtypes = [
+        _p, _p, _i, _p, _i, _p, _i, _i, ctypes.c_double, ctypes.c_double, _p, _p,
+    ]
+    lib.repro_pack.restype = _i
     # Declared without argtypes: callers pass ctypes objects, so the event
     # engine's call per request converts nothing.
     lib.repro_release.restype = None
@@ -400,6 +410,56 @@ def bin_spans(disks, starts, ends, edges, num_disks: int) -> np.ndarray:
             f"[0, {num_disks})"
         )
     return out
+
+
+def pack(
+    size, load, s_run, l_run, v: int, cap: float, full: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The paper's ``Pack_Disks_v`` (``v = 1``: ``Pack_Disks``) over the
+    normalized coordinates ``size`` and ``load``, as the compiled
+    ``repro_pack``: ``v`` disks open at once, stepped round-robin, and
+    ``Pack_Remaining_S``/``Pack_Remaining_L`` once a heap runs dry.
+
+    ``s_run`` and ``l_run`` are the size- and load-intensive positions in
+    heap pop order (keys ``s - l`` and ``l - s`` descending, equal keys
+    in input order); an item overflows a disk when a sum passes ``cap``
+    and a disk is complete when both sums reach ``full``.  Returns the
+    placement ``order`` and the disk ``offsets`` as int64 arrays: disk
+    ``k`` holds the positions ``order[offsets[k]:offsets[k + 1]]``, in
+    placement order.  :mod:`repro.core.packing` builds the runs and the
+    bounds; ``tests/core/pack_oracle.py`` is the heap-based reference
+    the routine is held to.  Raises :class:`~repro.errors.ConfigError`
+    when the library could not be built, :class:`ValueError` when ``v <
+    1``, a coordinate lies outside ``[0, cap]`` or the runs do not
+    partition the positions, and :class:`MemoryError` when the work
+    space could not be allocated."""
+    lib = library()
+    s = np.ascontiguousarray(size, dtype=float)
+    l = np.ascontiguousarray(load, dtype=float)
+    sr = np.ascontiguousarray(s_run, dtype=np.int64)
+    lr = np.ascontiguousarray(l_run, dtype=np.int64)
+    if not s.ndim == l.ndim == sr.ndim == lr.ndim == 1 or s.size != l.size:
+        raise ValueError(
+            f"pack needs equal-length 1-D coordinates and 1-D runs, got "
+            f"size {s.shape}, load {l.shape}, runs {sr.shape} and {lr.shape}"
+        )
+    n = s.size
+    order = np.empty(n, dtype=np.int64)
+    offsets = np.empty(n + 1, dtype=np.int64)
+    disks = lib.repro_pack(
+        s.ctypes.data, l.ctypes.data, n, sr.ctypes.data, sr.size,
+        lr.ctypes.data, lr.size, v, cap, full, order.ctypes.data,
+        offsets.ctypes.data,
+    )
+    if disks == -1:
+        raise ValueError(
+            f"pack needs v >= 1 and coordinates in [0, {cap}], got v={v}"
+        )
+    if disks == -2:
+        raise ValueError("pack needs runs that partition the item positions")
+    if disks < 0:
+        raise MemoryError(f"no work space to pack {n} items")
+    return order, offsets[: disks + 1]
 
 
 def release_core() -> Callable[..., None]:

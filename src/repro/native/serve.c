@@ -1,5 +1,5 @@
 /*
- * Serve core of the fast kernel (repro.sim.fastkernel).
+ * Compiled core of the simulator and the file allocator.
  *
  * repro_serve_coupled walks one batch of requests in arrival order through
  * each disk's FIFO queue and DPM-ladder descent schedule: the Lindley
@@ -38,6 +38,11 @@
  * repro_bin_spans adds the overlap seconds of logged state spans with the
  * control-interval windows (a controlled run's per-interval power trace),
  * pass for pass the NumPy scatter-adds it replaced.
+ *
+ * repro_pack is the paper's Pack_Disks_v file allocator (Pack_Disks for
+ * v = 1) over two sorted runs with side heaps and the two-stack open
+ * disks, step for step the array engine it replaced; the heap-based
+ * packers of tests/core/pack_oracle.py are its reference.
  *
  * Gap-log records are handed back in arrival order, and span records
  * sorted by (kind, rung) (arrival order inside each key).  A call stops
@@ -1248,4 +1253,270 @@ int64_t repro_bin_spans(const int64_t *d, const double *s, const double *e,
     }
     free(cover);
     return 0;
+}
+
+/* ---------------------------------------------------------------------
+ * Pack_Disks and Pack_Disks_v (paper Algorithm 3 and §3.2): the file
+ * allocator every run starts from.
+ * ------------------------------------------------------------------- */
+
+enum { ST = 0, LD = 1 };  /* size- and load-intensive: heap and stack */
+
+/* An item pushed back after an eviction, ordered by (neg, seq): the
+ * largest key first, equal keys in push order. */
+typedef struct {
+    double neg;
+    int64_t seq, pos;
+} pushed;
+
+/* One of the paper's two max-heaps: the initial items in pop order (the
+ * caller's stable argsort) and a binary min-heap of pushed-back items.
+ * A pop takes the pushed item only when its key is strictly larger than
+ * the run's head, so pops come out as from one max-heap with FIFO ties. */
+typedef struct {
+    const int64_t *run;
+    int64_t head, len;
+    pushed *side;
+    int64_t n_side, seq;
+} pack_heap;
+
+/* An open disk of the group: the paper's s-list and l-list as stacks
+ * linked through below[], and its two sums. */
+typedef struct {
+    int64_t top[2], cnt[2];
+    double sum[2];
+    int open;
+} open_disk;
+
+typedef struct {
+    open_disk *disk;      /* [v] */
+    int64_t v, n_open;
+    int64_t *below;       /* [n] the item under each stacked item */
+    int64_t *order, *offsets, n_order, n_disks;
+} pack_group;
+
+static inline int pushed_less(const pushed *x, const pushed *y)
+{
+    return x->neg < y->neg || (x->neg == y->neg && x->seq < y->seq);
+}
+
+static inline int64_t heap_len(const pack_heap *h)
+{
+    return h->len - h->head + h->n_side;
+}
+
+static void heap_push(pack_heap *h, int64_t pos, double neg)
+{
+    const pushed x = {neg, h->seq++, pos};
+    int64_t i = h->n_side++;
+    while (i > 0) {
+        const int64_t up = (i - 1) >> 1;
+        if (!pushed_less(&x, &h->side[up]))
+            break;
+        h->side[i] = h->side[up];
+        i = up;
+    }
+    h->side[i] = x;
+}
+
+/* Position of the max-key item; FIFO on equal keys. */
+static int64_t heap_pop(pack_heap *h, const double *neg)
+{
+    if (!h->n_side
+        || (h->head < h->len && !(h->side[0].neg < neg[h->run[h->head]])))
+        return h->run[h->head++];
+    pushed *s = h->side;
+    const int64_t top = s[0].pos, n = --h->n_side;
+    const pushed last = s[n];
+    int64_t i = 0;
+    for (int64_t c = 1; c < n; c = 2 * i + 1) {
+        if (c + 1 < n && pushed_less(&s[c + 1], &s[c]))
+            c++;
+        if (!pushed_less(&s[c], &last))
+            break;
+        s[i] = s[c];
+        i = c;
+    }
+    s[i] = last;
+    return top;
+}
+
+static void stack_push(pack_group *g, int64_t slot, int kind, int64_t pos)
+{
+    open_disk *d = &g->disk[slot];
+    g->below[pos] = d->top[kind];
+    d->top[kind] = pos;
+    d->cnt[kind]++;
+}
+
+static int64_t stack_pop(pack_group *g, int64_t slot, int kind)
+{
+    open_disk *d = &g->disk[slot];
+    const int64_t pos = d->top[kind];
+    d->top[kind] = g->below[pos];
+    d->cnt[kind]--;
+    return pos;
+}
+
+/* Close an open disk: its s-list, then its l-list, each bottom to top. */
+static void close_disk(pack_group *g, int64_t slot)
+{
+    open_disk *d = &g->disk[slot];
+    for (int kind = ST; kind <= LD; kind++) {
+        int64_t at = g->n_order + d->cnt[kind];
+        for (int64_t x = d->top[kind]; x >= 0; x = g->below[x])
+            g->order[--at] = x;
+        g->n_order += d->cnt[kind];
+    }
+    g->offsets[++g->n_disks] = g->n_order;
+    d->open = 0;
+    g->n_open--;
+}
+
+/* Close every non-empty open disk and open v empty ones; returns the
+ * slot to step next, the first. */
+static int64_t fresh_group(pack_group *g)
+{
+    for (int64_t slot = 0; slot < g->v; slot++) {
+        open_disk *d = &g->disk[slot];
+        if (d->open && (d->cnt[ST] || d->cnt[LD]))
+            close_disk(g, slot);
+        *d = (open_disk){{-1, -1}, {0, 0}, {0.0, 0.0}, 1};
+    }
+    g->n_open = g->v;
+    return 0;
+}
+
+/* Pack the n items (size[p], load[p]) with v disks open at once, stepped
+ * round-robin (v = 1 is Pack_Disks).  s_run and l_run hold the size- and
+ * load-intensive items in heap pop order: keys s - l and l - s
+ * descending, equal keys in input order.  An item overflows a disk when
+ * a sum passes cap (1 + EPS); a disk is complete when both sums reach
+ * full (1 - rho - EPS).  Its sums, tests and tie-breaks are those of
+ * the heap-based packers in tests/core/pack_oracle.py, the reference it
+ * is held to bit for bit.  Writes the placement order into order[n] and the disk
+ * boundaries into offsets[0..disks] (disk k holds
+ * order[offsets[k]:offsets[k+1]]); returns the number of disks, or -1
+ * when v < 1 or a coordinate is not in [0, cap] (no disk could hold that
+ * item), -2 when the runs are not a partition of 0..n-1, -3 when the
+ * work space could not be allocated. */
+int64_t repro_pack(const double *size, const double *load, int64_t n,
+                   const int64_t *s_run, int64_t ns, const int64_t *l_run,
+                   int64_t nl, int64_t v, double cap, double full,
+                   int64_t *order, int64_t *offsets)
+{
+    if (v < 1)
+        return -1;
+    for (int64_t p = 0; p < n; p++)
+        if (!(size[p] >= 0.0 && size[p] <= cap && load[p] >= 0.0
+              && load[p] <= cap))
+            return -1;
+    if (ns < 0 || nl < 0 || ns + nl != n)
+        return -2;
+    /* neg[p]: the negated heap key; below[] doubles as the seen mark. */
+    double *neg = malloc((size_t)(n ? n : 1) * sizeof *neg);
+    int64_t *below = malloc((size_t)(n ? n : 1) * sizeof *below);
+    pushed *side = malloc((size_t)(n ? n : 1) * sizeof *side);
+    open_disk *disk = calloc((size_t)v, sizeof *disk);
+    int64_t status = !neg || !below || !side || !disk ? -3 : 0;
+    for (int64_t p = 0; p < n && !status; p++)
+        below[p] = 0;
+    for (int64_t j = 0; j < n && !status; j++) {
+        const int st = j < ns;
+        const int64_t p = st ? s_run[j] : l_run[j - ns];
+        if (p < 0 || p >= n || below[p])
+            status = -2;
+        else {
+            below[p] = 1;
+            neg[p] = st ? -(size[p] - load[p]) : size[p] - load[p];
+        }
+    }
+    if (status) {
+        free(neg);
+        free(below);
+        free(side);
+        free(disk);
+        return status;
+    }
+    const double *coord[2] = {size, load};
+    pack_heap heap[2] = {{s_run, 0, ns, side, 0, 0},
+                         {l_run, 0, nl, side + ns, 0, 0}};
+    pack_group g = {disk, v, 0, below, order, offsets, 0, 0};
+    offsets[0] = 0;
+    int64_t cursor = fresh_group(&g);
+
+    /* Main loop (Algorithm 3 lines 4-21), one step per open disk in turn:
+     * the next open disk whose wanted heap is non-empty takes from the
+     * heap opposite its dominating dimension, a load-intensive item
+     * while storage dominates; none left ends the main phase. */
+    for (;;) {
+        int64_t tries = 0;
+        for (; tries < v; tries++) {
+            const open_disk *d = &disk[cursor];
+            if (d->open && heap_len(&heap[d->sum[ST] >= d->sum[LD] ? LD : ST]))
+                break;
+            cursor = (cursor + 1) % v;
+        }
+        if (tries == v)
+            break;
+        open_disk *d = &disk[cursor];
+        const int take = d->sum[ST] >= d->sum[LD] ? LD : ST, other = !take;
+        int64_t pos = heap_pop(&heap[take], neg);
+        if (d->sum[other] + coord[other][pos] > cap) {
+            /* Overflow: evict the most recent item of the other kind
+             * (Lemma 1 guarantees it exists and its excess covers the
+             * imbalance); the disk then becomes complete (Lemma 3). */
+            if (d->cnt[other]) {
+                const int64_t out = stack_pop(&g, cursor, other);
+                d->sum[ST] -= size[out];
+                d->sum[LD] -= load[out];
+                heap_push(&heap[other], out, neg[out]);
+            } else {
+                /* Unreachable by Lemma 1; guards degenerate float corner
+                 * cases: put the item back and close the disk. */
+                heap_push(&heap[take], pos, neg[pos]);
+                pos = -1;
+            }
+        }
+        if (pos < 0)
+            close_disk(&g, cursor);
+        else {
+            stack_push(&g, cursor, take, pos);
+            d->sum[ST] += size[pos];
+            d->sum[LD] += load[pos];
+            if (d->sum[ST] >= full && d->sum[LD] >= full)
+                close_disk(&g, cursor);
+        }
+        cursor = g.n_open ? (cursor + 1) % v : fresh_group(&g);
+    }
+
+    /* Pack_Remaining_S / Pack_Remaining_L (lines 22-23): at most one heap
+     * is non-empty here (Lemma 5), and its items need only the check on
+     * their own dimension.  Each goes to the next open disk with room, or
+     * to a fresh group when none has any. */
+    for (int kind = ST; kind <= LD; kind++) {
+        pack_heap *h = &heap[kind];
+        while (heap_len(h)) {
+            const int64_t pos = heap_pop(h, neg);
+            for (int64_t tries = v;
+                 !disk[cursor].open
+                 || disk[cursor].sum[kind] + coord[kind][pos] > cap;) {
+                cursor = (cursor + 1) % v;
+                if (!--tries) {
+                    cursor = fresh_group(&g);
+                    break;
+                }
+            }
+            stack_push(&g, cursor, kind, pos);
+            disk[cursor].sum[ST] += size[pos];
+            disk[cursor].sum[LD] += load[pos];
+            cursor = (cursor + 1) % v;
+        }
+    }
+    fresh_group(&g);  /* closes the last non-empty disks */
+    free(neg);
+    free(below);
+    free(side);
+    free(disk);
+    return g.n_disks;
 }

@@ -157,10 +157,11 @@ arrival times as ``now + (t - now)``) and tie-breaking at measure-zero
 coincidences (a completion and an arrival at the exact same instant — the
 fast kernel admits the completion first).
 
-Select the engine per run via ``StorageConfig(engine="fast")``; the one
-scenario class the fast kernel cannot express (streams that are neither
-array-backed nor chunked) raises :class:`~repro.errors.ConfigError` — use
-the default ``engine="event"`` for those.
+Select the engine per run via ``StorageConfig(engine=...)``; the fast
+kernel is the default.  The one scenario class it cannot express (streams
+that are neither array-backed nor chunked) and placement policy classes
+outside the rule table raise :class:`~repro.errors.ConfigError` — use
+``engine="event"`` for those.
 """
 
 from __future__ import annotations

@@ -140,12 +140,13 @@ class StorageConfig:
         ``slack_defer`` composes with the ``slo_feedback`` controller by
         reading its live percentile telemetry.
     engine:
-        Simulation kernel: ``"event"`` (the discrete-event loop; supports
-        every feature) or ``"fast"`` (the batched kernel in
+        Simulation kernel: ``"fast"`` (default; the batched kernel in
         :mod:`repro.sim.fastkernel`; covers read *and* write streams, the
         §1.1 write-allocation policy and shared whole-file caches on
         array-backed *and chunked* streams, typically 5-50x faster — see
-        that module's engine coverage matrix).
+        that module's engine coverage matrix) or ``"event"`` (the
+        discrete-event loop; supports every feature, including iterator
+        streams and placement classes outside the rule table).
     metrics_mode:
         ``"full"`` (default) materializes the per-request response array on
         :class:`~repro.system.metrics.SimulationResult`;
@@ -181,7 +182,7 @@ class StorageConfig:
     slo_percentile: float = 95.0
     scheduler: str = DEFAULT_SCHEDULER
     scheduler_params: tuple = ()
-    engine: str = "event"
+    engine: str = "fast"
     metrics_mode: str = "full"
     chunk_size: Optional[int] = None
 

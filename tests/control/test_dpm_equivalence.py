@@ -196,7 +196,7 @@ class TestFixedIsByteIdentical:
         process exists to perturb event ordering or float accumulation.
         """
         wl = self._workload()
-        cfg = StorageConfig(num_disks=30, load_constraint=0.7)
+        cfg = StorageConfig(num_disks=30, load_constraint=0.7, engine="event")
         mapping = allocate(wl.catalog, "pack", cfg, 2.0).mapping(wl.catalog.n)
 
         system = StorageSystem(wl.catalog, mapping, cfg)

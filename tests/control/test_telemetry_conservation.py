@@ -5,7 +5,8 @@ once, and both the controller's per-interval telemetry and the result's
 response accounting read those values.  So over a controlled run in full
 metrics mode the responses handed to ``advance``/``finalize`` are exactly
 the result's responses — bit for bit, partitioned by interval — for any
-chunking of the stream, with and without a request scheduler.
+chunking of the stream, with and without a request scheduler, on a
+saturated load and on a light one whose disks spin down.
 
 The idle gaps handed over with them are the same columns for every
 chunking, and the event engine hands over the same per-disk gap
@@ -117,7 +118,23 @@ def _run(scenario, scheduler, chunk):
 @pytest.mark.parametrize("scheduler", [None, "slack_defer"])
 @pytest.mark.parametrize("chunk", [None, 1, 37, 500])
 def test_interval_responses_are_the_result_responses(scenario, scheduler, chunk):
-    result, dpm = _run(scenario, scheduler, chunk)
+    _assert_responses_conserved(*_run(scenario, scheduler, chunk))
+
+
+@pytest.mark.parametrize("scheduler", [None, "slack_defer"])
+@pytest.mark.parametrize("chunk", [None, 1, 37, 500])
+def test_idle_interval_responses_are_the_result_responses(
+    idle_scenario, scheduler, chunk
+):
+    """The light load spins disks down and the controller moves their
+    thresholds, so responses cross threshold changes through spin-down."""
+    result, dpm = _run(idle_scenario, scheduler, chunk)
+    assert result.spinups >= 1
+    assert len({record.thresholds.tobytes() for record in dpm.records}) >= 2
+    _assert_responses_conserved(result, dpm)
+
+
+def _assert_responses_conserved(result, dpm):
     assert result.cache_stats.hits > 0
     assert len(dpm.seen) == len(dpm.records) > 2
     fed = np.concatenate(dpm.seen)

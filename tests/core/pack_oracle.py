@@ -2,10 +2,10 @@
 
 These are the allocators as first written: two keyed max-heaps on
 :mod:`heapq` (``~S`` and ``~L``, FIFO on equal keys) and an open disk
-held as the paper's two stacks ``s-list``/``l-list``.  The array-native
-packers in :mod:`repro.core.packing` and :mod:`repro.core.grouped` must
-reproduce them exactly: the same disks, the same mapping, the same
-placement order on every disk.  The per-item random baseline sits here
+held as the paper's two stacks ``s-list``/``l-list``.  The packers of
+:mod:`repro.core.packing` and :mod:`repro.core.grouped`, which run in the
+compiled core (``repro_pack``), must reproduce them exactly: the same
+disks, the same mapping, the same placement order on every disk.  The per-item random baseline sits here
 for the same reason.  Kept out of ``src/`` on purpose: a test oracle,
 not a second implementation.
 """

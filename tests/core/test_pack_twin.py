@@ -1,8 +1,8 @@
-"""The array-native allocators against their heap-based twins.
+"""The allocators in ``src`` against their heap-based twins.
 
 ``pack_oracle`` keeps the original heap-based ``Pack_Disks``,
-``Pack_Disks_v`` and the per-item random baseline.  The array versions in
-``src`` must match them exactly: the same disks, the same mapping and the
+``Pack_Disks_v`` and the per-item random baseline.  The compiled packer
+and the array-drawn random baseline in ``src`` must match them exactly: the same disks, the same mapping and the
 same placement order on each disk, the same errors, and for the random
 baseline the same generator end state.
 """
@@ -99,6 +99,27 @@ class TestPackTwins:
 
     def test_empty(self):
         assert_twins([])
+
+    @given(st.lists(st.tuples(large, large), min_size=1, max_size=4))
+    def test_more_open_disks_than_items(self, pairs):
+        # Every variant with v > n: most slots of the group stay empty.
+        items = items_from(pairs)
+        assert_twins(items)
+        for v in (len(items) + 1, 2 * len(items) + 3):
+            want = oracle.pack_disks_grouped(items, v=v)
+            assert layout(pack_disks_grouped(items, v=v)) == layout(want)
+
+    @given(grid, grid, st.integers(1, 60))
+    def test_all_keys_equal(self, s, l, n):
+        # One key for every item: pops follow input order throughout.
+        assert_twins(items_from([(s, l)] * n))
+
+    @given(st.lists(grid, min_size=1, max_size=80), st.lists(st.tuples(fine, fine)))
+    def test_size_equals_load(self, diagonal, rest):
+        # s == l items are size-intensive with key 0, the smallest an ST
+        # item can have, mixed with items of either kind.
+        pairs = [(x, x) for x in diagonal] + list(rest)
+        assert_twins(items_from(pairs))
 
     def test_evicted_item_pops_after_equal_key_never_popped(self):
         # File 2 overflows the first disk's load and evicts file 0, whose
@@ -245,10 +266,53 @@ class TestRandomTwin:
         st.integers(0, 2**32 - 1),
     )
     def test_random_instances(self, sizes, num_disks, seed):
-        items = items_from([(s, 0.1) for s in sizes])
+        self.assert_random_twins([(s, 0.1) for s in sizes], num_disks, seed)
+
+    def assert_random_twins(self, pairs, num_disks, seed):
+        items = items_from(pairs)
         (want, want_state), (got, got_state) = random_pair(items, num_disks, seed)
         assert got_state == want_state
         if isinstance(want, CapacityError):
             assert isinstance(got, CapacityError) and str(got) == str(want)
         else:
             assert layout(got) == layout(want)
+            assert np.array_equal(got.mapping(len(items)), want.mapping(len(items)))
+
+    @given(
+        st.lists(st.sampled_from([0.0, 0.2, 0.5]), max_size=30),
+        st.sampled_from([1.0 + 2e-9, 1.5]),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_first_overflow_on_file_zero(self, sizes, first, num_disks, seed):
+        # File 0 alone passes 1 + EPS: it fits on no disk.
+        pairs = [(first, 0.1)] + [(s, 0.1) for s in sizes]
+        assert first_redraw(items_from(pairs), num_disks, seed) == 0
+        self.assert_random_twins(pairs, num_disks, seed)
+
+    @given(
+        st.integers(1, 30),
+        st.sampled_from([0.6, 1.0]),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_first_overflow_on_last_file(self, n, last, num_disks, seed):
+        # Tiny files fill no disk; the last one meets a too-full disk
+        # whenever its draw lands on the disk the 0.5 file sits on.
+        pairs = [(0.5, 0.1)] + [(0.001, 0.1)] * n + [(last, 0.1)]
+        at = first_redraw(items_from(pairs), num_disks, seed)
+        assert at in (None, len(pairs) - 1)
+        self.assert_random_twins(pairs, num_disks, seed)
+
+    @given(
+        st.lists(st.sampled_from(["cap", "half", "rest", "zero", "tiny"]), max_size=40),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fill_exactly_at_capacity(self, kinds, num_disks, seed):
+        # ``half + rest`` and ``cap`` fill a disk to 1 + EPS exactly, which
+        # still fits; a ``tiny`` file on top overflows and ``zero`` does not.
+        cap = 1 + 1e-9
+        value = {"cap": cap, "half": 0.5, "rest": cap - 0.5, "zero": 0.0, "tiny": 1e-6}
+        assert 0.5 + (cap - 0.5) == cap
+        self.assert_random_twins([(value[k], 0.1) for k in kinds], num_disks, seed)

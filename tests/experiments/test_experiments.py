@@ -137,7 +137,7 @@ class TestAblations:
         )
         assert any("bit-identical across sizes: True" in n for n in result.notes)
         runtime = result.bundles["runtime"]
-        assert len(runtime.series["pack_disks (heap)"]) == 2
+        assert len(runtime.series["pack_disks (heap, C)"]) == 2
 
     def test_quality_table_contains_all_allocators(self):
         result = ablations.run_quality(scale=0.2, seed=3)

@@ -185,7 +185,7 @@ class TestEngineOverride:
 
     def test_engine_left_alone_for_unknown_workload_types(self):
         runner = SweepRunner(max_workers=1, engine="fast")
-        task = make_task()
+        task = make_task(config=CFG.with_overrides(engine="event"))
         object.__setattr__(task, "workload", ("opaque", "spec"))
         assert runner._with_engine(task).config.engine == "event"
 

@@ -6,8 +6,9 @@ the same simulated outputs as the library this process loaded (the
 event engine's P² estimates and scheduler releases included), two
 processes building at once must both load one valid library, an
 unwritable cache falls back to a private build directory, and on a host
-with no C compiler ``import repro`` still works while both engines raise
-a ``ConfigError`` naming the compiler.  Extra compiler flags (tests only)
+with no C compiler ``import repro`` and the analysis closed forms still
+work while both engines and the packer raise a ``ConfigError`` naming
+the compiler.  Extra compiler flags (tests only)
 build a library of their own, and ``serve.c`` builds warning-free.
 """
 
@@ -175,9 +176,42 @@ def test_unwritable_cache_builds_privately(tmp_path):
     assert _result(_start(home, "fast")) == _here("fast")
 
 
+#: Without a compiler: packing raises the library's ``ConfigError`` (it
+#: runs in the compiled core too), while the analysis closed forms still
+#: evaluate.  Prints a JSON object of each call's value or error.
+NO_COMPILER_SCRIPT = r"""
+import json
+from repro.analysis import breakeven_threshold, disk_power_estimate
+from repro.analysis.mg1 import mg1_response_time
+from repro.core import make_items, pack_disks
+from repro.disk import ST3500630AS
+from repro.errors import ConfigError
+from repro.system import StorageConfig, allocate
+from repro.workload.generator import SyntheticWorkloadParams, generate_workload
+
+catalog = generate_workload(SyntheticWorkloadParams(
+    n_files=200, arrival_rate=1.0, duration=10.0, seed=3)).catalog
+calls = {
+    "pack_disks": lambda: pack_disks(make_items([0.2, 0.3], [0.1, 0.4])),
+    "allocate": lambda: allocate(catalog, "pack", StorageConfig(), 0.05),
+    "breakeven": lambda: breakeven_threshold(ST3500630AS),
+    "powermodel": lambda: disk_power_estimate(0.01, 5.0, 20.0, ST3500630AS),
+    "mg1": lambda: mg1_response_time(0.1, 1.0, 2.0),
+}
+out = {}
+for name, call in calls.items():
+    try:
+        out[name] = float(call())
+    except ConfigError as exc:
+        out[name] = "ConfigError: " + str(exc)
+print(json.dumps(out))
+"""
+
+
 def test_no_compiler_raises_on_both_engines(tmp_path):
     """The script imports ``repro`` and builds its workloads, then each
-    engine's run raises before it simulates anything."""
+    engine's run raises before it simulates anything; packing raises the
+    same error, and the analysis closed forms still return values."""
     empty = tmp_path / "bin"
     empty.mkdir()
     got = _result(_start(tmp_path, "fast", "event", PATH=str(empty)))
@@ -186,6 +220,21 @@ def test_no_compiler_raises_on_both_engines(tmp_path):
             "ConfigError: simulation needs a C compiler"
         ), got[engine]
         assert "looked for" in got[engine] and "cc" in got[engine]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_COMPILER_SCRIPT],
+        env=_env(tmp_path, PATH=str(empty)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name in ("pack_disks", "allocate"):
+        assert str(got[name]).startswith(
+            "ConfigError: simulation needs a C compiler"
+        ), got[name]
+    for name in ("breakeven", "powermodel", "mg1"):
+        assert isinstance(got[name], float) and got[name] > 0, got[name]
 
 
 @needs_compiler

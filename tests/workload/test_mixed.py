@@ -96,7 +96,7 @@ class TestEndToEnd:
                 arrival_rate=0.5, duration=1_000, seed=6,
             ),
         )
-        cfg = StorageConfig(num_disks=10, load_constraint=0.8)
+        cfg = StorageConfig(num_disks=10, load_constraint=0.8, engine="event")
         alloc = allocate(catalog, "pack", cfg, 0.5)
         mapping = np.full(extended.n, -1, dtype=np.int64)
         mapping[: catalog.n] = alloc.mapping(catalog.n)
