@@ -62,7 +62,8 @@ def part2_writes(catalog: FileCatalog) -> None:
             arrival_rate=0.5, duration=2_000.0, seed=2,
         ),
     )
-    cfg = StorageConfig(num_disks=15, load_constraint=0.8)
+    # The event engine, whose dispatcher counts the writes it routes.
+    cfg = StorageConfig(num_disks=15, load_constraint=0.8, engine="event")
     alloc = allocate(catalog, "pack", cfg, 0.5)
     mapping = np.full(extended.n, -1, dtype=np.int64)
     mapping[: catalog.n] = alloc.mapping(catalog.n)

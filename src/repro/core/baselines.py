@@ -9,7 +9,7 @@ ablation benchmarks.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -51,12 +51,13 @@ def random_allocation(
     space (random placement is oblivious to loads, as in the paper).
 
     All disks are drawn at once: a batch of ``rng.integers`` draws equals
-    the same number of scalar draws, generator state included.  The first
-    file that needs a re-draw is found from each disk's running fill, a
-    sequential cumulative sum in file order (the per-file sums, bit for
-    bit).  Only when there is one is the generator rewound to just after
-    that file's draw, and from there on files draw one at a time, so the
-    mapping and the generator's end state match a per-file loop exactly.
+    the same number of scalar draws, generator state included.  While no
+    file needs a re-draw that batch is the placement; whether one does is
+    read off each disk's running fill, a sequential cumulative sum in file
+    order (the per-file sums, bit for bit).  Only then is the generator
+    rewound and the files placed one at a time (:func:`_place_per_file`),
+    so the mapping and the generator's end state match a per-file loop
+    exactly.
 
     Raises
     ------
@@ -70,71 +71,54 @@ def random_allocation(
     state = rng.bit_generator.state
     disks = rng.integers(num_disks, size=len(arr))
     order = np.argsort(disks, kind="stable")
-    if respect_capacity and len(arr):
-        pos, fill = _first_overflow(disks, order, arr.size, num_disks)
-        if pos is not None:
-            rng.bit_generator.state = state
-            rng.integers(num_disks, size=pos + 1)
-            _redraw_from(arr, disks, fill, pos, rng)
-            order = np.argsort(disks, kind="stable")
     offsets = np.zeros(num_disks + 1, dtype=np.int64)
     np.cumsum(np.bincount(disks, minlength=num_disks), out=offsets[1:])
+    if respect_capacity and _overflows(arr.size[order], offsets):
+        rng.bit_generator.state = state
+        disks = _place_per_file(arr, num_disks, rng)
+        order = np.argsort(disks, kind="stable")
+        np.cumsum(np.bincount(disks, minlength=num_disks), out=offsets[1:])
     return Allocation.from_order(arr, order, offsets, f"random_{num_disks}")
 
 
-def _first_overflow(
-    disks: np.ndarray, order: np.ndarray, sizes: np.ndarray, num_disks: int
-) -> Tuple[Optional[int], List[float]]:
-    """The first file whose drawn disk it would overfill, and each disk's
-    fill before it; ``(None, [])`` when every file fits.
-
-    ``order`` lists the files disk by disk, in file order on each (the
-    stable argsort of ``disks``).  Each disk's files sit in one row of a
-    zero-padded matrix, and ``np.cumsum`` along the rows adds them one
-    after the other, as ``fill[d] += size`` does, so every running sum is
-    bit for bit the per-file loop's.
-    """
-    counts = np.bincount(disks, minlength=num_disks)
-    used = counts[counts > 0]
-    rows = np.repeat(np.arange(used.size), used)
-    cols = np.arange(disks.size) - np.repeat(np.cumsum(used) - used, used)
-    grid = np.zeros((used.size, int(used.max())))
-    grid[rows, cols] = sizes[order]
-    cum = np.cumsum(grid, axis=1)[rows, cols]
-    over = order[cum > 1 + EPS]
-    if not over.size:
-        return None, []
-    pos = int(over.min())
-    # Each disk's fill before file ``pos``: its running sum at the last of
-    # its files that comes earlier.
-    before = np.bincount(disks[:pos], minlength=num_disks)
-    last = np.cumsum(counts) - counts + before - 1
-    fill = np.where(before > 0, cum[np.maximum(last, 0)], 0.0)
-    return pos, fill.tolist()
+def _overflows(sizes: np.ndarray, offsets: np.ndarray) -> bool:
+    """Whether some disk's running fill passes ``1 + EPS``, with
+    ``sizes[offsets[d]:offsets[d + 1]]`` disk ``d``'s files in file order.
+    ``np.cumsum`` adds them one after the other, as ``fill[d] += size``
+    does."""
+    bounds = offsets.tolist()
+    return any(
+        (np.cumsum(sizes[lo:hi]) > 1 + EPS).any()
+        for lo, hi in zip(bounds, bounds[1:])
+    )
 
 
-def _redraw_from(
-    arr: ItemArray, disks: np.ndarray, fill: List[float], pos: int, rng
-) -> None:
-    """Place files ``pos`` on in ``disks`` one at a time, as drawn: file
-    ``pos`` keeps the draw the generator has just made, later files draw
-    their own, and a file its disk cannot hold is re-drawn among the
-    disks with room."""
-    num_disks = len(fill)
-    sizes = arr.size.tolist()
-    for at in range(pos, len(sizes)):
-        size = sizes[at]
-        disk = int(disks[at]) if at == pos else int(rng.integers(num_disks))
+def _place_per_file(arr: ItemArray, num_disks: int, rng) -> np.ndarray:
+    """Each file's disk, as drawn, with a file its disk cannot hold
+    re-drawn among the disks with room.  Draws in a batch up to the first
+    such file, then rewinds the generator to just after that file's draw
+    and draws one file at a time."""
+    state = rng.bit_generator.state
+    disks = rng.integers(num_disks, size=len(arr))
+    fill = [0.0] * num_disks
+    per_file = False
+    for pos, size in enumerate(arr.size.tolist()):
+        disk = int(rng.integers(num_disks)) if per_file else int(disks[pos])
         if fill[disk] + size > 1 + EPS:
+            if not per_file:
+                rng.bit_generator.state = state
+                rng.integers(num_disks, size=pos + 1)
+                per_file = True
             feasible = np.flatnonzero(np.array(fill) + size <= 1 + EPS)
             if feasible.size == 0:
                 raise CapacityError(
-                    f"file {int(arr.index[at])} (s={size:.4f}) fits on none "
+                    f"file {int(arr.index[pos])} (s={size:.4f}) fits on none "
                     f"of the {num_disks} disks"
                 )
             disk = int(feasible[rng.integers(feasible.size)])
-        disks[at] = disk
+        disks[pos] = disk
         fill[disk] += size
+    return disks
 
 
 def round_robin_allocation(

@@ -67,7 +67,9 @@ class StorageSystem:
     (environment, drive processes, dispatcher) is constructed lazily on
     first access, so ``engine="fast"`` runs skip it entirely — for large
     pools its construction would otherwise dominate the fast kernel's
-    wall time.
+    wall time.  On a fast-engine system ``env``, ``array``, ``dispatcher``
+    and ``collect`` raise :class:`~repro.errors.ConfigError`: the run's
+    figures are on its :class:`~repro.system.metrics.SimulationResult`.
 
     Parameters
     ----------
@@ -126,6 +128,14 @@ class StorageSystem:
         return self.fleet.capacities * self.config.storage_utilization
 
     def _build_event_machinery(self) -> None:
+        if self.config.engine != "event":
+            # A fast-engine run never touches these objects, so fresh ones
+            # would only report an empty run (no writes, no energy).
+            raise ConfigError(
+                "the environment, disk array and dispatcher belong to the "
+                f"event engine; this system runs engine={self.config.engine!r}"
+                " (read the SimulationResult, or use engine='event')"
+            )
         self._env = Environment()
         self._array = DiskArray(self._env, self.fleet)
         cache = (

@@ -172,14 +172,16 @@ class TestSweepRunner:
 
 class TestEngineOverride:
     def test_engine_applied_when_supported(self):
+        # Start from the other engine so the override is what sets "fast".
         runner = SweepRunner(max_workers=1, engine="fast")
-        assert runner._with_engine(make_task()).config.engine == "fast"
+        task = make_task(config=CFG.with_overrides(engine="event"))
+        assert runner._with_engine(task).config.engine == "fast"
 
     def test_engine_applied_to_cache_configs(self):
         # The fast kernel covers shared caches, so the override applies to
         # cached grid points too.
         runner = SweepRunner(max_workers=1, engine="fast")
-        cached_cfg = CFG.with_overrides(cache_policy="lru")
+        cached_cfg = CFG.with_overrides(cache_policy="lru", engine="event")
         task = make_task(config=cached_cfg)
         assert runner._with_engine(task).config.engine == "fast"
 

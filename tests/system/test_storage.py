@@ -26,12 +26,16 @@ def stream(catalog, rng):
 class TestConstruction:
     def test_pool_covers_mapping(self, catalog):
         mapping = np.arange(20) % 4
-        system = StorageSystem(catalog, mapping, StorageConfig(num_disks=2))
+        system = StorageSystem(
+            catalog, mapping, StorageConfig(num_disks=2, engine="event")
+        )
         assert len(system.array) == 4  # grown to cover the mapping
 
     def test_pool_respects_config_when_larger(self, catalog):
         mapping = np.zeros(20, dtype=np.int64)
-        system = StorageSystem(catalog, mapping, StorageConfig(num_disks=8))
+        system = StorageSystem(
+            catalog, mapping, StorageConfig(num_disks=8, engine="event")
+        )
         assert len(system.array) == 8
 
     def test_explicit_pool_too_small_rejected(self, catalog):
@@ -47,10 +51,25 @@ class TestConstruction:
         system = StorageSystem(
             catalog,
             np.zeros(20, dtype=np.int64),
-            StorageConfig(num_disks=1, cache_policy="lru", cache_capacity=GiB),
+            StorageConfig(
+                num_disks=1, cache_policy="lru", cache_capacity=GiB,
+                engine="event",
+            ),
         )
         assert system.dispatcher.cache is not None
         assert system.dispatcher.cache.capacity == GiB
+
+    @pytest.mark.parametrize("attr", ["env", "array", "dispatcher", "collect"])
+    def test_event_machinery_refused_on_fast_engine(self, catalog, stream, attr):
+        # A fast run never builds these, so reading them would report an
+        # empty run; the system says so instead.
+        system = StorageSystem(
+            catalog, np.arange(20) % 4, StorageConfig(num_disks=4)
+        )
+        system.run(stream)
+        with pytest.raises(ConfigError, match="engine='event'"):
+            member = getattr(system, attr)
+            member()
 
 
 class TestRun:

@@ -4,6 +4,7 @@ These guarantee the documented entry points actually run on a fresh
 install (tiny parameters keep them fast).
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,8 @@ class TestExamples:
         out = run_example("extensions_tour.py")
         assert "Diurnal load cycle" in out
         assert "Multi-state DPM" in out
+        routed = re.search(r"writes routed: (\d+)", out)
+        assert routed is not None and int(routed.group(1)) > 0
 
     def test_quickstart_shows_positive_saving(self):
         out = run_example(
